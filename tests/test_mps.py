@@ -13,12 +13,13 @@ from valign.builder import (
     build,
     named_config,
 )
+from valign.instance import Pit
 from valign.mps import emit_mps, emit_mps_text, strip_comments
 
 from conftest import make_instance
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "data",
-                      "three_section_qns.mps")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+GOLDEN = os.path.join(DATA, "three_section_qns.mps")
 
 
 def small_model() -> MilpModel:
@@ -40,6 +41,29 @@ def test_golden_three_section_model():
     inst = make_instance([100.0, 101.0, 100.0], areas=[10.0] * 3, offset=2.0)
     model = build(inst, named_config("QNS-B"))
     with open(GOLDEN, encoding="ascii") as fh:
+        assert emit_mps_text(model) == fh.read()
+
+
+def pits_instance(**extra):
+    """Six sections, one borrow pit at 3 and one waste pit at 4."""
+    return make_instance([100.0, 101.0, 102.0, 101.0, 100.0, 99.0],
+                         areas=[10.0] * 6, offset=2.0,
+                         borrow=[Pit("borrow", 3, 30.0, 15.0)],
+                         waste=[Pit("waste", 4, 30.0, 25.0)], **extra)
+
+
+# Blocks at 2 and 5 with access only at 1: pair and right-region gating,
+# with both pits inside the gated regions.
+@pytest.mark.parametrize("blocked, config_name, golden", [
+    (True, "MQN-B", "blocks_pits_mqn_b.mps"),
+    (True, "MQN-S1", "blocks_pits_mqn_s1.mps"),
+    (False, "CTG-B", "pits_ctg_b.mps"),
+])
+def test_golden_model(blocked, config_name, golden):
+    inst = pits_instance(blocks=[2, 5], access=[1]) if blocked \
+        else pits_instance()
+    model = build(inst, named_config(config_name))
+    with open(os.path.join(DATA, golden), encoding="ascii") as fh:
         assert emit_mps_text(model) == fh.read()
 
 

@@ -84,6 +84,26 @@ def test_conservation_fault(two_node_instance):
     assert report.families["flow_conservation"].worst == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("fixture, offsets, arc, borrow_delta", [
+    ("two_node_instance", TWO_NODE_OFFSETS, "FR_1_0_2_1", 0.0),
+    ("two_node_instance", TWO_NODE_OFFSETS, "FR_1_0_3_2", 0.0),
+    ("borrow_fill_instance", BORROW_FILL_OFFSETS, "FB_1_0_1_3", 1.0),
+    ("borrow_fill_instance", BORROW_FILL_OFFSETS, "FB_1_0_1_1", 1.0),
+])
+def test_mirrored_chain_conservation_fault(request, fixture, offsets, arc,
+                                           borrow_delta):
+    # Leftward transit and both borrow arcs; a borrow bump also raises the
+    # pit's drawn volume so only the chain's conservation row breaks.
+    instance = request.getfixturevalue(fixture)
+    config, result = solved(instance, offsets=offsets)
+    tampered = replace(
+        result, values=bumped(result.values, [arc]),
+        borrow_used=tuple(b + borrow_delta for b in result.borrow_used))
+    report = validate(instance, config, tampered)
+    assert failing(report) == ["flow_conservation"]
+    assert report.families["flow_conservation"].worst == pytest.approx(1.0)
+
+
 def test_block_gating_fault():
     # flat road, borrow and waste pits on opposite sides of a block
     inst = make_instance([100.0] * 5, areas=[10.0] * 5, offset=4.0,
