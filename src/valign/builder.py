@@ -8,9 +8,12 @@ Three model families share the spline, volume, and slope rows:
   (supply node, demand node) pair, quadratic in the section count.
 
 Variable names are a stable external contract (they appear in MPS files and
-solution files): A_<g>_<k>, U_<i>, VP_<i>, VM_<i>, FR/FU/FL_<h>_<t>_<i>_<j>,
-FB/FW_<h>_<t>_<pit>_<dir>, Y_<k>_<t>, X_<i>_<j>. Pit volume variables use
-node indices n+j (borrow) and n+n_borrow+k (waste).
+solution files), and ArcIndex is the only code that spells them: A_<g>_<k>,
+U_<i>, VP_<i>, VM_<i>, Y_<k>_<t>, X_<i>_<j> (CTG), and for haul h and time
+step t the chain arcs FR/FU/FL_<h>_<t>_<i>_<j>, where j - i is the chain's
+direction d (+1 rightward, -1 leftward), and the pit arcs
+FB/FW_<h>_<t>_<pit>_<dir>. Pit volume variables and CTG pit nodes use node
+indices n+j (borrow) and n+n_borrow+k (waste).
 """
 
 from __future__ import annotations
@@ -187,6 +190,93 @@ def effective_hauls(instance: RoadInstance,
     return tuple(hauls)
 
 
+DIRECTIONS = (1, -1)  # rightward chain, leftward chain
+
+
+class ArcIndex:
+    """Variable names of one instance's models (see the module docstring).
+
+    Chain d carries material from section i toward i+d: transit(i, d) is the
+    arc i -> i+d, unload(i, d) puts section i's cut on the chain, load(i, d)
+    takes the chain's material into section i's fill, borrow(j, d) and
+    waste(k, d) join pit j or k to the chain at its attached section.
+    """
+
+    FLOW_PREFIXES = ("FR_", "FU_", "FL_", "FB_", "FW_", "X_")
+
+    def __init__(self, instance: RoadInstance):
+        self.n = instance.n
+        self.borrow_pits = instance.borrow_pits
+        self.waste_pits = instance.waste_pits
+        self._pits = instance.borrow_pits + instance.waste_pits
+        sections = list(range(1, self.n + 1))
+        self.supply_nodes = sections + [
+            self.borrow_node(j) for j in range(1, len(self.borrow_pits) + 1)]
+        self.demand_nodes = sections + [
+            self.waste_node(k) for k in range(1, len(self.waste_pits) + 1)]
+
+    @staticmethod
+    def coeff(g: int, k: int) -> str:
+        return f"A_{g}_{k}"
+
+    @staticmethod
+    def offset(i: int) -> str:
+        return f"U_{i}"
+
+    @staticmethod
+    def cut(node: int) -> str:
+        return f"VP_{node}"
+
+    @staticmethod
+    def fill(node: int) -> str:
+        return f"VM_{node}"
+
+    @staticmethod
+    def removal(k: int, t: int) -> str:
+        return f"Y_{k}_{t}"
+
+    def borrow_node(self, j: int) -> int:
+        return self.n + j
+
+    def waste_node(self, k: int) -> int:
+        return self.n + len(self.borrow_pits) + k
+
+    def borrow_used(self, j: int) -> str:
+        return self.cut(self.borrow_node(j))
+
+    def waste_used(self, k: int) -> str:
+        return self.fill(self.waste_node(k))
+
+    def node_site(self, node: int) -> tuple[int, float]:
+        """(section, dead haul) of a CTG supply or demand node."""
+        if node <= self.n:
+            return node, 0.0
+        pit = self._pits[node - self.n - 1]
+        return pit.attached_section, pit.dead_haul
+
+    @staticmethod
+    def transit(h: int, t: int, i: int, d: int) -> str:
+        return f"FR_{h}_{t}_{i}_{i + d}"
+
+    @staticmethod
+    def unload(h: int, t: int, i: int, d: int) -> str:
+        return f"FU_{h}_{t}_{i}_{i + d}"
+
+    @staticmethod
+    def load(h: int, t: int, i: int, d: int) -> str:
+        return f"FL_{h}_{t}_{i - d}_{i}"
+
+    def borrow(self, h: int, t: int, j: int, d: int) -> str:
+        return f"FB_{h}_{t}_{j}_{self.borrow_pits[j - 1].attached_section + d}"
+
+    def waste(self, h: int, t: int, k: int, d: int) -> str:
+        return f"FW_{h}_{t}_{k}_{self.waste_pits[k - 1].attached_section - d}"
+
+    @staticmethod
+    def ctg(src: int, dst: int) -> str:
+        return f"X_{src}_{dst}"
+
+
 class _Assembler:
     """Accumulates a model; rejects duplicate names as they appear."""
 
@@ -242,44 +332,45 @@ def _check_segments(instance: RoadInstance) -> None:
             raise BuildError(f"segment {g} has zero length (stations {start}..{end})")
 
 
-def _spline_rows(asm: _Assembler, instance: RoadInstance, volume_mode: str) -> None:
+def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
+                 volume_mode: str) -> None:
     """Shared rows: coefficients, offsets, volumes, continuity, slope."""
     layout = instance.segment_layout
     m = layout.segment_count
+    coeff, offset, cut, fill = names.coeff, names.offset, names.cut, names.fill
 
     for g in range(1, m + 1):
         for k in (1, 2, 3):
-            asm.var(f"A_{g}_{k}", -math.inf, math.inf)
+            asm.var(coeff(g, k), -math.inf, math.inf)
     for i in range(1, instance.n + 1):
         sec = instance.section(i)
-        asm.var(f"U_{i}", sec.offset_lo, sec.offset_hi)
+        asm.var(offset(i), sec.offset_lo, sec.offset_hi)
 
-    n_b = len(instance.borrow_pits)
     for i in range(1, instance.n + 1):
         cap = big_m(instance, i, volume_mode)
-        asm.var(f"VP_{i}", 0.0, cap, cost=instance.material_of(i).excavation)
+        asm.var(cut(i), 0.0, cap, cost=instance.material_of(i).excavation)
     for j, pit in enumerate(instance.borrow_pits, start=1):
-        asm.var(f"VP_{instance.n + j}", 0.0, pit.capacity)
+        asm.var(names.borrow_used(j), 0.0, pit.capacity)
     for i in range(1, instance.n + 1):
         cap = big_m(instance, i, volume_mode)
-        asm.var(f"VM_{i}", 0.0, cap, cost=instance.material_of(i).embankment)
+        asm.var(fill(i), 0.0, cap, cost=instance.material_of(i).embankment)
     for k, pit in enumerate(instance.waste_pits, start=1):
-        asm.var(f"VM_{instance.n + n_b + k}", 0.0, pit.capacity)
+        asm.var(names.waste_used(k), 0.0, pit.capacity)
 
     # Offset definition: U_i + P(s_i) = E_i, expanded over local coordinates.
     for i in range(1, instance.n + 1):
         g = layout.segment_of(i)
         sigma = instance.local_coordinate(i)
         asm.row(f"OFF_{i}",
-                [(f"U_{i}", 1.0), (f"A_{g}_1", 1.0), (f"A_{g}_2", sigma),
-                 (f"A_{g}_3", sigma * sigma)],
+                [(offset(i), 1.0), (coeff(g, 1), 1.0), (coeff(g, 2), sigma),
+                 (coeff(g, 3), sigma * sigma)],
                 "=", instance.section(i).ground_elevation)
 
     if volume_mode == "linear":
         for i in range(1, instance.n + 1):
             asm.row(f"VOL_{i}",
-                    [(f"VP_{i}", 1.0), (f"VM_{i}", -1.0),
-                     (f"U_{i}", -instance.section(i).area)],
+                    [(cut(i), 1.0), (fill(i), -1.0),
+                     (offset(i), -instance.section(i).area)],
                     "=", 0.0)
     else:
         missing = [i for i in range(1, instance.n + 1)
@@ -294,15 +385,15 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, volume_mode: str) -> N
             lams = [asm.var(f"LAM_{i}_{b}", 0.0, 1.0) for b in range(1, breaks + 1)]
             asm.row(f"PWS_{i}", [(lam, 1.0) for lam in lams], "=", 1.0)
             asm.row(f"PWU_{i}",
-                    [(f"U_{i}", 1.0)] + [(lam, -off) for lam, off
+                    [(offset(i), 1.0)] + [(lam, -off) for lam, off
                                          in zip(lams, curve.offsets)],
                     "=", 0.0)
             asm.row(f"PWC_{i}",
-                    [(f"VP_{i}", 1.0)] + [(lam, -c) for lam, c
+                    [(cut(i), 1.0)] + [(lam, -c) for lam, c
                                           in zip(lams, curve.cut)],
                     "=", 0.0)
             asm.row(f"PWF_{i}",
-                    [(f"VM_{i}", 1.0)] + [(lam, -fl) for lam, fl
+                    [(fill(i), 1.0)] + [(lam, -fl) for lam, fl
                                           in zip(lams, curve.fill)],
                     "=", 0.0)
             if volume_mode == "piecewise-sos2":
@@ -327,12 +418,12 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, volume_mode: str) -> N
         start_prev, end_prev = instance.segment_span(g - 1)
         span = end_prev - start_prev
         asm.row(f"C0_{g}",
-                [(f"A_{g - 1}_1", 1.0), (f"A_{g - 1}_2", span),
-                 (f"A_{g - 1}_3", span * span), (f"A_{g}_1", -1.0)],
+                [(coeff(g - 1, 1), 1.0), (coeff(g - 1, 2), span),
+                 (coeff(g - 1, 3), span * span), (coeff(g, 1), -1.0)],
                 "=", 0.0)
         asm.row(f"C1_{g}",
-                [(f"A_{g - 1}_2", 1.0), (f"A_{g - 1}_3", 2.0 * span),
-                 (f"A_{g}_2", -1.0)],
+                [(coeff(g - 1, 2), 1.0), (coeff(g - 1, 3), 2.0 * span),
+                 (coeff(g, 2), -1.0)],
                 "=", 0.0)
 
     # Grade is affine per segment: bounding both endpoints bounds the segment.
@@ -340,9 +431,9 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, volume_mode: str) -> N
     for g in range(1, m + 1):
         start, end = instance.segment_span(g)
         span = end - start
-        asm.row(f"SLP_{g}_S", [(f"A_{g}_2", 1.0)],
+        asm.row(f"SLP_{g}_S", [(coeff(g, 2), 1.0)],
                 "<=", instance.slope_hi, rhs_range=slope_range)
-        asm.row(f"SLP_{g}_E", [(f"A_{g}_2", 1.0), (f"A_{g}_3", 2.0 * span)],
+        asm.row(f"SLP_{g}_E", [(coeff(g, 2), 1.0), (coeff(g, 3), 2.0 * span)],
                 "<=", instance.slope_hi, rhs_range=slope_range)
 
 
@@ -363,115 +454,94 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     steps = list(range(n_blocks + 1))  # time steps 0..n_b
     stations = instance.stations
 
+    names = ArcIndex(instance)
     asm = _Assembler("VALIGN")
-    _spline_rows(asm, instance, config.volume_mode)
+    _spline_rows(asm, instance, names, config.volume_mode)
+    hs = range(1, len(hauls) + 1)
 
-    n_borrow = len(instance.borrow_pits)
-
-    # Flow variables. Transit arcs leaving the road at either end exist with
-    # zero bounds so conservation rows keep a uniform shape.
-    for h in range(1, len(hauls) + 1):
-        haul = hauls[h - 1]
+    # Flow variables, rightward chain then leftward. Transit arcs leaving the
+    # road at either end exist with zero bounds so conservation rows keep a
+    # uniform shape.
+    for h, haul in enumerate(hauls, start=1):
         for t in steps:
             for i in range(1, n + 1):
-                right_cost = haul.unit_haul_cost * (stations[i] - stations[i - 1]) \
-                    if i < n else 0.0
-                left_cost = haul.unit_haul_cost * (stations[i - 1] - stations[i - 2]) \
-                    if i > 1 else 0.0
-                asm.var(f"FR_{h}_{t}_{i}_{i + 1}",
-                        0.0, math.inf if i < n else 0.0, cost=right_cost)
-                asm.var(f"FU_{h}_{t}_{i}_{i + 1}", cost=haul.loading_cost)
-                asm.var(f"FL_{h}_{t}_{i - 1}_{i}")
-                asm.var(f"FR_{h}_{t}_{i}_{i - 1}",
-                        0.0, math.inf if i > 1 else 0.0, cost=left_cost)
-                asm.var(f"FU_{h}_{t}_{i}_{i - 1}", cost=haul.loading_cost)
-                asm.var(f"FL_{h}_{t}_{i + 1}_{i}")
+                for d in DIRECTIONS:
+                    on_road = 1 <= i + d <= n
+                    hop = d * (stations[i + d - 1] - stations[i - 1]) \
+                        if on_road else 0.0
+                    asm.var(names.transit(h, t, i, d),
+                            0.0, math.inf if on_road else 0.0,
+                            cost=haul.unit_haul_cost * hop)
+                    asm.var(names.unload(h, t, i, d), cost=haul.loading_cost)
+                    asm.var(names.load(h, t, i, d))
             for j, pit in enumerate(instance.borrow_pits, start=1):
                 mat = instance.material_of(pit.attached_section)
                 cost = mat.excavation + haul.loading_cost \
                     + haul.unit_haul_cost * pit.dead_haul
-                asm.var(f"FB_{h}_{t}_{j}_{pit.attached_section + 1}", cost=cost)
-                asm.var(f"FB_{h}_{t}_{j}_{pit.attached_section - 1}", cost=cost)
+                for d in DIRECTIONS:
+                    asm.var(names.borrow(h, t, j, d), cost=cost)
             for k, pit in enumerate(instance.waste_pits, start=1):
                 mat = instance.material_of(pit.attached_section)
                 cost = mat.embankment + haul.unit_haul_cost * pit.dead_haul
-                asm.var(f"FW_{h}_{t}_{k}_{pit.attached_section - 1}", cost=cost)
-                asm.var(f"FW_{h}_{t}_{k}_{pit.attached_section + 1}", cost=cost)
+                for d in DIRECTIONS:
+                    asm.var(names.waste(h, t, k, d), cost=cost)
 
     for k in range(1, n_blocks + 1):
         for t in steps:
-            asm.var(f"Y_{k}_{t}", 0.0, 1.0, kind="binary")
+            asm.var(names.removal(k, t), 0.0, 1.0, kind="binary")
 
-    # Conservation at every transit node, rightward then leftward chain.
-    for h in range(1, len(hauls) + 1):
+    # Conservation at every node i of chain d (FCR rightward, FCL leftward):
+    # transit in from i-d + unload + borrow = transit out + load + waste.
+    for h in hs:
         for t in steps:
             for i in range(1, n + 1):
-                right: dict[str, float] = {}
-                if i > 1:
-                    right[f"FR_{h}_{t}_{i - 1}_{i}"] = 1.0
-                right[f"FU_{h}_{t}_{i}_{i + 1}"] = 1.0
-                for j, pit in enumerate(instance.borrow_pits, start=1):
-                    if pit.attached_section == i:
-                        right[f"FB_{h}_{t}_{j}_{i + 1}"] = 1.0
-                right[f"FR_{h}_{t}_{i}_{i + 1}"] = -1.0
-                right[f"FL_{h}_{t}_{i - 1}_{i}"] = -1.0
-                for k, pit in enumerate(instance.waste_pits, start=1):
-                    if pit.attached_section == i:
-                        right[f"FW_{h}_{t}_{k}_{i - 1}"] = -1.0
-                asm.row(f"FCR_{h}_{t}_{i}", right, "=", 0.0)
-
-                left: dict[str, float] = {}
-                if i < n:
-                    left[f"FR_{h}_{t}_{i + 1}_{i}"] = 1.0
-                left[f"FU_{h}_{t}_{i}_{i - 1}"] = 1.0
-                for j, pit in enumerate(instance.borrow_pits, start=1):
-                    if pit.attached_section == i:
-                        left[f"FB_{h}_{t}_{j}_{i - 1}"] = 1.0
-                left[f"FR_{h}_{t}_{i}_{i - 1}"] = -1.0
-                left[f"FL_{h}_{t}_{i + 1}_{i}"] = -1.0
-                for k, pit in enumerate(instance.waste_pits, start=1):
-                    if pit.attached_section == i:
-                        left[f"FW_{h}_{t}_{k}_{i + 1}"] = -1.0
-                asm.row(f"FCL_{h}_{t}_{i}", left, "=", 0.0)
+                for d, chain in zip(DIRECTIONS, "RL"):
+                    terms: dict[str, float] = {}
+                    if 1 <= i - d <= n:
+                        terms[names.transit(h, t, i - d, d)] = 1.0
+                    terms[names.unload(h, t, i, d)] = 1.0
+                    for j, pit in enumerate(instance.borrow_pits, start=1):
+                        if pit.attached_section == i:
+                            terms[names.borrow(h, t, j, d)] = 1.0
+                    terms[names.transit(h, t, i, d)] = -1.0
+                    terms[names.load(h, t, i, d)] = -1.0
+                    for k, pit in enumerate(instance.waste_pits, start=1):
+                        if pit.attached_section == i:
+                            terms[names.waste(h, t, k, d)] = -1.0
+                    asm.row(f"FC{chain}_{h}_{t}_{i}", terms, "=", 0.0)
 
     # Balance: total unload/load over hauls and steps equals section volume;
     # same for pit flows against pit volume variables.
-    hs = range(1, len(hauls) + 1)
+    def over_chains(arc, *args) -> dict[str, float]:
+        return {arc(h, t, *args, d): 1.0
+                for d in DIRECTIONS for h in hs for t in steps}
+
     for i in range(1, n + 1):
-        cut_terms = {f"FU_{h}_{t}_{i}_{i + 1}": 1.0 for h in hs for t in steps}
-        cut_terms.update({f"FU_{h}_{t}_{i}_{i - 1}": 1.0 for h in hs for t in steps})
-        cut_terms[f"VP_{i}"] = -1.0
+        cut_terms = over_chains(names.unload, i)
+        cut_terms[names.cut(i)] = -1.0
         asm.row(f"BALC_{i}", cut_terms, "=", 0.0)
-        fill_terms = {f"FL_{h}_{t}_{i - 1}_{i}": 1.0 for h in hs for t in steps}
-        fill_terms.update({f"FL_{h}_{t}_{i + 1}_{i}": 1.0 for h in hs for t in steps})
-        fill_terms[f"VM_{i}"] = -1.0
+        fill_terms = over_chains(names.load, i)
+        fill_terms[names.fill(i)] = -1.0
         asm.row(f"BALF_{i}", fill_terms, "=", 0.0)
     for j, pit in enumerate(instance.borrow_pits, start=1):
-        sec = pit.attached_section
-        terms = {f"FB_{h}_{t}_{j}_{sec + 1}": 1.0 for h in hs for t in steps}
-        terms.update({f"FB_{h}_{t}_{j}_{sec - 1}": 1.0 for h in hs for t in steps})
-        terms[f"VP_{n + j}"] = -1.0
-        asm.row(f"BALB_{j}", terms, "=", 0.0)
-        del terms[f"VP_{n + j}"]
+        terms = over_chains(names.borrow, j)
+        asm.row(f"BALB_{j}", {**terms, names.borrow_used(j): -1.0}, "=", 0.0)
         asm.row(f"CAPB_{j}", terms, "<=", pit.capacity)
     for k, pit in enumerate(instance.waste_pits, start=1):
-        sec = pit.attached_section
-        terms = {f"FW_{h}_{t}_{k}_{sec - 1}": 1.0 for h in hs for t in steps}
-        terms.update({f"FW_{h}_{t}_{k}_{sec + 1}": 1.0 for h in hs for t in steps})
-        terms[f"VM_{n + n_borrow + k}"] = -1.0
-        asm.row(f"BALW_{k}", terms, "=", 0.0)
-        del terms[f"VM_{n + n_borrow + k}"]
+        terms = over_chains(names.waste, k)
+        asm.row(f"BALW_{k}", {**terms, names.waste_used(k): -1.0}, "=", 0.0)
         asm.row(f"CAPW_{k}", terms, "<=", pit.capacity)
 
     if blocks:
-        _block_rows(asm, instance, config, hauls, steps)
+        _block_rows(asm, instance, names, config, hauls, steps)
 
     provenance = _provenance(instance, config, hauls, steps)
     return asm.finish(provenance)
 
 
-def _block_rows(asm: _Assembler, instance: RoadInstance, config: BuilderConfig,
-                hauls: tuple[HaulClass, ...], steps: list[int]) -> None:
+def _block_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
+                config: BuilderConfig, hauls: tuple[HaulClass, ...],
+                steps: list[int]) -> None:
     """Block gating, region gating, removal indicators, enforcement."""
     n = instance.n
     blocks = instance.sorted_blocks
@@ -479,6 +549,7 @@ def _block_rows(asm: _Assembler, instance: RoadInstance, config: BuilderConfig,
     m_flow = global_big_m(instance, config.volume_mode)
     hs = range(1, len(hauls) + 1)
     sos1 = config.block_technique == "sos1"
+    removal = names.removal
 
     if sos1:
         # Complement of the removal indicator, shared across pair sets.
@@ -486,93 +557,84 @@ def _block_rows(asm: _Assembler, instance: RoadInstance, config: BuilderConfig,
             for u in range(n_blocks):
                 asm.var(f"W_{k}_{u}", 0.0, 1.0)
                 asm.row(f"WDEF_{k}_{u}",
-                        [(f"W_{k}_{u}", 1.0), (f"Y_{k}_{u}", 1.0)], "=", 1.0)
+                        [(f"W_{k}_{u}", 1.0), (removal(k, u), 1.0)], "=", 1.0)
 
-    # Four gated pairs per block: transit into/out of the block section on
-    # each chain must match the local load/unload until the block is removed.
+    # Four gated pairs per block: on each chain (L rightward, R leftward),
+    # transit into/out of the block section must match the local load/unload
+    # until the block is removed.
     for k, blk in enumerate(blocks, start=1):
         s = blk.section
-        pair_arcs = {
-            "LI": (lambda h, t: (f"FR_{h}_{t}_{s - 1}_{s}", f"FL_{h}_{t}_{s - 1}_{s}")),
-            "LO": (lambda h, t: (f"FR_{h}_{t}_{s}_{s + 1}", f"FU_{h}_{t}_{s}_{s + 1}")),
-            "RI": (lambda h, t: (f"FR_{h}_{t}_{s + 1}_{s}", f"FL_{h}_{t}_{s + 1}_{s}")),
-            "RO": (lambda h, t: (f"FR_{h}_{t}_{s}_{s - 1}", f"FU_{h}_{t}_{s}_{s - 1}")),
-        }
         for h in hs:
             for t in steps:
-                for tag, arcs in pair_arcs.items():
-                    transit, local = arcs(h, t)
-                    if t == 0:
-                        # Nothing is removed before construction starts.
-                        asm.row(f"B{tag}E_{k}_{h}_{t}",
-                                [(transit, 1.0), (local, -1.0)], "=", 0.0)
-                    elif not sos1:
+                for d, side in zip(DIRECTIONS, "LR"):
+                    for tag, transit, local in (
+                            (f"{side}I", names.transit(h, t, s - d, d),
+                             names.load(h, t, s, d)),
+                            (f"{side}O", names.transit(h, t, s, d),
+                             names.unload(h, t, s, d))):
+                        if t == 0:
+                            # Nothing is removed before construction starts.
+                            asm.row(f"B{tag}E_{k}_{h}_{t}",
+                                    [(transit, 1.0), (local, -1.0)], "=", 0.0)
+                            continue
+                        if sos1:
+                            # Finite slack bound keeps the set convertible to
+                            # binaries by solvers without native SOS support.
+                            slack = asm.var(f"BS_{tag}_{k}_{h}_{t}", 0.0, m_flow)
+                            asm.add_sos(f"SB_{tag}_{k}_{h}_{t}", 1,
+                                        [(slack, 1.0), (f"W_{k}_{t - 1}", 2.0)])
+                            release = (slack, -1.0)
+                        else:
+                            release = (removal(k, t - 1), -m_flow)
                         asm.row(f"B{tag}P_{k}_{h}_{t}",
-                                [(transit, 1.0), (local, -1.0),
-                                 (f"Y_{k}_{t - 1}", -m_flow)], "<=", 0.0)
-                        asm.row(f"B{tag}N_{k}_{h}_{t}",
-                                [(transit, -1.0), (local, 1.0),
-                                 (f"Y_{k}_{t - 1}", -m_flow)], "<=", 0.0)
-                    else:
-                        # Finite slack bound keeps the set convertible to
-                        # binaries by solvers without native SOS support.
-                        slack = asm.var(f"BS_{tag}_{k}_{h}_{t}", 0.0, m_flow)
-                        asm.row(f"B{tag}P_{k}_{h}_{t}",
-                                [(transit, 1.0), (local, -1.0), (slack, -1.0)],
+                                [(transit, 1.0), (local, -1.0), release],
                                 "<=", 0.0)
                         asm.row(f"B{tag}N_{k}_{h}_{t}",
-                                [(transit, -1.0), (local, 1.0), (slack, -1.0)],
+                                [(transit, -1.0), (local, 1.0), release],
                                 "<=", 0.0)
-                        asm.add_sos(f"SB_{tag}_{k}_{h}_{t}", 1,
-                                    [(slack, 1.0), (f"W_{k}_{t - 1}", 2.0)])
 
     # Region gating: all movement inside regions sealed off by unremoved
     # blocks (no access road) is forbidden until a sealing block is removed.
     pairs, left_set, right_set = block_access_sets(instance)
 
-    def gate(row_name: str, flow: str, ys: list[str], t: int) -> None:
+    def gate(row_name: str, flow: str, ks: tuple[int, ...], t: int) -> None:
         coeffs: list[tuple[str, float]] = [(flow, 1.0)]
         if t >= 1:
-            coeffs += [(y.replace("<T>", str(t - 1)), -m_flow) for y in ys]
+            coeffs += [(removal(k, t - 1), -m_flow) for k in ks]
         asm.row(row_name, coeffs, "<=", 0.0)
 
-    def region(tag: str, ys_tpl: list[str], lo_arc: int, hi_arc: int,
+    def region(tag: str, ks: tuple[int, ...], lo_arc: int, hi_arc: int,
                pit_ok, key: str) -> None:
         # lo_arc..hi_arc: transit arcs (i, i+1) with lo_arc <= i, i+1 <= hi_arc
         for h in hs:
             for t in steps:
                 for i in range(lo_arc, hi_arc):
                     gate(f"G{tag}R_{key}_{h}_{t}_{i}",
-                         f"FR_{h}_{t}_{i}_{i + 1}", ys_tpl, t)
+                         names.transit(h, t, i, 1), ks, t)
                     gate(f"G{tag}L_{key}_{h}_{t}_{i}",
-                         f"FR_{h}_{t}_{i + 1}_{i}", ys_tpl, t)
+                         names.transit(h, t, i + 1, -1), ks, t)
+                # Row tags name the arc's end: P for section+1, M for -1.
                 for j, pit in enumerate(instance.borrow_pits, start=1):
                     if pit_ok(pit.attached_section):
-                        sec = pit.attached_section
-                        gate(f"G{tag}BP_{key}_{h}_{t}_{j}",
-                             f"FB_{h}_{t}_{j}_{sec + 1}", ys_tpl, t)
-                        gate(f"G{tag}BM_{key}_{h}_{t}_{j}",
-                             f"FB_{h}_{t}_{j}_{sec - 1}", ys_tpl, t)
+                        for d, end in zip(DIRECTIONS, "PM"):
+                            gate(f"G{tag}B{end}_{key}_{h}_{t}_{j}",
+                                 names.borrow(h, t, j, d), ks, t)
                 for w, pit in enumerate(instance.waste_pits, start=1):
                     if pit_ok(pit.attached_section):
-                        sec = pit.attached_section
-                        gate(f"G{tag}WM_{key}_{h}_{t}_{w}",
-                             f"FW_{h}_{t}_{w}_{sec - 1}", ys_tpl, t)
-                        gate(f"G{tag}WP_{key}_{h}_{t}_{w}",
-                             f"FW_{h}_{t}_{w}_{sec + 1}", ys_tpl, t)
+                        for d, end in zip(DIRECTIONS, "MP"):
+                            gate(f"G{tag}W{end}_{key}_{h}_{t}_{w}",
+                                 names.waste(h, t, w, d), ks, t)
 
     for k1, k2 in pairs:
         s1, s2 = blocks[k1 - 1].section, blocks[k2 - 1].section
-        region("2", [f"Y_{k1}_<T>", f"Y_{k2}_<T>"], s1, s2,
+        region("2", (k1, k2), s1, s2,
                lambda sec: s1 <= sec - 1 and sec + 1 <= s2, f"{k1}_{k2}")
     for k in left_set:
         s = blocks[k - 1].section
-        region("L", [f"Y_{k}_<T>"], 1, s,
-               lambda sec: sec + 1 <= s, str(k))
+        region("L", (k,), 1, s, lambda sec: sec + 1 <= s, str(k))
     for k in right_set:
         s = blocks[k - 1].section
-        region("R", [f"Y_{k}_<T>"], s, n,
-               lambda sec: s <= sec - 1, str(k))
+        region("R", (k,), s, n, lambda sec: s <= sec - 1, str(k))
 
     # Removal indicators: a block may be flagged removed at step u only once
     # its section's full cut and fill have been moved by then.
@@ -584,25 +646,24 @@ def _block_rows(asm: _Assembler, instance: RoadInstance, config: BuilderConfig,
             fill_terms: dict[str, float] = {}
             for h in hs:
                 for t in range(u + 1):
-                    cut_terms[f"FU_{h}_{t}_{s}_{s + 1}"] = 1.0
-                    cut_terms[f"FU_{h}_{t}_{s}_{s - 1}"] = 1.0
-                    fill_terms[f"FL_{h}_{t}_{s - 1}_{s}"] = 1.0
-                    fill_terms[f"FL_{h}_{t}_{s + 1}_{s}"] = 1.0
-            cut_terms[f"VP_{s}"] = -1.0
-            cut_terms[f"Y_{k}_{u}"] = -m_vol
+                    for d in DIRECTIONS:
+                        cut_terms[names.unload(h, t, s, d)] = 1.0
+                        fill_terms[names.load(h, t, s, d)] = 1.0
+            cut_terms[names.cut(s)] = -1.0
+            cut_terms[removal(k, u)] = -m_vol
             asm.row(f"RIC_{k}_{u}", cut_terms, ">=", -m_vol)
-            fill_terms[f"VM_{s}"] = -1.0
-            fill_terms[f"Y_{k}_{u}"] = -m_vol
+            fill_terms[names.fill(s)] = -1.0
+            fill_terms[removal(k, u)] = -m_vol
             asm.row(f"RIF_{k}_{u}", fill_terms, ">=", -m_vol)
 
     # At least u blocks are removed by the end of step u; removal is final.
     for u in range(1, n_blocks + 1):
         asm.row(f"ENF_{u}",
-                {f"Y_{k}_{u}": 1.0 for k in range(1, n_blocks + 1)}, ">=", float(u))
+                {removal(k, u): 1.0 for k in range(1, n_blocks + 1)}, ">=", float(u))
     for k in range(1, n_blocks + 1):
         for t in range(1, n_blocks + 1):
             asm.row(f"MON_{k}_{t}",
-                    [(f"Y_{k}_{t}", 1.0), (f"Y_{k}_{t - 1}", -1.0)], ">=", 0.0)
+                    [(removal(k, t), 1.0), (removal(k, t - 1), -1.0)], ">=", 0.0)
 
 
 def build_ctg(instance: RoadInstance,
@@ -617,10 +678,9 @@ def build_ctg(instance: RoadInstance,
         raise BuildError("CTG requires a block-free instance")
     _check_segments(instance)
 
-    n = instance.n
-    n_borrow = len(instance.borrow_pits)
+    names = ArcIndex(instance)
     asm = _Assembler("VALIGN")
-    _spline_rows(asm, instance, config.volume_mode)
+    _spline_rows(asm, instance, names, config.volume_mode)
 
     # Material cost is carried on arcs, so strip VP/VM objective entries.
     asm.objective.clear()
@@ -630,20 +690,12 @@ def build_ctg(instance: RoadInstance,
 
     def node_info(node: int) -> tuple[float, float, float, float]:
         """(station, dead haul, excavation rate, embankment rate)."""
-        if node <= n:
-            mat = instance.material_of(node)
-            return stations[node - 1], 0.0, mat.excavation, mat.embankment
-        if node <= n + n_borrow:
-            pit = instance.borrow_pits[node - n - 1]
-        else:
-            pit = instance.waste_pits[node - n - n_borrow - 1]
-        mat = instance.material_of(pit.attached_section)
-        return (stations[pit.attached_section - 1], pit.dead_haul,
-                mat.excavation, mat.embankment)
+        section, dead_haul = names.node_site(node)
+        mat = instance.material_of(section)
+        return stations[section - 1], dead_haul, mat.excavation, mat.embankment
 
-    supply_nodes = list(range(1, n + 1)) + [n + j for j in range(1, n_borrow + 1)]
-    demand_nodes = list(range(1, n + 1)) + \
-        [n + n_borrow + k for k in range(1, len(instance.waste_pits) + 1)]
+    supply_nodes, demand_nodes = names.supply_nodes, names.demand_nodes
+    x = names.ctg
 
     for src in supply_nodes:
         st_s, dead_s, exc_s, _ = node_info(src)
@@ -653,24 +705,24 @@ def build_ctg(instance: RoadInstance,
             st_d, dead_d, _, emb_d = node_info(dst)
             dist = abs(st_d - st_s) + dead_s + dead_d
             cost = exc_s + cheapest_haul(hauls, dist)[1] + emb_d
-            asm.var(f"X_{src}_{dst}", cost=cost)
+            asm.var(x(src, dst), cost=cost)
 
-    for i in range(1, n + 1):
-        out_terms = {f"X_{i}_{dst}": 1.0 for dst in demand_nodes if dst != i}
-        out_terms[f"VP_{i}"] = -1.0
+    for i in range(1, instance.n + 1):
+        out_terms = {x(i, dst): 1.0 for dst in demand_nodes if dst != i}
+        out_terms[names.cut(i)] = -1.0
         asm.row(f"CTS_{i}", out_terms, "=", 0.0)
-        in_terms = {f"X_{src}_{i}": 1.0 for src in supply_nodes if src != i}
-        in_terms[f"VM_{i}"] = -1.0
+        in_terms = {x(src, i): 1.0 for src in supply_nodes if src != i}
+        in_terms[names.fill(i)] = -1.0
         asm.row(f"CTD_{i}", in_terms, "=", 0.0)
-    for j in range(1, n_borrow + 1):
-        node = n + j
-        terms = {f"X_{node}_{dst}": 1.0 for dst in demand_nodes}
-        terms[f"VP_{node}"] = -1.0
+    for j in range(1, len(instance.borrow_pits) + 1):
+        node = names.borrow_node(j)
+        terms = {x(node, dst): 1.0 for dst in demand_nodes}
+        terms[names.borrow_used(j)] = -1.0
         asm.row(f"CTB_{j}", terms, "=", 0.0)
     for k in range(1, len(instance.waste_pits) + 1):
-        node = n + n_borrow + k
-        terms = {f"X_{src}_{node}": 1.0 for src in supply_nodes}
-        terms[f"VM_{node}"] = -1.0
+        node = names.waste_node(k)
+        terms = {x(src, node): 1.0 for src in supply_nodes}
+        terms[names.waste_used(k)] = -1.0
         asm.row(f"CTW_{k}", terms, "=", 0.0)
 
     provenance = _provenance(instance, config, hauls, [0])
@@ -679,20 +731,21 @@ def build_ctg(instance: RoadInstance,
 
 def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
     """Pin every section offset, reducing the MILP to earthwork allocation."""
-    n = sum(1 for v in model.variables if v.name.startswith("U_"))
+    n = int(dict(model.provenance)["sections"])
     if len(offsets) != n:
         raise BuildError(f"need {n} offsets, got {len(offsets)}")
     rows = list(model.constraints)
     fixed: list[LinearConstraint] = []
     for i, value in enumerate(offsets, start=1):
-        var = model.variable_map.get(f"U_{i}")
+        name = ArcIndex.offset(i)
+        var = model.variable_map.get(name)
         if var is None:
-            raise BuildError(f"model has no offset variable U_{i}")
+            raise BuildError(f"model has no offset variable {name}")
         if not var.lower - 1e-9 <= value <= var.upper + 1e-9:
             raise BuildError(
                 f"offset {value} outside bounds [{var.lower}, {var.upper}] "
                 f"of section {i}")
-        fixed.append(LinearConstraint(f"FIX_{i}", ((f"U_{i}", 1.0),), "=", value))
+        fixed.append(LinearConstraint(f"FIX_{i}", ((name, 1.0),), "=", value))
     out = replace(model, constraints=tuple(rows + fixed),
                   provenance=model.provenance + (("fixed_offsets", "yes"),))
     out.lint()

@@ -1,6 +1,6 @@
 """Command-line front end for building, solving, and benchmarking.
 
-Subcommands: validate, build, solve, oracle, bench, profile, report.
+Subcommands: validate, build, solve, oracle, bench, report.
 
 Exit codes are a stable scripting contract: 0 success, 1 validation or
 optimization failure, 2 usage error, 3 solver failure, 4 timeout.
@@ -19,7 +19,6 @@ from valign.bench import (
     performance_profile,
     profile_svg,
     run_matrix,
-    write_profile_csv,
 )
 from valign.builder import (
     BuildError,
@@ -296,30 +295,13 @@ def cmd_bench(parser: argparse.ArgumentParser,
     records = run_matrix(suite, run.configs, run, out_dir=args.out,
                          workers=args.workers, progress=progress)
     _summarize(records)
-    print(f"wrote {args.out}/times.csv, accuracy.csv, profile.csv")
-    return EXIT_OK
-
-
-def cmd_profile(parser: argparse.ArgumentParser,
-                args: argparse.Namespace) -> int:
-    run = _run_config(parser, args)
-    try:
-        suite = _load_suite(parser, args.suite)
-    except InstanceError as exc:
-        return _fail(str(exc), EXIT_INVALID)
-    os.makedirs(args.out, exist_ok=True)
-    progress = (lambda line: print(line, file=sys.stderr)) \
-        if args.verbose else None
-    records = run_matrix(suite, run.configs, run, out_dir=None,
-                         workers=args.workers, progress=progress)
-    curves = performance_profile(records)
-    path = write_profile_csv(curves, os.path.join(args.out, "profile.csv"))
-    written = [path]
+    written = f"{args.out}/times.csv, accuracy.csv, profile.csv"
     if args.svg:
-        written.append(profile_svg(curves, args.svg))
-    for curve in curves:
-        print(f"{curve.config}: success rate {curve.success_rate:.2f}")
-    print("wrote " + ", ".join(written))
+        curves = performance_profile(records)
+        for curve in curves:
+            print(f"{curve.config}: success rate {curve.success_rate:.2f}")
+        written += ", " + profile_svg(curves, args.svg)
+    print(f"wrote {written}")
     return EXIT_OK
 
 
@@ -377,19 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="offset grid points per section (default 3)")
     p.add_argument("--at", help="price fixed offsets u1,u2,... instead")
 
-    for name, help_text in (("bench", "run the full benchmark matrix"),
-                            ("profile", "emit performance profile curves")):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("suite", help="directory of instance *.json files")
-        p.add_argument("--configs", help="comma-separated config names")
-        p.add_argument("--run-config", help="run configuration JSON file")
-        _add_solver_flags(p)
-        p.add_argument("--workers", type=int, default=4)
-        p.add_argument("--out", required=True, help="report directory")
-        p.add_argument("--verbose", action="store_true",
-                       help="print per-cell progress to stderr")
-        if name == "profile":
-            p.add_argument("--svg", help="also write an SVG chart here")
+    p = sub.add_parser("bench", help="run the full benchmark matrix")
+    p.add_argument("suite", help="directory of instance *.json files")
+    p.add_argument("--configs", help="comma-separated config names")
+    p.add_argument("--run-config", help="run configuration JSON file")
+    _add_solver_flags(p)
+    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--out", required=True, help="report directory")
+    p.add_argument("--verbose", action="store_true",
+                   help="print per-cell progress to stderr")
+    p.add_argument("--svg",
+                   help="also draw the performance profile curves here")
 
     p = sub.add_parser("report", help="pretty-print bench CSV reports")
     p.add_argument("out", help="directory holding the bench CSVs")
@@ -411,8 +391,6 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_oracle(args)
         if args.command == "bench":
             return cmd_bench(parser, args)
-        if args.command == "profile":
-            return cmd_profile(parser, args)
         return cmd_report(args)
     except OSError as exc:
         return _fail(str(exc), EXIT_INVALID)

@@ -15,14 +15,15 @@ from __future__ import annotations
 import math
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from xml.etree import ElementTree
 
-from valign.builder import BuilderConfig, MilpModel
+from valign.builder import ArcIndex, BuilderConfig, MilpModel
 from valign.instance import RoadInstance
 from valign.mps import emit_mps
 
@@ -212,11 +213,28 @@ def _substitute(template: str, mps_path: str, sol_path: str,
 def solve(model: MilpModel, solver_command: str | None = None,
           limits: SolverLimits | None = None, workdir: str | None = None,
           sol_format: str = "auto") -> Solution:
-    """Emit, run, parse. Never blocks past time_limit + GRACE_SECONDS."""
+    """Emit, run, parse. Never blocks past time_limit + GRACE_SECONDS.
+
+    A caller's workdir is kept. A temporary one is removed once the solver
+    has answered, and kept on error or timeout for the solver log.
+    """
     limits = limits or SolverLimits()
     command = solver_command or default_solver_command()
-    if workdir is None:
-        workdir = tempfile.mkdtemp(prefix="valign-")
+    if workdir is not None:
+        return _solve_in(model, command, limits, workdir, sol_format)
+    workdir = tempfile.mkdtemp(prefix="valign-")
+    keep = False
+    try:
+        solution = _solve_in(model, command, limits, workdir, sol_format)
+        keep = solution.status in ("timeout", "error")
+    finally:
+        if not keep:
+            shutil.rmtree(workdir, ignore_errors=True)
+    return solution if keep else replace(solution, solver_log_path="")
+
+
+def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
+              workdir: str, sol_format: str) -> Solution:
     os.makedirs(workdir, exist_ok=True)
     mps_path = os.path.join(workdir, "model.mps")
     sol_path = os.path.join(workdir, "model.sol")
@@ -291,25 +309,24 @@ def decode(solution: Solution, instance: RoadInstance,
             f"objective mismatch: solver {solution.objective!r} vs "
             f"recomputed {recomputed!r}")
 
-    layout = instance.segment_layout
+    names = ArcIndex(instance)
     coeffs = tuple(
-        (values[f"A_{g}_1"], values[f"A_{g}_2"], values[f"A_{g}_3"])
-        for g in range(1, layout.segment_count + 1))
-    n = instance.n
-    offsets = tuple(values[f"U_{i}"] for i in range(1, n + 1))
-    cut = tuple(values[f"VP_{i}"] for i in range(1, n + 1))
-    fill = tuple(values[f"VM_{i}"] for i in range(1, n + 1))
-    n_borrow = len(instance.borrow_pits)
-    borrow = tuple(values[f"VP_{n + j}"] for j in range(1, n_borrow + 1))
-    waste = tuple(values[f"VM_{n + n_borrow + k}"]
+        tuple(values[names.coeff(g, k)] for k in (1, 2, 3))
+        for g in range(1, instance.segment_layout.segment_count + 1))
+    sections = range(1, instance.n + 1)
+    offsets = tuple(values[names.offset(i)] for i in sections)
+    cut = tuple(values[names.cut(i)] for i in sections)
+    fill = tuple(values[names.fill(i)] for i in sections)
+    borrow = tuple(values[names.borrow_used(j)]
+                   for j in range(1, len(instance.borrow_pits) + 1))
+    waste = tuple(values[names.waste_used(k)]
                   for k in range(1, len(instance.waste_pits) + 1))
     flows = {name: value for name, value in values.items()
-             if value != 0.0
-             and name.startswith(("FR_", "FU_", "FL_", "FB_", "FW_", "X_"))}
+             if value != 0.0 and name.startswith(ArcIndex.FLOW_PREFIXES)}
     removal = {}
     for k in range(1, len(instance.blocks) + 1):
         for t in range(len(instance.blocks) + 1):
-            key = f"Y_{k}_{t}"
+            key = names.removal(k, t)
             if key in values:
                 removal[(k, t)] = values[key]
     return AlignmentResult(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from valign.builder import BuilderConfig, effective_hauls
+from valign.builder import DIRECTIONS, ArcIndex, BuilderConfig, effective_hauls
 from valign.gateway import AlignmentResult
 from valign.instance import (
     RoadInstance,
@@ -81,15 +81,16 @@ def validate(instance: RoadInstance, config: BuilderConfig,
         report._hit(family, magnitude, scale, relative)
 
     _check_geometry(instance, config, result, hit)
+    names = ArcIndex(instance)
     if config.model == "CTG":
-        _check_ctg_flows(instance, result, hit)
+        _check_ctg_flows(instance, names, result, hit)
     else:
         hauls = effective_hauls(instance, config)
         steps = range(len(instance.blocks) + 1)
-        _check_conservation(instance, hauls, steps, val, hit)
-        _check_balance(instance, hauls, steps, result, val, hit)
-        _check_blocks(instance, hauls, steps, result, val, hit)
-        _check_flow_bounds(instance, hauls, steps, val, hit)
+        _check_conservation(instance, names, hauls, steps, val, hit)
+        _check_balance(instance, names, hauls, steps, result, val, hit)
+        _check_blocks(instance, names, hauls, steps, result, val, hit)
+        _check_flow_bounds(instance, names, hauls, steps, val, hit)
     return report
 
 
@@ -146,73 +147,55 @@ def _check_geometry(instance, config, result, hit) -> None:
             pit.capacity)
 
 
-def _check_conservation(instance, hauls, steps, val, hit) -> None:
+def _check_conservation(instance, names, hauls, steps, val, hit) -> None:
     n = instance.n
     for h in range(1, len(hauls) + 1):
         for t in steps:
             for i in range(1, n + 1):
-                acc = val(f"FU_{h}_{t}_{i}_{i + 1}", 0.0)
-                scale = abs(acc)
-                if i > 1:
-                    flow = val(f"FR_{h}_{t}_{i - 1}_{i}", 0.0)
-                    acc += flow
-                    scale += abs(flow)
-                for j, pit in enumerate(instance.borrow_pits, start=1):
-                    if pit.attached_section == i:
-                        acc += val(f"FB_{h}_{t}_{j}_{i + 1}", 0.0)
-                acc -= val(f"FR_{h}_{t}_{i}_{i + 1}", 0.0)
-                acc -= val(f"FL_{h}_{t}_{i - 1}_{i}", 0.0)
-                for k, pit in enumerate(instance.waste_pits, start=1):
-                    if pit.attached_section == i:
-                        acc -= val(f"FW_{h}_{t}_{k}_{i - 1}", 0.0)
-                hit("flow_conservation", abs(acc), scale)
-
-                acc = val(f"FU_{h}_{t}_{i}_{i - 1}", 0.0)
-                scale = abs(acc)
-                if i < n:
-                    flow = val(f"FR_{h}_{t}_{i + 1}_{i}", 0.0)
-                    acc += flow
-                    scale += abs(flow)
-                for j, pit in enumerate(instance.borrow_pits, start=1):
-                    if pit.attached_section == i:
-                        acc += val(f"FB_{h}_{t}_{j}_{i - 1}", 0.0)
-                acc -= val(f"FR_{h}_{t}_{i}_{i - 1}", 0.0)
-                acc -= val(f"FL_{h}_{t}_{i + 1}_{i}", 0.0)
-                for k, pit in enumerate(instance.waste_pits, start=1):
-                    if pit.attached_section == i:
-                        acc -= val(f"FW_{h}_{t}_{k}_{i + 1}", 0.0)
-                hit("flow_conservation", abs(acc), scale)
+                for d in DIRECTIONS:
+                    acc = val(names.unload(h, t, i, d), 0.0)
+                    scale = abs(acc)
+                    if 1 <= i - d <= n:
+                        flow = val(names.transit(h, t, i - d, d), 0.0)
+                        acc += flow
+                        scale += abs(flow)
+                    for j, pit in enumerate(instance.borrow_pits, start=1):
+                        if pit.attached_section == i:
+                            acc += val(names.borrow(h, t, j, d), 0.0)
+                    acc -= val(names.transit(h, t, i, d), 0.0)
+                    acc -= val(names.load(h, t, i, d), 0.0)
+                    for k, pit in enumerate(instance.waste_pits, start=1):
+                        if pit.attached_section == i:
+                            acc -= val(names.waste(h, t, k, d), 0.0)
+                    hit("flow_conservation", abs(acc), scale)
 
 
-def _check_balance(instance, hauls, steps, result, val, hit) -> None:
-    n = instance.n
+def _both_chains(val, arc, *args) -> float:
+    return sum(val(arc(*args, d), 0.0) for d in DIRECTIONS)
+
+
+def _check_balance(instance, names, hauls, steps, result, val, hit) -> None:
     hs = range(1, len(hauls) + 1)
-    for i in range(1, n + 1):
-        unload = sum(val(f"FU_{h}_{t}_{i}_{i + 1}", 0.0)
-                     + val(f"FU_{h}_{t}_{i}_{i - 1}", 0.0)
+    for i in range(1, instance.n + 1):
+        unload = sum(_both_chains(val, names.unload, h, t, i)
                      for h in hs for t in steps)
-        load = sum(val(f"FL_{h}_{t}_{i - 1}_{i}", 0.0)
-                   + val(f"FL_{h}_{t}_{i + 1}_{i}", 0.0)
+        load = sum(_both_chains(val, names.load, h, t, i)
                    for h in hs for t in steps)
         hit("balance", abs(unload - result.section_cut[i - 1]), abs(unload))
         hit("balance", abs(load - result.section_fill[i - 1]), abs(load))
     for j, pit in enumerate(instance.borrow_pits, start=1):
-        sec = pit.attached_section
-        total = sum(val(f"FB_{h}_{t}_{j}_{sec + 1}", 0.0)
-                    + val(f"FB_{h}_{t}_{j}_{sec - 1}", 0.0)
+        total = sum(_both_chains(val, names.borrow, h, t, j)
                     for h in hs for t in steps)
         hit("balance", abs(total - result.borrow_used[j - 1]), abs(total))
         hit("capacity", max(0.0, total - pit.capacity), pit.capacity)
     for k, pit in enumerate(instance.waste_pits, start=1):
-        sec = pit.attached_section
-        total = sum(val(f"FW_{h}_{t}_{k}_{sec - 1}", 0.0)
-                    + val(f"FW_{h}_{t}_{k}_{sec + 1}", 0.0)
+        total = sum(_both_chains(val, names.waste, h, t, k)
                     for h in hs for t in steps)
         hit("balance", abs(total - result.waste_used[k - 1]), abs(total))
         hit("capacity", max(0.0, total - pit.capacity), pit.capacity)
 
 
-def _check_blocks(instance, hauls, steps, result, val, hit) -> None:
+def _check_blocks(instance, names, hauls, steps, result, val, hit) -> None:
     blocks = instance.sorted_blocks
     if not blocks:
         return
@@ -224,24 +207,21 @@ def _check_blocks(instance, hauls, steps, result, val, hit) -> None:
         # Gate state for step t is the indicator at the end of step t-1.
         return t >= 1 and result.removal.get((k, t - 1), 0.0) >= 0.5
 
+    # Until the block goes, each chain's transit into its section equals the
+    # local load and transit out of it equals the local unload.
     for k, blk in enumerate(blocks, start=1):
         s = blk.section
         for h in hs:
             for t in steps:
                 if removed(k, t):
                     continue
-                hit("block_gating",
-                    abs(val(f"FR_{h}_{t}_{s - 1}_{s}", 0.0)
-                        - val(f"FL_{h}_{t}_{s - 1}_{s}", 0.0)), 1.0)
-                hit("block_gating",
-                    abs(val(f"FR_{h}_{t}_{s}_{s + 1}", 0.0)
-                        - val(f"FU_{h}_{t}_{s}_{s + 1}", 0.0)), 1.0)
-                hit("block_gating",
-                    abs(val(f"FR_{h}_{t}_{s + 1}_{s}", 0.0)
-                        - val(f"FL_{h}_{t}_{s + 1}_{s}", 0.0)), 1.0)
-                hit("block_gating",
-                    abs(val(f"FR_{h}_{t}_{s}_{s - 1}", 0.0)
-                        - val(f"FU_{h}_{t}_{s}_{s - 1}", 0.0)), 1.0)
+                for d in DIRECTIONS:
+                    hit("block_gating",
+                        abs(val(names.transit(h, t, s - d, d), 0.0)
+                            - val(names.load(h, t, s, d), 0.0)), 1.0)
+                    hit("block_gating",
+                        abs(val(names.transit(h, t, s, d), 0.0)
+                            - val(names.unload(h, t, s, d), 0.0)), 1.0)
 
     pairs, left_set, right_set = block_access_sets(instance)
 
@@ -253,23 +233,18 @@ def _check_blocks(instance, hauls, steps, result, val, hit) -> None:
                     continue
                 for i in range(lo_arc, hi_arc):
                     hit("block_gating",
-                        abs(val(f"FR_{h}_{t}_{i}_{i + 1}", 0.0)), 1.0)
+                        abs(val(names.transit(h, t, i, 1), 0.0)), 1.0)
                     hit("block_gating",
-                        abs(val(f"FR_{h}_{t}_{i + 1}_{i}", 0.0)), 1.0)
-                for j, pit in enumerate(instance.borrow_pits, start=1):
-                    if pit_ok(pit.attached_section):
-                        sec = pit.attached_section
-                        hit("block_gating",
-                            abs(val(f"FB_{h}_{t}_{j}_{sec + 1}", 0.0)), 1.0)
-                        hit("block_gating",
-                            abs(val(f"FB_{h}_{t}_{j}_{sec - 1}", 0.0)), 1.0)
-                for w, pit in enumerate(instance.waste_pits, start=1):
-                    if pit_ok(pit.attached_section):
-                        sec = pit.attached_section
-                        hit("block_gating",
-                            abs(val(f"FW_{h}_{t}_{w}_{sec - 1}", 0.0)), 1.0)
-                        hit("block_gating",
-                            abs(val(f"FW_{h}_{t}_{w}_{sec + 1}", 0.0)), 1.0)
+                        abs(val(names.transit(h, t, i + 1, -1), 0.0)), 1.0)
+                for d in DIRECTIONS:
+                    for j, pit in enumerate(instance.borrow_pits, start=1):
+                        if pit_ok(pit.attached_section):
+                            hit("block_gating",
+                                abs(val(names.borrow(h, t, j, d), 0.0)), 1.0)
+                    for w, pit in enumerate(instance.waste_pits, start=1):
+                        if pit_ok(pit.attached_section):
+                            hit("block_gating",
+                                abs(val(names.waste(h, t, w, d), 0.0)), 1.0)
 
     for k1, k2 in pairs:
         s1, s2 = blocks[k1 - 1].section, blocks[k2 - 1].section
@@ -303,11 +278,9 @@ def _check_blocks(instance, hauls, steps, result, val, hit) -> None:
         for u in steps:
             if result.removal.get((k, u), 0.0) < 0.5:
                 continue
-            unload = sum(val(f"FU_{h}_{t}_{s}_{s + 1}", 0.0)
-                         + val(f"FU_{h}_{t}_{s}_{s - 1}", 0.0)
+            unload = sum(_both_chains(val, names.unload, h, t, s)
                          for h in hs for t in range(u + 1))
-            load = sum(val(f"FL_{h}_{t}_{s - 1}_{s}", 0.0)
-                       + val(f"FL_{h}_{t}_{s + 1}_{s}", 0.0)
+            load = sum(_both_chains(val, names.load, h, t, s)
                        for h in hs for t in range(u + 1))
             hit("removal_logic", max(0.0, cut_needed - unload),
                 abs(cut_needed))
@@ -315,66 +288,59 @@ def _check_blocks(instance, hauls, steps, result, val, hit) -> None:
                 abs(fill_needed))
 
 
-def _check_flow_bounds(instance, hauls, steps, val, hit) -> None:
+def _check_flow_bounds(instance, names, hauls, steps, val, hit) -> None:
     n = instance.n
     for h in range(1, len(hauls) + 1):
         for t in steps:
-            hit("bounds", abs(val(f"FR_{h}_{t}_{n}_{n + 1}", 0.0)), 1.0)
-            hit("bounds", abs(val(f"FR_{h}_{t}_1_0", 0.0)), 1.0)
-            for i in range(1, n + 1):
-                for name in (f"FR_{h}_{t}_{i}_{i + 1}", f"FR_{h}_{t}_{i}_{i - 1}",
-                             f"FU_{h}_{t}_{i}_{i + 1}", f"FU_{h}_{t}_{i}_{i - 1}",
-                             f"FL_{h}_{t}_{i - 1}_{i}", f"FL_{h}_{t}_{i + 1}_{i}"):
-                    hit("bounds", max(0.0, -val(name, 0.0)), 1.0)
-            for j in range(1, len(instance.borrow_pits) + 1):
-                sec = instance.borrow_pits[j - 1].attached_section
-                hit("bounds", max(0.0, -val(f"FB_{h}_{t}_{j}_{sec + 1}", 0.0)), 1.0)
-                hit("bounds", max(0.0, -val(f"FB_{h}_{t}_{j}_{sec - 1}", 0.0)), 1.0)
-            for k in range(1, len(instance.waste_pits) + 1):
-                sec = instance.waste_pits[k - 1].attached_section
-                hit("bounds", max(0.0, -val(f"FW_{h}_{t}_{k}_{sec - 1}", 0.0)), 1.0)
-                hit("bounds", max(0.0, -val(f"FW_{h}_{t}_{k}_{sec + 1}", 0.0)), 1.0)
+            for d in DIRECTIONS:
+                # The transit arc leaving the road's far end must carry nothing.
+                end = n if d > 0 else 1
+                hit("bounds", abs(val(names.transit(h, t, end, d), 0.0)), 1.0)
+                for i in range(1, n + 1):
+                    for name in (names.transit(h, t, i, d),
+                                 names.unload(h, t, i, d),
+                                 names.load(h, t, i, d)):
+                        hit("bounds", max(0.0, -val(name, 0.0)), 1.0)
+                for j in range(1, len(instance.borrow_pits) + 1):
+                    hit("bounds",
+                        max(0.0, -val(names.borrow(h, t, j, d), 0.0)), 1.0)
+                for k in range(1, len(instance.waste_pits) + 1):
+                    hit("bounds",
+                        max(0.0, -val(names.waste(h, t, k, d), 0.0)), 1.0)
 
 
-def _ctg_nodes(instance: RoadInstance) -> tuple[list[int], list[int]]:
+def _check_ctg_flows(instance, names, result, hit) -> None:
     n = instance.n
-    n_borrow = len(instance.borrow_pits)
-    supply = list(range(1, n + 1)) + [n + j for j in range(1, n_borrow + 1)]
-    demand = list(range(1, n + 1)) + \
-        [n + n_borrow + k for k in range(1, len(instance.waste_pits) + 1)]
-    return supply, demand
-
-
-def _check_ctg_flows(instance, result, hit) -> None:
-    n = instance.n
-    n_borrow = len(instance.borrow_pits)
     val = result.values.get
-    supply, demand = _ctg_nodes(instance)
+    x = names.ctg
+    supply, demand = names.supply_nodes, names.demand_nodes
     for i in range(1, n + 1):
-        out = sum(val(f"X_{i}_{dst}", 0.0) for dst in demand if dst != i)
-        into = sum(val(f"X_{src}_{i}", 0.0) for src in supply if src != i)
+        out = sum(val(x(i, dst), 0.0) for dst in demand if dst != i)
+        into = sum(val(x(src, i), 0.0) for src in supply if src != i)
         hit("balance", abs(out - result.section_cut[i - 1]), abs(out))
         hit("balance", abs(into - result.section_fill[i - 1]), abs(into))
     for j, pit in enumerate(instance.borrow_pits, start=1):
-        out = sum(val(f"X_{n + j}_{dst}", 0.0) for dst in demand)
+        node = names.borrow_node(j)
+        out = sum(val(x(node, dst), 0.0) for dst in demand)
         hit("balance", abs(out - result.borrow_used[j - 1]), abs(out))
         hit("capacity", max(0.0, out - pit.capacity), pit.capacity)
     for k, pit in enumerate(instance.waste_pits, start=1):
-        node = n + n_borrow + k
-        into = sum(val(f"X_{src}_{node}", 0.0) for src in supply)
+        node = names.waste_node(k)
+        into = sum(val(x(src, node), 0.0) for src in supply)
         hit("balance", abs(into - result.waste_used[k - 1]), abs(into))
         hit("capacity", max(0.0, into - pit.capacity), pit.capacity)
     for src in supply:
         for dst in demand:
             if src != dst:
-                hit("bounds", max(0.0, -val(f"X_{src}_{dst}", 0.0)), 1.0)
+                hit("bounds", max(0.0, -val(x(src, dst), 0.0)), 1.0)
 
 
 def recompute_cost(instance: RoadInstance, config: BuilderConfig,
                    result: AlignmentResult) -> float:
     """Objective re-derived from the decoded result's flows and volumes."""
+    names = ArcIndex(instance)
     if config.model == "CTG":
-        return _recompute_ctg(instance, result)
+        return _recompute_ctg(instance, names, result)
     hauls = effective_hauls(instance, config)
     steps = range(len(instance.blocks) + 1)
     n = instance.n
@@ -390,63 +356,43 @@ def recompute_cost(instance: RoadInstance, config: BuilderConfig,
     for h, haul in enumerate(hauls, start=1):
         for t in steps:
             for i in range(1, n + 1):
-                if i < n:
-                    dist = stations[i] - stations[i - 1]
-                    total += haul.unit_haul_cost * dist \
-                        * val(f"FR_{h}_{t}_{i}_{i + 1}", 0.0)
-                if i > 1:
-                    dist = stations[i - 1] - stations[i - 2]
-                    total += haul.unit_haul_cost * dist \
-                        * val(f"FR_{h}_{t}_{i}_{i - 1}", 0.0)
-                total += haul.loading_cost * (
-                    val(f"FU_{h}_{t}_{i}_{i + 1}", 0.0)
-                    + val(f"FU_{h}_{t}_{i}_{i - 1}", 0.0))
+                for d in DIRECTIONS:
+                    if 1 <= i + d <= n:
+                        dist = d * (stations[i + d - 1] - stations[i - 1])
+                        total += haul.unit_haul_cost * dist \
+                            * val(names.transit(h, t, i, d), 0.0)
+                total += haul.loading_cost \
+                    * _both_chains(val, names.unload, h, t, i)
             for j, pit in enumerate(instance.borrow_pits, start=1):
                 mat = instance.material_of(pit.attached_section)
                 unit = mat.excavation + haul.loading_cost \
                     + haul.unit_haul_cost * pit.dead_haul
-                sec = pit.attached_section
-                total += unit * (val(f"FB_{h}_{t}_{j}_{sec + 1}", 0.0)
-                                 + val(f"FB_{h}_{t}_{j}_{sec - 1}", 0.0))
+                total += unit * _both_chains(val, names.borrow, h, t, j)
             for k, pit in enumerate(instance.waste_pits, start=1):
                 mat = instance.material_of(pit.attached_section)
                 unit = mat.embankment + haul.unit_haul_cost * pit.dead_haul
-                sec = pit.attached_section
-                total += unit * (val(f"FW_{h}_{t}_{k}_{sec - 1}", 0.0)
-                                 + val(f"FW_{h}_{t}_{k}_{sec + 1}", 0.0))
+                total += unit * _both_chains(val, names.waste, h, t, k)
     return total
 
 
-def _recompute_ctg(instance: RoadInstance, result: AlignmentResult) -> float:
-    n = instance.n
-    n_borrow = len(instance.borrow_pits)
+def _recompute_ctg(instance: RoadInstance, names: ArcIndex,
+                   result: AlignmentResult) -> float:
     hauls = instance.cost_model.hauls
     stations = instance.stations
     val = result.values.get
-
-    def info(node: int) -> tuple[float, float, float, float]:
-        if node <= n:
-            mat = instance.material_of(node)
-            return stations[node - 1], 0.0, mat.excavation, mat.embankment
-        if node <= n + n_borrow:
-            pit = instance.borrow_pits[node - n - 1]
-        else:
-            pit = instance.waste_pits[node - n - n_borrow - 1]
-        mat = instance.material_of(pit.attached_section)
-        return (stations[pit.attached_section - 1], pit.dead_haul,
-                mat.excavation, mat.embankment)
-
-    supply, demand = _ctg_nodes(instance)
     total = 0.0
-    for src in supply:
-        st_s, dead_s, exc_s, _ = info(src)
-        for dst in demand:
+    for src in names.supply_nodes:
+        sec_s, dead_s = names.node_site(src)
+        exc_s = instance.material_of(sec_s).excavation
+        for dst in names.demand_nodes:
             if src == dst:
                 continue
-            flow = val(f"X_{src}_{dst}", 0.0)
+            flow = val(names.ctg(src, dst), 0.0)
             if flow == 0.0:
                 continue
-            st_d, dead_d, _, emb_d = info(dst)
-            dist = abs(st_d - st_s) + dead_s + dead_d
+            sec_d, dead_d = names.node_site(dst)
+            emb_d = instance.material_of(sec_d).embankment
+            dist = abs(stations[sec_d - 1] - stations[sec_s - 1]) \
+                + dead_s + dead_d
             total += (exc_s + cheapest_haul(hauls, dist)[1] + emb_d) * flow
     return total

@@ -187,7 +187,7 @@ def test_oracle_refuses_oversized_grid(tmp_path):
     assert main(["oracle", path, "--grid", "3"]) == 2
 
 
-# -- bench / profile / report ------------------------------------------------------
+# -- bench / report ------------------------------------------------------
 
 @pytest.fixture
 def suite_dir(tmp_path):
@@ -248,7 +248,7 @@ def test_bench_run_config_file(suite_dir, tmp_path, capsys):
 def test_profile_cli(suite_dir, tmp_path, capsys):
     out = str(tmp_path / "prof")
     svg = str(tmp_path / "prof" / "curves.svg")
-    rc = main(["profile", suite_dir, "--configs", "MQN-B,QNS-B",
+    rc = main(["bench", suite_dir, "--configs", "MQN-B,QNS-B",
                *SOLVER_ARGS, "--workers", "2", "--out", out, "--svg", svg])
     assert rc == 0
     assert "success rate" in capsys.readouterr().out

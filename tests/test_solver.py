@@ -1,6 +1,8 @@
 """Solver gateway: subprocess protocol, parsing dialects, decoding."""
 
 import math
+import os
+import tempfile
 
 import pytest
 
@@ -73,6 +75,24 @@ def test_solver_error_on_bad_command():
     model = build(inst, named_config("MQN-B"))
     solution = solve(model, "nonexistent-solver-binary {mps} {sol}", LIMITS)
     assert solution.status == "error"
+
+
+def test_own_workdir_removed_once_solver_answers(two_node_instance,
+                                                 tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    model = fix_offsets(build(two_node_instance, named_config("MQN-B")),
+                        TWO_NODE_OFFSETS)
+    assert solve(model, BUNDLED_SOLVER, LIMITS).status == "optimal"
+    assert list(tmp_path.iterdir()) == []
+    unfillable = fix_offsets(build(two_node_instance, named_config("MQN-B")),
+                             (0.0, 0.0, -1.0))
+    assert solve(unfillable, BUNDLED_SOLVER, LIMITS).status == "infeasible"
+    assert list(tmp_path.iterdir()) == []
+    # a failed solve keeps its directory so the log can be read
+    failed = solve(model, "nonexistent-solver-binary {mps} {sol}", LIMITS)
+    assert failed.status == "error"
+    assert os.path.exists(failed.solver_log_path)
+    assert [p.name[:7] for p in tmp_path.iterdir()] == ["valign-"]
 
 
 def test_command_template_requires_tokens():
