@@ -731,16 +731,16 @@ def build_ctg(instance: RoadInstance,
 
 def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
     """Pin every section offset, reducing the MILP to earthwork allocation."""
-    n = int(dict(model.provenance)["sections"])
+    n = 0
+    while ArcIndex.offset(n + 1) in model.variable_map:
+        n += 1
     if len(offsets) != n:
         raise BuildError(f"need {n} offsets, got {len(offsets)}")
     rows = list(model.constraints)
     fixed: list[LinearConstraint] = []
     for i, value in enumerate(offsets, start=1):
         name = ArcIndex.offset(i)
-        var = model.variable_map.get(name)
-        if var is None:
-            raise BuildError(f"model has no offset variable {name}")
+        var = model.variable_map[name]
         if not var.lower - 1e-9 <= value <= var.upper + 1e-9:
             raise BuildError(
                 f"offset {value} outside bounds [{var.lower}, {var.upper}] "

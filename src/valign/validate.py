@@ -293,7 +293,7 @@ def _check_flow_bounds(instance, names, hauls, steps, val, hit) -> None:
     for h in range(1, len(hauls) + 1):
         for t in steps:
             for d in DIRECTIONS:
-                # The transit arc leaving the road's far end must carry nothing.
+                # The transit arc off the road's far end carries nothing.
                 end = n if d > 0 else 1
                 hit("bounds", abs(val(names.transit(h, t, end, d), 0.0)), 1.0)
                 for i in range(1, n + 1):
