@@ -1,11 +1,14 @@
 """MPS emission: golden file, determinism, sections, comment stripping."""
 
+import hashlib
 import math
 import os
 
 import pytest
 
+from valign.bench import ROAD_TEMPLATES, generate_instance
 from valign.builder import (
+    BuilderConfig,
     LinearConstraint,
     MilpModel,
     SosSet,
@@ -13,7 +16,7 @@ from valign.builder import (
     build,
     named_config,
 )
-from valign.instance import Pit
+from valign.instance import Pit, VolumeCurve
 from valign.mps import emit_mps, emit_mps_text, strip_comments
 
 from conftest import make_instance
@@ -121,3 +124,40 @@ def test_nonfinite_coefficients_rejected():
         sos_sets=(), objective=(("x", 1.0),), sense="min", provenance=())
     with pytest.raises(Exception):
         emit_mps_text(bad)
+
+
+def piecewise_instance():
+    """Six sections with volume curves, a borrow pit and a block at 3 whose
+    only access road is at 5, so left-region gating appears."""
+    curves = [VolumeCurve(section=i, offsets=(-2.0, -0.5, 0.0, 0.5, 2.0),
+                          cut=(0.0, 0.0, 0.0, 6.0, 30.0),
+                          fill=(28.0, 5.0, 0.0, 0.0, 0.0))
+              for i in range(1, 7)]
+    return make_instance([100.0, 101.0, 102.5, 101.0, 100.0, 99.5],
+                         areas=[10.0] * 6, offset=2.0, blocks=[3],
+                         access=[5], borrow=[Pit("borrow", 2, 30.0, 15.0)],
+                         curves=curves)
+
+
+# sha256 of emit_mps_text at scale: the 450-section G road (CTG-B has
+# 203,523 columns, about 615k lines), a D road with blocks and both pit
+# kinds under SOS1 block logic, and one piecewise-sos2 model.
+@pytest.mark.parametrize("case, config, digest", [
+    ("G", named_config("CTG-B"),
+     "1fb1bfcdb0f3c9180fb387a158db07b4593a9f7caa87fe39e884c0011fb0e2d9"),
+    ("G", named_config("MQN-B"),
+     "f339591f9c2b6ac1d221762e3b8943deb20ac685e20c64a37fcd7ee3de760a59"),
+    ("D", named_config("MQN-S1"),
+     "c1a34aba55ddd39fae09b934ce50d0be7accb5972cc9f6e1cf5936cc8c80f9fe"),
+    ("piecewise", BuilderConfig(volume_mode="piecewise-sos2", name="PW-SOS2"),
+     "9ae4272fa8f64a5273656c167d0386080c0584286a36c2f65baf998cf9b848c0"),
+])
+def test_emitted_text_pinned_at_scale(case, config, digest):
+    if case == "G":
+        inst = generate_instance(1, ROAD_TEMPLATES["G"], 1)
+    elif case == "D":
+        inst = generate_instance(1, ROAD_TEMPLATES["D"], 2, blocks=2, pits=2)
+    else:
+        inst = piecewise_instance()
+    text = emit_mps_text(build(inst, config))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
