@@ -176,6 +176,7 @@ class BenchmarkRecord:
     wall_time: float
     relative_error: float | None
     success: bool
+    reason: str = ""  # why the cell failed, when known
 
 
 @dataclass(frozen=True)
@@ -242,6 +243,12 @@ class _CellOutcome:
     objective: float | None
     wall_time: float
     validated: bool
+    reason: str = ""
+
+
+def _error(exc: Exception) -> _CellOutcome:
+    return _CellOutcome("error", None, 0.0, False,
+                        f"{type(exc).__name__}: {exc}")
 
 
 def _run_cell(instance: RoadInstance, config_name: str,
@@ -249,27 +256,31 @@ def _run_cell(instance: RoadInstance, config_name: str,
     try:
         config = named_config(config_name)
         model = build(instance, config)
-    except Exception:
-        return _CellOutcome("error", None, 0.0, False)
+    except Exception as exc:
+        return _error(exc)
     try:
         solution = solve(model, run.solver_command, run.limits,
                          sol_format=run.sol_format)
-    except Exception:
-        return _CellOutcome("error", None, 0.0, False)
+    except Exception as exc:
+        return _error(exc)
     if solution.status not in ("optimal", "feasible"):
         return _CellOutcome(solution.status, None, solution.wall_time, False)
+    reason = ""
     try:
         result = decode(solution, instance, config, model=model)
         report = validate(instance, config, result,
                           tolerance=run.limits.feasibility_tol)
         recomputed = recompute_cost(instance, config, result)
         scale = max(1.0, abs(result.objective))
-        consistent = (report.passed
-                      and abs(recomputed - result.objective) <= 1e-5 * scale)
-    except Exception:
-        consistent = False
+        if not report.passed:
+            reason = "validation failed"
+        elif not abs(recomputed - result.objective) <= 1e-5 * scale:
+            reason = (f"recomputed cost {recomputed!r} != objective "
+                      f"{result.objective!r}")
+    except Exception as exc:
+        reason = f"{type(exc).__name__}: {exc}"
     return _CellOutcome(solution.status, solution.objective,
-                        solution.wall_time, consistent)
+                        solution.wall_time, not reason, reason)
 
 
 def run_matrix(suite: Sequence[tuple[str, RoadInstance]],
@@ -295,8 +306,9 @@ def run_matrix(suite: Sequence[tuple[str, RoadInstance]],
         outcome = _run_cell(instance, cfg, run)
         outcomes[(name, cfg)] = outcome
         if progress is not None:
+            why = f" ({outcome.reason})" if outcome.reason else ""
             progress(f"{name} {cfg}: {outcome.status} "
-                     f"{outcome.wall_time:.2f}s")
+                     f"{outcome.wall_time:.2f}s{why}")
 
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
         list(pool.map(work, jobs + hidden))
@@ -311,12 +323,13 @@ def run_matrix(suite: Sequence[tuple[str, RoadInstance]],
         for cfg in config_list:
             cell = outcomes[(name, cfg)]
             error: float | None = None
+            reason = cell.reason
             if cell.status in ("optimal", "feasible") \
                     and cell.objective is not None:
                 if cfg == bench_cfg:
                     error = 0.0
                 elif bench_obj is None:
-                    error = 0.0
+                    reason = reason or f"no validated {bench_cfg} reference"
                 else:
                     try:
                         error = relative_error(cell.objective, bench_obj)
@@ -326,7 +339,8 @@ def run_matrix(suite: Sequence[tuple[str, RoadInstance]],
                 instance=name, config=cfg, status=cell.status,
                 objective=cell.objective, wall_time=cell.wall_time,
                 relative_error=error,
-                success=is_success(cell.status, error, cell.validated)))
+                success=is_success(cell.status, error, cell.validated),
+                reason=reason))
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -14,21 +14,30 @@ step t the chain arcs FR/FU/FL_<h>_<t>_<i>_<j>, where j - i is the chain's
 direction d (+1 rightward, -1 leftward), and the pit arcs
 FB/FW_<h>_<t>_<pit>_<dir>. Pit volume variables and CTG pit nodes use node
 indices n+j (borrow) and n+n_borrow+k (waste).
+
+A MilpModel is columnar: one entry per column in col_names, col_lower,
+col_upper, col_binary and cost; one per row in row_names, row_sense, row_rhs
+and row_range; the matrix as one COO triple (coo_row, coo_col, coo_val) in
+row-declaration order, each row's entries in the order they were declared.
+Every model is assembled by _Assembler: MH-QNF row by row, CTG with all X
+arcs and their rows declared at once from index arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from valign.instance import (
     HaulClass,
     RoadInstance,
     big_m,
     block_access_sets,
-    cheapest_haul,
+    cheapest_haul_costs,
     global_big_m,
 )
 
@@ -67,15 +76,78 @@ class SosSet:
     members: tuple[tuple[str, float], ...]
 
 
-@dataclass(frozen=True)
+def _repeated(names: Sequence[str]) -> str | None:
+    """The first name that occurs twice, if any."""
+    if len(set(names)) == len(names):
+        return None
+    seen: set[str] = set()
+    for name in names:
+        if name in seen:
+            return name
+        seen.add(name)
+    return None
+
+
 class MilpModel:
-    name: str
-    variables: tuple[Variable, ...]
-    constraints: tuple[LinearConstraint, ...]
-    sos_sets: tuple[SosSet, ...]
-    objective: tuple[tuple[str, float], ...]
-    sense: str = "min"
-    provenance: tuple[tuple[str, str], ...] = ()
+    """A MILP stored column by column (see the module docstring).
+
+    Columns: col_names, col_lower, col_upper, col_binary and cost. Rows:
+    row_names, row_sense, row_rhs and row_range (NaN where a row has no
+    range). Matrix: the COO triple coo_row, coo_col, coo_val, grouped by row
+    in declaration order. The arrays are read-only. variables, constraints,
+    objective, variable_map and binary_count are views built from them.
+
+    The constructor takes the object form (Variable, LinearConstraint, SosSet
+    and (name, cost) pairs) for small hand-built models; builders go through
+    _Assembler directly.
+    """
+
+    def __init__(self, name: str, variables: Iterable[Variable] = (),
+                 constraints: Iterable[LinearConstraint] = (),
+                 sos_sets: Iterable[SosSet] = (),
+                 objective: Iterable[tuple[str, float]] = (),
+                 sense: str = "min",
+                 provenance: Iterable[tuple[str, str]] = ()):
+        asm = _Assembler(name, sense)
+        for v in variables:
+            asm.var(v.name, v.lower, v.upper, v.kind)
+        for var, coeff in objective:
+            asm.add_cost(var, coeff)
+        for row in constraints:
+            asm.row(row.name, row.coeffs, row.sense, row.rhs, row.rhs_range)
+        for sos in sos_sets:
+            asm.add_sos(sos.name, sos.sos_type, sos.members)
+        asm.fill(self, provenance)
+
+    @cached_property
+    def variables(self) -> tuple[Variable, ...]:
+        kinds = ("continuous", "binary")
+        return tuple(
+            Variable(name, kinds[binary], lo, hi) for name, binary, lo, hi
+            in zip(self.col_names, self.col_binary.tolist(),
+                   self.col_lower.tolist(), self.col_upper.tolist()))
+
+    @cached_property
+    def constraints(self) -> tuple[LinearConstraint, ...]:
+        names = self.col_names
+        bounds = np.searchsorted(self.coo_row,
+                                 np.arange(len(self.row_names) + 1)).tolist()
+        cols, vals = self.coo_col.tolist(), self.coo_val.tolist()
+        return tuple(
+            LinearConstraint(
+                row, tuple((names[c], v) for c, v in zip(
+                    cols[bounds[r]:bounds[r + 1]],
+                    vals[bounds[r]:bounds[r + 1]])),
+                sense, rhs, None if math.isnan(rng) else rng)
+            for r, (row, sense, rhs, rng) in enumerate(zip(
+                self.row_names, self.row_sense, self.row_rhs.tolist(),
+                self.row_range.tolist())))
+
+    @cached_property
+    def objective(self) -> tuple[tuple[str, float], ...]:
+        priced = np.flatnonzero(self.cost)
+        return tuple(zip([self.col_names[c] for c in priced.tolist()],
+                         self.cost[priced].tolist()))
 
     @cached_property
     def variable_map(self) -> dict[str, Variable]:
@@ -83,38 +155,50 @@ class MilpModel:
 
     @property
     def binary_count(self) -> int:
-        return sum(1 for v in self.variables if v.kind == "binary")
+        return int(np.count_nonzero(self.col_binary))
 
     def lint(self) -> None:
-        """Check referential integrity; raises BuildError on any defect."""
-        seen: set[str] = set()
-        for v in self.variables:
-            if v.name in seen:
-                raise BuildError(f"variable {v.name} declared twice")
-            seen.add(v.name)
-            if v.lower > v.upper:
-                raise BuildError(f"variable {v.name}: lower > upper")
-            if v.kind == "binary" and (v.lower < 0 or v.upper > 1):
-                raise BuildError(f"variable {v.name}: binary outside [0,1]")
-        row_names: set[str] = set()
-        for row in self.constraints:
-            if row.name in row_names:
-                raise BuildError(f"row {row.name} declared twice")
-            row_names.add(row.name)
-            row_vars = set()
-            for var, coeff in row.coeffs:
-                if var not in seen:
-                    raise BuildError(f"row {row.name}: unknown variable {var}")
-                if var in row_vars:
-                    raise BuildError(f"row {row.name}: duplicate variable {var}")
-                row_vars.add(var)
-                if not math.isfinite(coeff):
-                    raise BuildError(f"row {row.name}: non-finite coefficient")
-        for var, coeff in self.objective:
-            if var not in seen:
-                raise BuildError(f"objective: unknown variable {var}")
-            if not math.isfinite(coeff):
-                raise BuildError(f"objective: non-finite cost on {var}")
+        """Check referential integrity; raises BuildError on any defect.
+
+        The model cannot change, so a pass is remembered.
+        """
+        if self._lint_passed:
+            return
+        names = self.col_names
+        repeat = _repeated(names)
+        if repeat is not None:
+            raise BuildError(f"variable {repeat} declared twice")
+        for bad, what in ((self.col_lower > self.col_upper, "lower > upper"),
+                          (self.col_binary & ((self.col_lower < 0)
+                                              | (self.col_upper > 1)),
+                           "binary outside [0,1]")):
+            if bad.any():
+                raise BuildError(
+                    f"variable {names[int(np.argmax(bad))]}: {what}")
+        rows = self.row_names
+        repeat = _repeated(rows)
+        if repeat is not None:
+            raise BuildError(f"row {repeat} declared twice")
+        outside = (self.coo_col < 0) | (self.coo_col >= len(names))
+        if outside.any():
+            at = int(np.argmax(outside))
+            raise BuildError(f"row {rows[self.coo_row[at]]}: unknown "
+                             f"variable {int(self.coo_col[at])}")
+        keys = np.sort(self.coo_row * len(names) + self.coo_col)
+        repeated = keys[1:] == keys[:-1]
+        if repeated.any():
+            row, col = divmod(int(keys[1:][repeated][0]), len(names))
+            raise BuildError(f"row {rows[row]}: duplicate variable "
+                             f"{names[col]}")
+        bad = ~np.isfinite(self.coo_val)
+        if bad.any():
+            raise BuildError(f"row {rows[self.coo_row[np.argmax(bad)]]}: "
+                             "non-finite coefficient")
+        bad = ~np.isfinite(self.cost)
+        if bad.any():
+            raise BuildError("objective: non-finite cost on "
+                             f"{names[int(np.argmax(bad))]}")
+        known = set(names) if self.sos_sets else ()
         for sos in self.sos_sets:
             if len(sos.members) < 2:
                 raise BuildError(f"SOS set {sos.name}: needs >= 2 members")
@@ -122,8 +206,9 @@ class MilpModel:
             if len(set(weights)) != len(weights):
                 raise BuildError(f"SOS set {sos.name}: duplicate weights")
             for var, _ in sos.members:
-                if var not in seen:
+                if var not in known:
                     raise BuildError(f"SOS set {sos.name}: unknown variable {var}")
+        self._lint_passed = True
 
 
 BLOCK_TECHNIQUES = ("basic", "sos1")
@@ -272,54 +357,205 @@ class ArcIndex:
     def waste(self, h: int, t: int, k: int, d: int) -> str:
         return f"FW_{h}_{t}_{k}_{self.waste_pits[k - 1].attached_section - d}"
 
-    @staticmethod
-    def ctg(src: int, dst: int) -> str:
-        return f"X_{src}_{dst}"
+    @cached_property
+    def ctg_arcs(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """CTG arcs in declaration order (supply node major): their names
+        and 0-based (supply, demand) positions on the node grid. A section
+        never ships to itself, so the grid diagonal has no arc."""
+        supply, demand = self.supply_nodes, self.demand_nodes
+        tails = [str(dst) for dst in demand]
+        names: list[str] = []
+        for src in supply:
+            head = f"X_{src}_"
+            names += [head + tail for dst, tail in zip(demand, tails)
+                      if dst != src]
+        src, dst = np.divmod(np.arange(len(supply) * len(demand)),
+                             len(demand))
+        keep = np.array(supply)[src] != np.array(demand)[dst]
+        return names, src[keep], dst[keep]
+
+    def ctg_grid(self, values: Mapping[str, float]) -> np.ndarray:
+        """CTG arc values looked up by name on the (supply, demand) node
+        grid; the diagonal and names absent from values read 0."""
+        names, src, dst = self.ctg_arcs
+        grid = np.zeros((len(self.supply_nodes), len(self.demand_nodes)))
+        get = values.get
+        grid[src, dst] = [get(name, 0.0) for name in names]
+        return grid
 
 
 class _Assembler:
-    """Accumulates a model; rejects duplicate names as they appear."""
+    """Accumulates a model; rejects duplicate and unknown names as they appear.
 
-    def __init__(self, name: str):
+    var and row declare one column or row at a time; columns and rows
+    declare many at once from arrays. All of it is kept in declaration
+    order, and fill turns it into the model's arrays.
+    """
+
+    def __init__(self, name: str, sense: str = "min"):
         self.name = name
-        self.variables: dict[str, Variable] = {}
-        self.rows: dict[str, LinearConstraint] = {}
+        self.sense = sense
+        self.col_names: list[str] = []
+        self.col_index: dict[str, int] = {}  # a prefix of col_names, see column
+        self.lower: list[float] = []
+        self.upper: list[float] = []
+        self.binary: list[bool] = []
+        self.cost: list[float] = []
+        self.row_names: list[str] = []
+        self.row_set: set[str] = set()
+        self.row_sense: list[str] = []
+        self.rhs: list[float] = []
+        self.rhs_range: list[float] = []
+        # Matrix entries: whole array chunks, then the entries of the rows
+        # declared one at a time since the last chunk.
+        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.coo_row: list[int] = []
+        self.coo_col: list[int] = []
+        self.coo_val: list[float] = []
         self.sos: list[SosSet] = []
-        self.objective: dict[str, float] = {}
+
+    @classmethod
+    def reopen(cls, model: MilpModel) -> "_Assembler":
+        """An assembler holding everything model declares, to extend it."""
+        asm = cls(model.name, model.sense)
+        asm.col_names = list(model.col_names)
+        asm.lower = model.col_lower.tolist()
+        asm.upper = model.col_upper.tolist()
+        asm.binary = model.col_binary.tolist()
+        asm.cost = model.cost.tolist()
+        asm.row_names = list(model.row_names)
+        asm.row_set = set(model.row_names)
+        asm.row_sense = list(model.row_sense)
+        asm.rhs = model.row_rhs.tolist()
+        asm.rhs_range = model.row_range.tolist()
+        asm.chunks = [(model.coo_row, model.coo_col, model.coo_val)]
+        asm.sos = list(model.sos_sets)
+        return asm
+
+    def column(self, name: str) -> int | None:
+        """Column id of name. Names declared in bulk are indexed only when a
+        lookup first misses, so a bulk declaration costs no dict inserts."""
+        col = self.col_index.get(name)
+        if col is None and len(self.col_index) < len(self.col_names):
+            first = len(self.col_index)
+            self.col_index.update(zip(self.col_names[first:],
+                                      range(first, len(self.col_names))))
+            col = self.col_index.get(name)
+        return col
 
     def var(self, name: str, lower: float = 0.0, upper: float = math.inf,
             kind: str = "continuous", cost: float = 0.0) -> str:
-        if name in self.variables:
+        if self.column(name) is not None:
             raise BuildError(f"variable {name} declared twice")
-        self.variables[name] = Variable(name, kind, lower, upper)
-        if cost != 0.0:
-            self.objective[name] = self.objective.get(name, 0.0) + cost
+        self.col_index[name] = len(self.col_names)
+        self.col_names.append(name)
+        self.lower.append(lower)
+        self.upper.append(upper)
+        self.binary.append(kind == "binary")
+        self.cost.append(cost)
         return name
+
+    def columns(self, names: Sequence[str], cost: np.ndarray) -> int:
+        """Declare non-negative continuous columns; returns the first id.
+        A repeated name is caught by lint, which finish runs."""
+        first = len(self.col_names)
+        self.col_names.extend(names)
+        self.lower.extend([0.0] * len(names))
+        self.upper.extend([math.inf] * len(names))
+        self.binary.extend([False] * len(names))
+        self.cost.extend(cost.tolist())
+        return first
+
+    def add_cost(self, name: str, cost: float) -> None:
+        col = self.column(name)
+        if col is None:
+            raise BuildError(f"objective: unknown variable {name}")
+        self.cost[col] += cost
+
+    def _new_row(self, name: str, sense: str, rhs: float,
+                 rhs_range: float | None) -> int:
+        if name in self.row_set:
+            raise BuildError(f"row {name} declared twice")
+        self.row_set.add(name)
+        self.row_names.append(name)
+        self.row_sense.append(sense)
+        self.rhs.append(rhs)
+        self.rhs_range.append(math.nan if rhs_range is None else rhs_range)
+        return len(self.row_names) - 1
 
     def row(self, name: str, coeffs: Mapping[str, float] | Iterable[tuple[str, float]],
             sense: str, rhs: float, rhs_range: float | None = None) -> None:
-        if name in self.rows:
-            raise BuildError(f"row {name} declared twice")
-        merged: dict[str, float] = {}
+        merged: dict[int, float] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for var, coeff in items:
-            merged[var] = merged.get(var, 0.0) + coeff
-        self.rows[name] = LinearConstraint(
-            name, tuple(merged.items()), sense, rhs, rhs_range)
+            col = self.column(var)
+            if col is None:
+                raise BuildError(f"row {name}: unknown variable {var}")
+            merged[col] = merged.get(col, 0.0) + coeff
+        r = self._new_row(name, sense, rhs, rhs_range)
+        self.coo_row.extend([r] * len(merged))
+        self.coo_col.extend(merged)
+        self.coo_val.extend(merged.values())
+
+    def rows(self, names: Sequence[str], sense: str, rhs: float,
+             entries: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+        """Declare rows from (column ids, coefficients) pairs, one per name.
+        A column repeated within a row is caught by lint."""
+        first = len(self.row_names)
+        for name in names:
+            self._new_row(name, sense, rhs, None)
+        self._flush()
+        self.chunks.append((
+            np.repeat(np.arange(first, len(self.row_names)),
+                      [len(cols) for cols, _ in entries]),
+            np.concatenate([cols for cols, _ in entries]),
+            np.concatenate([vals for _, vals in entries])))
+
+    def _flush(self) -> None:
+        if self.coo_row:
+            self.chunks.append((np.array(self.coo_row, dtype=np.int64),
+                                np.array(self.coo_col, dtype=np.int64),
+                                np.array(self.coo_val, dtype=np.float64)))
+            self.coo_row, self.coo_col, self.coo_val = [], [], []
 
     def add_sos(self, name: str, sos_type: int,
                 members: Sequence[tuple[str, float]]) -> None:
         self.sos.append(SosSet(name, sos_type, tuple(members)))
 
+    def fill(self, model: MilpModel,
+             provenance: Iterable[tuple[str, str]]) -> None:
+        """Store the declarations on model as read-only arrays."""
+        def frozen(values, dtype) -> np.ndarray:
+            array = np.array(values, dtype=dtype)
+            array.flags.writeable = False
+            return array
+
+        self._flush()
+        chunks = self.chunks or [(np.empty(0, np.int64), np.empty(0, np.int64),
+                                  np.empty(0))]
+        coo_row, coo_col, coo_val = (np.concatenate(part)
+                                     for part in zip(*chunks))
+        model.name = self.name
+        model.sense = self.sense
+        model.provenance = tuple(provenance)
+        model.col_names = tuple(self.col_names)
+        model.col_lower = frozen(self.lower, np.float64)
+        model.col_upper = frozen(self.upper, np.float64)
+        model.col_binary = frozen(self.binary, bool)
+        model.cost = frozen(self.cost, np.float64)
+        model.row_names = tuple(self.row_names)
+        model.row_sense = tuple(self.row_sense)
+        model.row_rhs = frozen(self.rhs, np.float64)
+        model.row_range = frozen(self.rhs_range, np.float64)
+        model.coo_row = frozen(coo_row, np.int64)
+        model.coo_col = frozen(coo_col, np.int64)
+        model.coo_val = frozen(coo_val, np.float64)
+        model.sos_sets = tuple(self.sos)
+        model._lint_passed = False
+
     def finish(self, provenance: Sequence[tuple[str, str]]) -> MilpModel:
-        model = MilpModel(
-            name=self.name,
-            variables=tuple(self.variables.values()),
-            constraints=tuple(self.rows.values()),
-            sos_sets=tuple(self.sos),
-            objective=tuple(self.objective.items()),
-            provenance=tuple(provenance),
-        )
+        model = MilpModel.__new__(MilpModel)
+        self.fill(model, provenance)
         model.lint()
         return model
 
@@ -683,47 +919,52 @@ def build_ctg(instance: RoadInstance,
     _spline_rows(asm, instance, names, config.volume_mode)
 
     # Material cost is carried on arcs, so strip VP/VM objective entries.
-    asm.objective.clear()
+    asm.cost = [0.0] * len(asm.cost)
 
     hauls = instance.cost_model.hauls
     stations = instance.stations
 
-    def node_info(node: int) -> tuple[float, float, float, float]:
-        """(station, dead haul, excavation rate, embankment rate)."""
-        section, dead_haul = names.node_site(node)
-        mat = instance.material_of(section)
-        return stations[section - 1], dead_haul, mat.excavation, mat.embankment
+    def node_info(nodes: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """(station, dead haul, excavation rate, embankment rate) per node."""
+        rows = []
+        for node in nodes:
+            section, dead_haul = names.node_site(node)
+            mat = instance.material_of(section)
+            rows.append((stations[section - 1], dead_haul, mat.excavation,
+                         mat.embankment))
+        return tuple(np.array(column) for column in zip(*rows))
 
-    supply_nodes, demand_nodes = names.supply_nodes, names.demand_nodes
-    x = names.ctg
+    st_s, dead_s, exc_s, _ = node_info(names.supply_nodes)
+    st_d, dead_d, _, emb_d = node_info(names.demand_nodes)
+    arcs, src, dst = names.ctg_arcs
+    dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]
+    cost = exc_s[src] + cheapest_haul_costs(hauls, dist) + emb_d[dst]
+    first = asm.columns(arcs, cost)
 
-    for src in supply_nodes:
-        st_s, dead_s, exc_s, _ = node_info(src)
-        for dst in demand_nodes:
-            if src == dst:
-                continue
-            st_d, dead_d, _, emb_d = node_info(dst)
-            dist = abs(st_d - st_s) + dead_s + dead_d
-            cost = exc_s + cheapest_haul(hauls, dist)[1] + emb_d
-            asm.var(x(src, dst), cost=cost)
+    # Column id of every arc on the (supply, demand) grid, -1 on the diagonal.
+    grid = np.full((len(names.supply_nodes), len(names.demand_nodes)), -1)
+    grid[src, dst] = np.arange(first, first + len(arcs))
 
-    for i in range(1, instance.n + 1):
-        out_terms = {x(i, dst): 1.0 for dst in demand_nodes if dst != i}
-        out_terms[names.cut(i)] = -1.0
-        asm.row(f"CTS_{i}", out_terms, "=", 0.0)
-        in_terms = {x(src, i): 1.0 for src in supply_nodes if src != i}
-        in_terms[names.fill(i)] = -1.0
-        asm.row(f"CTD_{i}", in_terms, "=", 0.0)
+    def arcs_less(line: np.ndarray, volume: str):
+        """Arcs on one grid line minus the node's volume variable."""
+        cols = np.append(line[line >= 0], asm.column(volume))
+        vals = np.ones(len(cols))
+        vals[-1] = -1.0
+        return cols, vals
+
+    n = instance.n
+    rows, entries = [], []
+    for i in range(1, n + 1):
+        rows += [f"CTS_{i}", f"CTD_{i}"]
+        entries += [arcs_less(grid[i - 1], names.cut(i)),
+                    arcs_less(grid[:, i - 1], names.fill(i))]
     for j in range(1, len(instance.borrow_pits) + 1):
-        node = names.borrow_node(j)
-        terms = {x(node, dst): 1.0 for dst in demand_nodes}
-        terms[names.borrow_used(j)] = -1.0
-        asm.row(f"CTB_{j}", terms, "=", 0.0)
+        rows.append(f"CTB_{j}")
+        entries.append(arcs_less(grid[n + j - 1], names.borrow_used(j)))
     for k in range(1, len(instance.waste_pits) + 1):
-        node = names.waste_node(k)
-        terms = {x(src, node): 1.0 for src in supply_nodes}
-        terms[names.waste_used(k)] = -1.0
-        asm.row(f"CTW_{k}", terms, "=", 0.0)
+        rows.append(f"CTW_{k}")
+        entries.append(arcs_less(grid[:, n + k - 1], names.waste_used(k)))
+    asm.rows(rows, "=", 0.0, entries)
 
     provenance = _provenance(instance, config, hauls, [0])
     return asm.finish(provenance)
@@ -731,25 +972,22 @@ def build_ctg(instance: RoadInstance,
 
 def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
     """Pin every section offset, reducing the MILP to earthwork allocation."""
+    variables = model.variable_map
     n = 0
-    while ArcIndex.offset(n + 1) in model.variable_map:
+    while ArcIndex.offset(n + 1) in variables:
         n += 1
     if len(offsets) != n:
         raise BuildError(f"need {n} offsets, got {len(offsets)}")
-    rows = list(model.constraints)
-    fixed: list[LinearConstraint] = []
+    asm = _Assembler.reopen(model)
     for i, value in enumerate(offsets, start=1):
         name = ArcIndex.offset(i)
-        var = model.variable_map[name]
+        var = variables[name]
         if not var.lower - 1e-9 <= value <= var.upper + 1e-9:
             raise BuildError(
                 f"offset {value} outside bounds [{var.lower}, {var.upper}] "
                 f"of section {i}")
-        fixed.append(LinearConstraint(f"FIX_{i}", ((name, 1.0),), "=", value))
-    out = replace(model, constraints=tuple(rows + fixed),
-                  provenance=model.provenance + (("fixed_offsets", "yes"),))
-    out.lint()
-    return out
+        asm.row(f"FIX_{i}", [(name, 1.0)], "=", value)
+    return asm.finish(model.provenance + (("fixed_offsets", "yes"),))
 
 
 def _provenance(instance: RoadInstance, config: BuilderConfig,

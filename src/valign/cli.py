@@ -136,8 +136,8 @@ def cmd_build(parser: argparse.ArgumentParser,
         emit_mps(model, args.output)
     except (InstanceError, BuildError) as exc:
         return _fail(str(exc), EXIT_INVALID)
-    print(f"{args.output}: variables={len(model.variables)} "
-          f"constraints={len(model.constraints)} "
+    print(f"{args.output}: variables={len(model.col_names)} "
+          f"constraints={len(model.row_names)} "
           f"binaries={model.binary_count} sos_sets={len(model.sos_sets)}")
     return EXIT_OK
 

@@ -23,6 +23,8 @@ import time
 from dataclasses import dataclass, field, replace
 from xml.etree import ElementTree
 
+import numpy as np
+
 from valign.builder import ArcIndex, BuilderConfig, MilpModel
 from valign.instance import RoadInstance
 from valign.mps import emit_mps
@@ -296,12 +298,15 @@ def decode(solution: Solution, instance: RoadInstance,
         from valign.builder import build
         model = build(instance, config)
 
-    names = {v.name for v in model.variables}
-    if names and not (names & solution.values.keys()):
+    columns = model.col_names
+    if columns and solution.values.keys().isdisjoint(columns):
         raise DecodeError("solution shares no variables with the model")
-    values = {name: solution.values.get(name, 0.0) for name in names}
+    get = solution.values.get
+    x = [get(name, 0.0) for name in columns]
+    values = dict(zip(columns, x))
+    x_vec = np.array(x)
 
-    recomputed = sum(coeff * values[var] for var, coeff in model.objective)
+    recomputed = float(model.cost @ x_vec)
     assert solution.objective is not None
     scale = max(1.0, abs(solution.objective))
     if abs(recomputed - solution.objective) > objective_tol * scale:
@@ -321,8 +326,8 @@ def decode(solution: Solution, instance: RoadInstance,
                    for j in range(1, len(instance.borrow_pits) + 1))
     waste = tuple(values[names.waste_used(k)]
                   for k in range(1, len(instance.waste_pits) + 1))
-    flows = {name: value for name, value in values.items()
-             if value != 0.0 and name.startswith(ArcIndex.FLOW_PREFIXES)}
+    flows = {columns[c]: x[c] for c in np.flatnonzero(x_vec).tolist()
+             if columns[c].startswith(ArcIndex.FLOW_PREFIXES)}
     removal = {}
     for k in range(1, len(instance.blocks) + 1):
         for t in range(len(instance.blocks) + 1):

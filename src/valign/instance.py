@@ -18,6 +18,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 class InstanceError(ValueError):
     """Raised for invalid instances; carries the full violation list."""
@@ -396,6 +398,18 @@ def cheapest_haul(cost_model: CostModel | Sequence[HaulClass],
         if cost < best_cost:
             best_idx, best_cost = idx, cost
     return best_idx, best_cost
+
+
+def cheapest_haul_costs(cost_model: CostModel | Sequence[HaulClass],
+                        distances: np.ndarray) -> np.ndarray:
+    """cheapest_haul's per-m3 cost for each distance: the same operations
+    in the same order, so the same doubles."""
+    hauls = getattr(cost_model, "hauls", cost_model)
+    best = np.full(np.shape(distances), math.inf)
+    for haul in hauls:
+        cost = haul.loading_cost + haul.unit_haul_cost * distances
+        best = np.where(cost < best, cost, best)
+    return best
 
 
 def block_access_sets(instance: RoadInstance) -> tuple[

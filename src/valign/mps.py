@@ -5,8 +5,11 @@ Layout contract (also consumed by the bundled adapter in milp_solve):
 * leading comment lines ``* key: value`` carry model provenance;
 * fixed ``NAME VALIGN`` record so files differ only where models differ;
 * one objective row ``N COST``;
-* COLUMNS holds one (variable, row, coefficient) triple per line, grouped
-  by variable in declaration order, objective entry first;
+* COLUMNS is column-major, rows in declaration order: one (variable, row,
+  coefficient) triple per line, grouped by variable in declaration order,
+  the objective entry first and then the variable's rows in the order they
+  were declared; a variable with no entry at all gets a zero objective
+  entry;
 * ranged rows (two-sided inequalities) appear as sense L plus a RANGES
   entry, meaning rhs - range <= expr <= rhs;
 * binaries are declared in BOUNDS with BV;
@@ -17,6 +20,10 @@ Layout contract (also consumed by the bundled adapter in milp_solve):
 from __future__ import annotations
 
 import math
+import os
+from typing import Iterator
+
+import numpy as np
 
 from valign.builder import MilpModel
 
@@ -34,66 +41,79 @@ def _num(value: float) -> str:
     return repr(float(value))
 
 
-def emit_mps_text(model: MilpModel) -> str:
-    """Render the model; pure function of its contents."""
-    model.lint()
-    lines: list[str] = []
-    for key, value in model.provenance:
-        lines.append(f"* {key}: {value}")
-    lines.append(f"NAME {model.name}")
-    lines.append("ROWS")
-    lines.append(f" N {OBJECTIVE_ROW}")
-    for row in model.constraints:
-        lines.append(f" {_SENSE[row.sense]} {row.name}")
+def _formatted(values: np.ndarray) -> list[str]:
+    """_num of every value, formatting each distinct bit pattern once (so
+    -0.0 keeps its sign)."""
+    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    text = [_num(v) for v in distinct.view(np.float64).tolist()]
+    return [text[i] for i in inverse.tolist()]
 
-    obj = dict(model.objective)
-    by_var: dict[str, list[tuple[str, float]]] = {v.name: [] for v in model.variables}
-    for row in model.constraints:
-        for var, coeff in row.coeffs:
-            by_var[var].append((row.name, coeff))
 
+_CHUNK_LINES = 1 << 16
+
+
+def _mps_chunks(model: MilpModel) -> Iterator[str]:
+    """The rendering of a linted model as consecutive pieces of text of
+    bounded size."""
+    col_names, row_names = model.col_names, model.row_names
+    lines = [f"* {key}: {value}" for key, value in model.provenance]
+    lines += [f"NAME {model.name}", "ROWS", f" N {OBJECTIVE_ROW}"]
+    lines += [f" {_SENSE[sense]} {row}"
+              for row, sense in zip(row_names, model.row_sense)]
     lines.append("COLUMNS")
-    for var in model.variables:
-        entries: list[tuple[str, float]] = []
-        if var.name in obj:
-            entries.append((OBJECTIVE_ROW, obj[var.name]))
-        entries.extend(by_var[var.name])
-        if not entries:
-            entries.append((OBJECTIVE_ROW, 0.0))
-        for row_name, coeff in entries:
-            lines.append(f"    {var.name} {row_name} {_num(coeff)}")
+    yield "\n".join(lines) + "\n"
 
-    lines.append("RHS")
-    for row in model.constraints:
-        if row.rhs != 0.0:
-            lines.append(f"    {RHS_SET} {row.name} {_num(row.rhs)}")
+    # One entry per line: the cost first when nonzero (a column with no
+    # other entry gets a zero cost), then the matrix entries in row order.
+    priced = model.cost != 0.0
+    unused = np.bincount(model.coo_col, minlength=len(col_names)) == 0
+    cost_cols = np.flatnonzero(priced | unused)
+    cols = np.concatenate([cost_cols, model.coo_col])
+    order = np.argsort(cols, kind="stable")
+    entry_col = cols[order].tolist()
+    entry_row = np.concatenate([np.full(len(cost_cols), len(row_names)),
+                                model.coo_row])[order].tolist()
+    costs = np.where(priced, model.cost, 0.0)[cost_cols]
+    entry_val = _formatted(np.concatenate([costs, model.coo_val])[order])
+    rows = (*row_names, OBJECTIVE_ROW)
+    for start in range(0, len(entry_col), _CHUNK_LINES):
+        stop = start + _CHUNK_LINES
+        yield "".join([
+            f"    {col_names[c]} {rows[r]} {v}\n" for c, r, v in zip(
+                entry_col[start:stop], entry_row[start:stop],
+                entry_val[start:stop])])
 
-    ranged = [row for row in model.constraints if row.rhs_range is not None]
+    lines = ["RHS"]
+    rhs = model.row_rhs
+    lines += [f"    {RHS_SET} {row_names[r]} {_num(rhs[r])}"
+              for r in np.flatnonzero(rhs != 0.0).tolist()]
+    ranged = np.flatnonzero(~np.isnan(model.row_range)).tolist()
     if ranged:
         lines.append("RANGES")
-        for row in ranged:
-            lines.append(f"    {RANGE_SET} {row.name} {_num(row.rhs_range)}")
+        lines += [f"    {RANGE_SET} {row_names[r]} {_num(model.row_range[r])}"
+                  for r in ranged]
 
     lines.append("BOUNDS")
-    for var in model.variables:
-        if var.kind == "binary":
-            lines.append(f" BV {BOUND_SET} {var.name}")
+    lower, upper, binary = model.col_lower, model.col_upper, model.col_binary
+    bounded = binary | (lower != 0.0) | (upper != math.inf)
+    for c in np.flatnonzero(bounded).tolist():
+        name = col_names[c]
+        if binary[c]:
+            lines.append(f" BV {BOUND_SET} {name}")
             continue
-        lo, hi = var.lower, var.upper
-        if lo == 0.0 and hi == math.inf:
-            continue
+        lo, hi = float(lower[c]), float(upper[c])
         if lo == hi:
-            lines.append(f" FX {BOUND_SET} {var.name} {_num(lo)}")
+            lines.append(f" FX {BOUND_SET} {name} {_num(lo)}")
             continue
         if lo == -math.inf and hi == math.inf:
-            lines.append(f" FR {BOUND_SET} {var.name}")
+            lines.append(f" FR {BOUND_SET} {name}")
             continue
         if lo == -math.inf:
-            lines.append(f" MI {BOUND_SET} {var.name}")
+            lines.append(f" MI {BOUND_SET} {name}")
         elif lo != 0.0:
-            lines.append(f" LO {BOUND_SET} {var.name} {_num(lo)}")
+            lines.append(f" LO {BOUND_SET} {name} {_num(lo)}")
         if hi != math.inf:
-            lines.append(f" UP {BOUND_SET} {var.name} {_num(hi)}")
+            lines.append(f" UP {BOUND_SET} {name} {_num(hi)}")
 
     if model.sos_sets:
         lines.append("SOS")
@@ -103,14 +123,25 @@ def emit_mps_text(model: MilpModel) -> str:
                 lines.append(f"    {var} {_num(weight)}")
 
     lines.append("ENDATA")
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
+
+
+def emit_mps_text(model: MilpModel) -> str:
+    """Render the model; pure function of its contents."""
+    model.lint()
+    return "".join(_mps_chunks(model))
 
 
 def emit_mps(model: MilpModel, path: str) -> str:
-    """Write the rendering to path; returns the path."""
-    text = emit_mps_text(model)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(text)
+    """Write the rendering to path piece by piece; returns the path. A
+    rendering that fails part way removes the partial file."""
+    model.lint()
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.writelines(_mps_chunks(model))
+    except ValueError:
+        os.remove(path)
+        raise
     return path
 
 

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from valign.builder import DIRECTIONS, ArcIndex, BuilderConfig, effective_hauls
 from valign.gateway import AlignmentResult
 from valign.instance import (
     RoadInstance,
     block_access_sets,
-    cheapest_haul,
+    cheapest_haul_costs,
     evaluate_grade,
     evaluate_profile,
 )
@@ -69,6 +71,16 @@ class ViolationReport:
         if magnitude > self.tolerance:
             fam.count += 1
 
+    def _hits(self, family: str, magnitudes: np.ndarray,
+              scales: np.ndarray | float, relative: bool) -> None:
+        """_hit over an array; NaN magnitudes are skipped as _hit skips them."""
+        if relative:
+            magnitudes = magnitudes / np.maximum(1.0, scales)
+        if magnitudes.size:
+            fam = self.families[family]
+            fam.worst = max(fam.worst, float(np.fmax.reduce(magnitudes, axis=None)))
+            fam.count += int(np.count_nonzero(magnitudes > self.tolerance))
+
 
 def validate(instance: RoadInstance, config: BuilderConfig,
              result: AlignmentResult, tolerance: float = 1e-6,
@@ -80,10 +92,14 @@ def validate(instance: RoadInstance, config: BuilderConfig,
     def hit(family: str, magnitude: float, scale: float = 1.0) -> None:
         report._hit(family, magnitude, scale, relative)
 
+    def hits(family: str, magnitudes: np.ndarray,
+             scales: np.ndarray | float = 1.0) -> None:
+        report._hits(family, magnitudes, scales, relative)
+
     _check_geometry(instance, config, result, hit)
     names = ArcIndex(instance)
     if config.model == "CTG":
-        _check_ctg_flows(instance, names, result, hit)
+        _check_ctg_flows(instance, names, result, hits)
     else:
         hauls = effective_hauls(instance, config)
         steps = range(len(instance.blocks) + 1)
@@ -309,30 +325,23 @@ def _check_flow_bounds(instance, names, hauls, steps, val, hit) -> None:
                         max(0.0, -val(names.waste(h, t, k, d), 0.0)), 1.0)
 
 
-def _check_ctg_flows(instance, names, result, hit) -> None:
+def _check_ctg_flows(instance, names, result, hits) -> None:
+    # Node totals are row and column sums of the (supply, demand) grid.
     n = instance.n
-    val = result.values.get
-    x = names.ctg
-    supply, demand = names.supply_nodes, names.demand_nodes
-    for i in range(1, n + 1):
-        out = sum(val(x(i, dst), 0.0) for dst in demand if dst != i)
-        into = sum(val(x(src, i), 0.0) for src in supply if src != i)
-        hit("balance", abs(out - result.section_cut[i - 1]), abs(out))
-        hit("balance", abs(into - result.section_fill[i - 1]), abs(into))
-    for j, pit in enumerate(instance.borrow_pits, start=1):
-        node = names.borrow_node(j)
-        out = sum(val(x(node, dst), 0.0) for dst in demand)
-        hit("balance", abs(out - result.borrow_used[j - 1]), abs(out))
-        hit("capacity", max(0.0, out - pit.capacity), pit.capacity)
-    for k, pit in enumerate(instance.waste_pits, start=1):
-        node = names.waste_node(k)
-        into = sum(val(x(src, node), 0.0) for src in supply)
-        hit("balance", abs(into - result.waste_used[k - 1]), abs(into))
-        hit("capacity", max(0.0, into - pit.capacity), pit.capacity)
-    for src in supply:
-        for dst in demand:
-            if src != dst:
-                hit("bounds", max(0.0, -val(x(src, dst), 0.0)), 1.0)
+    flows = names.ctg_grid(result.values)
+    out, into = flows.sum(axis=1), flows.sum(axis=0)
+    for total, volume in ((out[:n], result.section_cut),
+                          (into[:n], result.section_fill)):
+        hits("balance", np.abs(total - np.array(volume)), np.abs(total))
+    for total, used, pits in ((out[n:], result.borrow_used,
+                               instance.borrow_pits),
+                              (into[n:], result.waste_used,
+                               instance.waste_pits)):
+        capacity = np.array([pit.capacity for pit in pits], dtype=float)
+        hits("balance", np.abs(total - np.array(used, dtype=float)),
+             np.abs(total))
+        hits("capacity", np.maximum(0.0, total - capacity), capacity)
+    hits("bounds", np.maximum(0.0, -flows))
 
 
 def recompute_cost(instance: RoadInstance, config: BuilderConfig,
@@ -377,22 +386,25 @@ def recompute_cost(instance: RoadInstance, config: BuilderConfig,
 
 def _recompute_ctg(instance: RoadInstance, names: ArcIndex,
                    result: AlignmentResult) -> float:
-    hauls = instance.cost_model.hauls
     stations = instance.stations
-    val = result.values.get
+
+    def sites(nodes, rate: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(station, dead haul, material rate) per node."""
+        rows = []
+        for node in nodes:
+            section, dead_haul = names.node_site(node)
+            rows.append((stations[section - 1], dead_haul,
+                         getattr(instance.material_of(section), rate)))
+        return tuple(np.array(column) for column in zip(*rows))
+
+    st_s, dead_s, exc_s = sites(names.supply_nodes, "excavation")
+    st_d, dead_d, emb_d = sites(names.demand_nodes, "embankment")
+    flows = names.ctg_grid(result.values)
+    src, dst = np.nonzero(flows)  # row-major: the arcs' declaration order
+    dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]
+    unit = exc_s[src] + cheapest_haul_costs(instance.cost_model.hauls, dist) \
+        + emb_d[dst]
     total = 0.0
-    for src in names.supply_nodes:
-        sec_s, dead_s = names.node_site(src)
-        exc_s = instance.material_of(sec_s).excavation
-        for dst in names.demand_nodes:
-            if src == dst:
-                continue
-            flow = val(names.ctg(src, dst), 0.0)
-            if flow == 0.0:
-                continue
-            sec_d, dead_d = names.node_site(dst)
-            emb_d = instance.material_of(sec_d).embankment
-            dist = abs(stations[sec_d - 1] - stations[sec_s - 1]) \
-                + dead_s + dead_d
-            total += (exc_s + cheapest_haul(hauls, dist)[1] + emb_d) * flow
+    for cost in (unit * flows[src, dst]).tolist():
+        total += cost
     return total

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tempfile
 from typing import Sequence
 
 import pytest
@@ -48,6 +49,16 @@ def make_instance(elevations: Sequence[float], spacing: float = 20.0,
         access_roads=tuple(AccessRoad(section=a) for a in access),
         slope_lo=slope[0], slope_hi=slope[1],
         volume_curves=tuple(curves)).check()
+
+
+@pytest.fixture(autouse=True)
+def private_tempdir(tmp_path, monkeypatch):
+    """Point the process temp dir (and TMPDIR for solver subprocesses) at
+    the test's own tmp_path, so a workdir a test leaves behind, such as the
+    one an error or timeout keeps for its log, never lands in the system
+    temp dir."""
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from valign import bench
 from valign.bench import (
     ROAD_TEMPLATES,
     SUCCESS_THRESHOLD,
@@ -249,3 +250,33 @@ def test_profile_svg(tmp_path):
     assert text.count("<polyline") == 2
     assert "c1" in text and "c2" in text
     assert math.isfinite(float(text.split('width="', 1)[1].split('"')[0]))
+
+
+def test_failed_reference_is_not_zero_error(monkeypatch):
+    # The CTG-B reference fails to build: the MQN-B cell it grades cannot
+    # count as a success, and both failures say why.
+    real_build = bench.build
+
+    def build_without_ctg(instance, config):
+        if config.model == "CTG":
+            raise RuntimeError("no reference today")
+        return real_build(instance, config)
+
+    monkeypatch.setattr(bench, "build", build_without_ctg)
+    suite = [("zigzag", zigzag_instance())]
+    lines = []
+    hidden = run_matrix(suite, ["MQN-B"], RUN, workers=1,
+                        progress=lines.append)
+    assert [r.config for r in hidden] == ["MQN-B"]
+    assert hidden[0].status == "optimal"
+    assert hidden[0].relative_error is None
+    assert not hidden[0].success
+    assert hidden[0].reason == "no validated CTG-B reference"
+    assert "zigzag CTG-B: error 0.00s (RuntimeError: no reference today)" \
+        in lines
+
+    shown = {r.config: r for r in run_matrix(suite, ["MQN-B", "CTG-B"], RUN,
+                                             workers=1)}
+    assert not shown["MQN-B"].success
+    assert shown["CTG-B"].status == "error"
+    assert shown["CTG-B"].reason == "RuntimeError: no reference today"
