@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -98,8 +99,8 @@ class MilpModel:
     objective, variable_map and binary_count are views built from them.
 
     The constructor takes the object form (Variable, LinearConstraint, SosSet
-    and (name, cost) pairs) for small hand-built models; builders go through
-    _Assembler directly.
+    and (name, cost) pairs), as hand-built and extended models do; the
+    builders use _Assembler directly.
     """
 
     def __init__(self, name: str, variables: Iterable[Variable] = (),
@@ -379,8 +380,7 @@ class ArcIndex:
         grid; the diagonal and names absent from values read 0."""
         names, src, dst = self.ctg_arcs
         grid = np.zeros((len(self.supply_nodes), len(self.demand_nodes)))
-        get = values.get
-        grid[src, dst] = [get(name, 0.0) for name in names]
+        grid[src, dst] = list(map(values.get, names, repeat(0.0)))
         return grid
 
 
@@ -413,24 +413,6 @@ class _Assembler:
         self.coo_col: list[int] = []
         self.coo_val: list[float] = []
         self.sos: list[SosSet] = []
-
-    @classmethod
-    def reopen(cls, model: MilpModel) -> "_Assembler":
-        """An assembler holding everything model declares, to extend it."""
-        asm = cls(model.name, model.sense)
-        asm.col_names = list(model.col_names)
-        asm.lower = model.col_lower.tolist()
-        asm.upper = model.col_upper.tolist()
-        asm.binary = model.col_binary.tolist()
-        asm.cost = model.cost.tolist()
-        asm.row_names = list(model.row_names)
-        asm.row_set = set(model.row_names)
-        asm.row_sense = list(model.row_sense)
-        asm.rhs = model.row_rhs.tolist()
-        asm.rhs_range = model.row_range.tolist()
-        asm.chunks = [(model.coo_row, model.coo_col, model.coo_val)]
-        asm.sos = list(model.sos_sets)
-        return asm
 
     def column(self, name: str) -> int | None:
         """Column id of name. Names declared in bulk are indexed only when a
@@ -485,17 +467,19 @@ class _Assembler:
 
     def row(self, name: str, coeffs: Mapping[str, float] | Iterable[tuple[str, float]],
             sense: str, rhs: float, rhs_range: float | None = None) -> None:
-        merged: dict[int, float] = {}
+        entries: dict[int, float] = {}
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         for var, coeff in items:
             col = self.column(var)
             if col is None:
                 raise BuildError(f"row {name}: unknown variable {var}")
-            merged[col] = merged.get(col, 0.0) + coeff
+            if col in entries:
+                raise BuildError(f"row {name}: duplicate variable {var}")
+            entries[col] = 0.0 + coeff  # a -0.0 coefficient is written 0.0
         r = self._new_row(name, sense, rhs, rhs_range)
-        self.coo_row.extend([r] * len(merged))
-        self.coo_col.extend(merged)
-        self.coo_val.extend(merged.values())
+        self.coo_row.extend([r] * len(entries))
+        self.coo_col.extend(entries)
+        self.coo_val.extend(entries.values())
 
     def rows(self, names: Sequence[str], sense: str, rhs: float,
              entries: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
@@ -978,7 +962,7 @@ def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
         n += 1
     if len(offsets) != n:
         raise BuildError(f"need {n} offsets, got {len(offsets)}")
-    asm = _Assembler.reopen(model)
+    fixed: list[LinearConstraint] = []
     for i, value in enumerate(offsets, start=1):
         name = ArcIndex.offset(i)
         var = variables[name]
@@ -986,8 +970,13 @@ def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
             raise BuildError(
                 f"offset {value} outside bounds [{var.lower}, {var.upper}] "
                 f"of section {i}")
-        asm.row(f"FIX_{i}", [(name, 1.0)], "=", value)
-    return asm.finish(model.provenance + (("fixed_offsets", "yes"),))
+        fixed.append(LinearConstraint(f"FIX_{i}", ((name, 1.0),), "=", value))
+    out = MilpModel(model.name, model.variables,
+                    model.constraints + tuple(fixed), model.sos_sets,
+                    model.objective, model.sense,
+                    model.provenance + (("fixed_offsets", "yes"),))
+    out.lint()
+    return out
 
 
 def _provenance(instance: RoadInstance, config: BuilderConfig,

@@ -21,6 +21,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from xml.etree import ElementTree
 
 import numpy as np
@@ -299,14 +300,16 @@ def decode(solution: Solution, instance: RoadInstance,
         model = build(instance, config)
 
     columns = model.col_names
-    if columns and solution.values.keys().isdisjoint(columns):
+    values = solution.values
+    if columns and values.keys().isdisjoint(columns):
         raise DecodeError("solution shares no variables with the model")
-    get = solution.values.get
-    x = [get(name, 0.0) for name in columns]
-    values = dict(zip(columns, x))
-    x_vec = np.array(x)
+    if tuple(values) != columns:
+        # A sparse or reordered solution file: take the model's columns in
+        # order, absent ones as zero.
+        values = dict(zip(columns, map(values.get, columns, repeat(0.0))))
+    x = np.fromiter(values.values(), float, len(columns))
 
-    recomputed = float(model.cost @ x_vec)
+    recomputed = float(model.cost @ x)
     assert solution.objective is not None
     scale = max(1.0, abs(solution.objective))
     if abs(recomputed - solution.objective) > objective_tol * scale:
@@ -326,7 +329,7 @@ def decode(solution: Solution, instance: RoadInstance,
                    for j in range(1, len(instance.borrow_pits) + 1))
     waste = tuple(values[names.waste_used(k)]
                   for k in range(1, len(instance.waste_pits) + 1))
-    flows = {columns[c]: x[c] for c in np.flatnonzero(x_vec).tolist()
+    flows = {columns[c]: values[columns[c]] for c in np.flatnonzero(x).tolist()
              if columns[c].startswith(ArcIndex.FLOW_PREFIXES)}
     removal = {}
     for k in range(1, len(instance.blocks) + 1):

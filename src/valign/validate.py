@@ -78,7 +78,8 @@ class ViolationReport:
             magnitudes = magnitudes / np.maximum(1.0, scales)
         if magnitudes.size:
             fam = self.families[family]
-            fam.worst = max(fam.worst, float(np.fmax.reduce(magnitudes, axis=None)))
+            worst = float(np.fmax.reduce(magnitudes, axis=None))
+            fam.worst = max(fam.worst, worst)
             fam.count += int(np.count_nonzero(magnitudes > self.tolerance))
 
 

@@ -7,13 +7,18 @@ import pytest
 from valign.builder import (
     BuildError,
     BuilderConfig,
+    LinearConstraint,
+    MilpModel,
     QNF_COST_PAIRS,
+    SosSet,
+    Variable,
     build,
     effective_hauls,
     fix_offsets,
     named_config,
 )
 from valign.instance import HaulClass, Pit
+from valign.mps import emit_mps_text
 
 from conftest import make_instance
 
@@ -160,3 +165,46 @@ def test_conservation_row_counts():
     # one row per (haul, time, section) and direction
     assert len(fcr) == 3 * 1 * 4
     assert len(fcl) == 3 * 1 * 4
+
+
+def test_object_form_round_trip():
+    # The object-form views rebuild the same columnar model.
+    inst = make_instance([100.0, 101.0, 102.0, 101.0, 100.0], areas=[10.0] * 5,
+                         offset=2.0, blocks=[2], access=[1],
+                         borrow=[Pit("borrow", 3, 30.0, 15.0)])
+    model = build(inst, named_config("MQN-S1"))
+    copy = MilpModel(model.name, model.variables, model.constraints,
+                     model.sos_sets, model.objective, model.sense,
+                     model.provenance)
+    assert emit_mps_text(copy) == emit_mps_text(model)
+
+
+X, Y = Variable("x", upper=4.0), Variable("y", "binary", 0.0, 1.0)
+
+
+@pytest.mark.parametrize("message, variables, rows, objective, sos", [
+    ("variable x declared twice", (X, X), (), (), ()),
+    ("variable x: lower > upper", (Variable("x", lower=5.0, upper=4.0),),
+     (), (), ()),
+    ("variable y: binary outside", (Variable("y", "binary", 0.0, 2.0),),
+     (), (), ()),
+    ("row c declared twice", (X,),
+     (LinearConstraint("c", (("x", 1.0),), "<=", 1.0),) * 2, (), ()),
+    ("row c: unknown variable z", (X,),
+     (LinearConstraint("c", (("z", 1.0),), "<=", 1.0),), (), ()),
+    ("row c: duplicate variable x", (X,),
+     (LinearConstraint("c", (("x", 1.0), ("x", 2.0)), "<=", 1.0),), (), ()),
+    ("row c: non-finite coefficient", (X,),
+     (LinearConstraint("c", (("x", math.nan),), "<=", 1.0),), (), ()),
+    ("objective: unknown variable z", (X,), (), (("z", 1.0),), ()),
+    ("objective: non-finite cost on x", (X,), (), (("x", math.inf),), ()),
+    ("SOS set s: needs >= 2 members", (X, Y), (), (),
+     (SosSet("s", 1, (("x", 1.0),)),)),
+    ("SOS set s: duplicate weights", (X, Y), (), (),
+     (SosSet("s", 1, (("x", 1.0), ("y", 1.0))),)),
+    ("SOS set s: unknown variable z", (X, Y), (), (),
+     (SosSet("s", 1, (("x", 1.0), ("z", 2.0))),)),
+])
+def test_lint_rejects_defects(message, variables, rows, objective, sos):
+    with pytest.raises(BuildError, match=message):
+        emit_mps_text(MilpModel("bad", variables, rows, sos, objective))

@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from valign.instance import (
@@ -12,6 +13,7 @@ from valign.instance import (
     big_m,
     block_access_sets,
     cheapest_haul,
+    cheapest_haul_costs,
     default_cost_model,
     global_big_m,
 )
@@ -43,6 +45,16 @@ def test_cheapest_haul_cost_value():
     idx, cost = cheapest_haul(cm, 40.0)
     assert idx == 0
     assert cost == pytest.approx(0.008 * 40.0)
+
+
+def test_cheapest_haul_costs_match_the_scalar_form():
+    # Same doubles as cheapest_haul, the crossovers (exact ties) included.
+    cm = default_cost_model()
+    rng = random.Random(3)
+    distances = [0.0, 150.0, 1000.0, 149.99999999999997, 1e7] + [
+        rng.uniform(0.0, 3000.0) for _ in range(500)]
+    costs = cheapest_haul_costs(cm, np.array(distances))
+    assert costs.tolist() == [cheapest_haul(cm, d)[1] for d in distances]
 
 
 def test_profile_and_grade():
