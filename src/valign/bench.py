@@ -246,9 +246,8 @@ class _CellOutcome:
     reason: str = ""
 
 
-def _error(exc: Exception) -> _CellOutcome:
-    return _CellOutcome("error", None, 0.0, False,
-                        f"{type(exc).__name__}: {exc}")
+def _reason(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
 def _run_cell(instance: RoadInstance, config_name: str,
@@ -257,12 +256,12 @@ def _run_cell(instance: RoadInstance, config_name: str,
         config = named_config(config_name)
         model = build(instance, config)
     except Exception as exc:
-        return _error(exc)
+        return _CellOutcome("error", None, 0.0, False, _reason(exc))
     try:
         solution = solve(model, run.solver_command, run.limits,
                          sol_format=run.sol_format)
     except Exception as exc:
-        return _error(exc)
+        return _CellOutcome("error", None, 0.0, False, _reason(exc))
     if solution.status not in ("optimal", "feasible"):
         return _CellOutcome(solution.status, None, solution.wall_time, False)
     reason = ""
@@ -278,7 +277,7 @@ def _run_cell(instance: RoadInstance, config_name: str,
             reason = (f"recomputed cost {recomputed!r} != objective "
                       f"{result.objective!r}")
     except Exception as exc:
-        reason = f"{type(exc).__name__}: {exc}"
+        reason = _reason(exc)
     return _CellOutcome(solution.status, solution.objective,
                         solution.wall_time, not reason, reason)
 

@@ -380,7 +380,8 @@ class ArcIndex:
         grid; the diagonal and names absent from values read 0."""
         names, src, dst = self.ctg_arcs
         grid = np.zeros((len(self.supply_nodes), len(self.demand_nodes)))
-        grid[src, dst] = list(map(values.get, names, repeat(0.0)))
+        grid[src, dst] = np.fromiter(map(values.get, names, repeat(0.0)),
+                                     float, len(names))
         return grid
 
 

@@ -210,3 +210,19 @@ def test_recompute_is_linear_in_the_plan(two_node_instance):
         waste_used=tuple(2.0 * w for w in result.waste_used))
     assert recompute_cost(two_node_instance, config, doubled) == \
         pytest.approx(2.0 * TWO_NODE_COST, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind, offsets", [
+    ("borrow", BORROW_FILL_OFFSETS),   # 10 m3 from the pit to section 3
+    ("waste", (1.0, 0.0, 0.0)),        # 10 m3 from section 1 to the pit
+])
+def test_recompute_ctg_pit_arcs(kind, offsets):
+    # A CTG pit arc is one haul over the 20 m along the road plus the pit's
+    # 50 m dead haul: 10 * (4 + 0.008 * 70 + 2).
+    pit = Pit(kind, attached_section=2, capacity=50.0, dead_haul=50.0)
+    inst = make_instance([100.0] * 3, areas=[10.0] * 3, offset=2.0,
+                         **{kind: [pit]})
+    config, result = solved(inst, "CTG-B", offsets=offsets)
+    assert result.objective == pytest.approx(BORROW_FILL_COST, rel=1e-6)
+    assert recompute_cost(inst, config, result) == \
+        pytest.approx(BORROW_FILL_COST, rel=1e-9)
