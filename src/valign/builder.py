@@ -17,8 +17,9 @@ indices n+j (borrow) and n+n_borrow+k (waste).
 
 A MilpModel is columnar: one entry per column in col_names, col_lower,
 col_upper, col_binary and cost; one per row in row_names, row_sense, row_rhs
-and row_range; the matrix as one COO triple (coo_row, coo_col, coo_val) in
-row-declaration order, each row's entries in the order they were declared.
+and row_range (NaN where a row has no range); the matrix as one COO triple
+(coo_row, coo_col, coo_val) in row-declaration order, each row's entries in
+the order they were declared.
 Every model is assembled by _Assembler: MH-QNF row by row, CTG with all X
 arcs and their rows declared at once from index arrays.
 """
@@ -90,15 +91,11 @@ def _repeated(names: Sequence[str]) -> str | None:
 
 
 class MilpModel:
-    """A MILP stored column by column (see the module docstring).
+    """A MILP stored column by column, as the module docstring lays out.
 
-    Columns: col_names, col_lower, col_upper, col_binary and cost. Rows:
-    row_names, row_sense, row_rhs and row_range (NaN where a row has no
-    range). Matrix: the COO triple coo_row, coo_col, coo_val, grouped by row
-    in declaration order. The arrays are read-only. variables, constraints,
-    objective, variable_map and binary_count are views built from them.
-
-    The constructor takes the object form (Variable, LinearConstraint, SosSet
+    The arrays are read-only; variables, constraints, objective,
+    variable_map and binary_count are views built from them. The
+    constructor takes the object form (Variable, LinearConstraint, SosSet
     and (name, cost) pairs), as hand-built and extended models do; the
     builders use _Assembler directly.
     """
