@@ -508,7 +508,7 @@ class _Assembler:
              provenance: Iterable[tuple[str, str]]) -> None:
         """Store the declarations on model as read-only arrays."""
         def frozen(values, dtype) -> np.ndarray:
-            array = np.array(values, dtype=dtype)
+            array = np.asarray(values, dtype=dtype)
             array.flags.writeable = False
             return array
 

@@ -41,12 +41,11 @@ def _num(value: float) -> str:
     return repr(float(value))
 
 
-def _formatted(values: np.ndarray) -> list[str]:
-    """_num of every value, formatting each distinct bit pattern once (so
-    -0.0 keeps its sign)."""
+def _formatted(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """_num of each distinct bit pattern in values (so -0.0 keeps its sign),
+    and the index of every value's text in that list."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    text = [_num(v) for v in distinct.view(np.float64).tolist()]
-    return [text[i] for i in inverse.tolist()]
+    return [_num(v) for v in distinct.view(np.float64).tolist()], inverse
 
 
 _CHUNK_LINES = 1 << 16
@@ -70,18 +69,19 @@ def _mps_chunks(model: MilpModel) -> Iterator[str]:
     cost_cols = np.flatnonzero(priced | unused)
     cols = np.concatenate([cost_cols, model.coo_col])
     order = np.argsort(cols, kind="stable")
-    entry_col = cols[order].tolist()
+    entry_col = cols[order]
     entry_row = np.concatenate([np.full(len(cost_cols), len(row_names)),
-                                model.coo_row])[order].tolist()
+                                model.coo_row])[order]
     costs = np.where(priced, model.cost, 0.0)[cost_cols]
-    entry_val = _formatted(np.concatenate([costs, model.coo_val])[order])
+    text, entry_text = _formatted(
+        np.concatenate([costs, model.coo_val])[order])
     rows = (*row_names, OBJECTIVE_ROW)
     for start in range(0, len(entry_col), _CHUNK_LINES):
-        stop = start + _CHUNK_LINES
+        part = slice(start, start + _CHUNK_LINES)
         yield "".join([
-            f"    {col_names[c]} {rows[r]} {v}\n" for c, r, v in zip(
-                entry_col[start:stop], entry_row[start:stop],
-                entry_val[start:stop])])
+            f"    {col_names[c]} {rows[r]} {text[v]}\n" for c, r, v in zip(
+                entry_col[part].tolist(), entry_row[part].tolist(),
+                entry_text[part].tolist())])
 
     lines = ["RHS"]
     rhs = model.row_rhs
