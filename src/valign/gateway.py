@@ -303,10 +303,8 @@ def decode(solution: Solution, instance: RoadInstance,
     values = solution.values
     if columns and values.keys().isdisjoint(columns):
         raise DecodeError("solution shares no variables with the model")
-    if tuple(values) != columns:
-        # A sparse or reordered solution file: take the model's columns in
-        # order, absent ones as zero.
-        values = dict(zip(columns, map(values.get, columns, repeat(0.0))))
+    # One pass in model column order; absent names (sparse files) are zero.
+    values = dict(zip(columns, map(values.get, columns, repeat(0.0))))
     x = np.fromiter(values.values(), float, len(columns))
 
     recomputed = float(model.cost @ x)

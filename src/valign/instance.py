@@ -374,10 +374,9 @@ def _segment_at(layout: SegmentLayout, stations: Sequence[float], station: float
     if station < stations[0] or station > stations[-1]:
         raise ValueError(f"station {station} outside road extent "
                          f"[{stations[0]}, {stations[-1]}]")
-    g, first = 1, 1
-    for cand, size in enumerate(layout.segment_sizes[:-1], start=2):
-        first += size  # first section of segment cand
-        if stations[first - 1] <= station:
+    g = 1
+    for cand in range(2, layout.segment_count + 1):
+        if stations[layout.first_section(cand) - 1] <= station:
             g = cand
         else:
             break
