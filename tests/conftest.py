@@ -100,3 +100,31 @@ def hump_block_instance() -> RoadInstance:
     return make_instance([100.0, 100.0, 102.0, 100.0, 100.0],
                          areas=[40.0, 40.0, 40.0, 40.0, 40.0],
                          offset=4.0, blocks=[3], access=[1, 5])
+
+
+def shared_pit_road() -> RoadInstance:
+    """Seven sections with a block at 3 (access only at 1) and two borrow
+    and two waste pits all attached to section 5, inside the gated right
+    region; chain nodes that join several pits at once."""
+    pits = [Pit(kind, 5, capacity, dead_haul)
+            for kind, capacity, dead_haul in (
+                ("borrow", 40.0, 15.0), ("borrow", 25.0, 60.0),
+                ("waste", 35.0, 20.0), ("waste", 30.0, 45.0))]
+    return make_instance([100.0, 101.5, 103.0, 101.0, 99.5, 99.0, 100.5],
+                         areas=[10.0] * 7, offset=2.0, blocks=[3],
+                         access=[1], borrow=pits[:2], waste=pits[2:])
+
+
+def pinned_road(case: str) -> RoadInstance:
+    """Roads whose emitted models and validation results are pinned."""
+    from valign.bench import ROAD_TEMPLATES, generate_instance
+    if case == "shared-pits":
+        return shared_pit_road()
+    template, variant, blocks, pits = {
+        "A-01": ("A", 1, 0, 0),
+        "D-01 2 blocks": ("D", 1, 2, 0),
+        "G-01 3 blocks": ("G", 1, 3, 0),
+        "C-02 3 blocks 2 pits": ("C", 2, 3, 2),
+    }[case]
+    return generate_instance(1, ROAD_TEMPLATES[template], variant,
+                             blocks=blocks, pits=pits)

@@ -19,7 +19,7 @@ from valign.builder import (
 from valign.instance import Pit, VolumeCurve
 from valign.mps import emit_mps, emit_mps_text, strip_comments
 
-from conftest import make_instance
+from conftest import make_instance, pinned_road
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "three_section_qns.mps")
@@ -160,4 +160,20 @@ def test_emitted_text_pinned_at_scale(case, config, digest):
     else:
         inst = piecewise_instance()
     text = emit_mps_text(build(inst, config))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest
+
+
+# sha256 of emit_mps_text for the flow-grid layouts: the G road with three
+# blocks (33,876 columns), a C road with blocks and pits under a single haul
+# class, and a road whose pits all share one section under SOS1 block logic.
+@pytest.mark.parametrize("case, config_name, digest", [
+    ("G-01 3 blocks", "MQN-B",
+     "7ab85259626af79b4ba622c36af120c1ddc594b45ce863c4e56d7655ce2ca766"),
+    ("C-02 3 blocks 2 pits", "QNA-B",
+     "d053226969f6535bd38a233818b52654c591763d69945aa1a56bb697c153d018"),
+    ("shared-pits", "MQN-S1",
+     "f02442269f07378c34716a1bcfcdf3268eb941d345ceef41bdfb317f0c80b267"),
+])
+def test_flow_grid_models_pinned(case, config_name, digest):
+    text = emit_mps_text(build(pinned_road(case), named_config(config_name)))
     assert hashlib.sha256(text.encode("ascii")).hexdigest() == digest

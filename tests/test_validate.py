@@ -1,11 +1,13 @@
 """Validator behaviour: clean passes, targeted faults, cost recomputation."""
 
+import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from valign.builder import build, fix_offsets, named_config
-from valign.gateway import SolverLimits, decode, solve
+from valign.gateway import Solution, SolverLimits, decode, solve
 from valign.instance import Pit
 from valign.validate import FAMILIES, recompute_cost, validate
 
@@ -16,6 +18,7 @@ from conftest import (
     TWO_NODE_COST,
     TWO_NODE_OFFSETS,
     make_instance,
+    pinned_road,
 )
 
 LIMITS = SolverLimits(time_limit=120.0, mip_gap=1e-9, feasibility_tol=1e-6)
@@ -226,3 +229,43 @@ def test_recompute_ctg_pit_arcs(kind, offsets):
     assert result.objective == pytest.approx(BORROW_FILL_COST, rel=1e-6)
     assert recompute_cost(inst, config, result) == \
         pytest.approx(BORROW_FILL_COST, rel=1e-9)
+
+
+# Validation and re-pricing of seeded synthetic values, no solver involved:
+# every column gets a draw (negative, zero or positive; removal indicators
+# in [0, 1.2]) and the objective is cost . x, so decode accepts it. The
+# digest covers (worst.hex(), count) of every family in absolute and
+# relative mode plus recompute_cost(...).hex().
+@pytest.mark.parametrize("case, config_name, digest", [
+    ("A-01", "MQN-B",
+     "5e423bc5c07ecaaebae701647dbadfd230aa8421b9ac644272448199daa745b3"),
+    ("D-01 2 blocks", "MQN-B",
+     "8b95374799c9792aa991dd5a0cfaf33345bb6c48543786c3af937eca8960737c"),
+    ("G-01 3 blocks", "MQN-B",
+     "597de20d198f00557a243727bf290f64bcfa1fa76ee39bd2e86ed223ea8a6e2d"),
+    ("C-02 3 blocks 2 pits", "QNA-B",
+     "9b344b6a319ad6126cfe4f18925c122f1a442465a01c38d3cc198ab227db577f"),
+    ("shared-pits", "MQN-S1",
+     "9bdb6fb2aa35f41fc73ac5574d420e0851750c918c8bb20a9ad1f611d9bf35c5"),
+])
+def test_synthetic_values_validation_pinned(case, config_name, digest):
+    instance = pinned_road(case)
+    config = named_config(config_name)
+    model = build(instance, config)
+    rng = np.random.default_rng(20261018)
+    x = rng.uniform(0.0, 50.0, len(model.col_names))
+    x[rng.random(len(x)) < 0.15] *= -1.0
+    x[rng.random(len(x)) < 0.35] = 0.0
+    x[model.col_binary] = rng.uniform(0.0, 1.2,
+                                      int(np.count_nonzero(model.col_binary)))
+    solution = Solution("optimal", float(model.cost @ x),
+                        dict(zip(model.col_names, x.tolist())), 0.0)
+    result = decode(solution, instance, config, model=model)
+    lines = []
+    for relative in (False, True):
+        report = validate(instance, config, result, relative=relative)
+        lines += [f"{name} {fam.worst.hex()} {fam.count}"
+                  for name, fam in report.families.items()]
+    lines.append(recompute_cost(instance, config, result).hex())
+    text = "\n".join(lines)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
