@@ -20,8 +20,13 @@ col_upper, col_binary and cost; one per row in row_names, row_sense, row_rhs
 and row_range (NaN where a row has no range); the matrix as one COO triple
 (coo_row, coo_col, coo_val) in row-declaration order, each row's entries in
 the order they were declared.
-Every model is assembled by _Assembler: MH-QNF row by row, CTG with all X
-arcs and their rows declared at once from index arrays.
+
+Every model is assembled by _Assembler, its flow columns declared at once
+from an ArcIndex grid: ctg_arcs puts the X arcs on the (supply node, demand
+node) grid, and flow_grid lays out the MH-QNF chains, indexed (haul, step,
+section or pit, chain). The rows over the flows (CTS/CTD/CTB/CTW; FCR/FCL,
+BALC/BALF, BALB/CAPB and BALW/CAPW) go through the one bulk path,
+_Assembler.bulk_rows; spline and block rows are declared one at a time.
 """
 
 from __future__ import annotations
@@ -285,8 +290,6 @@ class ArcIndex:
     waste(k, d) join pit j or k to the chain at its attached section.
     """
 
-    FLOW_PREFIXES = ("FR_", "FU_", "FL_", "FB_", "FW_", "X_")
-
     def __init__(self, instance: RoadInstance):
         self.n = instance.n
         self.borrow_pits = instance.borrow_pits
@@ -381,11 +384,50 @@ class ArcIndex:
                                      float, len(names))
         return grid
 
+    def flow_grid(self, n_hauls: int, n_steps: int
+                  ) -> tuple[list[str], tuple[np.ndarray, ...]]:
+        """MH-QNF flow names in declaration order, and the offsets into
+        them of the transit, unload and load arcs, indexed (haul, step,
+        section, chain), and of the borrow and waste arcs, indexed (haul,
+        step, pit, chain), all from 0, chain 0 being DIRECTIONS[0]. Per
+        haul, then per step, come every section's three arcs on both
+        chains, then both chains of every borrow pit, then of every waste
+        pit."""
+        n = self.n
+        n_borrow, n_waste = len(self.borrow_pits), len(self.waste_pits)
+        names: list[str] = []
+        for h in range(1, n_hauls + 1):
+            for t in range(n_steps):
+                for i in range(1, n + 1):
+                    for d in DIRECTIONS:
+                        names += [self.transit(h, t, i, d),
+                                  self.unload(h, t, i, d),
+                                  self.load(h, t, i, d)]
+                names += [self.borrow(h, t, j, d)
+                          for j in range(1, n_borrow + 1) for d in DIRECTIONS]
+                names += [self.waste(h, t, k, d)
+                          for k in range(1, n_waste + 1) for d in DIRECTIONS]
+        per_step = np.arange(len(names)).reshape(n_hauls, n_steps, -1)
+        arcs = per_step[:, :, :6 * n].reshape(n_hauls, n_steps, n, 2, 3)
+        pits = per_step[:, :, 6 * n:].reshape(n_hauls, n_steps,
+                                              n_borrow + n_waste, 2)
+        return names, (arcs[..., 0], arcs[..., 1], arcs[..., 2],
+                       pits[:, :, :n_borrow], pits[:, :, n_borrow:])
+
+    def flow_values(self, values: Mapping[str, float], n_hauls: int,
+                    n_steps: int) -> tuple[np.ndarray, ...]:
+        """flow_grid's arrays holding each flow's value, looked up by name;
+        names absent from values read 0."""
+        names, grid = self.flow_grid(n_hauls, n_steps)
+        x = np.fromiter(map(values.get, names, repeat(0.0)), float,
+                        len(names))
+        return tuple(x[ids] for ids in grid)
+
 
 class _Assembler:
     """Accumulates a model; rejects duplicate and unknown names as they appear.
 
-    var and row declare one column or row at a time; columns and rows
+    var and row declare one column or row at a time; columns and bulk_rows
     declare many at once from arrays. All of it is kept in declaration
     order, and fill turns it into the model's arrays.
     """
@@ -435,13 +477,14 @@ class _Assembler:
         self.cost.append(cost)
         return name
 
-    def columns(self, names: Sequence[str], cost: np.ndarray) -> int:
+    def columns(self, names: Sequence[str], cost: np.ndarray,
+                upper: np.ndarray) -> int:
         """Declare non-negative continuous columns; returns the first id.
         A repeated name is caught by lint, which finish runs."""
         first = len(self.col_names)
         self.col_names.extend(names)
         self.lower.extend([0.0] * len(names))
-        self.upper.extend([math.inf] * len(names))
+        self.upper.extend(upper.tolist())
         self.binary.extend([False] * len(names))
         self.cost.extend(cost.tolist())
         return first
@@ -479,19 +522,23 @@ class _Assembler:
         self.coo_col.extend(entries)
         self.coo_val.extend(entries.values())
 
-    def rows(self, names: Sequence[str], sense: str, rhs: float,
-             entries: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
-        """Declare rows from (column ids, coefficients) pairs, one per name.
-        A column repeated within a row is caught by lint."""
+    def bulk_rows(self, rows: Iterable[tuple[str, str, float]],
+                  parts: Sequence[tuple]) -> None:
+        """Declare rows, each (name, sense, rhs), and their entries as
+        (row, column ids, coefficient) parts broadcast to one shape, row
+        counting from the first of rows. A row's entries follow the order
+        of the parts, then their order within a part. A column repeated
+        within a row is caught by lint."""
         first = len(self.row_names)
-        for name in names:
+        for name, sense, rhs in rows:
             self._new_row(name, sense, rhs, None)
+        shaped = [np.broadcast_arrays(*part) for part in parts]
+        row, col, val = (np.concatenate([np.ravel(p[at]) for p in shaped])
+                         for at in range(3))
+        order = np.argsort(row, kind="stable")
         self._flush()
-        self.chunks.append((
-            np.repeat(np.arange(first, len(self.row_names)),
-                      [len(cols) for cols, _ in entries]),
-            np.concatenate([cols for cols, _ in entries]),
-            np.concatenate([vals for _, vals in entries])))
+        self.chunks.append((first + row[order], col[order].astype(np.int64),
+                            val[order].astype(np.float64)))
 
     def _flush(self) -> None:
         if self.coo_row:
@@ -670,39 +717,36 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     blocks = instance.sorted_blocks
     n_blocks = len(blocks)
     steps = list(range(n_blocks + 1))  # time steps 0..n_b
-    stations = instance.stations
 
     names = ArcIndex(instance)
     asm = _Assembler("VALIGN")
     _spline_rows(asm, instance, names, config.volume_mode)
     hs = range(1, len(hauls) + 1)
 
-    # Flow variables, rightward chain then leftward. Transit arcs leaving the
+    # Flow columns, laid out by ArcIndex.flow_grid. Transit arcs leaving the
     # road at either end exist with zero bounds so conservation rows keep a
     # uniform shape.
-    for h, haul in enumerate(hauls, start=1):
-        for t in steps:
-            for i in range(1, n + 1):
-                for d in DIRECTIONS:
-                    on_road = 1 <= i + d <= n
-                    hop = d * (stations[i + d - 1] - stations[i - 1]) \
-                        if on_road else 0.0
-                    asm.var(names.transit(h, t, i, d),
-                            0.0, math.inf if on_road else 0.0,
-                            cost=haul.unit_haul_cost * hop)
-                    asm.var(names.unload(h, t, i, d), cost=haul.loading_cost)
-                    asm.var(names.load(h, t, i, d))
-            for j, pit in enumerate(instance.borrow_pits, start=1):
-                mat = instance.material_of(pit.attached_section)
-                cost = mat.excavation + haul.loading_cost \
-                    + haul.unit_haul_cost * pit.dead_haul
-                for d in DIRECTIONS:
-                    asm.var(names.borrow(h, t, j, d), cost=cost)
-            for k, pit in enumerate(instance.waste_pits, start=1):
-                mat = instance.material_of(pit.attached_section)
-                cost = mat.embankment + haul.unit_haul_cost * pit.dead_haul
-                for d in DIRECTIONS:
-                    asm.var(names.waste(h, t, k, d), cost=cost)
+    flow_names, grid = names.flow_grid(len(hauls), len(steps))
+    transit, unload, load, borrow, waste = grid
+    hop = np.zeros((n, 2))  # (section, chain): distance from i to i+d
+    hop[:-1, 0] = hop[1:, 1] = np.diff(instance.stations)
+    cost = np.zeros(len(flow_names))
+    for h, haul in enumerate(hauls):
+        cost[transit[h]] = haul.unit_haul_cost * hop
+        cost[unload[h]] = haul.loading_cost
+        for j, pit in enumerate(instance.borrow_pits):
+            mat = instance.material_of(pit.attached_section)
+            cost[borrow[h, :, j]] = mat.excavation + haul.loading_cost \
+                + haul.unit_haul_cost * pit.dead_haul
+        for k, pit in enumerate(instance.waste_pits):
+            mat = instance.material_of(pit.attached_section)
+            cost[waste[h, :, k]] = mat.embankment \
+                + haul.unit_haul_cost * pit.dead_haul
+    upper = np.full(len(flow_names), math.inf)
+    upper[transit[:, :, -1, 0]] = upper[transit[:, :, 0, 1]] = 0.0
+    first = asm.columns(flow_names, cost, upper)
+    # From here on, the grid holds column ids.
+    transit, unload, load, borrow, waste = (first + ids for ids in grid)
 
     for k in range(1, n_blocks + 1):
         for t in steps:
@@ -710,45 +754,44 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
 
     # Conservation at every node i of chain d (FCR rightward, FCL leftward):
     # transit in from i-d + unload + borrow = transit out + load + waste.
-    for h in hs:
-        for t in steps:
-            for i in range(1, n + 1):
-                for d, chain in zip(DIRECTIONS, "RL"):
-                    terms: dict[str, float] = {}
-                    if 1 <= i - d <= n:
-                        terms[names.transit(h, t, i - d, d)] = 1.0
-                    terms[names.unload(h, t, i, d)] = 1.0
-                    for j, pit in enumerate(instance.borrow_pits, start=1):
-                        if pit.attached_section == i:
-                            terms[names.borrow(h, t, j, d)] = 1.0
-                    terms[names.transit(h, t, i, d)] = -1.0
-                    terms[names.load(h, t, i, d)] = -1.0
-                    for k, pit in enumerate(instance.waste_pits, start=1):
-                        if pit.attached_section == i:
-                            terms[names.waste(h, t, k, d)] = -1.0
-                    asm.row(f"FC{chain}_{h}_{t}_{i}", terms, "=", 0.0)
+    node = np.arange(transit.size).reshape(transit.shape)
+    asm.bulk_rows(
+        [(f"FC{chain}_{h}_{t}_{i}", "=", 0.0) for h in hs for t in steps
+         for i in range(1, n + 1) for chain in "RL"],
+        [(node[:, :, 1:, 0], transit[:, :, :-1, 0], 1.0),
+         (node[:, :, :-1, 1], transit[:, :, 1:, 1], 1.0),
+         (node, unload, 1.0),
+         *[(node[:, :, pit.attached_section - 1], borrow[:, :, j], 1.0)
+           for j, pit in enumerate(instance.borrow_pits)],
+         (node, transit, -1.0), (node, load, -1.0),
+         *[(node[:, :, pit.attached_section - 1], waste[:, :, k], -1.0)
+           for k, pit in enumerate(instance.waste_pits)]])
 
-    # Balance: total unload/load over hauls and steps equals section volume;
-    # same for pit flows against pit volume variables.
-    def over_chains(arc, *args) -> dict[str, float]:
-        return {arc(h, t, *args, d): 1.0
-                for d in DIRECTIONS for h in hs for t in steps}
-
-    for i in range(1, n + 1):
-        cut_terms = over_chains(names.unload, i)
-        cut_terms[names.cut(i)] = -1.0
-        asm.row(f"BALC_{i}", cut_terms, "=", 0.0)
-        fill_terms = over_chains(names.load, i)
-        fill_terms[names.fill(i)] = -1.0
-        asm.row(f"BALF_{i}", fill_terms, "=", 0.0)
-    for j, pit in enumerate(instance.borrow_pits, start=1):
-        terms = over_chains(names.borrow, j)
-        asm.row(f"BALB_{j}", {**terms, names.borrow_used(j): -1.0}, "=", 0.0)
-        asm.row(f"CAPB_{j}", terms, "<=", pit.capacity)
-    for k, pit in enumerate(instance.waste_pits, start=1):
-        terms = over_chains(names.waste, k)
-        asm.row(f"BALW_{k}", {**terms, names.waste_used(k): -1.0}, "=", 0.0)
-        asm.row(f"CAPW_{k}", terms, "<=", pit.capacity)
+    # Balance: a node's arcs over both chains, hauls and steps, in that
+    # order, equal its volume variable; a pit's arcs are also capped. Rows
+    # are BALC_i, BALF_i per section, then BALB_j, CAPB_j per borrow pit and
+    # BALW_k, CAPW_k per waste pit.
+    n_borrow = len(instance.borrow_pits)
+    rows = [(f"BAL{kind}_{i}", "=", 0.0)
+            for i in range(1, n + 1) for kind in "CF"]
+    rows += [(f"{tag}{kind}_{j}", sense, value)
+             for kind, pits in (("B", instance.borrow_pits),
+                                ("W", instance.waste_pits))
+             for j, pit in enumerate(pits, start=1)
+             for tag, sense, value in (("BAL", "=", 0.0),
+                                       ("CAP", "<=", pit.capacity))]
+    parts = []
+    for start, arcs, volume, capped in (
+            (0, unload, names.cut, False), (1, load, names.fill, False),
+            (2 * n, borrow, names.borrow_used, True),
+            (2 * (n + n_borrow), waste, names.waste_used, True)):
+        row = start + 2 * np.arange(arcs.shape[2])
+        node_arcs = (row[:, None, None, None], arcs.transpose(2, 3, 0, 1), 1.0)
+        volumes = [asm.column(volume(i)) for i in range(1, len(row) + 1)]
+        parts += [node_arcs, (row, volumes, -1.0)]
+        if capped:  # the CAP row follows each pit's BAL row
+            parts.append((node_arcs[0] + 1,) + node_arcs[1:])
+    asm.bulk_rows(rows, parts)
 
     if blocks:
         _block_rows(asm, instance, names, config, hauls, steps)
@@ -921,32 +964,26 @@ def build_ctg(instance: RoadInstance,
     arcs, src, dst = names.ctg_arcs
     dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]
     cost = exc_s[src] + cheapest_haul_costs(hauls, dist) + emb_d[dst]
-    first = asm.columns(arcs, cost)
+    first = asm.columns(arcs, cost, np.full(len(arcs), math.inf))
 
-    # Column id of every arc on the (supply, demand) grid, -1 on the diagonal.
-    grid = np.full((len(names.supply_nodes), len(names.demand_nodes)), -1)
-    grid[src, dst] = np.arange(first, first + len(arcs))
-
-    def arcs_less(line: np.ndarray, volume: str):
-        """Arcs on one grid line minus the node's volume variable."""
-        cols = np.append(line[line >= 0], asm.column(volume))
-        vals = np.ones(len(cols))
-        vals[-1] = -1.0
-        return cols, vals
-
-    n = instance.n
-    rows, entries = [], []
-    for i in range(1, n + 1):
-        rows += [f"CTS_{i}", f"CTD_{i}"]
-        entries += [arcs_less(grid[i - 1], names.cut(i)),
-                    arcs_less(grid[:, i - 1], names.fill(i))]
-    for j in range(1, len(instance.borrow_pits) + 1):
-        rows.append(f"CTB_{j}")
-        entries.append(arcs_less(grid[n + j - 1], names.borrow_used(j)))
-    for k in range(1, len(instance.waste_pits) + 1):
-        rows.append(f"CTW_{k}")
-        entries.append(arcs_less(grid[:, n + k - 1], names.waste_used(k)))
-    asm.rows(rows, "=", 0.0, entries)
+    # Each node's row takes its arcs in declaration order, less the node's
+    # volume variable: CTS_i, CTD_i per section, then CTB_j, then CTW_k.
+    n, n_borrow = instance.n, len(instance.borrow_pits)
+    n_waste = len(instance.waste_pits)
+    supply_row = np.append(2 * np.arange(n), 2 * n + np.arange(n_borrow))
+    demand_row = np.append(2 * np.arange(n) + 1,
+                           2 * n + n_borrow + np.arange(n_waste))
+    ids = np.arange(first, first + len(arcs))
+    asm.bulk_rows(
+        [(f"{tag}_{i}", "=", 0.0) for i in range(1, n + 1)
+         for tag in ("CTS", "CTD")]
+        + [(f"CTB_{j}", "=", 0.0) for j in range(1, n_borrow + 1)]
+        + [(f"CTW_{k}", "=", 0.0) for k in range(1, n_waste + 1)],
+        [(supply_row[src], ids, 1.0), (demand_row[dst], ids, 1.0),
+         (supply_row, [asm.column(names.cut(node))
+                       for node in names.supply_nodes], -1.0),
+         (demand_row, [asm.column(names.fill(node))
+                       for node in names.demand_nodes], -1.0)])
 
     provenance = _provenance(instance, config, hauls, [0])
     return asm.finish(provenance)

@@ -83,7 +83,6 @@ class AlignmentResult:
     section_fill: tuple[float, ...]
     borrow_used: tuple[float, ...]
     waste_used: tuple[float, ...]
-    flows: dict[str, float]
     removal: dict[tuple[int, int], float]
     values: dict[str, float] = field(repr=False, default_factory=dict)
 
@@ -289,9 +288,9 @@ def decode(solution: Solution, instance: RoadInstance,
     """Map canonical variable names back to a structured alignment.
 
     Variables absent from the solution values are taken as zero (sparse
-    solution files); an empty overlap with the model is an error. The
-    objective is recomputed from the model's cost vector and must match the
-    solver's report within objective_tol relative.
+    solution files); an empty overlap with the model or a non-finite value
+    is an error. The objective is recomputed from the model's cost vector
+    and must match the solver's report within objective_tol relative.
     """
     if solution.status not in ("optimal", "feasible"):
         raise DecodeError(f"cannot decode a {solution.status} solution")
@@ -306,6 +305,10 @@ def decode(solution: Solution, instance: RoadInstance,
     # One pass in model column order; absent names (sparse files) are zero.
     values = dict(zip(columns, map(values.get, columns, repeat(0.0))))
     x = np.fromiter(values.values(), float, len(columns))
+    bad = ~np.isfinite(x)
+    if bad.any():
+        column = columns[int(np.argmax(bad))]
+        raise DecodeError(f"non-finite value {values[column]!r} for {column}")
 
     recomputed = float(model.cost @ x)
     assert solution.objective is not None
@@ -327,8 +330,6 @@ def decode(solution: Solution, instance: RoadInstance,
                    for j in range(1, len(instance.borrow_pits) + 1))
     waste = tuple(values[names.waste_used(k)]
                   for k in range(1, len(instance.waste_pits) + 1))
-    flows = {columns[c]: values[columns[c]] for c in np.flatnonzero(x).tolist()
-             if columns[c].startswith(ArcIndex.FLOW_PREFIXES)}
     removal = {}
     for k in range(1, len(instance.blocks) + 1):
         for t in range(len(instance.blocks) + 1):
@@ -339,4 +340,4 @@ def decode(solution: Solution, instance: RoadInstance,
         status=solution.status, objective=solution.objective,
         coefficients=coeffs, offsets=offsets, section_cut=cut,
         section_fill=fill, borrow_used=borrow, waste_used=waste,
-        flows=flows, removal=removal, values=values)
+        removal=removal, values=values)

@@ -14,9 +14,9 @@ Site features (borrow/waste pits, blocks, access roads) attach to sections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -456,8 +456,3 @@ def global_big_m(instance: RoadInstance, volume_mode: str = "linear") -> float:
     """Flow-gating constant: total possible earthwork plus borrow capacity."""
     total = sum(big_m(instance, i, volume_mode) for i in range(1, instance.n + 1))
     return total + sum(p.capacity for p in instance.borrow_pits)
-
-
-def renumber_sections(sections: Iterable[Section]) -> tuple[Section, ...]:
-    """Assign 1-based indices in list order."""
-    return tuple(replace(s, index=pos + 1) for pos, s in enumerate(sections))

@@ -4,15 +4,22 @@ Every constraint family is evaluated from first principles on the decoded
 result (flow arithmetic, block reachability, spline evaluation), without
 reusing the MILP rows. recompute_cost re-derives the objective from flows
 and volumes by its own arithmetic.
+
+Flow values are read once onto ArcIndex's grids, by name: ctg_grid for CTG,
+flow_grid for MH-QNF. That grid is the only thing shared with the builder;
+conservation, balance, capacity, bounds, block gating, removal and the
+re-priced cost are derived from the grid and the instance data, never from
+the model's rows or cost vector. A NaN residual counts as a violation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from valign.builder import DIRECTIONS, ArcIndex, BuilderConfig, effective_hauls
+from valign.builder import ArcIndex, BuilderConfig, effective_hauls
 from valign.gateway import AlignmentResult
 from valign.instance import (
     RoadInstance,
@@ -64,8 +71,11 @@ class ViolationReport:
 
     def _hit(self, family: str, magnitude: float, scale: float,
              relative: bool) -> None:
+        """Book one residual; a NaN counts as a violation of size inf."""
         if relative:
             magnitude = magnitude / max(1.0, scale)
+        if math.isnan(magnitude):
+            magnitude = math.inf
         fam = self.families[family]
         fam.worst = max(fam.worst, magnitude)
         if magnitude > self.tolerance:
@@ -73,12 +83,13 @@ class ViolationReport:
 
     def _hits(self, family: str, magnitudes: np.ndarray,
               scales: np.ndarray | float, relative: bool) -> None:
-        """_hit over an array; NaN magnitudes are skipped as _hit skips them."""
+        """_hit over an array."""
         if relative:
             magnitudes = magnitudes / np.maximum(1.0, scales)
         if magnitudes.size:
+            magnitudes = np.where(np.isnan(magnitudes), np.inf, magnitudes)
             fam = self.families[family]
-            worst = float(np.fmax.reduce(magnitudes, axis=None))
+            worst = float(magnitudes.max())
             fam.worst = max(fam.worst, worst)
             fam.count += int(np.count_nonzero(magnitudes > self.tolerance))
 
@@ -88,7 +99,6 @@ def validate(instance: RoadInstance, config: BuilderConfig,
              relative: bool = False) -> ViolationReport:
     instance.check()
     report = ViolationReport(tolerance=tolerance)
-    val = result.values.get
 
     def hit(family: str, magnitude: float, scale: float = 1.0) -> None:
         report._hit(family, magnitude, scale, relative)
@@ -102,12 +112,11 @@ def validate(instance: RoadInstance, config: BuilderConfig,
     if config.model == "CTG":
         _check_ctg_flows(instance, names, result, hits)
     else:
-        hauls = effective_hauls(instance, config)
-        steps = range(len(instance.blocks) + 1)
-        _check_conservation(instance, names, hauls, steps, val, hit)
-        _check_balance(instance, names, hauls, steps, result, val, hit)
-        _check_blocks(instance, names, hauls, steps, result, val, hit)
-        _check_flow_bounds(instance, names, hauls, steps, val, hit)
+        flows = names.flow_values(result.values,
+                                  len(effective_hauls(instance, config)),
+                                  len(instance.blocks) + 1)
+        _check_flows(instance, flows, result, hits)
+        _check_blocks(instance, flows, result, hit, hits)
     return report
 
 
@@ -164,104 +173,97 @@ def _check_geometry(instance, config, result, hit) -> None:
             pit.capacity)
 
 
-def _check_conservation(instance, names, hauls, steps, val, hit) -> None:
-    n = instance.n
-    for h in range(1, len(hauls) + 1):
-        for t in steps:
-            for i in range(1, n + 1):
-                for d in DIRECTIONS:
-                    acc = val(names.unload(h, t, i, d), 0.0)
-                    scale = abs(acc)
-                    if 1 <= i - d <= n:
-                        flow = val(names.transit(h, t, i - d, d), 0.0)
-                        acc += flow
-                        scale += abs(flow)
-                    for j, pit in enumerate(instance.borrow_pits, start=1):
-                        if pit.attached_section == i:
-                            acc += val(names.borrow(h, t, j, d), 0.0)
-                    acc -= val(names.transit(h, t, i, d), 0.0)
-                    acc -= val(names.load(h, t, i, d), 0.0)
-                    for k, pit in enumerate(instance.waste_pits, start=1):
-                        if pit.attached_section == i:
-                            acc -= val(names.waste(h, t, k, d), 0.0)
-                    hit("flow_conservation", abs(acc), scale)
+def _transit_in(transit: np.ndarray) -> np.ndarray:
+    """Transit into each chain node from its predecessor i-d; none enters
+    the node a chain starts from."""
+    into = np.zeros_like(transit)
+    into[:, :, 1:, 0] = transit[:, :, :-1, 0]
+    into[:, :, :-1, 1] = transit[:, :, 1:, 1]
+    return into
 
 
-def _both_chains(val, arc, *args) -> float:
-    return sum(val(arc(*args, d), 0.0) for d in DIRECTIONS)
+def _chain_sum(arcs: np.ndarray) -> np.ndarray:
+    """Both chains of each (haul, step, node) added: the last axis summed."""
+    return arcs[..., 0] + arcs[..., 1]
 
 
-def _check_balance(instance, names, hauls, steps, result, val, hit) -> None:
-    hs = range(1, len(hauls) + 1)
-    for i in range(1, instance.n + 1):
-        unload = sum(_both_chains(val, names.unload, h, t, i)
-                     for h in hs for t in steps)
-        load = sum(_both_chains(val, names.load, h, t, i)
-                   for h in hs for t in steps)
-        hit("balance", abs(unload - result.section_cut[i - 1]), abs(unload))
-        hit("balance", abs(load - result.section_fill[i - 1]), abs(load))
-    for j, pit in enumerate(instance.borrow_pits, start=1):
-        total = sum(_both_chains(val, names.borrow, h, t, j)
-                    for h in hs for t in steps)
-        hit("balance", abs(total - result.borrow_used[j - 1]), abs(total))
-        hit("capacity", max(0.0, total - pit.capacity), pit.capacity)
-    for k, pit in enumerate(instance.waste_pits, start=1):
-        total = sum(_both_chains(val, names.waste, h, t, k)
-                    for h in hs for t in steps)
-        hit("balance", abs(total - result.waste_used[k - 1]), abs(total))
-        hit("capacity", max(0.0, total - pit.capacity), pit.capacity)
+def _check_balance(instance, result, hits, totals) -> None:
+    """Flow totals per section (cut, fill) and pit (borrow, waste) against
+    the decoded volumes, and pit totals against capacity."""
+    for total, volume, pits in zip(
+            totals, (result.section_cut, result.section_fill,
+                     result.borrow_used, result.waste_used),
+            ((), (), instance.borrow_pits, instance.waste_pits)):
+        hits("balance", np.abs(total - np.array(volume, dtype=float)),
+             np.abs(total))
+        if pits:
+            capacity = np.array([pit.capacity for pit in pits])
+            hits("capacity", np.maximum(0.0, total - capacity), capacity)
 
 
-def _check_blocks(instance, names, hauls, steps, result, val, hit) -> None:
+def _check_flows(instance, flows, result, hits) -> None:
+    """Conservation, balance, pit capacity and flow bounds on the grid."""
+    transit, unload, load, borrow, waste = flows
+    into = _transit_in(transit)
+    acc = unload + into
+    scale = np.abs(unload) + np.abs(into)
+    # One pit at a time: pits can share a section.
+    for j, pit in enumerate(instance.borrow_pits):
+        acc[:, :, pit.attached_section - 1] += borrow[:, :, j]
+    acc -= transit
+    acc -= load
+    for k, pit in enumerate(instance.waste_pits):
+        acc[:, :, pit.attached_section - 1] -= waste[:, :, k]
+    hits("flow_conservation", np.abs(acc), scale)
+
+    # Node totals: both chains, haul by haul and step by step.
+    _check_balance(instance, result, hits, [
+        sum(step for haul in _chain_sum(arcs) for step in haul)
+        for arcs in (unload, load, borrow, waste)])
+
+    # The transit arc off the road's far end carries nothing.
+    hits("bounds", np.abs(transit[:, :, -1, 0]))
+    hits("bounds", np.abs(transit[:, :, 0, 1]))
+    for arcs in flows:
+        hits("bounds", np.maximum(0.0, -arcs))
+
+
+def _check_blocks(instance, flows, result, hit, hits) -> None:
     blocks = instance.sorted_blocks
     if not blocks:
         return
-    n = instance.n
-    n_blocks = len(blocks)
-    hs = range(1, len(hauls) + 1)
-
-    def removed(k: int, t: int) -> bool:
-        # Gate state for step t is the indicator at the end of step t-1.
-        return t >= 1 and result.removal.get((k, t - 1), 0.0) >= 0.5
+    transit, unload, load, borrow, waste = flows
+    steps = range(transit.shape[1])
+    y = np.array([[result.removal.get((k, t), 0.0) for t in steps]
+                  for k in range(1, len(blocks) + 1)])
+    # Gate state for step t is the indicator at the end of step t-1.
+    shut = np.ones(y.shape, dtype=bool)
+    shut[:, 1:] = ~(y[:, :-1] >= 0.5)
 
     # Until the block goes, each chain's transit into its section equals the
     # local load and transit out of it equals the local unload.
-    for k, blk in enumerate(blocks, start=1):
-        s = blk.section
-        for h in hs:
-            for t in steps:
-                if removed(k, t):
-                    continue
-                for d in DIRECTIONS:
-                    hit("block_gating",
-                        abs(val(names.transit(h, t, s - d, d), 0.0)
-                            - val(names.load(h, t, s, d), 0.0)), 1.0)
-                    hit("block_gating",
-                        abs(val(names.transit(h, t, s, d), 0.0)
-                            - val(names.unload(h, t, s, d), 0.0)), 1.0)
+    into = _transit_in(transit)
+    for k, blk in enumerate(blocks):
+        s = blk.section - 1
+        for arcs, local in ((into, load), (transit, unload)):
+            hits("block_gating",
+                 np.abs(arcs[:, shut[k], s] - local[:, shut[k], s]))
 
     pairs, left_set, right_set = block_access_sets(instance)
 
     def region_check(ks: tuple[int, ...], lo_arc: int, hi_arc: int,
                      pit_ok) -> None:
-        for h in hs:
-            for t in steps:
-                if any(removed(k, t) for k in ks):
-                    continue
-                for i in range(lo_arc, hi_arc):
-                    hit("block_gating",
-                        abs(val(names.transit(h, t, i, 1), 0.0)), 1.0)
-                    hit("block_gating",
-                        abs(val(names.transit(h, t, i + 1, -1), 0.0)), 1.0)
-                for d in DIRECTIONS:
-                    for j, pit in enumerate(instance.borrow_pits, start=1):
-                        if pit_ok(pit.attached_section):
-                            hit("block_gating",
-                                abs(val(names.borrow(h, t, j, d), 0.0)), 1.0)
-                    for w, pit in enumerate(instance.waste_pits, start=1):
-                        if pit_ok(pit.attached_section):
-                            hit("block_gating",
-                                abs(val(names.waste(h, t, w, d), 0.0)), 1.0)
+        # Transit arcs (i, i+1) with lo_arc <= i, i+1 <= hi_arc, and the arcs
+        # of the pits pit_ok admits, while no block of ks is removed.
+        closed = shut[[k - 1 for k in ks]].all(axis=0)
+        rightward = transit[:, closed, lo_arc - 1:hi_arc - 1, 0]  # i -> i+1
+        leftward = transit[:, closed, lo_arc:hi_arc, 1]  # i+1 -> i
+        hits("block_gating", np.abs(rightward))
+        hits("block_gating", np.abs(leftward))
+        for arcs, pits in ((borrow, instance.borrow_pits),
+                           (waste, instance.waste_pits)):
+            ok = [pit_ok(pit.attached_section) for pit in pits]
+            hits("block_gating", np.abs(arcs[:, closed][:, :, ok]))
 
     for k1, k2 in pairs:
         s1, s2 = blocks[k1 - 1].section, blocks[k2 - 1].section
@@ -272,58 +274,26 @@ def _check_blocks(instance, names, hauls, steps, result, val, hit) -> None:
         region_check((k,), 1, s, lambda sec: sec + 1 <= s)
     for k in right_set:
         s = blocks[k - 1].section
-        region_check((k,), s, n, lambda sec: s <= sec - 1)
+        region_check((k,), s, instance.n, lambda sec: s <= sec - 1)
 
-    # Removal bookkeeping.
-    for k in range(1, n_blocks + 1):
-        prev = None
-        for t in steps:
-            y = result.removal.get((k, t), 0.0)
-            hit("bounds", abs(y - round(y)), 1.0)
-            hit("bounds", max(0.0, -y, y - 1.0), 1.0)
-            if prev is not None:
-                hit("removal_logic", max(0.0, prev - y), 1.0)
-            prev = y
-    for u in range(1, n_blocks + 1):
-        total = sum(result.removal.get((k, u), 0.0)
-                    for k in range(1, n_blocks + 1))
-        hit("removal_logic", max(0.0, float(u) - total), 1.0)
-    for k, blk in enumerate(blocks, start=1):
-        s = blk.section
-        cut_needed = result.section_cut[s - 1]
-        fill_needed = result.section_fill[s - 1]
+    # Removal bookkeeping: indicators are binary and final, and by the end
+    # of step u at least u blocks are gone.
+    hits("bounds", np.abs(y - np.round(y)))
+    hits("bounds", np.maximum(0.0, np.maximum(-y, y - 1.0)))
+    hits("removal_logic", np.maximum(0.0, y[:, :-1] - y[:, 1:]))
+    hits("removal_logic",
+         np.maximum(0.0, np.arange(1, len(steps)) - sum(y[:, 1:])))
+    # A block flagged removed by step u had its cut and fill moved by then:
+    # both chains, haul by haul and step by step through step u.
+    for k, blk in enumerate(blocks):
+        s = blk.section - 1
         for u in steps:
-            if result.removal.get((k, u), 0.0) < 0.5:
+            if y[k, u] < 0.5:
                 continue
-            unload = sum(_both_chains(val, names.unload, h, t, s)
-                         for h in hs for t in range(u + 1))
-            load = sum(_both_chains(val, names.load, h, t, s)
-                       for h in hs for t in range(u + 1))
-            hit("removal_logic", max(0.0, cut_needed - unload),
-                abs(cut_needed))
-            hit("removal_logic", max(0.0, fill_needed - load),
-                abs(fill_needed))
-
-
-def _check_flow_bounds(instance, names, hauls, steps, val, hit) -> None:
-    n = instance.n
-    for h in range(1, len(hauls) + 1):
-        for t in steps:
-            for d in DIRECTIONS:
-                # The transit arc off the road's far end carries nothing.
-                end = n if d > 0 else 1
-                hit("bounds", abs(val(names.transit(h, t, end, d), 0.0)), 1.0)
-                for i in range(1, n + 1):
-                    for name in (names.transit(h, t, i, d),
-                                 names.unload(h, t, i, d),
-                                 names.load(h, t, i, d)):
-                        hit("bounds", max(0.0, -val(name, 0.0)), 1.0)
-                for j in range(1, len(instance.borrow_pits) + 1):
-                    hit("bounds",
-                        max(0.0, -val(names.borrow(h, t, j, d), 0.0)), 1.0)
-                for k in range(1, len(instance.waste_pits) + 1):
-                    hit("bounds",
-                        max(0.0, -val(names.waste(h, t, k, d), 0.0)), 1.0)
+            for arcs, needed in ((unload, result.section_cut[s]),
+                                 (load, result.section_fill[s])):
+                moved = sum(_chain_sum(arcs[:, :u + 1, s]).ravel().tolist())
+                hit("removal_logic", max(0.0, needed - moved), abs(needed))
 
 
 def _check_ctg_flows(instance, names, result, hits) -> None:
@@ -331,17 +301,8 @@ def _check_ctg_flows(instance, names, result, hits) -> None:
     n = instance.n
     flows = names.ctg_grid(result.values)
     out, into = flows.sum(axis=1), flows.sum(axis=0)
-    for total, volume in ((out[:n], result.section_cut),
-                          (into[:n], result.section_fill)):
-        hits("balance", np.abs(total - np.array(volume)), np.abs(total))
-    for total, used, pits in ((out[n:], result.borrow_used,
-                               instance.borrow_pits),
-                              (into[n:], result.waste_used,
-                               instance.waste_pits)):
-        capacity = np.array([pit.capacity for pit in pits], dtype=float)
-        hits("balance", np.abs(total - np.array(used, dtype=float)),
-             np.abs(total))
-        hits("capacity", np.maximum(0.0, total - capacity), capacity)
+    _check_balance(instance, result, hits,
+                   (out[:n], into[:n], out[n:], into[n:]))
     hits("bounds", np.maximum(0.0, -flows))
 
 
@@ -352,9 +313,7 @@ def recompute_cost(instance: RoadInstance, config: BuilderConfig,
     if config.model == "CTG":
         return _recompute_ctg(instance, names, result)
     hauls = effective_hauls(instance, config)
-    steps = range(len(instance.blocks) + 1)
     n = instance.n
-    stations = instance.stations
 
     total = 0.0
     for i in range(1, n + 1):
@@ -362,26 +321,31 @@ def recompute_cost(instance: RoadInstance, config: BuilderConfig,
         total += mat.excavation * result.section_cut[i - 1]
         total += mat.embankment * result.section_fill[i - 1]
 
-    val = result.values.get
-    for h, haul in enumerate(hauls, start=1):
-        for t in steps:
-            for i in range(1, n + 1):
-                for d in DIRECTIONS:
-                    if 1 <= i + d <= n:
-                        dist = d * (stations[i + d - 1] - stations[i - 1])
-                        total += haul.unit_haul_cost * dist \
-                            * val(names.transit(h, t, i, d), 0.0)
-                total += haul.loading_cost \
-                    * _both_chains(val, names.unload, h, t, i)
-            for j, pit in enumerate(instance.borrow_pits, start=1):
-                mat = instance.material_of(pit.attached_section)
-                unit = mat.excavation + haul.loading_cost \
-                    + haul.unit_haul_cost * pit.dead_haul
-                total += unit * _both_chains(val, names.borrow, h, t, j)
-            for k, pit in enumerate(instance.waste_pits, start=1):
-                mat = instance.material_of(pit.attached_section)
-                unit = mat.embankment + haul.unit_haul_cost * pit.dead_haul
-                total += unit * _both_chains(val, names.waste, h, t, k)
+    transit, unload, _, borrow, waste = names.flow_values(
+        result.values, len(hauls), len(instance.blocks) + 1)
+    # A transit arc off the road has distance 0, so it adds a zero term.
+    dist = np.zeros((n, 2))  # (section, chain): distance from i to i+d
+    dist[:-1, 0] = dist[1:, 1] = np.diff(instance.stations)
+    for h, haul in enumerate(hauls):
+        # Per step: each section's transit on both chains and its loading,
+        # then each borrow pit, then each waste pit.
+        sections = np.concatenate(
+            (haul.unit_haul_cost * dist * transit[h],
+             (haul.loading_cost * _chain_sum(unload[h]))[..., None]), axis=2)
+        borrow_unit = np.array([
+            instance.material_of(pit.attached_section).excavation
+            + haul.loading_cost + haul.unit_haul_cost * pit.dead_haul
+            for pit in instance.borrow_pits])
+        waste_unit = np.array([
+            instance.material_of(pit.attached_section).embankment
+            + haul.unit_haul_cost * pit.dead_haul
+            for pit in instance.waste_pits])
+        terms = np.concatenate(
+            (sections.reshape(len(sections), -1),
+             borrow_unit * _chain_sum(borrow[h]),
+             waste_unit * _chain_sum(waste[h])), axis=1)
+        for term in terms.ravel().tolist():
+            total += term
     return total
 
 

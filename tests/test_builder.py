@@ -1,9 +1,12 @@
 """Model construction: counts, naming, config handling, lint, fix_offsets."""
 
+import ast
 import math
+import pathlib
 
 import pytest
 
+import valign
 from valign.builder import (
     BuildError,
     BuilderConfig,
@@ -208,3 +211,31 @@ X, Y = Variable("x", upper=4.0), Variable("y", "binary", 0.0, 1.0)
 def test_lint_rejects_defects(message, variables, rows, objective, sos):
     with pytest.raises(BuildError, match=message):
         emit_mps_text(MilpModel("bad", variables, rows, sos, objective))
+
+
+# Prefixes of the model's variable names (see the builder module docstring).
+VARIABLE_PREFIXES = ("A_", "U_", "VP_", "VM_", "Y_", "X_", "FR_", "FU_",
+                     "FL_", "FB_", "FW_")
+
+
+def test_variable_names_are_spelled_only_in_arc_index():
+    # An f-string that starts with a variable prefix spells a name; only
+    # ArcIndex may do that, so builder, decode, validate and recompute
+    # cannot drift apart on the naming contract.
+    package = pathlib.Path(valign.__file__).parent
+    inside, stray = 0, []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        arc_index = {id(node) for cls in ast.walk(tree)
+                     if isinstance(cls, ast.ClassDef)
+                     and cls.name == "ArcIndex" for node in ast.walk(cls)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.JoinedStr) and node.values \
+                    and isinstance(node.values[0], ast.Constant) \
+                    and node.values[0].value.startswith(VARIABLE_PREFIXES):
+                if id(node) in arc_index:
+                    inside += 1
+                else:
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []
+    assert inside > 0  # the scan does see the names ArcIndex spells

@@ -174,3 +174,17 @@ def test_decode_objective_consistency_guard(two_node_instance, tmp_path):
 def test_limits_must_be_positive():
     with pytest.raises(Exception):
         SolverLimits(time_limit=-1.0, mip_gap=0.01, feasibility_tol=1e-6)
+
+
+@pytest.mark.parametrize("column", ["FR_1_0_1_2", "U_1"])
+def test_decode_rejects_non_finite_value(two_node_instance, tmp_path, column):
+    # A NaN flow leaves cost . x NaN, which no objective tolerance rejects.
+    config = named_config("MQN-B")
+    model = fix_offsets(build(two_node_instance, config), TWO_NODE_OFFSETS)
+    solution = solve(model, BUNDLED_SOLVER, LIMITS, workdir=str(tmp_path))
+    tampered = solution.__class__(
+        status="optimal", objective=solution.objective,
+        values={**solution.values, column: math.nan},
+        wall_time=solution.wall_time)
+    with pytest.raises(DecodeError, match=f"non-finite value nan for {column}"):
+        decode(tampered, two_node_instance, config, model=model)

@@ -1,6 +1,7 @@
 """Validator behaviour: clean passes, targeted faults, cost recomputation."""
 
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -269,3 +270,18 @@ def test_synthetic_values_validation_pinned(case, config_name, digest):
     lines.append(recompute_cost(instance, config, result).hex())
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+@pytest.mark.parametrize("tamper, family", [
+    (lambda r: replace(r, values={**r.values, "FR_1_0_1_2": math.nan}),
+     "flow_conservation"),
+    (lambda r: replace(r, offsets=(math.nan,) + r.offsets[1:]), "volume"),
+])
+def test_nan_residual_is_a_violation(two_node_instance, tamper, family):
+    config, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
+    for relative in (False, True):
+        report = validate(two_node_instance, config, tamper(result),
+                          relative=relative)
+        assert not report.passed
+        assert report.families[family].worst == math.inf
+        assert report.families[family].count >= 1
