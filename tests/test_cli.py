@@ -269,7 +269,8 @@ def test_report_missing_inputs(tmp_path, capsys):
 def test_solve_non_finite_solution_value(two_node_path, capsys):
     # The solver's answer is rewritten with a NaN offset: decoding refuses
     # it, so the run exits as a solver failure instead of passing.
-    nan_solver = f"sh -c '{BUNDLED_SOLVER} && sed -i \"s/^U_1 .*/U_1 nan/\" {{sol}}'"
+    nan_solver = (f"sh -c '{BUNDLED_SOLVER} && "
+                  "sed -i \"s/^U_1 .*/U_1 nan/\" {sol}'")
     rc = main(["solve", two_node_path, "--solver", nan_solver])
     assert rc == 3
     assert "non-finite value nan for U_1" in capsys.readouterr().err

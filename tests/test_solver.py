@@ -186,5 +186,6 @@ def test_decode_rejects_non_finite_value(two_node_instance, tmp_path, column):
         status="optimal", objective=solution.objective,
         values={**solution.values, column: math.nan},
         wall_time=solution.wall_time)
-    with pytest.raises(DecodeError, match=f"non-finite value nan for {column}"):
+    with pytest.raises(DecodeError,
+                       match=f"non-finite value nan for {column}"):
         decode(tampered, two_node_instance, config, model=model)

@@ -276,7 +276,7 @@ def test_synthetic_values_validation_pinned(case, config_name, digest):
     (lambda r: replace(r, values={**r.values, "FR_1_0_1_2": math.nan}),
      "flow_conservation"),
     (lambda r: replace(r, offsets=(math.nan,) + r.offsets[1:]), "volume"),
-])
+], ids=["flow", "offset"])
 def test_nan_residual_is_a_violation(two_node_instance, tamper, family):
     config, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
     for relative in (False, True):
