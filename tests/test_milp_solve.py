@@ -1,11 +1,18 @@
 """Bundled MIP adapter: MPS parsing, SOS handling, solving, exit codes."""
 
+import hashlib
 import math
 import os
 import textwrap
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from scipy import optimize, sparse
 
+from valign import milp_solve
+from valign.bench import ROAD_TEMPLATES, generate_instance
+from valign.builder import build, named_config
 from valign.milp_solve import (
     MpsError,
     binarize_sos,
@@ -13,6 +20,9 @@ from valign.milp_solve import (
     parse_mps,
     solve_parsed,
 )
+from valign.mps import emit_mps
+
+from conftest import pinned_road
 
 TOY_MPS = textwrap.dedent("""\
     * comment line
@@ -200,3 +210,137 @@ def test_main_missing_file(tmp_path):
     rc = main([str(tmp_path / "nope.mps"), sol])
     assert rc == 3
     assert os.path.exists(sol)
+
+
+# The exact text of every MpsError that parse_mps, _parse_num and
+# binarize_sos raise, with its line number.
+MPS_HEAD = "NAME t\nROWS\n N COST\n L r1\n E r2\nCOLUMNS\n"
+LONG_COLUMNS = "".join(f"    c{i} r1 {i}.5\n" for i in range(60000))
+
+
+@pytest.mark.parametrize("text, message", [
+    (MPS_HEAD + "    x r1\n", "line 7: malformed column entry"),
+    (MPS_HEAD + "    x r1 1.0 r2\n", "line 7: malformed column entry"),
+    (MPS_HEAD + "    x zz 1.0\n", "line 7: unknown row 'zz'"),
+    (MPS_HEAD + "    x r1 1.0 zz 2.0\n", "line 7: unknown row 'zz'"),
+    (MPS_HEAD + "    x r1 abc\n", "line 7: bad number 'abc'"),
+    (MPS_HEAD + "    x zz abc\n", "line 7: bad number 'abc'"),
+    (MPS_HEAD + "    x r1 1.0 zz abc\n", "line 7: bad number 'abc'"),
+    (MPS_HEAD + "    x r1 nan\n", "line 7: NaN not allowed"),
+    (MPS_HEAD + "    x r1 1.0\n* note\n\n    y COST -NaN\n",
+     "line 10: NaN not allowed"),
+    (MPS_HEAD + "    x r1 1.0\n    y r2 1.0 zz 1.0\n    z r1 abc\n",
+     "line 8: unknown row 'zz'"),
+    (MPS_HEAD + LONG_COLUMNS + "    x r1 1e\n",
+     "line 60007: bad number '1e'"),
+    (MPS_HEAD + LONG_COLUMNS + "    x\n" + LONG_COLUMNS,
+     "line 60007: malformed column entry"),
+    (MPS_HEAD + "    x r1 1.0\nRHS\n    RHS r1\n",
+     "line 9: malformed RHS entry"),
+    (MPS_HEAD + "    x r1 1.0\nRHS\n    RHS zz 1.0\n",
+     "line 9: unknown row 'zz'"),
+    (MPS_HEAD + "    x r1 1.0\nRHS\n    RHS r1 x1\n",
+     "line 9: bad number 'x1'"),
+    (MPS_HEAD + "    x r1 1.0\nRANGES\n    RNG r1\n",
+     "line 9: malformed RANGES entry"),
+    (MPS_HEAD + "    x r1 1.0\nRANGES\n    RNG COST 1.0\n",
+     "line 9: unknown row 'COST'"),
+    (MPS_HEAD + "    x r1 1.0\nBOUNDS\n FR BND x 1.0\n",
+     "line 9: malformed bound"),
+    (MPS_HEAD + "    x r1 1.0\nBOUNDS\n UP BND x\n",
+     "line 9: malformed bound"),
+    (MPS_HEAD + "    x r1 1.0\nBOUNDS\n XX BND x 1.0\n",
+     "line 9: unknown bound type 'XX'"),
+    (MPS_HEAD + "    x r1 1.0\nBOUNDS\n UP BND x nan\n",
+     "line 9: NaN not allowed"),
+    (MPS_HEAD + "    x r1 1.0\nSOS\n    x 1.0\n",
+     "line 9: malformed SOS entry"),
+    (MPS_HEAD + "    x r1 1.0\nSOS\n S1 SET s\n    x 1.0 2.0\n",
+     "line 10: malformed SOS entry"),
+    (MPS_HEAD + "    x r1 1.0\nSOS\n S1 SET s\n    x w\n",
+     "line 10: bad number 'w'"),
+    (MPS_HEAD + "    x r1 1.0\nFOO\n", "line 8: unknown section 'FOO'"),
+    ("NAME t\nROWS\n N COST\n L\n", "line 4: malformed row declaration"),
+    ("NAME t\nROWS\n N COST\n Z r1\n", "line 4: unknown row sense 'Z'"),
+    ("NAME t\nROWS\n N COST\n L r1\n G r1\n", "line 5: duplicate row 'r1'"),
+    ("* lead\n    x r1 1.0\n", "line 2: data outside any section"),
+    ("NAME t\nROWS\n L r1\nENDATA\n", "no objective row declared"),
+])
+def test_mps_error_messages_pinned(text, message):
+    with pytest.raises(MpsError) as err:
+        parse_mps(text)
+    assert str(err.value) == message
+
+
+def test_binarize_rejects_unbounded_member():
+    parsed = parse_mps(SOS_MPS.replace(" UP BND v 10.0\n", ""))
+    with pytest.raises(MpsError) as err:
+        binarize_sos(parsed)
+    assert str(err.value) == ("SOS set pick: member v has unbounded domain; "
+                              "cannot binarize")
+
+
+class RecordingOptimize:
+    """Stands in for milp_solve.optimize: keeps the sha256 of what milp is
+    handed and returns a stub optimum with seeded values, so no solve runs."""
+
+    LinearConstraint = optimize.LinearConstraint
+    Bounds = optimize.Bounds
+
+    def __init__(self):
+        self.digest = None
+
+    def milp(self, c, constraints, integrality, bounds, options):
+        (rows,) = constraints
+        matrix = sparse.csr_matrix(rows.A)
+        h = hashlib.sha256(repr((matrix.shape, sorted(options.items())))
+                           .encode())
+        for part in (c, integrality, bounds.lb, bounds.ub, matrix.data,
+                     rows.lb, rows.ub):
+            h.update(np.asarray(part, np.float64).tobytes())
+        for part in (matrix.indptr, matrix.indices):
+            h.update(np.asarray(part, np.int64).tobytes())
+        self.digest = h.hexdigest()
+        x = np.random.default_rng(7).standard_normal(len(c)) * 100.0
+        x[::5] = 0.0
+        x[::7] = np.round(x[::7])
+        return SimpleNamespace(status=0, fun=-1234.5, x=x)
+
+
+# sha256 of the arrays the adapter hands to optimize.milp, and of the
+# solution file it writes for seeded values (less its wall_time line).
+@pytest.mark.parametrize("case, config_name, arrays, solution", [
+    ("A-01", "MQN-B",
+     "c7e296078238b5c2233a2fd12bf401d0fe535923156bfe2918242296d9fa8995",
+     "25020bf4cfc21bb9de4f629fac2961571bf8acf20236be6abef327c8319b63f7"),
+    ("G-01", "CTG-B",
+     "b08606c425288610358d573f775ce8296152bb7d7450f27de9695ccfd24ce52c",
+     "8b95ce3f101f394943c8ffc7cbde9501d23708591a5aebb6051401e46388253b"),
+    ("D-02 2 blocks", "MQN-S1",
+     "9e9d17d1ca11a4a8e29fdc166d18b3a2f2b7cd98d5593b1cbd9f359dba79a2e9",
+     "cfeab0e5f9de820585f70a3a73748ebb21e78bae9d2572f4b1ccd1480c0d3193"),
+    ("shared-pits", "MQN-S1",
+     "6c80f6689f6c3cb0449b8554f5d00673a53124d9e12b0e06eab458d7c9a3c15a",
+     "c7cad0c43308ffd621dbfad18395f7fc81e7843382b0e23d3e52ac3ce4594e78"),
+])
+def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
+                                            config_name, arrays, solution):
+    if case == "shared-pits":
+        inst = pinned_road(case)
+    else:
+        template, variant, blocks = {"A-01": ("A", 1, 0), "G-01": ("G", 1, 0),
+                                     "D-02 2 blocks": ("D", 2, 2)}[case]
+        inst = generate_instance(1, ROAD_TEMPLATES[template], variant,
+                                 blocks=blocks)
+    mps = str(tmp_path / "m.mps")
+    sol = tmp_path / "m.sol"
+    emit_mps(build(inst, named_config(config_name)), mps)
+    recorder = RecordingOptimize()
+    monkeypatch.setattr(milp_solve, "optimize", recorder)
+    rc = main([mps, str(sol), "--time-limit", "60", "--gap", "0.01",
+               "--sos", "binarize"])
+    assert rc == 0
+    written = [line for line in sol.read_bytes().splitlines(keepends=True)
+               if not line.startswith(b"wall_time ")]
+    assert recorder.digest == arrays
+    assert hashlib.sha256(b"".join(written)).hexdigest() == solution
