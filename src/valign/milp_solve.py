@@ -6,6 +6,17 @@ file of "name value" lines. Optimization is delegated to scipy's milp
 (HiGHS). Installed as the ``valign-milp`` console script and used as the
 default solver command when none is configured.
 
+The reader is columnar: parse_mps fills arrays, not per-name structures.
+Columns are numbered in first-seen order, with cost, bound and integer
+arrays; rows in declaration order, with sense, rhs and range arrays (NaN:
+no range); the matrix is one COO triple (row id, column id, value) in file
+order. The COLUMNS section, which is nearly all of a large file, is read in
+pieces of about a megabyte, each tokenized and resolved to ids with vector
+code, so no Python object per token lives longer than its piece. The
+per-name forms (row_sense, objective, integer, lower, upper, col_index) are
+read-only views built on demand. solve_parsed hands the arrays to HiGHS and
+write_solution writes the solution in column order.
+
 SOS sets are rejected unless ``--sos binarize`` is given, in which case each
 set is rewritten with auxiliary binaries; this requires finite bounds on all
 set members.
@@ -15,9 +26,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import chain, compress, repeat
+from operator import ne
+from typing import Iterator
 
 import numpy as np
 from scipy import optimize, sparse
@@ -27,168 +42,364 @@ class MpsError(ValueError):
     """Raised on any defect in the MPS input."""
 
 
+ENTRY = np.dtype([("row", np.intp), ("col", np.intp), ("value", np.float64)])
+
+_SECTIONS = ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "SOS")
+# Line breaks of str.splitlines other than "\n"; a text holding any of them
+# is rewritten with "\n" alone, so lines number as splitlines counts them.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+# A section header: a line starting with neither whitespace nor "*".
+_HEADER = re.compile(r"\n([^\s*][^\n]*)")
+_PIECE_CHARS = 1 << 20
+_SPACE = np.zeros(128, bool)
+_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True   # str.split's ASCII
+_OBJECTIVE, _UNKNOWN = -1, -2   # row ids of the objective and unknown rows
+
+
 @dataclass
 class ParsedMps:
-    name: str = ""
-    objective_row: str = ""
-    row_sense: dict[str, str] = field(default_factory=dict)      # L/G/E
-    row_order: list[str] = field(default_factory=list)
-    columns: list[str] = field(default_factory=list)
-    col_index: dict[str, int] = field(default_factory=dict)
-    entries: list[tuple[str, str, float]] = field(default_factory=list)
-    objective: dict[str, float] = field(default_factory=dict)
-    rhs: dict[str, float] = field(default_factory=dict)
-    ranges: dict[str, float] = field(default_factory=dict)
-    lower: dict[str, float] = field(default_factory=dict)
-    upper: dict[str, float] = field(default_factory=dict)
-    integer: set[str] = field(default_factory=set)
-    sos_sets: list[tuple[int, str, list[tuple[str, float]]]] = field(
-        default_factory=list)
+    """An MPS file as arrays: columns in first-seen order, rows in
+    declaration order (senses L/G/E, rhs, range or NaN), the matrix as
+    ENTRY records in file order, and SOS sets as (type, name,
+    [(column id, weight), ...])."""
 
-    def touch(self, var: str) -> None:
-        if var not in self.col_index:
-            self.col_index[var] = len(self.columns)
+    name: str
+    objective_row: str
+    columns: list[str]
+    cost: np.ndarray
+    col_lower: np.ndarray
+    col_upper: np.ndarray
+    col_integer: np.ndarray
+    row_order: list[str]
+    senses: np.ndarray
+    row_rhs: np.ndarray
+    row_range: np.ndarray
+    entries: np.ndarray
+    sos_sets: list[tuple[int, str, list[tuple[int, float]]]]
+
+    @property
+    def row_sense(self) -> dict[str, str]:
+        """Row name -> L/G/E."""
+        return dict(zip(self.row_order, self.senses.tolist()))
+
+    @property
+    def objective(self) -> dict[str, float]:
+        """Column name -> cost, for the nonzero costs."""
+        priced = np.flatnonzero(self.cost)
+        return dict(zip([self.columns[c] for c in priced.tolist()],
+                        self.cost[priced].tolist()))
+
+    @property
+    def integer(self) -> set[str]:
+        return {self.columns[c]
+                for c in np.flatnonzero(self.col_integer).tolist()}
+
+    @property
+    def lower(self) -> dict[str, float]:
+        return dict(zip(self.columns, self.col_lower.tolist()))
+
+    @property
+    def upper(self) -> dict[str, float]:
+        return dict(zip(self.columns, self.col_upper.tolist()))
+
+    @property
+    def col_index(self) -> dict[str, int]:
+        return {name: c for c, name in enumerate(self.columns)}
+
+
+class _Reader:
+    """parse_mps's state between lines; finish() turns it into arrays."""
+
+    def __init__(self):
+        self.name = self.objective_row = ""
+        self.columns: list[str] = []
+        self.row_order: list[str] = []
+        self.sos_sets: list[tuple[int, str, list[tuple[int, float]]]] = []
+        self.col_id: dict[str, int] = {}
+        self.row_id: dict[str, int] = {}
+        self.senses: list[str] = []
+        self.rhs: dict[int, float] = {}
+        self.ranges: dict[int, float] = {}
+        self.lower: dict[int, float] = {}
+        self.upper: dict[int, float] = {}
+        self.integer: list[np.ndarray] = []
+        self.costs: list[tuple[np.ndarray, np.ndarray]] = []
+        self.entries: list[np.ndarray] = []
+        self.in_integer = False
+        self.current_sos: list[tuple[int, float]] | None = None
+
+    def touch(self, var: str) -> int:
+        col = self.col_id.get(var)
+        if col is None:
+            col = self.col_id[var] = len(self.columns)
             self.columns.append(var)
+        return col
 
-
-def parse_mps(text: str) -> ParsedMps:
-    mps = ParsedMps()
-    section = None
-    in_integer = False
-    current_sos: list[tuple[str, float]] | None = None
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip() or raw.startswith("*"):
-            continue
-        tokens = raw.split()
-        head = tokens[0].upper()
-
-        if not raw[0].isspace():
-            if head == "NAME":
-                mps.name = tokens[1] if len(tokens) > 1 else ""
-                continue
-            if head in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "SOS"):
-                section = head
-                in_integer = False
-                current_sos = None
-                continue
-            if head == "ENDATA":
-                section = None
-                break
-            raise MpsError(f"line {lineno}: unknown section {tokens[0]!r}")
-
+    def line(self, section: str | None, tokens: list[str],
+             lineno: int) -> None:
+        """One data line of any section but COLUMNS."""
         if section == "ROWS":
             if len(tokens) != 2:
                 raise MpsError(f"line {lineno}: malformed row declaration")
             sense, name = tokens[0].upper(), tokens[1]
             if sense == "N":
-                if not mps.objective_row:
-                    mps.objective_row = name
-                continue
+                if not self.objective_row:
+                    self.objective_row = name
+                return
             if sense not in ("L", "G", "E"):
                 raise MpsError(f"line {lineno}: unknown row sense {sense!r}")
-            if name in mps.row_sense:
+            if name in self.row_id:
                 raise MpsError(f"line {lineno}: duplicate row {name!r}")
-            mps.row_sense[name] = sense
-            mps.row_order.append(name)
+            self.row_id[name] = len(self.row_order)
+            self.row_order.append(name)
+            self.senses.append(sense)
 
-        elif section == "COLUMNS":
-            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
-                marker = tokens[2].strip("'").upper()
-                in_integer = marker == "INTORG"
-                continue
+        elif section in ("RHS", "RANGES"):
             if len(tokens) not in (3, 5):
-                raise MpsError(f"line {lineno}: malformed column entry")
-            var = tokens[0]
-            mps.touch(var)
-            if in_integer:
-                mps.integer.add(var)
+                raise MpsError(f"line {lineno}: malformed {section} entry")
             for pos in range(1, len(tokens), 2):
                 row, value = tokens[pos], _parse_num(tokens[pos + 1], lineno)
-                if row == mps.objective_row:
-                    mps.objective[var] = mps.objective.get(var, 0.0) + value
-                elif row in mps.row_sense:
-                    mps.entries.append((row, var, value))
-                else:
+                r = self.row_id.get(row)
+                if r is not None:
+                    (self.rhs if section == "RHS" else self.ranges)[r] = value
+                elif section == "RANGES" or row != self.objective_row:
                     raise MpsError(f"line {lineno}: unknown row {row!r}")
-
-        elif section == "RHS":
-            if len(tokens) not in (3, 5):
-                raise MpsError(f"line {lineno}: malformed RHS entry")
-            for pos in range(1, len(tokens), 2):
-                row, value = tokens[pos], _parse_num(tokens[pos + 1], lineno)
-                if row not in mps.row_sense and row != mps.objective_row:
-                    raise MpsError(f"line {lineno}: unknown row {row!r}")
-                mps.rhs[row] = value
-
-        elif section == "RANGES":
-            if len(tokens) not in (3, 5):
-                raise MpsError(f"line {lineno}: malformed RANGES entry")
-            for pos in range(1, len(tokens), 2):
-                row, value = tokens[pos], _parse_num(tokens[pos + 1], lineno)
-                if row not in mps.row_sense:
-                    raise MpsError(f"line {lineno}: unknown row {row!r}")
-                mps.ranges[row] = value
 
         elif section == "BOUNDS":
             kind = tokens[0].upper()
-            if kind in ("FR", "MI", "PL", "BV"):
-                if len(tokens) != 3:
-                    raise MpsError(f"line {lineno}: malformed bound")
-                var = tokens[2]
-            else:
-                if len(tokens) != 4:
-                    raise MpsError(f"line {lineno}: malformed bound")
-                var = tokens[2]
-            mps.touch(var)
-            if kind == "UP":
-                mps.upper[var] = _parse_num(tokens[3], lineno)
-            elif kind == "LO":
-                mps.lower[var] = _parse_num(tokens[3], lineno)
+            if len(tokens) != (3 if kind in ("FR", "MI", "PL", "BV") else 4):
+                raise MpsError(f"line {lineno}: malformed bound")
+            col = self.touch(tokens[2])
+            if kind in ("UP", "LO", "FX", "UI", "LI"):
+                value = _parse_num(tokens[3], lineno)
+            if kind in ("UP", "UI"):
+                self.upper[col] = value
+            elif kind in ("LO", "LI"):
+                self.lower[col] = value
             elif kind == "FX":
-                value = _parse_num(tokens[3], lineno)
-                mps.lower[var] = value
-                mps.upper[var] = value
-            elif kind == "FR":
-                mps.lower[var] = -math.inf
-                mps.upper[var] = math.inf
-            elif kind == "MI":
-                mps.lower[var] = -math.inf
+                self.lower[col] = self.upper[col] = value
+            elif kind in ("FR", "MI"):
+                self.lower[col] = -math.inf
+                if kind == "FR":
+                    self.upper[col] = math.inf
             elif kind == "PL":
-                mps.upper[var] = math.inf
+                self.upper[col] = math.inf
             elif kind == "BV":
-                mps.integer.add(var)
-                mps.lower[var] = 0.0
-                mps.upper[var] = 1.0
-            elif kind in ("UI", "LI"):
-                mps.integer.add(var)
-                value = _parse_num(tokens[3], lineno)
-                if kind == "UI":
-                    mps.upper[var] = value
-                else:
-                    mps.lower[var] = value
+                self.lower[col], self.upper[col] = 0.0, 1.0
             else:
                 raise MpsError(f"line {lineno}: unknown bound type {kind!r}")
+            if kind in ("BV", "UI", "LI"):
+                self.integer.append(np.array([col]))
 
         elif section == "SOS":
             if tokens[0].upper() in ("S1", "S2"):
-                sos_type = int(tokens[0][1])
-                name = tokens[-1]
-                current_sos = []
-                mps.sos_sets.append((sos_type, name, current_sos))
+                self.current_sos = []
+                self.sos_sets.append((int(tokens[0][1]), tokens[-1],
+                                      self.current_sos))
             else:
-                if current_sos is None or len(tokens) != 2:
+                if self.current_sos is None or len(tokens) != 2:
                     raise MpsError(f"line {lineno}: malformed SOS entry")
-                var, weight = tokens[0], _parse_num(tokens[1], lineno)
-                mps.touch(var)
-                current_sos.append((var, weight))
+                weight = _parse_num(tokens[1], lineno)
+                self.current_sos.append((self.touch(tokens[0]), weight))
 
         else:
             raise MpsError(f"line {lineno}: data outside any section")
 
-    if not mps.objective_row:
-        raise MpsError("no objective row declared")
-    return mps
+    def column_piece(self, piece: str, lineno: int,
+                     rows: dict[str, int]) -> None:
+        """A piece of the COLUMNS section, whole lines, the first numbered
+        lineno; rows maps row names to ids, the objective to _OBJECTIVE."""
+        tok = piece.split()
+        count = _token_counts(piece)
+        first = np.cumsum(count) - count
+        live = count > 0
+        if piece.startswith("*") or "\n*" in piece:
+            live &= ~np.array([line.startswith("*")
+                               for line in piece.split("\n")])
+        marker = np.zeros(len(count), bool)
+        if "'MARKER'" in piece:
+            at = np.flatnonzero(live & (count >= 3))
+            marker[at] = [tok[f + 1] == "'MARKER'" for f in first[at].tolist()]
+        data = live & ~marker
+        good = data & ((count == 3) | (count == 5))
+        lines_at = np.flatnonzero(good)
+        pairs = (count[lines_at] - 1) // 2
+        # One (row, value) pair per entry, in (line, position) order.
+        if 3 * len(lines_at) == len(tok):     # one entry on every line
+            names, row_tokens, value_tokens = tok[::3], tok[1::3], tok[2::3]
+        else:
+            tok = np.array(tok, object)
+            at = np.repeat(first[lines_at], pairs) + 1
+            at[1:][np.diff(at) == 0] += 2     # a line's second pair
+            names = tok[first[lines_at]].tolist()
+            row_tokens, value_tokens = tok[at].tolist(), tok[at + 1].tolist()
+        pair_line = np.repeat(lines_at, pairs)
+
+        # Integrality follows the last marker line before each data line.
+        marks = np.flatnonzero(marker)
+        states = np.array([self.in_integer] + [
+            tok[f + 2].strip("'").upper() == "INTORG"
+            for f in first[marks].tolist()])
+        integer = states[np.searchsorted(marks, lines_at)]
+        self.in_integer = bool(states[-1])
+
+        # Lines of one column come in runs; look names up once per run.
+        run = np.array([True, *map(ne, names[1:], names[:-1])])[:len(names)]
+        heads = list(compress(names, run))
+        fresh = [n for n in dict.fromkeys(heads) if n not in self.col_id]
+        self.col_id.update(zip(fresh, range(len(self.col_id),
+                                            len(self.col_id) + len(fresh))))
+        self.columns.extend(fresh)
+        cols = np.array(list(map(self.col_id.__getitem__, heads)), np.intp)
+        cols = np.repeat(cols, np.diff(np.flatnonzero(np.append(run, True))))
+        self.integer.append(cols[integer])
+
+        row_ids = np.array(list(map(rows.get, row_tokens, repeat(_UNKNOWN))),
+                           np.intp)
+        try:
+            values = np.array(list(map(float, value_tokens)), np.float64)
+            bad_value = np.flatnonzero(np.isnan(values))[:1]
+        except ValueError:
+            values = None
+            bad_value = [next(i for i, t in enumerate(value_tokens)
+                              if _bad_number(t))]
+        bad_row = np.flatnonzero(row_ids == _UNKNOWN)[:1]
+        bad_line = np.flatnonzero(data & ~good)[:1]
+        if len(bad_value) or len(bad_row) or len(bad_line):
+            _raise_first(lineno, pair_line, bad_line, bad_value, bad_row,
+                         value_tokens, row_tokens)
+
+        pair_cols = np.repeat(cols, pairs)
+        priced = row_ids == _OBJECTIVE
+        self.costs.append((pair_cols[priced], values[priced]))
+        entries = np.empty(int(np.count_nonzero(~priced)), ENTRY)
+        entries["row"] = row_ids[~priced]
+        entries["col"] = pair_cols[~priced]
+        entries["value"] = values[~priced]
+        self.entries.append(entries)
+
+    def finish(self) -> ParsedMps:
+        if not self.objective_row:
+            raise MpsError("no objective row declared")
+        n, m = len(self.columns), len(self.row_order)
+        cost = np.zeros(n)
+        if self.costs:
+            cols, values = (np.concatenate(a) for a in zip(*self.costs))
+            np.add.at(cost, cols, values)    # summed in file order
+        integer = np.zeros(n, bool)
+        integer[np.concatenate([np.zeros(0, np.intp), *self.integer])] = True
+        return ParsedMps(
+            self.name, self.objective_row, self.columns, cost,
+            _scatter(np.zeros(n), self.lower),
+            _scatter(np.full(n, math.inf), self.upper), integer,
+            self.row_order, np.array(self.senses, "U1"),
+            _scatter(np.zeros(m), self.rhs),
+            _scatter(np.full(m, math.nan), self.ranges),
+            np.concatenate([np.zeros(0, ENTRY), *self.entries]),
+            self.sos_sets)
+
+
+def _token_counts(piece: str) -> np.ndarray:
+    """The number of tokens on each line of piece, as str.split counts
+    them; for ASCII text from the bytes, without splitting line by line."""
+    if not piece.isascii():
+        return np.array([len(line.split()) for line in piece.split("\n")],
+                        np.intp)
+    text = np.frombuffer(piece.encode("ascii"), np.uint8)
+    space = _SPACE[text]
+    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+    newlines = np.flatnonzero(text == 10)
+    return np.bincount(np.searchsorted(newlines, starts),
+                       minlength=len(newlines) + 1)
+
+
+def _scatter(out: np.ndarray, values: dict[int, float]) -> np.ndarray:
+    out[list(values)] = list(values.values())
+    return out
+
+
+def _bad_number(token: str) -> bool:
+    try:
+        return math.isnan(float(token))
+    except ValueError:
+        return True
+
+
+def _raise_first(lineno: int, pair_line: np.ndarray, bad_line, bad_value,
+                 bad_row, value_tokens: list[str],
+                 row_tokens: list[str]) -> None:
+    """Raise the error parse_mps meets first reading a COLUMNS piece line by
+    line: a malformed line, else within a line each pair's number before
+    its row."""
+    pair = min([*bad_value, *bad_row], default=len(pair_line))
+    if len(bad_line) and (pair == len(pair_line)
+                          or bad_line[0] < pair_line[pair]):
+        raise MpsError(f"line {lineno + int(bad_line[0])}: "
+                       "malformed column entry")
+    at = lineno + int(pair_line[pair])
+    if pair in bad_value:
+        _parse_num(value_tokens[pair], at)
+    raise MpsError(f"line {at}: unknown row {row_tokens[pair]!r}")
+
+
+def parse_mps(text: str) -> ParsedMps:
+    if any(ch in text for ch in _OTHER_BREAKS):
+        text = "\n".join(text.splitlines())
+    reader = _Reader()
+    section = None
+    # Section bodies lie between header lines; a NAME line keeps the section.
+    body, lineno = 0, 1          # where the current body starts, its line
+    for head, head_end in _header_lines(text):
+        _read_body(reader, section, text, body, head, lineno)
+        lineno += text.count("\n", body, head)
+        tokens = text[head:head_end].split()
+        keyword = tokens[0].upper()
+        if keyword == "ENDATA":
+            break
+        if keyword == "NAME":
+            reader.name = tokens[1] if len(tokens) > 1 else ""
+        elif keyword in _SECTIONS:
+            section = keyword
+            reader.in_integer = False
+            reader.current_sos = None
+        else:
+            raise MpsError(f"line {lineno}: unknown section {tokens[0]!r}")
+        body, lineno = head_end + 1, lineno + 1
+    else:
+        _read_body(reader, section, text, body, len(text), lineno)
+    return reader.finish()
+
+
+def _header_lines(text: str) -> Iterator[tuple[int, int]]:
+    """Start and end of each section header line."""
+    if text[:1] and not text[0].isspace() and text[0] != "*":
+        end = text.find("\n")
+        yield 0, len(text) if end < 0 else end
+    for match in _HEADER.finditer(text):
+        yield match.span(1)
+
+
+def _read_body(reader: _Reader, section: str | None, text: str, start: int,
+               end: int, lineno: int) -> None:
+    """The lines of text[start:end], a section body whose first line is
+    numbered lineno; COLUMNS goes piece by piece."""
+    if start >= end:
+        return
+    if section != "COLUMNS":
+        for offset, raw in enumerate(text[start:end].split("\n")):
+            tokens = raw.split()
+            if tokens and not raw.startswith("*"):
+                reader.line(section, tokens, lineno + offset)
+        return
+    rows = dict(reader.row_id)
+    if reader.objective_row:
+        rows[reader.objective_row] = _OBJECTIVE
+    while start < end:
+        stop = text.find("\n", start + _PIECE_CHARS, end)
+        stop = end if stop < 0 else stop
+        reader.column_piece(text[start:stop], lineno, rows)
+        lineno += text.count("\n", start, stop) + 1
+        start = stop + 1
 
 
 def _parse_num(token: str, lineno: int) -> float:
@@ -202,126 +413,101 @@ def _parse_num(token: str, lineno: int) -> float:
 
 
 def binarize_sos(mps: ParsedMps) -> None:
-    """Rewrite SOS sets with auxiliary binaries and linking rows in place."""
+    """Rewrite SOS sets with auxiliary binaries and linking rows, appended
+    to the column, row and entry arrays."""
+    columns: list[str] = []
+    rows: list[tuple[str, str, float]] = []       # name, sense, rhs
+    entries: list[tuple[int, int, float]] = []
+    lower, upper = mps.col_lower, mps.col_upper
+
+    def binary(name: str) -> int:
+        columns.append(name)
+        return len(mps.columns) + len(columns) - 1
+
+    def row(name: str, sense: str, rhs: float = 0.0) -> int:
+        rows.append((name, sense, rhs))
+        return len(mps.row_order) + len(rows) - 1
+
+    def link(row_base: str, col: int, *flags: int) -> None:
+        hi, lo = float(upper[col]), float(lower[col])
+        r = row(row_base + "U", "L")
+        entries.append((r, col, 1.0))
+        entries.extend((r, flag, -hi) for flag in flags)
+        if lo < 0.0:
+            r = row(row_base + "L", "G")
+            entries.append((r, col, 1.0))
+            entries.extend((r, flag, -lo) for flag in flags)
+
     for seq, (sos_type, name, members) in enumerate(mps.sos_sets, start=1):
         ordered = sorted(members, key=lambda m: m[1])
-        for var, _ in ordered:
-            lo = mps.lower.get(var, 0.0)
-            hi = mps.upper.get(var, math.inf)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
+        for col, _ in ordered:
+            if not (math.isfinite(lower[col]) and math.isfinite(upper[col])):
                 raise MpsError(
-                    f"SOS set {name}: member {var} has unbounded domain; "
-                    "cannot binarize")
+                    f"SOS set {name}: member {mps.columns[col]} has "
+                    "unbounded domain; cannot binarize")
         if sos_type == 1:
             flags = []
-            for pos, (var, _) in enumerate(ordered, start=1):
-                flag = f"_SOSB_{seq}_{pos}"
-                flags.append(flag)
-                _add_binary(mps, flag)
-                _link_member(mps, f"_SOSL_{seq}_{pos}", var, flag)
-            row = f"_SOSC_{seq}"
-            mps.row_sense[row] = "L"
-            mps.row_order.append(row)
-            mps.rhs[row] = 1.0
-            for flag in flags:
-                mps.entries.append((row, flag, 1.0))
+            for pos, (col, _) in enumerate(ordered, start=1):
+                flags.append(binary(f"_SOSB_{seq}_{pos}"))
+                link(f"_SOSL_{seq}_{pos}", col, flags[-1])
+            r = row(f"_SOSC_{seq}", "L", 1.0)
+            entries.extend((r, flag, 1.0) for flag in flags)
         else:
-            segs = []
-            for pos in range(1, len(ordered)):
-                seg = f"_SOSB_{seq}_{pos}"
-                segs.append(seg)
-                _add_binary(mps, seg)
-            row = f"_SOSC_{seq}"
-            mps.row_sense[row] = "E"
-            mps.row_order.append(row)
-            mps.rhs[row] = 1.0
-            for seg in segs:
-                mps.entries.append((row, seg, 1.0))
-            for pos, (var, _) in enumerate(ordered, start=1):
-                adjacent = []
-                if pos >= 2:
-                    adjacent.append(segs[pos - 2])
-                if pos <= len(segs):
-                    adjacent.append(segs[pos - 1])
-                _link_member(mps, f"_SOSL_{seq}_{pos}", var, *adjacent)
+            segs = [binary(f"_SOSB_{seq}_{pos}")
+                    for pos in range(1, len(ordered))]
+            r = row(f"_SOSC_{seq}", "E", 1.0)
+            entries.extend((r, seg, 1.0) for seg in segs)
+            for pos, (col, _) in enumerate(ordered, start=1):
+                # the segments on either side of the member's position
+                link(f"_SOSL_{seq}_{pos}", col, *segs[max(pos - 2, 0):pos])
     mps.sos_sets.clear()
 
-
-def _add_binary(mps: ParsedMps, name: str) -> None:
-    mps.touch(name)
-    mps.integer.add(name)
-    mps.lower[name] = 0.0
-    mps.upper[name] = 1.0
-
-
-def _link_member(mps: ParsedMps, row_base: str, var: str, *flags: str) -> None:
-    hi = mps.upper.get(var, math.inf)
-    lo = mps.lower.get(var, 0.0)
-    row = row_base + "U"
-    mps.row_sense[row] = "L"
-    mps.row_order.append(row)
-    mps.entries.append((row, var, 1.0))
-    for flag in flags:
-        mps.entries.append((row, flag, -hi))
-    if lo < 0.0:
-        row = row_base + "L"
-        mps.row_sense[row] = "G"
-        mps.row_order.append(row)
-        mps.entries.append((row, var, 1.0))
-        for flag in flags:
-            mps.entries.append((row, flag, -lo))
+    n = len(columns)
+    mps.columns.extend(columns)
+    mps.cost = np.concatenate([mps.cost, np.zeros(n)])
+    mps.col_lower = np.concatenate([lower, np.zeros(n)])
+    mps.col_upper = np.concatenate([upper, np.ones(n)])
+    mps.col_integer = np.concatenate([mps.col_integer, np.ones(n, bool)])
+    names, senses, rhs = zip(*rows) if rows else ((), (), ())
+    mps.row_order.extend(names)
+    mps.senses = np.concatenate([mps.senses, np.array(senses, "U1")])
+    mps.row_rhs = np.concatenate([mps.row_rhs, rhs])
+    mps.row_range = np.concatenate([mps.row_range, np.full(len(rows),
+                                                           math.nan)])
+    mps.entries = np.concatenate([mps.entries, np.array(entries, ENTRY)])
 
 
-def _row_interval(mps: ParsedMps, row: str) -> tuple[float, float]:
-    sense = mps.row_sense[row]
-    rhs = mps.rhs.get(row, 0.0)
-    rng = mps.ranges.get(row)
-    if rng is None:
-        if sense == "L":
-            return -math.inf, rhs
-        if sense == "G":
-            return rhs, math.inf
-        return rhs, rhs
-    if sense == "L":
-        return rhs - abs(rng), rhs
-    if sense == "G":
-        return rhs, rhs + abs(rng)
-    if rng >= 0:
-        return rhs, rhs + rng
-    return rhs + rng, rhs
+def row_bounds(mps: ParsedMps) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's lower and upper bound: L is rhs from above, G from below,
+    E both; a range r widens L to [rhs - |r|, rhs], G to [rhs, rhs + |r|],
+    and E to [rhs, rhs + r] when r >= 0, else [rhs + r, rhs]."""
+    rhs, rng, sense = mps.row_rhs, mps.row_range, mps.senses
+    less, more = sense == "L", sense == "G"
+    equal = ~(less | more)
+    lower, upper = rhs.copy(), rhs.copy()
+    lower[less] = -math.inf
+    upper[more] = math.inf
+    width = np.abs(rng)
+    for at, out, value in (
+            (less & (width >= 0), lower, rhs - width),
+            (more & (width >= 0), upper, rhs + width),
+            (equal & (rng >= 0), upper, rhs + rng),
+            (equal & (rng < 0), lower, rhs + rng)):
+        out[at] = value[at]     # NaN, no range, fails every test
+    return lower, upper
 
 
 def solve_parsed(mps: ParsedMps, time_limit: float | None,
                  gap: float | None) -> tuple[str, float | None, np.ndarray | None]:
     """Returns (status, objective, values): status in optimal|feasible|
     timeout|infeasible|unbounded|error."""
-    ncols = len(mps.columns)
-    c = np.zeros(ncols)
-    for var, coeff in mps.objective.items():
-        c[mps.col_index[var]] = coeff
-
-    lo = np.zeros(ncols)
-    hi = np.full(ncols, math.inf)
-    for var, value in mps.lower.items():
-        lo[mps.col_index[var]] = value
-    for var, value in mps.upper.items():
-        hi[mps.col_index[var]] = value
-
-    integrality = np.zeros(ncols)
-    for var in mps.integer:
-        integrality[mps.col_index[var]] = 1
-
     constraints = []
     if mps.row_order:
-        row_pos = {name: pos for pos, name in enumerate(mps.row_order)}
-        rows = [row_pos[row] for row, _, _ in mps.entries]
-        cols = [mps.col_index[var] for _, var, _ in mps.entries]
-        data = [coeff for _, _, coeff in mps.entries]
-        matrix = sparse.csr_matrix((data, (rows, cols)),
-                                   shape=(len(mps.row_order), ncols))
-        lob = np.array([_row_interval(mps, row)[0] for row in mps.row_order])
-        upb = np.array([_row_interval(mps, row)[1] for row in mps.row_order])
-        constraints = [optimize.LinearConstraint(matrix, lob, upb)]
+        entries = mps.entries
+        matrix = sparse.csr_matrix(
+            (entries["value"], (entries["row"], entries["col"])),
+            shape=(len(mps.row_order), len(mps.columns)))
+        constraints = [optimize.LinearConstraint(matrix, *row_bounds(mps))]
 
     options: dict[str, object] = {"presolve": True}
     if time_limit is not None:
@@ -329,9 +515,10 @@ def solve_parsed(mps: ParsedMps, time_limit: float | None,
     if gap is not None:
         options["mip_rel_gap"] = float(gap)
 
-    result = optimize.milp(c, constraints=constraints,
-                           integrality=integrality,
-                           bounds=optimize.Bounds(lo, hi),
+    result = optimize.milp(mps.cost, constraints=constraints,
+                           integrality=mps.col_integer.astype(np.float64),
+                           bounds=optimize.Bounds(mps.col_lower,
+                                                  mps.col_upper),
                            options=options)
 
     if result.status == 0:
@@ -347,20 +534,27 @@ def solve_parsed(mps: ParsedMps, time_limit: float | None,
     return "error", None, None
 
 
+_PIECE_LINES = 1 << 16
+
+
 def write_solution(path: str, status: str, objective: float | None,
                    wall_time: float, columns: list[str],
-                   values: np.ndarray | None,
-                   col_index: dict[str, int]) -> None:
+                   values: np.ndarray | None) -> None:
+    """One "name value" line per column, in column order, leaving out the
+    _SOSB_ binaries of binarize_sos."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"status {status}\n")
         if objective is not None:
             fh.write(f"objective {objective!r}\n")
         fh.write(f"wall_time {wall_time!r}\n")
-        if values is not None:
-            for var in columns:
-                if var.startswith("_SOSB_"):
-                    continue
-                fh.write(f"{var} {float(values[col_index[var]])!r}\n")
+        if values is None:
+            return
+        for start in range(0, len(columns), _PIECE_LINES):
+            part = slice(start, start + _PIECE_LINES)
+            fh.write("".join([
+                f"{var} {value!r}\n"
+                for var, value in zip(columns[part], values[part].tolist())
+                if not var.startswith("_SOSB_")]))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -380,6 +574,8 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.monotonic()
     try:
+        # The text and the reader's name tables are gone once parse_mps
+        # returns, before HiGHS allocates.
         with open(args.mps, "r", encoding="ascii") as fh:
             mps = parse_mps(fh.read())
         if mps.sos_sets:
@@ -401,7 +597,7 @@ def main(argv: list[str] | None = None) -> int:
 
     wall = time.monotonic() - start
     write_solution(args.solution, status, objective, wall,
-                   mps.columns, values, mps.col_index)
+                   mps.columns, values)
     print(f"valign-milp: {status}"
           + (f" objective {objective}" if objective is not None else ""))
     return 0

@@ -122,7 +122,9 @@ def pinned_road(case: str) -> RoadInstance:
         return shared_pit_road()
     template, variant, blocks, pits = {
         "A-01": ("A", 1, 0, 0),
+        "G-01": ("G", 1, 0, 0),
         "D-01 2 blocks": ("D", 1, 2, 0),
+        "D-02 2 blocks": ("D", 2, 2, 0),
         "G-01 3 blocks": ("G", 1, 3, 0),
         "C-02 3 blocks 2 pits": ("C", 2, 3, 2),
     }[case]

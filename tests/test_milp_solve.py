@@ -11,8 +11,13 @@ import pytest
 from scipy import optimize, sparse
 
 from valign import milp_solve
-from valign.bench import ROAD_TEMPLATES, generate_instance
-from valign.builder import build, named_config
+from valign.builder import (
+    LinearConstraint,
+    MilpModel,
+    Variable,
+    build,
+    named_config,
+)
 from valign.milp_solve import (
     MpsError,
     binarize_sos,
@@ -20,7 +25,7 @@ from valign.milp_solve import (
     parse_mps,
     solve_parsed,
 )
-from valign.mps import emit_mps
+from valign.mps import emit_mps, emit_mps_text
 
 from conftest import pinned_road
 
@@ -325,16 +330,9 @@ class RecordingOptimize:
 ])
 def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
                                             config_name, arrays, solution):
-    if case == "shared-pits":
-        inst = pinned_road(case)
-    else:
-        template, variant, blocks = {"A-01": ("A", 1, 0), "G-01": ("G", 1, 0),
-                                     "D-02 2 blocks": ("D", 2, 2)}[case]
-        inst = generate_instance(1, ROAD_TEMPLATES[template], variant,
-                                 blocks=blocks)
     mps = str(tmp_path / "m.mps")
     sol = tmp_path / "m.sol"
-    emit_mps(build(inst, named_config(config_name)), mps)
+    emit_mps(build(pinned_road(case), named_config(config_name)), mps)
     recorder = RecordingOptimize()
     monkeypatch.setattr(milp_solve, "optimize", recorder)
     rc = main([mps, str(sol), "--time-limit", "60", "--gap", "0.01",
@@ -344,3 +342,51 @@ def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
                if not line.startswith(b"wall_time ")]
     assert recorder.digest == arrays
     assert hashlib.sha256(b"".join(written)).hexdigest() == solution
+
+
+def ranged_model() -> MilpModel:
+    return MilpModel(
+        name="ranged",
+        variables=(Variable("x", "continuous", -2.0, 4.0),
+                   Variable("y", "binary", 0.0, 1.0)),
+        constraints=(LinearConstraint("band", (("x", 1.0), ("y", -2.0)),
+                                      "<=", 5.0, 3.0),
+                     LinearConstraint("floor", (("x", 1.0),), ">=", -1.0),
+                     LinearConstraint("tie", (("y", 1.0),), "=", 1.0)),
+        objective=(("x", 1.0),))
+
+
+@pytest.mark.parametrize("case, config_name", [
+    ("A-01", "MQN-B"), ("G-01", "CTG-B"), ("D-02 2 blocks", "MQN-S1"),
+    ("shared-pits", "MQN-S1"), ("ranged", None)])
+def test_parse_gives_the_model_arrays(case, config_name):
+    # One conversion from model to matrix: what the adapter reads back is
+    # the model's own columns, rows and COO matrix, exactly.
+    if case == "ranged":
+        model = ranged_model()
+    else:
+        model = build(pinned_road(case), named_config(config_name))
+    parsed = parse_mps(emit_mps_text(model))
+    assert parsed.columns == list(model.col_names)
+    assert parsed.row_order == list(model.row_names)
+    shape = (len(model.row_names), len(model.col_names))
+    entries = parsed.entries
+    got = sparse.csr_matrix((entries["value"],
+                             (entries["row"], entries["col"])), shape=shape)
+    want = sparse.csr_matrix((model.coo_val, (model.coo_row, model.coo_col)),
+                             shape=shape)
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+    assert np.array_equal(parsed.cost, model.cost)
+    assert np.array_equal(parsed.col_lower, model.col_lower)
+    assert np.array_equal(parsed.col_upper, model.col_upper)
+    assert np.array_equal(parsed.col_integer, model.col_binary)
+    # MPS RANGES on an L row: rhs - |range| <= row <= rhs.
+    sense = np.asarray(model.row_sense)
+    rhs, width = model.row_rhs, np.abs(model.row_range)
+    lower = np.where(sense != "<=", rhs,
+                     np.where(np.isnan(width), -np.inf, rhs - width))
+    upper = np.where(sense == ">=", np.inf, rhs)
+    got_lower, got_upper = milp_solve.row_bounds(parsed)
+    assert np.array_equal(got_lower, lower)
+    assert np.array_equal(got_upper, upper)
