@@ -506,10 +506,11 @@ class _Assembler:
         self.rhs_range.append(math.nan if rhs_range is None else rhs_range)
         return len(self.row_names) - 1
 
-    def row(self, name: str, coeffs: Mapping[str, float] | Iterable[tuple[str, float]],
+    def row(self, name: str, coeffs: dict[str, float] | Iterable[tuple[str, float]],
             sense: str, rhs: float, rhs_range: float | None = None) -> None:
         entries: dict[int, float] = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+        # dict, not typing.Mapping: that isinstance check is slow here
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for var, coeff in items:
             col = self.column(var)
             if col is None:
