@@ -62,6 +62,7 @@ class Solution:
     values: dict[str, float]
     wall_time: float
     solver_log_path: str = ""
+    solver_time: float = 0.0     # the solver's own report (wall_time key)
 
     def __post_init__(self):
         if self.status not in STATUSES:
@@ -96,17 +97,29 @@ def default_solver_command() -> str:
             "--time-limit {timelimit} --gap {gap} --sos binarize {mps} {sol}")
 
 
-def parse_pairs(text: str) -> dict[str, str]:
-    """First-token/rest-of-line pairs; first occurrence wins."""
-    out: dict[str, str] = {}
+_RESERVED = ("status", "objective", "wall_time", "message")
+
+
+def parse_pairs(text: str) -> tuple[dict[str, str], dict[str, float]]:
+    """First-token/rest-of-line pairs in one pass: the reserved keys' text
+    and the other keys' numeric values. The first occurrence of a key wins,
+    and a key whose first value is not a number is left out."""
+    header: dict[str, str] = {}
+    values: dict[str, float | None] = {}
     for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
+        key, _, rest = line.strip().partition(" ")
+        if not key or key.startswith("#"):
             continue
-        key, _, rest = line.partition(" ")
-        if key and key not in out:
-            out[key] = rest.strip()
-    return out
+        if key in _RESERVED:
+            header.setdefault(key, rest.strip())
+        elif key not in values:
+            try:
+                values[key] = float(rest)
+            except ValueError:
+                values[key] = None
+    if None in values.values():
+        values = {k: v for k, v in values.items() if v is not None}
+    return header, values
 
 
 def parse_xmlish(text: str) -> dict[str, str]:
@@ -158,20 +171,21 @@ def parse_solution_text(text: str, sol_format: str = "auto") -> Solution:
         raise ValueError(f"unknown solution format {sol_format!r}")
     if sol_format == "auto":
         sol_format = "xml" if text.lstrip().startswith("<") else "pairs"
-    try:
-        raw = parse_xmlish(text) if sol_format == "xml" else parse_pairs(text)
-    except ElementTree.ParseError as exc:
-        raise SolveError(f"unparseable solution file: {exc}") from exc
-
-    reserved = {"status", "objective", "wall_time", "message"}
-    values: dict[str, float] = {}
-    for key, token in raw.items():
-        if key in reserved:
-            continue
+    if sol_format == "pairs":
+        raw, values = parse_pairs(text)
+    else:
         try:
-            values[key] = float(token)
-        except ValueError:
-            continue
+            raw = parse_xmlish(text)
+        except ElementTree.ParseError as exc:
+            raise SolveError(f"unparseable solution file: {exc}") from exc
+        values = {}
+        for key, token in raw.items():
+            if key in _RESERVED:
+                continue
+            try:
+                values[key] = float(token)
+            except ValueError:
+                continue
     status = _normalize_status(raw.get("status", "error"), bool(values))
     objective = None
     if "objective" in raw:
@@ -193,7 +207,7 @@ def parse_solution_text(text: str, sol_format: str = "auto") -> Solution:
             wall = float(raw["wall_time"])
         except ValueError:
             wall = 0.0
-    return Solution(status, objective, values, wall)
+    return Solution(status, objective, values, wall, solver_time=wall)
 
 
 def _substitute(template: str, mps_path: str, sol_path: str,
@@ -276,7 +290,7 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
         if timed_out and status not in ("optimal", "feasible", "infeasible"):
             status = "timeout"
         return Solution(status, parsed.objective, parsed.values, wall,
-                        log_path)
+                        log_path, parsed.solver_time)
     if timed_out:
         return Solution("timeout", None, {}, wall, log_path)
     return Solution("error", None, {}, wall, log_path)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import sys
 import tempfile
 
 import pytest
@@ -189,3 +190,28 @@ def test_decode_rejects_non_finite_value(two_node_instance, tmp_path, column):
     with pytest.raises(DecodeError,
                        match=f"non-finite value nan for {column}"):
         decode(tampered, two_node_instance, config, model=model)
+
+
+def test_solver_time_is_the_solvers_own_report(two_node_instance, tmp_path):
+    # wall_time stays the subprocess wall; solver_time is what the solver
+    # wrote under wall_time.
+    stub = tmp_path / "stub.py"
+    stub.write_text("import sys\n"
+                    "with open(sys.argv[2], 'w') as fh:\n"
+                    "    fh.write('status optimal\\nobjective 0.0\\n'\n"
+                    "             'wall_time 0.25\\nU_1 0.0\\n')\n")
+    model = build(two_node_instance, named_config("MQN-B"))
+    solution = solve(model, f"{sys.executable} {stub} {{mps}} {{sol}}",
+                     LIMITS, workdir=str(tmp_path / "run"))
+    assert solution.status == "optimal"
+    assert solution.solver_time == 0.25
+    assert solution.wall_time > 0.0 and solution.wall_time != 0.25
+    assert parse_solution_text("status infeasible\n").solver_time == 0.0
+
+
+def test_pairs_first_occurrence_wins():
+    sol = parse_solution_text(
+        "x abc\nx 1.0\ny 2.0\ny 3.0\n  # note\nstatus optimal\n"
+        "status infeasible\nobjective 4\nobjective 5\nmessage m\n", "pairs")
+    assert sol.status == "optimal" and sol.objective == 4.0
+    assert sol.values == {"y": 2.0}
