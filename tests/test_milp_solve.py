@@ -390,3 +390,61 @@ def test_parse_gives_the_model_arrays(case, config_name):
     got_lower, got_upper = milp_solve.row_bounds(parsed)
     assert np.array_equal(got_lower, lower)
     assert np.array_equal(got_upper, upper)
+
+
+def test_repeated_entries_are_kept_and_costs_summed():
+    parsed = parse_mps("NAME d\nROWS\n N COST\n L r\nCOLUMNS\n"
+                       "    x COST 1.5\n    x r 1.0\n    x COST 0.25 r 2.0\n"
+                       "ENDATA\n")
+    assert parsed.cost.tolist() == [1.75]
+    assert parsed.entries.tolist() == [(0, 0, 1.0), (0, 0, 2.0)]
+
+
+SOS2_MPS = textwrap.dedent("""\
+    NAME s2
+    ROWS
+     N COST
+     G need
+    COLUMNS
+        a COST 1.0
+        a need 1.0
+        b COST 1.0
+        b need 1.0
+        c COST 1.0
+        c need 1.0
+    RHS
+        RHS need 1.0
+    BOUNDS
+     UP BND a 4.0
+     UP BND b 5.0
+     LO BND c -1.0
+     UP BND c 6.0
+    SOS
+     S2 SET lam
+        c 3.0
+        a 1.0
+        b 2.0
+    ENDATA
+    """)
+
+
+def test_sos2_binarize_links_adjacent_segments():
+    parsed = parse_mps(SOS2_MPS)
+    binarize_sos(parsed)
+    assert not parsed.sos_sets
+    assert parsed.columns == ["a", "b", "c", "_SOSB_1_1", "_SOSB_1_2"]
+    assert parsed.integer == {"_SOSB_1_1", "_SOSB_1_2"}
+    assert parsed.row_order == ["need", "_SOSC_1", "_SOSL_1_1U", "_SOSL_1_2U",
+                                "_SOSL_1_3U", "_SOSL_1_3L"]
+    assert parsed.senses.tolist() == ["G", "E", "L", "L", "L", "G"]
+    assert parsed.row_rhs.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
+    rows: dict[str, dict[str, float]] = {}
+    for r, c, value in parsed.entries.tolist():
+        rows.setdefault(parsed.row_order[r], {})[parsed.columns[c]] = value
+    # Members in weight order a, b, c; segment k spans members k and k + 1.
+    assert rows["_SOSC_1"] == {"_SOSB_1_1": 1.0, "_SOSB_1_2": 1.0}
+    assert rows["_SOSL_1_1U"] == {"a": 1.0, "_SOSB_1_1": -4.0}
+    assert rows["_SOSL_1_2U"] == {"b": 1.0, "_SOSB_1_1": -5.0,
+                                  "_SOSB_1_2": -5.0}
+    assert rows["_SOSL_1_3U"] == {"c": 1.0, "_SOSB_1_2": -6.0}
+    assert rows["_SOSL_1_3L"] == {"c": 1.0, "_SOSB_1_2": 1.0}
