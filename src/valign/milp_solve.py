@@ -10,12 +10,12 @@ The reader is columnar: parse_mps fills arrays, not per-name structures.
 Columns are numbered in first-seen order, with cost, bound and integer
 arrays; rows in declaration order, with sense, rhs and range arrays (NaN:
 no range); the matrix is one COO triple (row id, column id, value) in file
-order. The COLUMNS section, which is nearly all of a large file, is read in
-pieces of about a megabyte, each tokenized and resolved to ids with vector
-code, so no Python object per token lives longer than its piece. The
-per-name forms (row_sense, objective, integer, lower, upper, col_index) are
-read-only views built on demand. solve_parsed hands the arrays to HiGHS and
-write_solution writes the solution in column order.
+order. The text is split into lines about a megabyte at a time, and each
+line's ids and values are appended to typed arrays, so no Python object per
+token lives longer than its piece of text. The per-name forms (row_sense,
+objective, integer, lower, upper, col_index) are read-only views built on
+demand. solve_parsed hands the arrays to HiGHS and write_solution writes the
+solution in column order.
 
 SOS sets are rejected unless ``--sos binarize`` is given, in which case each
 set is rewritten with auxiliary binaries; this requires finite bounds on all
@@ -26,12 +26,10 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 import time
+from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
-from operator import ne
 from typing import Iterator
 
 import numpy as np
@@ -44,16 +42,7 @@ class MpsError(ValueError):
 
 ENTRY = np.dtype([("row", np.intp), ("col", np.intp), ("value", np.float64)])
 
-_SECTIONS = ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "SOS")
-# Line breaks of str.splitlines other than "\n"; a text holding any of them
-# is rewritten with "\n" alone, so lines number as splitlines counts them.
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-# A section header: a line starting with neither whitespace nor "*".
-_HEADER = re.compile(r"\n([^\s*][^\n]*)")
 _PIECE_CHARS = 1 << 20
-_SPACE = np.zeros(128, bool)
-_SPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True   # str.split's ASCII
-_OBJECTIVE, _UNKNOWN = -1, -2   # row ids of the objective and unknown rows
 
 
 @dataclass
@@ -107,210 +96,155 @@ class ParsedMps:
         return {name: c for c, name in enumerate(self.columns)}
 
 
-class _Reader:
-    """parse_mps's state between lines; finish() turns it into arrays."""
+def parse_mps(text: str) -> ParsedMps:
+    name = objective_row = ""
+    columns: list[str] = []
+    col_id: dict[str, int] = {}
+    row_order: list[str] = []
+    row_id: dict[str, int] = {}
+    senses: list[str] = []
+    # Column and row ids -> values, for those the file gives.
+    cost: dict[int, float] = {}
+    lower: dict[int, float] = {}
+    upper: dict[int, float] = {}
+    rhs: dict[int, float] = {}
+    ranges: dict[int, float] = {}
+    integer: list[int] = []
+    entry_row, entry_col, entry_value = array("q"), array("q"), array("d")
+    sos_sets: list[tuple[int, str, list[tuple[int, float]]]] = []
+    section = None
+    in_integer = False
+    current_sos: list[tuple[int, float]] | None = None
 
-    def __init__(self):
-        self.name = self.objective_row = ""
-        self.columns: list[str] = []
-        self.row_order: list[str] = []
-        self.sos_sets: list[tuple[int, str, list[tuple[int, float]]]] = []
-        self.col_id: dict[str, int] = {}
-        self.row_id: dict[str, int] = {}
-        self.senses: list[str] = []
-        self.rhs: dict[int, float] = {}
-        self.ranges: dict[int, float] = {}
-        self.lower: dict[int, float] = {}
-        self.upper: dict[int, float] = {}
-        self.integer: list[np.ndarray] = []
-        self.costs: list[tuple[np.ndarray, np.ndarray]] = []
-        self.entries: list[np.ndarray] = []
-        self.in_integer = False
-        self.current_sos: list[tuple[int, float]] | None = None
-
-    def touch(self, var: str) -> int:
-        col = self.col_id.get(var)
+    def touch(var: str) -> int:
+        col = col_id.get(var)
         if col is None:
-            col = self.col_id[var] = len(self.columns)
-            self.columns.append(var)
+            col = col_id[var] = len(columns)
+            columns.append(var)
         return col
 
-    def line(self, section: str | None, tokens: list[str],
-             lineno: int) -> None:
-        """One data line of any section but COLUMNS."""
-        if section == "ROWS":
+    for lineno, raw in enumerate(_lines(text), start=1):
+        tokens = raw.split()
+        if not tokens or raw.startswith("*"):
+            continue
+
+        if not raw[0].isspace():
+            head = tokens[0].upper()
+            if head == "NAME":
+                name = tokens[1] if len(tokens) > 1 else ""
+                continue
+            if head in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS", "SOS"):
+                section = head
+                in_integer = False
+                current_sos = None
+                continue
+            if head == "ENDATA":
+                break
+            raise MpsError(f"line {lineno}: unknown section {tokens[0]!r}")
+
+        if section == "COLUMNS":
+            if len(tokens) >= 3 and tokens[1] == "'MARKER'":
+                marker = tokens[2].strip("'").upper()
+                in_integer = marker == "INTORG"
+                continue
+            if len(tokens) not in (3, 5):
+                raise MpsError(f"line {lineno}: malformed column entry")
+            col = touch(tokens[0])
+            if in_integer:
+                integer.append(col)
+            for pos in range(1, len(tokens), 2):
+                row, value = tokens[pos], _parse_num(tokens[pos + 1], lineno)
+                if row == objective_row:
+                    cost[col] = cost.get(col, 0.0) + value
+                    continue
+                r = row_id.get(row)
+                if r is None:
+                    raise MpsError(f"line {lineno}: unknown row {row!r}")
+                entry_row.append(r)
+                entry_col.append(col)
+                entry_value.append(value)
+
+        elif section == "ROWS":
             if len(tokens) != 2:
                 raise MpsError(f"line {lineno}: malformed row declaration")
-            sense, name = tokens[0].upper(), tokens[1]
+            sense, row = tokens[0].upper(), tokens[1]
             if sense == "N":
-                if not self.objective_row:
-                    self.objective_row = name
-                return
+                if not objective_row:
+                    objective_row = row
+                continue
             if sense not in ("L", "G", "E"):
                 raise MpsError(f"line {lineno}: unknown row sense {sense!r}")
-            if name in self.row_id:
-                raise MpsError(f"line {lineno}: duplicate row {name!r}")
-            self.row_id[name] = len(self.row_order)
-            self.row_order.append(name)
-            self.senses.append(sense)
+            if row in row_id:
+                raise MpsError(f"line {lineno}: duplicate row {row!r}")
+            row_id[row] = len(row_order)
+            row_order.append(row)
+            senses.append(sense)
 
         elif section in ("RHS", "RANGES"):
             if len(tokens) not in (3, 5):
                 raise MpsError(f"line {lineno}: malformed {section} entry")
             for pos in range(1, len(tokens), 2):
                 row, value = tokens[pos], _parse_num(tokens[pos + 1], lineno)
-                r = self.row_id.get(row)
+                r = row_id.get(row)
                 if r is not None:
-                    (self.rhs if section == "RHS" else self.ranges)[r] = value
-                elif section == "RANGES" or row != self.objective_row:
+                    (rhs if section == "RHS" else ranges)[r] = value
+                elif section == "RANGES" or row != objective_row:
                     raise MpsError(f"line {lineno}: unknown row {row!r}")
 
         elif section == "BOUNDS":
             kind = tokens[0].upper()
             if len(tokens) != (3 if kind in ("FR", "MI", "PL", "BV") else 4):
                 raise MpsError(f"line {lineno}: malformed bound")
-            col = self.touch(tokens[2])
+            col = touch(tokens[2])
             if kind in ("UP", "LO", "FX", "UI", "LI"):
                 value = _parse_num(tokens[3], lineno)
             if kind in ("UP", "UI"):
-                self.upper[col] = value
+                upper[col] = value
             elif kind in ("LO", "LI"):
-                self.lower[col] = value
+                lower[col] = value
             elif kind == "FX":
-                self.lower[col] = self.upper[col] = value
+                lower[col] = upper[col] = value
             elif kind in ("FR", "MI"):
-                self.lower[col] = -math.inf
+                lower[col] = -math.inf
                 if kind == "FR":
-                    self.upper[col] = math.inf
+                    upper[col] = math.inf
             elif kind == "PL":
-                self.upper[col] = math.inf
+                upper[col] = math.inf
             elif kind == "BV":
-                self.lower[col], self.upper[col] = 0.0, 1.0
+                lower[col], upper[col] = 0.0, 1.0
             else:
                 raise MpsError(f"line {lineno}: unknown bound type {kind!r}")
             if kind in ("BV", "UI", "LI"):
-                self.integer.append(np.array([col]))
+                integer.append(col)
 
         elif section == "SOS":
             if tokens[0].upper() in ("S1", "S2"):
-                self.current_sos = []
-                self.sos_sets.append((int(tokens[0][1]), tokens[-1],
-                                      self.current_sos))
+                current_sos = []
+                sos_sets.append((int(tokens[0][1]), tokens[-1], current_sos))
             else:
-                if self.current_sos is None or len(tokens) != 2:
+                if current_sos is None or len(tokens) != 2:
                     raise MpsError(f"line {lineno}: malformed SOS entry")
                 weight = _parse_num(tokens[1], lineno)
-                self.current_sos.append((self.touch(tokens[0]), weight))
+                current_sos.append((touch(tokens[0]), weight))
 
         else:
             raise MpsError(f"line {lineno}: data outside any section")
 
-    def column_piece(self, piece: str, lineno: int,
-                     rows: dict[str, int]) -> None:
-        """A piece of the COLUMNS section, whole lines, the first numbered
-        lineno; rows maps row names to ids, the objective to _OBJECTIVE."""
-        tok = piece.split()
-        count = _token_counts(piece)
-        first = np.cumsum(count) - count
-        live = count > 0
-        if piece.startswith("*") or "\n*" in piece:
-            live &= ~np.array([line.startswith("*")
-                               for line in piece.split("\n")])
-        marker = np.zeros(len(count), bool)
-        if "'MARKER'" in piece:
-            at = np.flatnonzero(live & (count >= 3))
-            marker[at] = [tok[f + 1] == "'MARKER'" for f in first[at].tolist()]
-        data = live & ~marker
-        good = data & ((count == 3) | (count == 5))
-        lines_at = np.flatnonzero(good)
-        pairs = (count[lines_at] - 1) // 2
-        # One (row, value) pair per entry, in (line, position) order.
-        if 3 * len(lines_at) == len(tok):     # one entry on every line
-            names, row_tokens, value_tokens = tok[::3], tok[1::3], tok[2::3]
-        else:
-            tok = np.array(tok, object)
-            at = np.repeat(first[lines_at], pairs) + 1
-            at[1:][np.diff(at) == 0] += 2     # a line's second pair
-            names = tok[first[lines_at]].tolist()
-            row_tokens, value_tokens = tok[at].tolist(), tok[at + 1].tolist()
-        pair_line = np.repeat(lines_at, pairs)
-
-        # Integrality follows the last marker line before each data line.
-        marks = np.flatnonzero(marker)
-        states = np.array([self.in_integer] + [
-            tok[f + 2].strip("'").upper() == "INTORG"
-            for f in first[marks].tolist()])
-        integer = states[np.searchsorted(marks, lines_at)]
-        self.in_integer = bool(states[-1])
-
-        # Lines of one column come in runs; look names up once per run.
-        run = np.array([True, *map(ne, names[1:], names[:-1])])[:len(names)]
-        heads = list(compress(names, run))
-        fresh = [n for n in dict.fromkeys(heads) if n not in self.col_id]
-        self.col_id.update(zip(fresh, range(len(self.col_id),
-                                            len(self.col_id) + len(fresh))))
-        self.columns.extend(fresh)
-        cols = np.array(list(map(self.col_id.__getitem__, heads)), np.intp)
-        cols = np.repeat(cols, np.diff(np.flatnonzero(np.append(run, True))))
-        self.integer.append(cols[integer])
-
-        row_ids = np.array(list(map(rows.get, row_tokens, repeat(_UNKNOWN))),
-                           np.intp)
-        try:
-            values = np.array(list(map(float, value_tokens)), np.float64)
-            bad_value = np.flatnonzero(np.isnan(values))[:1]
-        except ValueError:
-            values = None
-            bad_value = [next(i for i, t in enumerate(value_tokens)
-                              if _bad_number(t))]
-        bad_row = np.flatnonzero(row_ids == _UNKNOWN)[:1]
-        bad_line = np.flatnonzero(data & ~good)[:1]
-        if len(bad_value) or len(bad_row) or len(bad_line):
-            _raise_first(lineno, pair_line, bad_line, bad_value, bad_row,
-                         value_tokens, row_tokens)
-
-        pair_cols = np.repeat(cols, pairs)
-        priced = row_ids == _OBJECTIVE
-        self.costs.append((pair_cols[priced], values[priced]))
-        entries = np.empty(int(np.count_nonzero(~priced)), ENTRY)
-        entries["row"] = row_ids[~priced]
-        entries["col"] = pair_cols[~priced]
-        entries["value"] = values[~priced]
-        self.entries.append(entries)
-
-    def finish(self) -> ParsedMps:
-        if not self.objective_row:
-            raise MpsError("no objective row declared")
-        n, m = len(self.columns), len(self.row_order)
-        cost = np.zeros(n)
-        if self.costs:
-            cols, values = (np.concatenate(a) for a in zip(*self.costs))
-            np.add.at(cost, cols, values)    # summed in file order
-        integer = np.zeros(n, bool)
-        integer[np.concatenate([np.zeros(0, np.intp), *self.integer])] = True
-        return ParsedMps(
-            self.name, self.objective_row, self.columns, cost,
-            _scatter(np.zeros(n), self.lower),
-            _scatter(np.full(n, math.inf), self.upper), integer,
-            self.row_order, np.array(self.senses, "U1"),
-            _scatter(np.zeros(m), self.rhs),
-            _scatter(np.full(m, math.nan), self.ranges),
-            np.concatenate([np.zeros(0, ENTRY), *self.entries]),
-            self.sos_sets)
-
-
-def _token_counts(piece: str) -> np.ndarray:
-    """The number of tokens on each line of piece, as str.split counts
-    them; for ASCII text from the bytes, without splitting line by line."""
-    if not piece.isascii():
-        return np.array([len(line.split()) for line in piece.split("\n")],
-                        np.intp)
-    text = np.frombuffer(piece.encode("ascii"), np.uint8)
-    space = _SPACE[text]
-    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
-    newlines = np.flatnonzero(text == 10)
-    return np.bincount(np.searchsorted(newlines, starts),
-                       minlength=len(newlines) + 1)
+    if not objective_row:
+        raise MpsError("no objective row declared")
+    n, m = len(columns), len(row_order)
+    col_integer = np.zeros(n, bool)
+    col_integer[integer] = True
+    entries = np.empty(len(entry_value), ENTRY)
+    entries["row"] = np.frombuffer(entry_row, np.int64)
+    entries["col"] = np.frombuffer(entry_col, np.int64)
+    entries["value"] = np.frombuffer(entry_value, np.float64)
+    return ParsedMps(
+        name, objective_row, columns, _scatter(np.zeros(n), cost),
+        _scatter(np.zeros(n), lower), _scatter(np.full(n, math.inf), upper),
+        col_integer, row_order, np.array(senses, "U1"),
+        _scatter(np.zeros(m), rhs), _scatter(np.full(m, math.nan), ranges),
+        entries, sos_sets)
 
 
 def _scatter(out: np.ndarray, values: dict[int, float]) -> np.ndarray:
@@ -318,88 +252,14 @@ def _scatter(out: np.ndarray, values: dict[int, float]) -> np.ndarray:
     return out
 
 
-def _bad_number(token: str) -> bool:
-    try:
-        return math.isnan(float(token))
-    except ValueError:
-        return True
-
-
-def _raise_first(lineno: int, pair_line: np.ndarray, bad_line, bad_value,
-                 bad_row, value_tokens: list[str],
-                 row_tokens: list[str]) -> None:
-    """Raise the error parse_mps meets first reading a COLUMNS piece line by
-    line: a malformed line, else within a line each pair's number before
-    its row."""
-    pair = min([*bad_value, *bad_row], default=len(pair_line))
-    if len(bad_line) and (pair == len(pair_line)
-                          or bad_line[0] < pair_line[pair]):
-        raise MpsError(f"line {lineno + int(bad_line[0])}: "
-                       "malformed column entry")
-    at = lineno + int(pair_line[pair])
-    if pair in bad_value:
-        _parse_num(value_tokens[pair], at)
-    raise MpsError(f"line {at}: unknown row {row_tokens[pair]!r}")
-
-
-def parse_mps(text: str) -> ParsedMps:
-    if any(ch in text for ch in _OTHER_BREAKS):
-        text = "\n".join(text.splitlines())
-    reader = _Reader()
-    section = None
-    # Section bodies lie between header lines; a NAME line keeps the section.
-    body, lineno = 0, 1          # where the current body starts, its line
-    for head, head_end in _header_lines(text):
-        _read_body(reader, section, text, body, head, lineno)
-        lineno += text.count("\n", body, head)
-        tokens = text[head:head_end].split()
-        keyword = tokens[0].upper()
-        if keyword == "ENDATA":
-            break
-        if keyword == "NAME":
-            reader.name = tokens[1] if len(tokens) > 1 else ""
-        elif keyword in _SECTIONS:
-            section = keyword
-            reader.in_integer = False
-            reader.current_sos = None
-        else:
-            raise MpsError(f"line {lineno}: unknown section {tokens[0]!r}")
-        body, lineno = head_end + 1, lineno + 1
-    else:
-        _read_body(reader, section, text, body, len(text), lineno)
-    return reader.finish()
-
-
-def _header_lines(text: str) -> Iterator[tuple[int, int]]:
-    """Start and end of each section header line."""
-    if text[:1] and not text[0].isspace() and text[0] != "*":
-        end = text.find("\n")
-        yield 0, len(text) if end < 0 else end
-    for match in _HEADER.finditer(text):
-        yield match.span(1)
-
-
-def _read_body(reader: _Reader, section: str | None, text: str, start: int,
-               end: int, lineno: int) -> None:
-    """The lines of text[start:end], a section body whose first line is
-    numbered lineno; COLUMNS goes piece by piece."""
-    if start >= end:
-        return
-    if section != "COLUMNS":
-        for offset, raw in enumerate(text[start:end].split("\n")):
-            tokens = raw.split()
-            if tokens and not raw.startswith("*"):
-                reader.line(section, tokens, lineno + offset)
-        return
-    rows = dict(reader.row_id)
-    if reader.objective_row:
-        rows[reader.objective_row] = _OBJECTIVE
-    while start < end:
-        stop = text.find("\n", start + _PIECE_CHARS, end)
-        stop = end if stop < 0 else stop
-        reader.column_piece(text[start:stop], lineno, rows)
-        lineno += text.count("\n", start, stop) + 1
-        start = stop + 1
+def _lines(text: str) -> Iterator[str]:
+    """text.splitlines(), about a megabyte at a time, so only one piece's
+    lines exist as objects at once; each piece ends at a line feed."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _PIECE_CHARS) + 1 or len(text)
+        yield from text[start:stop].splitlines()
+        start = stop
 
 
 def _parse_num(token: str, lineno: int) -> float:
