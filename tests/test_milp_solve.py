@@ -240,6 +240,14 @@ LONG_COLUMNS = "".join(f"    c{i} r1 {i}.5\n" for i in range(60000))
      "line 60007: bad number '1e'"),
     (MPS_HEAD + LONG_COLUMNS + "    x\n" + LONG_COLUMNS,
      "line 60007: malformed column entry"),
+    # Lines number as str.splitlines counts them, across pieces too.
+    (MPS_HEAD + LONG_COLUMNS.replace("\n", "\x0c\n") + "    x r1 1e\n",
+     "line 120007: bad number '1e'"),
+    (MPS_HEAD + "    \u00e9 r1 1.0 r2 2.0\n    x r1 1.0\x0c\n    y zz 1.0\n",
+     "line 10: unknown row 'zz'"),
+    ("NAME t\x0cROWS\x1c N COST\x1d L r1\x1e E r2\x85COLUMNS\u2028"
+     "    x r1 1.0\u2029    x r2 1.0\r\n    y r1 1.0\r    y r2 u\n",
+     "line 10: bad number 'u'"),
     (MPS_HEAD + "    x r1 1.0\nRHS\n    RHS r1\n",
      "line 9: malformed RHS entry"),
     (MPS_HEAD + "    x r1 1.0\nRHS\n    RHS zz 1.0\n",
@@ -390,6 +398,23 @@ def test_parse_gives_the_model_arrays(case, config_name):
     got_lower, got_upper = milp_solve.row_bounds(parsed)
     assert np.array_equal(got_lower, lower)
     assert np.array_equal(got_upper, upper)
+
+
+def test_parse_reads_other_line_breaks_and_non_ascii_names():
+    parsed = parse_mps(
+        "NAME u\r\nROWS\r\n N COST\x0c L r\u00e9\x1c E r2\x85COLUMNS\u2028"
+        "    x\u00e9 COST 1.5 r\u00e9 2.0\x0c\n"
+        "    MARKER 'MARKER' 'INTORG'\x1d    \u00fc r2 3.0\x1e\n"
+        "    MARKER 'MARKER' 'INTEND'\u2029    x\u00e9 r2 -1.0\r"
+        "RHS\x0b    RHS r\u00e9 4.0\nENDATA\n")
+    assert parsed.columns == ["x\u00e9", "\u00fc"]
+    assert parsed.row_order == ["r\u00e9", "r2"]
+    assert parsed.senses.tolist() == ["L", "E"]
+    assert parsed.col_integer.tolist() == [False, True]
+    assert parsed.cost.tolist() == [1.5, 0.0]
+    assert parsed.row_rhs.tolist() == [4.0, 0.0]
+    assert parsed.entries.tolist() == [(0, 0, 2.0), (1, 1, 3.0),
+                                       (1, 0, -1.0)]
 
 
 def test_repeated_entries_are_kept_and_costs_summed():
