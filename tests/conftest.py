@@ -123,6 +123,7 @@ def pinned_road(case: str) -> RoadInstance:
     template, variant, blocks, pits = {
         "A-01": ("A", 1, 0, 0),
         "G-01": ("G", 1, 0, 0),
+        "C-02 2 blocks": ("C", 2, 2, 0),
         "D-01 2 blocks": ("D", 1, 2, 0),
         "D-02 2 blocks": ("D", 2, 2, 0),
         "G-01 3 blocks": ("G", 1, 3, 0),
