@@ -2,9 +2,10 @@
 
 A small command-line program speaking the same file protocol as any external
 solver driven by the gateway: read an MPS file, optimize, write a solution
-file of "name value" lines. Optimization is delegated to scipy's milp
-(HiGHS). Installed as the ``valign-milp`` console script and used as the
-default solver command when none is configured.
+file of "name value" lines. Optimization is delegated to HiGHS through the
+binding scipy ships, scipy.optimize._highspy._core. Installed as the
+``valign-milp`` console script and used as the default solver command when
+none is configured.
 
 The reader is columnar: parse_mps fills arrays, not per-name structures.
 Columns are numbered in first-seen order, with cost, bound and integer
@@ -14,8 +15,17 @@ order. The text is split into lines about a megabyte at a time, and each
 line's ids and values are appended to typed arrays, so no Python object per
 token lives longer than its piece of text. The per-name forms (row_sense,
 objective, integer, lower, upper, col_index) are read-only views built on
-demand. solve_parsed hands the arrays to HiGHS and write_solution writes the
-solution in column order.
+demand. write_solution writes the solution in column order.
+
+solve_arrays is the one seam to HiGHS: cost, column bounds, integrality, a
+CSC matrix and row bounds in; status word, objective and x out. It passes
+the numpy arrays to the binding as they are and reads back only x and the
+objective. solve_parsed builds those arrays from a ParsedMps (csc_arrays,
+row_bounds) and calls it. The binding is loaded on first use by
+highs_core, straight from scipy's directory and under its own module name,
+so the adapter never imports scipy.optimize or scipy.sparse (about 0.8 s of
+start-up), and a later import of scipy.optimize in the same process reuses
+the loaded extension.
 
 SOS sets are rejected unless ``--sos binarize`` is given, in which case each
 set is rewritten with auxiliary binaries; this requires finite bounds on all
@@ -25,7 +35,10 @@ set members.
 from __future__ import annotations
 
 import argparse
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 import time
 from array import array
@@ -33,11 +46,20 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
-from scipy import optimize, sparse
 
 
 class MpsError(ValueError):
     """Raised on any defect in the MPS input."""
+
+
+def __getattr__(name: str):
+    # milp_solve.optimize is kept for perfbench's traced re-solve, its only
+    # reader: it wraps optimize.milp, which solve_parsed no longer calls.
+    # scipy.optimize is imported only when something reads the name.
+    if name == "optimize":
+        from scipy import optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 ENTRY = np.dtype([("row", np.intp), ("col", np.intp), ("value", np.float64)])
@@ -357,41 +379,125 @@ def row_bounds(mps: ParsedMps) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
+def csc_arrays(mps: ParsedMps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The matrix in CSC form as HiGHS takes it: column starts, row ids and
+    values, row ids ascending within each column and repeated (row,
+    column) entries summed in file order."""
+    entries, n = mps.entries, len(mps.columns)
+    key = entries["col"] * len(mps.row_order) + entries["row"]
+    order = np.argsort(key, kind="stable")
+    first = np.ones(len(order), bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    kept = order[first]
+    value = entries["value"][kept]
+    if not first.all():
+        np.add.at(value, np.cumsum(first)[~first] - 1,
+                  entries["value"][order[~first]])
+    start = np.zeros(n + 1, np.int32)
+    np.cumsum(np.bincount(entries["col"][kept], minlength=n), out=start[1:])
+    return start, entries["row"][kept].astype(np.int32), value
+
+
 def solve_parsed(mps: ParsedMps, time_limit: float | None,
                  gap: float | None) -> tuple[str, float | None, np.ndarray | None]:
     """Returns (status, objective, values): status in optimal|feasible|
     timeout|infeasible|unbounded|error."""
-    constraints = []
-    if mps.row_order:
-        entries = mps.entries
-        matrix = sparse.csr_matrix(
-            (entries["value"], (entries["row"], entries["col"])),
-            shape=(len(mps.row_order), len(mps.columns)))
-        constraints = [optimize.LinearConstraint(matrix, *row_bounds(mps))]
+    infinite = np.flatnonzero(~np.isfinite(mps.cost))
+    if len(infinite):
+        col = int(infinite[0])
+        raise MpsError(f"column {mps.columns[col]}: objective coefficient "
+                       f"{float(mps.cost[col])!r} is not finite")
+    return solve_arrays(mps.cost, mps.col_lower, mps.col_upper,
+                        mps.col_integer, *csc_arrays(mps), *row_bounds(mps),
+                        time_limit, gap)
 
-    options: dict[str, object] = {"presolve": True}
+
+_CORE = "scipy.optimize._highspy._core"
+
+
+def highs_core():
+    """scipy's HiGHS binding, without importing scipy.optimize.
+
+    A binding already loaded is reused. Otherwise it is loaded from scipy's
+    directory under its own name and registered in sys.modules before it
+    runs, so a later import of scipy.optimize finds it there: a pybind11
+    extension must not be initialised twice."""
+    core = sys.modules.get(_CORE)
+    if core is not None:
+        return core
+    scipy_spec = importlib.util.find_spec("scipy")
+    folders = [os.path.join(folder, "optimize", "_highspy")
+               for folder in (scipy_spec.submodule_search_locations or ())
+               ] if scipy_spec else []
+    spec = importlib.machinery.PathFinder.find_spec(_CORE, folders)
+    if spec is None:
+        raise ImportError(f"scipy's HiGHS binding {_CORE} is not installed "
+                          "(it ships with scipy 1.15 and later)")
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_CORE]
+        raise
+    return core
+
+
+# HiGHS model status -> status word, as scipy's milp reported it. A time or
+# iteration limit is "feasible" for a MIP that holds an incumbent (finite
+# objective), else "timeout"; kModelError, a model HiGHS refused, counts as
+# infeasible; every status not listed, kSolutionLimit and
+# kUnboundedOrInfeasible among them, is "error".
+_STATUS_WORDS = {"kOptimal": "optimal", "kTimeLimit": "timeout",
+                 "kIterationLimit": "timeout", "kInfeasible": "infeasible",
+                 "kModelError": "infeasible", "kUnbounded": "unbounded"}
+
+
+def status_word(model_status: str, is_mip: bool, objective: float) -> str:
+    word = _STATUS_WORDS.get(model_status, "error")
+    if word == "timeout" and is_mip and objective != math.inf:
+        return "feasible"
+    return word
+
+
+def solve_arrays(cost: np.ndarray, col_lower: np.ndarray,
+                 col_upper: np.ndarray, integrality: np.ndarray,
+                 start: np.ndarray, index: np.ndarray, value: np.ndarray,
+                 row_lower: np.ndarray, row_upper: np.ndarray,
+                 time_limit: float | None, gap: float | None
+                 ) -> tuple[str, float | None, np.ndarray | None]:
+    """Minimize cost @ x subject to row_lower <= A @ x <= row_upper and
+    col_lower <= x <= col_upper, x integral where integrality is set; A is
+    given as CSC (start, index, value). Returns (status, objective, x) as
+    solve_parsed does."""
+    core = highs_core()
+    highs = core._Highs()
+    highs.setOptionValue("log_to_console", False)
+    highs.setOptionValue("presolve", "on")
     if time_limit is not None:
-        options["time_limit"] = float(time_limit)
+        highs.setOptionValue("time_limit", float(time_limit))
     if gap is not None:
-        options["mip_rel_gap"] = float(gap)
-
-    result = optimize.milp(mps.cost, constraints=constraints,
-                           integrality=mps.col_integer.astype(np.float64),
-                           bounds=optimize.Bounds(mps.col_lower,
-                                                  mps.col_upper),
-                           options=options)
-
-    if result.status == 0:
-        return "optimal", float(result.fun), result.x
-    if result.status == 1:
-        if result.x is not None:
-            return "feasible", float(result.fun), result.x
-        return "timeout", None, None
-    if result.status == 2:
-        return "infeasible", None, None
-    if result.status == 3:
-        return "unbounded", None, None
-    return "error", None, None
+        highs.setOptionValue("mip_rel_gap", float(gap))
+    # The binding reads raw buffers: each array goes in contiguous, as
+    # float64 or as int32 (HiGHS's HighsInt).
+    f64, i32 = np.float64, np.int32
+    arrays = [np.ascontiguousarray(a, dtype) for a, dtype in (
+        (cost, f64), (col_lower, f64), (col_upper, f64), (row_lower, f64),
+        (row_upper, f64), (start, i32), (index, i32), (value, f64),
+        (integrality, i32))]
+    loaded = highs.passModel(
+        len(cost), len(row_lower), len(index),
+        int(core.MatrixFormat.kColwise), int(core.ObjSense.kMinimize), 0.0,
+        *arrays)
+    model_status, objective = "kModelError", math.inf
+    if loaded != core.HighsStatus.kError:
+        highs.run()     # a failed run leaves an error model status
+        model_status = highs.getModelStatus().name
+        objective = highs.getInfo().objective_function_value
+    word = status_word(model_status, bool(integrality.any()), objective)
+    if word not in ("optimal", "feasible"):
+        return word, None, None
+    return word, float(objective), np.array(highs.getSolution().col_value)
 
 
 _PIECE_LINES = 1 << 16
@@ -445,7 +551,9 @@ def main(argv: list[str] | None = None) -> int:
             binarize_sos(mps)
         status, objective, values = solve_parsed(
             mps, args.time_limit, args.gap)
-    except (MpsError, OSError) as exc:
+        write_solution(args.solution, status, objective,
+                       time.monotonic() - start, mps.columns, values)
+    except (MpsError, OSError, ImportError) as exc:
         print(f"valign-milp: {exc}", file=sys.stderr)
         try:
             with open(args.solution, "w", encoding="ascii") as fh:
@@ -455,9 +563,6 @@ def main(argv: list[str] | None = None) -> int:
             pass
         return 3
 
-    wall = time.monotonic() - start
-    write_solution(args.solution, status, objective, wall,
-                   mps.columns, values)
     print(f"valign-milp: {status}"
           + (f" objective {objective}" if objective is not None else ""))
     return 0

@@ -1,14 +1,20 @@
 """The adapter's path to HiGHS against scipy.optimize.milp.
 
 solve_parsed must give what scipy's milp gave when the adapter called it:
-the same status, the same objective and the same x, bit for bit.
+the same status, the same objective and the same x, bit for bit. The
+adapter itself loads only scipy's HiGHS binding, never scipy.optimize.
 """
 
+import json
+import os
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 from scipy import optimize, sparse
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from valign import milp_solve
 from valign.builder import build, named_config
@@ -16,7 +22,7 @@ from valign.milp_solve import binarize_sos, parse_mps, solve_parsed
 from valign.mps import emit_mps_text
 
 from conftest import pinned_road
-from test_milp_solve import ranged_model
+from test_milp_solve import TOY_MPS, ranged_model
 
 
 def milp_reference(mps, time_limit, gap):
@@ -135,3 +141,151 @@ def test_models_cover_every_outcome():
                         "infeasible MIP": "infeasible",
                         "unbounded LP": "unbounded",
                         "unbounded MIP": "error"}
+
+
+def parent_status_word(model_status, is_mip, objective):
+    """The status word scipy 1.17.1's milp and the old solve_parsed gave:
+    _highs_wrapper's fail conditions decide whether x comes back,
+    _highs_to_scipy_status_message the status code."""
+    H = milp_solve.highs_core().HighsModelStatus
+    limits = (H.kTimeLimit, H.kIterationLimit, H.kSolutionLimit)
+    mip_fail = model_status not in (H.kOptimal, *limits) or (
+        model_status in limits and objective == np.inf)
+    lp_fail = model_status != H.kOptimal
+    has_x = not (mip_fail if is_mip else lp_fail)
+    code, _ = _highs_to_scipy_status_message(model_status, "")
+    return {0: "optimal", 1: "feasible" if has_x else "timeout",
+            2: "infeasible", 3: "unbounded"}.get(code, "error")
+
+
+@pytest.mark.parametrize("is_mip", [True, False])
+@pytest.mark.parametrize("objective", [1.5, -np.inf, np.inf])
+def test_status_table_matches_scipy(is_mip, objective):
+    members = milp_solve.highs_core().HighsModelStatus.__members__
+    got = {name: milp_solve.status_word(name, is_mip, objective)
+           for name in members}
+    want = {name: parent_status_word(status, is_mip, objective)
+            for name, status in members.items()}
+    assert got == want
+
+
+REPEATED_MPS = ("NAME d\nROWS\n N COST\n L r\n L q\nCOLUMNS\n"
+                "    x COST 1.5\n    x r 1.0\n    x COST 0.25 r 2.0\n"
+                "    y q 0.1 r -0.0\n    y q 0.2\n    x q 7.0\n    y q 0.3\n"
+                "    z r 0.0\nENDATA\n")
+
+
+@pytest.mark.parametrize("case", ["A-01", "G-01", "D-02 2 blocks",
+                                  "shared-pits", "repeated", "no rows"])
+def test_csc_arrays_equal_scipy(case):
+    configs = {"A-01": "MQN-B", "G-01": "CTG-B", "D-02 2 blocks": "MQN-S1",
+               "shared-pits": "MQN-S1"}
+    if case in configs:
+        mps = parse_mps(emit_mps_text(build(pinned_road(case),
+                                            named_config(configs[case]))))
+        binarize_sos(mps)
+    else:
+        mps = parse_mps(REPEATED_MPS if case == "repeated"
+                        else SMALL_MODELS[case])
+    entries = mps.entries
+    want = sparse.csc_array(sparse.csr_matrix(
+        (entries["value"], (entries["row"], entries["col"])),
+        shape=(len(mps.row_order), len(mps.columns))))
+    start, index, value = milp_solve.csc_arrays(mps)
+    assert start.dtype == index.dtype == np.int32
+    assert value.dtype == np.float64
+    assert np.array_equal(start, want.indptr)
+    assert np.array_equal(index, want.indices)
+    assert value.tobytes() == want.data.tobytes()
+    if case == "repeated":
+        # 0.1 + 0.2 + 0.3 summed in file order, and a -0.0 kept as it is
+        assert value.tolist() == [3.0, 7.0, -0.0, 0.1 + 0.2 + 0.3, 0.0]
+
+
+def python(code, *args):
+    """Run code in a fresh interpreter; its last stdout line as JSON."""
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code),
+                           *args], capture_output=True, text=True,
+                          check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_adapter_process_imports_only_the_binding(tmp_path):
+    mps, sol = tmp_path / "toy.mps", tmp_path / "toy.sol"
+    mps.write_text(TOY_MPS, encoding="ascii")
+    loaded = python("""\
+        import json, runpy, sys
+        sys.argv[0] = "valign-milp"
+        try:
+            runpy.run_module("valign.milp_solve", run_name="__main__",
+                             alter_sys=True)
+        except SystemExit as done:
+            rc = done.code
+        names = ("scipy.optimize", "scipy.sparse", "valign.builder",
+                 "valign.gateway", "scipy.optimize._highspy._core")
+        print(json.dumps([rc, [n in sys.modules for n in names]]))
+        """, str(mps), str(sol))
+    assert loaded == [0, [False, False, False, False, True]]
+    assert sol.read_text().startswith("status optimal\n")
+
+
+def test_star_import_binds_all():
+    namespace = {}
+    exec("from valign import *", namespace)
+    import valign
+    assert set(valign.__all__) <= set(namespace)
+    assert set(valign.__all__) <= set(dir(valign))
+    for name in valign.__all__:
+        assert namespace[name] is getattr(valign, name)
+
+
+def test_export_outlives_its_submodule_import():
+    # Importing valign.validate binds the submodule on the package; the
+    # package keeps valign.validate the function, as it was when every
+    # export was imported up front.
+    assert python("""\
+        import json, sys
+        import valign.validate
+        from valign import validate
+        print(json.dumps(validate is sys.modules["valign.validate"].validate))
+        """) is True
+
+
+@pytest.mark.parametrize("adapter_first", [True, False])
+def test_binding_and_scipy_milp_share_one_core(adapter_first):
+    code = """\
+        import json, sys
+        import numpy as np
+        from valign import milp_solve
+        from test_milp_solve import TOY_MPS
+
+        def adapter():
+            core = milp_solve.highs_core()
+            status, objective, _ = milp_solve.solve_parsed(
+                milp_solve.parse_mps(TOY_MPS), 30.0, 1e-9)
+            return core, [status, objective]
+
+        def scipy_milp():
+            from scipy import optimize
+            result = optimize.milp([1.0, -1.0], integrality=[1, 0],
+                                   bounds=optimize.Bounds([0, 0], [2.5, 1.5]),
+                                   constraints=[optimize.LinearConstraint(
+                                       [[1.0, 1.0]], 1.0, 3.0)])
+            return [result.status, result.fun]
+
+        if sys.argv[1] == "adapter":
+            core, solved = adapter()
+            milp = scipy_milp()
+        else:
+            milp = scipy_milp()
+            core, solved = adapter()
+        import scipy.optimize._highspy._core as imported
+        print(json.dumps([solved, milp,
+                          core is imported is milp_solve.highs_core()
+                          is sys.modules["scipy.optimize._highspy._core"]]))
+        """
+    tests = os.path.dirname(os.path.abspath(__file__))
+    assert python(f"import sys; sys.path.insert(0, {tests!r})\n"
+                  + textwrap.dedent(code),
+                  "adapter" if adapter_first else "scipy") == [
+        ["optimal", -3.0], [0, -1.5], True]

@@ -3,12 +3,14 @@
 import hashlib
 import math
 import os
+import subprocess
+import sys
 import textwrap
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import optimize, sparse
+from scipy import sparse
 
 from valign import milp_solve
 from valign.builder import (
@@ -217,6 +219,45 @@ def test_main_missing_file(tmp_path):
     assert os.path.exists(sol)
 
 
+def test_main_unwritable_solution(tmp_path, capsys):
+    mps = write(tmp_path, TOY_MPS)
+    rc = main([mps, str(tmp_path / "missing" / "out.sol")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("valign-milp: [Errno 2] No such file or directory")
+
+
+def test_main_rejects_infinite_cost(tmp_path, capsys):
+    mps = write(tmp_path, TOY_MPS.replace("b COST -3.0", "b COST -inf"))
+    sol = tmp_path / "out.sol"
+    assert main([mps, str(sol)]) == 3
+    message = "column b: objective coefficient -inf is not finite"
+    assert capsys.readouterr().err == f"valign-milp: {message}\n"
+    assert sol.read_text() == f"status error\nmessage {message}\n"
+
+
+def test_main_without_the_binding(tmp_path):
+    # A scipy without its HiGHS binding: main names what is missing.
+    mps, sol = write(tmp_path, TOY_MPS), tmp_path / "out.sol"
+    code = textwrap.dedent("""\
+        import importlib.machinery, sys
+        from valign import milp_solve
+        finder = importlib.machinery.PathFinder
+        real = finder.find_spec
+        finder.find_spec = classmethod(
+            lambda cls, name, path=None, target=None:
+            None if name == milp_solve._CORE else real(name, path, target))
+        sys.exit(milp_solve.main(sys.argv[1:]))
+        """)
+    done = subprocess.run([sys.executable, "-c", code, mps, str(sol)],
+                          capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stderr == (
+        "valign-milp: scipy's HiGHS binding scipy.optimize._highspy._core "
+        "is not installed (it ships with scipy 1.15 and later)\n")
+    assert sol.read_text().startswith("status error\n")
+
+
 # The exact text of every MpsError that parse_mps, _parse_num and
 # binarize_sos raise, with its line number.
 MPS_HEAD = "NAME t\nROWS\n N COST\n L r1\n E r2\nCOLUMNS\n"
@@ -293,47 +334,64 @@ def test_binarize_rejects_unbounded_member():
                               "cannot binarize")
 
 
-class RecordingOptimize:
-    """Stands in for milp_solve.optimize: keeps the sha256 of what milp is
-    handed and returns a stub optimum with seeded values, so no solve runs."""
+class RecordingHighs:
+    """Stands in for the binding's HiGHS object: keeps the sha256 of the
+    options and model it is handed and returns a stub optimum with seeded
+    values, so no solve runs."""
 
-    LinearConstraint = optimize.LinearConstraint
-    Bounds = optimize.Bounds
+    digest = None
 
     def __init__(self):
-        self.digest = None
+        self.options = {}
+        self.num_col = 0
 
-    def milp(self, c, constraints, integrality, bounds, options):
-        (rows,) = constraints
-        matrix = sparse.csr_matrix(rows.A)
-        h = hashlib.sha256(repr((matrix.shape, sorted(options.items())))
+    def setOptionValue(self, name, value):
+        self.options[name] = value
+
+    def passModel(self, num_col, num_row, num_nz, a_format, sense, offset,
+                  *arrays):
+        cost, col_lower, col_upper, row_lower, row_upper, start, index, \
+            value, integrality = arrays
+        h = hashlib.sha256(repr((num_col, num_row, num_nz, a_format, sense,
+                                 offset, sorted(self.options.items())))
                            .encode())
-        for part in (c, integrality, bounds.lb, bounds.ub, matrix.data,
-                     rows.lb, rows.ub):
+        for part in (cost, col_lower, col_upper, row_lower, row_upper, value):
             h.update(np.asarray(part, np.float64).tobytes())
-        for part in (matrix.indptr, matrix.indices):
+        for part in (start, index, integrality):
             h.update(np.asarray(part, np.int64).tobytes())
-        self.digest = h.hexdigest()
-        x = np.random.default_rng(7).standard_normal(len(c)) * 100.0
+        RecordingHighs.digest = h.hexdigest()
+        self.num_col = num_col
+
+    def run(self):
+        pass
+
+    def getModelStatus(self):
+        return milp_solve.highs_core().HighsModelStatus.kOptimal
+
+    def getInfo(self):
+        return SimpleNamespace(objective_function_value=-1234.5)
+
+    def getSolution(self):
+        x = np.random.default_rng(7).standard_normal(self.num_col) * 100.0
         x[::5] = 0.0
         x[::7] = np.round(x[::7])
-        return SimpleNamespace(status=0, fun=-1234.5, x=x)
+        return SimpleNamespace(col_value=x.tolist())
 
 
-# sha256 of the arrays the adapter hands to optimize.milp, and of the
+# sha256 of the options and arrays the adapter hands to HiGHS, and of the
 # solution file it writes for seeded values (less its wall_time line).
 @pytest.mark.parametrize("case, config_name, arrays, solution", [
     ("A-01", "MQN-B",
-     "c7e296078238b5c2233a2fd12bf401d0fe535923156bfe2918242296d9fa8995",
+     "6239c02aceaddc481eeb07d8febc3a397a1acf844ff508c4a6bef9d28437eb8e",
      "25020bf4cfc21bb9de4f629fac2961571bf8acf20236be6abef327c8319b63f7"),
     ("G-01", "CTG-B",
-     "b08606c425288610358d573f775ce8296152bb7d7450f27de9695ccfd24ce52c",
+     "856bae590875b1da05787cb3dd85f3abc9dc0f174633e06f4afee33788eea791",
      "8b95ce3f101f394943c8ffc7cbde9501d23708591a5aebb6051401e46388253b"),
     ("D-02 2 blocks", "MQN-S1",
-     "9e9d17d1ca11a4a8e29fdc166d18b3a2f2b7cd98d5593b1cbd9f359dba79a2e9",
+     "dc8073483b8b897e16d841641cce7fe43c997ec1b99e43dc81d54995aec451d2",
      "cfeab0e5f9de820585f70a3a73748ebb21e78bae9d2572f4b1ccd1480c0d3193"),
     ("shared-pits", "MQN-S1",
-     "6c80f6689f6c3cb0449b8554f5d00673a53124d9e12b0e06eab458d7c9a3c15a",
+     "80be8cd84f843eef89092e115d96e38b84a9b75e3ab696ba823b5755f4ca30ed",
      "c7cad0c43308ffd621dbfad18395f7fc81e7843382b0e23d3e52ac3ce4594e78"),
 ])
 def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
@@ -341,15 +399,15 @@ def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
     mps = str(tmp_path / "m.mps")
     sol = tmp_path / "m.sol"
     emit_mps(build(pinned_road(case), named_config(config_name)), mps)
-    recorder = RecordingOptimize()
-    monkeypatch.setattr(milp_solve, "optimize", recorder)
+    monkeypatch.setattr(milp_solve.highs_core(), "_Highs", RecordingHighs)
+    monkeypatch.setattr(RecordingHighs, "digest", None)
     rc = main([mps, str(sol), "--time-limit", "60", "--gap", "0.01",
                "--sos", "binarize"])
     assert rc == 0
     written = [line for line in sol.read_bytes().splitlines(keepends=True)
                if not line.startswith(b"wall_time ")]
-    assert recorder.digest == arrays
     assert hashlib.sha256(b"".join(written)).hexdigest() == solution
+    assert RecordingHighs.digest == arrays
 
 
 def ranged_model() -> MilpModel:
