@@ -229,6 +229,13 @@ def test_adapter_process_imports_only_the_binding(tmp_path):
     assert sol.read_text().startswith("status optimal\n")
 
 
+def test_optimize_resolves_on_read():
+    # perfbench's traced re-solve reads and patches milp_solve.optimize.
+    assert milp_solve.optimize is optimize
+    with pytest.raises(AttributeError):
+        milp_solve.sparse
+
+
 def test_star_import_binds_all():
     namespace = {}
     exec("from valign import *", namespace)
