@@ -23,9 +23,9 @@ the numpy arrays to the binding as they are and reads back only x and the
 objective. solve_parsed builds those arrays from a ParsedMps (csc_arrays,
 row_bounds) and calls it. The binding is loaded on first use by
 highs_core, straight from scipy's directory and under its own module name,
-so the adapter never imports scipy.optimize or scipy.sparse (about 0.8 s of
-start-up), and a later import of scipy.optimize in the same process reuses
-the loaded extension.
+so the adapter never imports scipy.optimize or scipy.sparse, which were
+most of its start-up, and a later import of scipy.optimize in the same
+process reuses the loaded extension.
 
 SOS sets are rejected unless ``--sos binarize`` is given, in which case each
 set is rewritten with auxiliary binaries; this requires finite bounds on all
