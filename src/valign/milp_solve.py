@@ -13,14 +13,21 @@ arrays; rows in declaration order, with sense, rhs and range arrays (NaN:
 no range); the matrix is one COO triple (row id, column id, value) in file
 order. The text is split into lines about a megabyte at a time, and each
 line's ids and values are appended to typed arrays, so no Python object per
-token lives longer than its piece of text. The per-name forms (row_sense,
+token lives longer than its piece of text; costs are summed into a typed
+array that grows with the columns. The per-name forms (row_sense,
 objective, integer, lower, upper, col_index) are read-only views built on
 demand. write_solution writes the solution in column order.
 
 solve_arrays is the one seam to HiGHS: cost, column bounds, integrality, a
 CSC matrix and row bounds in; status word, objective and x out. It passes
 the numpy arrays to the binding as they are and reads back only x and the
-objective. solve_parsed builds those arrays from a ParsedMps (csc_arrays,
+objective. HiGHS presolve runs only when a column is integral: on the
+block-free cells, all pure LPs, the dual simplex is faster on the unreduced
+model (42 cells, templates A-G under MQN-B, CTG-B and QNA-B: 6.5 s of
+HiGHS time with presolve, 4.3 s without; on G CTG-B presolve took 0.6 s of
+1.5 s, removed 593 of 1,962 rows, and raised the adapter's peak RSS from
+about 170 to 248 MB), while the blocked MIPs take 2-4 times as long
+without it. solve_parsed builds those arrays from a ParsedMps (csc_arrays,
 row_bounds) and calls it. The binding is loaded on first use by
 highs_core, straight from scipy's directory and under its own module name,
 so the adapter never imports scipy.optimize or scipy.sparse, which were
@@ -125,8 +132,9 @@ def parse_mps(text: str) -> ParsedMps:
     row_order: list[str] = []
     row_id: dict[str, int] = {}
     senses: list[str] = []
-    # Column and row ids -> values, for those the file gives.
-    cost: dict[int, float] = {}
+    # Costs by column id, grown in touch; the other column and row ids ->
+    # values, for those the file gives.
+    cost = array("d")
     lower: dict[int, float] = {}
     upper: dict[int, float] = {}
     rhs: dict[int, float] = {}
@@ -137,12 +145,15 @@ def parse_mps(text: str) -> ParsedMps:
     section = None
     in_integer = False
     current_sos: list[tuple[int, float]] | None = None
+    # COLUMNS lines come grouped by column: the last line's name and id.
+    last_var, last_col = None, -1
 
     def touch(var: str) -> int:
         col = col_id.get(var)
         if col is None:
             col = col_id[var] = len(columns)
             columns.append(var)
+            cost.append(0.0)
         return col
 
     for lineno, raw in enumerate(_lines(text), start=1):
@@ -169,15 +180,18 @@ def parse_mps(text: str) -> ParsedMps:
                 marker = tokens[2].strip("'").upper()
                 in_integer = marker == "INTORG"
                 continue
-            if len(tokens) not in (3, 5):
+            count = len(tokens)
+            if count not in (3, 5):
                 raise MpsError(f"line {lineno}: malformed column entry")
-            col = touch(tokens[0])
+            if tokens[0] != last_var:
+                last_var, last_col = tokens[0], touch(tokens[0])
+            col = last_col
             if in_integer:
                 integer.append(col)
-            for pos in range(1, len(tokens), 2):
+            for pos in (1, 3) if count == 5 else (1,):
                 row, value = tokens[pos], _parse_num(tokens[pos + 1], lineno)
                 if row == objective_row:
-                    cost[col] = cost.get(col, 0.0) + value
+                    cost[col] += value
                     continue
                 r = row_id.get(row)
                 if r is None:
@@ -262,7 +276,7 @@ def parse_mps(text: str) -> ParsedMps:
     entries["col"] = np.frombuffer(entry_col, np.int64)
     entries["value"] = np.frombuffer(entry_value, np.float64)
     return ParsedMps(
-        name, objective_row, columns, _scatter(np.zeros(n), cost),
+        name, objective_row, columns, np.frombuffer(cost, np.float64),
         _scatter(np.zeros(n), lower), _scatter(np.full(n, math.inf), upper),
         col_integer, row_order, np.array(senses, "U1"),
         _scatter(np.zeros(m), rhs), _scatter(np.full(m, math.nan), ranges),
@@ -469,15 +483,24 @@ def solve_arrays(cost: np.ndarray, col_lower: np.ndarray,
     """Minimize cost @ x subject to row_lower <= A @ x <= row_upper and
     col_lower <= x <= col_upper, x integral where integrality is set; A is
     given as CSC (start, index, value). Returns (status, objective, x) as
-    solve_parsed does."""
+    solve_parsed does.
+
+    Presolve is on for a MIP and off for a pure LP, which HiGHS's dual
+    simplex solves faster and in less memory unreduced (module docstring).
+    Raises ValueError if HiGHS rejects an option value, such as a negative
+    time limit or gap."""
     core = highs_core()
     highs = core._Highs()
-    highs.setOptionValue("log_to_console", False)
-    highs.setOptionValue("presolve", "on")
+    is_mip = bool(integrality.any())
+    options = [("log_to_console", False),
+               ("presolve", "on" if is_mip else "off")]
     if time_limit is not None:
-        highs.setOptionValue("time_limit", float(time_limit))
+        options.append(("time_limit", float(time_limit)))
     if gap is not None:
-        highs.setOptionValue("mip_rel_gap", float(gap))
+        options.append(("mip_rel_gap", float(gap)))
+    for option, setting in options:
+        if highs.setOptionValue(option, setting) == core.HighsStatus.kError:
+            raise ValueError(f"HiGHS rejected option {option} = {setting!r}")
     # The binding reads raw buffers: each array goes in contiguous, as
     # float64 or as int32 (HiGHS's HighsInt).
     f64, i32 = np.float64, np.int32
@@ -494,7 +517,7 @@ def solve_arrays(cost: np.ndarray, col_lower: np.ndarray,
         highs.run()     # a failed run leaves an error model status
         model_status = highs.getModelStatus().name
         objective = highs.getInfo().objective_function_value
-    word = status_word(model_status, bool(integrality.any()), objective)
+    word = status_word(model_status, is_mip, objective)
     if word not in ("optimal", "feasible"):
         return word, None, None
     return word, float(objective), np.array(highs.getSolution().col_value)
@@ -506,8 +529,9 @@ _PIECE_LINES = 1 << 16
 def write_solution(path: str, status: str, objective: float | None,
                    wall_time: float, columns: list[str],
                    values: np.ndarray | None) -> None:
-    """One "name value" line per column, in column order, leaving out the
-    _SOSB_ binaries of binarize_sos."""
+    """One "name value" line per column, in column order. values may run
+    on past columns: binarize_sos appends its binaries after the columns
+    the file declared, and those are not written."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"status {status}\n")
         if objective is not None:
@@ -519,8 +543,34 @@ def write_solution(path: str, status: str, objective: float | None,
             part = slice(start, start + _PIECE_LINES)
             fh.write("".join([
                 f"{var} {value!r}\n"
-                for var, value in zip(columns[part], values[part].tolist())
-                if not var.startswith("_SOSB_")]))
+                for var, value in zip(columns[part], values[part].tolist())]))
+
+
+def _number(text: str) -> float:
+    # HiGHS accepts NaN for a numeric option without complaint.
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    return value
+
+
+def _time_limit(text: str) -> float:
+    # inf is no limit, HiGHS's own default; the gateway passes
+    # SolverLimits.time_limit through as it is.
+    value = _number(text)
+    if value <= 0.0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {text!r}")
+    return value
+
+
+def _gap(text: str) -> float:
+    value = _number(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -529,9 +579,9 @@ def main(argv: list[str] | None = None) -> int:
         description="File-protocol MIP solver: MPS in, name-value solution out.")
     parser.add_argument("mps", help="input MPS file")
     parser.add_argument("solution", help="output solution file")
-    parser.add_argument("--time-limit", type=float, default=None,
+    parser.add_argument("--time-limit", type=_time_limit, default=None,
                         help="wall-clock limit in seconds")
-    parser.add_argument("--gap", type=float, default=None,
+    parser.add_argument("--gap", type=_gap, default=None,
                         help="relative MIP gap tolerance")
     parser.add_argument("--sos", choices=("reject", "binarize"),
                         default="reject",
@@ -544,6 +594,7 @@ def main(argv: list[str] | None = None) -> int:
         # returns, before HiGHS allocates.
         with open(args.mps, "r", encoding="ascii") as fh:
             mps = parse_mps(fh.read())
+        declared = len(mps.columns)
         if mps.sos_sets:
             if args.sos == "reject":
                 raise MpsError(
@@ -552,7 +603,8 @@ def main(argv: list[str] | None = None) -> int:
         status, objective, values = solve_parsed(
             mps, args.time_limit, args.gap)
         write_solution(args.solution, status, objective,
-                       time.monotonic() - start, mps.columns, values)
+                       time.monotonic() - start, mps.columns[:declared],
+                       values)
     except (MpsError, OSError, ImportError) as exc:
         print(f"valign-milp: {exc}", file=sys.stderr)
         try:

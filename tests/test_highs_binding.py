@@ -22,11 +22,12 @@ from valign.milp_solve import binarize_sos, parse_mps, solve_parsed
 from valign.mps import emit_mps_text
 
 from conftest import pinned_road
-from test_milp_solve import TOY_MPS, ranged_model
+from test_milp_solve import TOY_MPS, RecordingHighs, ranged_model
 
 
 def milp_reference(mps, time_limit, gap):
-    """solve_parsed as it was when it called scipy.optimize.milp."""
+    """solve_parsed as it was when it called scipy.optimize.milp, less
+    HiGHS presolve on pure LPs."""
     constraints = []
     if mps.row_order:
         entries = mps.entries
@@ -36,7 +37,8 @@ def milp_reference(mps, time_limit, gap):
         constraints = [optimize.LinearConstraint(
             matrix, *milp_solve.row_bounds(mps))]
 
-    options = {"presolve": True}
+    # HiGHS presolve runs for MIPs only.
+    options = {"presolve": bool(mps.col_integer.any())}
     if time_limit is not None:
         options["time_limit"] = float(time_limit)
     if gap is not None:
@@ -131,6 +133,26 @@ def test_solve_parsed_matches_scipy_milp(case, time_limit, gap):
         assert x is None
     else:
         assert np.array_equal(x, want_x)
+
+
+@pytest.mark.parametrize("case, config_name, presolve", [
+    ("A-01", "MQN-B", "off"), ("G-01", "CTG-B", "off"), ("LP", None, "off"),
+    ("C-02 2 blocks", "MQN-B", "on"), ("D-02 2 blocks", "MQN-S1", "on"),
+    ("shared-pits", "MQN-S1", "on")])
+def test_presolve_runs_for_mips_only(monkeypatch, case, config_name,
+                                     presolve):
+    # A pure LP goes straight to the simplex; a MIP, binarized SOS sets
+    # included, keeps HiGHS presolve.
+    if config_name is None:
+        mps = parse_mps(SMALL_MODELS[case])
+    else:
+        mps = parse_mps(emit_mps_text(build(pinned_road(case),
+                                            named_config(config_name))))
+        binarize_sos(mps)
+    monkeypatch.setattr(milp_solve.highs_core(), "_Highs", RecordingHighs)
+    monkeypatch.setattr(RecordingHighs, "options_seen", None)
+    solve_parsed(mps, 60.0, 0.01)
+    assert RecordingHighs.options_seen["presolve"] == presolve
 
 
 def test_models_cover_every_outcome():

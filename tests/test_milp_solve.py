@@ -212,6 +212,52 @@ def test_main_binarize_flag(tmp_path):
     assert not any(k.startswith("_SOSB_") for k in entries)
 
 
+def test_main_writes_the_files_own_sosb_columns(tmp_path):
+    # Only binarize_sos's binaries stay out of the solution file, not a
+    # column the file itself names with their prefix.
+    mps = write(tmp_path, "NAME k\nROWS\n N COST\n G need\nCOLUMNS\n"
+                "    _SOSB_keep COST 1.0 need 1.0\n"
+                "    y COST 3.0 need 1.0\nRHS\n    RHS need 2.0\nENDATA\n")
+    sol = tmp_path / "out.sol"
+    assert main([mps, str(sol)]) == 0
+    lines = sol.read_text().splitlines()
+    assert lines[:2] == ["status optimal", "objective 2.0"]
+    assert lines[3:] == ["_SOSB_keep 2.0", "y 0.0"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--time-limit", "-5", "must be > 0, got '-5'"),
+    ("--time-limit", "0", "must be > 0, got '0'"),
+    ("--time-limit", "nan", "expected a number, got 'nan'"),
+    ("--time-limit", "soon", "expected a number, got 'soon'"),
+    ("--gap", "-1", "must be >= 0, got '-1'"),
+    ("--gap", "nan", "expected a number, got 'nan'"),
+])
+def test_main_rejects_bad_limits(tmp_path, capsys, flag, value, message):
+    mps = write(tmp_path, TOY_MPS)
+    sol = tmp_path / "out.sol"
+    with pytest.raises(SystemExit) as done:
+        main([mps, str(sol), flag, value])
+    assert done.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {flag}: {message}\n")
+    assert not sol.exists()
+
+
+def test_main_takes_an_infinite_time_limit(tmp_path):
+    # valign solve --time-limit inf reaches the adapter as "inf": no limit.
+    mps = write(tmp_path, TOY_MPS)
+    sol = tmp_path / "out.sol"
+    assert main([mps, str(sol), "--time-limit", "inf", "--gap", "0"]) == 0
+    assert sol.read_text().startswith("status optimal\nobjective -3.0\n")
+
+
+@pytest.mark.parametrize("time_limit, gap", [(-5.0, None), (None, -1.0)])
+def test_solve_raises_on_option_highs_rejects(time_limit, gap):
+    with pytest.raises(ValueError, match="HiGHS rejected option"):
+        solve_parsed(parse_mps(TOY_MPS), time_limit, gap)
+
+
 def test_main_missing_file(tmp_path):
     sol = str(tmp_path / "out.sol")
     rc = main([str(tmp_path / "nope.mps"), sol])
@@ -340,6 +386,7 @@ class RecordingHighs:
     values, so no solve runs."""
 
     digest = None
+    options_seen = None
 
     def __init__(self):
         self.options = {}
@@ -360,6 +407,7 @@ class RecordingHighs:
         for part in (start, index, integrality):
             h.update(np.asarray(part, np.int64).tobytes())
         RecordingHighs.digest = h.hexdigest()
+        RecordingHighs.options_seen = dict(self.options)
         self.num_col = num_col
 
     def run(self):
@@ -382,10 +430,10 @@ class RecordingHighs:
 # solution file it writes for seeded values (less its wall_time line).
 @pytest.mark.parametrize("case, config_name, arrays, solution", [
     ("A-01", "MQN-B",
-     "6239c02aceaddc481eeb07d8febc3a397a1acf844ff508c4a6bef9d28437eb8e",
+     "f7bc0dd395f5faf6107002487b3bbf9b094241a4e9980ca6f97cd0a855a4e5a4",
      "25020bf4cfc21bb9de4f629fac2961571bf8acf20236be6abef327c8319b63f7"),
     ("G-01", "CTG-B",
-     "856bae590875b1da05787cb3dd85f3abc9dc0f174633e06f4afee33788eea791",
+     "490f9dcd2ade9db2f03efcf7c679505c6b9e3b162d61ba1a1f8efb6b730d2065",
      "8b95ce3f101f394943c8ffc7cbde9501d23708591a5aebb6051401e46388253b"),
     ("D-02 2 blocks", "MQN-S1",
      "dc8073483b8b897e16d841641cce7fe43c997ec1b99e43dc81d54995aec451d2",

@@ -2,8 +2,9 @@
 
 Random block-free single-segment roads of at most six sections, with at most
 one pit, are solved in-process with the bundled adapter's own functions. The
-two models must reach the same optimum, and the CTG solution must validate
-and re-price to its objective.
+two models must reach the same optimum, both solutions must validate, their
+offsets must re-price by the transport oracle to the objective, and the CTG
+solution must re-price to its objective.
 """
 
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from valign.builder import build, named_config
 from valign.gateway import Solution, decode
 from valign.instance import Pit
 from valign.mps import emit_mps_text
+from valign.oracle import allocation_cost
 from valign.validate import recompute_cost, validate
 
 from conftest import make_instance
@@ -63,12 +65,17 @@ def solve_in_process(instance, config_name):
 @given(block_free_roads())
 def test_ctg_matches_mhqnf_and_reprices(instance):
     ctg_config, ctg = solve_in_process(instance, "CTG-B")
-    _, mqn = solve_in_process(instance, "MQN-B")
+    mqn_config, mqn = solve_in_process(instance, "MQN-B")
     scale = max(1.0, abs(ctg.objective))
     assert abs(mqn.objective - ctg.objective) <= 2.0 * GAP * scale
 
-    report = validate(instance, ctg_config, ctg, tolerance=1e-6,
-                      relative=True)
-    assert report.passed, report.summary()
+    for config, result in ((ctg_config, ctg), (mqn_config, mqn)):
+        # x itself, not only the objective: another optimal vertex must
+        # still be an optimal allocation at its own offsets.
+        oracle_cost = allocation_cost(instance, result.offsets)
+        assert abs(oracle_cost - result.objective) <= GAP * scale
+        report = validate(instance, config, result, tolerance=1e-6,
+                          relative=True)
+        assert report.passed, report.summary()
     recomputed = recompute_cost(instance, ctg_config, ctg)
     assert abs(recomputed - ctg.objective) <= 1e-5 * scale
