@@ -63,48 +63,4 @@ sys.modules[__name__].__class__ = _Package
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccessRoad",
-    "AlignmentResult",
-    "Block",
-    "BuildError",
-    "BuilderConfig",
-    "CostModel",
-    "DecodeError",
-    "HaulClass",
-    "InstanceError",
-    "Material",
-    "MilpModel",
-    "Pit",
-    "QNF_COST_PAIRS",
-    "RoadInstance",
-    "RunConfig",
-    "Section",
-    "SegmentLayout",
-    "Solution",
-    "SolveError",
-    "SolverLimits",
-    "ViolationReport",
-    "VolumeCurve",
-    "big_m",
-    "block_access_sets",
-    "build",
-    "cheapest_haul",
-    "decode",
-    "default_cost_model",
-    "default_solver_command",
-    "emit_mps",
-    "emit_mps_text",
-    "evaluate_grade",
-    "evaluate_profile",
-    "fix_offsets",
-    "global_big_m",
-    "named_config",
-    "parse_config",
-    "parse_instance",
-    "recompute_cost",
-    "strip_comments",
-    "validate",
-    "write_instance",
-    "__version__",
-]
+__all__ = sorted(_MODULE_OF) + ["__version__"]

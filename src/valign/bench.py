@@ -30,7 +30,7 @@ from valign.instance import (
     default_cost_model,
 )
 from valign.instance_io import RunConfig, write_instance
-from valign.validate import recompute_cost, validate
+from valign.validate import recompute_cost, repricing_error, validate
 
 SUCCESS_THRESHOLD = 0.01  # inclusive, on |relative_error|
 
@@ -270,12 +270,10 @@ def _run_cell(instance: RoadInstance, config_name: str,
         report = validate(instance, config, result,
                           tolerance=run.limits.feasibility_tol)
         recomputed = recompute_cost(instance, config, result)
-        scale = max(1.0, abs(result.objective))
         if not report.passed:
             reason = "validation failed"
-        elif not abs(recomputed - result.objective) <= 1e-5 * scale:
-            reason = (f"recomputed cost {recomputed!r} != objective "
-                      f"{result.objective!r}")
+        else:
+            reason = repricing_error(recomputed, result.objective)
     except Exception as exc:
         reason = _reason(exc)
     return _CellOutcome(solution.status, solution.objective,

@@ -25,8 +25,10 @@ Every model is assembled by _Assembler, its flow columns declared at once
 from an ArcIndex grid: ctg_arcs puts the X arcs on the (supply node, demand
 node) grid, and flow_grid lays out the MH-QNF chains, indexed (haul, step,
 section or pit, chain). The rows over the flows (CTS/CTD/CTB/CTW; FCR/FCL,
-BALC/BALF, BALB/CAPB and BALW/CAPW) go through the one bulk path,
-_Assembler.bulk_rows; spline and block rows are declared one at a time.
+BALC/BALF, BALB/CAPB and BALW/CAPW; the block rows) go through the one bulk
+path, _Assembler.bulk_rows, from the grid's column ids; no flow column is
+looked up by name. Spline rows, and the block rows over removal indicators
+only (WDEF, ENF, MON), are declared one at a time by name.
 """
 
 from __future__ import annotations
@@ -98,11 +100,11 @@ def _repeated(names: Sequence[str]) -> str | None:
 class MilpModel:
     """A MILP stored column by column, as the module docstring lays out.
 
-    The arrays are read-only; variables, constraints, objective,
-    variable_map and binary_count are views built from them. The
-    constructor takes the object form (Variable, LinearConstraint, SosSet
-    and (name, cost) pairs), as hand-built and extended models do; the
-    builders use _Assembler directly.
+    The arrays are read-only; variables, constraints, objective and
+    binary_count are views built from them. The constructor takes the
+    object form (Variable, LinearConstraint, SosSet and (name, cost)
+    pairs), as hand-built and extended models do; the builders use
+    _Assembler directly.
     """
 
     def __init__(self, name: str, variables: Iterable[Variable] = (),
@@ -151,10 +153,6 @@ class MilpModel:
         priced = np.flatnonzero(self.cost)
         return tuple(zip([self.col_names[c] for c in priced.tolist()],
                          self.cost[priced].tolist()))
-
-    @cached_property
-    def variable_map(self) -> dict[str, Variable]:
-        return {v.name: v for v in self.variables}
 
     @property
     def binary_count(self) -> int:
@@ -284,10 +282,11 @@ DIRECTIONS = (1, -1)  # rightward chain, leftward chain
 class ArcIndex:
     """Variable names of one instance's models (see the module docstring).
 
-    Chain d carries material from section i toward i+d: transit(i, d) is the
-    arc i -> i+d, unload(i, d) puts section i's cut on the chain, load(i, d)
-    takes the chain's material into section i's fill, borrow(j, d) and
-    waste(k, d) join pit j or k to the chain at its attached section.
+    Chain d carries material from section i toward i+d. flow_grid lays out
+    its arcs: the transit arc i -> i+d, the unload arc that puts section i's
+    cut on the chain, the load arc that takes the chain's material into
+    section i's fill, and the borrow and waste arcs that join a pit to the
+    chain at the pit's attached section.
     """
 
     def __init__(self, instance: RoadInstance):
@@ -340,24 +339,6 @@ class ArcIndex:
         pit = self._pits[node - self.n - 1]
         return pit.attached_section, pit.dead_haul
 
-    @staticmethod
-    def transit(h: int, t: int, i: int, d: int) -> str:
-        return f"FR_{h}_{t}_{i}_{i + d}"
-
-    @staticmethod
-    def unload(h: int, t: int, i: int, d: int) -> str:
-        return f"FU_{h}_{t}_{i}_{i + d}"
-
-    @staticmethod
-    def load(h: int, t: int, i: int, d: int) -> str:
-        return f"FL_{h}_{t}_{i - d}_{i}"
-
-    def borrow(self, h: int, t: int, j: int, d: int) -> str:
-        return f"FB_{h}_{t}_{j}_{self.borrow_pits[j - 1].attached_section + d}"
-
-    def waste(self, h: int, t: int, k: int, d: int) -> str:
-        return f"FW_{h}_{t}_{k}_{self.waste_pits[k - 1].attached_section - d}"
-
     @cached_property
     def ctg_arcs(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """CTG arcs in declaration order (supply node major): their names
@@ -400,13 +381,15 @@ class ArcIndex:
             for t in range(n_steps):
                 for i in range(1, n + 1):
                     for d in DIRECTIONS:
-                        names += [self.transit(h, t, i, d),
-                                  self.unload(h, t, i, d),
-                                  self.load(h, t, i, d)]
-                names += [self.borrow(h, t, j, d)
-                          for j in range(1, n_borrow + 1) for d in DIRECTIONS]
-                names += [self.waste(h, t, k, d)
-                          for k in range(1, n_waste + 1) for d in DIRECTIONS]
+                        names += [f"FR_{h}_{t}_{i}_{i + d}",
+                                  f"FU_{h}_{t}_{i}_{i + d}",
+                                  f"FL_{h}_{t}_{i - d}_{i}"]
+                names += [f"FB_{h}_{t}_{j}_{pit.attached_section + d}"
+                          for j, pit in enumerate(self.borrow_pits, start=1)
+                          for d in DIRECTIONS]
+                names += [f"FW_{h}_{t}_{k}_{pit.attached_section - d}"
+                          for k, pit in enumerate(self.waste_pits, start=1)
+                          for d in DIRECTIONS]
         per_step = np.arange(len(names)).reshape(n_hauls, n_steps, -1)
         arcs = per_step[:, :, :6 * n].reshape(n_hauls, n_steps, n, 2, 3)
         pits = per_step[:, :, 6 * n:].reshape(n_hauls, n_steps,
@@ -427,16 +410,17 @@ class ArcIndex:
 class _Assembler:
     """Accumulates a model; rejects duplicate and unknown names as they appear.
 
-    var and row declare one column or row at a time; columns and bulk_rows
-    declare many at once from arrays. All of it is kept in declaration
-    order, and fill turns it into the model's arrays.
+    var and row declare one column or row at a time, by name; columns and
+    bulk_rows declare many at once, by column id, and leave their repeats to
+    lint. All of it is kept in declaration order, and fill turns it into the
+    model's arrays.
     """
 
     def __init__(self, name: str, sense: str = "min"):
         self.name = name
         self.sense = sense
         self.col_names: list[str] = []
-        self.col_index: dict[str, int] = {}  # a prefix of col_names, see column
+        self.col_index: dict[str, int] = {}  # the names var declared
         self.lower: list[float] = []
         self.upper: list[float] = []
         self.binary: list[bool] = []
@@ -455,19 +439,13 @@ class _Assembler:
         self.sos: list[SosSet] = []
 
     def column(self, name: str) -> int | None:
-        """Column id of name. Names declared in bulk are indexed only when a
-        lookup first misses, so a bulk declaration costs no dict inserts."""
-        col = self.col_index.get(name)
-        if col is None and len(self.col_index) < len(self.col_names):
-            first = len(self.col_index)
-            self.col_index.update(zip(self.col_names[first:],
-                                      range(first, len(self.col_names))))
-            col = self.col_index.get(name)
-        return col
+        """Column id of a name var declared. Columns declared in bulk are
+        known by the ids columns returns, never by name."""
+        return self.col_index.get(name)
 
     def var(self, name: str, lower: float = 0.0, upper: float = math.inf,
             kind: str = "continuous", cost: float = 0.0) -> str:
-        if self.column(name) is not None:
+        if name in self.col_index:
             raise BuildError(f"variable {name} declared twice")
         self.col_index[name] = len(self.col_names)
         self.col_names.append(name)
@@ -506,12 +484,10 @@ class _Assembler:
         self.rhs_range.append(math.nan if rhs_range is None else rhs_range)
         return len(self.row_names) - 1
 
-    def row(self, name: str, coeffs: dict[str, float] | Iterable[tuple[str, float]],
+    def row(self, name: str, coeffs: Iterable[tuple[str, float]],
             sense: str, rhs: float, rhs_range: float | None = None) -> None:
         entries: dict[int, float] = {}
-        # dict, not typing.Mapping: that isinstance check is slow here
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for var, coeff in items:
+        for var, coeff in coeffs:
             col = self.column(var)
             if col is None:
                 raise BuildError(f"row {name}: unknown variable {var}")
@@ -538,8 +514,9 @@ class _Assembler:
                          for at in range(3))
         order = np.argsort(row, kind="stable")
         self._flush()
+        # + 0.0: a -0.0 coefficient is written 0.0, as row writes it
         self.chunks.append((first + row[order], col[order].astype(np.int64),
-                            val[order].astype(np.float64)))
+                            np.add(val[order], 0.0, dtype=np.float64)))
 
     def _flush(self) -> None:
         if self.coo_row:
@@ -712,8 +689,6 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     _check_segments(instance)
 
     hauls = effective_hauls(instance, config)
-    if config.model == "QNF" and len(hauls) != 1:
-        raise BuildError("QNF requires exactly one haul class")
     n = instance.n
     blocks = instance.sorted_blocks
     n_blocks = len(blocks)
@@ -747,8 +722,12 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     upper[transit[:, :, -1, 0]] = upper[transit[:, :, 0, 1]] = 0.0
     first = asm.columns(flow_names, cost, upper)
     # From here on, the grid holds column ids.
-    transit, unload, load, borrow, waste = (first + ids for ids in grid)
+    grid = tuple(first + ids for ids in grid)
+    transit, unload, load, borrow, waste = grid
 
+    # Removal indicators Y_k_t; y holds their ids by (block, step) from 0.
+    y = len(asm.col_names) + np.arange(n_blocks * len(steps)).reshape(
+        n_blocks, len(steps))
     for k in range(1, n_blocks + 1):
         for t in steps:
             asm.var(names.removal(k, t), 0.0, 1.0, kind="binary")
@@ -795,133 +774,140 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     asm.bulk_rows(rows, parts)
 
     if blocks:
-        _block_rows(asm, instance, names, config, hauls, steps)
+        _block_rows(asm, instance, names, config, grid, y)
 
     provenance = _provenance(instance, config, hauls, steps)
     return asm.finish(provenance)
 
 
 def _block_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
-                config: BuilderConfig, hauls: tuple[HaulClass, ...],
-                steps: list[int]) -> None:
-    """Block gating, region gating, removal indicators, enforcement."""
-    n = instance.n
+                config: BuilderConfig, grid: tuple[np.ndarray, ...],
+                y: np.ndarray) -> None:
+    """Block gating, region gating, removal indicators, enforcement.
+
+    grid holds the column ids of flow_grid's arrays, y[k, t] those of the
+    removal indicators Y_<k+1>_<t>."""
+    transit, unload, load, borrow, waste = grid
+    n_hauls, n_steps = transit.shape[:2]
     blocks = instance.sorted_blocks
     n_blocks = len(blocks)
+    sections = [blk.section for blk in blocks]
     m_flow = global_big_m(instance, config.volume_mode)
-    hs = range(1, len(hauls) + 1)
-    sos1 = config.block_technique == "sos1"
     removal = names.removal
+    keys = [(k, h, t) for k in range(1, n_blocks + 1)
+            for h in range(1, n_hauls + 1) for t in range(n_steps)]
+    tags = [side + end for side in "LR" for end in "IO"]
 
-    if sos1:
+    def at_blocks(arcs: np.ndarray, shift=0) -> np.ndarray:
+        """arcs at each block's section less shift (per chain), indexed
+        (block, haul, step, chain)."""
+        at = np.array(sections)[:, None] - 1 - shift
+        return arcs[:, :, at, [0, 1]].transpose(2, 0, 1, 3)
+
+    # Four gated pairs per block: on each chain (L rightward, R leftward),
+    # transit into/out of the block section must match the local load/unload
+    # until the block is removed. Rows are numbered on the slots (block,
+    # haul, step, chain, into/out, P/N); at step 0 nothing is removed yet,
+    # so each pair has one E row.
+    flow = np.stack([at_blocks(transit, np.array(DIRECTIONS)),
+                     at_blocks(transit)], -1)
+    local = np.stack([at_blocks(load), at_blocks(unload)], -1)
+    used = np.ones(flow.shape + (2,), bool)
+    used[:, :, 0, ..., 1] = False
+    slot = np.cumsum(used).reshape(used.shape) - 1
+    e, pn = slot[:, :, 0, ..., 0], slot[:, :, 1:]
+    if config.block_technique == "sos1":
         # Complement of the removal indicator, shared across pair sets.
         for k in range(1, n_blocks + 1):
             for u in range(n_blocks):
                 asm.var(f"W_{k}_{u}", 0.0, 1.0)
                 asm.row(f"WDEF_{k}_{u}",
                         [(f"W_{k}_{u}", 1.0), (removal(k, u), 1.0)], "=", 1.0)
-
-    # Four gated pairs per block: on each chain (L rightward, R leftward),
-    # transit into/out of the block section must match the local load/unload
-    # until the block is removed.
-    for k, blk in enumerate(blocks, start=1):
-        s = blk.section
-        for h in hs:
-            for t in steps:
-                for d, side in zip(DIRECTIONS, "LR"):
-                    for tag, transit, local in (
-                            (f"{side}I", names.transit(h, t, s - d, d),
-                             names.load(h, t, s, d)),
-                            (f"{side}O", names.transit(h, t, s, d),
-                             names.unload(h, t, s, d))):
-                        if t == 0:
-                            # Nothing is removed before construction starts.
-                            asm.row(f"B{tag}E_{k}_{h}_{t}",
-                                    [(transit, 1.0), (local, -1.0)], "=", 0.0)
-                            continue
-                        if sos1:
-                            # Finite slack bound keeps the set convertible to
-                            # binaries by solvers without native SOS support.
-                            slack = asm.var(f"BS_{tag}_{k}_{h}_{t}", 0.0, m_flow)
-                            asm.add_sos(f"SB_{tag}_{k}_{h}_{t}", 1,
-                                        [(slack, 1.0), (f"W_{k}_{t - 1}", 2.0)])
-                            release = (slack, -1.0)
-                        else:
-                            release = (removal(k, t - 1), -m_flow)
-                        asm.row(f"B{tag}P_{k}_{h}_{t}",
-                                [(transit, 1.0), (local, -1.0), release],
-                                "<=", 0.0)
-                        asm.row(f"B{tag}N_{k}_{h}_{t}",
-                                [(transit, -1.0), (local, 1.0), release],
-                                "<=", 0.0)
+        # Finite slack bound keeps the set convertible to binaries by
+        # solvers without native SOS support.
+        sets = [(f"{tag}_{k}_{h}_{t}", f"W_{k}_{t - 1}")
+                for k, h, t in keys if t for tag in tags]
+        first = asm.columns([f"BS_{key}" for key, _ in sets],
+                            np.zeros(len(sets)), np.full(len(sets), m_flow))
+        for key, complement in sets:
+            asm.add_sos(f"SB_{key}", 1,
+                        [(f"BS_{key}", 1.0), (complement, 2.0)])
+        release = first + np.arange(len(sets)).reshape(pn.shape[:-1])
+        release_coeff = -1.0
+    else:  # Y_k_<t-1> releases step t
+        release, release_coeff = y[:, None, :-1, None, None], -m_flow
+    sign = np.array([1.0, -1.0])  # P, N
+    asm.bulk_rows(
+        [(f"B{tag}{kind}_{k}_{h}_{t}", "<=" if t else "=", 0.0)
+         for k, h, t in keys for tag in tags for kind in ("PN" if t else "E")],
+        [(e, flow[:, :, 0], 1.0), (e, local[:, :, 0], -1.0),
+         (pn, flow[:, :, 1:, ..., None], sign),
+         (pn, local[:, :, 1:, ..., None], -sign),
+         (pn, release[..., None], release_coeff)])
 
     # Region gating: all movement inside regions sealed off by unremoved
     # blocks (no access road) is forbidden until a sealing block is removed.
-    pairs, left_set, right_set = block_access_sets(instance)
-
-    def gate(row_name: str, flow: str, ks: tuple[int, ...], t: int) -> None:
-        coeffs: list[tuple[str, float]] = [(flow, 1.0)]
-        if t >= 1:
-            coeffs += [(removal(k, t - 1), -m_flow) for k in ks]
-        asm.row(row_name, coeffs, "<=", 0.0)
-
     def region(tag: str, ks: tuple[int, ...], lo_arc: int, hi_arc: int,
                pit_ok, key: str) -> None:
         # lo_arc..hi_arc: transit arcs (i, i+1) with lo_arc <= i, i+1 <= hi_arc
-        for h in hs:
-            for t in steps:
-                for i in range(lo_arc, hi_arc):
-                    gate(f"G{tag}R_{key}_{h}_{t}_{i}",
-                         names.transit(h, t, i, 1), ks, t)
-                    gate(f"G{tag}L_{key}_{h}_{t}_{i}",
-                         names.transit(h, t, i + 1, -1), ks, t)
-                # Row tags name the arc's end: P for section+1, M for -1.
-                for j, pit in enumerate(instance.borrow_pits, start=1):
-                    if pit_ok(pit.attached_section):
-                        for d, end in zip(DIRECTIONS, "PM"):
-                            gate(f"G{tag}B{end}_{key}_{h}_{t}_{j}",
-                                 names.borrow(h, t, j, d), ks, t)
-                for w, pit in enumerate(instance.waste_pits, start=1):
-                    if pit_ok(pit.attached_section):
-                        for d, end in zip(DIRECTIONS, "MP"):
-                            gate(f"G{tag}W{end}_{key}_{h}_{t}_{w}",
-                                 names.waste(h, t, w, d), ks, t)
+        # on both chains, then both arcs of each admitted pit. Row tags name
+        # the arc's end: P for section+1, M for -1.
+        ok_borrow = np.array([pit_ok(p.attached_section)
+                              for p in instance.borrow_pits], bool)
+        ok_waste = np.array([pit_ok(p.attached_section)
+                             for p in instance.waste_pits], bool)
+        arcs = np.concatenate(
+            [np.stack([transit[:, :, lo_arc - 1:hi_arc - 1, 0],
+                       transit[:, :, lo_arc:hi_arc, 1]], -1),
+             borrow[:, :, ok_borrow], waste[:, :, ok_waste]], axis=2)
+        ends = [(arc, i) for i in range(lo_arc, hi_arc) for arc in "RL"]
+        ends += [(f"B{end}", j + 1) for j in np.flatnonzero(ok_borrow).tolist()
+                 for end in "PM"]
+        ends += [(f"W{end}", w + 1) for w in np.flatnonzero(ok_waste).tolist()
+                 for end in "MP"]
+        rows = np.arange(arcs.size).reshape(arcs.shape)
+        asm.bulk_rows(
+            [(f"G{tag}{arc}_{key}_{h}_{t}_{i}", "<=", 0.0)
+             for h in range(1, n_hauls + 1) for t in range(n_steps)
+             for arc, i in ends],
+            [(rows, arcs, 1.0)]
+            + [(rows[:, 1:], y[k - 1, :-1, None, None], -m_flow) for k in ks])
 
+    pairs, left_set, right_set = block_access_sets(instance)
     for k1, k2 in pairs:
-        s1, s2 = blocks[k1 - 1].section, blocks[k2 - 1].section
+        s1, s2 = sections[k1 - 1], sections[k2 - 1]
         region("2", (k1, k2), s1, s2,
                lambda sec: s1 <= sec - 1 and sec + 1 <= s2, f"{k1}_{k2}")
     for k in left_set:
-        s = blocks[k - 1].section
+        s = sections[k - 1]
         region("L", (k,), 1, s, lambda sec: sec + 1 <= s, str(k))
     for k in right_set:
-        s = blocks[k - 1].section
-        region("R", (k,), s, n, lambda sec: s <= sec - 1, str(k))
+        s = sections[k - 1]
+        region("R", (k,), s, instance.n, lambda sec: s <= sec - 1, str(k))
 
     # Removal indicators: a block may be flagged removed at step u only once
-    # its section's full cut and fill have been moved by then.
-    for k, blk in enumerate(blocks, start=1):
-        s = blk.section
-        m_vol = big_m(instance, s, config.volume_mode)
-        for u in steps:
-            cut_terms: dict[str, float] = {}
-            fill_terms: dict[str, float] = {}
-            for h in hs:
-                for t in range(u + 1):
-                    for d in DIRECTIONS:
-                        cut_terms[names.unload(h, t, s, d)] = 1.0
-                        fill_terms[names.load(h, t, s, d)] = 1.0
-            cut_terms[names.cut(s)] = -1.0
-            cut_terms[removal(k, u)] = -m_vol
-            asm.row(f"RIC_{k}_{u}", cut_terms, ">=", -m_vol)
-            fill_terms[names.fill(s)] = -1.0
-            fill_terms[removal(k, u)] = -m_vol
-            asm.row(f"RIF_{k}_{u}", fill_terms, ">=", -m_vol)
+    # its section's full cut and fill have been moved by then. RIC_k_u and
+    # RIF_k_u alternate, block by block.
+    m_vol = np.array([big_m(instance, s, config.volume_mode)
+                      for s in sections])
+    ric = 2 * np.arange(y.size).reshape(y.shape)
+    parts = []
+    for row, arcs, volume in ((ric, unload, names.cut),
+                              (ric + 1, load, names.fill)):
+        moved = at_blocks(arcs)
+        parts += [(row[:, u, None, None, None], moved[:, :, :u + 1], 1.0)
+                  for u in range(n_steps)]
+        parts += [(row, [[asm.column(volume(s))] for s in sections], -1.0),
+                  (row, y, -m_vol[:, None])]
+    asm.bulk_rows([(f"RI{kind}_{k}_{u}", ">=", -m)
+                   for k, m in enumerate(m_vol.tolist(), start=1)
+                   for u in range(n_steps) for kind in "CF"], parts)
 
     # At least u blocks are removed by the end of step u; removal is final.
     for u in range(1, n_blocks + 1):
         asm.row(f"ENF_{u}",
-                {removal(k, u): 1.0 for k in range(1, n_blocks + 1)}, ">=", float(u))
+                [(removal(k, u), 1.0) for k in range(1, n_blocks + 1)],
+                ">=", float(u))
     for k in range(1, n_blocks + 1):
         for t in range(1, n_blocks + 1):
             asm.row(f"MON_{k}_{t}",
@@ -992,19 +978,20 @@ def build_ctg(instance: RoadInstance,
 
 def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
     """Pin every section offset, reducing the MILP to earthwork allocation."""
-    variables = model.variable_map
+    column = {name: c for c, name in enumerate(model.col_names)}
     n = 0
-    while ArcIndex.offset(n + 1) in variables:
+    while ArcIndex.offset(n + 1) in column:
         n += 1
     if len(offsets) != n:
         raise BuildError(f"need {n} offsets, got {len(offsets)}")
     fixed: list[LinearConstraint] = []
     for i, value in enumerate(offsets, start=1):
         name = ArcIndex.offset(i)
-        var = variables[name]
-        if not var.lower - 1e-9 <= value <= var.upper + 1e-9:
+        lower = model.col_lower[column[name]].item()
+        upper = model.col_upper[column[name]].item()
+        if not lower - 1e-9 <= value <= upper + 1e-9:
             raise BuildError(
-                f"offset {value} outside bounds [{var.lower}, {var.upper}] "
+                f"offset {value} outside bounds [{lower}, {upper}] "
                 f"of section {i}")
         fixed.append(LinearConstraint(f"FIX_{i}", ((name, 1.0),), "=", value))
     out = MilpModel(model.name, model.variables,

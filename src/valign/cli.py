@@ -2,8 +2,8 @@
 
 Subcommands: validate, build, solve, oracle, bench, report.
 
-Exit codes are a stable scripting contract: 0 success, 1 validation or
-optimization failure, 2 usage error, 3 solver failure, 4 timeout.
+Exit codes are a stable scripting contract: 0 success, 1 validation,
+re-pricing or optimization failure, 2 usage error, 3 solver failure, 4 timeout.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from valign.instance_io import (
 )
 from valign.mps import emit_mps
 from valign.oracle import OracleInfeasible, allocation_cost, enumerate_optimal
-from valign.validate import recompute_cost, validate
+from valign.validate import recompute_cost, repricing_error, validate
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -48,10 +48,6 @@ EXIT_TIMEOUT = 4
 def _fail(message: str, code: int) -> int:
     print(f"valign: {message}", file=sys.stderr)
     return code
-
-
-def _load_instance(path: str) -> RoadInstance:
-    return parse_instance(path)
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -111,7 +107,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     try:
-        instance = _load_instance(args.instance)
+        instance = parse_instance(args.instance)
     except InstanceError as exc:
         for line in str(exc).splitlines():
             print(line, file=sys.stderr)
@@ -130,7 +126,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_build(parser: argparse.ArgumentParser,
               args: argparse.Namespace) -> int:
     try:
-        instance = _load_instance(args.instance)
+        instance = parse_instance(args.instance)
         config = _config_from_flags(parser, args)
         model = build(instance, config)
         emit_mps(model, args.output)
@@ -166,7 +162,7 @@ def cmd_solve(parser: argparse.ArgumentParser,
               args: argparse.Namespace) -> int:
     command = _solver_command(parser, args)
     try:
-        instance = _load_instance(args.instance)
+        instance = parse_instance(args.instance)
         config = _config_from_flags(parser, args)
         model = build(instance, config)
     except (InstanceError, BuildError) as exc:
@@ -201,12 +197,15 @@ def cmd_solve(parser: argparse.ArgumentParser,
     else:
         sys.stdout.write(text)
     print(report.summary())
-    return EXIT_OK if report.passed else EXIT_INVALID
+    if not report.passed:
+        return EXIT_INVALID
+    mismatch = repricing_error(recomputed, result.objective)
+    return _fail(mismatch, EXIT_INVALID) if mismatch else EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     try:
-        instance = _load_instance(args.instance)
+        instance = parse_instance(args.instance)
     except InstanceError as exc:
         return _fail(str(exc), EXIT_INVALID)
     try:

@@ -14,9 +14,8 @@ no range); the matrix is one COO triple (row id, column id, value) in file
 order. The text is split into lines about a megabyte at a time, and each
 line's ids and values are appended to typed arrays, so no Python object per
 token lives longer than its piece of text; costs are summed into a typed
-array that grows with the columns. The per-name forms (row_sense,
-objective, integer, lower, upper, col_index) are read-only views built on
-demand. write_solution writes the solution in column order.
+array that grows with the columns. write_solution writes the solution in
+column order.
 
 solve_arrays is the one seam to HiGHS: cost, column bounds, integrality, a
 CSC matrix and row bounds in; status word, objective and x out. It passes
@@ -94,35 +93,6 @@ class ParsedMps:
     row_range: np.ndarray
     entries: np.ndarray
     sos_sets: list[tuple[int, str, list[tuple[int, float]]]]
-
-    @property
-    def row_sense(self) -> dict[str, str]:
-        """Row name -> L/G/E."""
-        return dict(zip(self.row_order, self.senses.tolist()))
-
-    @property
-    def objective(self) -> dict[str, float]:
-        """Column name -> cost, for the nonzero costs."""
-        priced = np.flatnonzero(self.cost)
-        return dict(zip([self.columns[c] for c in priced.tolist()],
-                        self.cost[priced].tolist()))
-
-    @property
-    def integer(self) -> set[str]:
-        return {self.columns[c]
-                for c in np.flatnonzero(self.col_integer).tolist()}
-
-    @property
-    def lower(self) -> dict[str, float]:
-        return dict(zip(self.columns, self.col_lower.tolist()))
-
-    @property
-    def upper(self) -> dict[str, float]:
-        return dict(zip(self.columns, self.col_upper.tolist()))
-
-    @property
-    def col_index(self) -> dict[str, int]:
-        return {name: c for c, name in enumerate(self.columns)}
 
 
 def parse_mps(text: str) -> ParsedMps:

@@ -306,6 +306,15 @@ def _check_ctg_flows(instance, names, result, hits) -> None:
     hits("bounds", np.maximum(0.0, -flows))
 
 
+def repricing_error(recomputed: float, objective: float) -> str:
+    """Why a re-priced cost disagrees with the solver's objective, or ""
+    when the two agree to 1e-5 relative (1e-5 absolute below 1); a NaN on
+    either side disagrees."""
+    if abs(recomputed - objective) <= 1e-5 * max(1.0, abs(objective)):
+        return ""
+    return f"recomputed cost {recomputed!r} != objective {objective!r}"
+
+
 def recompute_cost(instance: RoadInstance, config: BuilderConfig,
                    result: AlignmentResult) -> float:
     """Objective re-derived from the decoded result's flows and volumes."""

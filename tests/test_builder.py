@@ -3,7 +3,9 @@
 import ast
 import math
 import pathlib
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import valign
@@ -15,6 +17,7 @@ from valign.builder import (
     QNF_COST_PAIRS,
     SosSet,
     Variable,
+    _Assembler,
     build,
     effective_hauls,
     fix_offsets,
@@ -138,6 +141,20 @@ def test_named_config_rejects_unknown():
         named_config("FOO-B")
 
 
+def test_zero_big_m_coefficient_is_written_positive_zero():
+    # A block section whose offset window is 0..0 has a big-M of 0, so its
+    # RIC/RIF rows carry a -0.0 coefficient unless it is normalised.
+    inst = make_instance([100.0, 100.0, 101.0, 100.0, 100.0],
+                         areas=[10.0] * 5, offset=4.0, blocks=[3],
+                         access=[1, 5])
+    sections = list(inst.sections)
+    sections[2] = replace(sections[2], offset_lo=0.0, offset_hi=0.0)
+    model = build(replace(inst, sections=tuple(sections)),
+                  named_config("MQN-B"))
+    zeros = model.coo_val[model.coo_val == 0.0]
+    assert zeros.size and not np.signbit(zeros).any()
+
+
 def test_fix_offsets_adds_rows_and_checks_bounds():
     inst = make_instance([100.0] * 3, offset=2.0)
     model = build(inst, single_haul_config())
@@ -145,10 +162,11 @@ def test_fix_offsets_adds_rows_and_checks_bounds():
     extra = [c for c in fixed.constraints if c.name.startswith("FIX_")]
     assert len(extra) == 3
     assert all(c.sense == "=" for c in extra)
-    with pytest.raises(BuildError):
-        fix_offsets(model, (3.0, 0.0, 0.0))  # outside the offset window
-    with pytest.raises(BuildError):
-        fix_offsets(model, (0.0, 0.0))  # wrong arity
+    with pytest.raises(BuildError, match=r"offset 3.0 outside bounds "
+                       r"\[-2.0, 2.0\] of section 1"):
+        fix_offsets(model, (3.0, 0.0, 0.0))
+    with pytest.raises(BuildError, match="need 3 offsets, got 2"):
+        fix_offsets(model, (0.0, 0.0))
 
 
 def test_objective_sense_and_provenance():
@@ -211,6 +229,16 @@ X, Y = Variable("x", upper=4.0), Variable("y", "binary", 0.0, 1.0)
 def test_lint_rejects_defects(message, variables, rows, objective, sos):
     with pytest.raises(BuildError, match=message):
         emit_mps_text(MilpModel("bad", variables, rows, sos, objective))
+
+
+def test_name_declared_in_bulk_and_by_var_is_rejected():
+    # var looks up only the names var declared; a clash with a column
+    # declared in bulk is caught when the model is finished.
+    asm = _Assembler("clash")
+    asm.columns(["x"], np.zeros(1), np.ones(1))
+    asm.var("x")
+    with pytest.raises(BuildError, match="variable x declared twice"):
+        asm.finish(())
 
 
 # Prefixes of the model's variable names (see the builder module docstring).

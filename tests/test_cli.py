@@ -274,3 +274,18 @@ def test_solve_non_finite_solution_value(two_node_path, capsys):
     rc = main(["solve", two_node_path, "--solver", nan_solver])
     assert rc == 3
     assert "non-finite value nan for U_1" in capsys.readouterr().err
+
+
+def test_solve_rejects_repricing_mismatch(two_node_path, tmp_path,
+                                          monkeypatch, capsys):
+    # A plan that validates but whose independent re-pricing disagrees with
+    # the solver's objective is not accepted; the result is still written.
+    import valign.cli
+    true_cost = valign.cli.recompute_cost
+    monkeypatch.setattr(valign.cli, "recompute_cost",
+                        lambda *args: true_cost(*args) + 1.0)
+    out = tmp_path / "result.txt"
+    rc = main(["solve", two_node_path, *SOLVER_ARGS, "-o", str(out)])
+    assert rc == 1
+    assert "validation pass" in out.read_text()
+    assert "valign: recomputed cost" in capsys.readouterr().err

@@ -70,12 +70,13 @@ def write(tmp_path, text, name="m.mps"):
 
 def test_parse_shapes():
     parsed = parse_mps(TOY_MPS)
-    assert parsed.row_sense == {"cap": "L", "floor": "G", "tie": "E"}
-    assert parsed.objective == {"x": 1.0, "b": -3.0}
-    assert parsed.integer == {"b"}
-    assert parsed.lower["y"] == -math.inf
-    assert parsed.upper["y"] == 5.0
-    assert parsed.upper["b"] == 1.0
+    assert parsed.columns == ["x", "b", "y"]
+    assert parsed.row_order == ["cap", "floor", "tie"]
+    assert parsed.senses.tolist() == ["L", "G", "E"]
+    assert parsed.cost.tolist() == [1.0, -3.0, 0.0]
+    assert parsed.col_integer.tolist() == [False, True, False]
+    assert parsed.col_lower.tolist() == [0.0, 0.0, -math.inf]
+    assert parsed.col_upper.tolist() == [10.0, 1.0, 5.0]
 
 
 def test_parse_rejects_garbage():
@@ -86,7 +87,7 @@ def test_parse_rejects_garbage():
 
 
 def val(parsed, values, name):
-    return values[parsed.col_index[name]]
+    return values[parsed.columns.index(name)]
 
 
 def test_solve_toy_milp():
@@ -564,7 +565,7 @@ def test_sos2_binarize_links_adjacent_segments():
     binarize_sos(parsed)
     assert not parsed.sos_sets
     assert parsed.columns == ["a", "b", "c", "_SOSB_1_1", "_SOSB_1_2"]
-    assert parsed.integer == {"_SOSB_1_1", "_SOSB_1_2"}
+    assert parsed.col_integer.tolist() == [False] * 3 + [True] * 2
     assert parsed.row_order == ["need", "_SOSC_1", "_SOSL_1_1U", "_SOSL_1_2U",
                                 "_SOSL_1_3U", "_SOSL_1_3L"]
     assert parsed.senses.tolist() == ["G", "E", "L", "L", "L", "G"]

@@ -55,8 +55,7 @@ def solve_in_process(instance, config_name):
     parsed = milp_solve.parse_mps(emit_mps_text(model))
     status, objective, x = milp_solve.solve_parsed(parsed, 60.0, GAP)
     assert status == "optimal", status
-    values = {name: float(x[parsed.col_index[name]])
-              for name in parsed.columns}
+    values = dict(zip(parsed.columns, x.tolist()))
     solution = Solution(status, objective, values, 0.0)
     return config, decode(solution, instance, config, model=model)
 
