@@ -15,11 +15,10 @@ direction d (+1 rightward, -1 leftward), and the pit arcs
 FB/FW_<h>_<t>_<pit>_<dir>. Pit volume variables and CTG pit nodes use node
 indices n+j (borrow) and n+n_borrow+k (waste).
 
-A MilpModel is columnar: one entry per column in col_names, col_lower,
-col_upper, col_binary and cost; one per row in row_names, row_sense, row_rhs
-and row_range (NaN where a row has no range); the matrix as one COO triple
-(coo_row, coo_col, coo_val) in row-declaration order, each row's entries in
-the order they were declared.
+A MilpModel has the columnar layout of milp_solve.ColumnarModel, the one
+the bundled adapter parses MPS files into and hands to HiGHS. Its integer
+columns are all binary, and its matrix entries come in row-declaration
+order, each row's entries in the order they were declared.
 
 Every model is assembled by _Assembler, its flow columns declared at once
 from an ArcIndex grid: ctg_arcs puts the X arcs on the (supply node, demand
@@ -49,6 +48,7 @@ from valign.instance import (
     cheapest_haul_costs,
     global_big_m,
 )
+from valign.milp_solve import ENTRY, ColumnarModel, entry_records
 
 
 class BuildError(ValueError):
@@ -65,15 +65,15 @@ class Variable:
 
 @dataclass(frozen=True, slots=True)
 class LinearConstraint:
-    """Row: sum(coeff * var) <sense> rhs.
+    """Row: sum(coeff * var) <sense> rhs, sense L (<=), E (=) or G (>=).
 
-    A ranged row (rhs_range is not None, sense "<=") additionally satisfies
+    A ranged row (rhs_range is not None, sense L) additionally satisfies
     expr >= rhs - rhs_range.
     """
 
     name: str
     coeffs: tuple[tuple[str, float], ...]
-    sense: str                  # "<=" | "=" | ">="
+    sense: str                  # "L" | "E" | "G"
     rhs: float
     rhs_range: float | None = None
 
@@ -97,22 +97,33 @@ def _repeated(names: Sequence[str]) -> str | None:
     return None
 
 
-class MilpModel:
-    """A MILP stored column by column, as the module docstring lays out.
+@dataclass(eq=False)
+class MilpModel(ColumnarModel):
+    """A MILP in the columnar layout the module docstring describes, with
+    its objective sense and provenance.
 
     The arrays are read-only; variables, constraints, objective and
-    binary_count are views built from them. The constructor takes the
-    object form (Variable, LinearConstraint, SosSet and (name, cost)
-    pairs), as hand-built and extended models do; the builders use
-    _Assembler directly.
+    binary_count are views built from them. from_objects takes the object
+    form (Variable, LinearConstraint, SosSet and (name, cost) pairs), as
+    hand-built models do; the builders use _Assembler directly.
     """
 
-    def __init__(self, name: str, variables: Iterable[Variable] = (),
-                 constraints: Iterable[LinearConstraint] = (),
-                 sos_sets: Iterable[SosSet] = (),
-                 objective: Iterable[tuple[str, float]] = (),
-                 sense: str = "min",
-                 provenance: Iterable[tuple[str, str]] = ()):
+    sense: str = "min"
+    provenance: tuple[tuple[str, str], ...] = ()
+
+    def __post_init__(self):
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        self._lint_passed = False
+
+    @classmethod
+    def from_objects(cls, name: str, variables: Iterable[Variable] = (),
+                     constraints: Iterable[LinearConstraint] = (),
+                     sos_sets: Iterable[SosSet] = (),
+                     objective: Iterable[tuple[str, float]] = (),
+                     sense: str = "min",
+                     provenance: Iterable[tuple[str, str]] = ()) -> MilpModel:
         asm = _Assembler(name, sense)
         for v in variables:
             asm.var(v.name, v.lower, v.upper, v.kind)
@@ -121,23 +132,28 @@ class MilpModel:
         for row in constraints:
             asm.row(row.name, row.coeffs, row.sense, row.rhs, row.rhs_range)
         for sos in sos_sets:
-            asm.add_sos(sos.name, sos.sos_type, sos.members)
-        asm.fill(self, provenance)
+            cols = [asm.column(var) for var, _ in sos.members]
+            if None in cols:
+                raise BuildError(f"SOS set {sos.name}: unknown variable "
+                                 f"{sos.members[cols.index(None)][0]}")
+            asm.add_sos(sos.name, sos.sos_type,
+                        zip(cols, [weight for _, weight in sos.members]))
+        return asm.model(provenance)
 
     @cached_property
     def variables(self) -> tuple[Variable, ...]:
         kinds = ("continuous", "binary")
         return tuple(
             Variable(name, kinds[binary], lo, hi) for name, binary, lo, hi
-            in zip(self.col_names, self.col_binary.tolist(),
+            in zip(self.columns, self.col_integer.tolist(),
                    self.col_lower.tolist(), self.col_upper.tolist()))
 
     @cached_property
     def constraints(self) -> tuple[LinearConstraint, ...]:
-        names = self.col_names
-        bounds = np.searchsorted(self.coo_row,
-                                 np.arange(len(self.row_names) + 1)).tolist()
-        cols, vals = self.coo_col.tolist(), self.coo_val.tolist()
+        names, entries = self.columns, self.entries
+        bounds = np.searchsorted(entries["row"],
+                                 np.arange(len(self.row_order) + 1)).tolist()
+        cols, vals = entries["col"].tolist(), entries["value"].tolist()
         return tuple(
             LinearConstraint(
                 row, tuple((names[c], v) for c, v in zip(
@@ -145,18 +161,18 @@ class MilpModel:
                     vals[bounds[r]:bounds[r + 1]])),
                 sense, rhs, None if math.isnan(rng) else rng)
             for r, (row, sense, rhs, rng) in enumerate(zip(
-                self.row_names, self.row_sense, self.row_rhs.tolist(),
+                self.row_order, self.senses.tolist(), self.row_rhs.tolist(),
                 self.row_range.tolist())))
 
     @cached_property
     def objective(self) -> tuple[tuple[str, float], ...]:
         priced = np.flatnonzero(self.cost)
-        return tuple(zip([self.col_names[c] for c in priced.tolist()],
+        return tuple(zip([self.columns[c] for c in priced.tolist()],
                          self.cost[priced].tolist()))
 
     @property
     def binary_count(self) -> int:
-        return int(np.count_nonzero(self.col_binary))
+        return int(np.count_nonzero(self.col_integer))
 
     def lint(self) -> None:
         """Check referential integrity; raises BuildError on any defect.
@@ -165,50 +181,46 @@ class MilpModel:
         """
         if self._lint_passed:
             return
-        names = self.col_names
+        names = self.columns
         repeat = _repeated(names)
         if repeat is not None:
             raise BuildError(f"variable {repeat} declared twice")
         for bad, what in ((self.col_lower > self.col_upper, "lower > upper"),
-                          (self.col_binary & ((self.col_lower < 0)
-                                              | (self.col_upper > 1)),
+                          (self.col_integer & ((self.col_lower < 0)
+                                               | (self.col_upper > 1)),
                            "binary outside [0,1]")):
             if bad.any():
                 raise BuildError(
                     f"variable {names[int(np.argmax(bad))]}: {what}")
-        rows = self.row_names
+        rows = self.row_order
         repeat = _repeated(rows)
         if repeat is not None:
             raise BuildError(f"row {repeat} declared twice")
-        outside = (self.coo_col < 0) | (self.coo_col >= len(names))
+        row, col = self.entries["row"], self.entries["col"]
+        outside = (col < 0) | (col >= len(names))
         if outside.any():
             at = int(np.argmax(outside))
-            raise BuildError(f"row {rows[self.coo_row[at]]}: unknown "
-                             f"variable {int(self.coo_col[at])}")
-        keys = np.sort(self.coo_row * len(names) + self.coo_col)
+            raise BuildError(f"row {rows[row[at]]}: unknown "
+                             f"variable {int(col[at])}")
+        keys = np.sort(row * len(names) + col)
         repeated = keys[1:] == keys[:-1]
         if repeated.any():
-            row, col = divmod(int(keys[1:][repeated][0]), len(names))
-            raise BuildError(f"row {rows[row]}: duplicate variable "
-                             f"{names[col]}")
-        bad = ~np.isfinite(self.coo_val)
+            r, c = divmod(int(keys[1:][repeated][0]), len(names))
+            raise BuildError(f"row {rows[r]}: duplicate variable {names[c]}")
+        bad = ~np.isfinite(self.entries["value"])
         if bad.any():
-            raise BuildError(f"row {rows[self.coo_row[np.argmax(bad)]]}: "
+            raise BuildError(f"row {rows[row[np.argmax(bad)]]}: "
                              "non-finite coefficient")
         bad = ~np.isfinite(self.cost)
         if bad.any():
             raise BuildError("objective: non-finite cost on "
                              f"{names[int(np.argmax(bad))]}")
-        known = set(names) if self.sos_sets else ()
-        for sos in self.sos_sets:
-            if len(sos.members) < 2:
-                raise BuildError(f"SOS set {sos.name}: needs >= 2 members")
-            weights = [w for _, w in sos.members]
+        for _, name, members in self.sos_sets:
+            if len(members) < 2:
+                raise BuildError(f"SOS set {name}: needs >= 2 members")
+            weights = [w for _, w in members]
             if len(set(weights)) != len(weights):
-                raise BuildError(f"SOS set {sos.name}: duplicate weights")
-            for var, _ in sos.members:
-                if var not in known:
-                    raise BuildError(f"SOS set {sos.name}: unknown variable {var}")
+                raise BuildError(f"SOS set {name}: duplicate weights")
         self._lint_passed = True
 
 
@@ -234,8 +246,14 @@ class BuilderConfig:
             raise BuildError(f"unknown block technique {self.block_technique!r}")
         if self.volume_mode not in VOLUME_MODES:
             raise BuildError(f"unknown volume mode {self.volume_mode!r}")
+        hauls = self.haul_subset
+        if hauls is not None and not (
+                isinstance(hauls, tuple) and hauls
+                and all(isinstance(h, HaulClass) for h in hauls)):
+            raise BuildError("haul_subset must be None or a non-empty tuple "
+                             f"of HaulClass, got {hauls!r}")
         if self.model == "QNF":
-            if self.haul_subset is None or len(self.haul_subset) != 1:
+            if hauls is None or len(hauls) != 1:
                 raise BuildError("QNF requires exactly one haul class")
 
 
@@ -427,16 +445,14 @@ class _Assembler:
         self.cost: list[float] = []
         self.row_names: list[str] = []
         self.row_set: set[str] = set()
-        self.row_sense: list[str] = []
+        self.senses: list[str] = []
         self.rhs: list[float] = []
         self.rhs_range: list[float] = []
-        # Matrix entries: whole array chunks, then the entries of the rows
-        # declared one at a time since the last chunk.
-        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.coo_row: list[int] = []
-        self.coo_col: list[int] = []
-        self.coo_val: list[float] = []
-        self.sos: list[SosSet] = []
+        # Matrix entries: ENTRY arrays, then the entries of the rows
+        # declared one at a time since the last array.
+        self.chunks: list[np.ndarray] = []
+        self.pending: list[tuple[int, int, float]] = []
+        self.sos: list[tuple[int, str, tuple[tuple[int, float], ...]]] = []
 
     def column(self, name: str) -> int | None:
         """Column id of a name var declared. Columns declared in bulk are
@@ -477,9 +493,11 @@ class _Assembler:
                  rhs_range: float | None) -> int:
         if name in self.row_set:
             raise BuildError(f"row {name} declared twice")
+        if sense not in ("L", "E", "G"):
+            raise BuildError(f"row {name}: unknown sense {sense!r}")
         self.row_set.add(name)
         self.row_names.append(name)
-        self.row_sense.append(sense)
+        self.senses.append(sense)
         self.rhs.append(rhs)
         self.rhs_range.append(math.nan if rhs_range is None else rhs_range)
         return len(self.row_names) - 1
@@ -495,9 +513,7 @@ class _Assembler:
                 raise BuildError(f"row {name}: duplicate variable {var}")
             entries[col] = 0.0 + coeff  # a -0.0 coefficient is written 0.0
         r = self._new_row(name, sense, rhs, rhs_range)
-        self.coo_row.extend([r] * len(entries))
-        self.coo_col.extend(entries)
-        self.coo_val.extend(entries.values())
+        self.pending += [(r, col, value) for col, value in entries.items()]
 
     def bulk_rows(self, rows: Iterable[tuple[str, str, float]],
                   parts: Sequence[tuple]) -> None:
@@ -515,54 +531,33 @@ class _Assembler:
         order = np.argsort(row, kind="stable")
         self._flush()
         # + 0.0: a -0.0 coefficient is written 0.0, as row writes it
-        self.chunks.append((first + row[order], col[order].astype(np.int64),
-                            np.add(val[order], 0.0, dtype=np.float64)))
+        self.chunks.append(entry_records(first + row[order], col[order],
+                                         np.add(val[order], 0.0)))
 
     def _flush(self) -> None:
-        if self.coo_row:
-            self.chunks.append((np.array(self.coo_row, dtype=np.int64),
-                                np.array(self.coo_col, dtype=np.int64),
-                                np.array(self.coo_val, dtype=np.float64)))
-            self.coo_row, self.coo_col, self.coo_val = [], [], []
+        if self.pending:
+            self.chunks.append(np.array(self.pending, ENTRY))
+            self.pending = []
 
     def add_sos(self, name: str, sos_type: int,
-                members: Sequence[tuple[str, float]]) -> None:
-        self.sos.append(SosSet(name, sos_type, tuple(members)))
+                members: Iterable[tuple[int, float]]) -> None:
+        """Declare an SOS set by its members' column ids and weights."""
+        self.sos.append((sos_type, name, tuple(members)))
 
-    def fill(self, model: MilpModel,
-             provenance: Iterable[tuple[str, str]]) -> None:
-        """Store the declarations on model as read-only arrays."""
-        def frozen(values, dtype) -> np.ndarray:
-            array = np.asarray(values, dtype=dtype)
-            array.flags.writeable = False
-            return array
-
+    def model(self, provenance: Iterable[tuple[str, str]]) -> MilpModel:
+        """The declarations as a model of read-only arrays."""
         self._flush()
-        chunks = self.chunks or [(np.empty(0, np.int64), np.empty(0, np.int64),
-                                  np.empty(0))]
-        coo_row, coo_col, coo_val = (np.concatenate(part)
-                                     for part in zip(*chunks))
-        model.name = self.name
-        model.sense = self.sense
-        model.provenance = tuple(provenance)
-        model.col_names = tuple(self.col_names)
-        model.col_lower = frozen(self.lower, np.float64)
-        model.col_upper = frozen(self.upper, np.float64)
-        model.col_binary = frozen(self.binary, bool)
-        model.cost = frozen(self.cost, np.float64)
-        model.row_names = tuple(self.row_names)
-        model.row_sense = tuple(self.row_sense)
-        model.row_rhs = frozen(self.rhs, np.float64)
-        model.row_range = frozen(self.rhs_range, np.float64)
-        model.coo_row = frozen(coo_row, np.int64)
-        model.coo_col = frozen(coo_col, np.int64)
-        model.coo_val = frozen(coo_val, np.float64)
-        model.sos_sets = tuple(self.sos)
-        model._lint_passed = False
+        return MilpModel(
+            self.name, tuple(self.col_names), np.array(self.cost, np.float64),
+            np.array(self.lower, np.float64), np.array(self.upper, np.float64),
+            np.array(self.binary, bool), tuple(self.row_names),
+            np.array(self.senses, "U"), np.array(self.rhs, np.float64),
+            np.array(self.rhs_range, np.float64),
+            np.concatenate(self.chunks or [np.empty(0, ENTRY)]),
+            tuple(self.sos), self.sense, tuple(provenance))
 
     def finish(self, provenance: Sequence[tuple[str, str]]) -> MilpModel:
-        model = MilpModel.__new__(MilpModel)
-        self.fill(model, provenance)
+        model = self.model(provenance)
         model.lint()
         return model
 
@@ -607,14 +602,14 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
         asm.row(f"OFF_{i}",
                 [(offset(i), 1.0), (coeff(g, 1), 1.0), (coeff(g, 2), sigma),
                  (coeff(g, 3), sigma * sigma)],
-                "=", instance.section(i).ground_elevation)
+                "E", instance.section(i).ground_elevation)
 
     if volume_mode == "linear":
         for i in range(1, instance.n + 1):
             asm.row(f"VOL_{i}",
                     [(cut(i), 1.0), (fill(i), -1.0),
                      (offset(i), -instance.section(i).area)],
-                    "=", 0.0)
+                    "E", 0.0)
     else:
         missing = [i for i in range(1, instance.n + 1)
                    if i not in instance.curve_by_section]
@@ -626,26 +621,27 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
             curve = instance.curve_by_section[i]
             breaks = len(curve.offsets)
             lams = [asm.var(f"LAM_{i}_{b}", 0.0, 1.0) for b in range(1, breaks + 1)]
-            asm.row(f"PWS_{i}", [(lam, 1.0) for lam in lams], "=", 1.0)
+            asm.row(f"PWS_{i}", [(lam, 1.0) for lam in lams], "E", 1.0)
             asm.row(f"PWU_{i}",
                     [(offset(i), 1.0)] + [(lam, -off) for lam, off
                                          in zip(lams, curve.offsets)],
-                    "=", 0.0)
+                    "E", 0.0)
             asm.row(f"PWC_{i}",
                     [(cut(i), 1.0)] + [(lam, -c) for lam, c
                                           in zip(lams, curve.cut)],
-                    "=", 0.0)
+                    "E", 0.0)
             asm.row(f"PWF_{i}",
                     [(fill(i), 1.0)] + [(lam, -fl) for lam, fl
                                           in zip(lams, curve.fill)],
-                    "=", 0.0)
+                    "E", 0.0)
             if volume_mode == "piecewise-sos2":
                 asm.add_sos(f"SV_{i}", 2,
-                            [(lam, off) for lam, off in zip(lams, curve.offsets)])
+                            [(asm.column(lam), off)
+                             for lam, off in zip(lams, curve.offsets)])
             else:
                 zs = [asm.var(f"Z_{i}_{b}", 0.0, 1.0, kind="binary")
                       for b in range(1, breaks)]
-                asm.row(f"PWZ_{i}", [(z, 1.0) for z in zs], "=", 1.0)
+                asm.row(f"PWZ_{i}", [(z, 1.0) for z in zs], "E", 1.0)
                 for b in range(1, breaks + 1):
                     adjacent = []
                     if b >= 2:
@@ -653,7 +649,7 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
                     if b <= breaks - 1:
                         adjacent.append((zs[b - 1], -1.0))
                     asm.row(f"PWA_{i}_{b}", [(lams[b - 1], 1.0)] + adjacent,
-                            "<=", 0.0)
+                            "L", 0.0)
 
     # Continuity at each internal boundary: segment g-1 evaluated at its far
     # end equals segment g at its origin (local coordinate 0).
@@ -663,11 +659,11 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
         asm.row(f"C0_{g}",
                 [(coeff(g - 1, 1), 1.0), (coeff(g - 1, 2), span),
                  (coeff(g - 1, 3), span * span), (coeff(g, 1), -1.0)],
-                "=", 0.0)
+                "E", 0.0)
         asm.row(f"C1_{g}",
                 [(coeff(g - 1, 2), 1.0), (coeff(g - 1, 3), 2.0 * span),
                  (coeff(g, 2), -1.0)],
-                "=", 0.0)
+                "E", 0.0)
 
     # Grade is affine per segment: bounding both endpoints bounds the segment.
     slope_range = instance.slope_hi - instance.slope_lo
@@ -675,9 +671,9 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
         start, end = instance.segment_span(g)
         span = end - start
         asm.row(f"SLP_{g}_S", [(coeff(g, 2), 1.0)],
-                "<=", instance.slope_hi, rhs_range=slope_range)
+                "L", instance.slope_hi, rhs_range=slope_range)
         asm.row(f"SLP_{g}_E", [(coeff(g, 2), 1.0), (coeff(g, 3), 2.0 * span)],
-                "<=", instance.slope_hi, rhs_range=slope_range)
+                "L", instance.slope_hi, rhs_range=slope_range)
 
 
 def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
@@ -736,7 +732,7 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     # transit in from i-d + unload + borrow = transit out + load + waste.
     node = np.arange(transit.size).reshape(transit.shape)
     asm.bulk_rows(
-        [(f"FC{chain}_{h}_{t}_{i}", "=", 0.0) for h in hs for t in steps
+        [(f"FC{chain}_{h}_{t}_{i}", "E", 0.0) for h in hs for t in steps
          for i in range(1, n + 1) for chain in "RL"],
         [(node[:, :, 1:, 0], transit[:, :, :-1, 0], 1.0),
          (node[:, :, :-1, 1], transit[:, :, 1:, 1], 1.0),
@@ -752,14 +748,14 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     # are BALC_i, BALF_i per section, then BALB_j, CAPB_j per borrow pit and
     # BALW_k, CAPW_k per waste pit.
     n_borrow = len(instance.borrow_pits)
-    rows = [(f"BAL{kind}_{i}", "=", 0.0)
+    rows = [(f"BAL{kind}_{i}", "E", 0.0)
             for i in range(1, n + 1) for kind in "CF"]
     rows += [(f"{tag}{kind}_{j}", sense, value)
              for kind, pits in (("B", instance.borrow_pits),
                                 ("W", instance.waste_pits))
              for j, pit in enumerate(pits, start=1)
-             for tag, sense, value in (("BAL", "=", 0.0),
-                                       ("CAP", "<=", pit.capacity))]
+             for tag, sense, value in (("BAL", "E", 0.0),
+                                       ("CAP", "L", pit.capacity))]
     parts = []
     for start, arcs, volume, capped in (
             (0, unload, names.cut, False), (1, load, names.fill, False),
@@ -822,23 +818,23 @@ def _block_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
             for u in range(n_blocks):
                 asm.var(f"W_{k}_{u}", 0.0, 1.0)
                 asm.row(f"WDEF_{k}_{u}",
-                        [(f"W_{k}_{u}", 1.0), (removal(k, u), 1.0)], "=", 1.0)
+                        [(f"W_{k}_{u}", 1.0), (removal(k, u), 1.0)], "E", 1.0)
         # Finite slack bound keeps the set convertible to binaries by
         # solvers without native SOS support.
         sets = [(f"{tag}_{k}_{h}_{t}", f"W_{k}_{t - 1}")
                 for k, h, t in keys if t for tag in tags]
         first = asm.columns([f"BS_{key}" for key, _ in sets],
                             np.zeros(len(sets)), np.full(len(sets), m_flow))
-        for key, complement in sets:
+        for col, (key, complement) in enumerate(sets, start=first):
             asm.add_sos(f"SB_{key}", 1,
-                        [(f"BS_{key}", 1.0), (complement, 2.0)])
+                        [(col, 1.0), (asm.column(complement), 2.0)])
         release = first + np.arange(len(sets)).reshape(pn.shape[:-1])
         release_coeff = -1.0
     else:  # Y_k_<t-1> releases step t
         release, release_coeff = y[:, None, :-1, None, None], -m_flow
     sign = np.array([1.0, -1.0])  # P, N
     asm.bulk_rows(
-        [(f"B{tag}{kind}_{k}_{h}_{t}", "<=" if t else "=", 0.0)
+        [(f"B{tag}{kind}_{k}_{h}_{t}", "L" if t else "E", 0.0)
          for k, h, t in keys for tag in tags for kind in ("PN" if t else "E")],
         [(e, flow[:, :, 0], 1.0), (e, local[:, :, 0], -1.0),
          (pn, flow[:, :, 1:, ..., None], sign),
@@ -867,7 +863,7 @@ def _block_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
                  for end in "MP"]
         rows = np.arange(arcs.size).reshape(arcs.shape)
         asm.bulk_rows(
-            [(f"G{tag}{arc}_{key}_{h}_{t}_{i}", "<=", 0.0)
+            [(f"G{tag}{arc}_{key}_{h}_{t}_{i}", "L", 0.0)
              for h in range(1, n_hauls + 1) for t in range(n_steps)
              for arc, i in ends],
             [(rows, arcs, 1.0)]
@@ -899,7 +895,7 @@ def _block_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
                   for u in range(n_steps)]
         parts += [(row, [[asm.column(volume(s))] for s in sections], -1.0),
                   (row, y, -m_vol[:, None])]
-    asm.bulk_rows([(f"RI{kind}_{k}_{u}", ">=", -m)
+    asm.bulk_rows([(f"RI{kind}_{k}_{u}", "G", -m)
                    for k, m in enumerate(m_vol.tolist(), start=1)
                    for u in range(n_steps) for kind in "CF"], parts)
 
@@ -907,11 +903,11 @@ def _block_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
     for u in range(1, n_blocks + 1):
         asm.row(f"ENF_{u}",
                 [(removal(k, u), 1.0) for k in range(1, n_blocks + 1)],
-                ">=", float(u))
+                "G", float(u))
     for k in range(1, n_blocks + 1):
         for t in range(1, n_blocks + 1):
             asm.row(f"MON_{k}_{t}",
-                    [(removal(k, t), 1.0), (removal(k, t - 1), -1.0)], ">=", 0.0)
+                    [(removal(k, t), 1.0), (removal(k, t - 1), -1.0)], "G", 0.0)
 
 
 def build_ctg(instance: RoadInstance,
@@ -962,10 +958,10 @@ def build_ctg(instance: RoadInstance,
                            2 * n + n_borrow + np.arange(n_waste))
     ids = np.arange(first, first + len(arcs))
     asm.bulk_rows(
-        [(f"{tag}_{i}", "=", 0.0) for i in range(1, n + 1)
+        [(f"{tag}_{i}", "E", 0.0) for i in range(1, n + 1)
          for tag in ("CTS", "CTD")]
-        + [(f"CTB_{j}", "=", 0.0) for j in range(1, n_borrow + 1)]
-        + [(f"CTW_{k}", "=", 0.0) for k in range(1, n_waste + 1)],
+        + [(f"CTB_{j}", "E", 0.0) for j in range(1, n_borrow + 1)]
+        + [(f"CTW_{k}", "E", 0.0) for k in range(1, n_waste + 1)],
         [(supply_row[src], ids, 1.0), (demand_row[dst], ids, 1.0),
          (supply_row, [asm.column(names.cut(node))
                        for node in names.supply_nodes], -1.0),
@@ -977,27 +973,29 @@ def build_ctg(instance: RoadInstance,
 
 
 def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
-    """Pin every section offset, reducing the MILP to earthwork allocation."""
-    column = {name: c for c, name in enumerate(model.col_names)}
-    n = 0
-    while ArcIndex.offset(n + 1) in column:
-        n += 1
+    """Pin every section offset, reducing the MILP to earthwork allocation:
+    the model with one more row per section, FIX_<i>: U_<i> = offset."""
+    column = {name: c for c, name in enumerate(model.columns)}
+    cols: list[int] = []
+    while ArcIndex.offset(len(cols) + 1) in column:
+        cols.append(column[ArcIndex.offset(len(cols) + 1)])
+    n, m = len(cols), len(model.row_order)
     if len(offsets) != n:
         raise BuildError(f"need {n} offsets, got {len(offsets)}")
-    fixed: list[LinearConstraint] = []
-    for i, value in enumerate(offsets, start=1):
-        name = ArcIndex.offset(i)
-        lower = model.col_lower[column[name]].item()
-        upper = model.col_upper[column[name]].item()
+    for i, (col, value) in enumerate(zip(cols, offsets), start=1):
+        lower, upper = model.col_lower[col].item(), model.col_upper[col].item()
         if not lower - 1e-9 <= value <= upper + 1e-9:
-            raise BuildError(
-                f"offset {value} outside bounds [{lower}, {upper}] "
-                f"of section {i}")
-        fixed.append(LinearConstraint(f"FIX_{i}", ((name, 1.0),), "=", value))
-    out = MilpModel(model.name, model.variables,
-                    model.constraints + tuple(fixed), model.sos_sets,
-                    model.objective, model.sense,
-                    model.provenance + (("fixed_offsets", "yes"),))
+            raise BuildError(f"offset {value} outside bounds [{lower}, "
+                             f"{upper}] of section {i}")
+    out = replace(
+        model,
+        row_order=model.row_order + tuple(f"FIX_{i}" for i in range(1, n + 1)),
+        senses=np.append(model.senses, ["E"] * n),
+        row_rhs=np.append(model.row_rhs, offsets),
+        row_range=np.append(model.row_range, np.full(n, math.nan)),
+        entries=np.append(model.entries, entry_records(
+            m + np.arange(n), cols, np.ones(n))),
+        provenance=model.provenance + (("fixed_offsets", "yes"),))
     out.lint()
     return out
 

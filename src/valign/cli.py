@@ -94,6 +94,14 @@ def _solver_command(parser: argparse.ArgumentParser,
     return command
 
 
+def _limits(parser: argparse.ArgumentParser, time_limit: float, gap: float,
+            feasibility_tol: float) -> SolverLimits:
+    try:
+        return SolverLimits(time_limit, gap, feasibility_tol)
+    except ValueError as exc:
+        parser.error(str(exc))
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver",
                    help="solver command template; default $VALIGN_SOLVER_CMD")
@@ -132,8 +140,8 @@ def cmd_build(parser: argparse.ArgumentParser,
         emit_mps(model, args.output)
     except (InstanceError, BuildError) as exc:
         return _fail(str(exc), EXIT_INVALID)
-    print(f"{args.output}: variables={len(model.col_names)} "
-          f"constraints={len(model.row_names)} "
+    print(f"{args.output}: variables={len(model.columns)} "
+          f"constraints={len(model.row_order)} "
           f"binaries={model.binary_count} sos_sets={len(model.sos_sets)}")
     return EXIT_OK
 
@@ -161,6 +169,7 @@ def _result_lines(result, report, recomputed: float) -> list[str]:
 def cmd_solve(parser: argparse.ArgumentParser,
               args: argparse.Namespace) -> int:
     command = _solver_command(parser, args)
+    limits = _limits(parser, args.time_limit, args.gap, args.feasibility_tol)
     try:
         instance = parse_instance(args.instance)
         config = _config_from_flags(parser, args)
@@ -168,8 +177,6 @@ def cmd_solve(parser: argparse.ArgumentParser,
     except (InstanceError, BuildError) as exc:
         return _fail(str(exc), EXIT_INVALID)
 
-    limits = SolverLimits(time_limit=args.time_limit, mip_gap=args.gap,
-                          feasibility_tol=args.feasibility_tol)
     solution = solve(model, command, limits, workdir=args.workdir,
                      sol_format=args.sol_format)
     if solution.status == "timeout":
@@ -251,8 +258,8 @@ def _run_config(parser: argparse.ArgumentParser,
         configs = tuple(args.configs.split(",")) if args.configs \
             else base.configs
         return RunConfig(solver_command=command,
-                         limits=SolverLimits(args.time_limit, args.gap,
-                                             base.limits.feasibility_tol),
+                         limits=_limits(parser, args.time_limit, args.gap,
+                                        base.limits.feasibility_tol),
                          configs=configs, sol_format=base.sol_format)
     command = _solver_command(parser, args)
     configs = tuple(args.configs.split(",")) if args.configs else ("MQN-B",)
@@ -261,7 +268,7 @@ def _run_config(parser: argparse.ArgumentParser,
         parser.error(f"unknown configs: {', '.join(unknown)} "
                      f"(known: {', '.join(sorted(KNOWN_CONFIG_NAMES))})")
     return RunConfig(solver_command=command,
-                     limits=SolverLimits(args.time_limit, args.gap, 1e-6),
+                     limits=_limits(parser, args.time_limit, args.gap, 1e-6),
                      configs=configs, sol_format=args.sol_format)
 
 

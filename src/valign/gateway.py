@@ -314,7 +314,7 @@ def decode(solution: Solution, instance: RoadInstance,
         from valign.builder import build
         model = build(instance, config)
 
-    columns = model.col_names
+    columns = model.columns
     values = solution.values
     if columns and values.keys().isdisjoint(columns):
         raise DecodeError("solution shares no variables with the model")

@@ -7,15 +7,17 @@ binding scipy ships, scipy.optimize._highspy._core. Installed as the
 ``valign-milp`` console script and used as the default solver command when
 none is configured.
 
-The reader is columnar: parse_mps fills arrays, not per-name structures.
-Columns are numbered in first-seen order, with cost, bound and integer
-arrays; rows in declaration order, with sense, rhs and range arrays (NaN:
-no range); the matrix is one COO triple (row id, column id, value) in file
-order. The text is split into lines about a megabyte at a time, and each
-line's ids and values are appended to typed arrays, so no Python object per
-token lives longer than its piece of text; costs are summed into a typed
-array that grows with the columns. write_solution writes the solution in
-column order.
+ColumnarModel is the one array layout of a model, from the builder's
+MilpModel, which extends it, to HiGHS: columns with cost, bound and integer
+arrays; rows with sense (L, E, G), rhs and range arrays (NaN: no range);
+the matrix as ENTRY records (row id, column id, value) in any order; SOS
+sets as (type, name, ((column id, weight), ...)). parse_mps reads a file
+into it, columns in first-seen order, rows in declaration order and entries
+in file order. The text is split into lines about a megabyte at a time, and
+each line's ids and values are appended to typed arrays, so no Python
+object per token lives longer than its piece of text; costs are summed into
+a typed array that grows with the columns. write_solution writes the
+solution in column order.
 
 solve_arrays is the one seam to HiGHS: cost, column bounds, integrality, a
 CSC matrix and row bounds in; status word, objective and x out. It passes
@@ -26,12 +28,12 @@ model (42 cells, templates A-G under MQN-B, CTG-B and QNA-B: 6.5 s of
 HiGHS time with presolve, 4.3 s without; on G CTG-B presolve took 0.6 s of
 1.5 s, removed 593 of 1,962 rows, and raised the adapter's peak RSS from
 about 170 to 248 MB), while the blocked MIPs take 2-4 times as long
-without it. solve_parsed builds those arrays from a ParsedMps (csc_arrays,
-row_bounds) and calls it. The binding is loaded on first use by
-highs_core, straight from scipy's directory and under its own module name,
-so the adapter never imports scipy.optimize or scipy.sparse, which were
-most of its start-up, and a later import of scipy.optimize in the same
-process reuses the loaded extension.
+without it. solve_parsed builds those arrays from a ColumnarModel, parsed
+or built (csc_arrays, row_bounds), and calls it. The binding is loaded on
+first use by highs_core, straight from scipy's directory and under its own
+module name, so the adapter never imports scipy.optimize or scipy.sparse,
+which were most of its start-up, and a later import of scipy.optimize in
+the same process reuses the loaded extension.
 
 SOS sets are rejected unless ``--sos binarize`` is given, in which case each
 set is rewritten with auxiliary binaries; this requires finite bounds on all
@@ -73,29 +75,32 @@ ENTRY = np.dtype([("row", np.intp), ("col", np.intp), ("value", np.float64)])
 _PIECE_CHARS = 1 << 20
 
 
-@dataclass
-class ParsedMps:
-    """An MPS file as arrays: columns in first-seen order, rows in
-    declaration order (senses L/G/E, rhs, range or NaN), the matrix as
-    ENTRY records in file order, and SOS sets as (type, name,
-    [(column id, weight), ...])."""
+@dataclass(eq=False)
+class ColumnarModel:
+    """A model as arrays, laid out as the module docstring says."""
 
     name: str
-    objective_row: str
-    columns: list[str]
+    columns: tuple[str, ...]
     cost: np.ndarray
     col_lower: np.ndarray
     col_upper: np.ndarray
     col_integer: np.ndarray
-    row_order: list[str]
+    row_order: tuple[str, ...]
     senses: np.ndarray
     row_rhs: np.ndarray
     row_range: np.ndarray
     entries: np.ndarray
-    sos_sets: list[tuple[int, str, list[tuple[int, float]]]]
+    sos_sets: tuple[tuple[int, str, tuple[tuple[int, float], ...]], ...]
 
 
-def parse_mps(text: str) -> ParsedMps:
+def entry_records(row, col, value) -> np.ndarray:
+    """ENTRY records from row ids, column ids and values."""
+    entries = np.empty(len(value), ENTRY)
+    entries["row"], entries["col"], entries["value"] = row, col, value
+    return entries
+
+
+def parse_mps(text: str) -> ColumnarModel:
     name = objective_row = ""
     columns: list[str] = []
     col_id: dict[str, int] = {}
@@ -241,16 +246,16 @@ def parse_mps(text: str) -> ParsedMps:
     n, m = len(columns), len(row_order)
     col_integer = np.zeros(n, bool)
     col_integer[integer] = True
-    entries = np.empty(len(entry_value), ENTRY)
-    entries["row"] = np.frombuffer(entry_row, np.int64)
-    entries["col"] = np.frombuffer(entry_col, np.int64)
-    entries["value"] = np.frombuffer(entry_value, np.float64)
-    return ParsedMps(
-        name, objective_row, columns, np.frombuffer(cost, np.float64),
+    return ColumnarModel(
+        name, tuple(columns), np.frombuffer(cost, np.float64),
         _scatter(np.zeros(n), lower), _scatter(np.full(n, math.inf), upper),
-        col_integer, row_order, np.array(senses, "U1"),
+        col_integer, tuple(row_order), np.array(senses, "U1"),
         _scatter(np.zeros(m), rhs), _scatter(np.full(m, math.nan), ranges),
-        entries, sos_sets)
+        entry_records(np.frombuffer(entry_row, np.int64),
+                      np.frombuffer(entry_col, np.int64),
+                      np.frombuffer(entry_value, np.float64)),
+        tuple((kind, label, tuple(members))
+              for kind, label, members in sos_sets))
 
 
 def _scatter(out: np.ndarray, values: dict[int, float]) -> np.ndarray:
@@ -278,9 +283,9 @@ def _parse_num(token: str, lineno: int) -> float:
     return value
 
 
-def binarize_sos(mps: ParsedMps) -> None:
+def binarize_sos(mps: ColumnarModel) -> None:
     """Rewrite SOS sets with auxiliary binaries and linking rows, appended
-    to the column, row and entry arrays."""
+    to the column, row and entry arrays, in place."""
     columns: list[str] = []
     rows: list[tuple[str, str, float]] = []       # name, sense, rhs
     entries: list[tuple[int, int, float]] = []
@@ -326,16 +331,16 @@ def binarize_sos(mps: ParsedMps) -> None:
             for pos, (col, _) in enumerate(ordered, start=1):
                 # the segments on either side of the member's position
                 link(f"_SOSL_{seq}_{pos}", col, *segs[max(pos - 2, 0):pos])
-    mps.sos_sets.clear()
+    mps.sos_sets = ()
 
     n = len(columns)
-    mps.columns.extend(columns)
+    mps.columns += tuple(columns)
     mps.cost = np.concatenate([mps.cost, np.zeros(n)])
     mps.col_lower = np.concatenate([lower, np.zeros(n)])
     mps.col_upper = np.concatenate([upper, np.ones(n)])
     mps.col_integer = np.concatenate([mps.col_integer, np.ones(n, bool)])
     names, senses, rhs = zip(*rows) if rows else ((), (), ())
-    mps.row_order.extend(names)
+    mps.row_order += names
     mps.senses = np.concatenate([mps.senses, np.array(senses, "U1")])
     mps.row_rhs = np.concatenate([mps.row_rhs, rhs])
     mps.row_range = np.concatenate([mps.row_range, np.full(len(rows),
@@ -343,11 +348,11 @@ def binarize_sos(mps: ParsedMps) -> None:
     mps.entries = np.concatenate([mps.entries, np.array(entries, ENTRY)])
 
 
-def row_bounds(mps: ParsedMps) -> tuple[np.ndarray, np.ndarray]:
+def row_bounds(model: ColumnarModel) -> tuple[np.ndarray, np.ndarray]:
     """Each row's lower and upper bound: L is rhs from above, G from below,
     E both; a range r widens L to [rhs - |r|, rhs], G to [rhs, rhs + |r|],
     and E to [rhs, rhs + r] when r >= 0, else [rhs + r, rhs]."""
-    rhs, rng, sense = mps.row_rhs, mps.row_range, mps.senses
+    rhs, rng, sense = model.row_rhs, model.row_range, model.senses
     less, more = sense == "L", sense == "G"
     equal = ~(less | more)
     lower, upper = rhs.copy(), rhs.copy()
@@ -363,12 +368,13 @@ def row_bounds(mps: ParsedMps) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
-def csc_arrays(mps: ParsedMps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def csc_arrays(model: ColumnarModel
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The matrix in CSC form as HiGHS takes it: column starts, row ids and
     values, row ids ascending within each column and repeated (row,
-    column) entries summed in file order."""
-    entries, n = mps.entries, len(mps.columns)
-    key = entries["col"] * len(mps.row_order) + entries["row"]
+    column) entries summed in the entries' order."""
+    entries, n = model.entries, len(model.columns)
+    key = entries["col"] * len(model.row_order) + entries["row"]
     order = np.argsort(key, kind="stable")
     first = np.ones(len(order), bool)
     first[1:] = key[order[1:]] != key[order[:-1]]
@@ -382,18 +388,25 @@ def csc_arrays(mps: ParsedMps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return start, entries["row"][kept].astype(np.int32), value
 
 
-def solve_parsed(mps: ParsedMps, time_limit: float | None,
+def model_arrays(model: ColumnarModel) -> tuple[np.ndarray, ...]:
+    """solve_arrays' model arguments: cost, column bounds, integrality, the
+    CSC matrix and row bounds. SOS sets must be binarized first."""
+    if model.sos_sets:
+        raise MpsError("model holds SOS sets; binarize them first")
+    infinite = np.flatnonzero(~np.isfinite(model.cost))
+    if len(infinite):
+        col = int(infinite[0])
+        raise MpsError(f"column {model.columns[col]}: objective coefficient "
+                       f"{float(model.cost[col])!r} is not finite")
+    return (model.cost, model.col_lower, model.col_upper, model.col_integer,
+            *csc_arrays(model), *row_bounds(model))
+
+
+def solve_parsed(model: ColumnarModel, time_limit: float | None,
                  gap: float | None) -> tuple[str, float | None, np.ndarray | None]:
     """Returns (status, objective, values): status in optimal|feasible|
     timeout|infeasible|unbounded|error."""
-    infinite = np.flatnonzero(~np.isfinite(mps.cost))
-    if len(infinite):
-        col = int(infinite[0])
-        raise MpsError(f"column {mps.columns[col]}: objective coefficient "
-                       f"{float(mps.cost[col])!r} is not finite")
-    return solve_arrays(mps.cost, mps.col_lower, mps.col_upper,
-                        mps.col_integer, *csc_arrays(mps), *row_bounds(mps),
-                        time_limit, gap)
+    return solve_arrays(*model_arrays(model), time_limit, gap)
 
 
 _CORE = "scipy.optimize._highspy._core"
@@ -497,7 +510,7 @@ _PIECE_LINES = 1 << 16
 
 
 def write_solution(path: str, status: str, objective: float | None,
-                   wall_time: float, columns: list[str],
+                   wall_time: float, columns: tuple[str, ...],
                    values: np.ndarray | None) -> None:
     """One "name value" line per column, in column order. values may run
     on past columns: binarize_sos appends its binaries after the columns
@@ -570,11 +583,13 @@ def main(argv: list[str] | None = None) -> int:
                 raise MpsError(
                     "MPS contains SOS sections; rerun with --sos binarize")
             binarize_sos(mps)
-        status, objective, values = solve_parsed(
-            mps, args.time_limit, args.gap)
+        columns = mps.columns[:declared]
+        arrays = model_arrays(mps)
+        del mps     # its matrix entries: HiGHS reads the CSC copy
+        status, objective, values = solve_arrays(
+            *arrays, args.time_limit, args.gap)
         write_solution(args.solution, status, objective,
-                       time.monotonic() - start, mps.columns[:declared],
-                       values)
+                       time.monotonic() - start, columns, values)
     except (MpsError, OSError, ImportError) as exc:
         print(f"valign-milp: {exc}", file=sys.stderr)
         try:

@@ -1,6 +1,6 @@
 """Deterministic free-format MPS writer.
 
-Layout contract (also consumed by the bundled adapter in milp_solve):
+Layout contract (milp_solve.parse_mps reads it back into the model's layout):
 
 * leading comment lines ``* key: value`` carry model provenance;
 * fixed ``NAME VALIGN`` record so files differ only where models differ;
@@ -27,8 +27,6 @@ import numpy as np
 
 from valign.builder import MilpModel
 
-_SENSE = {"<=": "L", "=": "E", ">=": "G"}
-
 OBJECTIVE_ROW = "COST"
 BOUND_SET = "BND"
 RHS_SET = "RHS"
@@ -54,50 +52,50 @@ _CHUNK_LINES = 1 << 16
 def _mps_chunks(model: MilpModel) -> Iterator[str]:
     """The rendering of a linted model as consecutive pieces of text of
     bounded size."""
-    col_names, row_names = model.col_names, model.row_names
+    columns, row_order = model.columns, model.row_order
     lines = [f"* {key}: {value}" for key, value in model.provenance]
     lines += [f"NAME {model.name}", "ROWS", f" N {OBJECTIVE_ROW}"]
-    lines += [f" {_SENSE[sense]} {row}"
-              for row, sense in zip(row_names, model.row_sense)]
+    lines += [f" {sense} {row}"
+              for row, sense in zip(row_order, model.senses.tolist())]
     lines.append("COLUMNS")
     yield "\n".join(lines) + "\n"
 
     # One entry per line: the cost first when nonzero (a column with no
     # other entry gets a zero cost), then the matrix entries in row order.
     priced = model.cost != 0.0
-    unused = np.bincount(model.coo_col, minlength=len(col_names)) == 0
+    unused = np.bincount(model.entries["col"], minlength=len(columns)) == 0
     cost_cols = np.flatnonzero(priced | unused)
-    cols = np.concatenate([cost_cols, model.coo_col])
+    cols = np.concatenate([cost_cols, model.entries["col"]])
     order = np.argsort(cols, kind="stable")
     entry_col = cols[order]
-    entry_row = np.concatenate([np.full(len(cost_cols), len(row_names)),
-                                model.coo_row])[order]
+    entry_row = np.concatenate([np.full(len(cost_cols), len(row_order)),
+                                model.entries["row"]])[order]
     costs = np.where(priced, model.cost, 0.0)[cost_cols]
     text, entry_text = _formatted(
-        np.concatenate([costs, model.coo_val])[order])
-    rows = (*row_names, OBJECTIVE_ROW)
+        np.concatenate([costs, model.entries["value"]])[order])
+    rows = (*row_order, OBJECTIVE_ROW)
     for start in range(0, len(entry_col), _CHUNK_LINES):
         part = slice(start, start + _CHUNK_LINES)
         yield "".join([
-            f"    {col_names[c]} {rows[r]} {text[v]}\n" for c, r, v in zip(
+            f"    {columns[c]} {rows[r]} {text[v]}\n" for c, r, v in zip(
                 entry_col[part].tolist(), entry_row[part].tolist(),
                 entry_text[part].tolist())])
 
     lines = ["RHS"]
     rhs = model.row_rhs
-    lines += [f"    {RHS_SET} {row_names[r]} {_num(rhs[r])}"
+    lines += [f"    {RHS_SET} {row_order[r]} {_num(rhs[r])}"
               for r in np.flatnonzero(rhs != 0.0).tolist()]
     ranged = np.flatnonzero(~np.isnan(model.row_range)).tolist()
     if ranged:
         lines.append("RANGES")
-        lines += [f"    {RANGE_SET} {row_names[r]} {_num(model.row_range[r])}"
+        lines += [f"    {RANGE_SET} {row_order[r]} {_num(model.row_range[r])}"
                   for r in ranged]
 
     lines.append("BOUNDS")
-    lower, upper, binary = model.col_lower, model.col_upper, model.col_binary
+    lower, upper, binary = model.col_lower, model.col_upper, model.col_integer
     bounded = binary | (lower != 0.0) | (upper != math.inf)
     for c in np.flatnonzero(bounded).tolist():
-        name = col_names[c]
+        name = columns[c]
         if binary[c]:
             lines.append(f" BV {BOUND_SET} {name}")
             continue
@@ -117,10 +115,10 @@ def _mps_chunks(model: MilpModel) -> Iterator[str]:
 
     if model.sos_sets:
         lines.append("SOS")
-        for sos in model.sos_sets:
-            lines.append(f" S{sos.sos_type} SET {sos.name}")
-            for var, weight in sos.members:
-                lines.append(f"    {var} {_num(weight)}")
+        for sos_type, name, members in model.sos_sets:
+            lines.append(f" S{sos_type} SET {name}")
+            for col, weight in members:
+                lines.append(f"    {columns[col]} {_num(weight)}")
 
     lines.append("ENDATA")
     yield "\n".join(lines) + "\n"

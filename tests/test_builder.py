@@ -116,12 +116,12 @@ def test_sos1_block_technique_emits_sets():
     inst = make_instance([100.0] * 5, blocks=[3], access=[1])
     model = build(inst, named_config("MQN-S1"))
     assert model.sos_sets
-    assert all(s.sos_type == 1 for s in model.sos_sets)
+    assert all(sos_type == 1 for sos_type, _, _ in model.sos_sets)
     # slack members are bounded so the sets stay binarizable
-    vmap = {v.name: v for v in model.variables}
-    for s in model.sos_sets:
-        slack = vmap[s.members[0][0]]
-        assert math.isfinite(slack.upper)
+    for _, _, members in model.sos_sets:
+        slack = members[0][0]
+        assert model.columns[slack].startswith("BS_")
+        assert math.isfinite(model.col_upper[slack])
 
 
 def test_model_lint_passes_on_all_variants():
@@ -132,6 +132,20 @@ def test_model_lint_passes_on_all_variants():
     for name in ("MQN-B", "QNS-B", "QNA-B", "CTG-B"):
         model = build(inst, named_config(name))
         model.lint()  # raises on any inconsistency
+
+
+SHORT = HaulClass("short", loading_cost=0.0, unit_haul_cost=0.008)
+
+
+@pytest.mark.parametrize("model, hauls", [
+    ("QNF", (2,)), ("QNF", ("x",)), ("MHQNF", ()), ("MHQNF", (SHORT, 2)),
+    ("MHQNF", [SHORT]), ("CTG", ())])
+def test_haul_subset_must_hold_haul_classes(model, hauls):
+    inst = make_instance([100.0] * 5, blocks=[3], access=[1])
+    config = BuilderConfig(model=model, haul_subset=hauls)
+    with pytest.raises(BuildError, match="haul_subset must be None or a "
+                       "non-empty tuple of HaulClass"):
+        build(inst, config)
 
 
 def test_named_config_rejects_unknown():
@@ -151,7 +165,8 @@ def test_zero_big_m_coefficient_is_written_positive_zero():
     sections[2] = replace(sections[2], offset_lo=0.0, offset_hi=0.0)
     model = build(replace(inst, sections=tuple(sections)),
                   named_config("MQN-B"))
-    zeros = model.coo_val[model.coo_val == 0.0]
+    values = model.entries["value"]
+    zeros = values[values == 0.0]
     assert zeros.size and not np.signbit(zeros).any()
 
 
@@ -161,7 +176,7 @@ def test_fix_offsets_adds_rows_and_checks_bounds():
     fixed = fix_offsets(model, (1.0, 0.0, -1.0))
     extra = [c for c in fixed.constraints if c.name.startswith("FIX_")]
     assert len(extra) == 3
-    assert all(c.sense == "=" for c in extra)
+    assert all(c.sense == "E" for c in extra)
     with pytest.raises(BuildError, match=r"offset 3.0 outside bounds "
                        r"\[-2.0, 2.0\] of section 1"):
         fix_offsets(model, (3.0, 0.0, 0.0))
@@ -194,9 +209,13 @@ def test_object_form_round_trip():
                          offset=2.0, blocks=[2], access=[1],
                          borrow=[Pit("borrow", 3, 30.0, 15.0)])
     model = build(inst, named_config("MQN-S1"))
-    copy = MilpModel(model.name, model.variables, model.constraints,
-                     model.sos_sets, model.objective, model.sense,
-                     model.provenance)
+    sos_sets = [SosSet(name, sos_type, tuple((model.columns[col], weight)
+                                             for col, weight in members))
+                for sos_type, name, members in model.sos_sets]
+    copy = MilpModel.from_objects(model.name, model.variables,
+                                  model.constraints, sos_sets,
+                                  model.objective, model.sense,
+                                  model.provenance)
     assert emit_mps_text(copy) == emit_mps_text(model)
 
 
@@ -210,13 +229,15 @@ X, Y = Variable("x", upper=4.0), Variable("y", "binary", 0.0, 1.0)
     ("variable y: binary outside", (Variable("y", "binary", 0.0, 2.0),),
      (), (), ()),
     ("row c declared twice", (X,),
-     (LinearConstraint("c", (("x", 1.0),), "<=", 1.0),) * 2, (), ()),
+     (LinearConstraint("c", (("x", 1.0),), "L", 1.0),) * 2, (), ()),
     ("row c: unknown variable z", (X,),
-     (LinearConstraint("c", (("z", 1.0),), "<=", 1.0),), (), ()),
+     (LinearConstraint("c", (("z", 1.0),), "L", 1.0),), (), ()),
     ("row c: duplicate variable x", (X,),
-     (LinearConstraint("c", (("x", 1.0), ("x", 2.0)), "<=", 1.0),), (), ()),
+     (LinearConstraint("c", (("x", 1.0), ("x", 2.0)), "L", 1.0),), (), ()),
+    ("row c: unknown sense '<='", (X,),
+     (LinearConstraint("c", (("x", 1.0),), "<=", 1.0),), (), ()),
     ("row c: non-finite coefficient", (X,),
-     (LinearConstraint("c", (("x", math.nan),), "<=", 1.0),), (), ()),
+     (LinearConstraint("c", (("x", math.nan),), "L", 1.0),), (), ()),
     ("objective: unknown variable z", (X,), (), (("z", 1.0),), ()),
     ("objective: non-finite cost on x", (X,), (), (("x", math.inf),), ()),
     ("SOS set s: needs >= 2 members", (X, Y), (), (),
@@ -228,7 +249,8 @@ X, Y = Variable("x", upper=4.0), Variable("y", "binary", 0.0, 1.0)
 ])
 def test_lint_rejects_defects(message, variables, rows, objective, sos):
     with pytest.raises(BuildError, match=message):
-        emit_mps_text(MilpModel("bad", variables, rows, sos, objective))
+        emit_mps_text(MilpModel.from_objects("bad", variables, rows, sos,
+                                             objective))
 
 
 def test_name_declared_in_bulk_and_by_var_is_rejected():

@@ -117,6 +117,15 @@ def test_solve_needs_solver_command(two_node_path):
     assert usage_error(["solve", two_node_path]) == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--gap", "0"], ["--time-limit", "-1"], ["--feasibility-tol", "0"],
+    ["--gap", "nan"]])
+def test_solve_rejects_bad_limits(two_node_path, flags, capsys):
+    argv = ["solve", two_node_path, "--solver", BUNDLED_SOLVER, *flags]
+    assert usage_error(argv) == 2
+    assert "must be > 0" in capsys.readouterr().err
+
+
 def test_solve_env_resolution(zigzag_path, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("VALIGN_SOLVER_CMD", BUNDLED_SOLVER)
     out = tmp_path / "result.txt"
@@ -229,6 +238,20 @@ def test_bench_empty_suite(tmp_path):
     rc = usage_error(["bench", str(empty), *SOLVER_ARGS,
                       "--out", str(tmp_path / "r")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("run_config", [False, True])
+def test_bench_rejects_bad_limits(suite_dir, tmp_path, capsys, run_config):
+    argv = ["bench", suite_dir, "--solver", BUNDLED_SOLVER, "--gap", "0",
+            "--out", str(tmp_path / "r")]
+    if run_config:
+        run_file = tmp_path / "run.json"
+        run_file.write_text(json.dumps({"solver_command": BUNDLED_SOLVER}),
+                            encoding="utf-8")
+        argv += ["--run-config", str(run_file)]
+    assert usage_error(argv) == 2
+    assert "must be > 0" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_bench_run_config_file(suite_dir, tmp_path, capsys):

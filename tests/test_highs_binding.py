@@ -244,10 +244,11 @@ def test_adapter_process_imports_only_the_binding(tmp_path):
         except SystemExit as done:
             rc = done.code
         names = ("scipy.optimize", "scipy.sparse", "valign.builder",
-                 "valign.gateway", "scipy.optimize._highspy._core")
+                 "valign.gateway", "valign.instance",
+                 "scipy.optimize._highspy._core")
         print(json.dumps([rc, [n in sys.modules for n in names]]))
         """, str(mps), str(sol))
-    assert loaded == [0, [False, False, False, False, True]]
+    assert loaded == [0, [False, False, False, False, False, True]]
     assert sol.read_text().startswith("status optimal\n")
 
 

@@ -6,11 +6,11 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from valign import milp_solve
 from valign.builder import (
@@ -70,8 +70,8 @@ def write(tmp_path, text, name="m.mps"):
 
 def test_parse_shapes():
     parsed = parse_mps(TOY_MPS)
-    assert parsed.columns == ["x", "b", "y"]
-    assert parsed.row_order == ["cap", "floor", "tie"]
+    assert parsed.columns == ("x", "b", "y")
+    assert parsed.row_order == ("cap", "floor", "tie")
     assert parsed.senses.tolist() == ["L", "G", "E"]
     assert parsed.cost.tolist() == [1.0, -3.0, 0.0]
     assert parsed.col_integer.tolist() == [False, True, False]
@@ -460,14 +460,14 @@ def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
 
 
 def ranged_model() -> MilpModel:
-    return MilpModel(
+    return MilpModel.from_objects(
         name="ranged",
         variables=(Variable("x", "continuous", -2.0, 4.0),
                    Variable("y", "binary", 0.0, 1.0)),
         constraints=(LinearConstraint("band", (("x", 1.0), ("y", -2.0)),
-                                      "<=", 5.0, 3.0),
-                     LinearConstraint("floor", (("x", 1.0),), ">=", -1.0),
-                     LinearConstraint("tie", (("y", 1.0),), "=", 1.0)),
+                                      "L", 5.0, 3.0),
+                     LinearConstraint("floor", (("x", 1.0),), "G", -1.0),
+                     LinearConstraint("tie", (("y", 1.0),), "E", 1.0)),
         objective=(("x", 1.0),))
 
 
@@ -476,35 +476,53 @@ def ranged_model() -> MilpModel:
     ("shared-pits", "MQN-S1"), ("ranged", None)])
 def test_parse_gives_the_model_arrays(case, config_name):
     # One conversion from model to matrix: what the adapter reads back is
-    # the model's own columns, rows and COO matrix, exactly.
+    # the model's own layout, field for field; only the entries' order
+    # differs (row order against file order, which is column order).
     if case == "ranged":
         model = ranged_model()
     else:
         model = build(pinned_road(case), named_config(config_name))
     parsed = parse_mps(emit_mps_text(model))
-    assert parsed.columns == list(model.col_names)
-    assert parsed.row_order == list(model.row_names)
-    shape = (len(model.row_names), len(model.col_names))
-    entries = parsed.entries
-    got = sparse.csr_matrix((entries["value"],
-                             (entries["row"], entries["col"])), shape=shape)
-    want = sparse.csr_matrix((model.coo_val, (model.coo_row, model.coo_col)),
-                             shape=shape)
-    for part in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(got, part), getattr(want, part))
-    assert np.array_equal(parsed.cost, model.cost)
-    assert np.array_equal(parsed.col_lower, model.col_lower)
-    assert np.array_equal(parsed.col_upper, model.col_upper)
-    assert np.array_equal(parsed.col_integer, model.col_binary)
-    # MPS RANGES on an L row: rhs - |range| <= row <= rhs.
-    sense = np.asarray(model.row_sense)
-    rhs, width = model.row_rhs, np.abs(model.row_range)
-    lower = np.where(sense != "<=", rhs,
-                     np.where(np.isnan(width), -np.inf, rhs - width))
-    upper = np.where(sense == ">=", np.inf, rhs)
-    got_lower, got_upper = milp_solve.row_bounds(parsed)
-    assert np.array_equal(got_lower, lower)
-    assert np.array_equal(got_upper, upper)
+    for field in fields(milp_solve.ColumnarModel):
+        got, want = getattr(parsed, field.name), getattr(model, field.name)
+        if field.name == "entries":
+            got, want = (np.sort(entries, order=["row", "col"])
+                         for entries in (got, want))
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype, field.name
+            assert np.array_equal(got, want,
+                                  equal_nan=want.dtype.kind == "f"), field.name
+        else:
+            assert got == want, field.name
+    for got, want in zip(milp_solve.csc_arrays(parsed) +
+                         milp_solve.row_bounds(parsed),
+                         milp_solve.csc_arrays(model) +
+                         milp_solve.row_bounds(model)):
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case, config_name", [
+    ("A-01", "MQN-B"), ("G-01", "CTG-B"), ("C-02 2 blocks", "MQN-B")])
+def test_model_solves_as_its_parsed_file(case, config_name):
+    # The builder's model goes to HiGHS as it is, with no MPS text between,
+    # and HiGHS gets the very arrays the file route gives it.
+    model = build(pinned_road(case), named_config(config_name))
+    direct = solve_parsed(model, 60.0, 0.01)
+    parsed = solve_parsed(parse_mps(emit_mps_text(model)), 60.0, 0.01)
+    assert direct[0] == parsed[0] == "optimal"
+    assert direct[1] == parsed[1]
+    assert direct[2].tobytes() == parsed[2].tobytes()
+
+
+def test_solve_parsed_refuses_sos_sets():
+    model = build(pinned_road("shared-pits"), named_config("MQN-S1"))
+    with pytest.raises(MpsError, match="binarize them first"):
+        solve_parsed(model, 60.0, 0.01)
+    parsed = parse_mps(emit_mps_text(model))
+    with pytest.raises(MpsError, match="binarize them first"):
+        solve_parsed(parsed, 60.0, 0.01)
+    binarize_sos(parsed)
+    assert solve_parsed(parsed, 60.0, 0.01)[0] == "optimal"
 
 
 def test_parse_reads_other_line_breaks_and_non_ascii_names():
@@ -514,8 +532,8 @@ def test_parse_reads_other_line_breaks_and_non_ascii_names():
         "    MARKER 'MARKER' 'INTORG'\x1d    \u00fc r2 3.0\x1e\n"
         "    MARKER 'MARKER' 'INTEND'\u2029    x\u00e9 r2 -1.0\r"
         "RHS\x0b    RHS r\u00e9 4.0\nENDATA\n")
-    assert parsed.columns == ["x\u00e9", "\u00fc"]
-    assert parsed.row_order == ["r\u00e9", "r2"]
+    assert parsed.columns == ("x\u00e9", "\u00fc")
+    assert parsed.row_order == ("r\u00e9", "r2")
     assert parsed.senses.tolist() == ["L", "E"]
     assert parsed.col_integer.tolist() == [False, True]
     assert parsed.cost.tolist() == [1.5, 0.0]
@@ -564,10 +582,10 @@ def test_sos2_binarize_links_adjacent_segments():
     parsed = parse_mps(SOS2_MPS)
     binarize_sos(parsed)
     assert not parsed.sos_sets
-    assert parsed.columns == ["a", "b", "c", "_SOSB_1_1", "_SOSB_1_2"]
+    assert parsed.columns == ("a", "b", "c", "_SOSB_1_1", "_SOSB_1_2")
     assert parsed.col_integer.tolist() == [False] * 3 + [True] * 2
-    assert parsed.row_order == ["need", "_SOSC_1", "_SOSL_1_1U", "_SOSL_1_2U",
-                                "_SOSL_1_3U", "_SOSL_1_3L"]
+    assert parsed.row_order == ("need", "_SOSC_1", "_SOSL_1_1U", "_SOSL_1_2U",
+                                "_SOSL_1_3U", "_SOSL_1_3L")
     assert parsed.senses.tolist() == ["G", "E", "L", "L", "L", "G"]
     assert parsed.row_rhs.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 0.0]
     rows: dict[str, dict[str, float]] = {}

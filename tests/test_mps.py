@@ -26,14 +26,14 @@ GOLDEN = os.path.join(DATA, "three_section_qns.mps")
 
 
 def small_model() -> MilpModel:
-    return MilpModel(
+    return MilpModel.from_objects(
         name="toy",
         variables=(Variable("x", "continuous", 0.0, 4.0),
                    Variable("y", "binary", 0.0, 1.0),
                    Variable("z", "continuous", -math.inf, math.inf)),
         constraints=(LinearConstraint("c1", (("x", 1.0), ("y", 2.0)),
-                                      "<=", 5.0),
-                     LinearConstraint("c2", (("z", 1.0),), "=", 1.0)),
+                                      "L", 5.0),
+                     LinearConstraint("c2", (("z", 1.0),), "E", 1.0)),
         sos_sets=(SosSet("s1", 1, (("x", 1.0), ("z", 2.0))),),
         objective=(("x", 1.5), ("y", -1.0)),
         sense="min",
@@ -117,10 +117,10 @@ def test_emit_to_file(tmp_path):
 
 
 def test_nonfinite_coefficients_rejected():
-    bad = MilpModel(
+    bad = MilpModel.from_objects(
         name="bad",
         variables=(Variable("x", "continuous", 0.0, 1.0),),
-        constraints=(LinearConstraint("c", (("x", math.inf),), "<=", 1.0),),
+        constraints=(LinearConstraint("c", (("x", math.inf),), "L", 1.0),),
         sos_sets=(), objective=(("x", 1.0),), sense="min", provenance=())
     with pytest.raises(Exception):
         emit_mps_text(bad)

@@ -1,26 +1,35 @@
-"""Property-based cross-check: the CTG reference against MH-QNF.
+"""Property-based cross-checks of the MILP against CTG and the oracles.
 
-Random block-free single-segment roads of at most six sections, with at most
-one pit, are solved in-process with the bundled adapter's own functions. The
-two models must reach the same optimum, both solutions must validate, their
-offsets must re-price by the transport oracle to the objective, and the CTG
-solution must re-price to its objective.
+Random block-free single-segment roads of at most six sections are built
+and solved in process, each model handed straight to the bundled adapter's
+solve_parsed. On roads with at most one pit, CTG and MH-QNF must reach the
+same optimum, both solutions must validate, their offsets must re-price by
+the transport oracle to the objective, and the CTG solution must re-price
+to its objective. Pinning the MH-QNF optimum's offsets with fix_offsets
+must leave a MILP whose optimum is the transport oracle's price. On roads
+buffered by a large borrow and waste pit, the MH-QNF optimum must be no
+worse than the best of a few spline-consistent offset vectors, its own
+among them, as enumerate_optimal prices them.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from valign import milp_solve
-from valign.builder import build, named_config
+from valign.builder import build, fix_offsets, named_config
 from valign.gateway import Solution, decode
 from valign.instance import Pit
-from valign.mps import emit_mps_text
-from valign.oracle import allocation_cost
+from valign.oracle import allocation_cost, enumerate_optimal
 from valign.validate import recompute_cost, validate
 
 from conftest import make_instance
 
 GAP = 1e-6
+
+
+def examples(count):
+    return settings(max_examples=count, derandomize=True, deadline=None,
+                    database=None)
 
 
 @st.composite
@@ -49,22 +58,57 @@ def block_free_roads(draw):
         waste=[p for p in pits if p.kind == "waste"])
 
 
-def solve_in_process(instance, config_name):
+@st.composite
+def buffered_roads_with_grids(draw):
+    """A road with a borrow and a waste pit of ample capacity, so every
+    offset vector is feasible, and per-section grids holding the offsets
+    of two or three quadratic profiles near the flat road at 100 m."""
+    n = draw(st.integers(min_value=4, max_value=6))
+    spacing = draw(st.floats(min_value=20.0, max_value=500.0))
+    level = st.floats(min_value=97.0, max_value=103.0)
+    dead_haul = st.floats(min_value=5.0, max_value=100.0)
+    instance = make_instance(
+        draw(st.lists(level, min_size=n, max_size=n)), spacing=spacing,
+        areas=draw(st.lists(st.floats(min_value=5.0, max_value=50.0),
+                            min_size=n, max_size=n)),
+        offset=4.0,
+        borrow=[Pit("borrow", draw(st.integers(2, n - 1)), 1e6,
+                    draw(dead_haul))],
+        waste=[Pit("waste", draw(st.integers(2, n - 1)), 1e6,
+                   draw(dead_haul))])
+    profiles = draw(st.lists(st.tuples(
+        st.floats(min_value=99.5, max_value=100.5),
+        st.floats(min_value=-1e-4, max_value=1e-4),
+        st.floats(min_value=-1e-8, max_value=1e-8)), min_size=2, max_size=3))
+    grids = []
+    for i in range(1, n + 1):
+        sigma = instance.local_coordinate(i)
+        ground = instance.section(i).ground_elevation
+        grids.append([ground - (a1 + a2 * sigma + a3 * sigma * sigma)
+                      for a1, a2, a3 in profiles])
+    return instance, grids
+
+
+def solve_in_process(model):
+    status, objective, x = milp_solve.solve_parsed(model, 60.0, GAP)
+    assert status == "optimal", status
+    return objective, x
+
+
+def decoded(instance, config_name):
     config = named_config(config_name)
     model = build(instance, config)
-    parsed = milp_solve.parse_mps(emit_mps_text(model))
-    status, objective, x = milp_solve.solve_parsed(parsed, 60.0, GAP)
-    assert status == "optimal", status
-    values = dict(zip(parsed.columns, x.tolist()))
-    solution = Solution(status, objective, values, 0.0)
-    return config, decode(solution, instance, config, model=model)
+    objective, x = solve_in_process(model)
+    solution = Solution("optimal", objective,
+                        dict(zip(model.columns, x.tolist())), 0.0)
+    return config, model, decode(solution, instance, config, model=model)
 
 
-@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@examples(25)
 @given(block_free_roads())
 def test_ctg_matches_mhqnf_and_reprices(instance):
-    ctg_config, ctg = solve_in_process(instance, "CTG-B")
-    mqn_config, mqn = solve_in_process(instance, "MQN-B")
+    ctg_config, _, ctg = decoded(instance, "CTG-B")
+    mqn_config, _, mqn = decoded(instance, "MQN-B")
     scale = max(1.0, abs(ctg.objective))
     assert abs(mqn.objective - ctg.objective) <= 2.0 * GAP * scale
 
@@ -78,3 +122,26 @@ def test_ctg_matches_mhqnf_and_reprices(instance):
         assert report.passed, report.summary()
     recomputed = recompute_cost(instance, ctg_config, ctg)
     assert abs(recomputed - ctg.objective) <= 1e-5 * scale
+
+
+@examples(12)
+@given(block_free_roads())
+def test_fixed_offsets_price_as_the_oracle(instance):
+    _, model, mqn = decoded(instance, "MQN-B")
+    objective, _ = solve_in_process(fix_offsets(model, mqn.offsets))
+    want = allocation_cost(instance, mqn.offsets)
+    assert abs(objective - want) <= GAP * max(1.0, abs(want))
+
+
+@examples(12)
+@given(buffered_roads_with_grids())
+def test_mhqnf_no_worse_than_enumeration(case):
+    instance, grids = case
+    _, _, mqn = decoded(instance, "MQN-B")
+    # The optimum's own offsets join the grids, so a MILP that over-prices
+    # its optimum fails as well as one that misses a cheaper profile.
+    for i, (grid, u) in enumerate(zip(grids, mqn.offsets), start=1):
+        section = instance.section(i)
+        grid.append(min(max(u, section.offset_lo), section.offset_hi))
+    _, enumerated = enumerate_optimal(instance, grids)
+    assert mqn.objective <= enumerated + GAP * max(1.0, abs(enumerated))

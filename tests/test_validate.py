@@ -254,13 +254,13 @@ def test_synthetic_values_validation_pinned(case, config_name, digest):
     config = named_config(config_name)
     model = build(instance, config)
     rng = np.random.default_rng(20261018)
-    x = rng.uniform(0.0, 50.0, len(model.col_names))
+    x = rng.uniform(0.0, 50.0, len(model.columns))
     x[rng.random(len(x)) < 0.15] *= -1.0
     x[rng.random(len(x)) < 0.35] = 0.0
-    x[model.col_binary] = rng.uniform(0.0, 1.2,
-                                      int(np.count_nonzero(model.col_binary)))
+    binaries = int(np.count_nonzero(model.col_integer))
+    x[model.col_integer] = rng.uniform(0.0, 1.2, binaries)
     solution = Solution("optimal", float(model.cost @ x),
-                        dict(zip(model.col_names, x.tolist())), 0.0)
+                        dict(zip(model.columns, x.tolist())), 0.0)
     result = decode(solution, instance, config, model=model)
     lines = []
     for relative in (False, True):
