@@ -13,6 +13,7 @@ import csv
 import glob
 import os
 import sys
+from dataclasses import asdict
 
 from valign.bench import (
     BenchmarkRecord,
@@ -94,10 +95,15 @@ def _solver_command(parser: argparse.ArgumentParser,
     return command
 
 
-def _limits(parser: argparse.ArgumentParser, time_limit: float, gap: float,
-            feasibility_tol: float) -> SolverLimits:
+def _limits(parser: argparse.ArgumentParser, args: argparse.Namespace,
+            **defaults: float) -> SolverLimits:
+    """SolverLimits from defaults (a run-config file's, else the class's),
+    each overridden by an explicit --time-limit or --gap."""
+    flags = {"time_limit": args.time_limit, "mip_gap": args.gap}
+    defaults.update((name, value) for name, value in flags.items()
+                    if value is not None)
     try:
-        return SolverLimits(time_limit, gap, feasibility_tol)
+        return SolverLimits(**defaults)
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -105,9 +111,9 @@ def _limits(parser: argparse.ArgumentParser, time_limit: float, gap: float,
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--solver",
                    help="solver command template; default $VALIGN_SOLVER_CMD")
-    p.add_argument("--time-limit", type=float, default=600.0,
+    p.add_argument("--time-limit", type=float,
                    help="per-solve wall limit in seconds (default 600)")
-    p.add_argument("--gap", type=float, default=0.01,
+    p.add_argument("--gap", type=float,
                    help="relative MIP gap (default 0.01)")
     p.add_argument("--sol-format", choices=("auto", "pairs", "xml"),
                    default="auto", help="solution file dialect")
@@ -169,7 +175,7 @@ def _result_lines(result, report, recomputed: float) -> list[str]:
 def cmd_solve(parser: argparse.ArgumentParser,
               args: argparse.Namespace) -> int:
     command = _solver_command(parser, args)
-    limits = _limits(parser, args.time_limit, args.gap, args.feasibility_tol)
+    limits = _limits(parser, args, feasibility_tol=args.feasibility_tol)
     try:
         instance = parse_instance(args.instance)
         config = _config_from_flags(parser, args)
@@ -258,8 +264,7 @@ def _run_config(parser: argparse.ArgumentParser,
         configs = tuple(args.configs.split(",")) if args.configs \
             else base.configs
         return RunConfig(solver_command=command,
-                         limits=_limits(parser, args.time_limit, args.gap,
-                                        base.limits.feasibility_tol),
+                         limits=_limits(parser, args, **asdict(base.limits)),
                          configs=configs, sol_format=base.sol_format)
     command = _solver_command(parser, args)
     configs = tuple(args.configs.split(",")) if args.configs else ("MQN-B",)
@@ -268,7 +273,7 @@ def _run_config(parser: argparse.ArgumentParser,
         parser.error(f"unknown configs: {', '.join(unknown)} "
                      f"(known: {', '.join(sorted(KNOWN_CONFIG_NAMES))})")
     return RunConfig(solver_command=command,
-                     limits=_limits(parser, args.time_limit, args.gap, 1e-6),
+                     limits=_limits(parser, args),
                      configs=configs, sol_format=args.sol_format)
 
 
@@ -368,7 +373,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run the full benchmark matrix")
     p.add_argument("suite", help="directory of instance *.json files")
     p.add_argument("--configs", help="comma-separated config names")
-    p.add_argument("--run-config", help="run configuration JSON file")
+    p.add_argument("--run-config",
+                   help="run configuration JSON file; its limits hold "
+                   "unless --time-limit or --gap is given")
     _add_solver_flags(p)
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--out", required=True, help="report directory")

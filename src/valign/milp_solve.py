@@ -28,7 +28,27 @@ model (42 cells, templates A-G under MQN-B, CTG-B and QNA-B: 6.5 s of
 HiGHS time with presolve, 4.3 s without; on G CTG-B presolve took 0.6 s of
 1.5 s, removed 593 of 1,962 rows, and raised the adapter's peak RSS from
 about 170 to 248 MB), while the blocked MIPs take 2-4 times as long
-without it. solve_parsed builds those arrays from a ColumnarModel, parsed
+without it.
+
+A MIP is solved relaxation first. Its integer columns are relaxed and the
+LP's objective is a bound; each integer is rounded up, ceil(x - HiGHS's
+mip_feasibility_tolerance) within its bounds, and fixed, and the LP is
+solved again warm on the same object. If that LP is optimal within the gap
+of the bound (ub - lb <= gap * max(1, |ub|), HiGHS's own mip_rel_gap rule),
+it is the answer. In the blocked models the integers are switches: a block's
+removal indicator opens its big-M gate rows, a binarized SOS flag lets a
+member be nonzero. Rounding up keeps every gate the relaxation opened, so
+the fixed LP stays feasible; rounding to nearest closed gates and left LPs
+HiGHS could not settle (seconds under an iteration limit). The relaxation of
+these models is near integral: on the ten cells of perfbench's
+blocked-roads workload this took the solve from 5.9-6.4 s to 3.2-3.9 s.
+Otherwise the MIP is solved by branch and bound on a fresh object, started
+from the fixed LP's x when it is feasible: reusing the relaxation's object
+kept its LP data alongside the MIP's, and the adapter's peak on D-03
+MQN-S1 rose from 50 to 56 MB. Each run gets what is left of the time
+limit, and a relaxation stopped by it is a timeout.
+
+solve_parsed builds those arrays from a ColumnarModel, parsed
 or built (csc_arrays, row_bounds), and calls it. The binding is loaded on
 first use by highs_core, straight from scipy's directory and under its own
 module name, so the adapter never imports scipy.optimize or scipy.sparse,
@@ -406,7 +426,7 @@ def solve_parsed(model: ColumnarModel, time_limit: float | None,
                  gap: float | None) -> tuple[str, float | None, np.ndarray | None]:
     """Returns (status, objective, values): status in optimal|feasible|
     timeout|infeasible|unbounded|error."""
-    return solve_arrays(*model_arrays(model), time_limit, gap)
+    return solve_arrays(*model_arrays(model), time_limit, gap)[:3]
 
 
 _CORE = "scipy.optimize._highspy._core"
@@ -462,18 +482,19 @@ def solve_arrays(cost: np.ndarray, col_lower: np.ndarray,
                  start: np.ndarray, index: np.ndarray, value: np.ndarray,
                  row_lower: np.ndarray, row_upper: np.ndarray,
                  time_limit: float | None, gap: float | None
-                 ) -> tuple[str, float | None, np.ndarray | None]:
+                 ) -> tuple[str, float | None, np.ndarray | None, str]:
     """Minimize cost @ x subject to row_lower <= A @ x <= row_upper and
     col_lower <= x <= col_upper, x integral where integrality is set; A is
     given as CSC (start, index, value). Returns (status, objective, x) as
-    solve_parsed does.
+    solve_parsed does, and a note on how a MIP closed: its bound and path,
+    or "" when there is none to tell.
 
-    Presolve is on for a MIP and off for a pure LP, which HiGHS's dual
-    simplex solves faster and in less memory unreduced (module docstring).
-    Raises ValueError if HiGHS rejects an option value, such as a negative
-    time limit or gap."""
+    A pure LP is one run() without presolve. A MIP closes from its
+    relaxation when it can (module docstring), else by branch and bound.
+    Each run() gets what is left of time_limit. Raises ValueError if HiGHS
+    rejects an option value, such as a negative time limit or gap."""
     core = highs_core()
-    highs = core._Highs()
+    deadline = None if time_limit is None else time.monotonic() + time_limit
     is_mip = bool(integrality.any())
     options = [("log_to_console", False),
                ("presolve", "on" if is_mip else "off")]
@@ -481,9 +502,6 @@ def solve_arrays(cost: np.ndarray, col_lower: np.ndarray,
         options.append(("time_limit", float(time_limit)))
     if gap is not None:
         options.append(("mip_rel_gap", float(gap)))
-    for option, setting in options:
-        if highs.setOptionValue(option, setting) == core.HighsStatus.kError:
-            raise ValueError(f"HiGHS rejected option {option} = {setting!r}")
     # The binding reads raw buffers: each array goes in contiguous, as
     # float64 or as int32 (HiGHS's HighsInt).
     f64, i32 = np.float64, np.int32
@@ -491,19 +509,88 @@ def solve_arrays(cost: np.ndarray, col_lower: np.ndarray,
         (cost, f64), (col_lower, f64), (col_upper, f64), (row_lower, f64),
         (row_upper, f64), (start, i32), (index, i32), (value, f64),
         (integrality, i32))]
+
+    highs = _load(core, options, arrays)
+    if highs is None:
+        return "infeasible", None, None, ""
+    if not is_mip:
+        return _answer(highs, _run(highs, deadline), False, "")
+
+    # The relaxation: its objective is a bound on the MIP's.
+    ints = np.flatnonzero(integrality).astype(i32)
+    highs.changeColsIntegrality(len(ints), ints, np.zeros(len(ints), np.uint8))
+    relaxed = _run(highs, deadline)
+    if _STATUS_WORDS.get(relaxed) == "timeout":
+        return "timeout", None, None, ""
+    start_x = None
+    if relaxed == "kOptimal":
+        bound = highs.getInfo().objective_function_value
+        tolerance = highs.getOptionValue("mip_feasibility_tolerance")[1]
+        rel_gap = highs.getOptionValue("mip_rel_gap")[1]
+        # Each integer rounded up: a switch the relaxation opened stays open.
+        x = np.array(highs.getSolution().col_value)
+        fixed = np.clip(np.ceil(x[ints] - tolerance),
+                        np.asarray(col_lower, f64)[ints],
+                        np.asarray(col_upper, f64)[ints])
+        if np.array_equal(fixed, np.round(fixed)):
+            highs.changeColsBounds(len(ints), ints, fixed, fixed)
+            if _run(highs, deadline) == "kOptimal":
+                objective = highs.getInfo().objective_function_value
+                start_x = np.array(highs.getSolution().col_value)
+                if objective - bound <= rel_gap * max(1.0, abs(objective)):
+                    return ("optimal", float(objective), start_x,
+                            f"bound {bound} (rounded relaxation)")
+
+    # Branch and bound on a fresh object: the relaxation's would keep its
+    # LP data alongside the MIP's (module docstring).
+    del highs
+    highs = _load(core, options, arrays)
+    if highs is None:
+        return "infeasible", None, None, ""
+    if start_x is not None:
+        highs.setSolution(len(start_x), np.arange(len(start_x), dtype=i32),
+                          start_x)
+    model_status = _run(highs, deadline)
+    info = highs.getInfo()
+    return _answer(highs, model_status, True,
+                   f"bound {info.mip_dual_bound} (branch and bound, "
+                   f"{info.mip_node_count} nodes, gap {info.mip_gap})")
+
+
+def _load(core, options, arrays):
+    """A fresh HiGHS object holding the model, or None if HiGHS refused
+    the model."""
+    highs = core._Highs()
+    for option, setting in options:
+        if highs.setOptionValue(option, setting) == core.HighsStatus.kError:
+            raise ValueError(f"HiGHS rejected option {option} = {setting!r}")
+    cost, _, _, row_lower, _, _, _, value, _ = arrays
     loaded = highs.passModel(
-        len(cost), len(row_lower), len(index),
+        len(cost), len(row_lower), len(value),
         int(core.MatrixFormat.kColwise), int(core.ObjSense.kMinimize), 0.0,
         *arrays)
-    model_status, objective = "kModelError", math.inf
-    if loaded != core.HighsStatus.kError:
-        highs.run()     # a failed run leaves an error model status
-        model_status = highs.getModelStatus().name
-        objective = highs.getInfo().objective_function_value
+    return None if loaded == core.HighsStatus.kError else highs
+
+
+def _run(highs, deadline: float | None) -> str:
+    """highs.run() within what is left until deadline; the model status's
+    name. HiGHS's run clock adds up over one object's runs."""
+    if deadline is not None:
+        left = max(deadline - time.monotonic(), 0.0)
+        highs.setOptionValue("time_limit", highs.getRunTime() + left)
+    highs.run()     # a failed run leaves an error model status
+    return highs.getModelStatus().name
+
+
+def _answer(highs, model_status: str, is_mip: bool, note: str
+            ) -> tuple[str, float | None, np.ndarray | None, str]:
+    """solve_arrays' return value from the object's last run."""
+    objective = highs.getInfo().objective_function_value
     word = status_word(model_status, is_mip, objective)
     if word not in ("optimal", "feasible"):
-        return word, None, None
-    return word, float(objective), np.array(highs.getSolution().col_value)
+        return word, None, None, ""
+    return (word, float(objective), np.array(highs.getSolution().col_value),
+            note)
 
 
 _PIECE_LINES = 1 << 16
@@ -586,7 +673,7 @@ def main(argv: list[str] | None = None) -> int:
         columns = mps.columns[:declared]
         arrays = model_arrays(mps)
         del mps     # its matrix entries: HiGHS reads the CSC copy
-        status, objective, values = solve_arrays(
+        status, objective, values, note = solve_arrays(
             *arrays, args.time_limit, args.gap)
         write_solution(args.solution, status, objective,
                        time.monotonic() - start, columns, values)
@@ -601,7 +688,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     print(f"valign-milp: {status}"
-          + (f" objective {objective}" if objective is not None else ""))
+          + (f" objective {objective}" if objective is not None else "")
+          + (f" {note}" if note else ""))
     return 0
 
 

@@ -7,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 from valign.cli import main
+from valign.gateway import SolverLimits
 from valign.instance_io import write_instance
 
 from conftest import BUNDLED_SOLVER, make_instance
@@ -266,6 +267,46 @@ def test_bench_run_config_file(suite_dir, tmp_path, capsys):
                "--out", out])
     assert rc == 0
     assert "wrote" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags, want", [
+    ([], (30.0, 1e-6)),
+    (["--gap", "0.05"], (30.0, 0.05)),
+    (["--time-limit", "45", "--gap", "0.02"], (45.0, 0.02)),
+])
+def test_bench_run_config_limits_reach_run_matrix(suite_dir, tmp_path,
+                                                  monkeypatch, flags, want):
+    # An explicit flag wins, then the file's limits, then 600 s and 0.01.
+    import valign.cli
+    seen = []
+    monkeypatch.setattr(valign.cli, "run_matrix",
+                        lambda suite, configs, run, **kw: seen.append(run)
+                        or [])
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({
+        "solver_command": BUNDLED_SOLVER,
+        "limits": {"time_limit": 30.0, "mip_gap": 1e-6,
+                   "feasibility_tol": 1e-7},
+    }), encoding="utf-8")
+    rc = main(["bench", suite_dir, "--run-config", str(run_file),
+               "--out", str(tmp_path / "r"), *flags])
+    assert rc == 0
+    limits = seen[0].limits
+    assert (limits.time_limit, limits.mip_gap) == want
+    assert limits.feasibility_tol == 1e-7
+
+
+def test_bench_limits_default_without_a_file(suite_dir, tmp_path,
+                                             monkeypatch):
+    import valign.cli
+    seen = []
+    monkeypatch.setattr(valign.cli, "run_matrix",
+                        lambda suite, configs, run, **kw: seen.append(run)
+                        or [])
+    rc = main(["bench", suite_dir, "--solver", BUNDLED_SOLVER,
+               "--out", str(tmp_path / "r")])
+    assert rc == 0
+    assert seen[0].limits == SolverLimits(600.0, 0.01, 1e-6)
 
 
 def test_profile_cli(suite_dir, tmp_path, capsys):

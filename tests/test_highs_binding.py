@@ -27,7 +27,12 @@ from test_milp_solve import TOY_MPS, RecordingHighs, ranged_model
 
 def milp_reference(mps, time_limit, gap):
     """solve_parsed as it was when it called scipy.optimize.milp, less
-    HiGHS presolve on pure LPs."""
+    HiGHS presolve on pure LPs; (status, objective, x)."""
+    return milp_result(mps, time_limit, gap)[0]
+
+
+def milp_result(mps, time_limit, gap):
+    """milp_reference's answer and scipy's own result."""
     constraints = []
     if mps.row_order:
         entries = mps.entries
@@ -51,16 +56,16 @@ def milp_reference(mps, time_limit, gap):
                            options=options)
 
     if result.status == 0:
-        return "optimal", float(result.fun), result.x
+        return ("optimal", float(result.fun), result.x), result
     if result.status == 1:
         if result.x is not None:
-            return "feasible", float(result.fun), result.x
-        return "timeout", None, None
+            return ("feasible", float(result.fun), result.x), result
+        return ("timeout", None, None), result
     if result.status == 2:
-        return "infeasible", None, None
+        return ("infeasible", None, None), result
     if result.status == 3:
-        return "unbounded", None, None
-    return "error", None, None
+        return ("unbounded", None, None), result
+    return ("error", None, None), result
 
 
 def small(rows, columns, bounds="", integer=()):
@@ -116,23 +121,159 @@ def parsed_model(case):
     return mps
 
 
+# How the MIPs close: (from the rounded relaxation, by branch and bound
+# from the rounded relaxation's x). The others have no feasible rounding
+# and branch and bound from no start, as scipy's milp does.
+PATHS = {"C-02 2 blocks": (True, False), "D-02 2 blocks": (True, False),
+         "ranged": (True, False), "shared-pits": (False, True),
+         "no rows": (False, True)}
+
+
 @pytest.mark.parametrize("case, time_limit, gap", [
     *[(case, 60.0, 0.01) for case, _ in ROAD_MODELS],
     ("ranged", 60.0, 1e-9),
     *[(case, 60.0, 1e-9) for case in SMALL_MODELS],
     ("LP", None, None),
 ])
-def test_solve_parsed_matches_scipy_milp(case, time_limit, gap):
+def test_solve_parsed_matches_scipy_milp(counting, case, time_limit, gap):
+    # LPs, and MIPs that branch and bound from no start, give scipy's
+    # answer bit for bit. A MIP closed from its rounded relaxation, or
+    # started from it, may give another x within the gap.
     mps = parsed_model(case)
-    status, objective, x = solve_parsed(mps, time_limit, gap)
-    want_status, want_objective, want_x = milp_reference(mps, time_limit,
-                                                         gap)
+    (want_status, want_objective, want_x), result = milp_result(
+        mps, time_limit, gap)
+    counted = counting()
+    status, objective, x, note = milp_solve.solve_arrays(
+        *milp_solve.model_arrays(mps), time_limit, gap)
+    path = (note.endswith("(rounded relaxation)"), bool(counted.starts))
+    assert path == PATHS.get(case, (False, False))
     assert status == want_status
-    assert objective == want_objective
-    if want_x is None:
-        assert x is None
+    if any(path):
+        scale = max(1.0, abs(want_objective))
+        assert result.mip_dual_bound - 1e-9 * scale <= objective
+        assert objective <= want_objective + gap * scale
+        assert_feasible(mps, x, 1e-6)
     else:
-        assert np.array_equal(x, want_x)
+        assert objective == want_objective
+        if want_x is None:
+            assert x is None
+        else:
+            assert np.array_equal(x, want_x)
+
+
+def assert_feasible(mps, x, tol):
+    """x within tol of the model's rows, bounds and integrality."""
+    entries = mps.entries
+    activity = sparse.csr_matrix(
+        (entries["value"], (entries["row"], entries["col"])),
+        shape=(len(mps.row_order), len(mps.columns))) @ x
+    lower, upper = milp_solve.row_bounds(mps)
+    assert np.all(activity >= lower - tol)
+    assert np.all(activity <= upper + tol)
+    assert np.all(x >= mps.col_lower - tol)
+    assert np.all(x <= mps.col_upper + tol)
+    ints = x[mps.col_integer]
+    assert np.all(np.abs(ints - np.round(ints)) <= tol)
+
+
+REAL_HIGHS = milp_solve.highs_core()._Highs
+
+
+class CountingHighs:
+    """The binding's HiGHS object, noting for each run() what is left of
+    its time limit: the limit less the run time the object has used."""
+
+    made = []
+    left = []
+    starts = []
+
+    def __init__(self):
+        self.highs = REAL_HIGHS()
+        CountingHighs.made.append(self)
+
+    def __getattr__(self, name):
+        return getattr(self.highs, name)
+
+    def setSolution(self, *args):
+        CountingHighs.starts.append(args)
+        return self.highs.setSolution(*args)
+
+    def run(self):
+        limit = self.highs.getOptionValue("time_limit")[1]
+        CountingHighs.left.append(limit - self.highs.getRunTime())
+        return self.highs.run()
+
+
+PAIR_MPS = small(["L pair"], ["x COST -1.0", "x pair 1.0",
+                              "y COST -1.0", "y pair 1.0"],
+                 "RHS\n    RHS pair 1.5\nBOUNDS\n BV BND x\n BV BND y\n",
+                 integer=("x", "y"))
+
+
+@pytest.fixture
+def counting(monkeypatch):
+    """Call it to count the HiGHS objects made from then on, and their
+    runs: scipy's milp makes them through the same binding."""
+    def install():
+        monkeypatch.setattr(milp_solve.highs_core(), "_Highs",
+                            CountingHighs)
+        for name in ("made", "left", "starts"):
+            monkeypatch.setattr(CountingHighs, name, [])
+        return CountingHighs
+    return install
+
+
+@pytest.mark.parametrize("case", ["LP", "unbounded LP", "A-01"])
+def test_pure_lp_runs_once(counting, case):
+    mps = (parse_mps(SMALL_MODELS[case]) if case in SMALL_MODELS
+           else parse_mps(emit_mps_text(build(pinned_road(case),
+                                              named_config("MQN-B")))))
+    counted = counting()
+    solve_parsed(mps, 60.0, 0.01)
+    assert len(counted.made) == len(counted.left) == 1
+
+
+def test_blocked_road_closes_after_two_runs(counting):
+    # The relaxation and the rounded fixed LP, on one object.
+    mps = parsed_model("C-02 2 blocks")
+    counted = counting()
+    status, _, _, note = milp_solve.solve_arrays(
+        *milp_solve.model_arrays(mps), 60.0, 0.01)
+    assert status == "optimal"
+    assert note.endswith("(rounded relaxation)")
+    assert len(counted.made) == 1
+    assert len(counted.left) == 2
+    assert 0.0 < counted.left[1] <= counted.left[0] <= 60.0
+
+
+def test_rounding_that_breaks_a_row_falls_back(counting, tmp_path, capsys):
+    # The relaxation takes x + y = 1.5 with one binary at 0.5; rounding it
+    # up breaks the row, so branch and bound gives the answer.
+    mps = parse_mps(PAIR_MPS)
+    want = milp_reference(mps, 60.0, 1e-9)
+    counted = counting()
+    got = solve_parsed(mps, 60.0, 1e-9)
+    assert got[:2] == want[:2] == ("optimal", -1.0)
+    assert np.array_equal(got[2], want[2])
+    assert len(counted.made) == 2       # a fresh object for the MIP
+    assert counted.starts == []         # the rounding was infeasible
+    assert len(counted.left) == 3
+    assert 0.0 < counted.left[2] <= counted.left[1] <= counted.left[0]
+    assert counted.left[0] <= 60.0
+
+    path, sol = tmp_path / "pair.mps", tmp_path / "pair.sol"
+    path.write_text(PAIR_MPS, encoding="ascii")
+    assert milp_solve.main([str(path), str(sol), "--gap", "1e-9"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("valign-milp: optimal objective -1.0 bound -1.0 "
+                          "(branch and bound, ")
+
+
+def test_relaxation_stopped_by_the_limit_is_a_timeout(counting):
+    mps = parsed_model("D-02 2 blocks")
+    counted = counting()
+    assert solve_parsed(mps, 1e-9, 0.01) == ("timeout", None, None)
+    assert len(counted.made) == len(counted.left) == 1
 
 
 @pytest.mark.parametrize("case, config_name, presolve", [

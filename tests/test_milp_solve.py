@@ -187,11 +187,15 @@ def test_main_rejects_sos_by_default(tmp_path):
     assert content.startswith("status error")
 
 
-def test_main_end_to_end(tmp_path):
+def test_main_end_to_end(tmp_path, capsys):
     mps = write(tmp_path, TOY_MPS)
     sol = str(tmp_path / "out.sol")
     rc = main([mps, sol, "--time-limit", "30", "--gap", "1e-9"])
     assert rc == 0
+    # b is integral in the relaxation, so the model closes from it.
+    assert capsys.readouterr().out == (
+        "valign-milp: optimal objective -3.0 bound -3.0 "
+        "(rounded relaxation)\n")
     lines = open(sol).read().splitlines()
     assert lines[0] == "status optimal"
     entries = dict(line.split(None, 1) for line in lines)
@@ -410,6 +414,22 @@ class RecordingHighs:
         RecordingHighs.digest = h.hexdigest()
         RecordingHighs.options_seen = dict(self.options)
         self.num_col = num_col
+
+    def getOptionValue(self, name):
+        return milp_solve.highs_core().HighsStatus.kOk, \
+            self.options.get(name, 1e-6)
+
+    def changeColsIntegrality(self, count, cols, integrality):
+        pass
+
+    def changeColsBounds(self, count, cols, lower, upper):
+        pass
+
+    def setSolution(self, count, cols, values):
+        pass
+
+    def getRunTime(self):
+        return 0.0
 
     def run(self):
         pass

@@ -9,20 +9,30 @@ to its objective. Pinning the MH-QNF optimum's offsets with fix_offsets
 must leave a MILP whose optimum is the transport oracle's price. On roads
 buffered by a large borrow and waste pit, the MH-QNF optimum must be no
 worse than the best of a few spline-consistent offset vectors, its own
-among them, as enumerate_optimal prices them.
+among them, as enumerate_optimal prices them. On random roads with one or
+two blocks, under MQN-B and MQN-S1, `valign solve` with the bundled adapter
+must validate and re-price its answer, and the answer must lie between
+scipy.optimize.milp's dual bound and its objective plus the gap.
 """
+
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize, sparse
 
 from valign import milp_solve
 from valign.builder import build, fix_offsets, named_config
+from valign.cli import main
 from valign.gateway import Solution, decode
 from valign.instance import Pit
+from valign.instance_io import write_instance
+from valign.mps import emit_mps_text
 from valign.oracle import allocation_cost, enumerate_optimal
 from valign.validate import recompute_cost, validate
 
-from conftest import make_instance
+from conftest import BUNDLED_SOLVER, make_instance
 
 GAP = 1e-6
 
@@ -145,3 +155,62 @@ def test_mhqnf_no_worse_than_enumeration(case):
         grid.append(min(max(u, section.offset_lo), section.offset_hi))
     _, enumerated = enumerate_optimal(instance, grids)
     assert mqn.objective <= enumerated + GAP * max(1.0, abs(enumerated))
+
+
+@st.composite
+def blocked_roads(draw):
+    """A road of five to eight sections with one or two blocks on interior
+    sections and one or two access roads elsewhere."""
+    n = draw(st.integers(min_value=5, max_value=8))
+    blocks = draw(st.lists(st.integers(2, n - 1), min_size=1, max_size=2,
+                           unique=True))
+    free = [i for i in range(1, n + 1) if i not in blocks]
+    access = draw(st.lists(st.sampled_from(free), min_size=1, max_size=2,
+                           unique=True))
+    return make_instance(
+        draw(st.lists(st.floats(min_value=97.0, max_value=103.0),
+                      min_size=n, max_size=n)),
+        spacing=draw(st.floats(min_value=20.0, max_value=200.0)),
+        areas=draw(st.lists(st.floats(min_value=5.0, max_value=50.0),
+                            min_size=n, max_size=n)),
+        offset=4.0, blocks=sorted(blocks), access=sorted(access))
+
+
+def scipy_milp(model, gap):
+    """scipy.optimize.milp on the model, SOS sets binarized."""
+    mps = milp_solve.parse_mps(emit_mps_text(model))
+    milp_solve.binarize_sos(mps)
+    cost, lower, upper, integer, start, index, value, row_lo, row_hi = \
+        milp_solve.model_arrays(mps)
+    matrix = sparse.csc_array((value, index, start),
+                              shape=(len(row_lo), len(cost)))
+    return optimize.milp(
+        cost, integrality=integer, bounds=optimize.Bounds(lower, upper),
+        constraints=optimize.LinearConstraint(matrix, row_lo, row_hi),
+        options={"mip_rel_gap": gap, "time_limit": 60.0})
+
+
+@examples(8)
+@given(blocked_roads())
+def test_blocked_roads_within_the_gap_of_scipy_milp(instance):
+    # Rounded relaxation or branch and bound, the adapter's answer passes
+    # the CLI's validation and re-pricing and lies inside scipy's bracket.
+    gap = 0.01
+    with tempfile.TemporaryDirectory() as tmp:
+        road = write_instance(instance, os.path.join(tmp, "road.json"))
+        for config_name, flags in (("MQN-B", []),
+                                   ("MQN-S1", ["--blocks", "sos1"])):
+            reference = scipy_milp(build(instance, named_config(config_name)),
+                                   gap)
+            assert reference.status == 0, reference.message
+            out = os.path.join(tmp, f"{config_name}.txt")
+            assert main(["solve", road, "--solver", BUNDLED_SOLVER,
+                         "--time-limit", "60", "--gap", str(gap), *flags,
+                         "-o", out]) == 0
+            with open(out, encoding="ascii") as fh:
+                lines = dict(line.split(None, 1) for line in fh)
+            objective = float(lines["objective"])
+            assert lines["validation"].strip() == "pass"
+            scale = max(1.0, abs(reference.fun))
+            assert reference.mip_dual_bound - 1e-9 * scale <= objective
+            assert objective <= reference.fun + gap * scale

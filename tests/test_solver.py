@@ -4,11 +4,13 @@ import math
 import os
 import sys
 import tempfile
+import time
 
 import pytest
 
 from valign.builder import build, fix_offsets, named_config
 from valign.gateway import (
+    GRACE_SECONDS,
     DecodeError,
     SolverLimits,
     decode,
@@ -22,6 +24,7 @@ from conftest import (
     TWO_NODE_COST,
     TWO_NODE_OFFSETS,
     make_instance,
+    pinned_road,
 )
 
 LIMITS = SolverLimits(time_limit=120.0, mip_gap=1e-9, feasibility_tol=1e-6)
@@ -69,6 +72,18 @@ def test_timeout_reported():
                           feasibility_tol=1e-6)
     solution = solve(model, BUNDLED_SOLVER, limits)
     assert solution.status == "timeout"
+
+
+@pytest.mark.parametrize("config_name", ["MQN-B", "MQN-S1"])
+def test_timeout_on_a_blocked_road(config_name):
+    # A MIP's relaxation, the first of its runs, stops at the limit too.
+    model = build(pinned_road("D-02 2 blocks"), named_config(config_name))
+    limits = SolverLimits(time_limit=0.001, mip_gap=0.01,
+                          feasibility_tol=1e-6)
+    start = time.monotonic()
+    solution = solve(model, BUNDLED_SOLVER, limits)
+    assert solution.status == "timeout"
+    assert time.monotonic() - start <= limits.time_limit + GRACE_SECONDS
 
 
 def test_solver_error_on_bad_command():
