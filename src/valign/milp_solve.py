@@ -46,7 +46,8 @@ Otherwise the MIP is solved by branch and bound on a fresh object, started
 from the fixed LP's x when it is feasible: reusing the relaxation's object
 kept its LP data alongside the MIP's, and the adapter's peak on D-03
 MQN-S1 rose from 50 to 56 MB. Each run gets what is left of the time
-limit, and a relaxation stopped by it is a timeout.
+limit, a relaxation stopped by it is a timeout, and an infeasible
+relaxation ends the solve as infeasible.
 
 solve_parsed builds those arrays from a ColumnarModel, parsed
 or built (csc_arrays, row_bounds), and calls it. The binding is loaded on
@@ -520,8 +521,10 @@ def solve_arrays(cost: np.ndarray, col_lower: np.ndarray,
     ints = np.flatnonzero(integrality).astype(i32)
     highs.changeColsIntegrality(len(ints), ints, np.zeros(len(ints), np.uint8))
     relaxed = _run(highs, deadline)
-    if _STATUS_WORDS.get(relaxed) == "timeout":
-        return "timeout", None, None, ""
+    # An infeasible relaxation proves the MIP infeasible; an unbounded one
+    # proves nothing, so that goes on to branch and bound.
+    if relaxed == "kInfeasible" or _STATUS_WORDS.get(relaxed) == "timeout":
+        return _STATUS_WORDS[relaxed], None, None, ""
     start_x = None
     if relaxed == "kOptimal":
         bound = highs.getInfo().objective_function_value

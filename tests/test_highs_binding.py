@@ -25,14 +25,10 @@ from conftest import pinned_road
 from test_milp_solve import TOY_MPS, RecordingHighs, ranged_model
 
 
-def milp_reference(mps, time_limit, gap):
-    """solve_parsed as it was when it called scipy.optimize.milp, less
-    HiGHS presolve on pure LPs; (status, objective, x)."""
-    return milp_result(mps, time_limit, gap)[0]
-
-
 def milp_result(mps, time_limit, gap):
-    """milp_reference's answer and scipy's own result."""
+    """((status, objective, x), scipy's result): solve_parsed's answer as it
+    was when it called scipy.optimize.milp, less HiGHS presolve on pure
+    LPs, and the result it read that answer from."""
     constraints = []
     if mps.row_order:
         entries = mps.entries
@@ -137,8 +133,9 @@ PATHS = {"C-02 2 blocks": (True, False), "D-02 2 blocks": (True, False),
 ])
 def test_solve_parsed_matches_scipy_milp(counting, case, time_limit, gap):
     # LPs, and MIPs that branch and bound from no start, give scipy's
-    # answer bit for bit. A MIP closed from its rounded relaxation, or
-    # started from it, may give another x within the gap.
+    # answer bit for bit. A MIP closed from its rounded relaxation may give
+    # another x within the gap; one that branches and bounds from the
+    # rounded relaxation's x gives scipy's objective up to rounding error.
     mps = parsed_model(case)
     (want_status, want_objective, want_x), result = milp_result(
         mps, time_limit, gap)
@@ -150,8 +147,11 @@ def test_solve_parsed_matches_scipy_milp(counting, case, time_limit, gap):
     assert status == want_status
     if any(path):
         scale = max(1.0, abs(want_objective))
-        assert result.mip_dual_bound - 1e-9 * scale <= objective
-        assert objective <= want_objective + gap * scale
+        if path[0]:
+            assert result.mip_dual_bound - 1e-9 * scale <= objective
+            assert objective <= want_objective + gap * scale
+        else:
+            assert abs(objective - want_objective) <= 1e-9 * scale
         assert_feasible(mps, x, 1e-6)
     else:
         assert objective == want_objective
@@ -250,7 +250,7 @@ def test_rounding_that_breaks_a_row_falls_back(counting, tmp_path, capsys):
     # The relaxation takes x + y = 1.5 with one binary at 0.5; rounding it
     # up breaks the row, so branch and bound gives the answer.
     mps = parse_mps(PAIR_MPS)
-    want = milp_reference(mps, 60.0, 1e-9)
+    want = milp_result(mps, 60.0, 1e-9)[0]
     counted = counting()
     got = solve_parsed(mps, 60.0, 1e-9)
     assert got[:2] == want[:2] == ("optimal", -1.0)
@@ -267,6 +267,18 @@ def test_rounding_that_breaks_a_row_falls_back(counting, tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("valign-milp: optimal objective -1.0 bound -1.0 "
                           "(branch and bound, ")
+
+
+def test_infeasible_relaxation_ends_the_solve(counting):
+    # x >= 1 and x <= 0.5 leave the relaxation no point, so it proves the
+    # MIP infeasible: no branch and bound.
+    mps = parse_mps(small(["G lo", "L hi"],
+                          ["x COST 1.0", "x lo 1.0", "x hi 1.0"],
+                          "RHS\n    RHS lo 1.0\n    RHS hi 0.5\n",
+                          integer=("x",)))
+    counted = counting()
+    assert solve_parsed(mps, 60.0, 1e-9) == ("infeasible", None, None)
+    assert len(counted.made) == len(counted.left) == 1
 
 
 def test_relaxation_stopped_by_the_limit_is_a_timeout(counting):
@@ -298,7 +310,7 @@ def test_presolve_runs_for_mips_only(monkeypatch, case, config_name,
 
 def test_models_cover_every_outcome():
     # HiGHS reports an unbounded MIP as kUnboundedOrInfeasible.
-    statuses = {case: milp_reference(parsed_model(case), 60.0, 1e-9)[0]
+    statuses = {case: milp_result(parsed_model(case), 60.0, 1e-9)[0][0]
                 for case in SMALL_MODELS}
     assert statuses == {"no rows": "optimal", "LP": "optimal",
                         "infeasible MIP": "infeasible",

@@ -20,7 +20,6 @@ import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import optimize, sparse
 
 from valign import milp_solve
 from valign.builder import build, fix_offsets, named_config
@@ -33,6 +32,7 @@ from valign.oracle import allocation_cost, enumerate_optimal
 from valign.validate import recompute_cost, validate
 
 from conftest import BUNDLED_SOLVER, make_instance
+from test_highs_binding import milp_result
 
 GAP = 1e-6
 
@@ -176,20 +176,6 @@ def blocked_roads(draw):
         offset=4.0, blocks=sorted(blocks), access=sorted(access))
 
 
-def scipy_milp(model, gap):
-    """scipy.optimize.milp on the model, SOS sets binarized."""
-    mps = milp_solve.parse_mps(emit_mps_text(model))
-    milp_solve.binarize_sos(mps)
-    cost, lower, upper, integer, start, index, value, row_lo, row_hi = \
-        milp_solve.model_arrays(mps)
-    matrix = sparse.csc_array((value, index, start),
-                              shape=(len(row_lo), len(cost)))
-    return optimize.milp(
-        cost, integrality=integer, bounds=optimize.Bounds(lower, upper),
-        constraints=optimize.LinearConstraint(matrix, row_lo, row_hi),
-        options={"mip_rel_gap": gap, "time_limit": 60.0})
-
-
 @examples(8)
 @given(blocked_roads())
 def test_blocked_roads_within_the_gap_of_scipy_milp(instance):
@@ -200,8 +186,10 @@ def test_blocked_roads_within_the_gap_of_scipy_milp(instance):
         road = write_instance(instance, os.path.join(tmp, "road.json"))
         for config_name, flags in (("MQN-B", []),
                                    ("MQN-S1", ["--blocks", "sos1"])):
-            reference = scipy_milp(build(instance, named_config(config_name)),
-                                   gap)
+            mps = milp_solve.parse_mps(emit_mps_text(
+                build(instance, named_config(config_name))))
+            milp_solve.binarize_sos(mps)
+            reference = milp_result(mps, 60.0, gap)[1]
             assert reference.status == 0, reference.message
             out = os.path.join(tmp, f"{config_name}.txt")
             assert main(["solve", road, "--solver", BUNDLED_SOLVER,
