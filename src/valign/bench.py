@@ -258,8 +258,7 @@ def _run_cell(instance: RoadInstance, config_name: str,
     except Exception as exc:
         return _CellOutcome("error", None, 0.0, False, _reason(exc))
     try:
-        solution = solve(model, run.solver_command, run.limits,
-                         sol_format=run.sol_format)
+        solution = solve(model, run.solver_command, run.limits)
     except Exception as exc:
         return _CellOutcome("error", None, 0.0, False, _reason(exc))
     if solution.status not in ("optimal", "feasible"):

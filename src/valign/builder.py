@@ -415,15 +415,6 @@ class ArcIndex:
         return names, (arcs[..., 0], arcs[..., 1], arcs[..., 2],
                        pits[:, :, :n_borrow], pits[:, :, n_borrow:])
 
-    def flow_values(self, values: Mapping[str, float], n_hauls: int,
-                    n_steps: int) -> tuple[np.ndarray, ...]:
-        """flow_grid's arrays holding each flow's value, looked up by name;
-        names absent from values read 0."""
-        names, grid = self.flow_grid(n_hauls, n_steps)
-        x = np.fromiter(map(values.get, names, repeat(0.0)), float,
-                        len(names))
-        return tuple(x[ids] for ids in grid)
-
 
 class _Assembler:
     """Accumulates a model; rejects duplicate and unknown names as they appear.

@@ -86,8 +86,8 @@ def _config_from_flags(parser: argparse.ArgumentParser,
 
 
 def _solver_command(parser: argparse.ArgumentParser,
-                    args: argparse.Namespace) -> str:
-    command = args.solver or os.environ.get("VALIGN_SOLVER_CMD")
+                    args: argparse.Namespace, default: str = "") -> str:
+    command = args.solver or os.environ.get("VALIGN_SOLVER_CMD") or default
     if not command:
         parser.error("no solver command: pass --solver or set "
                      "VALIGN_SOLVER_CMD (template tokens {mps} {sol} "
@@ -115,8 +115,6 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
                    help="per-solve wall limit in seconds (default 600)")
     p.add_argument("--gap", type=float,
                    help="relative MIP gap (default 0.01)")
-    p.add_argument("--sol-format", choices=("auto", "pairs", "xml"),
-                   default="auto", help="solution file dialect")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -183,8 +181,7 @@ def cmd_solve(parser: argparse.ArgumentParser,
     except (InstanceError, BuildError) as exc:
         return _fail(str(exc), EXIT_INVALID)
 
-    solution = solve(model, command, limits, workdir=args.workdir,
-                     sol_format=args.sol_format)
+    solution = solve(model, command, limits, workdir=args.workdir)
     if solution.status == "timeout":
         note = f" (logs in {args.workdir})" if args.workdir else ""
         return _fail(f"solver hit the {limits.time_limit:g}s limit{note}",
@@ -257,24 +254,23 @@ def _load_suite(parser: argparse.ArgumentParser,
 
 def _run_config(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> RunConfig:
+    """A --run-config file's run, else the default one; --solver (or
+    $VALIGN_SOLVER_CMD), --configs, --time-limit and --gap win over both.
+    A file that does not parse is a usage error."""
+    base = RunConfig("", SolverLimits(), ("MQN-B",))
     if args.run_config:
-        base = parse_config(args.run_config)
-        command = args.solver or os.environ.get("VALIGN_SOLVER_CMD") \
-            or base.solver_command
-        configs = tuple(args.configs.split(",")) if args.configs \
-            else base.configs
-        return RunConfig(solver_command=command,
-                         limits=_limits(parser, args, **asdict(base.limits)),
-                         configs=configs, sol_format=base.sol_format)
-    command = _solver_command(parser, args)
-    configs = tuple(args.configs.split(",")) if args.configs else ("MQN-B",)
+        try:
+            base = parse_config(args.run_config)
+        except ValueError as exc:
+            parser.exit(EXIT_USAGE, f"valign: {args.run_config}: {exc}\n")
+    command = _solver_command(parser, args, base.solver_command)
+    configs = tuple(args.configs.split(",")) if args.configs else base.configs
     unknown = [c for c in configs if c not in KNOWN_CONFIG_NAMES]
     if unknown:
         parser.error(f"unknown configs: {', '.join(unknown)} "
                      f"(known: {', '.join(sorted(KNOWN_CONFIG_NAMES))})")
-    return RunConfig(solver_command=command,
-                     limits=_limits(parser, args),
-                     configs=configs, sol_format=args.sol_format)
+    return RunConfig(command, _limits(parser, args, **asdict(base.limits)),
+                     configs)
 
 
 def _summarize(records: list[BenchmarkRecord]) -> None:

@@ -5,9 +5,10 @@ file. Command templates carry substitution tokens {mps}, {sol}, {timelimit}
 and {gap}; the default template (env var VALIGN_SOLVER_CMD, falling back to
 the bundled adapter) is resolved by default_solver_command().
 
-Two solution file layouts are understood: "name value" pairs with reserved
-keys status/objective/wall_time, and an XML-ish sectioned layout with a
-header element plus one element per variable.
+Two solution file layouts are understood, told apart by the first
+character of the text: a leading "<" is an XML-ish sectioned layout with a
+header element plus one element per variable, anything else is "name value"
+pairs with reserved keys status/objective/wall_time.
 """
 
 from __future__ import annotations
@@ -21,12 +22,18 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
 from xml.etree import ElementTree
 
 import numpy as np
 
-from valign.builder import ArcIndex, BuilderConfig, MilpModel
+from valign.builder import (
+    ArcIndex,
+    BuilderConfig,
+    MilpModel,
+    effective_hauls,
+)
 from valign.instance import RoadInstance
 from valign.mps import emit_mps
 
@@ -85,7 +92,24 @@ class AlignmentResult:
     borrow_used: tuple[float, ...]
     waste_used: tuple[float, ...]
     removal: dict[tuple[int, int], float]
-    values: dict[str, float] = field(repr=False, default_factory=dict)
+    values: dict[str, float] = field(repr=False)
+    # The names decode read values by, and the (hauls, steps) of the
+    # MH-QNF flow grid; None for CTG.
+    names: ArcIndex = field(repr=False, compare=False)
+    flow_shape: tuple[int, int] | None
+
+    @cached_property
+    def flows(self) -> np.ndarray | tuple[np.ndarray, ...]:
+        """The flow values, read from values once, on first use: CTG's
+        (supply, demand) grid, or flow_grid's (transit, unload, load,
+        borrow, waste) arrays. Absent names read 0. A copy made with
+        dataclasses.replace reads its own values again."""
+        if self.flow_shape is None:
+            return self.names.ctg_grid(self.values)
+        arcs, grid = self.names.flow_grid(*self.flow_shape)
+        x = np.fromiter(map(self.values.get, arcs, repeat(0.0)), float,
+                        len(arcs))
+        return tuple(x[ids] for ids in grid)
 
 
 def default_solver_command() -> str:
@@ -174,19 +198,16 @@ def _normalize_status(raw: str, has_values: bool) -> str:
     return status
 
 
-def parse_solution_text(text: str, sol_format: str = "auto") -> Solution:
-    if sol_format not in ("auto", "pairs", "xml"):
-        raise ValueError(f"unknown solution format {sol_format!r}")
-    if sol_format == "auto":
-        sol_format = "xml" if text.lstrip().startswith("<") else "pairs"
-    if sol_format == "pairs":
-        raw, tokens = parse_pairs(text)
-    else:
+def parse_solution_text(text: str) -> Solution:
+    """A solution file's text, in the dialect its first character names."""
+    if text.lstrip().startswith("<"):
         try:
             raw = parse_xmlish(text)
         except ElementTree.ParseError as exc:
             raise SolveError(f"unparseable solution file: {exc}") from exc
         tokens = {k: t for k, t in raw.items() if k not in _RESERVED}
+    else:
+        raw, tokens = parse_pairs(text)
     values = _numeric(tokens)
     status = _normalize_status(raw.get("status", "error"), bool(values))
     objective = None
@@ -229,8 +250,8 @@ def _substitute(template: str, mps_path: str, sol_path: str,
 
 
 def solve(model: MilpModel, solver_command: str | None = None,
-          limits: SolverLimits | None = None, workdir: str | None = None,
-          sol_format: str = "auto") -> Solution:
+          limits: SolverLimits | None = None,
+          workdir: str | None = None) -> Solution:
     """Emit, run, parse. Never blocks past time_limit + GRACE_SECONDS.
 
     A caller's workdir is kept. A temporary one is removed once the solver
@@ -239,11 +260,11 @@ def solve(model: MilpModel, solver_command: str | None = None,
     limits = limits or SolverLimits()
     command = solver_command or default_solver_command()
     if workdir is not None:
-        return _solve_in(model, command, limits, workdir, sol_format)
+        return _solve_in(model, command, limits, workdir)
     workdir = tempfile.mkdtemp(prefix="valign-")
     keep = False
     try:
-        solution = _solve_in(model, command, limits, workdir, sol_format)
+        solution = _solve_in(model, command, limits, workdir)
         keep = solution.status in ("timeout", "error")
     finally:
         if not keep:
@@ -252,7 +273,7 @@ def solve(model: MilpModel, solver_command: str | None = None,
 
 
 def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
-              workdir: str, sol_format: str) -> Solution:
+              workdir: str) -> Solution:
     os.makedirs(workdir, exist_ok=True)
     mps_path = os.path.join(workdir, "model.mps")
     sol_path = os.path.join(workdir, "model.sol")
@@ -285,7 +306,7 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
             text = None
     if text is not None and text.strip():
         try:
-            parsed = parse_solution_text(text, sol_format)
+            parsed = parse_solution_text(text)
         except SolveError:
             return Solution("error", None, {}, wall, log_path)
         status = parsed.status
@@ -299,20 +320,18 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
 
 
 def decode(solution: Solution, instance: RoadInstance,
-           config: BuilderConfig, model: MilpModel | None = None,
+           config: BuilderConfig, model: MilpModel,
            objective_tol: float = 1e-5) -> AlignmentResult:
     """Map canonical variable names back to a structured alignment.
 
     Variables absent from the solution values are taken as zero (sparse
     solution files); an empty overlap with the model or a non-finite value
     is an error. The objective is recomputed from the model's cost vector
-    and must match the solver's report within objective_tol relative.
+    and must match the solver's report within objective_tol relative. The
+    result keeps this ArcIndex and reads its flows from values on first use.
     """
     if solution.status not in ("optimal", "feasible"):
         raise DecodeError(f"cannot decode a {solution.status} solution")
-    if model is None:
-        from valign.builder import build
-        model = build(instance, config)
 
     columns = model.columns
     values = solution.values
@@ -352,8 +371,10 @@ def decode(solution: Solution, instance: RoadInstance,
             key = names.removal(k, t)
             if key in values:
                 removal[(k, t)] = values[key]
+    flow_shape = None if config.model == "CTG" else (
+        len(effective_hauls(instance, config)), len(instance.blocks) + 1)
     return AlignmentResult(
         status=solution.status, objective=solution.objective,
         coefficients=coeffs, offsets=offsets, section_cut=cut,
         section_fill=fill, borrow_used=borrow, waste_used=waste,
-        removal=removal, values=values)
+        removal=removal, values=values, names=names, flow_shape=flow_shape)

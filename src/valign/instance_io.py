@@ -306,7 +306,6 @@ class RunConfig:
     solver_command: str
     limits: SolverLimits
     configs: tuple[str, ...]
-    sol_format: str = "auto"
 
 
 KNOWN_CONFIG_NAMES = ("MQN-B", "MQN-S1", "CTG-B", "CTG-S1",
@@ -344,16 +343,12 @@ def parse_config_dict(doc: dict) -> RunConfig:
         if name not in KNOWN_CONFIG_NAMES:
             errors.append(f"configs: unknown name {name!r} "
                           f"(known: {', '.join(KNOWN_CONFIG_NAMES)})")
-    sol_format = doc.get("sol_format", "auto")
-    if sol_format not in ("auto", "pairs", "xml"):
-        errors.append("sol_format: expected auto|pairs|xml")
-        sol_format = "auto"
-    unknown = set(doc) - {"solver_command", "limits", "configs", "sol_format"}
+    unknown = set(doc) - {"solver_command", "limits", "configs"}
     for key in sorted(unknown):
         errors.append(f"{key}: unknown config key")
     if errors:
         raise ValueError("; ".join(errors))
-    return RunConfig(command, limits, tuple(configs), sol_format)
+    return RunConfig(command, limits, tuple(configs))
 
 
 def parse_config(path: str) -> RunConfig:

@@ -5,7 +5,8 @@ result (flow arithmetic, block reachability, spline evaluation), without
 reusing the MILP rows. recompute_cost re-derives the objective from flows
 and volumes by its own arithmetic.
 
-Flow values are read once onto ArcIndex's grids, by name: ctg_grid for CTG,
+Flow values are read by name once per result, on first use, onto the grids
+of the ArcIndex decode built (AlignmentResult.flows): ctg_grid for CTG,
 flow_grid for MH-QNF. That grid is the only thing shared with the builder;
 conservation, balance, capacity, bounds, block gating, removal and the
 re-priced cost are derived from the grid and the instance data, never from
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from valign.builder import ArcIndex, BuilderConfig, effective_hauls
+from valign.builder import BuilderConfig, effective_hauls
 from valign.gateway import AlignmentResult
 from valign.instance import (
     RoadInstance,
@@ -108,15 +109,11 @@ def validate(instance: RoadInstance, config: BuilderConfig,
         report._hits(family, magnitudes, scales, relative)
 
     _check_geometry(instance, config, result, hit)
-    names = ArcIndex(instance)
     if config.model == "CTG":
-        _check_ctg_flows(instance, names, result, hits)
+        _check_ctg_flows(instance, result, hits)
     else:
-        flows = names.flow_values(result.values,
-                                  len(effective_hauls(instance, config)),
-                                  len(instance.blocks) + 1)
-        _check_flows(instance, flows, result, hits)
-        _check_blocks(instance, flows, result, hit, hits)
+        _check_flows(instance, result, hits)
+        _check_blocks(instance, result, hit, hits)
     return report
 
 
@@ -201,8 +198,9 @@ def _check_balance(instance, result, hits, totals) -> None:
             hits("capacity", np.maximum(0.0, total - capacity), capacity)
 
 
-def _check_flows(instance, flows, result, hits) -> None:
+def _check_flows(instance, result, hits) -> None:
     """Conservation, balance, pit capacity and flow bounds on the grid."""
+    flows = result.flows
     transit, unload, load, borrow, waste = flows
     into = _transit_in(transit)
     acc = unload + into
@@ -228,11 +226,11 @@ def _check_flows(instance, flows, result, hits) -> None:
         hits("bounds", np.maximum(0.0, -arcs))
 
 
-def _check_blocks(instance, flows, result, hit, hits) -> None:
+def _check_blocks(instance, result, hit, hits) -> None:
     blocks = instance.sorted_blocks
     if not blocks:
         return
-    transit, unload, load, borrow, waste = flows
+    transit, unload, load, borrow, waste = result.flows
     steps = range(transit.shape[1])
     y = np.array([[result.removal.get((k, t), 0.0) for t in steps]
                   for k in range(1, len(blocks) + 1)])
@@ -296,14 +294,13 @@ def _check_blocks(instance, flows, result, hit, hits) -> None:
                 hit("removal_logic", max(0.0, needed - moved), abs(needed))
 
 
-def _check_ctg_flows(instance, names, result, hits) -> None:
+def _check_ctg_flows(instance, result, hits) -> None:
     # Node totals are row and column sums of the (supply, demand) grid.
     n = instance.n
-    flows = names.ctg_grid(result.values)
-    out, into = flows.sum(axis=1), flows.sum(axis=0)
+    out, into = result.flows.sum(axis=1), result.flows.sum(axis=0)
     _check_balance(instance, result, hits,
                    (out[:n], into[:n], out[n:], into[n:]))
-    hits("bounds", np.maximum(0.0, -flows))
+    hits("bounds", np.maximum(0.0, -result.flows))
 
 
 def repricing_error(recomputed: float, objective: float) -> str:
@@ -318,9 +315,8 @@ def repricing_error(recomputed: float, objective: float) -> str:
 def recompute_cost(instance: RoadInstance, config: BuilderConfig,
                    result: AlignmentResult) -> float:
     """Objective re-derived from the decoded result's flows and volumes."""
-    names = ArcIndex(instance)
     if config.model == "CTG":
-        return _recompute_ctg(instance, names, result)
+        return _recompute_ctg(instance, result)
     hauls = effective_hauls(instance, config)
     n = instance.n
 
@@ -330,8 +326,7 @@ def recompute_cost(instance: RoadInstance, config: BuilderConfig,
         total += mat.excavation * result.section_cut[i - 1]
         total += mat.embankment * result.section_fill[i - 1]
 
-    transit, unload, _, borrow, waste = names.flow_values(
-        result.values, len(hauls), len(instance.blocks) + 1)
+    transit, unload, _, borrow, waste = result.flows
     # A transit arc off the road has distance 0, so it adds a zero term.
     dist = np.zeros((n, 2))  # (section, chain): distance from i to i+d
     dist[:-1, 0] = dist[1:, 1] = np.diff(instance.stations)
@@ -358,9 +353,8 @@ def recompute_cost(instance: RoadInstance, config: BuilderConfig,
     return total
 
 
-def _recompute_ctg(instance: RoadInstance, names: ArcIndex,
-                   result: AlignmentResult) -> float:
-    stations = instance.stations
+def _recompute_ctg(instance: RoadInstance, result: AlignmentResult) -> float:
+    names, stations = result.names, instance.stations
 
     def sites(nodes, rate: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(station, dead haul, material rate) per node."""
@@ -373,7 +367,7 @@ def _recompute_ctg(instance: RoadInstance, names: ArcIndex,
 
     st_s, dead_s, exc_s = sites(names.supply_nodes, "excavation")
     st_d, dead_d, emb_d = sites(names.demand_nodes, "embankment")
-    flows = names.ctg_grid(result.values)
+    flows = result.flows
     src, dst = np.nonzero(flows)  # row-major: the arcs' declaration order
     dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]
     unit = exc_s[src] + cheapest_haul_costs(instance.cost_model.hauls, dist) \

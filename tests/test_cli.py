@@ -255,6 +255,39 @@ def test_bench_rejects_bad_limits(suite_dir, tmp_path, capsys, run_config):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("run_config", [False, True])
+def test_bench_rejects_unknown_configs_flag(suite_dir, tmp_path, capsys,
+                                            run_config):
+    argv = ["bench", suite_dir, "--solver", BUNDLED_SOLVER,
+            "--configs", "MQN-B,MQN-X", "--out", str(tmp_path / "r")]
+    if run_config:
+        run_file = tmp_path / "run.json"
+        run_file.write_text(json.dumps({"solver_command": BUNDLED_SOLVER}),
+                            encoding="utf-8")
+        argv += ["--run-config", str(run_file)]
+    assert usage_error(argv) == 2
+    assert "unknown configs: MQN-X" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"threads": 4}', "threads: unknown config key"),
+    ('{"sol_format": "auto"}', "sol_format: unknown config key"),
+    ('{"limits": {"mip_gap": 0}}', "must be > 0"),
+    ('{"configs": ["MQN-X"]}', "unknown name 'MQN-X'"),
+    ('{"limits": ', "Expecting value"),
+], ids=["key", "sol_format", "limit", "config", "json"])
+def test_bench_bad_run_config_file_is_a_usage_error(suite_dir, tmp_path,
+                                                    capsys, text, reason):
+    run_file = tmp_path / "run.json"
+    run_file.write_text(text, encoding="utf-8")
+    assert usage_error(["bench", suite_dir, "--run-config", str(run_file),
+                        "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"valign: {run_file}: ") and reason in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bench_run_config_file(suite_dir, tmp_path, capsys):
     run_file = tmp_path / "run.json"
     run_file.write_text(json.dumps({

@@ -142,15 +142,13 @@ def test_config_defaults():
     assert run.limits == SolverLimits(time_limit=600.0, mip_gap=0.01,
                                       feasibility_tol=1e-6)
     assert run.configs == ("MQN-B",)
-    assert run.sol_format == "auto"
     assert "{mps}" in run.solver_command and "{sol}" in run.solver_command
 
 
 def test_config_file_round_trip(tmp_path):
     doc = {"solver_command": "mysolver {mps} {sol} {timelimit} {gap}",
            "limits": {"time_limit": 42.0, "mip_gap": 0.05},
-           "configs": ["QNS-B", "MQN-S1"],
-           "sol_format": "pairs"}
+           "configs": ["QNS-B", "MQN-S1"]}
     path = tmp_path / "run.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     run = parse_config(str(path))
@@ -158,7 +156,6 @@ def test_config_file_round_trip(tmp_path):
     assert run.limits.time_limit == 42.0
     assert run.limits.mip_gap == 0.05
     assert run.configs == ("QNS-B", "MQN-S1")
-    assert run.sol_format == "pairs"
 
 
 def test_config_rejects_unknown_keys():

@@ -121,7 +121,7 @@ def test_command_template_requires_tokens():
 def test_parse_pairs_dialect():
     sol = parse_solution_text(
         "# comment\nstatus optimal\nobjective 12.5\nwall_time 0.25\n"
-        "X_1 3.0\nX_2 0.0\n", "pairs")
+        "X_1 3.0\nX_2 0.0\n")
     assert sol.status == "optimal"
     assert sol.objective == 12.5
     assert sol.values["X_1"] == 3.0
@@ -138,7 +138,7 @@ def test_parse_xml_dialect():
     <variable name="Y_1_0" value="1"/>
   </variables>
 </CPLEXSolution>"""
-    sol = parse_solution_text(text, "xml")
+    sol = parse_solution_text(text)
     assert sol.status == "optimal"
     assert sol.objective == 7.25
     assert sol.values == {"U_1": 1.5, "Y_1_0": 1.0}
@@ -146,14 +146,14 @@ def test_parse_xml_dialect():
 
 def test_parse_auto_sniffs_format():
     xml = '<sol status="infeasible"></sol>'
-    assert parse_solution_text(xml, "auto").status == "infeasible"
+    assert parse_solution_text(xml).status == "infeasible"
     pairs = "status optimal\nobjective 1.0\nx 1.0\n"
-    assert parse_solution_text(pairs, "auto").status == "optimal"
+    assert parse_solution_text(pairs).status == "optimal"
 
 
 def test_timeout_with_incumbent_becomes_feasible():
     sol = parse_solution_text(
-        "status timeout\nobjective 5.0\nx 2.0\n", "pairs")
+        "status timeout\nobjective 5.0\nx 2.0\n")
     assert sol.status == "feasible"
 
 
@@ -164,7 +164,7 @@ def test_decode_rejects_unsolved():
     bad = Solution(status="infeasible", objective=None, values={},
                    wall_time=0.0)
     with pytest.raises(DecodeError):
-        decode(bad, inst, config)
+        decode(bad, inst, config, model=build(inst, config))
 
 
 def test_decode_rejects_alien_solution(two_node_instance):
@@ -173,7 +173,8 @@ def test_decode_rejects_alien_solution(two_node_instance):
     alien = Solution(status="optimal", objective=1.0,
                      values={"W_9": 1.0, "Q_2": 2.0}, wall_time=0.0)
     with pytest.raises(DecodeError):
-        decode(alien, two_node_instance, config)
+        decode(alien, two_node_instance, config,
+               model=build(two_node_instance, config))
 
 
 def test_decode_objective_consistency_guard(two_node_instance, tmp_path):
@@ -227,6 +228,6 @@ def test_solver_time_is_the_solvers_own_report(two_node_instance, tmp_path):
 def test_pairs_first_occurrence_wins():
     sol = parse_solution_text(
         "x abc\nx 1.0\ny 2.0\ny 3.0\n  # note\nstatus optimal\n"
-        "status infeasible\nobjective 4\nobjective 5\nmessage m\n", "pairs")
+        "status infeasible\nobjective 4\nobjective 5\nmessage m\n")
     assert sol.status == "optimal" and sol.objective == 4.0
     assert sol.values == {"y": 2.0}

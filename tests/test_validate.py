@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from valign.builder import build, fix_offsets, named_config
+from valign.builder import ArcIndex, build, fix_offsets, named_config
 from valign.gateway import Solution, SolverLimits, decode, solve
 from valign.instance import Pit
 from valign.validate import FAMILIES, recompute_cost, validate
@@ -270,6 +270,41 @@ def test_synthetic_values_validation_pinned(case, config_name, digest):
     lines.append(recompute_cost(instance, config, result).hex())
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+@pytest.mark.parametrize("case, config_name", [
+    ("A-01", "CTG-B"),
+    ("D-01 2 blocks", "MQN-B"),
+])
+def test_flow_names_generated_once_per_result(monkeypatch, case,
+                                              config_name):
+    # decode -> validate (twice) -> recompute_cost generate the flow names
+    # once; a copy with other values reads them again.
+    instance = pinned_road(case)
+    config = named_config(config_name)
+    model = build(instance, config)
+    x = np.random.default_rng(5).uniform(0.0, 50.0, len(model.columns))
+    solution = Solution("optimal", float(model.cost @ x),
+                        dict(zip(model.columns, x.tolist())), 0.0)
+    made = []
+    flow_grid, ctg_arcs = ArcIndex.flow_grid, ArcIndex.ctg_arcs.func
+    monkeypatch.setattr(ArcIndex, "flow_grid", lambda self, *shape: (
+        made.append(shape) or flow_grid(self, *shape)))
+    monkeypatch.setattr(ArcIndex, "ctg_arcs", property(
+        lambda self: made.append("ctg") or ctg_arcs(self)))
+
+    def check(result):
+        for relative in (False, True):
+            validate(instance, config, result, relative=relative)
+        return recompute_cost(instance, config, result)
+
+    result = decode(solution, instance, config, model=model)
+    cost = check(result)
+    assert len(made) == 1
+    doubled = replace(result, values={k: 2.0 * v
+                                      for k, v in result.values.items()})
+    assert check(doubled) != cost
+    assert len(made) == 2
 
 
 @pytest.mark.parametrize("tamper, family", [
