@@ -141,7 +141,8 @@ def piecewise_instance():
 
 # sha256 of emit_mps_text at scale: the 450-section G road (CTG-B has
 # 203,523 columns, about 615k lines), a D road with blocks and both pit
-# kinds under SOS1 block logic, and one piecewise-sos2 model.
+# kinds under SOS1 block logic, and one piecewise-sos2 and one
+# piecewise-binary model.
 @pytest.mark.parametrize("case, config, digest", [
     ("G", named_config("CTG-B"),
      "1fb1bfcdb0f3c9180fb387a158db07b4593a9f7caa87fe39e884c0011fb0e2d9"),
@@ -151,6 +152,8 @@ def piecewise_instance():
      "c1a34aba55ddd39fae09b934ce50d0be7accb5972cc9f6e1cf5936cc8c80f9fe"),
     ("piecewise", BuilderConfig(volume_mode="piecewise-sos2", name="PW-SOS2"),
      "9ae4272fa8f64a5273656c167d0386080c0584286a36c2f65baf998cf9b848c0"),
+    ("piecewise", BuilderConfig(volume_mode="piecewise-binary", name="PW-BIN"),
+     "bdaadd72851c2a3c62c890d579597d381698a9383751e35c46fe5e0c56fc58ad"),
 ])
 def test_emitted_text_pinned_at_scale(case, config, digest):
     if case == "G":
