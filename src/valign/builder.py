@@ -20,14 +20,17 @@ the bundled adapter parses MPS files into and hands to HiGHS. Its integer
 columns are all binary, and its matrix entries come in row-declaration
 order, each row's entries in the order they were declared.
 
-Every model is assembled by _Assembler, its flow columns declared at once
-from an ArcIndex grid: ctg_arcs puts the X arcs on the (supply node, demand
-node) grid, and flow_grid lays out the MH-QNF chains, indexed (haul, step,
-section or pit, chain). The rows over the flows (CTS/CTD/CTB/CTW; FCR/FCL,
-BALC/BALF, BALB/CAPB and BALW/CAPW; the block rows) go through the one bulk
-path, _Assembler.bulk_rows, from the grid's column ids; no flow column is
-looked up by name. Spline rows, and the block rows over removal indicators
-only (WDEF, ENF, MON), are declared one at a time by name.
+Every model is assembled by _Assembler, which knows columns by id only:
+each declaration returns the ids of its columns, and every row and SOS set
+is declared over ids, so no column is ever looked up by name. The flow
+columns are declared at once from an ArcIndex grid: ctg_arcs puts the X arcs
+on the (supply node, demand node) grid, and flow_grid lays out the MH-QNF
+chains, indexed (haul, step, section or pit, chain). _spline_rows returns
+the VP and VM ids by node for the rows over the flows (CTS/CTD/CTB/CTW;
+FCR/FCL, BALC/BALF, BALB/CAPB and BALW/CAPW; RIC/RIF), and the Y and W ids
+by (block, step) index the block rows. Rows over the flows and the block
+rows go through _Assembler.bulk_rows; the spline rows are declared one at a
+time.
 """
 
 from __future__ import annotations
@@ -99,8 +102,8 @@ def _repeated(names: Sequence[str]) -> str | None:
 
 @dataclass(eq=False)
 class MilpModel(ColumnarModel):
-    """A MILP in the columnar layout the module docstring describes, with
-    its objective sense and provenance.
+    """A MILP to minimize, in the columnar layout the module docstring
+    describes, with its provenance.
 
     The arrays are read-only; variables, constraints, objective and
     binary_count are views built from them. from_objects takes the object
@@ -108,7 +111,6 @@ class MilpModel(ColumnarModel):
     hand-built models do; the builders use _Assembler directly.
     """
 
-    sense: str = "min"
     provenance: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
@@ -122,22 +124,31 @@ class MilpModel(ColumnarModel):
                      constraints: Iterable[LinearConstraint] = (),
                      sos_sets: Iterable[SosSet] = (),
                      objective: Iterable[tuple[str, float]] = (),
-                     sense: str = "min",
                      provenance: Iterable[tuple[str, str]] = ()) -> MilpModel:
-        asm = _Assembler(name, sense)
-        for v in variables:
-            asm.var(v.name, v.lower, v.upper, v.kind)
-        for var, coeff in objective:
-            asm.add_cost(var, coeff)
+        variables = tuple(variables)
+        column = {v.name: c for c, v in enumerate(variables)}
+
+        def ids(owner: str, pairs: Iterable[tuple[str, float]]
+                ) -> list[tuple[int, float]]:
+            try:
+                return [(column[var], value) for var, value in pairs]
+            except KeyError as exc:
+                raise BuildError(f"{owner}: unknown variable {exc.args[0]}") \
+                    from None
+
+        cost = np.zeros(len(variables))
+        for col, value in ids("objective", objective):
+            cost[col] += value
+        asm = _Assembler(name)
+        asm.columns([v.name for v in variables], cost,
+                    [v.lower for v in variables], [v.upper for v in variables],
+                    [v.kind == "binary" for v in variables])
         for row in constraints:
-            asm.row(row.name, row.coeffs, row.sense, row.rhs, row.rhs_range)
+            asm.row(row.name, ids(f"row {row.name}", row.coeffs), row.sense,
+                    row.rhs, row.rhs_range)
         for sos in sos_sets:
-            cols = [asm.column(var) for var, _ in sos.members]
-            if None in cols:
-                raise BuildError(f"SOS set {sos.name}: unknown variable "
-                                 f"{sos.members[cols.index(None)][0]}")
             asm.add_sos(sos.name, sos.sos_type,
-                        zip(cols, [weight for _, weight in sos.members]))
+                        ids(f"SOS set {sos.name}", sos.members))
         return asm.model(provenance)
 
     @cached_property
@@ -266,14 +277,19 @@ QNF_COST_PAIRS: dict[str, tuple[float, float]] = {
 }
 
 _NAMED_QNF = {"QNS": "short", "QNM": "middle", "QNL": "long", "QNA": "avg"}
+_NAMED_TECHNIQUES = {"B": "basic", "S1": "sos1"}
+# Every name named_config accepts, model by model.
+KNOWN_CONFIG_NAMES = tuple(f"{base}-{suffix}"
+                           for base in ("MQN", "CTG", *_NAMED_QNF)
+                           for suffix in _NAMED_TECHNIQUES)
 
 
 def named_config(name: str) -> BuilderConfig:
     """Benchmark configuration registry: MQN/CTG/QNS/QNM/QNL/QNA x -B/-S1."""
     base, _, suffix = name.partition("-")
-    if suffix not in ("B", "S1"):
+    if suffix not in _NAMED_TECHNIQUES:
         raise BuildError(f"unknown config name {name!r} (expected -B or -S1 suffix)")
-    technique = "basic" if suffix == "B" else "sos1"
+    technique = _NAMED_TECHNIQUES[suffix]
     if base == "MQN":
         return BuilderConfig(model="MHQNF", block_technique=technique, name=name)
     if base == "CTG":
@@ -417,25 +433,23 @@ class ArcIndex:
 
 
 class _Assembler:
-    """Accumulates a model; rejects duplicate and unknown names as they appear.
+    """Accumulates a model by column id.
 
-    var and row declare one column or row at a time, by name; columns and
-    bulk_rows declare many at once, by column id, and leave their repeats to
-    lint. All of it is kept in declaration order, and fill turns it into the
-    model's arrays.
+    columns declares columns and returns their ids; row and bulk_rows
+    declare rows over those ids, one at a time or many at once. All of it is
+    kept in declaration order, and model turns it into the model's arrays.
+    Repeated names and repeated columns in a row are left to lint, which
+    finish runs.
     """
 
-    def __init__(self, name: str, sense: str = "min"):
+    def __init__(self, name: str):
         self.name = name
-        self.sense = sense
         self.col_names: list[str] = []
-        self.col_index: dict[str, int] = {}  # the names var declared
         self.lower: list[float] = []
         self.upper: list[float] = []
         self.binary: list[bool] = []
         self.cost: list[float] = []
         self.row_names: list[str] = []
-        self.row_set: set[str] = set()
         self.senses: list[str] = []
         self.rhs: list[float] = []
         self.rhs_range: list[float] = []
@@ -445,66 +459,33 @@ class _Assembler:
         self.pending: list[tuple[int, int, float]] = []
         self.sos: list[tuple[int, str, tuple[tuple[int, float], ...]]] = []
 
-    def column(self, name: str) -> int | None:
-        """Column id of a name var declared. Columns declared in bulk are
-        known by the ids columns returns, never by name."""
-        return self.col_index.get(name)
-
-    def var(self, name: str, lower: float = 0.0, upper: float = math.inf,
-            kind: str = "continuous", cost: float = 0.0) -> str:
-        if name in self.col_index:
-            raise BuildError(f"variable {name} declared twice")
-        self.col_index[name] = len(self.col_names)
-        self.col_names.append(name)
-        self.lower.append(lower)
-        self.upper.append(upper)
-        self.binary.append(kind == "binary")
-        self.cost.append(cost)
-        return name
-
-    def columns(self, names: Sequence[str], cost: np.ndarray,
-                upper: np.ndarray) -> int:
-        """Declare non-negative continuous columns; returns the first id.
-        A repeated name is caught by lint, which finish runs."""
-        first = len(self.col_names)
+    def columns(self, names: Sequence[str], cost=0.0, lower=0.0,
+                upper=math.inf, binary=False) -> np.ndarray:
+        """Declare columns, each value broadcast over names; returns their
+        ids."""
+        first, count = len(self.col_names), len(names)
         self.col_names.extend(names)
-        self.lower.extend([0.0] * len(names))
-        self.upper.extend(upper.tolist())
-        self.binary.extend([False] * len(names))
-        self.cost.extend(cost.tolist())
-        return first
-
-    def add_cost(self, name: str, cost: float) -> None:
-        col = self.column(name)
-        if col is None:
-            raise BuildError(f"objective: unknown variable {name}")
-        self.cost[col] += cost
+        for values, value in ((self.cost, cost), (self.lower, lower),
+                              (self.upper, upper), (self.binary, binary)):
+            values.extend(np.broadcast_to(value, count).tolist())
+        return np.arange(first, first + count)
 
     def _new_row(self, name: str, sense: str, rhs: float,
                  rhs_range: float | None) -> int:
-        if name in self.row_set:
-            raise BuildError(f"row {name} declared twice")
         if sense not in ("L", "E", "G"):
             raise BuildError(f"row {name}: unknown sense {sense!r}")
-        self.row_set.add(name)
         self.row_names.append(name)
         self.senses.append(sense)
         self.rhs.append(rhs)
         self.rhs_range.append(math.nan if rhs_range is None else rhs_range)
         return len(self.row_names) - 1
 
-    def row(self, name: str, coeffs: Iterable[tuple[str, float]],
+    def row(self, name: str, coeffs: Iterable[tuple[int, float]],
             sense: str, rhs: float, rhs_range: float | None = None) -> None:
-        entries: dict[int, float] = {}
-        for var, coeff in coeffs:
-            col = self.column(var)
-            if col is None:
-                raise BuildError(f"row {name}: unknown variable {var}")
-            if col in entries:
-                raise BuildError(f"row {name}: duplicate variable {var}")
-            entries[col] = 0.0 + coeff  # a -0.0 coefficient is written 0.0
+        """Declare a row from (column id, coefficient) pairs."""
         r = self._new_row(name, sense, rhs, rhs_range)
-        self.pending += [(r, col, value) for col, value in entries.items()]
+        # + 0.0: a -0.0 coefficient is written 0.0
+        self.pending += [(r, col, 0.0 + coeff) for col, coeff in coeffs]
 
     def bulk_rows(self, rows: Iterable[tuple[str, str, float]],
                   parts: Sequence[tuple]) -> None:
@@ -521,7 +502,7 @@ class _Assembler:
                          for at in range(3))
         order = np.argsort(row, kind="stable")
         self._flush()
-        # + 0.0: a -0.0 coefficient is written 0.0, as row writes it
+        # + 0.0: a -0.0 coefficient is written 0.0, as in row
         self.chunks.append(entry_records(first + row[order], col[order],
                                          np.add(val[order], 0.0)))
 
@@ -545,7 +526,7 @@ class _Assembler:
             np.array(self.senses, "U"), np.array(self.rhs, np.float64),
             np.array(self.rhs_range, np.float64),
             np.concatenate(self.chunks or [np.empty(0, ENTRY)]),
-            tuple(self.sos), self.sense, tuple(provenance))
+            tuple(self.sos), tuple(provenance))
 
     def finish(self, provenance: Sequence[tuple[str, str]]) -> MilpModel:
         model = self.model(provenance)
@@ -562,76 +543,71 @@ def _check_segments(instance: RoadInstance) -> None:
 
 
 def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
-                 volume_mode: str) -> None:
-    """Shared rows: coefficients, offsets, volumes, continuity, slope."""
+                 volume_mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Shared rows: coefficients, offsets, volumes, continuity, slope.
+
+    Returns the ids of the cut volumes VP over names.supply_nodes and of
+    the fill volumes VM over names.demand_nodes."""
     layout = instance.segment_layout
-    m = layout.segment_count
-    coeff, offset, cut, fill = names.coeff, names.offset, names.cut, names.fill
+    m, n = layout.segment_count, instance.n
+    sections = [instance.section(i) for i in range(1, n + 1)]
+    materials = [instance.material_of(i) for i in range(1, n + 1)]
+    caps = [big_m(instance, i, volume_mode) for i in range(1, n + 1)]
 
-    for g in range(1, m + 1):
-        for k in (1, 2, 3):
-            asm.var(coeff(g, k), -math.inf, math.inf)
-    for i in range(1, instance.n + 1):
-        sec = instance.section(i)
-        asm.var(offset(i), sec.offset_lo, sec.offset_hi)
-
-    for i in range(1, instance.n + 1):
-        cap = big_m(instance, i, volume_mode)
-        asm.var(cut(i), 0.0, cap, cost=instance.material_of(i).excavation)
-    for j, pit in enumerate(instance.borrow_pits, start=1):
-        asm.var(names.borrow_used(j), 0.0, pit.capacity)
-    for i in range(1, instance.n + 1):
-        cap = big_m(instance, i, volume_mode)
-        asm.var(fill(i), 0.0, cap, cost=instance.material_of(i).embankment)
-    for k, pit in enumerate(instance.waste_pits, start=1):
-        asm.var(names.waste_used(k), 0.0, pit.capacity)
+    a = asm.columns([names.coeff(g, k) for g in range(1, m + 1)
+                     for k in (1, 2, 3)],
+                    lower=-math.inf).reshape(m, 3).tolist()  # [g - 1][k - 1]
+    u = asm.columns([names.offset(i) for i in range(1, n + 1)],
+                    lower=[sec.offset_lo for sec in sections],
+                    upper=[sec.offset_hi for sec in sections]).tolist()
+    borrow, waste = instance.borrow_pits, instance.waste_pits
+    vp = asm.columns([names.cut(node) for node in names.supply_nodes],
+                     cost=[mat.excavation for mat in materials]
+                     + [0.0] * len(borrow),
+                     upper=caps + [pit.capacity for pit in borrow])
+    vm = asm.columns([names.fill(node) for node in names.demand_nodes],
+                     cost=[mat.embankment for mat in materials]
+                     + [0.0] * len(waste),
+                     upper=caps + [pit.capacity for pit in waste])
 
     # Offset definition: U_i + P(s_i) = E_i, expanded over local coordinates.
-    for i in range(1, instance.n + 1):
-        g = layout.segment_of(i)
+    for i, sec in enumerate(sections, start=1):
+        ag = a[layout.segment_of(i) - 1]
         sigma = instance.local_coordinate(i)
         asm.row(f"OFF_{i}",
-                [(offset(i), 1.0), (coeff(g, 1), 1.0), (coeff(g, 2), sigma),
-                 (coeff(g, 3), sigma * sigma)],
-                "E", instance.section(i).ground_elevation)
+                [(u[i - 1], 1.0), (ag[0], 1.0), (ag[1], sigma),
+                 (ag[2], sigma * sigma)],
+                "E", sec.ground_elevation)
 
     if volume_mode == "linear":
-        for i in range(1, instance.n + 1):
+        for i, sec in enumerate(sections, start=1):
             asm.row(f"VOL_{i}",
-                    [(cut(i), 1.0), (fill(i), -1.0),
-                     (offset(i), -instance.section(i).area)],
+                    [(vp[i - 1], 1.0), (vm[i - 1], -1.0), (u[i - 1], -sec.area)],
                     "E", 0.0)
     else:
-        missing = [i for i in range(1, instance.n + 1)
+        missing = [i for i in range(1, n + 1)
                    if i not in instance.curve_by_section]
         if missing:
             raise BuildError(
                 "piecewise volume mode needs a curve for every section; "
                 f"missing for sections {missing}")
-        for i in range(1, instance.n + 1):
+        for i in range(1, n + 1):
             curve = instance.curve_by_section[i]
             breaks = len(curve.offsets)
-            lams = [asm.var(f"LAM_{i}_{b}", 0.0, 1.0) for b in range(1, breaks + 1)]
+            lams = asm.columns([f"LAM_{i}_{b}" for b in range(1, breaks + 1)],
+                               upper=1.0).tolist()
             asm.row(f"PWS_{i}", [(lam, 1.0) for lam in lams], "E", 1.0)
-            asm.row(f"PWU_{i}",
-                    [(offset(i), 1.0)] + [(lam, -off) for lam, off
-                                         in zip(lams, curve.offsets)],
-                    "E", 0.0)
-            asm.row(f"PWC_{i}",
-                    [(cut(i), 1.0)] + [(lam, -c) for lam, c
-                                          in zip(lams, curve.cut)],
-                    "E", 0.0)
-            asm.row(f"PWF_{i}",
-                    [(fill(i), 1.0)] + [(lam, -fl) for lam, fl
-                                          in zip(lams, curve.fill)],
-                    "E", 0.0)
+            for tag, col, values in (("PWU", u, curve.offsets),
+                                     ("PWC", vp, curve.cut),
+                                     ("PWF", vm, curve.fill)):
+                asm.row(f"{tag}_{i}", [(col[i - 1], 1.0)]
+                        + [(lam, -v) for lam, v in zip(lams, values)],
+                        "E", 0.0)
             if volume_mode == "piecewise-sos2":
-                asm.add_sos(f"SV_{i}", 2,
-                            [(asm.column(lam), off)
-                             for lam, off in zip(lams, curve.offsets)])
+                asm.add_sos(f"SV_{i}", 2, zip(lams, curve.offsets))
             else:
-                zs = [asm.var(f"Z_{i}_{b}", 0.0, 1.0, kind="binary")
-                      for b in range(1, breaks)]
+                zs = asm.columns([f"Z_{i}_{b}" for b in range(1, breaks)],
+                                 upper=1.0, binary=True).tolist()
                 asm.row(f"PWZ_{i}", [(z, 1.0) for z in zs], "E", 1.0)
                 for b in range(1, breaks + 1):
                     adjacent = []
@@ -647,13 +623,13 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
     for g in range(2, m + 1):
         start_prev, end_prev = instance.segment_span(g - 1)
         span = end_prev - start_prev
+        prev, ag = a[g - 2], a[g - 1]
         asm.row(f"C0_{g}",
-                [(coeff(g - 1, 1), 1.0), (coeff(g - 1, 2), span),
-                 (coeff(g - 1, 3), span * span), (coeff(g, 1), -1.0)],
+                [(prev[0], 1.0), (prev[1], span), (prev[2], span * span),
+                 (ag[0], -1.0)],
                 "E", 0.0)
         asm.row(f"C1_{g}",
-                [(coeff(g - 1, 2), 1.0), (coeff(g - 1, 3), 2.0 * span),
-                 (coeff(g, 2), -1.0)],
+                [(prev[1], 1.0), (prev[2], 2.0 * span), (ag[1], -1.0)],
                 "E", 0.0)
 
     # Grade is affine per segment: bounding both endpoints bounds the segment.
@@ -661,10 +637,12 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
     for g in range(1, m + 1):
         start, end = instance.segment_span(g)
         span = end - start
-        asm.row(f"SLP_{g}_S", [(coeff(g, 2), 1.0)],
+        ag = a[g - 1]
+        asm.row(f"SLP_{g}_S", [(ag[1], 1.0)],
                 "L", instance.slope_hi, rhs_range=slope_range)
-        asm.row(f"SLP_{g}_E", [(coeff(g, 2), 1.0), (coeff(g, 3), 2.0 * span)],
+        asm.row(f"SLP_{g}_E", [(ag[1], 1.0), (ag[2], 2.0 * span)],
                 "L", instance.slope_hi, rhs_range=slope_range)
+    return vp, vm
 
 
 def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
@@ -683,7 +661,7 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
 
     names = ArcIndex(instance)
     asm = _Assembler("VALIGN")
-    _spline_rows(asm, instance, names, config.volume_mode)
+    vp, vm = _spline_rows(asm, instance, names, config.volume_mode)
     hs = range(1, len(hauls) + 1)
 
     # Flow columns, laid out by ArcIndex.flow_grid. Transit arcs leaving the
@@ -707,17 +685,15 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
                 + haul.unit_haul_cost * pit.dead_haul
     upper = np.full(len(flow_names), math.inf)
     upper[transit[:, :, -1, 0]] = upper[transit[:, :, 0, 1]] = 0.0
-    first = asm.columns(flow_names, cost, upper)
+    ids = asm.columns(flow_names, cost, upper=upper)
     # From here on, the grid holds column ids.
-    grid = tuple(first + ids for ids in grid)
+    grid = tuple(ids[offsets] for offsets in grid)
     transit, unload, load, borrow, waste = grid
 
     # Removal indicators Y_k_t; y holds their ids by (block, step) from 0.
-    y = len(asm.col_names) + np.arange(n_blocks * len(steps)).reshape(
-        n_blocks, len(steps))
-    for k in range(1, n_blocks + 1):
-        for t in steps:
-            asm.var(names.removal(k, t), 0.0, 1.0, kind="binary")
+    y = asm.columns([names.removal(k, t) for k in range(1, n_blocks + 1)
+                     for t in steps], upper=1.0, binary=True
+                    ).reshape(n_blocks, len(steps))
 
     # Conservation at every node i of chain d (FCR rightward, FCL leftward):
     # transit in from i-d + unload + borrow = transit out + load + waste.
@@ -748,39 +724,38 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
              for tag, sense, value in (("BAL", "E", 0.0),
                                        ("CAP", "L", pit.capacity))]
     parts = []
-    for start, arcs, volume, capped in (
-            (0, unload, names.cut, False), (1, load, names.fill, False),
-            (2 * n, borrow, names.borrow_used, True),
-            (2 * (n + n_borrow), waste, names.waste_used, True)):
+    for start, arcs, volumes, capped in (
+            (0, unload, vp[:n], False), (1, load, vm[:n], False),
+            (2 * n, borrow, vp[n:], True),
+            (2 * (n + n_borrow), waste, vm[n:], True)):
         row = start + 2 * np.arange(arcs.shape[2])
         node_arcs = (row[:, None, None, None], arcs.transpose(2, 3, 0, 1), 1.0)
-        volumes = [asm.column(volume(i)) for i in range(1, len(row) + 1)]
         parts += [node_arcs, (row, volumes, -1.0)]
         if capped:  # the CAP row follows each pit's BAL row
             parts.append((node_arcs[0] + 1,) + node_arcs[1:])
     asm.bulk_rows(rows, parts)
 
     if blocks:
-        _block_rows(asm, instance, names, config, grid, y)
+        _block_rows(asm, instance, config, grid, y, vp, vm)
 
     provenance = _provenance(instance, config, hauls, steps)
     return asm.finish(provenance)
 
 
-def _block_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
+def _block_rows(asm: _Assembler, instance: RoadInstance,
                 config: BuilderConfig, grid: tuple[np.ndarray, ...],
-                y: np.ndarray) -> None:
+                y: np.ndarray, vp: np.ndarray, vm: np.ndarray) -> None:
     """Block gating, region gating, removal indicators, enforcement.
 
     grid holds the column ids of flow_grid's arrays, y[k, t] those of the
-    removal indicators Y_<k+1>_<t>."""
+    removal indicators Y_<k+1>_<t>, and vp and vm those of the volumes, as
+    _spline_rows returns them."""
     transit, unload, load, borrow, waste = grid
     n_hauls, n_steps = transit.shape[:2]
     blocks = instance.sorted_blocks
     n_blocks = len(blocks)
     sections = [blk.section for blk in blocks]
     m_flow = global_big_m(instance, config.volume_mode)
-    removal = names.removal
     keys = [(k, h, t) for k in range(1, n_blocks + 1)
             for h in range(1, n_hauls + 1) for t in range(n_steps)]
     tags = [side + end for side in "LR" for end in "IO"]
@@ -804,22 +779,23 @@ def _block_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
     slot = np.cumsum(used).reshape(used.shape) - 1
     e, pn = slot[:, :, 0, ..., 0], slot[:, :, 1:]
     if config.block_technique == "sos1":
-        # Complement of the removal indicator, shared across pair sets.
-        for k in range(1, n_blocks + 1):
-            for u in range(n_blocks):
-                asm.var(f"W_{k}_{u}", 0.0, 1.0)
-                asm.row(f"WDEF_{k}_{u}",
-                        [(f"W_{k}_{u}", 1.0), (removal(k, u), 1.0)], "E", 1.0)
+        # W_k_u, the complement of the removal indicator Y_k_u, shared
+        # across pair sets.
+        w = asm.columns([f"W_{k}_{u}" for k in range(1, n_blocks + 1)
+                         for u in range(n_blocks)], upper=1.0
+                        ).reshape(n_blocks, n_blocks)
+        wdef = np.arange(w.size).reshape(w.shape)
+        asm.bulk_rows([(f"WDEF_{k}_{u}", "E", 1.0)
+                       for k in range(1, n_blocks + 1) for u in range(n_blocks)],
+                      [(wdef, w, 1.0), (wdef, y[:, :-1], 1.0)])
         # Finite slack bound keeps the set convertible to binaries by
         # solvers without native SOS support.
-        sets = [(f"{tag}_{k}_{h}_{t}", f"W_{k}_{t - 1}")
+        sets = [(f"{tag}_{k}_{h}_{t}", w[k - 1, t - 1].item())
                 for k, h, t in keys if t for tag in tags]
-        first = asm.columns([f"BS_{key}" for key, _ in sets],
-                            np.zeros(len(sets)), np.full(len(sets), m_flow))
-        for col, (key, complement) in enumerate(sets, start=first):
-            asm.add_sos(f"SB_{key}", 1,
-                        [(col, 1.0), (asm.column(complement), 2.0)])
-        release = first + np.arange(len(sets)).reshape(pn.shape[:-1])
+        slack = asm.columns([f"BS_{key}" for key, _ in sets], upper=m_flow)
+        for col, (key, complement) in zip(slack.tolist(), sets):
+            asm.add_sos(f"SB_{key}", 1, [(col, 1.0), (complement, 2.0)])
+        release = slack.reshape(pn.shape[:-1])
         release_coeff = -1.0
     else:  # Y_k_<t-1> releases step t
         release, release_coeff = y[:, None, :-1, None, None], -m_flow
@@ -878,27 +854,26 @@ def _block_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
     m_vol = np.array([big_m(instance, s, config.volume_mode)
                       for s in sections])
     ric = 2 * np.arange(y.size).reshape(y.shape)
+    at = np.array(sections) - 1
     parts = []
-    for row, arcs, volume in ((ric, unload, names.cut),
-                              (ric + 1, load, names.fill)):
+    for row, arcs, volumes in ((ric, unload, vp[at]), (ric + 1, load, vm[at])):
         moved = at_blocks(arcs)
         parts += [(row[:, u, None, None, None], moved[:, :, :u + 1], 1.0)
                   for u in range(n_steps)]
-        parts += [(row, [[asm.column(volume(s))] for s in sections], -1.0),
-                  (row, y, -m_vol[:, None])]
+        parts += [(row, volumes[:, None], -1.0), (row, y, -m_vol[:, None])]
     asm.bulk_rows([(f"RI{kind}_{k}_{u}", "G", -m)
                    for k, m in enumerate(m_vol.tolist(), start=1)
                    for u in range(n_steps) for kind in "CF"], parts)
 
-    # At least u blocks are removed by the end of step u; removal is final.
-    for u in range(1, n_blocks + 1):
-        asm.row(f"ENF_{u}",
-                [(removal(k, u), 1.0) for k in range(1, n_blocks + 1)],
-                "G", float(u))
-    for k in range(1, n_blocks + 1):
-        for t in range(1, n_blocks + 1):
-            asm.row(f"MON_{k}_{t}",
-                    [(removal(k, t), 1.0), (removal(k, t - 1), -1.0)], "G", 0.0)
+    # At least u blocks are removed by the end of step u (ENF_u, one row
+    # per step); removal is final (MON_k_t, block by block).
+    enf = np.arange(n_blocks)
+    mon = n_blocks + np.arange(n_blocks * n_blocks).reshape(n_blocks, n_blocks)
+    asm.bulk_rows(
+        [(f"ENF_{u}", "G", float(u)) for u in range(1, n_blocks + 1)]
+        + [(f"MON_{k}_{t}", "G", 0.0) for k in range(1, n_blocks + 1)
+           for t in range(1, n_blocks + 1)],
+        [(enf, y[:, 1:], 1.0), (mon, y[:, 1:], 1.0), (mon, y[:, :-1], -1.0)])
 
 
 def build_ctg(instance: RoadInstance,
@@ -915,7 +890,7 @@ def build_ctg(instance: RoadInstance,
 
     names = ArcIndex(instance)
     asm = _Assembler("VALIGN")
-    _spline_rows(asm, instance, names, config.volume_mode)
+    vp, vm = _spline_rows(asm, instance, names, config.volume_mode)
 
     # Material cost is carried on arcs, so strip VP/VM objective entries.
     asm.cost = [0.0] * len(asm.cost)
@@ -938,7 +913,7 @@ def build_ctg(instance: RoadInstance,
     arcs, src, dst = names.ctg_arcs
     dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]
     cost = exc_s[src] + cheapest_haul_costs(hauls, dist) + emb_d[dst]
-    first = asm.columns(arcs, cost, np.full(len(arcs), math.inf))
+    ids = asm.columns(arcs, cost)
 
     # Each node's row takes its arcs in declaration order, less the node's
     # volume variable: CTS_i, CTD_i per section, then CTB_j, then CTW_k.
@@ -947,17 +922,13 @@ def build_ctg(instance: RoadInstance,
     supply_row = np.append(2 * np.arange(n), 2 * n + np.arange(n_borrow))
     demand_row = np.append(2 * np.arange(n) + 1,
                            2 * n + n_borrow + np.arange(n_waste))
-    ids = np.arange(first, first + len(arcs))
     asm.bulk_rows(
         [(f"{tag}_{i}", "E", 0.0) for i in range(1, n + 1)
          for tag in ("CTS", "CTD")]
         + [(f"CTB_{j}", "E", 0.0) for j in range(1, n_borrow + 1)]
         + [(f"CTW_{k}", "E", 0.0) for k in range(1, n_waste + 1)],
         [(supply_row[src], ids, 1.0), (demand_row[dst], ids, 1.0),
-         (supply_row, [asm.column(names.cut(node))
-                       for node in names.supply_nodes], -1.0),
-         (demand_row, [asm.column(names.fill(node))
-                       for node in names.demand_nodes], -1.0)])
+         (supply_row, vp, -1.0), (demand_row, vm, -1.0)])
 
     provenance = _provenance(instance, config, hauls, [0])
     return asm.finish(provenance)

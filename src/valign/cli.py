@@ -22,6 +22,7 @@ from valign.bench import (
     run_matrix,
 )
 from valign.builder import (
+    KNOWN_CONFIG_NAMES,
     BuildError,
     BuilderConfig,
     QNF_COST_PAIRS,
@@ -30,7 +31,6 @@ from valign.builder import (
 from valign.gateway import DecodeError, SolverLimits, decode, solve
 from valign.instance import HaulClass, InstanceError, RoadInstance
 from valign.instance_io import (
-    KNOWN_CONFIG_NAMES,
     RunConfig,
     parse_config,
     parse_instance,
@@ -256,13 +256,14 @@ def _run_config(parser: argparse.ArgumentParser,
                 args: argparse.Namespace) -> RunConfig:
     """A --run-config file's run, else the default one; --solver (or
     $VALIGN_SOLVER_CMD), --configs, --time-limit and --gap win over both.
-    A file that does not parse is a usage error."""
+    A file that cannot be read or does not parse is a usage error."""
     base = RunConfig("", SolverLimits(), ("MQN-B",))
     if args.run_config:
         try:
             base = parse_config(args.run_config)
-        except ValueError as exc:
-            parser.exit(EXIT_USAGE, f"valign: {args.run_config}: {exc}\n")
+        except (OSError, ValueError) as exc:
+            reason = getattr(exc, "strerror", None) or exc
+            parser.exit(EXIT_USAGE, f"valign: {args.run_config}: {reason}\n")
     command = _solver_command(parser, args, base.solver_command)
     configs = tuple(args.configs.split(",")) if args.configs else base.configs
     unknown = [c for c in configs if c not in KNOWN_CONFIG_NAMES]

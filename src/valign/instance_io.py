@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+from valign.builder import KNOWN_CONFIG_NAMES
 from valign.gateway import SolverLimits, default_solver_command
 from valign.instance import (
     DEFAULT_SLOPE_HI,
@@ -306,11 +307,6 @@ class RunConfig:
     solver_command: str
     limits: SolverLimits
     configs: tuple[str, ...]
-
-
-KNOWN_CONFIG_NAMES = ("MQN-B", "MQN-S1", "CTG-B", "CTG-S1",
-                      "QNS-B", "QNS-S1", "QNM-B", "QNM-S1",
-                      "QNL-B", "QNL-S1", "QNA-B", "QNA-S1")
 
 
 def parse_config_dict(doc: dict) -> RunConfig:

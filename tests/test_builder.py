@@ -184,10 +184,9 @@ def test_fix_offsets_adds_rows_and_checks_bounds():
         fix_offsets(model, (0.0, 0.0))
 
 
-def test_objective_sense_and_provenance():
+def test_provenance_names_model_and_config():
     inst = make_instance([100.0] * 3)
     model = build(inst, named_config("MQN-B"))
-    assert model.sense == "min"
     prov = dict(model.provenance)
     assert prov["model"] == "MHQNF"
     assert prov["config_name"] == "MQN-B"
@@ -214,8 +213,7 @@ def test_object_form_round_trip():
                 for sos_type, name, members in model.sos_sets]
     copy = MilpModel.from_objects(model.name, model.variables,
                                   model.constraints, sos_sets,
-                                  model.objective, model.sense,
-                                  model.provenance)
+                                  model.objective, model.provenance)
     assert emit_mps_text(copy) == emit_mps_text(model)
 
 
@@ -253,12 +251,12 @@ def test_lint_rejects_defects(message, variables, rows, objective, sos):
                                              objective))
 
 
-def test_name_declared_in_bulk_and_by_var_is_rejected():
-    # var looks up only the names var declared; a clash with a column
-    # declared in bulk is caught when the model is finished.
+def test_name_declared_by_two_columns_calls_is_rejected():
+    # columns looks no name up; a clash between two calls is caught when
+    # the model is finished.
     asm = _Assembler("clash")
-    asm.columns(["x"], np.zeros(1), np.ones(1))
-    asm.var("x")
+    asm.columns(["x"], upper=1.0)
+    asm.columns(["x"])
     with pytest.raises(BuildError, match="variable x declared twice"):
         asm.finish(())
 

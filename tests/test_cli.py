@@ -276,11 +276,17 @@ def test_bench_rejects_unknown_configs_flag(suite_dir, tmp_path, capsys,
     ('{"limits": {"mip_gap": 0}}', "must be > 0"),
     ('{"configs": ["MQN-X"]}', "unknown name 'MQN-X'"),
     ('{"limits": ', "Expecting value"),
-], ids=["key", "sol_format", "limit", "config", "json"])
+    ("<missing>", "No such file or directory"),
+    ("<directory>", "Is a directory"),
+], ids=["key", "sol_format", "limit", "config", "json", "missing",
+        "directory"])
 def test_bench_bad_run_config_file_is_a_usage_error(suite_dir, tmp_path,
                                                     capsys, text, reason):
     run_file = tmp_path / "run.json"
-    run_file.write_text(text, encoding="utf-8")
+    if text == "<directory>":
+        run_file.mkdir()
+    elif text != "<missing>":
+        run_file.write_text(text, encoding="utf-8")
     assert usage_error(["bench", suite_dir, "--run-config", str(run_file),
                         "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+from valign.builder import KNOWN_CONFIG_NAMES, named_config
 from valign.gateway import SolverLimits
 from valign.instance import (
     DEFAULT_SLOPE_HI,
@@ -15,7 +16,6 @@ from valign.instance import (
     default_cost_model,
 )
 from valign.instance_io import (
-    KNOWN_CONFIG_NAMES,
     parse_config,
     parse_config_dict,
     parse_instance,
@@ -169,5 +169,6 @@ def test_config_rejects_unknown_config_name():
 
 
 def test_known_config_names_buildable():
-    assert "MQN-B" in KNOWN_CONFIG_NAMES
     assert len(KNOWN_CONFIG_NAMES) == 12
+    for name in KNOWN_CONFIG_NAMES:
+        assert named_config(name).name == name

@@ -36,7 +36,6 @@ def small_model() -> MilpModel:
                      LinearConstraint("c2", (("z", 1.0),), "E", 1.0)),
         sos_sets=(SosSet("s1", 1, (("x", 1.0), ("z", 2.0))),),
         objective=(("x", 1.5), ("y", -1.0)),
-        sense="min",
         provenance=(("model", "TOY"),))
 
 
@@ -121,7 +120,7 @@ def test_nonfinite_coefficients_rejected():
         name="bad",
         variables=(Variable("x", "continuous", 0.0, 1.0),),
         constraints=(LinearConstraint("c", (("x", math.inf),), "L", 1.0),),
-        sos_sets=(), objective=(("x", 1.0),), sense="min", provenance=())
+        sos_sets=(), objective=(("x", 1.0),), provenance=())
     with pytest.raises(Exception):
         emit_mps_text(bad)
 
