@@ -445,10 +445,9 @@ class _Assembler:
     def __init__(self, name: str):
         self.name = name
         self.col_names: list[str] = []
-        self.lower: list[float] = []
-        self.upper: list[float] = []
-        self.binary: list[bool] = []
-        self.cost: list[float] = []
+        # Each columns call's cost, lower and upper bounds and binary flags,
+        # as arrays of its length.
+        self.col_values: list[tuple[np.ndarray, ...]] = []
         self.row_names: list[str] = []
         self.senses: list[str] = []
         self.rhs: list[float] = []
@@ -465,9 +464,10 @@ class _Assembler:
         ids."""
         first, count = len(self.col_names), len(names)
         self.col_names.extend(names)
-        for values, value in ((self.cost, cost), (self.lower, lower),
-                              (self.upper, upper), (self.binary, binary)):
-            values.extend(np.broadcast_to(value, count).tolist())
+        self.col_values.append(tuple(
+            np.broadcast_to(np.array(value, dtype), count)
+            for value, dtype in ((cost, np.float64), (lower, np.float64),
+                                 (upper, np.float64), (binary, bool))))
         return np.arange(first, first + count)
 
     def _new_row(self, name: str, sense: str, rhs: float,
@@ -519,10 +519,13 @@ class _Assembler:
     def model(self, provenance: Iterable[tuple[str, str]]) -> MilpModel:
         """The declarations as a model of read-only arrays."""
         self._flush()
+        cost, lower, upper, binary = (
+            np.concatenate([np.empty(0, dtype)]
+                           + [values[at] for values in self.col_values])
+            for at, dtype in enumerate((np.float64,) * 3 + (bool,)))
         return MilpModel(
-            self.name, tuple(self.col_names), np.array(self.cost, np.float64),
-            np.array(self.lower, np.float64), np.array(self.upper, np.float64),
-            np.array(self.binary, bool), tuple(self.row_names),
+            self.name, tuple(self.col_names), cost, lower, upper, binary,
+            tuple(self.row_names),
             np.array(self.senses, "U"), np.array(self.rhs, np.float64),
             np.array(self.rhs_range, np.float64),
             np.concatenate(self.chunks or [np.empty(0, ENTRY)]),
@@ -543,9 +546,12 @@ def _check_segments(instance: RoadInstance) -> None:
 
 
 def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
-                 volume_mode: str) -> tuple[np.ndarray, np.ndarray]:
+                 volume_mode: str, price_volumes: bool
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Shared rows: coefficients, offsets, volumes, continuity, slope.
 
+    The section volumes carry their material's excavation and embankment
+    rates as cost when price_volumes is set; CTG carries them on its arcs.
     Returns the ids of the cut volumes VP over names.supply_nodes and of
     the fill volumes VM over names.demand_nodes."""
     layout = instance.segment_layout
@@ -562,11 +568,13 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
                     upper=[sec.offset_hi for sec in sections]).tolist()
     borrow, waste = instance.borrow_pits, instance.waste_pits
     vp = asm.columns([names.cut(node) for node in names.supply_nodes],
-                     cost=[mat.excavation for mat in materials]
+                     cost=[mat.excavation if price_volumes else 0.0
+                           for mat in materials]
                      + [0.0] * len(borrow),
                      upper=caps + [pit.capacity for pit in borrow])
     vm = asm.columns([names.fill(node) for node in names.demand_nodes],
-                     cost=[mat.embankment for mat in materials]
+                     cost=[mat.embankment if price_volumes else 0.0
+                           for mat in materials]
                      + [0.0] * len(waste),
                      upper=caps + [pit.capacity for pit in waste])
 
@@ -661,7 +669,8 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
 
     names = ArcIndex(instance)
     asm = _Assembler("VALIGN")
-    vp, vm = _spline_rows(asm, instance, names, config.volume_mode)
+    vp, vm = _spline_rows(asm, instance, names, config.volume_mode,
+                          price_volumes=True)
     hs = range(1, len(hauls) + 1)
 
     # Flow columns, laid out by ArcIndex.flow_grid. Transit arcs leaving the
@@ -890,10 +899,9 @@ def build_ctg(instance: RoadInstance,
 
     names = ArcIndex(instance)
     asm = _Assembler("VALIGN")
-    vp, vm = _spline_rows(asm, instance, names, config.volume_mode)
-
-    # Material cost is carried on arcs, so strip VP/VM objective entries.
-    asm.cost = [0.0] * len(asm.cost)
+    # Material cost is carried on the arcs, not on the volumes.
+    vp, vm = _spline_rows(asm, instance, names, config.volume_mode,
+                          price_volumes=False)
 
     hauls = instance.cost_model.hauls
     stations = instance.stations
@@ -936,12 +944,21 @@ def build_ctg(instance: RoadInstance,
 
 def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
     """Pin every section offset, reducing the MILP to earthwork allocation:
-    the model with one more row per section, FIX_<i>: U_<i> = offset."""
-    column = {name: c for c, name in enumerate(model.columns)}
-    cols: list[int] = []
-    while ArcIndex.offset(len(cols) + 1) in column:
-        cols.append(column[ArcIndex.offset(len(cols) + 1)])
-    n, m = len(cols), len(model.row_order)
+    the model with one more row per section, FIX_<i>: U_<i> = offset.
+
+    The offsets are the run of columns U_1, U_2, ... that the builder
+    declares in one call."""
+    columns = model.columns
+    try:
+        first = columns.index(ArcIndex.offset(1))
+    except ValueError:
+        first = len(columns)
+    n = 0
+    while first + n < len(columns) \
+            and columns[first + n] == ArcIndex.offset(n + 1):
+        n += 1
+    cols = np.arange(first, first + n)
+    m = len(model.row_order)
     if len(offsets) != n:
         raise BuildError(f"need {n} offsets, got {len(offsets)}")
     for i, (col, value) in enumerate(zip(cols, offsets), start=1):

@@ -24,6 +24,8 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
+from operator import eq
+from typing import Sequence
 from xml.etree import ElementTree
 
 import numpy as np
@@ -35,6 +37,7 @@ from valign.builder import (
     effective_hauls,
 )
 from valign.instance import RoadInstance
+from valign.milp_solve import text_lines
 from valign.mps import emit_mps
 
 GRACE_SECONDS = 10.0
@@ -124,34 +127,44 @@ def default_solver_command() -> str:
 _RESERVED = ("status", "objective", "wall_time", "message")
 
 
-def parse_pairs(text: str) -> tuple[dict[str, str], dict[str, str]]:
-    """First-token/rest-of-line pairs in one pass, split into the reserved
-    keys and the others; the first occurrence of a key wins."""
+def parse_pairs(text: str, columns: Sequence[str] = ()
+                ) -> tuple[dict[str, str], dict[str, float]]:
+    """First-token/rest-of-line pairs, a piece of text at a time, split
+    into the reserved keys and the numeric values of the others; the first
+    occurrence of a key wins, and a key whose first value is no number is
+    left out. Keys that follow columns in order, as a solution file lists
+    its model's columns, are the columns' own name objects, so the file's
+    names do not stay alive beside the model's."""
     header: dict[str, str] = {}
-    tokens: dict[str, str] = {}
-    for line in text.splitlines():
+    values: dict[str, float | None] = {}
+    at = 0
+    for line in text_lines(text):
         key, _, rest = line.strip().partition(" ")
         if not key or key.startswith("#"):
             continue
         if key in _RESERVED:
             header.setdefault(key, rest.strip())
-        elif key not in tokens:
-            tokens[key] = rest
-    return header, tokens
+            continue
+        if at < len(columns) and key == columns[at]:
+            key = columns[at]
+            at += 1
+        if key not in values:
+            values[key] = _number(rest)
+    return header, _numeric(values)
 
 
-def _numeric(tokens: dict[str, str]) -> dict[str, float]:
-    """The entries that are numbers, converted in place. Converting after
-    the line pass, not during it, keeps the long-road peak RSS 2-3 MB
-    lower: the floats are no longer made while the lines are alive."""
-    for key, token in tokens.items():
-        try:
-            tokens[key] = float(token)
-        except ValueError:
-            tokens[key] = None
-    if None in tokens.values():
-        return {k: v for k, v in tokens.items() if v is not None}
-    return tokens
+def _number(token: str) -> float | None:
+    try:
+        return float(token)
+    except ValueError:
+        return None
+
+
+def _numeric(values: dict[str, float | None]) -> dict[str, float]:
+    """values less the entries that are no number."""
+    if None in values.values():
+        return {k: v for k, v in values.items() if v is not None}
+    return values
 
 
 def parse_xmlish(text: str) -> dict[str, str]:
@@ -198,17 +211,20 @@ def _normalize_status(raw: str, has_values: bool) -> str:
     return status
 
 
-def parse_solution_text(text: str) -> Solution:
-    """A solution file's text, in the dialect its first character names."""
+def parse_solution_text(text: str, columns: Sequence[str] = ()
+                        ) -> Solution:
+    """A solution file's text, in the dialect its first character names.
+    columns, the model's, key the values where the pairs dialect lists
+    them in order (parse_pairs)."""
     if text.lstrip().startswith("<"):
         try:
             raw = parse_xmlish(text)
         except ElementTree.ParseError as exc:
             raise SolveError(f"unparseable solution file: {exc}") from exc
-        tokens = {k: t for k, t in raw.items() if k not in _RESERVED}
+        values = _numeric({k: _number(t) for k, t in raw.items()
+                           if k not in _RESERVED})
     else:
-        raw, tokens = parse_pairs(text)
-    values = _numeric(tokens)
+        raw, values = parse_pairs(text, columns)
     status = _normalize_status(raw.get("status", "error"), bool(values))
     objective = None
     if "objective" in raw:
@@ -254,6 +270,12 @@ def solve(model: MilpModel, solver_command: str | None = None,
           workdir: str | None = None) -> Solution:
     """Emit, run, parse. Never blocks past time_limit + GRACE_SECONDS.
 
+    The solver's output comes through a pipe, so its exit is seen when the
+    pipe closes, not at the next poll, and goes to solver.log after the
+    command line. A grandchild that holds the pipe open keeps the gateway
+    waiting until that bound; a terminal status (optimal, feasible,
+    infeasible) in the solution file still wins over the timeout.
+
     A caller's workdir is kept. A temporary one is removed once the solver
     has answered, and kept on error or timeout for the solver log.
     """
@@ -287,15 +309,18 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
         log.write(f"command: {args}\n")
         log.flush()
         try:
-            subprocess.run(args, stdout=log, stderr=subprocess.STDOUT,
-                           timeout=limits.time_limit + GRACE_SECONDS)
-        except subprocess.TimeoutExpired:
+            output = subprocess.run(
+                args, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                timeout=limits.time_limit + GRACE_SECONDS).stdout
+        except subprocess.TimeoutExpired as exc:
             timed_out = True
+            output = exc.output
         except OSError as exc:
             log.write(f"launch failure: {exc}\n")
             return Solution("error", None, {},
                             time.monotonic() - start, log_path)
-    wall = time.monotonic() - start
+        wall = time.monotonic() - start
+        log.write((output or b"").decode("utf-8", errors="replace"))
 
     text = None
     if os.path.exists(sol_path):
@@ -306,7 +331,7 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
             text = None
     if text is not None and text.strip():
         try:
-            parsed = parse_solution_text(text)
+            parsed = parse_solution_text(text, model.columns)
         except SolveError:
             return Solution("error", None, {}, wall, log_path)
         status = parsed.status
@@ -335,10 +360,13 @@ def decode(solution: Solution, instance: RoadInstance,
 
     columns = model.columns
     values = solution.values
-    if columns and values.keys().isdisjoint(columns):
-        raise DecodeError("solution shares no variables with the model")
-    # One pass in model column order; absent names (sparse files) are zero.
-    values = dict(zip(columns, map(values.get, columns, repeat(0.0))))
+    # The values in model column order, absent names (sparse files) zero:
+    # the solution's own dict when it lists the columns in order, as
+    # parse_solution_text reads a full solution file of the model.
+    if len(values) != len(columns) or not all(map(eq, values, columns)):
+        if columns and values.keys().isdisjoint(columns):
+            raise DecodeError("solution shares no variables with the model")
+        values = dict(zip(columns, map(values.get, columns, repeat(0.0))))
     x = np.fromiter(values.values(), float, len(columns))
     bad = ~np.isfinite(x)
     if bad.any():

@@ -13,18 +13,30 @@ arrays; rows with sense (L, E, G), rhs and range arrays (NaN: no range);
 the matrix as ENTRY records (row id, column id, value) in any order; SOS
 sets as (type, name, ((column id, weight), ...)). parse_mps reads a file
 into it, columns in first-seen order, rows in declaration order and entries
-in file order. The text is split into lines about a megabyte at a time, and
-each line's ids and values are appended to typed arrays, so no Python
-object per token lives longer than its piece of text; costs are summed into
-a typed array that grows with the columns. write_solution writes the
-solution in column order.
+in file order. The text is split into lines 64 KB at a time, and each
+line's ids and values are appended to typed arrays, so no Python object per
+token lives longer than its piece of text; costs are summed into a typed
+array that grows with the columns. write_solution writes the solution in
+column order.
 
 solve_arrays is the one seam to HiGHS: cost, column bounds, integrality, a
-CSC matrix and row bounds in; status word, objective and x out. It passes
-the numpy arrays to the binding as they are and reads back only x and the
-objective. HiGHS presolve runs only when a column is integral: on the
-block-free cells, all pure LPs, the dual simplex is faster on the unreduced
-model (42 cells, templates A-G under MQN-B, CTG-B and QNA-B: 6.5 s of
+CSC matrix and row bounds in, as one list it empties; status word,
+objective and x out. It passes the numpy arrays to the binding as they are
+and reads back only x and the objective.
+
+While HiGHS solves, the adapter holds the model once. main joins the
+column names into one string and drops the parsed model before the solve;
+solve_arrays takes the arrays out of the caller's list and, for a pure LP,
+lets go of them once passModel has copied them; write_solution splits the
+names a piece at a time. On the G road under CTG-B the adapter's peak went
+from 154 to 127 MB. The Python objects made after HiGHS returns take fresh
+memory, not the heap HiGHS freed, which may stay resident: splitting all
+the names at once, or writing 65,536 lines a piece, left the peak at
+134-140 MB in some runs.
+
+HiGHS presolve runs only when a column is integral: on the block-free
+cells, all pure LPs, the dual simplex is faster on the unreduced model
+(42 cells, templates A-G under MQN-B, CTG-B and QNA-B: 6.5 s of
 HiGHS time with presolve, 4.3 s without; on G CTG-B presolve took 0.6 s of
 1.5 s, removed 593 of 1,962 rows, and raised the adapter's peak RSS from
 about 170 to 248 MB), while the blocked MIPs take 2-4 times as long
@@ -93,7 +105,7 @@ def __getattr__(name: str):
 
 ENTRY = np.dtype([("row", np.intp), ("col", np.intp), ("value", np.float64)])
 
-_PIECE_CHARS = 1 << 20
+_PIECE_CHARS = 1 << 16
 
 
 @dataclass(eq=False)
@@ -152,7 +164,7 @@ def parse_mps(text: str) -> ColumnarModel:
             cost.append(0.0)
         return col
 
-    for lineno, raw in enumerate(_lines(text), start=1):
+    for lineno, raw in enumerate(text_lines(text), start=1):
         tokens = raw.split()
         if not tokens or raw.startswith("*"):
             continue
@@ -284,8 +296,8 @@ def _scatter(out: np.ndarray, values: dict[int, float]) -> np.ndarray:
     return out
 
 
-def _lines(text: str) -> Iterator[str]:
-    """text.splitlines(), about a megabyte at a time, so only one piece's
+def text_lines(text: str) -> Iterator[str]:
+    """text.splitlines(), 64 KB of text at a time, so only one piece's
     lines exist as objects at once; each piece ends at a line feed."""
     start = 0
     while start < len(text):
@@ -409,9 +421,10 @@ def csc_arrays(model: ColumnarModel
     return start, entries["row"][kept].astype(np.int32), value
 
 
-def model_arrays(model: ColumnarModel) -> tuple[np.ndarray, ...]:
-    """solve_arrays' model arguments: cost, column bounds, integrality, the
-    CSC matrix and row bounds. SOS sets must be binarized first."""
+def model_arrays(model: ColumnarModel) -> list[np.ndarray]:
+    """solve_arrays' model, in the order HiGHS's passModel takes it: cost,
+    column bounds, row bounds, the CSC matrix and integrality. SOS sets
+    must be binarized first."""
     if model.sos_sets:
         raise MpsError("model holds SOS sets; binarize them first")
     infinite = np.flatnonzero(~np.isfinite(model.cost))
@@ -419,15 +432,15 @@ def model_arrays(model: ColumnarModel) -> tuple[np.ndarray, ...]:
         col = int(infinite[0])
         raise MpsError(f"column {model.columns[col]}: objective coefficient "
                        f"{float(model.cost[col])!r} is not finite")
-    return (model.cost, model.col_lower, model.col_upper, model.col_integer,
-            *csc_arrays(model), *row_bounds(model))
+    return [model.cost, model.col_lower, model.col_upper, *row_bounds(model),
+            *csc_arrays(model), model.col_integer]
 
 
 def solve_parsed(model: ColumnarModel, time_limit: float | None,
                  gap: float | None) -> tuple[str, float | None, np.ndarray | None]:
     """Returns (status, objective, values): status in optimal|feasible|
     timeout|infeasible|unbounded|error."""
-    return solve_arrays(*model_arrays(model), time_limit, gap)[:3]
+    return solve_arrays(model_arrays(model), time_limit, gap)[:3]
 
 
 _CORE = "scipy.optimize._highspy._core"
@@ -478,46 +491,49 @@ def status_word(model_status: str, is_mip: bool, objective: float) -> str:
     return word
 
 
-def solve_arrays(cost: np.ndarray, col_lower: np.ndarray,
-                 col_upper: np.ndarray, integrality: np.ndarray,
-                 start: np.ndarray, index: np.ndarray, value: np.ndarray,
-                 row_lower: np.ndarray, row_upper: np.ndarray,
-                 time_limit: float | None, gap: float | None
+def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
+                 gap: float | None
                  ) -> tuple[str, float | None, np.ndarray | None, str]:
     """Minimize cost @ x subject to row_lower <= A @ x <= row_upper and
-    col_lower <= x <= col_upper, x integral where integrality is set; A is
-    given as CSC (start, index, value). Returns (status, objective, x) as
-    solve_parsed does, and a note on how a MIP closed: its bound and path,
-    or "" when there is none to tell.
+    col_lower <= x <= col_upper, x integral where integrality is set.
+    arrays holds, as model_arrays lays them out, cost, col_lower,
+    col_upper, row_lower, row_upper, A as CSC (start, index, value) and
+    integrality. Returns (status, objective, x) as solve_parsed does, and a
+    note on how a MIP closed: its bound and path, or "" when there is none
+    to tell.
 
-    A pure LP is one run() without presolve. A MIP closes from its
-    relaxation when it can (module docstring), else by branch and bound.
-    Each run() gets what is left of time_limit. Raises ValueError if HiGHS
-    rejects an option value, such as a negative time limit or gap."""
+    solve_arrays empties arrays and so holds the only references to them
+    that the caller hands over. A pure LP is one run() without presolve,
+    and its arrays are let go once HiGHS has copied them, before it runs.
+    A MIP closes from its relaxation when it can (module docstring), else
+    by branch and bound, which loads the arrays again. Each run() gets what
+    is left of time_limit. Raises ValueError if HiGHS rejects an option
+    value, such as a negative time limit or gap."""
     core = highs_core()
     deadline = None if time_limit is None else time.monotonic() + time_limit
-    is_mip = bool(integrality.any())
+    # The binding reads raw buffers: each array goes in contiguous, as
+    # float64 or as int32 (HiGHS's HighsInt).
+    f64, i32 = np.float64, np.int32
+    buffers = [np.ascontiguousarray(a, dtype) for a, dtype in zip(
+        arrays, (f64, f64, f64, f64, f64, i32, i32, f64, i32), strict=True)]
+    arrays.clear()
+    is_mip = bool(buffers[-1].any())
     options = [("log_to_console", False),
                ("presolve", "on" if is_mip else "off")]
     if time_limit is not None:
         options.append(("time_limit", float(time_limit)))
     if gap is not None:
         options.append(("mip_rel_gap", float(gap)))
-    # The binding reads raw buffers: each array goes in contiguous, as
-    # float64 or as int32 (HiGHS's HighsInt).
-    f64, i32 = np.float64, np.int32
-    arrays = [np.ascontiguousarray(a, dtype) for a, dtype in (
-        (cost, f64), (col_lower, f64), (col_upper, f64), (row_lower, f64),
-        (row_upper, f64), (start, i32), (index, i32), (value, f64),
-        (integrality, i32))]
 
-    highs = _load(core, options, arrays)
+    highs = _load(core, options, buffers)
     if highs is None:
         return "infeasible", None, None, ""
     if not is_mip:
+        del buffers     # HiGHS holds its own copy
         return _answer(highs, _run(highs, deadline), False, "")
 
     # The relaxation: its objective is a bound on the MIP's.
+    _, col_lower, col_upper, *_, integrality = buffers
     ints = np.flatnonzero(integrality).astype(i32)
     highs.changeColsIntegrality(len(ints), ints, np.zeros(len(ints), np.uint8))
     relaxed = _run(highs, deadline)
@@ -532,9 +548,8 @@ def solve_arrays(cost: np.ndarray, col_lower: np.ndarray,
         rel_gap = highs.getOptionValue("mip_rel_gap")[1]
         # Each integer rounded up: a switch the relaxation opened stays open.
         x = np.array(highs.getSolution().col_value)
-        fixed = np.clip(np.ceil(x[ints] - tolerance),
-                        np.asarray(col_lower, f64)[ints],
-                        np.asarray(col_upper, f64)[ints])
+        fixed = np.clip(np.ceil(x[ints] - tolerance), col_lower[ints],
+                        col_upper[ints])
         if np.array_equal(fixed, np.round(fixed)):
             highs.changeColsBounds(len(ints), ints, fixed, fixed)
             if _run(highs, deadline) == "kOptimal":
@@ -547,7 +562,7 @@ def solve_arrays(cost: np.ndarray, col_lower: np.ndarray,
     # Branch and bound on a fresh object: the relaxation's would keep its
     # LP data alongside the MIP's (module docstring).
     del highs
-    highs = _load(core, options, arrays)
+    highs = _load(core, options, buffers)
     if highs is None:
         return "infeasible", None, None, ""
     if start_x is not None:
@@ -596,15 +611,17 @@ def _answer(highs, model_status: str, is_mip: bool, note: str
             note)
 
 
-_PIECE_LINES = 1 << 16
+_PIECE_LINES = 1 << 13
 
 
 def write_solution(path: str, status: str, objective: float | None,
-                   wall_time: float, columns: tuple[str, ...],
+                   wall_time: float, names: str,
                    values: np.ndarray | None) -> None:
-    """One "name value" line per column, in column order. values may run
-    on past columns: binarize_sos appends its binaries after the columns
-    the file declared, and those are not written."""
+    """One "name value" line per column, in column order; names holds the
+    column names, one per line, and is split a piece at a time as the
+    lines are written. values may run on past the names: binarize_sos
+    appends its binaries after the columns the file declared, and those
+    are not written."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"status {status}\n")
         if objective is not None:
@@ -612,11 +629,12 @@ def write_solution(path: str, status: str, objective: float | None,
         fh.write(f"wall_time {wall_time!r}\n")
         if values is None:
             return
-        for start in range(0, len(columns), _PIECE_LINES):
-            part = slice(start, start + _PIECE_LINES)
+        names = text_lines(names)
+        for start in range(0, len(values), _PIECE_LINES):
+            # values first: zip must not draw a name it then drops
             fh.write("".join([
-                f"{var} {value!r}\n"
-                for var, value in zip(columns[part], values[part].tolist())]))
+                f"{name} {value!r}\n" for value, name in zip(
+                    values[start:start + _PIECE_LINES].tolist(), names)]))
 
 
 def _number(text: str) -> float:
@@ -673,13 +691,14 @@ def main(argv: list[str] | None = None) -> int:
                 raise MpsError(
                     "MPS contains SOS sections; rerun with --sos binarize")
             binarize_sos(mps)
-        columns = mps.columns[:declared]
+        # The names as one string, not one object each, while HiGHS runs.
+        names = "\n".join(mps.columns[:declared])
         arrays = model_arrays(mps)
-        del mps     # its matrix entries: HiGHS reads the CSC copy
+        del mps     # its names and matrix entries: HiGHS reads the CSC copy
         status, objective, values, note = solve_arrays(
-            *arrays, args.time_limit, args.gap)
+            arrays, args.time_limit, args.gap)
         write_solution(args.solution, status, objective,
-                       time.monotonic() - start, columns, values)
+                       time.monotonic() - start, names, values)
     except (MpsError, OSError, ImportError) as exc:
         print(f"valign-milp: {exc}", file=sys.stderr)
         try:

@@ -43,10 +43,11 @@ def _formatted(values: np.ndarray) -> tuple[list[str], np.ndarray]:
     """_num of each distinct bit pattern in values (so -0.0 keeps its sign),
     and the index of every value's text in that list."""
     distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return [_num(v) for v in distinct.view(np.float64).tolist()], inverse
+    return ([_num(v) for v in distinct.view(np.float64).tolist()],
+            inverse.astype(np.int32))
 
 
-_CHUNK_LINES = 1 << 16
+_CHUNK_LINES = 1 << 13
 
 
 def _mps_chunks(model: MilpModel) -> Iterator[str]:
@@ -62,17 +63,25 @@ def _mps_chunks(model: MilpModel) -> Iterator[str]:
 
     # One entry per line: the cost first when nonzero (a column with no
     # other entry gets a zero cost), then the matrix entries in row order.
+    # Ids are int32, and each array goes once it has been used, so the
+    # emission stays below the build's own high-water mark.
+    entries = model.entries
     priced = model.cost != 0.0
-    unused = np.bincount(model.entries["col"], minlength=len(columns)) == 0
-    cost_cols = np.flatnonzero(priced | unused)
-    cols = np.concatenate([cost_cols, model.entries["col"]])
+    unused = np.bincount(entries["col"], minlength=len(columns)) == 0
+    cost_cols = np.flatnonzero(priced | unused).astype(np.int32)
+    costs = np.where(priced, model.cost, 0.0)[cost_cols]
+    text, value_text = _formatted(np.concatenate([costs, entries["value"]]))
+    del priced, unused, costs
+    cols = np.concatenate([cost_cols, entries["col"]], dtype=np.int32,
+                          casting="same_kind")
     order = np.argsort(cols, kind="stable")
     entry_col = cols[order]
-    entry_row = np.concatenate([np.full(len(cost_cols), len(row_order)),
-                                model.entries["row"]])[order]
-    costs = np.where(priced, model.cost, 0.0)[cost_cols]
-    text, entry_text = _formatted(
-        np.concatenate([costs, model.entries["value"]])[order])
+    del cols
+    entry_row = np.concatenate(
+        [np.full(len(cost_cols), len(row_order), np.int32), entries["row"]],
+        dtype=np.int32, casting="same_kind")[order]
+    entry_text = value_text[order]
+    del order, value_text, cost_cols
     rows = (*row_order, OBJECTIVE_ROW)
     for start in range(0, len(entry_col), _CHUNK_LINES):
         part = slice(start, start + _CHUNK_LINES)

@@ -184,6 +184,20 @@ def test_fix_offsets_adds_rows_and_checks_bounds():
         fix_offsets(model, (0.0, 0.0))
 
 
+def test_fix_offsets_pins_the_offset_columns_of_every_model():
+    # The offsets are found as the run of U_<i> columns, wherever the
+    # model declares it: after the A_ columns in MH-QNF and in CTG alike.
+    inst = make_instance([100.0] * 3, offset=2.0)
+    for config_name in ("MQN-B", "CTG-B"):
+        model = build(inst, named_config(config_name))
+        fixed = fix_offsets(model, (1.0, 0.0, -1.0))
+        added = fixed.entries[len(model.entries):]
+        assert [fixed.columns[c] for c in added["col"].tolist()] == \
+            ["U_1", "U_2", "U_3"]
+        assert fixed.row_rhs[len(model.row_order):].tolist() == \
+            [1.0, 0.0, -1.0]
+
+
 def test_provenance_names_model_and_config():
     inst = make_instance([100.0] * 3)
     model = build(inst, named_config("MQN-B"))

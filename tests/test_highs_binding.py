@@ -141,7 +141,7 @@ def test_solve_parsed_matches_scipy_milp(counting, case, time_limit, gap):
         mps, time_limit, gap)
     counted = counting()
     status, objective, x, note = milp_solve.solve_arrays(
-        *milp_solve.model_arrays(mps), time_limit, gap)
+        milp_solve.model_arrays(mps), time_limit, gap)
     path = (note.endswith("(rounded relaxation)"), bool(counted.starts))
     assert path == PATHS.get(case, (False, False))
     assert status == want_status
@@ -238,7 +238,7 @@ def test_blocked_road_closes_after_two_runs(counting):
     mps = parsed_model("C-02 2 blocks")
     counted = counting()
     status, _, _, note = milp_solve.solve_arrays(
-        *milp_solve.model_arrays(mps), 60.0, 0.01)
+        milp_solve.model_arrays(mps), 60.0, 0.01)
     assert status == "optimal"
     assert note.endswith("(rounded relaxation)")
     assert len(counted.made) == 1

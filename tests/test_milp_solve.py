@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import weakref
 from dataclasses import fields
 from types import SimpleNamespace
 
@@ -388,14 +389,20 @@ def test_binarize_rejects_unbounded_member():
 class RecordingHighs:
     """Stands in for the binding's HiGHS object: keeps the sha256 of the
     options and model it is handed and returns a stub optimum with seeded
-    values, so no solve runs."""
+    values, so no solve runs. HiGHS copies the model in passModel; with
+    expect_released set, run() checks through weak references that
+    nothing holds a pure LP's arrays any more, as in the adapter's main."""
 
     digest = None
     options_seen = None
+    expect_released = False
+    runs_checked = 0
 
     def __init__(self):
         self.options = {}
         self.num_col = 0
+        self.arrays = []
+        self.is_lp = False
 
     def setOptionValue(self, name, value):
         self.options[name] = value
@@ -414,6 +421,8 @@ class RecordingHighs:
         RecordingHighs.digest = h.hexdigest()
         RecordingHighs.options_seen = dict(self.options)
         self.num_col = num_col
+        self.arrays = [weakref.ref(part) for part in arrays]
+        self.is_lp = not np.any(integrality)
 
     def getOptionValue(self, name):
         return milp_solve.highs_core().HighsStatus.kOk, \
@@ -432,7 +441,11 @@ class RecordingHighs:
         return 0.0
 
     def run(self):
-        pass
+        if self.expect_released and self.is_lp:
+            alive = [at for at, ref in enumerate(self.arrays)
+                     if ref() is not None]
+            assert not alive, f"passModel arrays {alive} outlive the copy"
+            RecordingHighs.runs_checked += 1
 
     def getModelStatus(self):
         return milp_solve.highs_core().HighsModelStatus.kOptimal
@@ -470,6 +483,8 @@ def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
     emit_mps(build(pinned_road(case), named_config(config_name)), mps)
     monkeypatch.setattr(milp_solve.highs_core(), "_Highs", RecordingHighs)
     monkeypatch.setattr(RecordingHighs, "digest", None)
+    monkeypatch.setattr(RecordingHighs, "expect_released", True)
+    monkeypatch.setattr(RecordingHighs, "runs_checked", 0)
     rc = main([mps, str(sol), "--time-limit", "60", "--gap", "0.01",
                "--sos", "binarize"])
     assert rc == 0
@@ -477,6 +492,8 @@ def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
                if not line.startswith(b"wall_time ")]
     assert hashlib.sha256(b"".join(written)).hexdigest() == solution
     assert RecordingHighs.digest == arrays
+    # The block-free cells are pure LPs: their run() saw the arrays gone.
+    assert RecordingHighs.runs_checked == (config_name != "MQN-S1")
 
 
 def ranged_model() -> MilpModel:

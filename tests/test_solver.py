@@ -5,9 +5,12 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import pytest
 
+from valign import gateway
+from valign.bench import ROAD_TEMPLATES, generate_instance
 from valign.builder import build, fix_offsets, named_config
 from valign.gateway import (
     GRACE_SECONDS,
@@ -231,3 +234,90 @@ def test_pairs_first_occurrence_wins():
         "status infeasible\nobjective 4\nobjective 5\nmessage m\n")
     assert sol.status == "optimal" and sol.objective == 4.0
     assert sol.values == {"y": 2.0}
+
+
+def test_solver_exit_is_seen_when_its_output_closes(two_node_instance,
+                                                    tmp_path, monkeypatch):
+    # The gateway reads the solver's output through a pipe and so learns
+    # of its exit when the pipe closes, with no sleep-and-poll loop. Here
+    # a grandchild holds the pipe a little longer, so the solver has
+    # exited by then and no sleep is needed to reap it.
+    stub = tmp_path / "stub.py"
+    stub.write_text(
+        "import subprocess, sys\n"
+        "print('stub solver', flush=True)\n"
+        "with open(sys.argv[2], 'w') as fh:\n"
+        "    fh.write('status infeasible\\n')\n"
+        "subprocess.Popen([sys.executable, '-S', '-c',\n"
+        "                  'import time; time.sleep(0.5)'])\n")
+    model = build(two_node_instance, named_config("MQN-B"))
+
+    def no_sleep(seconds):
+        raise AssertionError(f"the gateway slept {seconds} s")
+
+    monkeypatch.setattr(time, "sleep", no_sleep)
+    solution = solve(model, f"{sys.executable} -S {stub} {{mps}} {{sol}}",
+                     LIMITS, workdir=str(tmp_path / "run"))
+    monkeypatch.undo()
+    assert solution.status == "infeasible"
+    log = (tmp_path / "run" / "solver.log").read_text().splitlines()
+    assert log[0].startswith("command: ")
+    assert log[1:] == ["stub solver"]
+
+
+def test_timed_out_solver_output_is_logged(two_node_instance, tmp_path,
+                                           monkeypatch):
+    # What the solver printed before the bound kills it reaches the log.
+    stub = tmp_path / "stub.py"
+    stub.write_text("import time\n"
+                    "print('started', flush=True)\n"
+                    "time.sleep(30)\n")
+    monkeypatch.setattr(gateway, "GRACE_SECONDS", 0.5)
+    model = build(two_node_instance, named_config("MQN-B"))
+    limits = SolverLimits(time_limit=0.5)
+    start = time.monotonic()
+    solution = solve(model, f"{sys.executable} -S {stub} {{mps}} {{sol}}",
+                     limits, workdir=str(tmp_path / "run"))
+    assert time.monotonic() - start < 10.0
+    assert solution.status == "timeout"
+    log = (tmp_path / "run" / "solver.log").read_text().splitlines()
+    assert log[1:] == ["started"]
+
+
+def test_full_solution_is_read_onto_the_models_names():
+    # A pairs file that lists the model's columns in order is keyed by the
+    # model's own name objects, and decode keeps that dict as it is.
+    instance = generate_instance(1, ROAD_TEMPLATES["A"], 1)
+    config = named_config("CTG-B")
+    model = build(instance, config)
+    text = "status optimal\nobjective 0.0\n" + "".join(
+        f"{name} 0.0\n" for name in model.columns)
+    solution = parse_solution_text(text, model.columns)
+    assert all(map(lambda a, b: a is b, solution.values, model.columns))
+    assert decode(solution, instance, config, model).values \
+        is solution.values
+    # Without the columns, or out of order, the file's own names are kept.
+    assert parse_solution_text(text).values == solution.values
+    shuffled = parse_solution_text(text, model.columns[::-1])
+    assert decode(shuffled, instance, config, model).values == \
+        solution.values
+
+
+def test_solution_read_stays_within_its_memory_bound():
+    # Read a piece at a time onto the model's names and decoded with no
+    # second dict: on C-01 CTG-B (10,227 columns) the traced peak of
+    # parse_solution_text plus decode was 1.9 MB and is 1.1 MB now.
+    instance = generate_instance(1, ROAD_TEMPLATES["C"], 1)
+    config = named_config("CTG-B")
+    model = build(instance, config)
+    text = "status optimal\nobjective 0.0\n" + "".join(
+        f"{name} 0.0\n" for name in model.columns)
+    tracemalloc.start()
+    try:
+        result = decode(parse_solution_text(text, model.columns), instance,
+                        config, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.values) == 10227
+    assert peak < 1.45 * 2**20
