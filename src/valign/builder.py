@@ -529,7 +529,7 @@ class _Assembler:
             np.array(self.senses, "U"), np.array(self.rhs, np.float64),
             np.array(self.rhs_range, np.float64),
             np.concatenate(self.chunks or [np.empty(0, ENTRY)]),
-            tuple(self.sos), tuple(provenance))
+            tuple(self.sos), provenance=tuple(provenance))
 
     def finish(self, provenance: Sequence[tuple[str, str]]) -> MilpModel:
         model = self.model(provenance)

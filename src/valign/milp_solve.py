@@ -43,23 +43,54 @@ about 170 to 248 MB), while the blocked MIPs take 2-4 times as long
 without it.
 
 A MIP is solved relaxation first. Its integer columns are relaxed and the
-LP's objective is a bound; each integer is rounded up, ceil(x - HiGHS's
-mip_feasibility_tolerance) within its bounds, and fixed, and the LP is
-solved again warm on the same object. If that LP is optimal within the gap
-of the bound (ub - lb <= gap * max(1, |ub|), HiGHS's own mip_rel_gap rule),
-it is the answer. In the blocked models the integers are switches: a block's
-removal indicator opens its big-M gate rows, a binarized SOS flag lets a
-member be nonzero. Rounding up keeps every gate the relaxation opened, so
-the fixed LP stays feasible; rounding to nearest closed gates and left LPs
-HiGHS could not settle (seconds under an iteration limit). The relaxation of
-these models is near integral: on the ten cells of perfbench's
-blocked-roads workload this took the solve from 5.9-6.4 s to 3.2-3.9 s.
+LP's objective is a bound. A fixed LP fixes every integer but the
+binarized SOS flags, the switches, at 0 or 1 and is solved again on the
+same object; it is the answer if it is optimal within the gap of the bound
+(ub - lb <= gap * max(1, |ub|), HiGHS's own mip_rel_gap rule) and each
+SOS set holds on its members within mip_feasibility_tolerance (at most one
+nonzero in an SOS1 set, two adjacent in an SOS2 set). The flags stay
+continuous and are set from their members in the answer: rounded up beside
+the switches, a W complement's flag at 0.018 went to 1 beside its removal
+indicator at 1 and closed the set's other member, and the fixed LPs of
+D-03 and C-01 under MQN-S1 were infeasible. A switch within the tolerance
+of its fixed value is written as that value, so a closed gate is exactly
+closed. In the blocked models the switches are removal indicators: Y_k_t
+opens block k's big-M gate rows from step t on.
+
+The first fixed LP rounds each switch up, ceil(x - tolerance), warm from
+the relaxation's basis: it keeps every gate the relaxation opened, so it
+stays feasible, where rounding to nearest closed gates and left LPs HiGHS
+could not settle. On the ten cells of perfbench's blocked-roads workload
+this took the solve from 5.9-6.4 s to 3.2-3.9 s. If it misses, removal
+schedules are tried. monotone_chains reads the switches' chains off the
+matrix, with no name read, as the builder's MON_k_t rows lay them out, and
+the search runs only when every switch lies on a chain. A schedule gives
+each chain one threshold, its switches at 0 before it and at 1 from it on.
+First come the rounded schedule's neighbours, each with one block removed
+a step later (_Fixing.delays): the rounded LP's reduced costs price that,
+and the block whose early removal costs most goes first. Then every
+schedule by L1 distance from the relaxation's values (schedules). The
+relaxation leaks through the big-M gates, a Y of 0.0002-0.02 before a
+block's nearest threshold, so its nearest schedule is often infeasible:
+on the 3-block G road under MQN-B the first closing schedule in L1 order
+is the 24th, behind four feasible ones at 2.2-3.5 s each, where the first
+neighbour closes. Each of the 24 cells measured that rounding left open
+(the suite's C-01 and B-02, unjittered and at perfbench seeds, and five
+roads with 3 blocks) closed at its first neighbour. Each schedule is
+solved cold (clearSolver, presolve on), so an infeasible one ends in
+presolve, in 0.001-0.14 s on the roads measured; warm, HiGHS skips
+presolve, and infeasible schedules of C-01 took 1.9-7.9 s each. The first
+that closes the MIP is the answer, noted "(schedule tau_1 ... tau_K, N
+LPs)", N counting the rounded LP too. No schedule starts once the
+search's LPs have taken as long as the relaxation did.
+
 Otherwise the MIP is solved by branch and bound on a fresh object, started
-from the fixed LP's x when it is feasible: reusing the relaxation's object
-kept its LP data alongside the MIP's, and the adapter's peak on D-03
-MQN-S1 rose from 50 to 56 MB. Each run gets what is left of the time
-limit, a relaxation stopped by it is a timeout, and an infeasible
-relaxation ends the solve as infeasible.
+from the best MIP-feasible x the fixed LPs found: reusing the relaxation's
+object kept its LP data alongside the MIP's, and the adapter's peak on
+D-03 MQN-S1 rose from 50 to 56 MB. Each run gets what is left of the time
+limit. An infeasible relaxation ends the solve as infeasible, one stopped
+by the limit as a timeout; a fixed LP stopped by it ends the solve as
+feasible with the best MIP-feasible x found, else as a timeout.
 
 solve_parsed builds those arrays from a ColumnarModel, parsed
 or built (csc_arrays, row_bounds), and calls it. The binding is loaded on
@@ -76,6 +107,8 @@ set members.
 from __future__ import annotations
 
 import argparse
+import heapq
+import itertools
 import importlib.machinery
 import importlib.util
 import math
@@ -124,6 +157,10 @@ class ColumnarModel:
     row_range: np.ndarray
     entries: np.ndarray
     sos_sets: tuple[tuple[int, str, tuple[tuple[int, float], ...]], ...]
+    # The sets binarize_sos replaced: (type, member ids in weight order,
+    # flag ids), each flag of an SOS1 set beside its member, each flag of
+    # an SOS2 set spanning members i and i + 1.
+    sos_flags: tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...] = ()
 
 
 def entry_records(row, col, value) -> np.ndarray:
@@ -318,11 +355,13 @@ def _parse_num(token: str, lineno: int) -> float:
 
 def binarize_sos(mps: ColumnarModel) -> None:
     """Rewrite SOS sets with auxiliary binaries and linking rows, appended
-    to the column, row and entry arrays, in place."""
+    to the column, row and entry arrays, in place; the sets and their
+    binaries, the flags, go to sos_flags."""
     columns: list[str] = []
     rows: list[tuple[str, str, float]] = []       # name, sense, rhs
     entries: list[tuple[int, int, float]] = []
     lower, upper = mps.col_lower, mps.col_upper
+    flagged: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
 
     def binary(name: str) -> int:
         columns.append(name)
@@ -357,14 +396,17 @@ def binarize_sos(mps: ColumnarModel) -> None:
             r = row(f"_SOSC_{seq}", "L", 1.0)
             entries.extend((r, flag, 1.0) for flag in flags)
         else:
-            segs = [binary(f"_SOSB_{seq}_{pos}")
-                    for pos in range(1, len(ordered))]
+            flags = [binary(f"_SOSB_{seq}_{pos}")
+                     for pos in range(1, len(ordered))]
             r = row(f"_SOSC_{seq}", "E", 1.0)
-            entries.extend((r, seg, 1.0) for seg in segs)
+            entries.extend((r, seg, 1.0) for seg in flags)
             for pos, (col, _) in enumerate(ordered, start=1):
                 # the segments on either side of the member's position
-                link(f"_SOSL_{seq}_{pos}", col, *segs[max(pos - 2, 0):pos])
+                link(f"_SOSL_{seq}_{pos}", col, *flags[max(pos - 2, 0):pos])
+        flagged.append((sos_type, tuple(col for col, _ in ordered),
+                        tuple(flags)))
     mps.sos_sets = ()
+    mps.sos_flags += tuple(flagged)
 
     n = len(columns)
     mps.columns += tuple(columns)
@@ -440,7 +482,8 @@ def solve_parsed(model: ColumnarModel, time_limit: float | None,
                  gap: float | None) -> tuple[str, float | None, np.ndarray | None]:
     """Returns (status, objective, values): status in optimal|feasible|
     timeout|infeasible|unbounded|error."""
-    return solve_arrays(model_arrays(model), time_limit, gap)[:3]
+    return solve_arrays(model_arrays(model), time_limit, gap,
+                        model.sos_flags)[:3]
 
 
 _CORE = "scipy.optimize._highspy._core"
@@ -492,15 +535,18 @@ def status_word(model_status: str, is_mip: bool, objective: float) -> str:
 
 
 def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
-                 gap: float | None
+                 gap: float | None,
+                 sos_flags: tuple[tuple[int, tuple[int, ...],
+                                        tuple[int, ...]], ...] = ()
                  ) -> tuple[str, float | None, np.ndarray | None, str]:
     """Minimize cost @ x subject to row_lower <= A @ x <= row_upper and
     col_lower <= x <= col_upper, x integral where integrality is set.
     arrays holds, as model_arrays lays them out, cost, col_lower,
     col_upper, row_lower, row_upper, A as CSC (start, index, value) and
-    integrality. Returns (status, objective, x) as solve_parsed does, and a
-    note on how a MIP closed: its bound and path, or "" when there is none
-    to tell.
+    integrality; sos_flags holds the sets binarize_sos replaced, as
+    ColumnarModel.sos_flags does. Returns (status, objective, x) as
+    solve_parsed does, and a note on how a MIP closed: its bound and path,
+    or "" when there is none to tell.
 
     solve_arrays empties arrays and so holds the only references to them
     that the caller hands over. A pure LP is one run() without presolve,
@@ -533,9 +579,9 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
         return _answer(highs, _run(highs, deadline), False, "")
 
     # The relaxation: its objective is a bound on the MIP's.
-    _, col_lower, col_upper, *_, integrality = buffers
-    ints = np.flatnonzero(integrality).astype(i32)
+    ints = np.flatnonzero(buffers[-1]).astype(i32)
     highs.changeColsIntegrality(len(ints), ints, np.zeros(len(ints), np.uint8))
+    began = time.monotonic()
     relaxed = _run(highs, deadline)
     # An infeasible relaxation proves the MIP infeasible; an unbounded one
     # proves nothing, so that goes on to branch and bound.
@@ -543,21 +589,11 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
         return _STATUS_WORDS[relaxed], None, None, ""
     start_x = None
     if relaxed == "kOptimal":
-        bound = highs.getInfo().objective_function_value
-        tolerance = highs.getOptionValue("mip_feasibility_tolerance")[1]
-        rel_gap = highs.getOptionValue("mip_rel_gap")[1]
-        # Each integer rounded up: a switch the relaxation opened stays open.
-        x = np.array(highs.getSolution().col_value)
-        fixed = np.clip(np.ceil(x[ints] - tolerance), col_lower[ints],
-                        col_upper[ints])
-        if np.array_equal(fixed, np.round(fixed)):
-            highs.changeColsBounds(len(ints), ints, fixed, fixed)
-            if _run(highs, deadline) == "kOptimal":
-                objective = highs.getInfo().objective_function_value
-                start_x = np.array(highs.getSolution().col_value)
-                if objective - bound <= rel_gap * max(1.0, abs(objective)):
-                    return ("optimal", float(objective), start_x,
-                            f"bound {bound} (rounded relaxation)")
+        fixing = _Fixing(highs, buffers, sos_flags, deadline)
+        answer = fixing.close(budget=time.monotonic() - began)
+        if answer is not None:
+            return answer
+        start_x = fixing.best_x
 
     # Branch and bound on a fresh object: the relaxation's would keep its
     # LP data alongside the MIP's (module docstring).
@@ -573,6 +609,227 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
     return _answer(highs, model_status, True,
                    f"bound {info.mip_dual_bound} (branch and bound, "
                    f"{info.mip_node_count} nodes, gap {info.mip_gap})")
+
+
+class _Fixing:
+    """Fixed LPs on the relaxed object, which has just solved the
+    relaxation: the switches, every integer but the binarized SOS flags,
+    are fixed at 0 or 1 and the LP solved again; the flags stay
+    continuous and are left to their members (module docstring)."""
+
+    def __init__(self, highs, buffers, sos_flags, deadline: float | None):
+        self.highs, self.deadline = highs, deadline
+        self.sets = [(kind, np.array(members), np.array(flags, np.intp))
+                     for kind, members, flags in sos_flags]
+        _, self.col_lower, self.col_upper, *_, integrality = buffers
+        switch = integrality.astype(bool)
+        for _, _, flags in self.sets:
+            switch[flags] = False
+        self.switches = np.flatnonzero(switch).astype(np.int32)
+        self.arrays = buffers
+        self.bound = highs.getInfo().objective_function_value
+        self.tolerance = highs.getOptionValue("mip_feasibility_tolerance")[1]
+        self.rel_gap = highs.getOptionValue("mip_rel_gap")[1]
+        self.relaxed_x = np.array(highs.getSolution().col_value)
+        self.best_x, self.best = None, math.inf
+        self.lps = 0
+
+    def close(self, budget: float):
+        """solve_arrays' answer when a fixed LP closes the MIP or the time
+        limit stops one, else None, with best_x the best MIP-feasible x
+        found for branch and bound to start from, if any."""
+        # Each switch rounded up: a gate the relaxation opened stays open.
+        x = self.relaxed_x[self.switches]
+        rounded = np.clip(np.ceil(x - self.tolerance),
+                          self.col_lower[self.switches],
+                          self.col_upper[self.switches])
+        if np.array_equal(rounded, np.round(rounded)):
+            outcome = self.solve(rounded, cold=False)
+            if outcome != "open":
+                return self.answer(outcome, "rounded relaxation")
+        chains = monotone_chains(self.arrays, self.switches)
+        if not chains:
+            return None
+        tried, spent = set(), 0.0
+        for taus in itertools.chain(self.delays(chains, rounded),
+                                    schedules(chains, self.relaxed_x)):
+            if taus in tried:
+                continue
+            tried.add(taus)
+            fixed = np.empty(len(self.col_lower))
+            for chain, tau in zip(chains, taus):
+                fixed[chain] = np.arange(len(chain)) >= tau
+            fixed = fixed[self.switches]
+            if np.array_equal(fixed, rounded):
+                continue    # solved above
+            if spent >= budget:
+                return None
+            began = time.monotonic()
+            outcome = self.solve(fixed, cold=True)
+            spent += time.monotonic() - began
+            if outcome != "open":
+                return self.answer(outcome, "schedule " + " ".join(
+                    map(str, taus)) + f", {self.lps} LPs")
+        return None
+
+    def delays(self, chains: list[np.ndarray], rounded: np.ndarray
+               ) -> list[tuple[int, ...]]:
+        """The rounded schedule with one chain's threshold a step later,
+        for each chain whose first switch at 1 has a positive reduced cost
+        in the rounded LP, the largest first: lowering that switch, so
+        removing the block a step later, lowers the LP's cost most; none
+        when the rounded LP has no optimum to read them from."""
+        if self.highs.getModelStatus().name != "kOptimal":
+            return []
+        reduced = np.array(self.highs.getSolution().col_dual)
+        at = np.zeros(len(self.col_lower))
+        at[self.switches] = rounded
+        up = [int(np.count_nonzero(at[chain] == 0.0)) for chain in chains]
+        later = sorted((-reduced[chain[tau]], k)
+                       for k, (chain, tau) in enumerate(zip(chains, up))
+                       if tau < len(chain) and reduced[chain[tau]] > 0.0)
+        return [tuple(tau + (j == k) for j, tau in enumerate(up))
+                for _, k in later]
+
+    def solve(self, fixed: np.ndarray, cold: bool) -> str:
+        """One fixed LP: "closed" when it is MIP-feasible within the gap
+        of the bound, "timeout" when the time limit stopped it, else
+        "open". A MIP-feasible x better than best_x replaces it. A cold
+        LP starts from no basis, so HiGHS presolve runs and ends an
+        infeasible one quickly."""
+        highs = self.highs
+        highs.changeColsBounds(len(self.switches), self.switches, fixed,
+                               fixed)
+        if cold:
+            highs.clearSolver()
+        self.lps += 1
+        model_status = _run(highs, self.deadline)
+        if _STATUS_WORDS.get(model_status) == "timeout":
+            return "timeout"
+        if model_status != "kOptimal":
+            return "open"
+        x = np.array(highs.getSolution().col_value)
+        if not self.sets_hold(x):
+            return "open"
+        # Each gate exactly closed or open: HiGHS may leave a fixed column
+        # a rounding error off its bound.
+        near = np.abs(x[self.switches] - fixed) <= self.tolerance
+        x[self.switches[near]] = fixed[near]
+        self.set_flags(x)
+        objective = highs.getInfo().objective_function_value
+        if objective < self.best:
+            self.best, self.best_x = objective, x
+        if objective - self.bound <= self.rel_gap * max(1.0, abs(objective)):
+            return "closed"
+        return "open"
+
+    def answer(self, outcome: str, path: str):
+        if outcome == "closed":
+            return ("optimal", float(self.best), self.best_x,
+                    f"bound {self.bound} ({path})")
+        if self.best_x is None:
+            return "timeout", None, None, ""
+        return ("feasible", float(self.best), self.best_x,
+                f"bound {self.bound} (time limit, {self.lps} LPs)")
+
+    def sets_hold(self, x: np.ndarray) -> bool:
+        """Whether each SOS set holds on its members: at most one nonzero
+        in an SOS1 set, at most two in an SOS2 set, and those adjacent."""
+        for kind, members, _ in self.sets:
+            at = np.flatnonzero(np.abs(x[members]) > self.tolerance)
+            if len(at) > kind or (len(at) == 2 and at[1] - at[0] != 1):
+                return False
+        return True
+
+    def set_flags(self, x: np.ndarray) -> None:
+        """Each flag at 0 or 1 as its set's members are, whose sets hold:
+        an SOS1 flag at 1 beside a nonzero member, the SOS2 segment at 1
+        that spans its nonzero members, the first when none is."""
+        for kind, members, flags in self.sets:
+            nonzero = np.abs(x[members]) > self.tolerance
+            if kind == 1:
+                x[flags] = nonzero
+            elif len(flags):
+                at = np.flatnonzero(nonzero)
+                x[flags] = 0.0
+                x[flags[min(at[0] if len(at) else 0, len(flags) - 1)]] = 1.0
+
+
+def monotone_chains(arrays: list[np.ndarray], switches: np.ndarray
+                    ) -> list[np.ndarray] | None:
+    """The monotone chains through the switches, each as its column ids
+    from the one that stays at 0 longest to the one at 1 first; None
+    unless every switch lies on exactly one chain, in order.
+
+    A chain link is a row of two entries, on [0, 1] switches, with
+    coefficients +1 and -1 and row bounds [0, inf) or (-inf, 0]: it keeps
+    one switch at or below the other, as the builder's MON_k_t rows keep a
+    removed block removed. No name is read."""
+    _, col_lower, col_upper, row_lower, row_upper, start, index, value, _ = \
+        arrays
+    n = len(col_lower)
+    binary = np.zeros(n, bool)
+    binary[switches] = (col_lower[switches] == 0.0) \
+        & (col_upper[switches] == 1.0)
+    at_least = (row_lower == 0.0) & (row_upper == math.inf)
+    at_most = (row_lower == -math.inf) & (row_upper == 0.0)
+    pair = (np.bincount(index, minlength=len(row_lower)) == 2) \
+        & (at_least | at_most)
+    at = np.flatnonzero(pair[index])
+    at = at[np.argsort(index[at], kind="stable")]   # by row, two by two
+    col = np.repeat(np.arange(n), np.diff(start))[at]
+    row, coeff = index[at[::2]], value[at]
+    first, second = col[::2], col[1::2]
+    link = binary[first] & binary[second] \
+        & (np.abs(coeff[::2]) == 1.0) & (coeff[::2] == -coeff[1::2])
+    # plus - minus >= 0 keeps minus below plus; <= 0 keeps plus below.
+    plus = np.where(coeff[::2] == 1.0, first, second)[link]
+    minus = np.where(coeff[::2] == 1.0, second, first)[link]
+    upward = at_least[row[link]]
+    low = np.where(upward, minus, plus)
+    high = np.where(upward, plus, minus)
+    if np.bincount(low, minlength=n).max(initial=0) > 1 \
+            or np.bincount(high, minlength=n).max(initial=0) > 1:
+        return None
+    above = np.full(n, -1)
+    above[low] = high
+    below = np.zeros(n, bool)
+    below[high] = True
+    chains = []
+    for head in np.flatnonzero(binary & ~below & (above >= 0)).tolist():
+        chain = [head]
+        while above[chain[-1]] >= 0:
+            chain.append(int(above[chain[-1]]))
+        chains.append(np.array(chain))
+    if sum(map(len, chains)) != len(switches):
+        return None     # a switch off every chain, or a cycle
+    return chains
+
+
+def schedules(chains: list[np.ndarray], x: np.ndarray
+              ) -> Iterator[tuple[int, ...]]:
+    """Every schedule of the chains, one threshold each (the number of its
+    switches at 0), in order of L1 distance from x, nearest first."""
+    options = []
+    for chain in chains:
+        at_zero = np.concatenate([[0.0], np.cumsum(x[chain])])
+        taus = np.arange(len(chain) + 1)
+        # the first tau switches at 0 and the rest at 1
+        distance = at_zero + (len(chain) - taus) - (at_zero[-1] - at_zero)
+        order = np.argsort(distance, kind="stable")
+        options.append((distance[order].tolist(), order.tolist()))
+    # Best first over sums: each pick moves one chain's option, at or
+    # after the chain the last move did, so each schedule comes once.
+    heap = [(sum(d[0] for d, _ in options), (0,) * len(options), 0)]
+    while heap:
+        total, picks, last = heapq.heappop(heap)
+        yield tuple(taus[p] for (_, taus), p in zip(options, picks))
+        for j in range(last, len(options)):
+            distance, p = options[j][0], picks[j]
+            if p + 1 < len(distance):
+                heapq.heappush(heap, (
+                    total - distance[p] + distance[p + 1],
+                    picks[:j] + (p + 1,) + picks[j + 1:], j))
 
 
 def _load(core, options, arrays):
@@ -693,10 +950,10 @@ def main(argv: list[str] | None = None) -> int:
             binarize_sos(mps)
         # The names as one string, not one object each, while HiGHS runs.
         names = "\n".join(mps.columns[:declared])
-        arrays = model_arrays(mps)
+        arrays, sos_flags = model_arrays(mps), mps.sos_flags
         del mps     # its names and matrix entries: HiGHS reads the CSC copy
         status, objective, values, note = solve_arrays(
-            arrays, args.time_limit, args.gap)
+            arrays, args.time_limit, args.gap, sos_flags)
         write_solution(args.solution, status, objective,
                        time.monotonic() - start, names, values)
     except (MpsError, OSError, ImportError) as exc:

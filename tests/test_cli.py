@@ -146,6 +146,29 @@ def test_solve_block_instance(blocked_path, tmp_path):
     assert "removal 1 1 1.0" in out.read_text()
 
 
+@pytest.mark.parametrize("flags", [[], ["--blocks", "sos1"],
+                                   ["--model", "qnf", "--haul", "avg"]],
+                         ids=["MQN-B", "MQN-S1", "QNA-B"])
+def test_solve_closes_suite_road_by_schedule(tmp_path, flags):
+    # C-01 of the generated suite, two blocks: rounding up misses the gap
+    # and a removal schedule closes it. Its gates are exactly closed or
+    # open, and the answer validates and re-prices (exit 0).
+    from valign.bench import generate_suite
+    generate_suite(1, "ABC", str(tmp_path / "suite"), variants=2)
+    out, work = tmp_path / "result.txt", tmp_path / "work"
+    rc = main(["solve", str(tmp_path / "suite" / "C-01.json"), *flags,
+               "--solver", BUNDLED_SOLVER, "--time-limit", "60",
+               "--gap", "0.01", "--workdir", str(work), "-o", str(out)])
+    assert rc == 0
+    assert "(schedule " in (work / "solver.log").read_text()
+    text = out.read_text()
+    assert "validation pass" in text
+    gates = [line.split() for line in (work / "model.sol").read_text()
+             .splitlines() if line.startswith("Y_")]
+    assert len(gates) == 6      # two blocks, steps 0-2
+    assert {value for _, value in gates} <= {"0.0", "1.0"}
+
+
 def test_solve_infeasible(tmp_path):
     inst = make_instance([100.0] * 3, areas=[10.0] * 3, offset=2.0)
     forced = replace(inst, sections=tuple(

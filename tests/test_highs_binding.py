@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -98,6 +100,35 @@ SMALL_MODELS = {
                            integer=("x", "y")),
 }
 
+
+
+def two_chains(link=("G", 1.0, -1.0), rhs=0.0, cap_b=None):
+    """Two monotone chains, a0 <= a1 and b0 <= b1, tied as the builder's
+    MON_k_t rows tie a block's removal indicators; link gives the sense of
+    the A chain's row and its coefficients on a1 and a0. a0 and b0 each
+    earn 1, but a0 opens a slack costing 10 beyond 0.4. The relaxation
+    takes a0 = a1 = 0.4 and b0 = b1 = 1 for 98.84. Rounding up costs the
+    slack 6 (104.3); in that LP a0 has the one positive reduced cost, so
+    the schedule (1, 0), a0 alone at 0, comes first: 99.3, within 1% of the
+    bound. With cap_b, b0 opens a slack costing 10 beyond cap_b as well."""
+    sense, on_a1, on_a0 = link
+    rows, columns, rhs_lines = ["G LB", "L CA", "G FIX"], [], ""
+    if cap_b is not None:
+        rows.append("L CB")
+        columns = ["t COST 10.0", "t CB -1.0", "b0 CB 1.0"]
+        rhs_lines = f"    RHS CB {cap_b}\n"
+    return small([f"{sense} LA", *rows],
+                 ["s COST 10.0", "s CA -1.0", "w COST 1.0", "w FIX 1.0",
+                  "a0 COST -1.0", f"a0 LA {on_a0}", "a0 CA 1.0",
+                  "a1 COST 0.1", f"a1 LA {on_a1}",
+                  "b0 COST -1.0", "b0 LB -1.0", "b1 COST 0.2", "b1 LB 1.0",
+                  *columns],
+                 "RHS\n    RHS CA 0.4\n    RHS FIX 100.0\n"
+                 f"    RHS LA {rhs}\n{rhs_lines}"
+                 "BOUNDS\n BV BND a0\n BV BND a1\n BV BND b0\n BV BND b1\n",
+                 integer=("a0", "a1", "b0", "b1"))
+
+
 ROAD_MODELS = [("A-01", "MQN-B"), ("C-02 2 blocks", "MQN-B"),
                ("D-02 2 blocks", "MQN-S1"), ("shared-pits", "MQN-S1")]
 
@@ -105,6 +136,8 @@ ROAD_MODELS = [("A-01", "MQN-B"), ("C-02 2 blocks", "MQN-B"),
 def parsed_model(case):
     if case in SMALL_MODELS:
         return parse_mps(SMALL_MODELS[case])
+    if case == "chains":
+        return parse_mps(two_chains())
     if case == "ranged":
         text = emit_mps_text(ranged_model())
     else:
@@ -117,41 +150,52 @@ def parsed_model(case):
     return mps
 
 
-# How the MIPs close: (from the rounded relaxation, by branch and bound
-# from the rounded relaxation's x). The others have no feasible rounding
-# and branch and bound from no start, as scipy's milp does.
-PATHS = {"C-02 2 blocks": (True, False), "D-02 2 blocks": (True, False),
-         "ranged": (True, False), "shared-pits": (False, True),
-         "no rows": (False, True)}
+# How the MIPs close: from the rounded relaxation, from a removal
+# schedule, or by branch and bound started from the best MIP-feasible x
+# the fixed LPs found. The others have no MIP-feasible fixed LP and branch
+# and bound from no start, as scipy's milp does.
+PATHS = {"C-02 2 blocks": "rounded relaxation",
+         "D-02 2 blocks": "rounded relaxation",
+         "ranged": "rounded relaxation", "chains": "schedule",
+         "shared-pits": "started", "no rows": "started"}
+
+
+def closing_path(note, counted):
+    if note.endswith("(rounded relaxation)"):
+        return "rounded relaxation"
+    if "(schedule " in note:
+        return "schedule"
+    return "started" if counted.starts else None
 
 
 @pytest.mark.parametrize("case, time_limit, gap", [
     *[(case, 60.0, 0.01) for case, _ in ROAD_MODELS],
+    ("chains", 60.0, 0.01),
     ("ranged", 60.0, 1e-9),
     *[(case, 60.0, 1e-9) for case in SMALL_MODELS],
     ("LP", None, None),
 ])
 def test_solve_parsed_matches_scipy_milp(counting, case, time_limit, gap):
     # LPs, and MIPs that branch and bound from no start, give scipy's
-    # answer bit for bit. A MIP closed from its rounded relaxation may give
-    # another x within the gap; one that branches and bounds from the
-    # rounded relaxation's x gives scipy's objective up to rounding error.
+    # answer bit for bit. A MIP closed from a fixed LP may give another x
+    # within the gap; one that branches and bounds from a fixed LP's x
+    # gives scipy's objective up to rounding error.
     mps = parsed_model(case)
     (want_status, want_objective, want_x), result = milp_result(
         mps, time_limit, gap)
     counted = counting()
     status, objective, x, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), time_limit, gap)
-    path = (note.endswith("(rounded relaxation)"), bool(counted.starts))
-    assert path == PATHS.get(case, (False, False))
+        milp_solve.model_arrays(mps), time_limit, gap, mps.sos_flags)
+    path = closing_path(note, counted)
+    assert path == PATHS.get(case)
     assert status == want_status
-    if any(path):
+    if path is not None:
         scale = max(1.0, abs(want_objective))
-        if path[0]:
+        if path == "started":
+            assert abs(objective - want_objective) <= 1e-9 * scale
+        else:
             assert result.mip_dual_bound - 1e-9 * scale <= objective
             assert objective <= want_objective + gap * scale
-        else:
-            assert abs(objective - want_objective) <= 1e-9 * scale
         assert_feasible(mps, x, 1e-6)
     else:
         assert objective == want_objective
@@ -246,6 +290,140 @@ def test_blocked_road_closes_after_two_runs(counting):
     assert 0.0 < counted.left[1] <= counted.left[0] <= 60.0
 
 
+@pytest.mark.parametrize("link", [("G", 1.0, -1.0), ("L", -1.0, 1.0)])
+def test_two_chains_close_by_schedule(counting, tmp_path, capsys, link):
+    # Rounding up misses the gap. The rounded schedule with a0's chain a
+    # step later closes it on the relaxation's object: one fixed LP after
+    # the rounded one, no branch and bound and no start.
+    mps = parse_mps(two_chains(link))
+    counted = counting()
+    status, objective, x, note = milp_solve.solve_arrays(
+        milp_solve.model_arrays(mps), 60.0, 0.01)
+    assert (status, objective) == ("optimal", pytest.approx(99.3))
+    assert note.endswith(" (schedule 1 0, 2 LPs)")
+    chains = [mps.columns.index(name) for name in ("a0", "a1", "b0", "b1")]
+    assert x[chains].tolist() == [0.0, 1.0, 1.0, 1.0]
+    assert len(counted.made) == 1
+    assert counted.starts == []
+    assert len(counted.left) == 3   # relaxation, rounded, schedule
+
+    path, sol = tmp_path / "chains.mps", tmp_path / "chains.sol"
+    path.write_text(two_chains(link), encoding="ascii")
+    assert milp_solve.main([str(path), str(sol), "--gap", "0.01"]) == 0
+    assert capsys.readouterr().out.endswith(" (schedule 1 0, 2 LPs)\n")
+
+
+@pytest.mark.parametrize("link, rhs", [(("G", 1.0, -1.0), -0.5),
+                                       (("G", 1.0, 1.0), 0.0)])
+def test_rows_that_are_not_chain_links_start_no_search(counting, link, rhs):
+    # a1 - a0 >= -0.5 and a1 + a0 >= 0 hold for any binaries but are no
+    # chain link, so a0 and a1 lie on no chain: where the link row closes
+    # by schedule, the rounded LP's miss goes straight to branch and bound.
+    linked = parse_mps(two_chains())
+    assert "(schedule " in milp_solve.solve_arrays(
+        milp_solve.model_arrays(linked), 60.0, 0.01)[3]
+    mps = parse_mps(two_chains(link, rhs))
+    counted = counting()
+    status, objective, _, note = milp_solve.solve_arrays(
+        milp_solve.model_arrays(mps), 60.0, 0.01)
+    assert status == "optimal"
+    assert "(branch and bound, " in note
+    assert len(counted.made) == 2
+    assert len(counted.left) == 3   # relaxation, rounded, branch and bound
+
+
+def test_search_stops_once_it_has_taken_as_long_as_the_relaxation(
+        counting, monkeypatch):
+    # With b0 capped at 0.3 both chains' neighbours of the rounded
+    # schedule miss the gap and the schedule (2, 2), nearest the
+    # relaxation, would close it. A clock on which each schedule LP takes
+    # a second spends the relaxation's time on the first: branch and
+    # bound follows, started from the best fixed LP.
+    mps = parse_mps(two_chains(cap_b=0.3))
+    skew = [0.0]
+    monkeypatch.setattr(milp_solve, "time", SimpleNamespace(
+        monotonic=lambda: time.monotonic() + skew[0]))
+    counted = counting()
+    run = CountingHighs.run
+
+    def run_then_tick(self):
+        run(self)
+        if len(counted.left) > 2:       # a schedule LP
+            skew[0] += 1.0
+
+    monkeypatch.setattr(CountingHighs, "run", run_then_tick)
+    status, objective, _, note = milp_solve.solve_arrays(
+        milp_solve.model_arrays(mps), 60.0, 0.01)
+    assert (status, objective) == ("optimal", pytest.approx(100.0))
+    assert "(branch and bound, " in note
+    assert len(counted.made) == 2
+    assert len(counted.left) == 4   # relaxation, rounded, one schedule, B&B
+    assert len(counted.starts) == 1
+
+
+def test_fixed_lp_must_hold_each_sos_set(counting):
+    # u and v, an SOS1 set, are each capped at 1 by a row and must cover
+    # 1.5. With the flags continuous the relaxation, which is its own
+    # rounded LP here, takes u = 1 and v = 0.5 for 1.5: both nonzero, so
+    # it is no answer, and branch and bound pays the slack w for 6.
+    mps = parse_mps(small(
+        ["G need", "L capu", "L capv"],
+        ["u COST 1.0", "u need 1.0", "u capu 1.0",
+         "v COST 1.0", "v need 1.0", "v capv 1.0",
+         "w COST 10.0", "w need 1.0"],
+        "RHS\n    RHS need 1.5\n    RHS capu 1.0\n    RHS capv 1.0\n"
+        "BOUNDS\n UP BND u 10.0\n UP BND v 10.0\nSOS\n S1 SET pick\n"
+        "    u 1.0\n    v 2.0\n"))
+    binarize_sos(mps)
+    counted = counting()
+    status, objective, x, note = milp_solve.solve_arrays(
+        milp_solve.model_arrays(mps), 60.0, 1e-9, mps.sos_flags)
+    assert (status, objective) == ("optimal", pytest.approx(6.0))
+    assert "(branch and bound, " in note
+    assert len(counted.made) == 2
+    u, v = (mps.columns.index(name) for name in "uv")
+    assert x[u] * x[v] == 0.0
+
+
+def suite_road(tmp_path, road):
+    """A road of the generated suite perfbench's suite-matrix runs."""
+    from valign.bench import generate_suite
+    from valign.instance_io import parse_instance
+    generate_suite(1, "ABC", str(tmp_path / "suite"), variants=2)
+    return parse_instance(str(tmp_path / "suite" / f"{road}.json"))
+
+
+def test_limit_running_out_in_the_search_ends_the_solve(counting, tmp_path,
+                                                         monkeypatch):
+    # C-01 under MQN-B: the rounded LP is feasible but outside the gap.
+    # The limit runs out once it has answered, so the first schedule LP
+    # stops at once and ends the solve as feasible with the rounded LP's x
+    # (or, on a machine too slow for the rounded LP, as a timeout); no
+    # branch and bound follows, and no run outlives the limit.
+    mps = parse_mps(emit_mps_text(build(suite_road(tmp_path, "C-01"),
+                                        named_config("MQN-B"))))
+    limit = 1.5
+    counted = counting()
+    run = CountingHighs.run
+
+    def run_then_wait(self):
+        run(self)
+        if len(counted.left) == 2:      # the rounded LP
+            time.sleep(max(start + limit - time.monotonic(), 0.0))
+
+    monkeypatch.setattr(CountingHighs, "run", run_then_wait)
+    start = time.monotonic()
+    status, objective, x = solve_parsed(mps, limit, 0.01)
+    assert time.monotonic() - start <= limit + 1.0
+    assert status in ("feasible", "timeout")
+    assert len(counted.made) == 1
+    assert all(0.0 <= later <= earlier <= limit for earlier, later
+               in zip(counted.left, counted.left[1:]))
+    if status == "feasible":
+        assert len(counted.left) == 3
+        assert_feasible(mps, x, 1e-6)
+
+
 def test_rounding_that_breaks_a_row_falls_back(counting, tmp_path, capsys):
     # The relaxation takes x + y = 1.5 with one binary at 0.5; rounding it
     # up breaks the row, so branch and bound gives the answer.
@@ -311,11 +489,14 @@ def test_presolve_runs_for_mips_only(monkeypatch, case, config_name,
 def test_models_cover_every_outcome():
     # HiGHS reports an unbounded MIP as kUnboundedOrInfeasible.
     statuses = {case: milp_result(parsed_model(case), 60.0, 1e-9)[0][0]
-                for case in SMALL_MODELS}
+                for case in (*SMALL_MODELS, "chains")}
     assert statuses == {"no rows": "optimal", "LP": "optimal",
                         "infeasible MIP": "infeasible",
                         "unbounded LP": "unbounded",
-                        "unbounded MIP": "error"}
+                        "unbounded MIP": "error", "chains": "optimal"}
+    # The MIPs close every way the adapter closes one.
+    assert set(PATHS.values()) == {"rounded relaxation", "schedule",
+                                   "started"}
 
 
 def parent_status_word(model_status, is_mip, objective):

@@ -437,6 +437,9 @@ class RecordingHighs:
     def setSolution(self, count, cols, values):
         pass
 
+    def clearSolver(self):
+        pass
+
     def getRunTime(self):
         return 0.0
 
@@ -451,13 +454,16 @@ class RecordingHighs:
         return milp_solve.highs_core().HighsModelStatus.kOptimal
 
     def getInfo(self):
-        return SimpleNamespace(objective_function_value=-1234.5)
+        return SimpleNamespace(objective_function_value=-1234.5,
+                               mip_dual_bound=-1234.5, mip_node_count=0,
+                               mip_gap=0.0)
 
     def getSolution(self):
         x = np.random.default_rng(7).standard_normal(self.num_col) * 100.0
         x[::5] = 0.0
         x[::7] = np.round(x[::7])
-        return SimpleNamespace(col_value=x.tolist())
+        return SimpleNamespace(col_value=x.tolist(),
+                               col_dual=[0.0] * self.num_col)
 
 
 # sha256 of the options and arrays the adapter hands to HiGHS, and of the

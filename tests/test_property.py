@@ -12,21 +12,28 @@ worse than the best of a few spline-consistent offset vectors, its own
 among them, as enumerate_optimal prices them. On random roads with one or
 two blocks, under MQN-B and MQN-S1, `valign solve` with the bundled adapter
 must validate and re-price its answer, and the answer must lie between
-scipy.optimize.milp's dual bound and its objective plus the gap.
+scipy.optimize.milp's dual bound and its objective plus the gap. Under
+MQN-B the in-process answer must lie within the gap of the smallest LP
+over all removal schedules.
 """
 
+import itertools
 import os
 import tempfile
 
+import numpy as np
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize, sparse
 
 from valign import milp_solve
-from valign.builder import build, fix_offsets, named_config
+from valign.bench import generate_suite
+from valign.builder import ArcIndex, build, fix_offsets, named_config
 from valign.cli import main
 from valign.gateway import Solution, decode
 from valign.instance import Pit
-from valign.instance_io import write_instance
+from valign.instance_io import parse_instance, write_instance
 from valign.mps import emit_mps_text
 from valign.oracle import allocation_cost, enumerate_optimal
 from valign.validate import recompute_cost, validate
@@ -202,3 +209,58 @@ def test_blocked_roads_within_the_gap_of_scipy_milp(instance):
             scale = max(1.0, abs(reference.fun))
             assert reference.mip_dual_bound - 1e-9 * scale <= objective
             assert objective <= reference.fun + gap * scale
+
+
+def schedule_lps(model, blocks):
+    """The LP of each removal schedule of an MQN-B model: Y_k_t fixed at 1
+    for t >= tau_k and 0 before, for every tau_k in 0..blocks + 1, through
+    ArcIndex.removal's names; the objectives of the feasible ones."""
+    ids = np.array([[model.columns.index(ArcIndex.removal(k, t))
+                     for t in range(blocks + 1)]
+                    for k in range(1, blocks + 1)])
+    entries = model.entries
+    matrix = sparse.csr_matrix(
+        (entries["value"], (entries["row"], entries["col"])),
+        shape=(len(model.row_order), len(model.columns)))
+    rows = optimize.LinearConstraint(matrix, *milp_solve.row_bounds(model))
+    objectives = []
+    for taus in itertools.product(range(blocks + 2), repeat=blocks):
+        lower, upper = model.col_lower.copy(), model.col_upper.copy()
+        for chain, tau in zip(ids, taus):
+            lower[chain] = upper[chain] = np.arange(blocks + 1) >= tau
+        result = optimize.milp(model.cost, constraints=[rows],
+                               bounds=optimize.Bounds(lower, upper),
+                               options={"presolve": True})
+        if result.status == 0:
+            objectives.append(result.fun)
+    return objectives
+
+
+def assert_within_the_gap_of_the_best_schedule(instance, gap=0.01):
+    """Under MQN-B the removal indicators are the only integers, so the
+    MILP's optimum is the smallest LP over all schedules: an oracle apart
+    from HiGHS's branch and bound. Returns the adapter's closing note."""
+    model = build(instance, named_config("MQN-B"))
+    best = min(schedule_lps(model, len(instance.blocks)))
+    status, objective, _, note = milp_solve.solve_arrays(
+        milp_solve.model_arrays(model), 60.0, gap)
+    assert status == "optimal"
+    scale = max(1.0, abs(objective))
+    assert best - 1e-6 * scale <= objective <= best + gap * scale
+    return note
+
+
+@examples(6)
+@given(blocked_roads())
+def test_mqnb_within_the_gap_of_the_best_schedule(instance):
+    # These small roads close from the rounded relaxation or by branch
+    # and bound.
+    assert_within_the_gap_of_the_best_schedule(instance)
+
+
+def test_suite_road_closed_by_schedule_is_the_best_schedule(tmp_path):
+    # C-01 of the generated suite, two blocks, closes from a schedule.
+    generate_suite(1, "ABC", str(tmp_path), variants=2)
+    instance = parse_instance(str(tmp_path / "C-01.json"))
+    assert "(schedule " in assert_within_the_gap_of_the_best_schedule(
+        instance)
