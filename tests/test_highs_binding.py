@@ -332,6 +332,29 @@ def test_rows_that_are_not_chain_links_start_no_search(counting, link, rhs):
     assert len(counted.left) == 3   # relaxation, rounded, branch and bound
 
 
+@pytest.mark.parametrize("links, chains", [
+    (["x y", "y z"], [["x", "y", "z"]]),
+    (["y x", "z y"], [["z", "y", "x"]]),
+    (["x y", "x z"], None),             # x below two switches: a fork
+    (["x y", "y z", "z x"], None),      # a cycle
+    (["x y"], None),                    # z on no chain
+])
+def test_monotone_chains_read_off_the_matrix(links, chains):
+    # Each link "lo hi" is a row hi - lo >= 0 over binaries x, y, z.
+    rows = [f"G L{i}" for i in range(len(links))]
+    entries = [f"{col} L{i} {coeff}" for i, link in enumerate(links)
+               for col, coeff in zip(link.split(), (-1.0, 1.0))]
+    mps = parse_mps(small(rows, ["x COST 1.0", "y COST 1.0", "z COST 1.0",
+                                 *entries], integer=("x", "y", "z")))
+    arrays = milp_solve.model_arrays(mps)
+    arrays[1][:], arrays[2][:] = 0.0, 1.0
+    found = milp_solve.monotone_chains(arrays, np.arange(3))
+    if chains is None:
+        assert found is None
+    else:
+        assert [[mps.columns[c] for c in chain] for chain in found] == chains
+
+
 def test_search_stops_once_it_has_taken_as_long_as_the_relaxation(
         counting, monkeypatch):
     # With b0 capped at 0.3 both chains' neighbours of the rounded
