@@ -66,22 +66,21 @@ schedules are tried. monotone_chains reads the switches' chains off the
 matrix, with no name read, as the builder's MON_k_t rows lay them out, and
 the search runs only when every switch lies on a chain. A schedule gives
 each chain one threshold, its switches at 0 before it and at 1 from it on.
-First come the rounded schedule's neighbours, each with one block removed
-a step later (_Fixing.delays): the rounded LP's reduced costs price that,
-and the block whose early removal costs most goes first. Then every
-schedule by L1 distance from the relaxation's values (schedules). The
-relaxation leaks through the big-M gates, a Y of 0.0002-0.02 before a
-block's nearest threshold, so its nearest schedule is often infeasible:
-on the 3-block G road under MQN-B the first closing schedule in L1 order
-is the 24th, behind four feasible ones at 2.2-3.5 s each, where the first
-neighbour closes. Each of the 24 cells measured that rounding left open
+The candidates are the rounded schedule's neighbours, each with one block
+removed a step later, at most one per chain (_Fixing.delays): the rounded
+LP's reduced costs price that, and the block whose early removal costs
+most goes first. Each of the 24 cells measured that rounding left open
 (the suite's C-01 and B-02, unjittered and at perfbench seeds, and five
-roads with 3 blocks) closed at its first neighbour. Each schedule is
-solved cold (clearSolver, presolve on), so an infeasible one ends in
-presolve, in 0.001-0.14 s on the roads measured; warm, HiGHS skips
-presolve, and infeasible schedules of C-01 took 1.9-7.9 s each. The first
-that closes the MIP is the answer, noted "(schedule tau_1 ... tau_K, N
-LPs)", N counting the rounded LP too. No schedule starts once the
+roads with 3 blocks) closed at its first neighbour. Schedules in order of
+L1 distance from the relaxation did worse: the relaxation leaks through
+the big-M gates, a Y of 0.0002-0.02 before a block's nearest threshold,
+so its nearest schedule is often infeasible, and on the 3-block G road
+under MQN-B the first that closes is the 24th, behind four feasible ones
+at 2.2-3.5 s each. Each neighbour is solved cold (clearSolver, presolve
+on), so an infeasible one ends in presolve, in 0.001-0.14 s on the roads
+measured; warm, HiGHS skips presolve, and infeasible schedules of C-01
+took 1.9-7.9 s each. The first that closes the MIP is the answer, noted "(schedule tau_1 ... tau_K, N
+LPs)", N counting the rounded LP too. No neighbour starts once the
 search's LPs have taken as long as the relaxation did.
 
 Otherwise the MIP is solved by branch and bound on a fresh object, started
@@ -107,8 +106,6 @@ set members.
 from __future__ import annotations
 
 import argparse
-import heapq
-import itertools
 import importlib.machinery
 import importlib.util
 import math
@@ -537,7 +534,7 @@ def status_word(model_status: str, is_mip: bool, objective: float) -> str:
 def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
                  gap: float | None,
                  sos_flags: tuple[tuple[int, tuple[int, ...],
-                                        tuple[int, ...]], ...] = ()
+                                        tuple[int, ...]], ...]
                  ) -> tuple[str, float | None, np.ndarray | None, str]:
     """Minimize cost @ x subject to row_lower <= A @ x <= row_upper and
     col_lower <= x <= col_upper, x integral where integrality is set.
@@ -650,22 +647,15 @@ class _Fixing:
         chains = monotone_chains(self.arrays, self.switches)
         if not chains:
             return None
-        tried, spent = set(), 0.0
-        for taus in itertools.chain(self.delays(chains, rounded),
-                                    schedules(chains, self.relaxed_x)):
-            if taus in tried:
-                continue
-            tried.add(taus)
+        spent = 0.0
+        for taus in self.delays(chains, rounded):
+            if spent >= budget:
+                return None
             fixed = np.empty(len(self.col_lower))
             for chain, tau in zip(chains, taus):
                 fixed[chain] = np.arange(len(chain)) >= tau
-            fixed = fixed[self.switches]
-            if np.array_equal(fixed, rounded):
-                continue    # solved above
-            if spent >= budget:
-                return None
             began = time.monotonic()
-            outcome = self.solve(fixed, cold=True)
+            outcome = self.solve(fixed[self.switches], cold=True)
             spent += time.monotonic() - began
             if outcome != "open":
                 return self.answer(outcome, "schedule " + " ".join(
@@ -804,32 +794,6 @@ def monotone_chains(arrays: list[np.ndarray], switches: np.ndarray
     if sum(map(len, chains)) != len(switches):
         return None     # a switch off every chain, or a cycle
     return chains
-
-
-def schedules(chains: list[np.ndarray], x: np.ndarray
-              ) -> Iterator[tuple[int, ...]]:
-    """Every schedule of the chains, one threshold each (the number of its
-    switches at 0), in order of L1 distance from x, nearest first."""
-    options = []
-    for chain in chains:
-        at_zero = np.concatenate([[0.0], np.cumsum(x[chain])])
-        taus = np.arange(len(chain) + 1)
-        # the first tau switches at 0 and the rest at 1
-        distance = at_zero + (len(chain) - taus) - (at_zero[-1] - at_zero)
-        order = np.argsort(distance, kind="stable")
-        options.append((distance[order].tolist(), order.tolist()))
-    # Best first over sums: each pick moves one chain's option, at or
-    # after the chain the last move did, so each schedule comes once.
-    heap = [(sum(d[0] for d, _ in options), (0,) * len(options), 0)]
-    while heap:
-        total, picks, last = heapq.heappop(heap)
-        yield tuple(taus[p] for (_, taus), p in zip(options, picks))
-        for j in range(last, len(options)):
-            distance, p = options[j][0], picks[j]
-            if p + 1 < len(distance):
-                heapq.heappush(heap, (
-                    total - distance[p] + distance[p + 1],
-                    picks[:j] + (p + 1,) + picks[j + 1:], j))
 
 
 def _load(core, options, arrays):

@@ -282,7 +282,7 @@ def test_blocked_road_closes_after_two_runs(counting):
     mps = parsed_model("C-02 2 blocks")
     counted = counting()
     status, _, _, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), 60.0, 0.01)
+        milp_solve.model_arrays(mps), 60.0, 0.01, ())
     assert status == "optimal"
     assert note.endswith("(rounded relaxation)")
     assert len(counted.made) == 1
@@ -298,7 +298,7 @@ def test_two_chains_close_by_schedule(counting, tmp_path, capsys, link):
     mps = parse_mps(two_chains(link))
     counted = counting()
     status, objective, x, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), 60.0, 0.01)
+        milp_solve.model_arrays(mps), 60.0, 0.01, ())
     assert (status, objective) == ("optimal", pytest.approx(99.3))
     assert note.endswith(" (schedule 1 0, 2 LPs)")
     chains = [mps.columns.index(name) for name in ("a0", "a1", "b0", "b1")]
@@ -321,11 +321,11 @@ def test_rows_that_are_not_chain_links_start_no_search(counting, link, rhs):
     # by schedule, the rounded LP's miss goes straight to branch and bound.
     linked = parse_mps(two_chains())
     assert "(schedule " in milp_solve.solve_arrays(
-        milp_solve.model_arrays(linked), 60.0, 0.01)[3]
+        milp_solve.model_arrays(linked), 60.0, 0.01, ())[3]
     mps = parse_mps(two_chains(link, rhs))
     counted = counting()
     status, objective, _, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), 60.0, 0.01)
+        milp_solve.model_arrays(mps), 60.0, 0.01, ())
     assert status == "optimal"
     assert "(branch and bound, " in note
     assert len(counted.made) == 2
@@ -358,10 +358,9 @@ def test_monotone_chains_read_off_the_matrix(links, chains):
 def test_search_stops_once_it_has_taken_as_long_as_the_relaxation(
         counting, monkeypatch):
     # With b0 capped at 0.3 both chains' neighbours of the rounded
-    # schedule miss the gap and the schedule (2, 2), nearest the
-    # relaxation, would close it. A clock on which each schedule LP takes
-    # a second spends the relaxation's time on the first: branch and
-    # bound follows, started from the best fixed LP.
+    # schedule miss the gap. A clock on which each schedule LP takes a
+    # second spends the relaxation's time on the first, so the second is
+    # not tried: branch and bound follows, started from the best fixed LP.
     mps = parse_mps(two_chains(cap_b=0.3))
     skew = [0.0]
     monkeypatch.setattr(milp_solve, "time", SimpleNamespace(
@@ -376,7 +375,7 @@ def test_search_stops_once_it_has_taken_as_long_as_the_relaxation(
 
     monkeypatch.setattr(CountingHighs, "run", run_then_tick)
     status, objective, _, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), 60.0, 0.01)
+        milp_solve.model_arrays(mps), 60.0, 0.01, ())
     assert (status, objective) == ("optimal", pytest.approx(100.0))
     assert "(branch and bound, " in note
     assert len(counted.made) == 2

@@ -243,7 +243,7 @@ def assert_within_the_gap_of_the_best_schedule(instance, gap=0.01):
     model = build(instance, named_config("MQN-B"))
     best = min(schedule_lps(model, len(instance.blocks)))
     status, objective, _, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(model), 60.0, gap)
+        milp_solve.model_arrays(model), 60.0, gap, ())
     assert status == "optimal"
     scale = max(1.0, abs(objective))
     assert best - 1e-6 * scale <= objective <= best + gap * scale
