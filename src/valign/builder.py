@@ -7,13 +7,14 @@ Three model families share the spline, volume, and slope rows:
 * CTG: a block-free complete transportation graph with one arc per
   (supply node, demand node) pair, quadratic in the section count.
 
-Variable names are a stable external contract (they appear in MPS files and
-solution files), and ArcIndex is the only code that spells them: A_<g>_<k>,
-U_<i>, VP_<i>, VM_<i>, Y_<k>_<t>, X_<i>_<j> (CTG), and for haul h and time
-step t the chain arcs FR/FU/FL_<h>_<t>_<i>_<j>, where j - i is the chain's
-direction d (+1 rightward, -1 leftward), and the pit arcs
-FB/FW_<h>_<t>_<pit>_<dir>. Pit volume variables and CTG pit nodes use node
-indices n+j (borrow) and n+n_borrow+k (waste).
+Variable names (in MPS and solution files) and the column order (decode
+reads solutions by column id) are a stable external contract, and ArcIndex
+is the only code that states them: A_<g>_<k>, U_<i>, VP_<i>, VM_<i>,
+Y_<k>_<t>, X_<i>_<j> (CTG), and for haul h and time step t the chain arcs
+FR/FU/FL_<h>_<t>_<i>_<j>, where j - i is the chain's direction d (+1
+rightward, -1 leftward), and the pit arcs FB/FW_<h>_<t>_<pit>_<dir>. Pit
+volume variables and CTG pit nodes use node indices n+j (borrow) and
+n+n_borrow+k (waste).
 
 A MilpModel has the columnar layout of milp_solve.ColumnarModel, the one
 the bundled adapter parses MPS files into and hands to HiGHS. Its integer
@@ -25,8 +26,8 @@ each declaration returns the ids of its columns, and every row and SOS set
 is declared over ids, so no column is ever looked up by name. The flow
 columns are declared at once from an ArcIndex grid: ctg_arcs puts the X arcs
 on the (supply node, demand node) grid, and flow_grid lays out the MH-QNF
-chains, indexed (haul, step, section or pit, chain). _spline_rows returns
-the VP and VM ids by node for the rows over the flows (CTS/CTD/CTB/CTW;
+chains, indexed (haul, step, section or pit, chain), in the order of
+ctg_names and flow_names. _spline_rows returns the VP and VM ids by node for the rows over the flows (CTS/CTD/CTB/CTW;
 FCR/FCL, BALC/BALF, BALB/CAPB and BALW/CAPW; RIC/RIF), and the Y and W ids
 by (block, step) index the block rows. Rows over the flows and the block
 rows go through _Assembler.bulk_rows; the spline rows are declared one at a
@@ -38,8 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -314,25 +314,30 @@ DIRECTIONS = (1, -1)  # rightward chain, leftward chain
 
 
 class ArcIndex:
-    """Variable names of one instance's models (see the module docstring).
+    """Names and column layout of one instance's models (module docstring).
 
     Chain d carries material from section i toward i+d. flow_grid lays out
     its arcs: the transit arc i -> i+d, the unload arc that puts section i's
     cut on the chain, the load arc that takes the chain's material into
     section i's fill, and the borrow and waste arcs that join a pit to the
     chain at the pit's attached section.
+
+    The builder declares each family of columns as one run: A_<g>_<k>
+    (segment major), U_<i>, VP over supply_nodes, VM over demand_nodes, the
+    flows (ctg_names or flow_names) and Y_<k>_<t> (block major), in this
+    order, with piecewise and SOS1 columns between or after them.
     """
 
     def __init__(self, instance: RoadInstance):
-        self.n = instance.n
+        self.instance = instance
+        self.n = n = instance.n
         self.borrow_pits = instance.borrow_pits
         self.waste_pits = instance.waste_pits
         self._pits = instance.borrow_pits + instance.waste_pits
-        sections = list(range(1, self.n + 1))
-        self.supply_nodes = sections + [
-            self.borrow_node(j) for j in range(1, len(self.borrow_pits) + 1)]
-        self.demand_nodes = sections + [
-            self.waste_node(k) for k in range(1, len(self.waste_pits) + 1)]
+        after = n + len(self.borrow_pits)
+        self.supply_nodes = list(range(1, after + 1))
+        self.demand_nodes = list(range(1, n + 1)) + list(
+            range(after + 1, n + len(self._pits) + 1))
 
     @staticmethod
     def coeff(g: int, k: int) -> str:
@@ -354,18 +359,6 @@ class ArcIndex:
     def removal(k: int, t: int) -> str:
         return f"Y_{k}_{t}"
 
-    def borrow_node(self, j: int) -> int:
-        return self.n + j
-
-    def waste_node(self, k: int) -> int:
-        return self.n + len(self.borrow_pits) + k
-
-    def borrow_used(self, j: int) -> str:
-        return self.cut(self.borrow_node(j))
-
-    def waste_used(self, k: int) -> str:
-        return self.fill(self.waste_node(k))
-
     def node_site(self, node: int) -> tuple[int, float]:
         """(section, dead haul) of a CTG supply or demand node."""
         if node <= self.n:
@@ -374,46 +367,43 @@ class ArcIndex:
         return pit.attached_section, pit.dead_haul
 
     @cached_property
-    def ctg_arcs(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        """CTG arcs in declaration order (supply node major): their names
-        and 0-based (supply, demand) positions on the node grid. A section
-        never ships to itself, so the grid diagonal has no arc."""
-        supply, demand = self.supply_nodes, self.demand_nodes
-        tails = [str(dst) for dst in demand]
-        names: list[str] = []
-        for src in supply:
-            head = f"X_{src}_"
-            names += [head + tail for dst, tail in zip(demand, tails)
-                      if dst != src]
-        src, dst = np.divmod(np.arange(len(supply) * len(demand)),
-                             len(demand))
-        keep = np.array(supply)[src] != np.array(demand)[dst]
-        return names, src[keep], dst[keep]
+    def ctg_arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The 0-based (supply, demand) positions on the node grid of the
+        CTG arcs, in declaration order (supply node major). A section never
+        ships to itself, so the grid diagonal has no arc."""
+        return np.nonzero(np.array(self.supply_nodes)[:, None]
+                          != np.array(self.demand_nodes))
 
-    def ctg_grid(self, values: Mapping[str, float]) -> np.ndarray:
-        """CTG arc values looked up by name on the (supply, demand) node
-        grid; the diagonal and names absent from values read 0."""
-        names, src, dst = self.ctg_arcs
-        grid = np.zeros((len(self.supply_nodes), len(self.demand_nodes)))
-        grid[src, dst] = np.fromiter(map(values.get, names, repeat(0.0)),
-                                     float, len(names))
-        return grid
+    def ctg_names(self) -> list[str]:
+        """The names of the ctg_arcs, in the same order."""
+        heads = [(src, f"X_{src}_") for src in self.supply_nodes]
+        tails = [(dst, str(dst)) for dst in self.demand_nodes]
+        return [head + tail for src, head in heads
+                for dst, tail in tails if dst != src]
 
-    def flow_grid(self, n_hauls: int, n_steps: int
-                  ) -> tuple[list[str], tuple[np.ndarray, ...]]:
-        """MH-QNF flow names in declaration order, and the offsets into
-        them of the transit, unload and load arcs, indexed (haul, step,
-        section, chain), and of the borrow and waste arcs, indexed (haul,
-        step, pit, chain), all from 0, chain 0 being DIRECTIONS[0]. Per
-        haul, then per step, come every section's three arcs on both
-        chains, then both chains of every borrow pit, then of every waste
-        pit."""
+    def flow_grid(self, n_hauls: int, n_steps: int) -> tuple[np.ndarray, ...]:
+        """Offsets into the MH-QNF flow run of the transit, unload and load
+        arcs, indexed (haul, step, section, chain), and of the borrow and
+        waste arcs, indexed (haul, step, pit, chain), all from 0, chain 0
+        being DIRECTIONS[0]. Per haul, then per step, come every section's
+        three arcs on both chains, then both chains of every borrow pit,
+        then of every waste pit: 6n + 2 (borrow + waste) arcs a step."""
         n = self.n
         n_borrow, n_waste = len(self.borrow_pits), len(self.waste_pits)
+        size = n_hauls * n_steps * (6 * n + 2 * (n_borrow + n_waste))
+        per_step = np.arange(size).reshape(n_hauls, n_steps, -1)
+        arcs = per_step[:, :, :6 * n].reshape(n_hauls, n_steps, n, 2, 3)
+        pits = per_step[:, :, 6 * n:].reshape(n_hauls, n_steps,
+                                              n_borrow + n_waste, 2)
+        return (arcs[..., 0], arcs[..., 1], arcs[..., 2],
+                pits[:, :, :n_borrow], pits[:, :, n_borrow:])
+
+    def flow_names(self, n_hauls: int, n_steps: int) -> list[str]:
+        """The names of the MH-QNF flow run, in flow_grid's order."""
         names: list[str] = []
         for h in range(1, n_hauls + 1):
             for t in range(n_steps):
-                for i in range(1, n + 1):
+                for i in range(1, self.n + 1):
                     for d in DIRECTIONS:
                         names += [f"FR_{h}_{t}_{i}_{i + d}",
                                   f"FU_{h}_{t}_{i}_{i + d}",
@@ -424,12 +414,52 @@ class ArcIndex:
                 names += [f"FW_{h}_{t}_{k}_{pit.attached_section - d}"
                           for k, pit in enumerate(self.waste_pits, start=1)
                           for d in DIRECTIONS]
-        per_step = np.arange(len(names)).reshape(n_hauls, n_steps, -1)
-        arcs = per_step[:, :, :6 * n].reshape(n_hauls, n_steps, n, 2, 3)
-        pits = per_step[:, :, 6 * n:].reshape(n_hauls, n_steps,
-                                              n_borrow + n_waste, 2)
-        return names, (arcs[..., 0], arcs[..., 1], arcs[..., 2],
-                       pits[:, :, :n_borrow], pits[:, :, n_borrow:])
+        return names
+
+    def column_runs(self, columns: Sequence[str],
+                    config: BuilderConfig) -> ColumnRuns:
+        """The ColumnRuns of a model built for this instance and config."""
+        segments = self.instance.segment_layout.segment_count
+        head = (_run(columns, self.coeff(1, 1), 3 * segments).reshape(-1, 3),
+                _run(columns, self.offset(1), self.n),
+                _run(columns, self.cut(1), len(self.supply_nodes)),
+                _run(columns, self.fill(1), len(self.demand_nodes)))
+        if config.model == "CTG":
+            src, dst = self.ctg_arcs
+            grid = np.full((len(self.supply_nodes), len(self.demand_nodes)),
+                           -1)
+            if src.size:
+                first = f"X_{self.supply_nodes[src[0]]}_" \
+                    f"{self.demand_nodes[dst[0]]}"
+                grid[src, dst] = _run(columns, first, src.size)
+            return ColumnRuns(*head, np.empty((0, 1), int), (grid,))
+        n_blocks = len(self.instance.blocks)
+        removal = _run(columns, self.removal(1, 0), n_blocks * (n_blocks + 1))
+        start = columns.index(f"FR_1_0_1_{1 + DIRECTIONS[0]}")
+        grid = self.flow_grid(len(effective_hauls(self.instance, config)),
+                              n_blocks + 1)
+        return ColumnRuns(*head, removal.reshape(n_blocks, n_blocks + 1),
+                          tuple(start + arcs for arcs in grid))
+
+
+def _run(columns: Sequence[str], first: str, count: int) -> np.ndarray:
+    """The ids of a run of count columns, found by its first name."""
+    start = columns.index(first) if count else 0
+    return np.arange(start, start + count)
+
+
+class ColumnRuns(NamedTuple):
+    """Column ids of a built model's runs, indexed from 0: A_<g>_<k> by
+    (segment, k), U_<i>, VP over supply_nodes, VM over demand_nodes,
+    Y_<k>_<t> by (block, step), and flow_grid's five arrays or CTG's one
+    (supply, demand) node grid, -1 where no arc is."""
+
+    coefficients: np.ndarray
+    offsets: np.ndarray
+    cut: np.ndarray
+    fill: np.ndarray
+    removal: np.ndarray
+    flows: tuple[np.ndarray, ...]
 
 
 class _Assembler:
@@ -676,7 +706,8 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     # Flow columns, laid out by ArcIndex.flow_grid. Transit arcs leaving the
     # road at either end exist with zero bounds so conservation rows keep a
     # uniform shape.
-    flow_names, grid = names.flow_grid(len(hauls), len(steps))
+    flow_names = names.flow_names(len(hauls), len(steps))
+    grid = names.flow_grid(len(hauls), len(steps))
     transit, unload, load, borrow, waste = grid
     hop = np.zeros((n, 2))  # (section, chain): distance from i to i+d
     hop[:-1, 0] = hop[1:, 1] = np.diff(instance.stations)
@@ -918,10 +949,10 @@ def build_ctg(instance: RoadInstance,
 
     st_s, dead_s, exc_s, _ = node_info(names.supply_nodes)
     st_d, dead_d, _, emb_d = node_info(names.demand_nodes)
-    arcs, src, dst = names.ctg_arcs
+    src, dst = names.ctg_arcs
     dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]
     cost = exc_s[src] + cheapest_haul_costs(hauls, dist) + emb_d[dst]
-    ids = asm.columns(arcs, cost)
+    ids = asm.columns(names.ctg_names(), cost)
 
     # Each node's row takes its arcs in declaration order, less the node's
     # volume variable: CTS_i, CTD_i per section, then CTB_j, then CTW_k.
@@ -947,17 +978,9 @@ def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
     the model with one more row per section, FIX_<i>: U_<i> = offset.
 
     The offsets are the run of columns U_1, U_2, ... that the builder
-    declares in one call."""
-    columns = model.columns
-    try:
-        first = columns.index(ArcIndex.offset(1))
-    except ValueError:
-        first = len(columns)
-    n = 0
-    while first + n < len(columns) \
-            and columns[first + n] == ArcIndex.offset(n + 1):
-        n += 1
-    cols = np.arange(first, first + n)
+    declares in one call, one per section of the model's provenance."""
+    n = int(dict(model.provenance).get("sections", 0))
+    cols = _run(model.columns, ArcIndex.offset(1), n)
     m = len(model.row_order)
     if len(offsets) != n:
         raise BuildError(f"need {n} offsets, got {len(offsets)}")

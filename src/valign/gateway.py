@@ -24,23 +24,18 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import repeat
-from operator import eq
 from typing import Sequence
 from xml.etree import ElementTree
 
 import numpy as np
 
-from valign.builder import (
-    ArcIndex,
-    BuilderConfig,
-    MilpModel,
-    effective_hauls,
-)
+from valign.builder import ArcIndex, BuilderConfig, ColumnRuns, MilpModel
 from valign.instance import RoadInstance
 from valign.milp_solve import text_lines
 from valign.mps import emit_mps
 
 GRACE_SECONDS = 10.0
+OBJECTIVE_RTOL = 1e-5  # decode's bound on |cost . x - reported objective|
 
 STATUSES = ("optimal", "feasible", "infeasible", "timeout", "error")
 
@@ -86,6 +81,10 @@ class Solution:
 
 @dataclass(frozen=True)
 class AlignmentResult:
+    """A decoded solution: x, the solution in the model's column order
+    (read-only), and every other field read off x by the column ids in runs
+    (ArcIndex.column_runs); no name is kept."""
+
     status: str
     objective: float
     coefficients: tuple[tuple[float, float, float], ...]
@@ -95,24 +94,17 @@ class AlignmentResult:
     borrow_used: tuple[float, ...]
     waste_used: tuple[float, ...]
     removal: dict[tuple[int, int], float]
-    values: dict[str, float] = field(repr=False)
-    # The names decode read values by, and the (hauls, steps) of the
-    # MH-QNF flow grid; None for CTG.
-    names: ArcIndex = field(repr=False, compare=False)
-    flow_shape: tuple[int, int] | None
+    x: np.ndarray = field(repr=False, compare=False)
+    runs: ColumnRuns = field(repr=False, compare=False)
 
     @cached_property
-    def flows(self) -> np.ndarray | tuple[np.ndarray, ...]:
-        """The flow values, read from values once, on first use: CTG's
-        (supply, demand) grid, or flow_grid's (transit, unload, load,
-        borrow, waste) arrays. Absent names read 0. A copy made with
-        dataclasses.replace reads its own values again."""
-        if self.flow_shape is None:
-            return self.names.ctg_grid(self.values)
-        arcs, grid = self.names.flow_grid(*self.flow_shape)
-        x = np.fromiter(map(self.values.get, arcs, repeat(0.0)), float,
-                        len(arcs))
-        return tuple(x[ids] for ids in grid)
+    def flows(self) -> tuple[np.ndarray, ...]:
+        """The flow values, read from x once, on first use: flow_grid's
+        (transit, unload, load, borrow, waste) arrays, or CTG's one
+        (supply, demand) grid, whose diagonal reads 0. A copy made with
+        dataclasses.replace reads its own x again."""
+        return tuple(np.where(ids < 0, 0.0, self.x[ids])
+                     for ids in self.runs.flows)
 
 
 def default_solver_command() -> str:
@@ -345,29 +337,23 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
 
 
 def decode(solution: Solution, instance: RoadInstance,
-           config: BuilderConfig, model: MilpModel,
-           objective_tol: float = 1e-5) -> AlignmentResult:
-    """Map canonical variable names back to a structured alignment.
+           config: BuilderConfig, model: MilpModel) -> AlignmentResult:
+    """Map a solution onto a structured alignment by column id.
 
     Variables absent from the solution values are taken as zero (sparse
     solution files); an empty overlap with the model or a non-finite value
     is an error. The objective is recomputed from the model's cost vector
-    and must match the solver's report within objective_tol relative. The
-    result keeps this ArcIndex and reads its flows from values on first use.
+    and must match the solver's report within OBJECTIVE_RTOL relative (to
+    at least 1). Every field is read off x by ArcIndex.column_runs.
     """
     if solution.status not in ("optimal", "feasible"):
         raise DecodeError(f"cannot decode a {solution.status} solution")
 
-    columns = model.columns
-    values = solution.values
-    # The values in model column order, absent names (sparse files) zero:
-    # the solution's own dict when it lists the columns in order, as
-    # parse_solution_text reads a full solution file of the model.
-    if len(values) != len(columns) or not all(map(eq, values, columns)):
-        if columns and values.keys().isdisjoint(columns):
-            raise DecodeError("solution shares no variables with the model")
-        values = dict(zip(columns, map(values.get, columns, repeat(0.0))))
-    x = np.fromiter(values.values(), float, len(columns))
+    columns, values = model.columns, solution.values
+    if columns and values.keys().isdisjoint(columns):
+        raise DecodeError("solution shares no variables with the model")
+    x = np.fromiter(map(values.get, columns, repeat(0.0)), float,
+                    len(columns))
     bad = ~np.isfinite(x)
     if bad.any():
         column = columns[int(np.argmax(bad))]
@@ -376,33 +362,21 @@ def decode(solution: Solution, instance: RoadInstance,
     recomputed = float(model.cost @ x)
     assert solution.objective is not None
     scale = max(1.0, abs(solution.objective))
-    if abs(recomputed - solution.objective) > objective_tol * scale:
+    if abs(recomputed - solution.objective) > OBJECTIVE_RTOL * scale:
         raise DecodeError(
             f"objective mismatch: solver {solution.objective!r} vs "
             f"recomputed {recomputed!r}")
 
-    names = ArcIndex(instance)
-    coeffs = tuple(
-        tuple(values[names.coeff(g, k)] for k in (1, 2, 3))
-        for g in range(1, instance.segment_layout.segment_count + 1))
-    sections = range(1, instance.n + 1)
-    offsets = tuple(values[names.offset(i)] for i in sections)
-    cut = tuple(values[names.cut(i)] for i in sections)
-    fill = tuple(values[names.fill(i)] for i in sections)
-    borrow = tuple(values[names.borrow_used(j)]
-                   for j in range(1, len(instance.borrow_pits) + 1))
-    waste = tuple(values[names.waste_used(k)]
-                  for k in range(1, len(instance.waste_pits) + 1))
-    removal = {}
-    for k in range(1, len(instance.blocks) + 1):
-        for t in range(len(instance.blocks) + 1):
-            key = names.removal(k, t)
-            if key in values:
-                removal[(k, t)] = values[key]
-    flow_shape = None if config.model == "CTG" else (
-        len(effective_hauls(instance, config)), len(instance.blocks) + 1)
+    x.flags.writeable = False
+    runs = ArcIndex(instance).column_runs(columns, config)
+    n = instance.n
+    cut, fill = x[runs.cut].tolist(), x[runs.fill].tolist()
     return AlignmentResult(
         status=solution.status, objective=solution.objective,
-        coefficients=coeffs, offsets=offsets, section_cut=cut,
-        section_fill=fill, borrow_used=borrow, waste_used=waste,
-        removal=removal, values=values, names=names, flow_shape=flow_shape)
+        coefficients=tuple(map(tuple, x[runs.coefficients].tolist())),
+        offsets=tuple(x[runs.offsets].tolist()),
+        section_cut=tuple(cut[:n]), section_fill=tuple(fill[:n]),
+        borrow_used=tuple(cut[n:]), waste_used=tuple(fill[n:]),
+        removal={(k, t): y for k, row in enumerate(
+            x[runs.removal].tolist(), start=1) for t, y in enumerate(row)},
+        x=x, runs=runs)

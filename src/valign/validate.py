@@ -5,12 +5,13 @@ result (flow arithmetic, block reachability, spline evaluation), without
 reusing the MILP rows. recompute_cost re-derives the objective from flows
 and volumes by its own arithmetic.
 
-Flow values are read by name once per result, on first use, onto the grids
-of the ArcIndex decode built (AlignmentResult.flows): ctg_grid for CTG,
-flow_grid for MH-QNF. That grid is the only thing shared with the builder;
-conservation, balance, capacity, bounds, block gating, removal and the
-re-priced cost are derived from the grid and the instance data, never from
-the model's rows or cost vector. A NaN residual counts as a violation.
+No variable name is read here: AlignmentResult.flows indexes the decoded x
+by the column ids of ArcIndex.column_runs, once per result, into CTG's
+(supply, demand) grid or flow_grid's arrays. That column layout is the only
+thing shared with the builder; conservation, balance, capacity, bounds,
+block gating, removal and the re-priced cost are derived from the grids and
+the instance data, never from the model's rows or cost vector. A NaN
+residual counts as a violation.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from valign.builder import BuilderConfig, effective_hauls
+from valign.builder import ArcIndex, BuilderConfig, effective_hauls
 from valign.gateway import AlignmentResult
 from valign.instance import (
     RoadInstance,
@@ -297,10 +298,11 @@ def _check_blocks(instance, result, hit, hits) -> None:
 def _check_ctg_flows(instance, result, hits) -> None:
     # Node totals are row and column sums of the (supply, demand) grid.
     n = instance.n
-    out, into = result.flows.sum(axis=1), result.flows.sum(axis=0)
+    grid, = result.flows
+    out, into = grid.sum(axis=1), grid.sum(axis=0)
     _check_balance(instance, result, hits,
                    (out[:n], into[:n], out[n:], into[n:]))
-    hits("bounds", np.maximum(0.0, -result.flows))
+    hits("bounds", np.maximum(0.0, -grid))
 
 
 def repricing_error(recomputed: float, objective: float) -> str:
@@ -354,20 +356,17 @@ def recompute_cost(instance: RoadInstance, config: BuilderConfig,
 
 
 def _recompute_ctg(instance: RoadInstance, result: AlignmentResult) -> float:
-    names, stations = result.names, instance.stations
+    names, stations = ArcIndex(instance), instance.stations
 
     def sites(nodes, rate: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(station, dead haul, material rate) per node."""
-        rows = []
-        for node in nodes:
-            section, dead_haul = names.node_site(node)
-            rows.append((stations[section - 1], dead_haul,
-                         getattr(instance.material_of(section), rate)))
+        rows = [(stations[s - 1], dead, getattr(instance.material_of(s), rate))
+                for s, dead in map(names.node_site, nodes)]
         return tuple(np.array(column) for column in zip(*rows))
 
     st_s, dead_s, exc_s = sites(names.supply_nodes, "excavation")
     st_d, dead_d, emb_d = sites(names.demand_nodes, "embankment")
-    flows = result.flows
+    flows, = result.flows
     src, dst = np.nonzero(flows)  # row-major: the arcs' declaration order
     dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]
     unit = exc_s[src] + cheapest_haul_costs(instance.cost_model.hauls, dist) \

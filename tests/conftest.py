@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import tempfile
+from dataclasses import replace
 from typing import Sequence
 
 import pytest
@@ -22,6 +23,17 @@ from valign.instance import (
 BUNDLED_SOLVER = (f"{sys.executable} -m valign.milp_solve "
                   "--time-limit {timelimit} --gap {gap} --sos binarize "
                   "{mps} {sol}")
+
+
+def bumped(result, model, names: Sequence[str], delta: float = 1.0,
+           **fields):
+    """A copy of a decoded result whose x is raised by delta at the columns
+    of model named by names, with fields replaced as dataclasses.replace
+    does."""
+    x = result.x.copy()
+    x[[model.columns.index(name) for name in names]] += delta
+    x.flags.writeable = False
+    return replace(result, x=x, **fields)
 
 
 def make_instance(elevations: Sequence[float], spacing: float = 20.0,
@@ -113,6 +125,19 @@ def shared_pit_road() -> RoadInstance:
     return make_instance([100.0, 101.5, 103.0, 101.0, 99.5, 99.0, 100.5],
                          areas=[10.0] * 7, offset=2.0, blocks=[3],
                          access=[1], borrow=pits[:2], waste=pits[2:])
+
+
+def piecewise_instance() -> RoadInstance:
+    """Six sections with volume curves, a borrow pit and a block at 3 whose
+    only access road is at 5, so left-region gating appears."""
+    curves = [VolumeCurve(section=i, offsets=(-2.0, -0.5, 0.0, 0.5, 2.0),
+                          cut=(0.0, 0.0, 0.0, 6.0, 30.0),
+                          fill=(28.0, 5.0, 0.0, 0.0, 0.0))
+              for i in range(1, 7)]
+    return make_instance([100.0, 101.0, 102.5, 101.0, 100.0, 99.5],
+                         areas=[10.0] * 6, offset=2.0, blocks=[3],
+                         access=[5], borrow=[Pit("borrow", 2, 30.0, 15.0)],
+                         curves=curves)
 
 
 def pinned_road(case: str) -> RoadInstance:

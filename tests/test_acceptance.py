@@ -9,7 +9,6 @@ import functools
 import random
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
 import pytest
 
@@ -36,7 +35,7 @@ from valign.mps import emit_mps_text, strip_comments
 from valign.oracle import allocation_cost, enumerate_optimal
 from valign.validate import FAMILIES, recompute_cost, validate
 
-from conftest import BUNDLED_SOLVER, make_instance
+from conftest import BUNDLED_SOLVER, bumped, make_instance
 
 GAP = 0.01
 MATRIX_CONFIGS = ("MQN-B", "QNS-B", "QNM-B", "QNL-B", "QNA-B", "CTG-B")
@@ -232,7 +231,7 @@ def solve_mqn(inst):
     solution = solve(model, BUNDLED_SOLVER,
                      SolverLimits(600.0, 1e-6, 1e-6))
     assert solution.status == "optimal"
-    return config, decode(solution, inst, config, model=model)
+    return config, model, decode(solution, inst, config, model=model)
 
 
 def failing_families(report):
@@ -245,7 +244,7 @@ def test_criterion_08_block_logic():
     kept = None
     for n_blocks in (1, 2, 3):
         inst = block_suite_instance(n_blocks)
-        config, result = solve_mqn(inst)
+        config, model, result = solve_mqn(inst)
         report = validate(inst, config, result)
         assert report.passed, report.summary()
         steps = range(n_blocks + 1)
@@ -259,7 +258,7 @@ def test_criterion_08_block_logic():
                         for k in range(1, n_blocks + 1))
             assert total >= u - 1e-9, (n_blocks, u)
         # no through-flow over a block before its removal
-        val = result.values.get
+        x, at = result.x, model.columns.index
         for k, blk in enumerate(inst.sorted_blocks, start=1):
             s = blk.section
             for h in (1, 2, 3):
@@ -271,36 +270,29 @@ def test_criterion_08_block_logic():
                             (f"FR_{h}_{t}_{s}_{s + 1}", f"FU_{h}_{t}_{s}_{s + 1}"),
                             (f"FR_{h}_{t}_{s + 1}_{s}", f"FL_{h}_{t}_{s + 1}_{s}"),
                             (f"FR_{h}_{t}_{s}_{s - 1}", f"FU_{h}_{t}_{s}_{s - 1}")):
-                        assert abs(val(enter, 0.0) - val(keep, 0.0)) <= 1e-6
+                        assert abs(x[at(enter)] - x[at(keep)]) <= 1e-6
         if n_blocks == 1:
-            kept = (inst, config, result)
+            kept = (inst, config, model, result)
 
     # three fault injections, each tripping exactly its own family
-    inst, config, result = kept
+    inst, config, model, result = kept
 
-    def bumped(names):
-        values = dict(result.values)
-        for name in names:
-            values[name] = values.get(name, 0.0) + 1.0
-        return values
-
-    conservation = replace(result, values=bumped(["FR_1_0_1_2"]))
+    conservation = bumped(result, model, ["FR_1_0_1_2"])
     assert failing_families(validate(inst, config, conservation)) == \
         ["flow_conservation"]
 
     route = ["FB_1_0_1_3"] + \
         [f"FR_1_0_{i}_{i + 1}" for i in range(2, 11)] + ["FW_1_0_1_10"]
-    gating = replace(result, values=bumped(route),
-                     borrow_used=(result.borrow_used[0] + 1.0,),
-                     waste_used=(result.waste_used[0] + 1.0,))
+    gating = bumped(result, model, route,
+                    borrow_used=(result.borrow_used[0] + 1.0,),
+                    waste_used=(result.waste_used[0] + 1.0,))
     assert failing_families(validate(inst, config, gating)) == \
         ["block_gating"]
 
     removal = dict(result.removal)
     removal[(1, 1)] = 0.0
-    values = dict(result.values)
-    values["Y_1_1"] = 0.0
-    skipped = replace(result, removal=removal, values=values)
+    skipped = bumped(result, model, ["Y_1_1"], -result.removal[(1, 1)],
+                     removal=removal)
     assert failing_families(validate(inst, config, skipped)) == \
         ["removal_logic"]
 

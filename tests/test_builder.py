@@ -10,6 +10,8 @@ import pytest
 
 import valign
 from valign.builder import (
+    KNOWN_CONFIG_NAMES,
+    ArcIndex,
     BuildError,
     BuilderConfig,
     LinearConstraint,
@@ -26,7 +28,7 @@ from valign.builder import (
 from valign.instance import HaulClass, Pit
 from valign.mps import emit_mps_text
 
-from conftest import make_instance
+from conftest import make_instance, piecewise_instance, pinned_road
 
 
 def single_haul_config() -> BuilderConfig:
@@ -301,3 +303,84 @@ def test_variable_names_are_spelled_only_in_arc_index():
                     stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
     assert inside > 0  # the scan does see the names ArcIndex spells
+
+
+def declared_runs(instance, config):
+    """The names a model declares, run by run, in the shape of
+    ArcIndex.column_runs, spelled here from the module docstring's naming
+    rules; "" where the CTG grid has no arc."""
+    n, m = instance.n, instance.segment_layout.segment_count
+    borrow, waste = instance.borrow_pits, instance.waste_pits
+    supply = list(range(1, n + len(borrow) + 1))
+    demand = list(range(1, n + 1)) + [n + len(borrow) + k
+                                      for k in range(1, len(waste) + 1)]
+    runs = {
+        "coefficients": [[f"A_{g}_{k}" for k in (1, 2, 3)]
+                         for g in range(1, m + 1)],
+        "offsets": [f"U_{i}" for i in range(1, n + 1)],
+        "cut": [f"VP_{node}" for node in supply],
+        "fill": [f"VM_{node}" for node in demand],
+        "removal": [],
+    }
+    if config.model == "CTG":
+        runs["flows"] = [[[f"X_{s}_{d}" if s != d else "" for d in demand]
+                          for s in supply]]
+        return runs
+    blocks = len(instance.blocks)
+    runs["removal"] = [[f"Y_{k}_{t}" for t in range(blocks + 1)]
+                       for k in range(1, blocks + 1)]
+    hauls = range(1, len(effective_hauls(instance, config)) + 1)
+    steps = range(blocks + 1)
+
+    def chains(spell, count):
+        return [[[[spell(h, t, i, d) for d in (1, -1)]
+                  for i in range(1, count + 1)] for t in steps]
+                for h in hauls]
+
+    runs["flows"] = [
+        chains(lambda h, t, i, d: f"FR_{h}_{t}_{i}_{i + d}", n),
+        chains(lambda h, t, i, d: f"FU_{h}_{t}_{i}_{i + d}", n),
+        chains(lambda h, t, i, d: f"FL_{h}_{t}_{i - d}_{i}", n),
+        chains(lambda h, t, j, d: f"FB_{h}_{t}_{j}_"
+               f"{borrow[j - 1].attached_section + d}", len(borrow)),
+        chains(lambda h, t, k, d: f"FW_{h}_{t}_{k}_"
+               f"{waste[k - 1].attached_section - d}", len(waste))]
+    return runs
+
+
+def layout_cases():
+    for case in ("A-01", "G-01", "C-02 2 blocks", "D-01 2 blocks",
+                 "D-02 2 blocks", "G-01 3 blocks", "C-02 3 blocks 2 pits",
+                 "shared-pits"):
+        instance = pinned_road(case)
+        for name in KNOWN_CONFIG_NAMES:
+            if not (name.startswith("CTG") and instance.blocks):
+                yield case, instance, named_config(name)
+    for mode in ("piecewise-sos2", "piecewise-binary"):
+        yield mode, piecewise_instance(), BuilderConfig(volume_mode=mode)
+
+
+@pytest.mark.parametrize("case, instance, config", [
+    pytest.param(*args, id=f"{args[0]} {args[2].name or args[2].model}")
+    for args in layout_cases()])
+def test_column_runs_index_the_declared_names(case, instance, config):
+    # The column layout is the contract decode, validate and recompute_cost
+    # share: the ids ArcIndex.column_runs gives index model.columns to the
+    # names the builder declared, and reach every A, U, VP, VM, Y and flow
+    # or X column of the model.
+    model = build(instance, config)
+    columns = np.array(model.columns + ("",), object)  # -1 reads ""
+    runs = ArcIndex(instance).column_runs(model.columns, config)
+    reached = []
+    for field, expected in declared_runs(instance, config).items():
+        ids = getattr(runs, field)
+        if field != "flows":
+            ids, expected = (ids,), (expected,)
+        for grid, names in zip(ids, expected, strict=True):
+            names = np.array(names, object).reshape(grid.shape)
+            assert (columns[grid] == names).all(), (case, field)
+            reached += grid[grid >= 0].tolist()
+    prefixes = ("A_", "U_", "VP_", "VM_", "Y_", "X_", "FR_", "FU_", "FL_",
+                "FB_", "FW_")
+    assert sorted(reached) == [c for c, name in enumerate(model.columns)
+                               if name.startswith(prefixes)]

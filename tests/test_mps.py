@@ -17,10 +17,10 @@ from valign.builder import (
     build,
     named_config,
 )
-from valign.instance import Pit, VolumeCurve
+from valign.instance import Pit
 from valign.mps import emit_mps, emit_mps_text, strip_comments
 
-from conftest import make_instance, pinned_road
+from conftest import make_instance, piecewise_instance, pinned_road
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 GOLDEN = os.path.join(DATA, "three_section_qns.mps")
@@ -124,19 +124,6 @@ def test_nonfinite_coefficients_rejected():
         sos_sets=(), objective=(("x", 1.0),), provenance=())
     with pytest.raises(Exception):
         emit_mps_text(bad)
-
-
-def piecewise_instance():
-    """Six sections with volume curves, a borrow pit and a block at 3 whose
-    only access road is at 5, so left-region gating appears."""
-    curves = [VolumeCurve(section=i, offsets=(-2.0, -0.5, 0.0, 0.5, 2.0),
-                          cut=(0.0, 0.0, 0.0, 6.0, 30.0),
-                          fill=(28.0, 5.0, 0.0, 0.0, 0.0))
-              for i in range(1, 7)]
-    return make_instance([100.0, 101.0, 102.5, 101.0, 100.0, 99.5],
-                         areas=[10.0] * 6, offset=2.0, blocks=[3],
-                         access=[5], borrow=[Pit("borrow", 2, 30.0, 15.0)],
-                         curves=curves)
 
 
 # sha256 of emit_mps_text at scale: the 450-section G road (CTG-B has

@@ -7,6 +7,7 @@ import tempfile
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from valign import gateway
@@ -286,27 +287,33 @@ def test_timed_out_solver_output_is_logged(two_node_instance, tmp_path,
 
 def test_full_solution_is_read_onto_the_models_names():
     # A pairs file that lists the model's columns in order is keyed by the
-    # model's own name objects, and decode keeps that dict as it is.
+    # model's own name objects, and decode reads it into a read-only x in
+    # the model's column order.
     instance = generate_instance(1, ROAD_TEMPLATES["A"], 1)
     config = named_config("CTG-B")
     model = build(instance, config)
-    text = "status optimal\nobjective 0.0\n" + "".join(
-        f"{name} 0.0\n" for name in model.columns)
+    x = np.arange(len(model.columns), dtype=float)
+    objective = float(model.cost @ x)
+    text = f"status optimal\nobjective {objective!r}\n" + "".join(
+        f"{name} {value!r}\n" for name, value in zip(model.columns,
+                                                      x.tolist()))
     solution = parse_solution_text(text, model.columns)
     assert all(map(lambda a, b: a is b, solution.values, model.columns))
-    assert decode(solution, instance, config, model).values \
-        is solution.values
-    # Without the columns, or out of order, the file's own names are kept.
+    result = decode(solution, instance, config, model)
+    assert result.x.tolist() == x.tolist()
+    assert not result.x.flags.writeable
+    # Without the columns, or out of order, the file's own names are kept,
+    # and decode reads the same x.
     assert parse_solution_text(text).values == solution.values
     shuffled = parse_solution_text(text, model.columns[::-1])
-    assert decode(shuffled, instance, config, model).values == \
-        solution.values
+    assert decode(shuffled, instance, config, model).x.tolist() == \
+        x.tolist()
 
 
 def test_solution_read_stays_within_its_memory_bound():
-    # Read a piece at a time onto the model's names and decoded with no
-    # second dict: on C-01 CTG-B (10,227 columns) the traced peak of
-    # parse_solution_text plus decode was 1.9 MB and is 1.1 MB now.
+    # Read a piece at a time onto the model's names and decoded into x
+    # with no second dict: on C-01 CTG-B (10,227 columns) the traced peak
+    # of parse_solution_text plus decode was 1.9 MB and is 0.83 MiB now.
     instance = generate_instance(1, ROAD_TEMPLATES["C"], 1)
     config = named_config("CTG-B")
     model = build(instance, config)
@@ -319,5 +326,5 @@ def test_solution_read_stays_within_its_memory_bound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(result.values) == 10227
-    assert peak < 1.45 * 2**20
+    assert result.x.size == 10227
+    assert peak < 1.0 * 2**20

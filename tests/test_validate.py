@@ -18,6 +18,7 @@ from conftest import (
     BUNDLED_SOLVER,
     TWO_NODE_COST,
     TWO_NODE_OFFSETS,
+    bumped,
     make_instance,
     pinned_road,
 )
@@ -32,7 +33,7 @@ def solved(instance, config_name="MQN-B", offsets=None):
         model = fix_offsets(model, offsets)
     solution = solve(model, BUNDLED_SOLVER, LIMITS)
     assert solution.status == "optimal", solution.status
-    return config, decode(solution, instance, config, model=model)
+    return config, model, decode(solution, instance, config, model=model)
 
 
 def failing(report):
@@ -40,30 +41,24 @@ def failing(report):
             if report.families[name].worst > report.tolerance]
 
 
-def bumped(values, names, delta=1.0):
-    out = dict(values)
-    for name in names:
-        out[name] = out.get(name, 0.0) + delta
-    return out
-
-
 # -- clean solutions pass every family ------------------------------------
 
 def test_two_node_solution_validates(two_node_instance):
-    config, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
+    config, _, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
     report = validate(two_node_instance, config, result)
     assert report.passed, report.summary()
     assert failing(report) == []
 
 
 def test_borrow_fill_solution_validates(borrow_fill_instance):
-    config, result = solved(borrow_fill_instance, offsets=BORROW_FILL_OFFSETS)
+    config, _, result = solved(borrow_fill_instance,
+                               offsets=BORROW_FILL_OFFSETS)
     report = validate(borrow_fill_instance, config, result)
     assert report.passed, report.summary()
 
 
 def test_block_solution_validates(hump_block_instance):
-    config, result = solved(hump_block_instance)
+    config, _, result = solved(hump_block_instance)
     report = validate(hump_block_instance, config, result)
     assert report.passed, report.summary()
     # single block must be gone by the final step
@@ -71,7 +66,7 @@ def test_block_solution_validates(hump_block_instance):
 
 
 def test_ctg_solution_validates(two_node_instance):
-    config, result = solved(two_node_instance, "CTG-B",
+    config, _, result = solved(two_node_instance, "CTG-B",
                             offsets=TWO_NODE_OFFSETS)
     report = validate(two_node_instance, config, result)
     assert report.passed, report.summary()
@@ -81,8 +76,9 @@ def test_ctg_solution_validates(two_node_instance):
 # -- each injected fault trips exactly its family --------------------------
 
 def test_conservation_fault(two_node_instance):
-    config, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
-    tampered = replace(result, values=bumped(result.values, ["FR_1_0_1_2"]))
+    config, model, result = solved(two_node_instance,
+                                   offsets=TWO_NODE_OFFSETS)
+    tampered = bumped(result, model, ["FR_1_0_1_2"])
     report = validate(two_node_instance, config, tampered)
     assert failing(report) == ["flow_conservation"]
     assert report.families["flow_conservation"].worst == pytest.approx(1.0)
@@ -99,9 +95,9 @@ def test_mirrored_chain_conservation_fault(request, fixture, offsets, arc,
     # Leftward transit and both borrow arcs; a borrow bump also raises the
     # pit's drawn volume so only the chain's conservation row breaks.
     instance = request.getfixturevalue(fixture)
-    config, result = solved(instance, offsets=offsets)
-    tampered = replace(
-        result, values=bumped(result.values, [arc]),
+    config, model, result = solved(instance, offsets=offsets)
+    tampered = bumped(
+        result, model, [arc],
         borrow_used=tuple(b + borrow_delta for b in result.borrow_used))
     report = validate(instance, config, tampered)
     assert failing(report) == ["flow_conservation"]
@@ -114,32 +110,31 @@ def test_block_gating_fault():
                          blocks=[3], access=[1, 5],
                          borrow=(Pit("borrow", 2, 50.0, 20.0),),
                          waste=(Pit("waste", 4, 50.0, 20.0),))
-    config, result = solved(inst)
+    config, model, result = solved(inst)
     assert validate(inst, config, result).passed
     # route one unit borrow -> waste straight across the unremoved block
-    values = bumped(result.values,
-                    ["FB_1_0_1_3", "FR_1_0_2_3", "FR_1_0_3_4", "FW_1_0_1_3"])
-    tampered = replace(result, values=values,
-                       borrow_used=(result.borrow_used[0] + 1.0,),
-                       waste_used=(result.waste_used[0] + 1.0,))
+    tampered = bumped(
+        result, model,
+        ["FB_1_0_1_3", "FR_1_0_2_3", "FR_1_0_3_4", "FW_1_0_1_3"],
+        borrow_used=(result.borrow_used[0] + 1.0,),
+        waste_used=(result.waste_used[0] + 1.0,))
     report = validate(inst, config, tampered)
     assert failing(report) == ["block_gating"]
     assert report.families["block_gating"].worst == pytest.approx(1.0)
 
 
 def test_removal_fault(hump_block_instance):
-    config, result = solved(hump_block_instance)
+    config, model, result = solved(hump_block_instance)
     removal = dict(result.removal)
     removal[(1, 1)] = 0.0
-    values = dict(result.values)
-    values["Y_1_1"] = 0.0
-    tampered = replace(result, removal=removal, values=values)
+    tampered = bumped(result, model, ["Y_1_1"], -result.removal[(1, 1)],
+                      removal=removal)
     report = validate(hump_block_instance, config, tampered)
     assert failing(report) == ["removal_logic"]
 
 
 def test_slope_fault_detected(two_node_instance):
-    config, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
+    config, _, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
     steep = tuple((a1, 0.5, a3) for a1, a2, a3 in result.coefficients)
     report = validate(two_node_instance, config,
                       replace(result, coefficients=steep))
@@ -147,8 +142,9 @@ def test_slope_fault_detected(two_node_instance):
 
 
 def test_relative_mode_scales_magnitudes(two_node_instance):
-    config, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
-    tampered = replace(result, values=bumped(result.values, ["FR_1_0_1_2"]))
+    config, model, result = solved(two_node_instance,
+                                   offsets=TWO_NODE_OFFSETS)
+    tampered = bumped(result, model, ["FR_1_0_1_2"])
     report = validate(two_node_instance, config, tampered, relative=True)
     worst = report.families["flow_conservation"].worst
     assert 0.0 < worst < 1.0
@@ -156,7 +152,8 @@ def test_relative_mode_scales_magnitudes(two_node_instance):
 
 
 def test_summary_lists_every_family(two_node_instance):
-    config, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
+    config, model, result = solved(two_node_instance,
+                                   offsets=TWO_NODE_OFFSETS)
     lines = validate(two_node_instance, config, result).summary().splitlines()
     assert len(lines) == len(FAMILIES) + 1
     for name, line in zip(FAMILIES, lines):
@@ -164,7 +161,7 @@ def test_summary_lists_every_family(two_node_instance):
         assert line.endswith("pass")
     assert lines[-1] == "overall: pass at tolerance 1e-06"
 
-    tampered = replace(result, values=bumped(result.values, ["FR_1_0_1_2"]))
+    tampered = bumped(result, model, ["FR_1_0_1_2"])
     text = validate(two_node_instance, config, tampered).summary()
     assert "flow_conservation" in text and "FAIL" in text
     assert text.splitlines()[-1].startswith("overall: FAIL")
@@ -174,40 +171,39 @@ def test_summary_lists_every_family(two_node_instance):
 
 def test_recompute_zero_plan():
     inst = make_instance([100.0] * 3, areas=[10.0] * 3, offset=2.0)
-    config, result = solved(inst)
+    config, _, result = solved(inst)
     assert result.objective == pytest.approx(0.0, abs=1e-9)
     assert recompute_cost(inst, config, result) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_recompute_matches_hand_costs(two_node_instance, borrow_fill_instance):
-    config, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
+    config, _, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
     assert recompute_cost(two_node_instance, config, result) == \
         pytest.approx(TWO_NODE_COST, rel=1e-9)
-    config, result = solved(borrow_fill_instance,
+    config, _, result = solved(borrow_fill_instance,
                             offsets=BORROW_FILL_OFFSETS)
     assert recompute_cost(borrow_fill_instance, config, result) == \
         pytest.approx(BORROW_FILL_COST, rel=1e-9)
 
 
 def test_recompute_ctg(two_node_instance):
-    config, result = solved(two_node_instance, "CTG-B",
+    config, _, result = solved(two_node_instance, "CTG-B",
                             offsets=TWO_NODE_OFFSETS)
     assert recompute_cost(two_node_instance, config, result) == \
         pytest.approx(TWO_NODE_COST, rel=1e-9)
 
 
 def test_recompute_tracks_solver_objective(hump_block_instance):
-    config, result = solved(hump_block_instance)
+    config, _, result = solved(hump_block_instance)
     recomputed = recompute_cost(hump_block_instance, config, result)
     scale = max(1.0, abs(result.objective))
     assert abs(recomputed - result.objective) <= 1e-5 * scale
 
 
 def test_recompute_is_linear_in_the_plan(two_node_instance):
-    config, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
+    config, _, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
     doubled = replace(
-        result,
-        values={k: 2.0 * v for k, v in result.values.items()},
+        result, x=2.0 * result.x,
         section_cut=tuple(2.0 * c for c in result.section_cut),
         section_fill=tuple(2.0 * f for f in result.section_fill),
         borrow_used=tuple(2.0 * b for b in result.borrow_used),
@@ -226,7 +222,7 @@ def test_recompute_ctg_pit_arcs(kind, offsets):
     pit = Pit(kind, attached_section=2, capacity=50.0, dead_haul=50.0)
     inst = make_instance([100.0] * 3, areas=[10.0] * 3, offset=2.0,
                          **{kind: [pit]})
-    config, result = solved(inst, "CTG-B", offsets=offsets)
+    config, _, result = solved(inst, "CTG-B", offsets=offsets)
     assert result.objective == pytest.approx(BORROW_FILL_COST, rel=1e-6)
     assert recompute_cost(inst, config, result) == \
         pytest.approx(BORROW_FILL_COST, rel=1e-9)
@@ -272,26 +268,45 @@ def test_synthetic_values_validation_pinned(case, config_name, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest, text
 
 
-@pytest.mark.parametrize("case, config_name", [
-    ("A-01", "CTG-B"),
-    ("D-01 2 blocks", "MQN-B"),
+class LookedUpColumns(tuple):
+    """A model's columns that record each name looked up by index."""
+
+    def index(self, name, *args):
+        self.looked.append(name)
+        return super().index(name, *args)
+
+
+@pytest.mark.parametrize("case, config_name, first_names", [
+    ("A-01", "CTG-B", ["A_1_1", "U_1", "VP_1", "VM_1", "X_1_2"]),
+    ("D-01 2 blocks", "MQN-B",
+     ["A_1_1", "U_1", "VP_1", "VM_1", "Y_1_0", "FR_1_0_1_2"]),
 ])
-def test_flow_names_generated_once_per_result(monkeypatch, case,
-                                              config_name):
-    # decode -> validate (twice) -> recompute_cost generate the flow names
-    # once; a copy with other values reads them again.
+def test_names_stop_at_decode(monkeypatch, case, config_name, first_names):
+    # Once build has returned, no name list is made: decode looks up the
+    # first name of each run it reads, once, and validate and
+    # recompute_cost spell no name. A copy with doubled x re-prices from
+    # its own x.
     instance = pinned_road(case)
     config = named_config(config_name)
     model = build(instance, config)
+    columns = LookedUpColumns(model.columns)
+    columns.looked = []
+    model = replace(model, columns=columns)
     x = np.random.default_rng(5).uniform(0.0, 50.0, len(model.columns))
     solution = Solution("optimal", float(model.cost @ x),
                         dict(zip(model.columns, x.tolist())), 0.0)
-    made = []
-    flow_grid, ctg_arcs = ArcIndex.flow_grid, ArcIndex.ctg_arcs.func
-    monkeypatch.setattr(ArcIndex, "flow_grid", lambda self, *shape: (
-        made.append(shape) or flow_grid(self, *shape)))
-    monkeypatch.setattr(ArcIndex, "ctg_arcs", property(
-        lambda self: made.append("ctg") or ctg_arcs(self)))
+
+    def refuse(self, *args):
+        raise AssertionError("a name list was built after build")
+
+    monkeypatch.setattr(ArcIndex, "flow_names", refuse)
+    monkeypatch.setattr(ArcIndex, "ctg_names", refuse)
+    spelled = []
+    for head in ("coeff", "offset", "cut", "fill", "removal"):
+        spell = getattr(ArcIndex, head)
+        monkeypatch.setattr(ArcIndex, head, staticmethod(
+            lambda *args, spell=spell: spelled.append(spell(*args))
+            or spelled[-1]))
 
     def check(result):
         for relative in (False, True):
@@ -299,23 +314,25 @@ def test_flow_names_generated_once_per_result(monkeypatch, case,
         return recompute_cost(instance, config, result)
 
     result = decode(solution, instance, config, model=model)
+    assert columns.looked == first_names
+    assert spelled == first_names[:len(spelled)]
+    spelled.clear()
     cost = check(result)
-    assert len(made) == 1
-    doubled = replace(result, values={k: 2.0 * v
-                                      for k, v in result.values.items()})
-    assert check(doubled) != cost
-    assert len(made) == 2
+    assert check(replace(result, x=2.0 * result.x)) != cost
+    assert spelled == [] and columns.looked == first_names
 
 
 @pytest.mark.parametrize("tamper, family", [
-    (lambda r: replace(r, values={**r.values, "FR_1_0_1_2": math.nan}),
+    (lambda r, model: bumped(r, model, ["FR_1_0_1_2"], math.nan),
      "flow_conservation"),
-    (lambda r: replace(r, offsets=(math.nan,) + r.offsets[1:]), "volume"),
+    (lambda r, model: replace(r, offsets=(math.nan,) + r.offsets[1:]),
+     "volume"),
 ], ids=["flow", "offset"])
 def test_nan_residual_is_a_violation(two_node_instance, tamper, family):
-    config, result = solved(two_node_instance, offsets=TWO_NODE_OFFSETS)
+    config, model, result = solved(two_node_instance,
+                                   offsets=TWO_NODE_OFFSETS)
     for relative in (False, True):
-        report = validate(two_node_instance, config, tamper(result),
+        report = validate(two_node_instance, config, tamper(result, model),
                           relative=relative)
         assert not report.passed
         assert report.families[family].worst == math.inf
