@@ -949,10 +949,12 @@ def build_ctg(instance: RoadInstance,
 
     st_s, dead_s, exc_s, _ = node_info(names.supply_nodes)
     st_d, dead_d, _, emb_d = node_info(names.demand_nodes)
-    src, dst = names.ctg_arcs
+    # arcs stays alive until the model is finished: freed before lint, it
+    # left the next G-01 build 6 MB higher in peak RSS (heap reuse).
+    arcs, (src, dst) = names.ctg_names(), names.ctg_arcs
     dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]
     cost = exc_s[src] + cheapest_haul_costs(hauls, dist) + emb_d[dst]
-    ids = asm.columns(names.ctg_names(), cost)
+    ids = asm.columns(arcs, cost)
 
     # Each node's row takes its arcs in declaration order, less the node's
     # volume variable: CTS_i, CTD_i per section, then CTB_j, then CTW_k.
