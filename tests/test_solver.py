@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,6 +180,22 @@ def test_decode_rejects_alien_solution(two_node_instance):
     with pytest.raises(DecodeError):
         decode(alien, two_node_instance, config,
                model=build(two_node_instance, config))
+
+
+def test_decode_reads_absent_names_as_zero(two_node_instance):
+    # A sparse solution file lists only its nonzero values; decode reads
+    # every other column as 0 and gives the full file's result.
+    config = named_config("MQN-B")
+    model = fix_offsets(build(two_node_instance, config), TWO_NODE_OFFSETS)
+    solution = solve(model, BUNDLED_SOLVER, LIMITS)
+    sparse = replace(solution, values={name: value for name, value
+                                       in solution.values.items() if value})
+    assert 0 < len(sparse.values) < len(model.columns)
+    full, thin = (decode(s, two_node_instance, config, model)
+                  for s in (solution, sparse))
+    assert thin.x.tolist() == full.x.tolist()
+    assert (thin.offsets, thin.section_cut, thin.section_fill) == \
+        (full.offsets, full.section_cut, full.section_fill)
 
 
 def test_decode_objective_consistency_guard(two_node_instance, tmp_path):

@@ -67,7 +67,7 @@ def test_block_solution_validates(hump_block_instance):
 
 def test_ctg_solution_validates(two_node_instance):
     config, _, result = solved(two_node_instance, "CTG-B",
-                            offsets=TWO_NODE_OFFSETS)
+                               offsets=TWO_NODE_OFFSETS)
     report = validate(two_node_instance, config, result)
     assert report.passed, report.summary()
     assert result.objective == pytest.approx(TWO_NODE_COST, rel=1e-6)
@@ -181,14 +181,14 @@ def test_recompute_matches_hand_costs(two_node_instance, borrow_fill_instance):
     assert recompute_cost(two_node_instance, config, result) == \
         pytest.approx(TWO_NODE_COST, rel=1e-9)
     config, _, result = solved(borrow_fill_instance,
-                            offsets=BORROW_FILL_OFFSETS)
+                               offsets=BORROW_FILL_OFFSETS)
     assert recompute_cost(borrow_fill_instance, config, result) == \
         pytest.approx(BORROW_FILL_COST, rel=1e-9)
 
 
 def test_recompute_ctg(two_node_instance):
     config, _, result = solved(two_node_instance, "CTG-B",
-                            offsets=TWO_NODE_OFFSETS)
+                               offsets=TWO_NODE_OFFSETS)
     assert recompute_cost(two_node_instance, config, result) == \
         pytest.approx(TWO_NODE_COST, rel=1e-9)
 
@@ -280,7 +280,7 @@ class LookedUpColumns(tuple):
     ("A-01", "CTG-B", ["A_1_1", "U_1", "VP_1", "VM_1", "X_1_2"]),
     ("D-01 2 blocks", "MQN-B",
      ["A_1_1", "U_1", "VP_1", "VM_1", "Y_1_0", "FR_1_0_1_2"]),
-])
+], ids=["A-01-CTG-B", "D-01 2 blocks-MQN-B"])
 def test_names_stop_at_decode(monkeypatch, case, config_name, first_names):
     # Once build has returned, no name list is made: decode looks up the
     # first name of each run it reads, once, and validate and
