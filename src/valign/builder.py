@@ -429,9 +429,8 @@ class ArcIndex:
             grid = np.full((len(self.supply_nodes), len(self.demand_nodes)),
                            -1)
             if src.size:
-                first = f"X_{self.supply_nodes[src[0]]}_" \
-                    f"{self.demand_nodes[dst[0]]}"
-                grid[src, dst] = _run(columns, first, src.size)
+                s, d = self.supply_nodes[src[0]], self.demand_nodes[dst[0]]
+                grid[src, dst] = _run(columns, f"X_{s}_{d}", src.size)
             return ColumnRuns(*head, np.empty((0, 1), int), (grid,))
         n_blocks = len(self.instance.blocks)
         removal = _run(columns, self.removal(1, 0), n_blocks * (n_blocks + 1))
