@@ -22,14 +22,16 @@ column order.
 solve_arrays is the one seam to HiGHS: cost, column bounds, integrality, a
 CSC matrix and row bounds in, as one list it empties; status word,
 objective and x out. It passes the numpy arrays to the binding as they are
-and reads back only x and the objective.
+and reads back x, the objective and, where it prices columns, the duals.
 
 While HiGHS solves, the adapter holds the model once. main joins the
 column names into one string and drops the parsed model before the solve;
 solve_arrays takes the arrays out of the caller's list and, for a pure LP,
-lets go of them once passModel has copied them; write_solution splits the
-names a piece at a time. On the G road under CTG-B the adapter's peak went
-from 154 to 127 MB. The Python objects made after HiGHS returns take fresh
+lets go of what passModel copied before HiGHS runs (a sifted LP keeps the
+cost, bounds and matrix to price with, while HiGHS holds only its working
+set); write_solution splits the names a piece at a time. On the G road
+under CTG-B the adapter's peak went from 154 to 127 MB, and to 101 MB with
+sifting. The Python objects made after HiGHS returns take fresh
 memory, not the heap HiGHS freed, which may stay resident: splitting all
 the names at once, or writing 65,536 lines a piece, left the peak at
 134-140 MB in some runs.
@@ -41,6 +43,36 @@ HiGHS time with presolve, 4.3 s without; on G CTG-B presolve took 0.6 s of
 1.5 s, removed 593 of 1,962 rows, and raised the adapter's peak RSS from
 about 170 to 248 MB), while the blocked MIPs take 2-4 times as long
 without it.
+
+A pure LP with far more columns than rows is sifted (Bixby, Gregory,
+Lustig, Marsten & Shanno, "Very large-scale linear programming: a case
+study in combining interior point and simplex methods", Operations Research
+40(5), 1992). Its working set holds every column that cannot rest at 0 and,
+for each row, the _PER_ROW cheapest columns in that row that can; a column
+can rest at 0 when its lower bound is exactly 0 and its upper bound above
+0. HiGHS solves the LP over the working set. Each column outside it is then
+priced with HiGHS's row duals y, d = c - A'y, on the CSC arrays, and every
+column with d below minus HiGHS's dual_feasibility_tolerance joins the set
+through addCols on the same warm object. The solve stops when no column
+prices out; x is scattered back into the full column order, the columns
+left out at 0. A working set that ends infeasible, unbounded or in error
+gets every column left and one more run, whose answer stands: a restricted
+LP's infeasibility is not the LP's. A time limit ends the solve as a
+timeout with no x. When the working set holds every column, as it does for
+every block-free MQN-B and QNA-B model measured, the LP goes to HiGHS whole
+and runs once. G-01 CTG-B has 203,523 columns and 1,962 rows; its working
+set holds 10,706 columns, 100 more price out, and the second LP is optimal.
+HiGHS took 0.24-0.27 s of it, against 1.5-1.9 s for the whole LP, and the
+adapter 1.8-2.4 s, against 3.4-4.0 s, with its peak down from 127.4 to
+101.5 MB. _PER_ROW on G-01 CTG-B, one process each, three runs:
+
+    _PER_ROW  HiGHS time   LPs  columns at the end
+           1  1.51-1.93 s    2  203,523 (first set infeasible)
+           3  2.98-3.08 s    4   40,776
+           5  1.28-1.30 s    5   12,199
+          10  0.30 s         3    6,343
+          20  0.24-0.27 s    2   10,806
+          50  0.30-0.32 s    2   25,192
 
 A MIP is solved relaxation first. Its integer columns are relaxed and the
 LP's objective is a bound. A fixed LP fixes every integer but the
@@ -136,6 +168,11 @@ def __getattr__(name: str):
 ENTRY = np.dtype([("row", np.intp), ("col", np.intp), ("value", np.float64)])
 
 _PIECE_CHARS = 1 << 16
+
+# For each row, how many of the cheapest columns that can rest at 0 a pure
+# LP's first working set takes (working_set); the module docstring gives
+# its sweep on G-01 CTG-B.
+_PER_ROW = 20
 
 
 @dataclass(eq=False)
@@ -546,12 +583,15 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
     or "" when there is none to tell.
 
     solve_arrays empties arrays and so holds the only references to them
-    that the caller hands over. A pure LP is one run() without presolve,
-    and its arrays are let go once HiGHS has copied them, before it runs.
-    A MIP closes from its relaxation when it can (module docstring), else
-    by branch and bound, which loads the arrays again. Each run() gets what
-    is left of time_limit. Raises ValueError if HiGHS rejects an option
-    value, such as a negative time limit or gap."""
+    that the caller hands over. A pure LP runs without presolve: one run()
+    when its working set holds every column, else sifted, one run() a
+    round, with the note "(sifted: N LPs, K of n columns)" (module
+    docstring). Either way the arrays passModel took are let go once
+    HiGHS has copied them, before it runs. A MIP closes from its
+    relaxation when it can (module docstring), else by branch and bound,
+    which loads the arrays again. Each run() gets what is left of
+    time_limit. Raises ValueError if HiGHS rejects an option value, such
+    as a negative time limit or gap."""
     core = highs_core()
     deadline = None if time_limit is None else time.monotonic() + time_limit
     # The binding reads raw buffers: each array goes in contiguous, as
@@ -568,6 +608,10 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
     if gap is not None:
         options.append(("mip_rel_gap", float(gap)))
 
+    if not is_mip:
+        working = working_set(buffers)
+        if not working.all():
+            return _sift(core, options, buffers, working, deadline)
     highs = _load(core, options, buffers)
     if highs is None:
         return "infeasible", None, None, ""
@@ -606,6 +650,86 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
     return _answer(highs, model_status, True,
                    f"bound {info.mip_dual_bound} (branch and bound, "
                    f"{info.mip_node_count} nodes, gap {info.mip_gap})")
+
+
+def working_set(arrays: list[np.ndarray]) -> np.ndarray:
+    """The first working set of a pure LP, as a mask over its columns:
+    every column that cannot rest at 0 and, for each row, the _PER_ROW
+    cheapest columns in it that can, the lower column id first among equal
+    costs. A column can rest at 0 when its lower bound is exactly 0 and
+    its upper bound above 0. arrays are laid out as model_arrays does."""
+    cost, col_lower, col_upper, _, _, start, index, _, _ = arrays
+    rests = (col_lower == 0.0) & (col_upper > 0.0)
+    working = ~rests
+    col = np.repeat(np.arange(len(cost)), np.diff(start))
+    at = np.flatnonzero(rests[col])
+    at = at[np.lexsort((cost[col[at]], index[at]))]     # by row, then cost
+    head = np.flatnonzero(np.diff(index[at], prepend=-1))   # each row's first
+    rank = np.arange(len(at)) - np.repeat(head, np.diff(head, append=len(at)))
+    working[col[at[rank < _PER_ROW]]] = True
+    return working
+
+
+def _sift(core, options, buffers: list[np.ndarray], working: np.ndarray,
+          deadline: float | None):
+    """A wide LP solved over a working set of its columns and priced with
+    the duals, round by round (module docstring); it empties buffers and
+    marks in working each column that joins."""
+    cost, col_lower, col_upper, row_lower, row_upper, start, index, value, \
+        _ = buffers
+    buffers.clear()
+    n = len(cost)
+
+    def gather(cols: np.ndarray) -> list[np.ndarray]:
+        """cost, bounds and CSC matrix (start, index, value) of cols."""
+        counts = np.diff(start)[cols]
+        sub = np.zeros(len(cols) + 1, np.int32)
+        np.cumsum(counts, out=sub[1:])
+        at = np.repeat(start[cols] - sub[:-1], counts) + np.arange(sub[-1])
+        return [cost[cols], col_lower[cols], col_upper[cols], sub, index[at],
+                value[at]]
+
+    order = np.flatnonzero(working)     # HiGHS's columns, as full ids
+    part = gather(order)
+    highs = _load(core, options, [*part[:3], row_lower, row_upper, *part[3:],
+                                  np.zeros(len(order), np.int32)])
+    del part, row_lower, row_upper      # HiGHS holds its own copy
+    if highs is None:
+        return "infeasible", None, None, ""
+    tolerance = highs.getOptionValue("dual_feasibility_tolerance")[1]
+    col = np.repeat(np.arange(n), np.diff(start))
+    runs = 0
+    while True:
+        model_status = _run(highs, deadline)
+        runs += 1
+        if model_status == "kOptimal":
+            # d = c - A'y over the columns HiGHS has not got
+            y = np.array(highs.getSolution().row_dual)
+            reduced = cost - np.bincount(col, weights=value * y[index],
+                                         minlength=n)
+            entering = np.flatnonzero(~working & (reduced < -tolerance))
+            if not len(entering):
+                break
+        elif _STATUS_WORDS.get(model_status) == "timeout" or working.all():
+            break
+        else:
+            # A working set's infeasibility or unboundedness is not the
+            # LP's: the whole LP decides.
+            entering = np.flatnonzero(~working)
+        part = gather(entering)
+        added = highs.addCols(len(entering), *part[:3], len(part[5]),
+                              part[3][:-1], *part[4:])
+        if added == core.HighsStatus.kError:
+            return "infeasible", None, None, ""
+        working[entering] = True
+        order = np.concatenate([order, entering])
+    word, objective, x, _ = _answer(highs, model_status, False, "")
+    if x is None:
+        return word, None, None, ""
+    full = np.zeros(n)
+    full[order] = x
+    return (word, objective, full,
+            f"(sifted: {runs} LPs, {len(order)} of {n} columns)")
 
 
 class _Fixing:

@@ -81,6 +81,33 @@ def small(rows, columns, bounds="", integer=()):
             + "COLUMNS\n" + body + textwrap.dedent(bounds) + "ENDATA\n")
 
 
+def priced_lp(w_upper):
+    """A wide LP that sifts: x_1..x_30 at cost j each cover w, at cost -25,
+    in "tie" (x_1 + ... + x_30 - w >= 0), and "cap" holds x_1..x_20 to 3
+    in all. The first working set, w and x_1..x_20, stops at -72 with
+    w = x_1 = 3; x_21..x_24 price out. With w at most w_upper = 10 the
+    second LP takes x_21 = 7 for -100 and nothing more prices out; with w
+    unbounded it is unbounded."""
+    columns = ["w COST -25.0", "w tie -1.0"]
+    for j in range(1, 31):
+        columns += [f"x{j} COST {j}.0", f"x{j} tie 1.0"]
+        columns += [f"x{j} cap 1.0"] if j <= 20 else []
+    return small(["G tie", "L cap"], columns, "RHS\n    RHS cap 3.0\n"
+                 + (f"BOUNDS\n UP BND w {w_upper}\n" if w_upper else ""))
+
+
+def banned_lp(banned):
+    """A wide LP whose first working set, x_1..x_20, is infeasible:
+    x_1..x_30 at cost j must cover 1 in "need" while "ban" holds the first
+    `banned` of them at 0. With 20 banned the LP takes x_21 = 1 for 21; with
+    30 it is infeasible."""
+    columns = []
+    for j in range(1, 31):
+        columns += [f"x{j} COST {j}.0", f"x{j} need 1.0"]
+        columns += [f"x{j} ban 1.0"] if j <= banned else []
+    return small(["G need", "L ban"], columns, "RHS\n    RHS need 1.0\n")
+
+
 SMALL_MODELS = {
     "no rows": small([], ["x COST 1.0", "y COST -2.0"],
                      "BOUNDS\n LO BND x 0.5\n UP BND y 3.5\n",
@@ -98,6 +125,10 @@ SMALL_MODELS = {
     "unbounded MIP": small(["G tie"],
                            ["x COST -1.0", "x tie 1.0", "y tie -1.0"],
                            integer=("x", "y")),
+    "wide LP": priced_lp(10.0),
+    "unbounded wide LP": priced_lp(None),
+    "wide LP infeasible at first": banned_lp(20),
+    "infeasible wide LP": banned_lp(30),
 }
 
 
@@ -515,10 +546,129 @@ def test_models_cover_every_outcome():
     assert statuses == {"no rows": "optimal", "LP": "optimal",
                         "infeasible MIP": "infeasible",
                         "unbounded LP": "unbounded",
-                        "unbounded MIP": "error", "chains": "optimal"}
+                        "unbounded MIP": "error", "chains": "optimal",
+                        "wide LP": "optimal",
+                        "unbounded wide LP": "unbounded",
+                        "wide LP infeasible at first": "optimal",
+                        "infeasible wide LP": "infeasible"}
     # The MIPs close every way the adapter closes one.
     assert set(PATHS.values()) == {"rounded relaxation", "schedule",
                                    "started"}
+
+
+@pytest.mark.parametrize("case, runs, note", [
+    ("wide LP", 2, "(sifted: 2 LPs, 25 of 31 columns)"),
+    ("unbounded wide LP", 3, ""),
+    ("wide LP infeasible at first", 2, "(sifted: 2 LPs, 30 of 30 columns)"),
+    ("infeasible wide LP", 2, "")])
+def test_wide_lps_sift(counting, case, runs, note):
+    # Columns that price out join the working set on the same object. A
+    # working set that is infeasible or unbounded gets every column left
+    # and one more run, whose answer stands.
+    mps = parse_mps(SMALL_MODELS[case])
+    counted = counting()
+    status, objective, x, got = milp_solve.solve_arrays(
+        milp_solve.model_arrays(mps), 60.0, 1e-9, ())
+    assert got == note
+    assert len(counted.made) == 1
+    assert len(counted.left) == runs
+    if case == "wide LP":
+        assert objective == -100.0
+        values = dict(zip(mps.columns, x.tolist()))
+        assert {name: value for name, value in values.items() if value} \
+            == {"w": 10.0, "x1": 3.0, "x21": 7.0}
+
+
+def test_sifted_lp_stopped_by_the_limit_is_a_timeout(counting, monkeypatch):
+    # The limit runs out once the first working set is solved: the second
+    # LP stops at once, and the working set's x is no answer.
+    mps = parse_mps(SMALL_MODELS["wide LP"])
+    skew = [0.0]
+    monkeypatch.setattr(milp_solve, "time", SimpleNamespace(
+        monotonic=lambda: time.monotonic() + skew[0]))
+    counted = counting()
+    run = CountingHighs.run
+
+    def run_then_tick(self):
+        run(self)
+        skew[0] += 100.0
+
+    monkeypatch.setattr(CountingHighs, "run", run_then_tick)
+    assert solve_parsed(mps, 60.0, None) == ("timeout", None, None)
+    assert len(counted.left) == 2
+    assert counted.left[1] == 0.0
+    assert solve_parsed(mps, 1e-9, None) == ("timeout", None, None)
+
+
+def reduced_costs(mps, row_dual):
+    """c - A'y for every column of the model."""
+    entries = mps.entries
+    matrix = sparse.csr_matrix(
+        (entries["value"], (entries["row"], entries["col"])),
+        shape=(len(mps.row_order), len(mps.columns)))
+    return mps.cost - matrix.T @ np.asarray(row_dual)
+
+
+@pytest.mark.parametrize("road", ["G-01", "A-01", "A-02", "C-02"])
+def test_sifted_ctg_is_the_whole_lps_optimum(counting, tmp_path, road):
+    # G-01 is the long road, the others the suite's block-free roads. The
+    # sifted objective is the whole LP's, and under the final duals no
+    # column at its lower bound, every column HiGHS was not given among
+    # them, has a reduced cost below -dual_feasibility_tolerance.
+    instance = (pinned_road(road) if road == "G-01"
+                else suite_road(tmp_path, road))
+    mps = parse_mps(emit_mps_text(build(instance, named_config("CTG-B"))))
+    (want_status, want, _), _ = milp_result(mps, None, None)
+    counted = counting()
+    status, objective, x, note = milp_solve.solve_arrays(
+        milp_solve.model_arrays(mps), None, None, ())
+    assert status == want_status == "optimal"
+    assert abs(objective - want) <= 1e-9 * max(1.0, abs(want))
+    assert note.startswith("(sifted: ")
+    highs = counted.made[-1]
+    assert highs.getNumCol() < len(mps.columns)
+    tolerance = highs.getOptionValue("dual_feasibility_tolerance")[1]
+    reduced = reduced_costs(mps, highs.getSolution().row_dual)
+    assert reduced[x == mps.col_lower].min() >= -tolerance
+    assert_feasible(mps, x, 1e-6)
+
+
+@pytest.mark.parametrize("road", ["A-01", "A-02", "C-02", "pinned A-01",
+                                  "pinned G-01"])
+@pytest.mark.parametrize("config_name", ["MQN-B", "QNA-B"])
+def test_block_free_flow_models_stay_whole(tmp_path, road, config_name):
+    # Their first working set holds every column: the LP goes to HiGHS as
+    # it is, in one run().
+    instance = (pinned_road(road.split()[1]) if road.startswith("pinned")
+                else suite_road(tmp_path, road))
+    mps = parse_mps(emit_mps_text(build(instance, named_config(config_name))))
+    arrays = milp_solve.model_arrays(mps)
+    assert not arrays[-1].any()
+    assert milp_solve.working_set(arrays).all()
+
+
+@pytest.mark.parametrize("case", ["wide LP", "wide LP infeasible at first",
+                                  "A-02", "C-02"])
+def test_working_set_matches_a_loop(tmp_path, case):
+    # Row by row: each row's columns that can rest at 0, by cost and then
+    # column id, the first _PER_ROW of them; and every column that cannot.
+    if case in SMALL_MODELS:
+        mps = parse_mps(SMALL_MODELS[case])
+    else:
+        mps = parse_mps(emit_mps_text(build(suite_road(tmp_path, case),
+                                            named_config("CTG-B"))))
+    rests = [lower == 0.0 and upper > 0.0 for lower, upper
+             in zip(mps.col_lower.tolist(), mps.col_upper.tolist())]
+    in_row = [set() for _ in mps.row_order]
+    for row, col, _ in mps.entries.tolist():
+        if rests[col]:
+            in_row[row].add(col)
+    want = {col for col, rest in enumerate(rests) if not rest}
+    for cols in in_row:
+        cheapest = sorted(cols, key=lambda col: (mps.cost[col], col))
+        want.update(cheapest[:milp_solve._PER_ROW])
+    got = milp_solve.working_set(milp_solve.model_arrays(mps))
+    assert set(np.flatnonzero(got).tolist()) == want
 
 
 def parent_status_word(model_status, is_mip, objective):
