@@ -17,7 +17,12 @@ in file order. The text is split into lines 64 KB at a time, and each
 line's ids and values are appended to typed arrays, so no Python object per
 token lives longer than its piece of text; costs are summed into a typed
 array that grows with the columns. write_solution writes the solution in
-column order.
+column order, the nonzero values only: a reader takes an absent name as 0.
+On G-01 CTG-B, 1,390 of 203,523 columns are nonzero, and the file went
+from 2.77 MB to 37 KB. run() ends the process with os._exit once the
+solution file is closed and the output flushed: from main's return to
+the exit took 44-60 ms with the interpreter's teardown and 3-9 ms
+without it, on A-01 MQN-B and G-01 CTG-B.
 
 solve_arrays is the one seam to HiGHS: cost, column bounds, integrality, a
 CSC matrix and row bounds in, as one list it empties; status word,
@@ -146,6 +151,7 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -658,15 +664,23 @@ def working_set(arrays: list[np.ndarray]) -> np.ndarray:
     cheapest columns in it that can, the lower column id first among equal
     costs. A column can rest at 0 when its lower bound is exactly 0 and
     its upper bound above 0. arrays are laid out as model_arrays does."""
-    cost, col_lower, col_upper, _, _, start, index, _, _ = arrays
+    cost, col_lower, col_upper, row_lower, _, start, index, _, _ = arrays
+    n, m = len(cost), len(row_lower)
     rests = (col_lower == 0.0) & (col_upper > 0.0)
     working = ~rests
-    col = np.repeat(np.arange(len(cost)), np.diff(start))
+    by_cost = np.argsort(cost, kind="stable")   # lower id first on a tie
+    cost_rank = np.empty(n, np.int64)
+    cost_rank[by_cost] = np.arange(n)
+    col = np.repeat(np.arange(n), np.diff(start))
     at = np.flatnonzero(rests[col])
-    at = at[np.lexsort((cost[col[at]], index[at]))]     # by row, then cost
-    head = np.flatnonzero(np.diff(index[at], prepend=-1))   # each row's first
-    rank = np.arange(len(at)) - np.repeat(head, np.diff(head, append=len(at)))
-    working[col[at[rank < _PER_ROW]]] = True
+    # One sort by row, then cost: each entry as row * n + its cost rank.
+    key = index[at] * np.int64(n) + cost_rank[col[at]]
+    key.sort()
+    row = key // n
+    first = np.zeros(m + 1, np.int64)   # each row's first position in key
+    np.cumsum(np.bincount(row, minlength=m), out=first[1:])
+    near = np.arange(len(key)) - first[row] < _PER_ROW
+    working[by_cost[key[near] - row[near] * n]] = True
     return working
 
 
@@ -962,11 +976,13 @@ _PIECE_LINES = 1 << 13
 def write_solution(path: str, status: str, objective: float | None,
                    wall_time: float, names: str,
                    values: np.ndarray | None) -> None:
-    """One "name value" line per column, in column order; names holds the
-    column names, one per line, and is split a piece at a time as the
-    lines are written. values may run on past the names: binarize_sos
-    appends its binaries after the columns the file declared, and those
-    are not written."""
+    """The reserved keys, then one "name value" line per column whose value
+    is not 0.0 (-0.0 is 0.0), in column order, and the first column's line
+    in any case: a reader turns an optimal file with no values into an
+    error, and reads an absent name as 0. names holds the column names,
+    one per line, and is split a piece at a time as the lines are written.
+    values may run on past the names: binarize_sos appends its binaries
+    after the columns the file declared, and those are not written."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"status {status}\n")
         if objective is not None:
@@ -976,10 +992,16 @@ def write_solution(path: str, status: str, objective: float | None,
             return
         names = text_lines(names)
         for start in range(0, len(values), _PIECE_LINES):
-            # values first: zip must not draw a name it then drops
+            piece = values[start:start + _PIECE_LINES]
+            # Exactly this piece's names: drawing one too many or too few
+            # would put every later name beside another column's value.
+            own = list(islice(names, len(piece)))
+            kept = np.flatnonzero(piece[:len(own)])
+            if start == 0 and own:
+                kept = np.union1d(kept, [0])
             fh.write("".join([
-                f"{name} {value!r}\n" for value, name in zip(
-                    values[start:start + _PIECE_LINES].tolist(), names)]))
+                f"{own[at]} {value!r}\n" for at, value in zip(
+                    kept.tolist(), piece[kept].tolist())]))
 
 
 def _number(text: str) -> float:
@@ -1044,7 +1066,7 @@ def main(argv: list[str] | None = None) -> int:
             arrays, args.time_limit, args.gap, sos_flags)
         write_solution(args.solution, status, objective,
                        time.monotonic() - start, names, values)
-    except (MpsError, OSError, ImportError) as exc:
+    except (MpsError, OSError, ImportError, UnicodeDecodeError) as exc:
         print(f"valign-milp: {exc}", file=sys.stderr)
         try:
             with open(args.solution, "w", encoding="ascii") as fh:
@@ -1061,7 +1083,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """The console script and ``python -m``: main's code as the exit
+    status, with no interpreter teardown once the solution file is closed
+    and the output flushed. A usage error or an uncaught exception exits
+    as usual."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

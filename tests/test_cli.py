@@ -9,6 +9,7 @@ import pytest
 from valign.cli import main
 from valign.gateway import SolverLimits
 from valign.instance_io import write_instance
+from valign.milp_solve import parse_mps
 
 from conftest import BUNDLED_SOLVER, make_instance
 
@@ -163,10 +164,14 @@ def test_solve_closes_suite_road_by_schedule(tmp_path, flags):
     assert "(schedule " in (work / "solver.log").read_text()
     text = out.read_text()
     assert "validation pass" in text
-    gates = [line.split() for line in (work / "model.sol").read_text()
-             .splitlines() if line.startswith("Y_")]
+    # The file lists nonzero values only: a gate it leaves out is 0.
+    columns = parse_mps((work / "model.mps").read_text()).columns
+    gates = [name for name in columns if name.startswith("Y_")]
     assert len(gates) == 6      # two blocks, steps 0-2
-    assert {value for _, value in gates} <= {"0.0", "1.0"}
+    written = dict(line.split() for line in (work / "model.sol").read_text()
+                   .splitlines() if line.startswith("Y_"))
+    assert written.keys() <= set(gates)
+    assert set(written.values()) == {"1.0"}
 
 
 def test_solve_infeasible(tmp_path):
@@ -395,8 +400,9 @@ def test_report_missing_inputs(tmp_path, capsys):
 def test_solve_non_finite_solution_value(two_node_path, capsys):
     # The solver's answer is rewritten with a NaN offset: decoding refuses
     # it, so the run exits as a solver failure instead of passing.
+    # U_1 may be absent from the file, which lists nonzero values only.
     nan_solver = (f"sh -c '{BUNDLED_SOLVER} && "
-                  "sed -i \"s/^U_1 .*/U_1 nan/\" {sol}'")
+                  "sed -i \"/^U_1 /d\" {sol} && echo U_1 nan >> {sol}'")
     rc = main(["solve", two_node_path, "--solver", nan_solver])
     assert rc == 3
     assert "non-finite value nan for U_1" in capsys.readouterr().err

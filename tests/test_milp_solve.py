@@ -21,6 +21,7 @@ from valign.builder import (
     build,
     named_config,
 )
+from valign.gateway import decode, parse_solution_text
 from valign.milp_solve import (
     MpsError,
     binarize_sos,
@@ -228,7 +229,79 @@ def test_main_writes_the_files_own_sosb_columns(tmp_path):
     assert main([mps, str(sol)]) == 0
     lines = sol.read_text().splitlines()
     assert lines[:2] == ["status optimal", "objective 2.0"]
-    assert lines[3:] == ["_SOSB_keep 2.0", "y 0.0"]
+    assert lines[3:] == ["_SOSB_keep 2.0"]     # y is 0.0: not listed
+
+
+def test_all_zero_optimum_lists_the_first_column(tmp_path):
+    # A reader turns an optimal file with no values into an error, so an
+    # all-zero x still lists one: the first column's.
+    mps = write(tmp_path, "NAME z\nROWS\n N COST\n G need\nCOLUMNS\n"
+                "    x COST 1.0 need 1.0\n    y COST 2.0 need 1.0\n"
+                "ENDATA\n")
+    sol = tmp_path / "out.sol"
+    assert main([mps, str(sol)]) == 0
+    lines = sol.read_text().splitlines()
+    assert lines[:2] == ["status optimal", "objective 0.0"]
+    assert lines[3:] == ["x 0.0"]
+    solution = parse_solution_text(sol.read_text(), ("x", "y"))
+    assert solution.status == "optimal"
+    assert solution.values == {"x": 0.0}
+
+
+def test_write_solution_skips_zeros_and_the_binaries(tmp_path):
+    # -0.0 is zero, a NaN is not; the first column is listed in any case,
+    # as its value; values past the names, binarize_sos's binaries, are
+    # not written.
+    sol = tmp_path / "out.sol"
+    milp_solve.write_solution(
+        str(sol), "optimal", 2.5, 0.25, "a\nb\nc\nd\ne",
+        np.array([-0.0, 0.0, 1.5, math.nan, -0.0, 1.0, 1.0]))
+    assert sol.read_text() == ("status optimal\nobjective 2.5\n"
+                               "wall_time 0.25\na -0.0\nc 1.5\nd nan\n")
+
+
+def test_non_ascii_mps_is_an_input_error(tmp_path, capsys):
+    # A non-ASCII input is reported like any other defect in it.
+    mps, sol = tmp_path / "m.mps", tmp_path / "out.sol"
+    mps.write_bytes(TOY_MPS.encode("ascii").replace(b"NAME toy",
+                                                     b"NAME to\xc3"))
+    assert main([str(mps), str(sol)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("valign-milp: 'ascii' codec can't decode byte 0xc3")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    message = err[len("valign-milp: "):-1]
+    assert sol.read_text() == f"status error\nmessage {message}\n"
+
+
+@pytest.mark.parametrize("text, args, code, out, err, head", [
+    (TOY_MPS, ["--gap", "1e-9"], 0,
+     "valign-milp: optimal objective -3.0 bound -3.0 (rounded relaxation)\n",
+     "", "status optimal\n"),
+    (TOY_MPS.replace("COST -3.0", "COST -inf"), [], 3, "",
+     "valign-milp: column b: objective coefficient -inf is not finite\n",
+     "status error\n"),
+    (TOY_MPS, ["--gap", "-1"], 2, "",
+     "error: argument --gap: must be >= 0, got '-1'\n", None),
+], ids=["optimal", "input error", "usage error"])
+def test_adapter_process_exit_keeps_its_output(tmp_path, text, args, code,
+                                               out, err, head):
+    # run() ends the process with os._exit: the closing stdout line, the
+    # stderr message and the exit code arrive as main gave them; a usage
+    # error exits through argparse as usual, after its usage lines. The
+    # output is a pipe and buffered, so only a flush before the exit
+    # saves it.
+    mps, sol = write(tmp_path, text), tmp_path / "out.sol"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    done = subprocess.run(
+        [sys.executable, "-m", "valign.milp_solve", *args, mps, str(sol)],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == code
+    assert done.stdout == out
+    assert done.stderr.endswith(err) and (code == 2 or done.stderr == err)
+    if head is None:
+        assert not sol.exists()
+    else:
+        assert sol.read_text().startswith(head)
 
 
 @pytest.mark.parametrize("flag, value, message", [
@@ -473,22 +546,23 @@ class RecordingHighs:
 
 
 # sha256 of the options and arrays the adapter hands to HiGHS, and of the
-# solution file it writes for seeded values (less its wall_time line). G-01
-# CTG-B is sifted: HiGHS gets its first working set, and with no row dual
-# no other column prices out.
+# solution file it writes for seeded values (less its wall_time line),
+# which lists the nonzero values and the first column's. G-01 CTG-B is
+# sifted: HiGHS gets its first working set, and with no row dual no other
+# column prices out.
 @pytest.mark.parametrize("case, config_name, arrays, solution", [
     ("A-01", "MQN-B",
      "f7bc0dd395f5faf6107002487b3bbf9b094241a4e9980ca6f97cd0a855a4e5a4",
-     "25020bf4cfc21bb9de4f629fac2961571bf8acf20236be6abef327c8319b63f7"),
+     "4d8a2657e596f5ef0e3b9ae7afe615cdef42a1043d5026a063b75fd9efdae06d"),
     ("G-01", "CTG-B",
      "5f12bcdfd1debf442bdb0845aea0ec2358fc0173ca709bc3f9c7efae17d20977",
-     "5c704e18f2b26f144834845e97ec192871d724f1e193de8057e32290eb899d89"),
+     "f914584ff30b8c359a7d4b8ca9cd4e68ce5b727f72990e81f8490863676fc792"),
     ("D-02 2 blocks", "MQN-S1",
      "dc8073483b8b897e16d841641cce7fe43c997ec1b99e43dc81d54995aec451d2",
-     "cfeab0e5f9de820585f70a3a73748ebb21e78bae9d2572f4b1ccd1480c0d3193"),
+     "6b2a4ad54b7c27a657270e195ae6a469955194ea1b7c1bd06d8276273a947cc6"),
     ("shared-pits", "MQN-S1",
      "80be8cd84f843eef89092e115d96e38b84a9b75e3ab696ba823b5755f4ca30ed",
-     "c7cad0c43308ffd621dbfad18395f7fc81e7843382b0e23d3e52ac3ce4594e78"),
+     "610e1aeacc0b46f3217be3e80c339b7b504ffbb899c8d90698ce904b32b38523"),
 ])
 def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
                                             config_name, arrays, solution):
@@ -508,6 +582,36 @@ def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
     assert RecordingHighs.digest == arrays
     # The block-free cells are pure LPs: their run() saw the arrays gone.
     assert RecordingHighs.runs_checked == (config_name != "MQN-S1")
+
+
+def test_sparse_solution_file_decodes_as_the_full_one(tmp_path):
+    # G-01 CTG-B spans many pieces of names: each value line carries its
+    # own column's name and x's value as written (repr round trip), the
+    # nonzero ones and the first, and the file decodes to the x a file
+    # listing every column gives.
+    instance, config = pinned_road("G-01"), named_config("CTG-B")
+    model = build(instance, config)
+    columns = model.columns
+    assert len(columns) > 8 * milp_solve._PIECE_LINES
+    status, objective, x = solve_parsed(model, 60.0, 0.01)
+    assert status == "optimal"
+    sparse, full = tmp_path / "sparse.sol", tmp_path / "full.sol"
+    milp_solve.write_solution(str(sparse), status, objective, 1.0,
+                              "\n".join(columns), x)
+    header = f"status optimal\nobjective {objective!r}\nwall_time 1.0\n"
+    full.write_text(header + "".join(
+        f"{name} {value!r}\n" for name, value in zip(columns, x.tolist())))
+    text = sparse.read_text()
+    assert text.startswith(header)
+    listed = [line.split(" ") for line in text.splitlines()[3:]]
+    want = [[name, repr(value)] for at, (name, value) in
+            enumerate(zip(columns, x.tolist())) if value != 0.0 or at == 0]
+    assert listed == want
+    assert 1000 < len(listed) < len(columns) / 100
+    results = [decode(parse_solution_text(path.read_text(), columns),
+                      instance, config, model) for path in (sparse, full)]
+    assert np.array_equal(results[0].x, x)
+    assert np.array_equal(results[1].x, x)
 
 
 def ranged_model() -> MilpModel:
