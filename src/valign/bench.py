@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from valign.builder import build, named_config
-from valign.gateway import Solution, decode, solve
+from valign.gateway import decode, solve
 from valign.instance import (
     AccessRoad,
     Block,

@@ -27,11 +27,13 @@ is declared over ids, so no column is ever looked up by name. The flow
 columns are declared at once from an ArcIndex grid: ctg_arcs puts the X arcs
 on the (supply node, demand node) grid, and flow_grid lays out the MH-QNF
 chains, indexed (haul, step, section or pit, chain), in the order of
-ctg_names and flow_names. _spline_rows returns the VP and VM ids by node for the rows over the flows (CTS/CTD/CTB/CTW;
-FCR/FCL, BALC/BALF, BALB/CAPB and BALW/CAPW; RIC/RIF), and the Y and W ids
-by (block, step) index the block rows. Rows over the flows and the block
-rows go through _Assembler.bulk_rows; the spline rows are declared one at a
-time.
+ctg_names and flow_names. _spline_rows returns the A and U ids, and the VP
+and VM ids by node for the rows over the flows (CTS/CTD/CTB/CTW; FCR/FCL,
+BALC/BALF, BALB/CAPB and BALW/CAPW; RIC/RIF), and the Y and W ids by
+(block, step) index the block rows. Rows over the flows and the block rows
+go through _Assembler.bulk_rows; the spline rows are declared one at a
+time. The model keeps the ids of its A, U, VP, VM, Y and flow runs as
+MilpModel.runs, so decode and fix_offsets find no column by name either.
 """
 
 from __future__ import annotations
@@ -81,13 +83,6 @@ class LinearConstraint:
     rhs_range: float | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class SosSet:
-    name: str
-    sos_type: int               # 1 or 2
-    members: tuple[tuple[str, float], ...]
-
-
 def _repeated(names: Sequence[str]) -> str | None:
     """The first name that occurs twice, if any."""
     if len(set(names)) == len(names):
@@ -100,56 +95,41 @@ def _repeated(names: Sequence[str]) -> str | None:
     return None
 
 
+class ColumnRuns(NamedTuple):
+    """Column ids of a built model's runs, indexed from 0: A_<g>_<k> by
+    (segment, k), U_<i>, VP over supply_nodes, VM over demand_nodes,
+    Y_<k>_<t> by (block, step), and flow_grid's five arrays or CTG's one
+    (supply, demand) node grid, -1 where no arc is."""
+
+    coefficients: np.ndarray
+    offsets: np.ndarray
+    cut: np.ndarray
+    fill: np.ndarray
+    removal: np.ndarray
+    flows: tuple[np.ndarray, ...]
+
+
 @dataclass(eq=False)
 class MilpModel(ColumnarModel):
     """A MILP to minimize, in the columnar layout the module docstring
-    describes, with its provenance.
+    describes, with its provenance and, when the builder made it, the ids
+    of its column runs, by which decode reads a solution.
 
-    The arrays are read-only; variables, constraints, objective and
-    binary_count are views built from them. from_objects takes the object
-    form (Variable, LinearConstraint, SosSet and (name, cost) pairs), as
-    hand-built models do; the builders use _Assembler directly.
+    The arrays, those of runs too, are read-only; variables, constraints
+    and binary_count are views built from them.
     """
 
     provenance: tuple[tuple[str, str], ...] = ()
+    runs: ColumnRuns | None = None
 
     def __post_init__(self):
-        for value in vars(self).values():
+        arrays = list(vars(self).values())
+        if self.runs is not None:
+            arrays += [*self.runs[:-1], *self.runs.flows]
+        for value in arrays:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
         self._lint_passed = False
-
-    @classmethod
-    def from_objects(cls, name: str, variables: Iterable[Variable] = (),
-                     constraints: Iterable[LinearConstraint] = (),
-                     sos_sets: Iterable[SosSet] = (),
-                     objective: Iterable[tuple[str, float]] = (),
-                     provenance: Iterable[tuple[str, str]] = ()) -> MilpModel:
-        variables = tuple(variables)
-        column = {v.name: c for c, v in enumerate(variables)}
-
-        def ids(owner: str, pairs: Iterable[tuple[str, float]]
-                ) -> list[tuple[int, float]]:
-            try:
-                return [(column[var], value) for var, value in pairs]
-            except KeyError as exc:
-                raise BuildError(f"{owner}: unknown variable {exc.args[0]}") \
-                    from None
-
-        cost = np.zeros(len(variables))
-        for col, value in ids("objective", objective):
-            cost[col] += value
-        asm = _Assembler(name)
-        asm.columns([v.name for v in variables], cost,
-                    [v.lower for v in variables], [v.upper for v in variables],
-                    [v.kind == "binary" for v in variables])
-        for row in constraints:
-            asm.row(row.name, ids(f"row {row.name}", row.coeffs), row.sense,
-                    row.rhs, row.rhs_range)
-        for sos in sos_sets:
-            asm.add_sos(sos.name, sos.sos_type,
-                        ids(f"SOS set {sos.name}", sos.members))
-        return asm.model(provenance)
 
     @cached_property
     def variables(self) -> tuple[Variable, ...]:
@@ -174,12 +154,6 @@ class MilpModel(ColumnarModel):
             for r, (row, sense, rhs, rng) in enumerate(zip(
                 self.row_order, self.senses.tolist(), self.row_rhs.tolist(),
                 self.row_range.tolist())))
-
-    @cached_property
-    def objective(self) -> tuple[tuple[str, float], ...]:
-        priced = np.flatnonzero(self.cost)
-        return tuple(zip([self.columns[c] for c in priced.tolist()],
-                         self.cost[priced].tolist()))
 
     @property
     def binary_count(self) -> int:
@@ -229,6 +203,10 @@ class MilpModel(ColumnarModel):
         for _, name, members in self.sos_sets:
             if len(members) < 2:
                 raise BuildError(f"SOS set {name}: needs >= 2 members")
+            outside = [c for c, _ in members if not 0 <= c < len(names)]
+            if outside:
+                raise BuildError(
+                    f"SOS set {name}: unknown variable {outside[0]}")
             weights = [w for _, w in members]
             if len(set(weights)) != len(weights):
                 raise BuildError(f"SOS set {name}: duplicate weights")
@@ -325,7 +303,8 @@ class ArcIndex:
     The builder declares each family of columns as one run: A_<g>_<k>
     (segment major), U_<i>, VP over supply_nodes, VM over demand_nodes, the
     flows (ctg_names or flow_names) and Y_<k>_<t> (block major), in this
-    order, with piecewise and SOS1 columns between or after them.
+    order, with piecewise and SOS1 columns between or after them. It keeps
+    the ids the declarations return as the model's ColumnRuns.
     """
 
     def __init__(self, instance: RoadInstance):
@@ -416,50 +395,6 @@ class ArcIndex:
                           for d in DIRECTIONS]
         return names
 
-    def column_runs(self, columns: Sequence[str],
-                    config: BuilderConfig) -> ColumnRuns:
-        """The ColumnRuns of a model built for this instance and config."""
-        segments = self.instance.segment_layout.segment_count
-        head = (_run(columns, self.coeff(1, 1), 3 * segments).reshape(-1, 3),
-                _run(columns, self.offset(1), self.n),
-                _run(columns, self.cut(1), len(self.supply_nodes)),
-                _run(columns, self.fill(1), len(self.demand_nodes)))
-        if config.model == "CTG":
-            src, dst = self.ctg_arcs
-            grid = np.full((len(self.supply_nodes), len(self.demand_nodes)),
-                           -1)
-            if src.size:
-                s, d = self.supply_nodes[src[0]], self.demand_nodes[dst[0]]
-                grid[src, dst] = _run(columns, f"X_{s}_{d}", src.size)
-            return ColumnRuns(*head, np.empty((0, 1), int), (grid,))
-        n_blocks = len(self.instance.blocks)
-        removal = _run(columns, self.removal(1, 0), n_blocks * (n_blocks + 1))
-        start = columns.index(f"FR_1_0_1_{1 + DIRECTIONS[0]}")
-        grid = self.flow_grid(len(effective_hauls(self.instance, config)),
-                              n_blocks + 1)
-        return ColumnRuns(*head, removal.reshape(n_blocks, n_blocks + 1),
-                          tuple(start + arcs for arcs in grid))
-
-
-def _run(columns: Sequence[str], first: str, count: int) -> np.ndarray:
-    """The ids of a run of count columns, found by its first name."""
-    start = columns.index(first) if count else 0
-    return np.arange(start, start + count)
-
-
-class ColumnRuns(NamedTuple):
-    """Column ids of a built model's runs, indexed from 0: A_<g>_<k> by
-    (segment, k), U_<i>, VP over supply_nodes, VM over demand_nodes,
-    Y_<k>_<t> by (block, step), and flow_grid's five arrays or CTG's one
-    (supply, demand) node grid, -1 where no arc is."""
-
-    coefficients: np.ndarray
-    offsets: np.ndarray
-    cut: np.ndarray
-    fill: np.ndarray
-    removal: np.ndarray
-    flows: tuple[np.ndarray, ...]
-
 
 class _Assembler:
     """Accumulates a model by column id.
@@ -545,7 +480,8 @@ class _Assembler:
         """Declare an SOS set by its members' column ids and weights."""
         self.sos.append((sos_type, name, tuple(members)))
 
-    def model(self, provenance: Iterable[tuple[str, str]]) -> MilpModel:
+    def model(self, provenance: Iterable[tuple[str, str]],
+              runs: ColumnRuns | None = None) -> MilpModel:
         """The declarations as a model of read-only arrays."""
         self._flush()
         cost, lower, upper, binary = (
@@ -558,10 +494,11 @@ class _Assembler:
             np.array(self.senses, "U"), np.array(self.rhs, np.float64),
             np.array(self.rhs_range, np.float64),
             np.concatenate(self.chunks or [np.empty(0, ENTRY)]),
-            tuple(self.sos), provenance=tuple(provenance))
+            tuple(self.sos), provenance=tuple(provenance), runs=runs)
 
-    def finish(self, provenance: Sequence[tuple[str, str]]) -> MilpModel:
-        model = self.model(provenance)
+    def finish(self, provenance: Sequence[tuple[str, str]],
+               runs: ColumnRuns | None = None) -> MilpModel:
+        model = self.model(provenance, runs)
         model.lint()
         return model
 
@@ -576,25 +513,26 @@ def _check_segments(instance: RoadInstance) -> None:
 
 def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
                  volume_mode: str, price_volumes: bool
-                 ) -> tuple[np.ndarray, np.ndarray]:
+                 ) -> tuple[np.ndarray, ...]:
     """Shared rows: coefficients, offsets, volumes, continuity, slope.
 
     The section volumes carry their material's excavation and embankment
     rates as cost when price_volumes is set; CTG carries them on its arcs.
-    Returns the ids of the cut volumes VP over names.supply_nodes and of
-    the fill volumes VM over names.demand_nodes."""
+    Returns the column ids of the coefficients A by (segment, k), of the
+    offsets U, of the cut volumes VP over names.supply_nodes and of the fill
+    volumes VM over names.demand_nodes."""
     layout = instance.segment_layout
     m, n = layout.segment_count, instance.n
     sections = [instance.section(i) for i in range(1, n + 1)]
     materials = [instance.material_of(i) for i in range(1, n + 1)]
     caps = [big_m(instance, i, volume_mode) for i in range(1, n + 1)]
 
-    a = asm.columns([names.coeff(g, k) for g in range(1, m + 1)
-                     for k in (1, 2, 3)],
-                    lower=-math.inf).reshape(m, 3).tolist()  # [g - 1][k - 1]
-    u = asm.columns([names.offset(i) for i in range(1, n + 1)],
-                    lower=[sec.offset_lo for sec in sections],
-                    upper=[sec.offset_hi for sec in sections]).tolist()
+    a_ids = asm.columns([names.coeff(g, k) for g in range(1, m + 1)
+                         for k in (1, 2, 3)], lower=-math.inf).reshape(m, 3)
+    u_ids = asm.columns([names.offset(i) for i in range(1, n + 1)],
+                        lower=[sec.offset_lo for sec in sections],
+                        upper=[sec.offset_hi for sec in sections])
+    a, u = a_ids.tolist(), u_ids.tolist()  # a[g - 1][k - 1]
     borrow, waste = instance.borrow_pits, instance.waste_pits
     vp = asm.columns([names.cut(node) for node in names.supply_nodes],
                      cost=[mat.excavation if price_volumes else 0.0
@@ -679,7 +617,7 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
                 "L", instance.slope_hi, rhs_range=slope_range)
         asm.row(f"SLP_{g}_E", [(ag[1], 1.0), (ag[2], 2.0 * span)],
                 "L", instance.slope_hi, rhs_range=slope_range)
-    return vp, vm
+    return a_ids, u_ids, vp, vm
 
 
 def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
@@ -698,8 +636,8 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
 
     names = ArcIndex(instance)
     asm = _Assembler("VALIGN")
-    vp, vm = _spline_rows(asm, instance, names, config.volume_mode,
-                          price_volumes=True)
+    a, u, vp, vm = _spline_rows(asm, instance, names, config.volume_mode,
+                                price_volumes=True)
     hs = range(1, len(hauls) + 1)
 
     # Flow columns, laid out by ArcIndex.flow_grid. Transit arcs leaving the
@@ -778,7 +716,7 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
         _block_rows(asm, instance, config, grid, y, vp, vm)
 
     provenance = _provenance(instance, config, hauls, steps)
-    return asm.finish(provenance)
+    return asm.finish(provenance, ColumnRuns(a, u, vp, vm, y, grid))
 
 
 def _block_rows(asm: _Assembler, instance: RoadInstance,
@@ -930,8 +868,8 @@ def build_ctg(instance: RoadInstance,
     names = ArcIndex(instance)
     asm = _Assembler("VALIGN")
     # Material cost is carried on the arcs, not on the volumes.
-    vp, vm = _spline_rows(asm, instance, names, config.volume_mode,
-                          price_volumes=False)
+    a, u, vp, vm = _spline_rows(asm, instance, names, config.volume_mode,
+                                price_volumes=False)
 
     hauls = instance.cost_model.hauls
     stations = instance.stations
@@ -970,18 +908,23 @@ def build_ctg(instance: RoadInstance,
         [(supply_row[src], ids, 1.0), (demand_row[dst], ids, 1.0),
          (supply_row, vp, -1.0), (demand_row, vm, -1.0)])
 
+    # The arcs by (supply node, demand node), -1 on the diagonal. int32, as
+    # the MPS writer's ids: as int64 (1.6 MB on G-01) the grid left the next
+    # long-road build 8 MB higher in peak RSS (heap reuse).
+    grid = np.full((len(names.supply_nodes), len(names.demand_nodes)), -1,
+                   np.int32)
+    grid[src, dst] = ids
     provenance = _provenance(instance, config, hauls, [0])
-    return asm.finish(provenance)
+    return asm.finish(provenance, ColumnRuns(a, u, vp, vm,
+                                             np.empty((0, 1), int), (grid,)))
 
 
 def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
     """Pin every section offset, reducing the MILP to earthwork allocation:
-    the model with one more row per section, FIX_<i>: U_<i> = offset.
-
-    The offsets are the run of columns U_1, U_2, ... that the builder
-    declares in one call, one per section of the model's provenance."""
-    n = int(dict(model.provenance).get("sections", 0))
-    cols = _run(model.columns, ArcIndex.offset(1), n)
+    the model with one more row per section, FIX_<i>: U_<i> = offset, over
+    the offset run of model.runs."""
+    cols = model.runs.offsets
+    n = len(cols)
     m = len(model.row_order)
     if len(offsets) != n:
         raise BuildError(f"need {n} offsets, got {len(offsets)}")

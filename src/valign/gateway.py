@@ -8,7 +8,9 @@ the bundled adapter) is resolved by default_solver_command().
 Two solution file layouts are understood, told apart by the first
 character of the text: a leading "<" is an XML-ish sectioned layout with a
 header element plus one element per variable, anything else is "name value"
-pairs with reserved keys status/objective/wall_time.
+pairs with reserved keys status/objective/wall_time. Either is read onto x,
+in the model's column order; past that point columns are ids, and decode
+reads x by the ids the builder recorded in model.runs.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 
-from valign.builder import ArcIndex, BuilderConfig, ColumnRuns, MilpModel
+from valign.builder import BuilderConfig, ColumnRuns, MilpModel
 from valign.instance import RoadInstance
 from valign.milp_solve import text_lines
 from valign.mps import emit_mps
@@ -62,9 +64,12 @@ class SolverLimits:
 
 @dataclass(frozen=True)
 class Solution:
+    """A solver's answer. x, read-only, holds the values in the model's
+    column order; it is empty unless the status is optimal or feasible."""
+
     status: str
     objective: float | None
-    values: dict[str, float]
+    x: np.ndarray = field(compare=False, repr=False)
     wall_time: float
     solver_log_path: str = ""
     solver_time: float = 0.0     # the solver's own report (wall_time key)
@@ -75,15 +80,19 @@ class Solution:
         if self.status in ("optimal", "feasible"):
             if self.objective is None or not math.isfinite(self.objective):
                 raise ValueError(f"{self.status} solution without objective")
-            if not self.values:
+            if not self.x.size:
                 raise ValueError(f"{self.status} solution without values")
+        self.x.flags.writeable = False
+
+
+_NO_VALUES = np.empty(0)  # the x of a solution that has none
 
 
 @dataclass(frozen=True)
 class AlignmentResult:
     """A decoded solution: x, the solution in the model's column order
     (read-only), and every other field read off x by the column ids in runs
-    (ArcIndex.column_runs); no name is kept."""
+    (the model's); no name is kept."""
 
     status: str
     objective: float
@@ -203,11 +212,13 @@ def _normalize_status(raw: str, has_values: bool) -> str:
     return status
 
 
-def parse_solution_text(text: str, columns: Sequence[str] = ()
-                        ) -> Solution:
-    """A solution file's text, in the dialect its first character names.
-    columns, the model's, key the values where the pairs dialect lists
-    them in order (parse_pairs)."""
+def parse_solution_text(text: str, columns: Sequence[str]) -> Solution:
+    """A solution file's text, in the dialect its first character names,
+    read onto x in the order of columns, the model's: a name the file does
+    not list reads 0, and one no column has is ignored. A file whose values
+    name none of the columns has no values. The pairs dialect's names are
+    keyed by the columns' own where the file lists them in order
+    (parse_pairs)."""
     if text.lstrip().startswith("<"):
         try:
             raw = parse_xmlish(text)
@@ -217,7 +228,8 @@ def parse_solution_text(text: str, columns: Sequence[str] = ()
                            if k not in _RESERVED})
     else:
         raw, values = parse_pairs(text, columns)
-    status = _normalize_status(raw.get("status", "error"), bool(values))
+    named = not values.keys().isdisjoint(columns)
+    status = _normalize_status(raw.get("status", "error"), named)
     objective = None
     if "objective" in raw:
         try:
@@ -225,12 +237,13 @@ def parse_solution_text(text: str, columns: Sequence[str] = ()
         except ValueError as exc:
             raise SolveError(f"bad objective {raw['objective']!r}") from exc
     if status in ("optimal", "feasible") and (
-            objective is None or not values):
+            objective is None or not named):
         status = "error"
-        objective = None
-        values = {}
-    if status not in ("optimal", "feasible"):
-        values = {}
+    x = _NO_VALUES
+    if status in ("optimal", "feasible"):
+        x = np.fromiter(map(values.get, columns, repeat(0.0)), float,
+                        len(columns))
+    else:
         objective = None
     wall = 0.0
     if "wall_time" in raw:
@@ -238,7 +251,7 @@ def parse_solution_text(text: str, columns: Sequence[str] = ()
             wall = float(raw["wall_time"])
         except ValueError:
             wall = 0.0
-    return Solution(status, objective, values, wall, solver_time=wall)
+    return Solution(status, objective, x, wall, solver_time=wall)
 
 
 def _substitute(template: str, mps_path: str, sol_path: str,
@@ -309,7 +322,7 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
             output = exc.output
         except OSError as exc:
             log.write(f"launch failure: {exc}\n")
-            return Solution("error", None, {},
+            return Solution("error", None, _NO_VALUES,
                             time.monotonic() - start, log_path)
         wall = time.monotonic() - start
         log.write((output or b"").decode("utf-8", errors="replace"))
@@ -325,39 +338,38 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
         try:
             parsed = parse_solution_text(text, model.columns)
         except SolveError:
-            return Solution("error", None, {}, wall, log_path)
+            return Solution("error", None, _NO_VALUES, wall, log_path)
         status = parsed.status
         if timed_out and status not in ("optimal", "feasible", "infeasible"):
             status = "timeout"
-        return Solution(status, parsed.objective, parsed.values, wall,
+        return Solution(status, parsed.objective, parsed.x, wall,
                         log_path, parsed.solver_time)
     if timed_out:
-        return Solution("timeout", None, {}, wall, log_path)
-    return Solution("error", None, {}, wall, log_path)
+        return Solution("timeout", None, _NO_VALUES, wall, log_path)
+    return Solution("error", None, _NO_VALUES, wall, log_path)
 
 
 def decode(solution: Solution, instance: RoadInstance,
            config: BuilderConfig, model: MilpModel) -> AlignmentResult:
     """Map a solution onto a structured alignment by column id.
 
-    Variables absent from the solution values are taken as zero (sparse
-    solution files); an empty overlap with the model or a non-finite value
+    x must have one value per column of the model, and a non-finite value
     is an error. The objective is recomputed from the model's cost vector
     and must match the solver's report within OBJECTIVE_RTOL relative (to
-    at least 1). Every field is read off x by ArcIndex.column_runs.
+    at least 1). Every field is read off x by the builder's model.runs.
     """
     if solution.status not in ("optimal", "feasible"):
         raise DecodeError(f"cannot decode a {solution.status} solution")
 
-    columns, values = model.columns, solution.values
-    if columns and values.keys().isdisjoint(columns):
-        raise DecodeError("solution shares no variables with the model")
-    x = np.fromiter(map(values.get, columns, repeat(0.0)), float,
-                    len(columns))
+    x, columns = solution.x, model.columns
+    if len(x) != len(columns):
+        raise DecodeError(f"solution has {len(x)} values for a model of "
+                          f"{len(columns)} columns")
     bad = ~np.isfinite(x)
     if bad.any():
-        column = columns[int(np.argmax(bad))]
-        raise DecodeError(f"non-finite value {values[column]!r} for {column}")
+        at = int(np.argmax(bad))
+        raise DecodeError(f"non-finite value {x[at].item()!r} for "
+                          f"{columns[at]}")
 
     recomputed = float(model.cost @ x)
     assert solution.objective is not None
@@ -367,8 +379,7 @@ def decode(solution: Solution, instance: RoadInstance,
             f"objective mismatch: solver {solution.objective!r} vs "
             f"recomputed {recomputed!r}")
 
-    x.flags.writeable = False
-    runs = ArcIndex(instance).column_runs(columns, config)
+    runs = model.runs
     n = instance.n
     cut, fill = x[runs.cut].tolist(), x[runs.fill].tolist()
     return AlignmentResult(

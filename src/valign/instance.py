@@ -14,7 +14,7 @@ Site features (borrow/waste pits, blocks, access roads) attach to sections.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 

@@ -10,12 +10,11 @@ so re-serialization is byte-identical.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 from valign.builder import KNOWN_CONFIG_NAMES
-from valign.gateway import SolverLimits, default_solver_command
+from valign.gateway import SolverLimits
 from valign.instance import (
     DEFAULT_SLOPE_HI,
     DEFAULT_SLOPE_LO,
@@ -302,7 +301,9 @@ def write_instance(instance: RoadInstance, path: str) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Tool configuration: how to reach a solver and what to run."""
+    """Tool configuration: how to reach a solver and what to run. An empty
+    solver_command names none: gateway.solve then runs the bundled
+    adapter, and the CLI asks for --solver."""
 
     solver_command: str
     limits: SolverLimits
@@ -313,20 +314,20 @@ def parse_config_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ValueError("config: expected a JSON object")
     errors: list[str] = []
-    command = doc.get("solver_command") or default_solver_command()
+    command = doc.get("solver_command") or ""
     if not isinstance(command, str):
         errors.append("solver_command: expected string")
-        command = default_solver_command()
+        command = ""
     limits_obj = doc.get("limits", {})
     if not isinstance(limits_obj, dict):
         errors.append("limits: expected object")
         limits_obj = {}
+    known = {f.name for f in fields(SolverLimits)}
+    for key in sorted(set(limits_obj) - known):
+        errors.append(f"limits.{key}: unknown limit key")
     try:
-        limits = SolverLimits(
-            time_limit=float(limits_obj.get("time_limit", 600.0)),
-            mip_gap=float(limits_obj.get("mip_gap", 0.01)),
-            feasibility_tol=float(limits_obj.get("feasibility_tol", 1e-6)),
-        )
+        limits = SolverLimits(**{key: float(value) for key, value
+                                 in limits_obj.items() if key in known})
     except (TypeError, ValueError) as exc:
         errors.append(f"limits: {exc}")
         limits = SolverLimits()

@@ -6,7 +6,7 @@ reusing the MILP rows. recompute_cost re-derives the objective from flows
 and volumes by its own arithmetic.
 
 No variable name is read here: AlignmentResult.flows indexes the decoded x
-by the column ids of ArcIndex.column_runs, once per result, into CTG's
+by the column ids of the builder's model.runs, once per result, into CTG's
 (supply, demand) grid or flow_grid's arrays. That column layout is the only
 thing shared with the builder; conservation, balance, capacity, bounds,
 block gating, removal and the re-priced cost are derived from the grids and
@@ -22,12 +22,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from valign.builder import ArcIndex, BuilderConfig, effective_hauls
-from valign.gateway import AlignmentResult
+from valign.gateway import OBJECTIVE_RTOL, AlignmentResult
 from valign.instance import (
     RoadInstance,
     block_access_sets,
     cheapest_haul_costs,
-    evaluate_grade,
     evaluate_profile,
 )
 
@@ -307,9 +306,10 @@ def _check_ctg_flows(instance, result, hits) -> None:
 
 def repricing_error(recomputed: float, objective: float) -> str:
     """Why a re-priced cost disagrees with the solver's objective, or ""
-    when the two agree to 1e-5 relative (1e-5 absolute below 1); a NaN on
-    either side disagrees."""
-    if abs(recomputed - objective) <= 1e-5 * max(1.0, abs(objective)):
+    when the two agree to OBJECTIVE_RTOL relative (absolute below 1); a NaN
+    on either side disagrees."""
+    if abs(recomputed - objective) <= OBJECTIVE_RTOL * max(1.0,
+                                                          abs(objective)):
         return ""
     return f"recomputed cost {recomputed!r} != objective {objective!r}"
 

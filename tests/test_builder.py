@@ -14,11 +14,7 @@ from valign.builder import (
     ArcIndex,
     BuildError,
     BuilderConfig,
-    LinearConstraint,
-    MilpModel,
     QNF_COST_PAIRS,
-    SosSet,
-    Variable,
     _Assembler,
     build,
     effective_hauls,
@@ -66,7 +62,7 @@ def test_qnf_equals_mhqnf_with_one_haul():
         assert [v.name for v in qnf.variables] == \
             [v.name for v in mh.variables]
         assert qnf.constraints == mh.constraints
-        assert qnf.objective == mh.objective
+        assert qnf.cost.tolist() == mh.cost.tolist()
 
 
 def test_mhqnf_uses_all_hauls_by_default():
@@ -219,52 +215,72 @@ def test_conservation_row_counts():
 
 
 def test_object_form_round_trip():
-    # The object-form views rebuild the same columnar model.
+    # The object-form views, declared again by column id, rebuild the same
+    # columnar model.
     inst = make_instance([100.0, 101.0, 102.0, 101.0, 100.0], areas=[10.0] * 5,
                          offset=2.0, blocks=[2], access=[1],
                          borrow=[Pit("borrow", 3, 30.0, 15.0)])
     model = build(inst, named_config("MQN-S1"))
-    sos_sets = [SosSet(name, sos_type, tuple((model.columns[col], weight)
-                                             for col, weight in members))
-                for sos_type, name, members in model.sos_sets]
-    copy = MilpModel.from_objects(model.name, model.variables,
-                                  model.constraints, sos_sets,
-                                  model.objective, model.provenance)
+    column = {v.name: c for c, v in enumerate(model.variables)}
+    asm = _Assembler(model.name)
+    asm.columns([v.name for v in model.variables], model.cost,
+                [v.lower for v in model.variables],
+                [v.upper for v in model.variables],
+                [v.kind == "binary" for v in model.variables])
+    for row in model.constraints:
+        asm.row(row.name, [(column[name], value) for name, value in row.coeffs],
+                row.sense, row.rhs, row.rhs_range)
+    for sos_type, name, members in model.sos_sets:
+        asm.add_sos(name, sos_type, members)
+    copy = asm.finish(model.provenance)
     assert emit_mps_text(copy) == emit_mps_text(model)
 
 
-X, Y = Variable("x", upper=4.0), Variable("y", "binary", 0.0, 1.0)
+def two_columns(asm, x_bounds=(0.0, 4.0), y_upper=1.0, x_cost=0.0):
+    """Declare x (continuous) and y (binary) on asm, as ids 0 and 1."""
+    asm.columns(["x"], x_cost, *x_bounds)
+    asm.columns(["y"], upper=y_upper, binary=True)
 
 
-@pytest.mark.parametrize("message, variables, rows, objective, sos", [
-    ("variable x declared twice", (X, X), (), (), ()),
-    ("variable x: lower > upper", (Variable("x", lower=5.0, upper=4.0),),
-     (), (), ()),
-    ("variable y: binary outside", (Variable("y", "binary", 0.0, 2.0),),
-     (), (), ()),
-    ("row c declared twice", (X,),
-     (LinearConstraint("c", (("x", 1.0),), "L", 1.0),) * 2, (), ()),
-    ("row c: unknown variable z", (X,),
-     (LinearConstraint("c", (("z", 1.0),), "L", 1.0),), (), ()),
-    ("row c: duplicate variable x", (X,),
-     (LinearConstraint("c", (("x", 1.0), ("x", 2.0)), "L", 1.0),), (), ()),
-    ("row c: unknown sense '<='", (X,),
-     (LinearConstraint("c", (("x", 1.0),), "<=", 1.0),), (), ()),
-    ("row c: non-finite coefficient", (X,),
-     (LinearConstraint("c", (("x", math.nan),), "L", 1.0),), (), ()),
-    ("objective: unknown variable z", (X,), (), (("z", 1.0),), ()),
-    ("objective: non-finite cost on x", (X,), (), (("x", math.inf),), ()),
-    ("SOS set s: needs >= 2 members", (X, Y), (), (),
-     (SosSet("s", 1, (("x", 1.0),)),)),
-    ("SOS set s: duplicate weights", (X, Y), (), (),
-     (SosSet("s", 1, (("x", 1.0), ("y", 1.0))),)),
-    ("SOS set s: unknown variable z", (X, Y), (), (),
-     (SosSet("s", 1, (("x", 1.0), ("z", 2.0))),)),
-])
-def test_lint_rejects_defects(message, variables, rows, objective, sos):
+LINT_DEFECTS = [
+    ("variable x declared twice",
+     lambda asm: asm.columns(["x", "x"])),
+    ("variable x: lower > upper",
+     lambda asm: two_columns(asm, x_bounds=(5.0, 4.0))),
+    ("variable y: binary outside",
+     lambda asm: two_columns(asm, y_upper=2.0)),
+    ("row c declared twice",
+     lambda asm: two_columns(asm) or [asm.row("c", [(0, 1.0)], "L", 1.0)
+                                      for _ in range(2)]),
+    ("row c: unknown variable 2",
+     lambda asm: two_columns(asm) or asm.row("c", [(2, 1.0)], "L", 1.0)),
+    ("row c: duplicate variable x",
+     lambda asm: two_columns(asm) or asm.row("c", [(0, 1.0), (0, 2.0)],
+                                             "L", 1.0)),
+    ("row c: unknown sense '<='",
+     lambda asm: two_columns(asm) or asm.row("c", [(0, 1.0)], "<=", 1.0)),
+    ("row c: non-finite coefficient",
+     lambda asm: two_columns(asm) or asm.row("c", [(0, math.nan)], "L", 1.0)),
+    ("objective: non-finite cost on x",
+     lambda asm: two_columns(asm, x_cost=math.inf)),
+    ("SOS set s: needs >= 2 members",
+     lambda asm: two_columns(asm) or asm.add_sos("s", 1, [(0, 1.0)])),
+    ("SOS set s: duplicate weights",
+     lambda asm: two_columns(asm) or asm.add_sos("s", 1, [(0, 1.0),
+                                                         (1, 1.0)])),
+    ("SOS set s: unknown variable 2",
+     lambda asm: two_columns(asm) or asm.add_sos("s", 1, [(0, 1.0),
+                                                         (2, 2.0)])),
+]
+
+
+@pytest.mark.parametrize("message, declare", LINT_DEFECTS,
+                         ids=[message for message, _ in LINT_DEFECTS])
+def test_lint_rejects_defects(message, declare):
+    asm = _Assembler("bad")
     with pytest.raises(BuildError, match=message):
-        emit_mps_text(MilpModel.from_objects("bad", variables, rows, sos,
-                                             objective))
+        declare(asm)
+        emit_mps_text(asm.model(()))
 
 
 def test_name_declared_by_two_columns_calls_is_rejected():
@@ -305,9 +321,43 @@ def test_variable_names_are_spelled_only_in_arc_index():
     assert inside > 0  # the scan does see the names ArcIndex spells
 
 
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each name an import in source binds that nothing in
+    source reads, annotations included."""
+    tree = ast.parse(source)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(node.lineno, bound) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+            for bound in [alias.asname or alias.name.partition(".")[0]]
+            if bound not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # No linter runs on the package, so an import nothing reads is caught
+    # here.
+    package = pathlib.Path(valign.__file__).parent
+    unused = [f"{path.name}:{line} {name}"
+              for path in sorted(package.glob("*.py"))
+              for line, name in unused_imports(path.read_text("utf-8"))]
+    assert unused == []
+
+
+def test_unused_imports_finds_each_form_of_import():
+    source = ("from __future__ import annotations\n"
+              "import os\n"
+              "import os.path as osp\n"
+              "from typing import Callable, Sequence\n"
+              "import numpy.linalg\n"
+              "size: Sequence = numpy.linalg.norm\n"
+              "print('os', 'osp', 'Callable')\n")
+    assert unused_imports(source) == [(2, "os"), (3, "osp"), (4, "Callable")]
+
+
 def declared_runs(instance, config):
-    """The names a model declares, run by run, in the shape of
-    ArcIndex.column_runs, spelled here from the module docstring's naming
+    """The names a model declares, run by run, in the shape of the
+    model's ColumnRuns, spelled here from the module docstring's naming
     rules; "" where the CTG grid has no arc."""
     n, m = instance.n, instance.segment_layout.segment_count
     borrow, waste = instance.borrow_pits, instance.waste_pits
@@ -365,12 +415,12 @@ def layout_cases():
     for args in layout_cases()])
 def test_column_runs_index_the_declared_names(case, instance, config):
     # The column layout is the contract decode, validate and recompute_cost
-    # share: the ids ArcIndex.column_runs gives index model.columns to the
-    # names the builder declared, and reach every A, U, VP, VM, Y and flow
-    # or X column of the model.
+    # share: the ids the builder records in model.runs index model.columns
+    # to the names it declared, and reach every A, U, VP, VM, Y and flow or
+    # X column of the model.
     model = build(instance, config)
     columns = np.array(model.columns + ("",), object)  # -1 reads ""
-    runs = ArcIndex(instance).column_runs(model.columns, config)
+    runs = model.runs
     reached = []
     for field, expected in declared_runs(instance, config).items():
         ids = getattr(runs, field)

@@ -322,6 +322,18 @@ def test_bench_bad_run_config_file_is_a_usage_error(suite_dir, tmp_path,
     assert not (tmp_path / "r").exists()
 
 
+def test_bench_run_config_without_a_solver_is_a_usage_error(suite_dir,
+                                                            tmp_path, capsys):
+    # A run-config file that names no solver does not pick the bundled
+    # adapter: the CLI never guesses a solver.
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({"configs": ["MQN-B"]}), encoding="utf-8")
+    assert usage_error(["bench", suite_dir, "--run-config", str(run_file),
+                        "--out", str(tmp_path / "r")]) == 2
+    assert "no solver command" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_bench_run_config_file(suite_dir, tmp_path, capsys):
     run_file = tmp_path / "run.json"
     run_file.write_text(json.dumps({

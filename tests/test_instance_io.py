@@ -142,7 +142,11 @@ def test_config_defaults():
     assert run.limits == SolverLimits(time_limit=600.0, mip_gap=0.01,
                                       feasibility_tol=1e-6)
     assert run.configs == ("MQN-B",)
-    assert "{mps}" in run.solver_command and "{sol}" in run.solver_command
+    # No solver is chosen: gateway.solve falls back, the CLI asks for one.
+    assert run.solver_command == ""
+    # An absent limit takes SolverLimits' own default.
+    run = parse_config_dict({"limits": {"mip_gap": 0.05}})
+    assert run.limits == replace(SolverLimits(), mip_gap=0.05)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -161,6 +165,16 @@ def test_config_file_round_trip(tmp_path):
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="threads: unknown config key"):
         parse_config_dict({"threads": 4})
+
+
+@pytest.mark.parametrize("limits, reason", [
+    ({"timelimit": 5}, "limits.timelimit: unknown limit key"),
+    ({"time_limit": 5, "gap": 0.1, "threads": 2},
+     "limits.gap: unknown limit key; limits.threads: unknown limit key"),
+])
+def test_config_rejects_unknown_limit_keys(limits, reason):
+    with pytest.raises(ValueError, match=reason):
+        parse_config_dict({"limits": limits})
 
 
 def test_config_rejects_unknown_config_name():

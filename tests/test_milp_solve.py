@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from valign import milp_solve
-from valign.builder import (
-    LinearConstraint,
-    MilpModel,
-    Variable,
-    build,
-    named_config,
-)
+from valign.builder import MilpModel, _Assembler, build, named_config
 from valign.gateway import decode, parse_solution_text
 from valign.milp_solve import (
     MpsError,
@@ -245,7 +239,7 @@ def test_all_zero_optimum_lists_the_first_column(tmp_path):
     assert lines[3:] == ["x 0.0"]
     solution = parse_solution_text(sol.read_text(), ("x", "y"))
     assert solution.status == "optimal"
-    assert solution.values == {"x": 0.0}
+    assert solution.x.tolist() == [0.0, 0.0]
 
 
 def test_write_solution_skips_zeros_and_the_binaries(tmp_path):
@@ -615,15 +609,13 @@ def test_sparse_solution_file_decodes_as_the_full_one(tmp_path):
 
 
 def ranged_model() -> MilpModel:
-    return MilpModel.from_objects(
-        name="ranged",
-        variables=(Variable("x", "continuous", -2.0, 4.0),
-                   Variable("y", "binary", 0.0, 1.0)),
-        constraints=(LinearConstraint("band", (("x", 1.0), ("y", -2.0)),
-                                      "L", 5.0, 3.0),
-                     LinearConstraint("floor", (("x", 1.0),), "G", -1.0),
-                     LinearConstraint("tie", (("y", 1.0),), "E", 1.0)),
-        objective=(("x", 1.0),))
+    asm = _Assembler("ranged")
+    x, y = asm.columns(["x", "y"], [1.0, 0.0], [-2.0, 0.0], [4.0, 1.0],
+                       [False, True]).tolist()
+    asm.row("band", [(x, 1.0), (y, -2.0)], "L", 5.0, 3.0)
+    asm.row("floor", [(x, 1.0)], "G", -1.0)
+    asm.row("tie", [(y, 1.0)], "E", 1.0)
+    return asm.finish(())
 
 
 @pytest.mark.parametrize("case, config_name", [

@@ -10,10 +10,8 @@ import pytest
 from valign.bench import ROAD_TEMPLATES, generate_instance
 from valign.builder import (
     BuilderConfig,
-    LinearConstraint,
     MilpModel,
-    SosSet,
-    Variable,
+    _Assembler,
     build,
     named_config,
 )
@@ -27,17 +25,14 @@ GOLDEN = os.path.join(DATA, "three_section_qns.mps")
 
 
 def small_model() -> MilpModel:
-    return MilpModel.from_objects(
-        name="toy",
-        variables=(Variable("x", "continuous", 0.0, 4.0),
-                   Variable("y", "binary", 0.0, 1.0),
-                   Variable("z", "continuous", -math.inf, math.inf)),
-        constraints=(LinearConstraint("c1", (("x", 1.0), ("y", 2.0)),
-                                      "L", 5.0),
-                     LinearConstraint("c2", (("z", 1.0),), "E", 1.0)),
-        sos_sets=(SosSet("s1", 1, (("x", 1.0), ("z", 2.0))),),
-        objective=(("x", 1.5), ("y", -1.0)),
-        provenance=(("model", "TOY"),))
+    asm = _Assembler("toy")
+    x, y, z = asm.columns(["x", "y", "z"], [1.5, -1.0, 0.0],
+                          [0.0, 0.0, -math.inf], [4.0, 1.0, math.inf],
+                          [False, True, False]).tolist()
+    asm.row("c1", [(x, 1.0), (y, 2.0)], "L", 5.0)
+    asm.row("c2", [(z, 1.0)], "E", 1.0)
+    asm.add_sos("s1", 1, [(x, 1.0), (z, 2.0)])
+    return asm.finish((("model", "TOY"),))
 
 
 def test_golden_three_section_model():
@@ -117,11 +112,10 @@ def test_emit_to_file(tmp_path):
 
 
 def test_nonfinite_coefficients_rejected():
-    bad = MilpModel.from_objects(
-        name="bad",
-        variables=(Variable("x", "continuous", 0.0, 1.0),),
-        constraints=(LinearConstraint("c", (("x", math.inf),), "L", 1.0),),
-        sos_sets=(), objective=(("x", 1.0),), provenance=())
+    asm = _Assembler("bad")
+    x, = asm.columns(["x"], 1.0, upper=1.0).tolist()
+    asm.row("c", [(x, math.inf)], "L", 1.0)
+    bad = asm.model(())
     with pytest.raises(Exception):
         emit_mps_text(bad)
 

@@ -116,8 +116,7 @@ def decoded(instance, config_name):
     config = named_config(config_name)
     model = build(instance, config)
     objective, x = solve_in_process(model)
-    solution = Solution("optimal", objective,
-                        dict(zip(model.columns, x.tolist())), 0.0)
+    solution = Solution("optimal", objective, x, 0.0)
     return config, model, decode(solution, instance, config, model=model)
 
 

@@ -17,6 +17,7 @@ from valign.builder import build, fix_offsets, named_config
 from valign.gateway import (
     GRACE_SECONDS,
     DecodeError,
+    Solution,
     SolverLimits,
     decode,
     parse_solution_text,
@@ -126,10 +127,11 @@ def test_command_template_requires_tokens():
 def test_parse_pairs_dialect():
     sol = parse_solution_text(
         "# comment\nstatus optimal\nobjective 12.5\nwall_time 0.25\n"
-        "X_1 3.0\nX_2 0.0\n")
+        "X_1 3.0\nX_2 0.0\n", ("X_1", "X_2", "X_3"))
     assert sol.status == "optimal"
     assert sol.objective == 12.5
-    assert sol.values["X_1"] == 3.0
+    assert sol.x.tolist() == [3.0, 0.0, 0.0]
+    assert not sol.x.flags.writeable
     assert sol.wall_time == 0.25
 
 
@@ -143,56 +145,73 @@ def test_parse_xml_dialect():
     <variable name="Y_1_0" value="1"/>
   </variables>
 </CPLEXSolution>"""
-    sol = parse_solution_text(text)
+    sol = parse_solution_text(text, ("Y_1_0", "U_1"))
     assert sol.status == "optimal"
     assert sol.objective == 7.25
-    assert sol.values == {"U_1": 1.5, "Y_1_0": 1.0}
+    assert sol.x.tolist() == [1.0, 1.5]
 
 
 def test_parse_auto_sniffs_format():
     xml = '<sol status="infeasible"></sol>'
-    assert parse_solution_text(xml).status == "infeasible"
+    assert parse_solution_text(xml, ("x",)).status == "infeasible"
     pairs = "status optimal\nobjective 1.0\nx 1.0\n"
-    assert parse_solution_text(pairs).status == "optimal"
+    assert parse_solution_text(pairs, ("x",)).status == "optimal"
 
 
 def test_timeout_with_incumbent_becomes_feasible():
     sol = parse_solution_text(
-        "status timeout\nobjective 5.0\nx 2.0\n")
+        "status timeout\nobjective 5.0\nx 2.0\n", ("x",))
     assert sol.status == "feasible"
+
+
+@pytest.mark.parametrize("text", [
+    "status optimal\nobjective 1.0\nW_9 1.0\nQ_2 2.0\n",
+    "status optimal\nobjective 1.0\n",
+    '<sol status="optimal" objective="1.0">'
+    '<variable name="W_9" value="1.0"/></sol>',
+], ids=["alien", "empty", "xml-alien"])
+def test_values_that_name_no_column_read_as_error(text):
+    # A file with no values for the model's columns has no solution to
+    # read: it is an error, as a file with no values at all is.
+    sol = parse_solution_text(text, ("U_1", "U_2"))
+    assert (sol.status, sol.objective, sol.x.size) == ("error", None, 0)
+    timeout = parse_solution_text(text.replace("optimal", "timeout"),
+                                  ("U_1", "U_2"))
+    assert (timeout.status, timeout.x.size) == ("timeout", 0)
 
 
 def test_decode_rejects_unsolved():
     inst = make_instance([100.0] * 3)
     config = named_config("MQN-B")
-    from valign.gateway import Solution
-    bad = Solution(status="infeasible", objective=None, values={},
+    bad = Solution(status="infeasible", objective=None, x=np.empty(0),
                    wall_time=0.0)
     with pytest.raises(DecodeError):
         decode(bad, inst, config, model=build(inst, config))
 
 
 def test_decode_rejects_alien_solution(two_node_instance):
-    from valign.gateway import Solution
+    # An x that is not in the model's column order cannot be read by it.
     config = named_config("MQN-B")
     alien = Solution(status="optimal", objective=1.0,
-                     values={"W_9": 1.0, "Q_2": 2.0}, wall_time=0.0)
-    with pytest.raises(DecodeError):
+                     x=np.array([1.0, 2.0]), wall_time=0.0)
+    with pytest.raises(DecodeError, match="2 values for a model of"):
         decode(alien, two_node_instance, config,
                model=build(two_node_instance, config))
 
 
 def test_decode_reads_absent_names_as_zero(two_node_instance):
-    # A sparse solution file lists only its nonzero values; decode reads
-    # every other column as 0 and gives the full file's result.
+    # A sparse solution file lists only its nonzero values; every other
+    # column reads 0, and decode gives the full file's result.
     config = named_config("MQN-B")
     model = fix_offsets(build(two_node_instance, config), TWO_NODE_OFFSETS)
     solution = solve(model, BUNDLED_SOLVER, LIMITS)
-    sparse = replace(solution, values={name: value for name, value
-                                       in solution.values.items() if value})
-    assert 0 < len(sparse.values) < len(model.columns)
-    full, thin = (decode(s, two_node_instance, config, model)
-                  for s in (solution, sparse))
+    header = f"status optimal\nobjective {solution.objective!r}\n"
+    pairs = list(zip(model.columns, solution.x.tolist()))
+    listed = [(name, value) for name, value in pairs if value]
+    assert 0 < len(listed) < len(model.columns)
+    full, thin = (decode(parse_solution_text(header + "".join(
+        f"{name} {value!r}\n" for name, value in lines), model.columns),
+        two_node_instance, config, model) for lines in (pairs, listed))
     assert thin.x.tolist() == full.x.tolist()
     assert (thin.offsets, thin.section_cut, thin.section_fill) == \
         (full.offsets, full.section_cut, full.section_fill)
@@ -202,9 +221,7 @@ def test_decode_objective_consistency_guard(two_node_instance, tmp_path):
     config = named_config("MQN-B")
     model = fix_offsets(build(two_node_instance, config), TWO_NODE_OFFSETS)
     solution = solve(model, BUNDLED_SOLVER, LIMITS, workdir=str(tmp_path))
-    tampered = solution.__class__(
-        status="optimal", objective=solution.objective + 100.0,
-        values=solution.values, wall_time=solution.wall_time)
+    tampered = replace(solution, objective=solution.objective + 100.0)
     with pytest.raises(DecodeError):
         decode(tampered, two_node_instance, config, model=model)
 
@@ -220,10 +237,9 @@ def test_decode_rejects_non_finite_value(two_node_instance, tmp_path, column):
     config = named_config("MQN-B")
     model = fix_offsets(build(two_node_instance, config), TWO_NODE_OFFSETS)
     solution = solve(model, BUNDLED_SOLVER, LIMITS, workdir=str(tmp_path))
-    tampered = solution.__class__(
-        status="optimal", objective=solution.objective,
-        values={**solution.values, column: math.nan},
-        wall_time=solution.wall_time)
+    x = solution.x.copy()
+    x[model.columns.index(column)] = math.nan
+    tampered = replace(solution, x=x)
     with pytest.raises(DecodeError,
                        match=f"non-finite value nan for {column}"):
         decode(tampered, two_node_instance, config, model=model)
@@ -243,15 +259,17 @@ def test_solver_time_is_the_solvers_own_report(two_node_instance, tmp_path):
     assert solution.status == "optimal"
     assert solution.solver_time == 0.25
     assert solution.wall_time > 0.0 and solution.wall_time != 0.25
-    assert parse_solution_text("status infeasible\n").solver_time == 0.0
+    assert parse_solution_text("status infeasible\n",
+                               model.columns).solver_time == 0.0
 
 
 def test_pairs_first_occurrence_wins():
     sol = parse_solution_text(
         "x abc\nx 1.0\ny 2.0\ny 3.0\n  # note\nstatus optimal\n"
-        "status infeasible\nobjective 4\nobjective 5\nmessage m\n")
+        "status infeasible\nobjective 4\nobjective 5\nmessage m\n",
+        ("x", "y"))
     assert sol.status == "optimal" and sol.objective == 4.0
-    assert sol.values == {"y": 2.0}
+    assert sol.x.tolist() == [0.0, 2.0]  # x's first value is no number
 
 
 def test_solver_exit_is_seen_when_its_output_closes(two_node_instance,
@@ -304,8 +322,8 @@ def test_timed_out_solver_output_is_logged(two_node_instance, tmp_path,
 
 def test_full_solution_is_read_onto_the_models_names():
     # A pairs file that lists the model's columns in order is keyed by the
-    # model's own name objects, and decode reads it into a read-only x in
-    # the model's column order.
+    # model's own name objects, and read into a read-only x in the model's
+    # column order.
     instance = generate_instance(1, ROAD_TEMPLATES["A"], 1)
     config = named_config("CTG-B")
     model = build(instance, config)
@@ -314,17 +332,17 @@ def test_full_solution_is_read_onto_the_models_names():
     text = f"status optimal\nobjective {objective!r}\n" + "".join(
         f"{name} {value!r}\n" for name, value in zip(model.columns,
                                                       x.tolist()))
+    _, values = gateway.parse_pairs(text, model.columns)
+    assert all(map(lambda a, b: a is b, values, model.columns))
     solution = parse_solution_text(text, model.columns)
-    assert all(map(lambda a, b: a is b, solution.values, model.columns))
     result = decode(solution, instance, config, model)
     assert result.x.tolist() == x.tolist()
     assert not result.x.flags.writeable
     # Without the columns, or out of order, the file's own names are kept,
-    # and decode reads the same x.
-    assert parse_solution_text(text).values == solution.values
+    # and x follows the order of the columns given.
+    assert gateway.parse_pairs(text)[1] == values
     shuffled = parse_solution_text(text, model.columns[::-1])
-    assert decode(shuffled, instance, config, model).x.tolist() == \
-        x.tolist()
+    assert shuffled.x.tolist() == x[::-1].tolist()
 
 
 def test_solution_read_stays_within_its_memory_bound():
