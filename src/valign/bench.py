@@ -265,7 +265,7 @@ def _run_cell(instance: RoadInstance, config_name: str,
         return _CellOutcome(solution.status, None, solution.wall_time, False)
     reason = ""
     try:
-        result = decode(solution, instance, config, model=model)
+        result = decode(solution, instance, model)
         report = validate(instance, config, result,
                           tolerance=run.limits.feasibility_tol)
         recomputed = recompute_cost(instance, config, result)

@@ -23,17 +23,20 @@ order, each row's entries in the order they were declared.
 
 Every model is assembled by _Assembler, which knows columns by id only:
 each declaration returns the ids of its columns, and every row and SOS set
-is declared over ids, so no column is ever looked up by name. The flow
-columns are declared at once from an ArcIndex grid: ctg_arcs puts the X arcs
-on the (supply node, demand node) grid, and flow_grid lays out the MH-QNF
-chains, indexed (haul, step, section or pit, chain), in the order of
-ctg_names and flow_names. _spline_rows returns the A and U ids, and the VP
-and VM ids by node for the rows over the flows (CTS/CTD/CTB/CTW; FCR/FCL,
-BALC/BALF, BALB/CAPB and BALW/CAPW; RIC/RIF), and the Y and W ids by
-(block, step) index the block rows. Rows over the flows and the block rows
-go through _Assembler.bulk_rows; the spline rows are declared one at a
-time. The model keeps the ids of its A, U, VP, VM, Y and flow runs as
-MilpModel.runs, so decode and fix_offsets find no column by name either.
+is declared over ids, so no column is ever looked up by name. Rows are
+declared a family at a time, over arrays of ids and coefficients, by
+_Assembler.bulk_rows, the one way to declare a row. build declares the
+spline rows all three families share (_spline_rows), then the flow
+model's columns and rows or CTG's (_ctg_model). The flow columns are
+declared at once from an ArcIndex grid: ctg_arcs puts the X arcs on the
+(supply node, demand node) grid, and flow_grid lays out the MH-QNF chains,
+indexed (haul, step, section or pit, chain), in the order of ctg_names and
+flow_names. _spline_rows returns the A and U ids, and the VP and VM ids by
+node for the rows over the flows (CTS/CTD/CTB/CTW; FCR/FCL, BALC/BALF,
+BALB/CAPB and BALW/CAPW; RIC/RIF), and the Y and W ids by (block, step)
+index the block rows. The model keeps the ids of its A, U, VP, VM, Y and
+flow runs as MilpModel.runs, so decode and fix_offsets find no column by
+name either.
 """
 
 from __future__ import annotations
@@ -399,11 +402,11 @@ class ArcIndex:
 class _Assembler:
     """Accumulates a model by column id.
 
-    columns declares columns and returns their ids; row and bulk_rows
-    declare rows over those ids, one at a time or many at once. All of it is
-    kept in declaration order, and model turns it into the model's arrays.
-    Repeated names and repeated columns in a row are left to lint, which
-    finish runs.
+    columns declares columns and returns their ids; bulk_rows declares rows
+    over those ids, many at once, as arrays. All of it is kept in
+    declaration order, and model turns it into the model's arrays. Repeated
+    names and repeated columns in a row are left to lint, which finish
+    runs.
     """
 
     def __init__(self, name: str):
@@ -416,10 +419,7 @@ class _Assembler:
         self.senses: list[str] = []
         self.rhs: list[float] = []
         self.rhs_range: list[float] = []
-        # Matrix entries: ENTRY arrays, then the entries of the rows
-        # declared one at a time since the last array.
-        self.chunks: list[np.ndarray] = []
-        self.pending: list[tuple[int, int, float]] = []
+        self.chunks: list[np.ndarray] = []     # ENTRY arrays
         self.sos: list[tuple[int, str, tuple[tuple[int, float], ...]]] = []
 
     def columns(self, names: Sequence[str], cost=0.0, lower=0.0,
@@ -434,46 +434,28 @@ class _Assembler:
                                  (upper, np.float64), (binary, bool))))
         return np.arange(first, first + count)
 
-    def _new_row(self, name: str, sense: str, rhs: float,
-                 rhs_range: float | None) -> int:
-        if sense not in ("L", "E", "G"):
-            raise BuildError(f"row {name}: unknown sense {sense!r}")
-        self.row_names.append(name)
-        self.senses.append(sense)
-        self.rhs.append(rhs)
-        self.rhs_range.append(math.nan if rhs_range is None else rhs_range)
-        return len(self.row_names) - 1
-
-    def row(self, name: str, coeffs: Iterable[tuple[int, float]],
-            sense: str, rhs: float, rhs_range: float | None = None) -> None:
-        """Declare a row from (column id, coefficient) pairs."""
-        r = self._new_row(name, sense, rhs, rhs_range)
-        # + 0.0: a -0.0 coefficient is written 0.0
-        self.pending += [(r, col, 0.0 + coeff) for col, coeff in coeffs]
-
-    def bulk_rows(self, rows: Iterable[tuple[str, str, float]],
-                  parts: Sequence[tuple]) -> None:
-        """Declare rows, each (name, sense, rhs), and their entries as
-        (row, column ids, coefficient) parts broadcast to one shape, row
-        counting from the first of rows. A row's entries follow the order
-        of the parts, then their order within a part. A column repeated
-        within a row is caught by lint."""
+    def bulk_rows(self, rows: Iterable[tuple], parts: Sequence[tuple]
+                  ) -> None:
+        """Declare rows, each (name, sense, rhs) or, ranged, (name, sense,
+        rhs, range), and their entries as (row, column ids, coefficient)
+        parts broadcast to one shape, row counting from the first of rows.
+        A row's entries follow the order of the parts, then their order
+        within a part. A column repeated within a row is caught by lint."""
         first = len(self.row_names)
-        for name, sense, rhs in rows:
-            self._new_row(name, sense, rhs, None)
+        for name, sense, rhs, *rhs_range in rows:
+            if sense not in ("L", "E", "G"):
+                raise BuildError(f"row {name}: unknown sense {sense!r}")
+            self.row_names.append(name)
+            self.senses.append(sense)
+            self.rhs.append(rhs)
+            self.rhs_range.append(rhs_range[0] if rhs_range else math.nan)
         shaped = [np.broadcast_arrays(*part) for part in parts]
         row, col, val = (np.concatenate([np.ravel(p[at]) for p in shaped])
                          for at in range(3))
         order = np.argsort(row, kind="stable")
-        self._flush()
-        # + 0.0: a -0.0 coefficient is written 0.0, as in row
+        # + 0.0: a -0.0 coefficient is written 0.0
         self.chunks.append(entry_records(first + row[order], col[order],
                                          np.add(val[order], 0.0)))
-
-    def _flush(self) -> None:
-        if self.pending:
-            self.chunks.append(np.array(self.pending, ENTRY))
-            self.pending = []
 
     def add_sos(self, name: str, sos_type: int,
                 members: Iterable[tuple[int, float]]) -> None:
@@ -483,7 +465,6 @@ class _Assembler:
     def model(self, provenance: Iterable[tuple[str, str]],
               runs: ColumnRuns | None = None) -> MilpModel:
         """The declarations as a model of read-only arrays."""
-        self._flush()
         cost, lower, upper, binary = (
             np.concatenate([np.empty(0, dtype)]
                            + [values[at] for values in self.col_values])
@@ -532,7 +513,6 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
     u_ids = asm.columns([names.offset(i) for i in range(1, n + 1)],
                         lower=[sec.offset_lo for sec in sections],
                         upper=[sec.offset_hi for sec in sections])
-    a, u = a_ids.tolist(), u_ids.tolist()  # a[g - 1][k - 1]
     borrow, waste = instance.borrow_pits, instance.waste_pits
     vp = asm.columns([names.cut(node) for node in names.supply_nodes],
                      cost=[mat.excavation if price_volumes else 0.0
@@ -546,19 +526,20 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
                      upper=caps + [pit.capacity for pit in waste])
 
     # Offset definition: U_i + P(s_i) = E_i, expanded over local coordinates.
-    for i, sec in enumerate(sections, start=1):
-        ag = a[layout.segment_of(i) - 1]
-        sigma = instance.local_coordinate(i)
-        asm.row(f"OFF_{i}",
-                [(u[i - 1], 1.0), (ag[0], 1.0), (ag[1], sigma),
-                 (ag[2], sigma * sigma)],
-                "E", sec.ground_elevation)
+    row = np.arange(n)
+    a = a_ids[[layout.segment_of(i) - 1 for i in range(1, n + 1)]]
+    sigma = np.array([instance.local_coordinate(i) for i in range(1, n + 1)])
+    asm.bulk_rows(
+        [(f"OFF_{i}", "E", sec.ground_elevation)
+         for i, sec in enumerate(sections, start=1)],
+        [(row, u_ids, 1.0), (row, a[:, 0], 1.0), (row, a[:, 1], sigma),
+         (row, a[:, 2], sigma * sigma)])
 
     if volume_mode == "linear":
-        for i, sec in enumerate(sections, start=1):
-            asm.row(f"VOL_{i}",
-                    [(vp[i - 1], 1.0), (vm[i - 1], -1.0), (u[i - 1], -sec.area)],
-                    "E", 0.0)
+        asm.bulk_rows(
+            [(f"VOL_{i}", "E", 0.0) for i in range(1, n + 1)],
+            [(row, vp[:n], 1.0), (row, vm[:n], -1.0),
+             (row, u_ids, -np.array([sec.area for sec in sections]))])
     else:
         missing = [i for i in range(1, n + 1)
                    if i not in instance.curve_by_section]
@@ -567,77 +548,81 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
                 "piecewise volume mode needs a curve for every section; "
                 f"missing for sections {missing}")
         for i in range(1, n + 1):
+            # Rows PWS, then PWU, PWC and PWF, then for piecewise-binary
+            # PWZ and PWA_<b> per breakpoint.
             curve = instance.curve_by_section[i]
             breaks = len(curve.offsets)
             lams = asm.columns([f"LAM_{i}_{b}" for b in range(1, breaks + 1)],
-                               upper=1.0).tolist()
-            asm.row(f"PWS_{i}", [(lam, 1.0) for lam in lams], "E", 1.0)
-            for tag, col, values in (("PWU", u, curve.offsets),
-                                     ("PWC", vp, curve.cut),
-                                     ("PWF", vm, curve.fill)):
-                asm.row(f"{tag}_{i}", [(col[i - 1], 1.0)]
-                        + [(lam, -v) for lam, v in zip(lams, values)],
-                        "E", 0.0)
+                               upper=1.0)
+            rows = [(f"PWS_{i}", "E", 1.0)] + [
+                (f"{tag}_{i}", "E", 0.0) for tag in ("PWU", "PWC", "PWF")]
+            laws = np.arange(1, 4)      # the PWU, PWC and PWF rows
+            parts = [(0, lams, 1.0),
+                     (laws, [u_ids[i - 1], vp[i - 1], vm[i - 1]], 1.0),
+                     (laws[:, None], lams,
+                      -np.array([curve.offsets, curve.cut, curve.fill]))]
             if volume_mode == "piecewise-sos2":
-                asm.add_sos(f"SV_{i}", 2, zip(lams, curve.offsets))
+                asm.add_sos(f"SV_{i}", 2, zip(lams.tolist(), curve.offsets))
             else:
                 zs = asm.columns([f"Z_{i}_{b}" for b in range(1, breaks)],
-                                 upper=1.0, binary=True).tolist()
-                asm.row(f"PWZ_{i}", [(z, 1.0) for z in zs], "E", 1.0)
-                for b in range(1, breaks + 1):
-                    adjacent = []
-                    if b >= 2:
-                        adjacent.append((zs[b - 2], -1.0))
-                    if b <= breaks - 1:
-                        adjacent.append((zs[b - 1], -1.0))
-                    asm.row(f"PWA_{i}_{b}", [(lams[b - 1], 1.0)] + adjacent,
-                            "L", 0.0)
+                                 upper=1.0, binary=True)
+                rows += [(f"PWZ_{i}", "E", 1.0)] + [
+                    (f"PWA_{i}_{b}", "L", 0.0) for b in range(1, breaks + 1)]
+                # LAM_<i>_<b> is at most the Z on either side of it.
+                pwa = 5 + np.arange(breaks)
+                parts += [(4, zs, 1.0), (pwa, lams, 1.0),
+                          (pwa[1:], zs, -1.0), (pwa[:-1], zs, -1.0)]
+            asm.bulk_rows(rows, parts)
 
     # Continuity at each internal boundary: segment g-1 evaluated at its far
-    # end equals segment g at its origin (local coordinate 0).
-    for g in range(2, m + 1):
-        start_prev, end_prev = instance.segment_span(g - 1)
-        span = end_prev - start_prev
-        prev, ag = a[g - 2], a[g - 1]
-        asm.row(f"C0_{g}",
-                [(prev[0], 1.0), (prev[1], span), (prev[2], span * span),
-                 (ag[0], -1.0)],
-                "E", 0.0)
-        asm.row(f"C1_{g}",
-                [(prev[1], 1.0), (prev[2], 2.0 * span), (ag[1], -1.0)],
-                "E", 0.0)
+    # end equals segment g at its origin (local coordinate 0). C0_<g> and
+    # C1_<g> alternate.
+    spans = np.array([end - start for start, end in
+                      map(instance.segment_span, range(1, m + 1))])
+    prev, span, c0 = a_ids[:-1], spans[:-1], 2 * np.arange(m - 1)
+    asm.bulk_rows(
+        [(f"C{order}_{g}", "E", 0.0) for g in range(2, m + 1)
+         for order in "01"],
+        [(c0, prev[:, 0], 1.0), (c0, prev[:, 1], span),
+         (c0, prev[:, 2], span * span), (c0, a_ids[1:, 0], -1.0),
+         (c0 + 1, prev[:, 1], 1.0), (c0 + 1, prev[:, 2], 2.0 * span),
+         (c0 + 1, a_ids[1:, 1], -1.0)])
 
-    # Grade is affine per segment: bounding both endpoints bounds the segment.
-    slope_range = instance.slope_hi - instance.slope_lo
-    for g in range(1, m + 1):
-        start, end = instance.segment_span(g)
-        span = end - start
-        ag = a[g - 1]
-        asm.row(f"SLP_{g}_S", [(ag[1], 1.0)],
-                "L", instance.slope_hi, rhs_range=slope_range)
-        asm.row(f"SLP_{g}_E", [(ag[1], 1.0), (ag[2], 2.0 * span)],
-                "L", instance.slope_hi, rhs_range=slope_range)
+    # Grade is affine per segment: bounding both endpoints bounds the
+    # segment. SLP_<g>_S and SLP_<g>_E alternate.
+    slope = (instance.slope_hi, instance.slope_hi - instance.slope_lo)
+    slp = 2 * np.arange(m)
+    asm.bulk_rows(
+        [(f"SLP_{g}_{end}", "L", *slope) for g in range(1, m + 1)
+         for end in "SE"],
+        [(slp, a_ids[:, 1], 1.0), (slp + 1, a_ids[:, 1], 1.0),
+         (slp + 1, a_ids[:, 2], 2.0 * spans)])
     return a_ids, u_ids, vp, vm
 
 
 def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
-    """Build the MHQNF or QNF flow model (or dispatch to CTG)."""
+    """Build the model config names: the MHQNF or QNF flow model, or CTG
+    (_ctg_model) on a block-free instance."""
     config.validate()
     instance.check()
-    if config.model == "CTG":
-        return build_ctg(instance, config)
+    ctg = config.model == "CTG"
+    if ctg and instance.blocks:
+        raise BuildError("CTG requires a block-free instance")
     _check_segments(instance)
+
+    names = ArcIndex(instance)
+    asm = _Assembler("VALIGN")
+    # CTG carries the material cost on its arcs, not on the volumes.
+    a, u, vp, vm = _spline_rows(asm, instance, names, config.volume_mode,
+                                price_volumes=not ctg)
+    if ctg:
+        return _ctg_model(asm, instance, config, names, a, u, vp, vm)
 
     hauls = effective_hauls(instance, config)
     n = instance.n
     blocks = instance.sorted_blocks
     n_blocks = len(blocks)
     steps = list(range(n_blocks + 1))  # time steps 0..n_b
-
-    names = ArcIndex(instance)
-    asm = _Assembler("VALIGN")
-    a, u, vp, vm = _spline_rows(asm, instance, names, config.volume_mode,
-                                price_volumes=True)
     hs = range(1, len(hauls) + 1)
 
     # Flow columns, laid out by ArcIndex.flow_grid. Transit arcs leaving the
@@ -853,24 +838,12 @@ def _block_rows(asm: _Assembler, instance: RoadInstance,
         [(enf, y[:, 1:], 1.0), (mon, y[:, 1:], 1.0), (mon, y[:, :-1], -1.0)])
 
 
-def build_ctg(instance: RoadInstance,
-              config: BuilderConfig | None = None) -> MilpModel:
-    """Complete transportation graph variant (block-free instances only)."""
-    config = config or BuilderConfig(model="CTG")
-    if config.model != "CTG":
-        config = replace(config, model="CTG")
-    config.validate()
-    instance.check()
-    if instance.blocks:
-        raise BuildError("CTG requires a block-free instance")
-    _check_segments(instance)
-
-    names = ArcIndex(instance)
-    asm = _Assembler("VALIGN")
-    # Material cost is carried on the arcs, not on the volumes.
-    a, u, vp, vm = _spline_rows(asm, instance, names, config.volume_mode,
-                                price_volumes=False)
-
+def _ctg_model(asm: _Assembler, instance: RoadInstance, config: BuilderConfig,
+              names: ArcIndex, a: np.ndarray, u: np.ndarray, vp: np.ndarray,
+              vm: np.ndarray) -> MilpModel:
+    """The CTG model: the complete transportation graph's arcs and node
+    rows, declared on asm after the spline rows, whose column ids a, u, vp
+    and vm are as _spline_rows returns them."""
     hauls = instance.cost_model.hauls
     stations = instance.stations
 

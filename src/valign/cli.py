@@ -28,7 +28,14 @@ from valign.builder import (
     QNF_COST_PAIRS,
     build,
 )
-from valign.gateway import DecodeError, SolverLimits, decode, solve
+from valign.gateway import (
+    DecodeError,
+    SolveError,
+    SolverLimits,
+    command_words,
+    decode,
+    solve,
+)
 from valign.instance import HaulClass, InstanceError, RoadInstance
 from valign.instance_io import (
     RunConfig,
@@ -92,6 +99,10 @@ def _solver_command(parser: argparse.ArgumentParser,
         parser.error("no solver command: pass --solver or set "
                      "VALIGN_SOLVER_CMD (template tokens {mps} {sol} "
                      "{timelimit} {gap})")
+    try:
+        command_words(command)
+    except SolveError as exc:
+        parser.error(str(exc))
     return command
 
 
@@ -193,7 +204,7 @@ def cmd_solve(parser: argparse.ArgumentParser,
         return _fail("model proven infeasible", EXIT_INVALID)
 
     try:
-        result = decode(solution, instance, config, model=model)
+        result = decode(solution, instance, model)
     except DecodeError as exc:
         return _fail(f"cannot decode solution: {exc}", EXIT_SOLVER)
     report = validate(instance, config, result,

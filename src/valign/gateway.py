@@ -31,7 +31,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 
-from valign.builder import BuilderConfig, ColumnRuns, MilpModel
+from valign.builder import ColumnRuns, MilpModel
 from valign.instance import RoadInstance
 from valign.milp_solve import text_lines
 from valign.mps import emit_mps
@@ -254,16 +254,26 @@ def parse_solution_text(text: str, columns: Sequence[str]) -> Solution:
     return Solution(status, objective, x, wall, solver_time=wall)
 
 
-def _substitute(template: str, mps_path: str, sol_path: str,
-                limits: SolverLimits) -> list[str]:
+def command_words(template: str) -> list[str]:
+    """A solver command template split into words as a shell would; a
+    SolveError if it lacks the {mps} or {sol} token or does not split, as
+    with an unclosed quote."""
     if "{mps}" not in template or "{sol}" not in template:
         raise SolveError(
             "solver command must contain the {mps} and {sol} tokens")
+    try:
+        return shlex.split(template)
+    except ValueError as exc:
+        raise SolveError(f"solver command: {exc}") from exc
+
+
+def _substitute(template: str, mps_path: str, sol_path: str,
+                limits: SolverLimits) -> list[str]:
     mapping = {"{mps}": mps_path, "{sol}": sol_path,
                "{timelimit}": repr(float(limits.time_limit)),
                "{gap}": repr(float(limits.mip_gap))}
     args = []
-    for token in shlex.split(template):
+    for token in command_words(template):
         for key, value in mapping.items():
             token = token.replace(key, value)
         args.append(token)
@@ -350,7 +360,7 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
 
 
 def decode(solution: Solution, instance: RoadInstance,
-           config: BuilderConfig, model: MilpModel) -> AlignmentResult:
+           model: MilpModel) -> AlignmentResult:
     """Map a solution onto a structured alignment by column id.
 
     x must have one value per column of the model, and a non-finite value

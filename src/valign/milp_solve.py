@@ -25,21 +25,18 @@ the exit took 44-60 ms with the interpreter's teardown and 3-9 ms
 without it, on A-01 MQN-B and G-01 CTG-B.
 
 solve_arrays is the one seam to HiGHS: cost, column bounds, integrality, a
-CSC matrix and row bounds in, as one list it empties; status word,
-objective and x out. It passes the numpy arrays to the binding as they are
+CSC matrix and row bounds in, as one list; status word, objective and x
+out. It passes the numpy arrays to the binding as they are
 and reads back x, the objective and, where it prices columns, the duals.
 
-While HiGHS solves, the adapter holds the model once. main joins the
-column names into one string and drops the parsed model before the solve;
-solve_arrays takes the arrays out of the caller's list and, for a pure LP,
-lets go of what passModel copied before HiGHS runs (a sifted LP keeps the
-cost, bounds and matrix to price with, while HiGHS holds only its working
-set); write_solution splits the names a piece at a time. On the G road
-under CTG-B the adapter's peak went from 154 to 127 MB, and to 101 MB with
-sifting. The Python objects made after HiGHS returns take fresh
-memory, not the heap HiGHS freed, which may stay resident: splitting all
-the names at once, or writing 65,536 lines a piece, left the peak at
-134-140 MB in some runs.
+main drops the parsed model, all but the declared column names that
+write_solution needs, before the solve: HiGHS reads the CSC arrays, not
+the model's matrix entries. The arrays stay with the caller while HiGHS
+runs; a sifted LP prices with them anyway, while HiGHS holds only its
+working set. The adapter's peak RSS on G-01 CTG-B reads 100-106 MB and
+moves with incidental heap layout: another solution file path or
+launching process, with the code unchanged, shifted it by up to 5 MB,
+either way.
 
 HiGHS presolve runs only when a column is integral: on the block-free
 cells, all pure LPs, the dual simplex is faster on the unreduced model
@@ -151,7 +148,6 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -588,12 +584,9 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
     solve_parsed does, and a note on how a MIP closed: its bound and path,
     or "" when there is none to tell.
 
-    solve_arrays empties arrays and so holds the only references to them
-    that the caller hands over. A pure LP runs without presolve: one run()
-    when its working set holds every column, else sifted, one run() a
-    round, with the note "(sifted: N LPs, K of n columns)" (module
-    docstring). Either way the arrays passModel took are let go once
-    HiGHS has copied them, before it runs. A MIP closes from its
+    A pure LP runs without presolve: one run() when its working set holds
+    every column, else sifted, one run() a round, with the note "(sifted:
+    N LPs, K of n columns)" (module docstring). A MIP closes from its
     relaxation when it can (module docstring), else by branch and bound,
     which loads the arrays again. Each run() gets what is left of
     time_limit. Raises ValueError if HiGHS rejects an option value, such
@@ -605,7 +598,6 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
     f64, i32 = np.float64, np.int32
     buffers = [np.ascontiguousarray(a, dtype) for a, dtype in zip(
         arrays, (f64, f64, f64, f64, f64, i32, i32, f64, i32), strict=True)]
-    arrays.clear()
     is_mip = bool(buffers[-1].any())
     options = [("log_to_console", False),
                ("presolve", "on" if is_mip else "off")]
@@ -622,7 +614,6 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
     if highs is None:
         return "infeasible", None, None, ""
     if not is_mip:
-        del buffers     # HiGHS holds its own copy
         return _answer(highs, _run(highs, deadline), False, "")
 
     # The relaxation: its objective is a bound on the MIP's.
@@ -687,11 +678,10 @@ def working_set(arrays: list[np.ndarray]) -> np.ndarray:
 def _sift(core, options, buffers: list[np.ndarray], working: np.ndarray,
           deadline: float | None):
     """A wide LP solved over a working set of its columns and priced with
-    the duals, round by round (module docstring); it empties buffers and
-    marks in working each column that joins."""
+    the duals, round by round (module docstring); it marks in working each
+    column that joins."""
     cost, col_lower, col_upper, row_lower, row_upper, start, index, value, \
         _ = buffers
-    buffers.clear()
     n = len(cost)
 
     def gather(cols: np.ndarray) -> list[np.ndarray]:
@@ -707,7 +697,6 @@ def _sift(core, options, buffers: list[np.ndarray], working: np.ndarray,
     part = gather(order)
     highs = _load(core, options, [*part[:3], row_lower, row_upper, *part[3:],
                                   np.zeros(len(order), np.int32)])
-    del part, row_lower, row_upper      # HiGHS holds its own copy
     if highs is None:
         return "infeasible", None, None, ""
     tolerance = highs.getOptionValue("dual_feasibility_tolerance")[1]
@@ -970,38 +959,25 @@ def _answer(highs, model_status: str, is_mip: bool, note: str
             note)
 
 
-_PIECE_LINES = 1 << 13
-
-
 def write_solution(path: str, status: str, objective: float | None,
-                   wall_time: float, names: str,
+                   wall_time: float, columns: tuple[str, ...],
                    values: np.ndarray | None) -> None:
     """The reserved keys, then one "name value" line per column whose value
     is not 0.0 (-0.0 is 0.0), in column order, and the first column's line
     in any case: a reader turns an optimal file with no values into an
-    error, and reads an absent name as 0. names holds the column names,
-    one per line, and is split a piece at a time as the lines are written.
-    values may run on past the names: binarize_sos appends its binaries
-    after the columns the file declared, and those are not written."""
+    error, and reads an absent name as 0. values may run on past columns:
+    binarize_sos appends its binaries after the columns the file declared,
+    and those are not written."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"status {status}\n")
         if objective is not None:
             fh.write(f"objective {objective!r}\n")
         fh.write(f"wall_time {wall_time!r}\n")
-        if values is None:
+        if values is None or not columns:
             return
-        names = text_lines(names)
-        for start in range(0, len(values), _PIECE_LINES):
-            piece = values[start:start + _PIECE_LINES]
-            # Exactly this piece's names: drawing one too many or too few
-            # would put every later name beside another column's value.
-            own = list(islice(names, len(piece)))
-            kept = np.flatnonzero(piece[:len(own)])
-            if start == 0 and own:
-                kept = np.union1d(kept, [0])
-            fh.write("".join([
-                f"{own[at]} {value!r}\n" for at, value in zip(
-                    kept.tolist(), piece[kept].tolist())]))
+        kept = np.union1d(np.flatnonzero(values[:len(columns)]), [0])
+        fh.write("".join([f"{columns[at]} {value!r}\n" for at, value in zip(
+            kept.tolist(), values[kept].tolist())]))
 
 
 def _number(text: str) -> float:
@@ -1058,14 +1034,13 @@ def main(argv: list[str] | None = None) -> int:
                 raise MpsError(
                     "MPS contains SOS sections; rerun with --sos binarize")
             binarize_sos(mps)
-        # The names as one string, not one object each, while HiGHS runs.
-        names = "\n".join(mps.columns[:declared])
+        columns = mps.columns[:declared]
         arrays, sos_flags = model_arrays(mps), mps.sos_flags
-        del mps     # its names and matrix entries: HiGHS reads the CSC copy
+        del mps     # its matrix entries: HiGHS reads the CSC copy
         status, objective, values, note = solve_arrays(
             arrays, args.time_limit, args.gap, sos_flags)
         write_solution(args.solution, status, objective,
-                       time.monotonic() - start, names, values)
+                       time.monotonic() - start, columns, values)
     except (MpsError, OSError, ImportError, UnicodeDecodeError) as exc:
         print(f"valign-milp: {exc}", file=sys.stderr)
         try:

@@ -231,7 +231,7 @@ def solve_mqn(inst):
     solution = solve(model, BUNDLED_SOLVER,
                      SolverLimits(600.0, 1e-6, 1e-6))
     assert solution.status == "optimal"
-    return config, model, decode(solution, inst, config, model=model)
+    return config, model, decode(solution, inst, model)
 
 
 def failing_families(report):
@@ -350,7 +350,7 @@ def test_criterion_11_validator_soundness(matrix):
         model = build(instance, config)
         solution = solve(model, BUNDLED_SOLVER, limits)
         assert solution.status in ("optimal", "feasible"), record
-        result = decode(solution, instance, config, model=model)
+        result = decode(solution, instance, model)
         report = validate(instance, config, result, tolerance=1e-6)
         assert report.passed, (record, report.summary())
         recomputed = recompute_cost(instance, config, result)

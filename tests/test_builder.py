@@ -227,9 +227,12 @@ def test_object_form_round_trip():
                 [v.lower for v in model.variables],
                 [v.upper for v in model.variables],
                 [v.kind == "binary" for v in model.variables])
-    for row in model.constraints:
-        asm.row(row.name, [(column[name], value) for name, value in row.coeffs],
-                row.sense, row.rhs, row.rhs_range)
+    rows = model.constraints
+    entries = [(r, column[name], value) for r, row in enumerate(rows)
+               for name, value in row.coeffs]
+    asm.bulk_rows([(row.name, row.sense, row.rhs)
+                   + (() if row.rhs_range is None else (row.rhs_range,))
+                   for row in rows], [tuple(zip(*entries))])
     for sos_type, name, members in model.sos_sets:
         asm.add_sos(name, sos_type, members)
     copy = asm.finish(model.provenance)
@@ -250,17 +253,20 @@ LINT_DEFECTS = [
     ("variable y: binary outside",
      lambda asm: two_columns(asm, y_upper=2.0)),
     ("row c declared twice",
-     lambda asm: two_columns(asm) or [asm.row("c", [(0, 1.0)], "L", 1.0)
-                                      for _ in range(2)]),
+     lambda asm: two_columns(asm) or asm.bulk_rows([("c", "L", 1.0)] * 2,
+                                                   [([0, 1], 0, 1.0)])),
     ("row c: unknown variable 2",
-     lambda asm: two_columns(asm) or asm.row("c", [(2, 1.0)], "L", 1.0)),
+     lambda asm: two_columns(asm) or asm.bulk_rows([("c", "L", 1.0)],
+                                                   [(0, 2, 1.0)])),
     ("row c: duplicate variable x",
-     lambda asm: two_columns(asm) or asm.row("c", [(0, 1.0), (0, 2.0)],
-                                             "L", 1.0)),
+     lambda asm: two_columns(asm) or asm.bulk_rows([("c", "L", 1.0)],
+                                                   [(0, 0, [1.0, 2.0])])),
     ("row c: unknown sense '<='",
-     lambda asm: two_columns(asm) or asm.row("c", [(0, 1.0)], "<=", 1.0)),
+     lambda asm: two_columns(asm) or asm.bulk_rows([("c", "<=", 1.0)],
+                                                   [(0, 0, 1.0)])),
     ("row c: non-finite coefficient",
-     lambda asm: two_columns(asm) or asm.row("c", [(0, math.nan)], "L", 1.0)),
+     lambda asm: two_columns(asm) or asm.bulk_rows([("c", "L", 1.0)],
+                                                   [(0, 0, math.nan)])),
     ("objective: non-finite cost on x",
      lambda asm: two_columns(asm, x_cost=math.inf)),
     ("SOS set s: needs >= 2 members",
@@ -353,6 +359,66 @@ def test_unused_imports_finds_each_form_of_import():
               "size: Sequence = numpy.linalg.norm\n"
               "print('os', 'osp', 'Callable')\n")
     assert unused_imports(source) == [(2, "os"), (3, "osp"), (4, "Callable")]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Each module-level private name in sources (a function, class or
+    assignment named with one leading underscore) that no module in
+    sources reads, by name, as an attribute or through an import, as
+    "<module>:<line> <name>"."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
+                                                            ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                bound = [name.id for target in targets
+                         for name in ast.walk(target)
+                         if isinstance(name, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}:{node.lineno} {name}" for name in bound
+                       if name.startswith("_") and not name.startswith("__")
+                       and name not in read]
+    return unread
+
+
+def test_no_module_keeps_a_private_name_nothing_reads():
+    # A private helper or constant that no module of the package reads is
+    # dead code; a test reading it does not keep it alive.
+    package = pathlib.Path(valign.__file__).parent
+    assert unread_private_names({
+        path.name: path.read_text("utf-8")
+        for path in sorted(package.glob("*.py"))}) == []
+
+
+def test_unread_private_names_finds_each_form_of_definition():
+    sources = {
+        "a.py": ("_SIZE = 4\n"
+                 "_WIDTH: int = 2\n"
+                 "_LOW, _HIGH = 0, 1\n"
+                 "def _helper():\n    return _LOW\n"
+                 "class _Shape:\n    pass\n"
+                 "def public():\n    _local = 1\n    return _local\n"
+                 "def __getattr__(name):\n    raise AttributeError(name)\n"),
+        "b.py": ("import a\n"
+                 "from a import _helper\n"
+                 "print(a._WIDTH, _helper)\n")}
+    assert unread_private_names(sources) == [
+        "a.py:1 _SIZE", "a.py:3 _HIGH", "a.py:6 _Shape"]
 
 
 def declared_runs(instance, config):

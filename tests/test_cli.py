@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from valign import cli
 from valign.cli import main
 from valign.gateway import SolverLimits
 from valign.instance_io import write_instance
@@ -126,6 +127,31 @@ def test_solve_rejects_bad_limits(two_node_path, flags, capsys):
     argv = ["solve", two_node_path, "--solver", BUNDLED_SOLVER, *flags]
     assert usage_error(argv) == 2
     assert "must be > 0" in capsys.readouterr().err
+
+
+# A template without the {mps} and {sol} tokens, and one that does not
+# split into words.
+MALFORMED_TEMPLATES = [
+    ("echo hi", "solver command must contain the {mps} and {sol} tokens"),
+    ("solver '{mps} {sol}", "solver command: No closing quotation")]
+
+
+@pytest.mark.parametrize("source", ["flag", "env"])
+@pytest.mark.parametrize("template, reason", MALFORMED_TEMPLATES,
+                         ids=["tokens", "quote"])
+def test_solve_rejects_malformed_template(two_node_path, tmp_path,
+                                          monkeypatch, capsys, source,
+                                          template, reason):
+    # A usage error before anything is built, with no traceback.
+    monkeypatch.setattr(cli, "build", None)
+    argv = ["solve", two_node_path, "-o", str(tmp_path / "result.txt")]
+    if source == "flag":
+        argv += ["--solver", template]
+    else:
+        monkeypatch.setenv("VALIGN_SOLVER_CMD", template)
+    assert usage_error(argv) == 2
+    assert capsys.readouterr().err.endswith(f"error: {reason}\n")
+    assert not (tmp_path / "result.txt").exists()
 
 
 def test_solve_env_resolution(zigzag_path, tmp_path, monkeypatch, capsys):
@@ -331,6 +357,27 @@ def test_bench_run_config_without_a_solver_is_a_usage_error(suite_dir,
     assert usage_error(["bench", suite_dir, "--run-config", str(run_file),
                         "--out", str(tmp_path / "r")]) == 2
     assert "no solver command" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "env", "run-config"])
+@pytest.mark.parametrize("template, reason", MALFORMED_TEMPLATES,
+                         ids=["tokens", "quote"])
+def test_bench_rejects_malformed_template(suite_dir, tmp_path, monkeypatch,
+                                          capsys, source, template, reason):
+    # Not a matrix of cells that each read "error": a usage error.
+    argv = ["bench", suite_dir, "--out", str(tmp_path / "r")]
+    if source == "flag":
+        argv += ["--solver", template]
+    elif source == "env":
+        monkeypatch.setenv("VALIGN_SOLVER_CMD", template)
+    else:
+        run_file = tmp_path / "run.json"
+        run_file.write_text(json.dumps({"solver_command": template}),
+                            encoding="utf-8")
+        argv += ["--run-config", str(run_file)]
+    assert usage_error(argv) == 2
+    assert capsys.readouterr().err.endswith(f"error: {reason}\n")
     assert not (tmp_path / "r").exists()
 
 

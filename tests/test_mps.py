@@ -29,8 +29,8 @@ def small_model() -> MilpModel:
     x, y, z = asm.columns(["x", "y", "z"], [1.5, -1.0, 0.0],
                           [0.0, 0.0, -math.inf], [4.0, 1.0, math.inf],
                           [False, True, False]).tolist()
-    asm.row("c1", [(x, 1.0), (y, 2.0)], "L", 5.0)
-    asm.row("c2", [(z, 1.0)], "E", 1.0)
+    asm.bulk_rows([("c1", "L", 5.0), ("c2", "E", 1.0)],
+                  [([0, 0, 1], [x, y, z], [1.0, 2.0, 1.0])])
     asm.add_sos("s1", 1, [(x, 1.0), (z, 2.0)])
     return asm.finish((("model", "TOY"),))
 
@@ -114,7 +114,7 @@ def test_emit_to_file(tmp_path):
 def test_nonfinite_coefficients_rejected():
     asm = _Assembler("bad")
     x, = asm.columns(["x"], 1.0, upper=1.0).tolist()
-    asm.row("c", [(x, math.inf)], "L", 1.0)
+    asm.bulk_rows([("c", "L", 1.0)], [(0, x, math.inf)])
     bad = asm.model(())
     with pytest.raises(Exception):
         emit_mps_text(bad)

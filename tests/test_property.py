@@ -117,7 +117,7 @@ def decoded(instance, config_name):
     model = build(instance, config)
     objective, x = solve_in_process(model)
     solution = Solution("optimal", objective, x, 0.0)
-    return config, model, decode(solution, instance, config, model=model)
+    return config, model, decode(solution, instance, model)
 
 
 @examples(25)

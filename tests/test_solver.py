@@ -18,6 +18,7 @@ from valign.gateway import (
     GRACE_SECONDS,
     DecodeError,
     Solution,
+    SolveError,
     SolverLimits,
     decode,
     parse_solution_text,
@@ -52,7 +53,7 @@ def test_decode_and_validate(two_node_instance, tmp_path):
     config = named_config("MQN-B")
     model = fix_offsets(build(two_node_instance, config), TWO_NODE_OFFSETS)
     solution = solve(model, BUNDLED_SOLVER, LIMITS, workdir=str(tmp_path))
-    result = decode(solution, two_node_instance, config, model=model)
+    result = decode(solution, two_node_instance, model)
     assert result.offsets == pytest.approx(TWO_NODE_OFFSETS)
     assert result.section_cut[0] == pytest.approx(10.0)
     assert result.section_fill[2] == pytest.approx(10.0)
@@ -117,11 +118,14 @@ def test_own_workdir_removed_once_solver_answers(two_node_instance,
     assert [p.name[:7] for p in tmp_path.iterdir()] == ["valign-"]
 
 
-def test_command_template_requires_tokens():
+@pytest.mark.parametrize("template, reason", [
+    ("solver-without-tokens", "must contain the {mps} and {sol} tokens"),
+    ("solver '{mps} {sol}", "No closing quotation")], ids=["tokens", "quote"])
+def test_command_template_requires_tokens(template, reason):
     inst = make_instance([100.0] * 3)
     model = build(inst, named_config("MQN-B"))
-    with pytest.raises(Exception):
-        solve(model, "solver-without-tokens", LIMITS)
+    with pytest.raises(SolveError, match=reason):
+        solve(model, template, LIMITS)
 
 
 def test_parse_pairs_dialect():
@@ -186,7 +190,7 @@ def test_decode_rejects_unsolved():
     bad = Solution(status="infeasible", objective=None, x=np.empty(0),
                    wall_time=0.0)
     with pytest.raises(DecodeError):
-        decode(bad, inst, config, model=build(inst, config))
+        decode(bad, inst, build(inst, config))
 
 
 def test_decode_rejects_alien_solution(two_node_instance):
@@ -195,8 +199,7 @@ def test_decode_rejects_alien_solution(two_node_instance):
     alien = Solution(status="optimal", objective=1.0,
                      x=np.array([1.0, 2.0]), wall_time=0.0)
     with pytest.raises(DecodeError, match="2 values for a model of"):
-        decode(alien, two_node_instance, config,
-               model=build(two_node_instance, config))
+        decode(alien, two_node_instance, build(two_node_instance, config))
 
 
 def test_decode_reads_absent_names_as_zero(two_node_instance):
@@ -211,7 +214,7 @@ def test_decode_reads_absent_names_as_zero(two_node_instance):
     assert 0 < len(listed) < len(model.columns)
     full, thin = (decode(parse_solution_text(header + "".join(
         f"{name} {value!r}\n" for name, value in lines), model.columns),
-        two_node_instance, config, model) for lines in (pairs, listed))
+        two_node_instance, model) for lines in (pairs, listed))
     assert thin.x.tolist() == full.x.tolist()
     assert (thin.offsets, thin.section_cut, thin.section_fill) == \
         (full.offsets, full.section_cut, full.section_fill)
@@ -223,7 +226,7 @@ def test_decode_objective_consistency_guard(two_node_instance, tmp_path):
     solution = solve(model, BUNDLED_SOLVER, LIMITS, workdir=str(tmp_path))
     tampered = replace(solution, objective=solution.objective + 100.0)
     with pytest.raises(DecodeError):
-        decode(tampered, two_node_instance, config, model=model)
+        decode(tampered, two_node_instance, model)
 
 
 def test_limits_must_be_positive():
@@ -242,7 +245,7 @@ def test_decode_rejects_non_finite_value(two_node_instance, tmp_path, column):
     tampered = replace(solution, x=x)
     with pytest.raises(DecodeError,
                        match=f"non-finite value nan for {column}"):
-        decode(tampered, two_node_instance, config, model=model)
+        decode(tampered, two_node_instance, model)
 
 
 def test_solver_time_is_the_solvers_own_report(two_node_instance, tmp_path):
@@ -335,7 +338,7 @@ def test_full_solution_is_read_onto_the_models_names():
     _, values = gateway.parse_pairs(text, model.columns)
     assert all(map(lambda a, b: a is b, values, model.columns))
     solution = parse_solution_text(text, model.columns)
-    result = decode(solution, instance, config, model)
+    result = decode(solution, instance, model)
     assert result.x.tolist() == x.tolist()
     assert not result.x.flags.writeable
     # Without the columns, or out of order, the file's own names are kept,
@@ -357,7 +360,7 @@ def test_solution_read_stays_within_its_memory_bound():
     tracemalloc.start()
     try:
         result = decode(parse_solution_text(text, model.columns), instance,
-                        config, model)
+                        model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

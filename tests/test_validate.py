@@ -33,7 +33,7 @@ def solved(instance, config_name="MQN-B", offsets=None):
         model = fix_offsets(model, offsets)
     solution = solve(model, BUNDLED_SOLVER, LIMITS)
     assert solution.status == "optimal", solution.status
-    return config, model, decode(solution, instance, config, model=model)
+    return config, model, decode(solution, instance, model)
 
 
 def failing(report):
@@ -256,7 +256,7 @@ def test_synthetic_values_validation_pinned(case, config_name, digest):
     binaries = int(np.count_nonzero(model.col_integer))
     x[model.col_integer] = rng.uniform(0.0, 1.2, binaries)
     solution = Solution("optimal", float(model.cost @ x), x, 0.0)
-    result = decode(solution, instance, config, model=model)
+    result = decode(solution, instance, model)
     lines = []
     for relative in (False, True):
         report = validate(instance, config, result, relative=relative)
@@ -309,7 +309,7 @@ def test_names_stop_at_decode(monkeypatch, case, config_name):
             validate(instance, config, result, relative=relative)
         return recompute_cost(instance, config, result)
 
-    result = decode(solution, instance, config, model=model)
+    result = decode(solution, instance, model)
     cost = check(result)
     assert check(replace(result, x=2.0 * result.x)) != cost
     assert spelled == [] and columns.looked == []
