@@ -437,11 +437,145 @@ LONG_COLUMNS = "".join(f"    c{i} r1 {i}.5\n" for i in range(60000))
     ("NAME t\nROWS\n N COST\n L r1\n G r1\n", "line 5: duplicate row 'r1'"),
     ("* lead\n    x r1 1.0\n", "line 2: data outside any section"),
     ("NAME t\nROWS\n L r1\nENDATA\n", "no objective row declared"),
+    # A matrix coefficient must be finite; an objective one is checked by
+    # model_arrays. Deep in a long run of plain lines, the line's piece is
+    # read line by line and fails as a short file does.
+    (MPS_HEAD + "    x r1 inf\n",
+     "line 7: matrix coefficient inf is not finite"),
+    (MPS_HEAD + "    x r1 1.0 r2 -1e400\n",
+     "line 7: matrix coefficient -inf is not finite"),
+    (MPS_HEAD + "    x zz inf\n", "line 7: unknown row 'zz'"),
+    (MPS_HEAD + LONG_COLUMNS + "    x r1 -inf\n" + LONG_COLUMNS,
+     "line 60007: matrix coefficient -inf is not finite"),
+    (MPS_HEAD + LONG_COLUMNS + "    x zz 1.0\n" + LONG_COLUMNS,
+     "line 60007: unknown row 'zz'"),
+    (MPS_HEAD + LONG_COLUMNS + "    x r1 NaN\n" + LONG_COLUMNS,
+     "line 60007: NaN not allowed"),
+    (MPS_HEAD + LONG_COLUMNS + "    x r1 1.0 r2\n" + LONG_COLUMNS,
+     "line 60007: malformed column entry"),
+    (MPS_HEAD + LONG_COLUMNS + "    x r1 1.0 x\n    r2 2.0\n" + LONG_COLUMNS,
+     "line 60007: malformed column entry"),
 ])
 def test_mps_error_messages_pinned(text, message):
     with pytest.raises(MpsError) as err:
         parse_mps(text)
     assert str(err.value) == message
+
+
+def test_main_rejects_infinite_matrix_coefficient(tmp_path, capsys):
+    # HiGHS would refuse the model, which read as infeasible.
+    mps = write(tmp_path, TOY_MPS.replace("b cap 2.0", "b cap 1e400"))
+    sol = tmp_path / "out.sol"
+    assert main([mps, str(sol)]) == 3
+    message = "line 14: matrix coefficient inf is not finite"
+    assert capsys.readouterr().err == f"valign-milp: {message}\n"
+    assert sol.read_text() == f"status error\nmessage {message}\n"
+
+
+REPEATED_MPS = ("NAME d\nROWS\n N COST\n L r\n L q\nCOLUMNS\n"
+                "    x COST 1.5\n    x r 1.0\n    x COST 0.25 r 2.0\n"
+                "    y q 0.1 r -0.0\n    y q 0.2\n    x q 7.0\n    y q 0.3\n"
+                "    z r 0.0\nENDATA\n")
+
+
+def line_by_line(text):
+    """text with a comment line after each line of its COLUMNS section,
+    so that parse_mps reads no piece of it as a whole."""
+    out, section = [], None
+    for line in text.splitlines(keepends=True):
+        if line[:1].strip():
+            section = line.split()[0]
+        out.append(line)
+        if section == "COLUMNS":
+            out.append("*\n")
+    return "".join(out)
+
+
+def assert_same_parse(got, want):
+    assert got.name == want.name
+    assert got.columns == want.columns
+    assert got.row_order == want.row_order
+    assert np.array_equal(got.cost.view(np.int64), want.cost.view(np.int64))
+    for field in ("col_lower", "col_upper", "col_integer", "senses",
+                  "row_rhs"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert np.array_equal(got.row_range, want.row_range, equal_nan=True)
+    assert got.entries.tobytes() == want.entries.tobytes()
+    assert got.sos_sets == want.sos_sets
+
+
+# Long runs of plain lines, with a line in the middle that is read line by
+# line: two entries on a line, the same column again far from its first
+# lines, and integer markers around a run of their own.
+REPEATS = "".join(f"    c{i % 700} COST 0.1\n    c{i % 700} r2 {i}.5\n"
+                  for i in range(30000))
+INTEGERS = "".join(f"    d{i} r2 -{i}.25\n" for i in range(30000))
+LONG_CASES = {
+    "two entries": MPS_HEAD + LONG_COLUMNS + "    y r1 1.0 COST -2.5\n"
+    + LONG_COLUMNS + "ENDATA\n",
+    "repeated": MPS_HEAD + REPEATS + LONG_COLUMNS + REPEATS + "ENDATA\n",
+    "integer": MPS_HEAD + LONG_COLUMNS + "    M1 'MARKER' 'INTORG'\n"
+    + INTEGERS + "    M2 'MARKER' 'INTEND'\n" + REPEATS + "ENDATA\n",
+}
+
+
+@pytest.mark.parametrize("case", ["G-01 CTG-B", "D-02 2 blocks MQN-S1",
+                                  "toy", "repeated", *LONG_CASES])
+def test_pieces_read_whole_parse_as_lines_do(case):
+    if case.startswith(("G-01", "D-02")):
+        road, config = case.rsplit(" ", 1)
+        text = emit_mps_text(build(pinned_road(road), named_config(config)))
+    else:
+        text = {"toy": TOY_MPS, "repeated": REPEATED_MPS,
+                **LONG_CASES}[case]
+    got = parse_mps(text)
+    assert_same_parse(got, parse_mps(line_by_line(text)))
+    if case == "integer":
+        integral = [name.startswith("d") for name in got.columns]
+        assert got.col_integer.tolist() == integral
+        assert sum(integral) == 30000
+
+
+@pytest.mark.parametrize("piece, plain", [
+    ("    x r1 1.0\n    y COST -2\n\ty r2 3e5\n", True),
+    ("    x r1 1.0\n    y COST -2", False),          # no final line feed
+    ("    x r1 1.0\r\n    y COST -2\r\n", False),
+    ("    x r1 1.0\x0c\n", False),
+    ("    x r1 1.0\n\n    y COST -2\n", False),     # a blank line
+    ("    x r1 1.0\n* note\n    y COST -2\n", False),
+    ("    x r1 1.0\nRHS\n", False),
+    ("x r1 1.0\n", False),
+    ("    x r1 1.0 r2 2.0\n", False),
+    ("    x r1\n    y r2 1.0 2.0\n", False),
+    ("    x r1 1.0 2.0\n    y r2\n", False),
+    ("    x r1 1.0 x\n    r2 2.0\n", False),
+    ("    M 'MARKER' 'INTORG'\n", False),
+    ("    x zz 1.0\n", False),
+    ("    x r1 abc\n", False),
+    ("    x r1 nan\n", False),
+    ("    x COST inf\n", False),
+    ("    \u00e9 r1 1.0\n", False),
+    ("    x\0 r1 1.0\n", False),
+])
+def test_plain_entries(piece, plain):
+    lookup = {"r1": 0, "r2": 1, "COST": -1}
+    got = milp_solve._plain_entries(piece, lookup)
+    assert (got is not None) == plain
+    if plain:
+        names, rows, values = got
+        assert names == ["x", "y", "y"]
+        assert rows.tolist() == [0, -1, 1]
+        assert values.tolist() == [1.0, -2.0, 3e5]
+
+
+@pytest.mark.parametrize("text", ["", "a\n", "a", LONG_COLUMNS,
+                                  LONG_COLUMNS + "tail", "x" * 70000 + "\n",
+                                  LONG_COLUMNS.replace("\n", "\r\n")])
+def test_text_pieces(text):
+    pieces = list(milp_solve.text_pieces(text))
+    assert "".join(pieces) == text
+    assert all(piece.endswith("\n") for piece in pieces[:-1])
+    assert list(milp_solve.text_lines(text)) == text.splitlines()
 
 
 def test_binarize_rejects_unbounded_member():
