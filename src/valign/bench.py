@@ -270,7 +270,10 @@ def _run_cell(instance: RoadInstance, config_name: str,
                           tolerance=run.limits.feasibility_tol)
         recomputed = recompute_cost(instance, config, result)
         if not report.passed:
-            reason = "validation failed"
+            reason = "validation failed: " + ", ".join(
+                f"{name} {fam.worst:g}"
+                for name, fam in report.families.items()
+                if fam.worst > report.tolerance)
         else:
             reason = repricing_error(recomputed, result.objective)
     except Exception as exc:

@@ -143,9 +143,9 @@ module name, so the adapter never imports scipy.optimize or scipy.sparse,
 which were most of its start-up, and a later import of scipy.optimize in
 the same process reuses the loaded extension.
 
-SOS sets are rejected unless ``--sos binarize`` is given, in which case each
-set is rewritten with auxiliary binaries; this requires finite bounds on all
-set members.
+SOS sets are rewritten with auxiliary binaries, which requires finite
+bounds on all set members. ``--sos binarize`` names that rewrite; it is the
+default and the only choice, accepted so existing command templates run.
 """
 
 from __future__ import annotations
@@ -1120,9 +1120,9 @@ def main(argv: list[str] | None = None) -> int:
                         help="wall-clock limit in seconds")
     parser.add_argument("--gap", type=_gap, default=None,
                         help="relative MIP gap tolerance")
-    parser.add_argument("--sos", choices=("reject", "binarize"),
-                        default="reject",
-                        help="how to treat SOS sections (default: reject)")
+    parser.add_argument("--sos", choices=("binarize",), default="binarize",
+                        help="how to treat SOS sections (default and only "
+                             "choice: binarize)")
     args = parser.parse_args(argv)
 
     start = time.monotonic()
@@ -1132,10 +1132,8 @@ def main(argv: list[str] | None = None) -> int:
         with open(args.mps, "r", encoding="ascii") as fh:
             mps = parse_mps(fh.read())
         declared = len(mps.columns)
+        # binarize_sos copies every array even with no set to rewrite.
         if mps.sos_sets:
-            if args.sos == "reject":
-                raise MpsError(
-                    "MPS contains SOS sections; rerun with --sos binarize")
             binarize_sos(mps)
         columns = mps.columns[:declared]
         arrays, sos_flags = model_arrays(mps), mps.sos_flags

@@ -10,13 +10,16 @@ by the column ids of the builder's model.runs, once per result, into CTG's
 (supply, demand) grid or flow_grid's arrays. That column layout is the only
 thing shared with the builder; conservation, balance, capacity, bounds,
 block gating, removal and the re-priced cost are derived from the grids and
-the instance data, never from the model's rows or cost vector. A NaN
-residual counts as a violation.
+the instance data, never from the model's rows or cost vector.
+
+Every family is computed on arrays and booked by one method,
+ViolationReport.book: relative mode divides each residual by max(1, its
+scale), and a NaN residual counts as a violation of size inf in its
+family.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +30,6 @@ from valign.instance import (
     RoadInstance,
     block_access_sets,
     cheapest_haul_costs,
-    evaluate_profile,
 )
 
 FAMILIES = (
@@ -52,6 +54,7 @@ class FamilyResult:
 @dataclass
 class ViolationReport:
     tolerance: float
+    relative: bool = False
     families: dict[str, FamilyResult] = field(
         default_factory=lambda: {name: FamilyResult() for name in FAMILIES})
 
@@ -70,22 +73,11 @@ class ViolationReport:
                      f"at tolerance {self.tolerance:g}")
         return "\n".join(lines)
 
-    def _hit(self, family: str, magnitude: float, scale: float,
-             relative: bool) -> None:
-        """Book one residual; a NaN counts as a violation of size inf."""
-        if relative:
-            magnitude = magnitude / max(1.0, scale)
-        if math.isnan(magnitude):
-            magnitude = math.inf
-        fam = self.families[family]
-        fam.worst = max(fam.worst, magnitude)
-        if magnitude > self.tolerance:
-            fam.count += 1
-
-    def _hits(self, family: str, magnitudes: np.ndarray,
-              scales: np.ndarray | float, relative: bool) -> None:
-        """_hit over an array."""
-        if relative:
+    def book(self, family: str, magnitudes, scales=1.0) -> None:
+        """Book residuals into a family; relative mode divides each by
+        max(1, its scale), and a NaN counts as a violation of size inf."""
+        magnitudes = np.asarray(magnitudes, dtype=float)
+        if self.relative:
             magnitudes = magnitudes / np.maximum(1.0, scales)
         if magnitudes.size:
             magnitudes = np.where(np.isnan(magnitudes), np.inf, magnitudes)
@@ -99,75 +91,66 @@ def validate(instance: RoadInstance, config: BuilderConfig,
              result: AlignmentResult, tolerance: float = 1e-6,
              relative: bool = False) -> ViolationReport:
     instance.check()
-    report = ViolationReport(tolerance=tolerance)
-
-    def hit(family: str, magnitude: float, scale: float = 1.0) -> None:
-        report._hit(family, magnitude, scale, relative)
-
-    def hits(family: str, magnitudes: np.ndarray,
-             scales: np.ndarray | float = 1.0) -> None:
-        report._hits(family, magnitudes, scales, relative)
-
-    _check_geometry(instance, config, result, hit)
+    report = ViolationReport(tolerance, relative)
+    _check_geometry(instance, config, result, report.book)
     if config.model == "CTG":
-        _check_ctg_flows(instance, result, hits)
+        _check_ctg_flows(instance, result, report.book)
     else:
-        _check_flows(instance, result, hits)
-        _check_blocks(instance, result, hit, hits)
+        _check_flows(instance, result, report.book)
+        _check_blocks(instance, result, report.book)
     return report
 
 
-def _check_geometry(instance, config, result, hit) -> None:
-    layout = instance.segment_layout
-    coeffs = result.coefficients
+def _check_geometry(instance, config, result, book) -> None:
+    sizes = instance.segment_layout.segment_sizes
+    start, end = np.array([instance.segment_span(g)
+                           for g in range(1, len(sizes) + 1)]).T
+    span = end - start
+    a1, a2, a3 = np.array(result.coefficients, dtype=float).T
+    # Each segment's value and grade at its far end.
+    end_val = a1 + a2 * span + a3 * span * span
+    end_grad = a2 + 2.0 * a3 * span
+    left_val, left_grad = end_val[:-1], end_grad[:-1]
+    book("continuity", np.abs(left_val - a1[1:]),
+         np.maximum(np.abs(left_val), np.abs(a1[1:])))
+    book("continuity", np.abs(left_grad - a2[1:]),
+         np.maximum(np.abs(left_grad), np.abs(a2[1:])))
 
-    for g in range(2, layout.segment_count + 1):
-        start_prev, end_prev = instance.segment_span(g - 1)
-        span = end_prev - start_prev
-        a1, a2, a3 = coeffs[g - 2]
-        b1, b2, b3 = coeffs[g - 1]
-        left_val = a1 + a2 * span + a3 * span * span
-        left_grad = a2 + 2.0 * a3 * span
-        hit("continuity", abs(left_val - b1), max(abs(left_val), abs(b1)))
-        hit("continuity", abs(left_grad - b2), max(abs(left_grad), abs(b2)))
+    grades = np.concatenate((a2, end_grad))
+    book("slope", np.maximum(0.0, instance.slope_lo - grades))
+    book("slope", np.maximum(0.0, grades - instance.slope_hi))
 
-    for g in range(1, layout.segment_count + 1):
-        start, end = instance.segment_span(g)
-        span = end - start
-        _, a2, a3 = coeffs[g - 1]
-        for grade in (a2, a2 + 2.0 * a3 * span):
-            hit("slope", max(0.0, instance.slope_lo - grade), 1.0)
-            hit("slope", max(0.0, grade - instance.slope_hi), 1.0)
+    ground, area, lo, hi = np.array([
+        (sec.ground_elevation, sec.area, sec.offset_lo, sec.offset_hi)
+        for sec in instance.sections]).T
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    sigma = np.array(instance.stations) - start[seg]
+    road = a1[seg] + a2[seg] * sigma + a3[seg] * sigma * sigma
+    offset, cut, fill = (np.array(values, dtype=float) for values in (
+        result.offsets, result.section_cut, result.section_fill))
+    book("volume", np.abs(offset - (ground - road)), np.abs(ground))
+    if config.volume_mode == "linear":
+        book("volume", np.abs((cut - fill) - area * offset),
+             np.abs(area * offset))
+    else:
+        # The curves' own interpolation: np.interp rounds differently.
+        at = [(instance.curve_by_section[i], u)
+              for i, u in enumerate(result.offsets, start=1)]
+        book("volume", np.abs(cut - [c.cut_at(u) for c, u in at]),
+             np.abs(cut))
+        book("volume", np.abs(fill - [c.fill_at(u) for c, u in at]),
+             np.abs(fill))
+    book("bounds", np.maximum(0.0, lo - offset))
+    book("bounds", np.maximum(0.0, offset - hi))
+    book("bounds", np.maximum(0.0, -cut))
+    book("bounds", np.maximum(0.0, -fill))
 
-    stations = instance.stations
-    for i in range(1, instance.n + 1):
-        sec = instance.section(i)
-        road = evaluate_profile(coeffs, layout, stations, sec.station)
-        offset = result.offsets[i - 1]
-        hit("volume", abs(offset - (sec.ground_elevation - road)),
-            abs(sec.ground_elevation))
-        cut = result.section_cut[i - 1]
-        fill = result.section_fill[i - 1]
-        if config.volume_mode == "linear":
-            hit("volume", abs((cut - fill) - sec.area * offset),
-                abs(sec.area * offset))
-        else:
-            curve = instance.curve_by_section[i]
-            hit("volume", abs(cut - curve.cut_at(offset)), abs(cut))
-            hit("volume", abs(fill - curve.fill_at(offset)), abs(fill))
-        hit("bounds", max(0.0, sec.offset_lo - offset), 1.0)
-        hit("bounds", max(0.0, offset - sec.offset_hi), 1.0)
-        hit("bounds", max(0.0, -cut), 1.0)
-        hit("bounds", max(0.0, -fill), 1.0)
-
-    for amount in result.borrow_used + result.waste_used:
-        hit("bounds", max(0.0, -amount), 1.0)
-    for j, pit in enumerate(instance.borrow_pits):
-        hit("capacity", max(0.0, result.borrow_used[j] - pit.capacity),
-            pit.capacity)
-    for k, pit in enumerate(instance.waste_pits):
-        hit("capacity", max(0.0, result.waste_used[k] - pit.capacity),
-            pit.capacity)
+    for used, pits in ((result.borrow_used, instance.borrow_pits),
+                       (result.waste_used, instance.waste_pits)):
+        used = np.array(used, dtype=float)
+        capacity = np.array([pit.capacity for pit in pits], dtype=float)
+        book("bounds", np.maximum(0.0, -used))
+        book("capacity", np.maximum(0.0, used - capacity), capacity)
 
 
 def _transit_in(transit: np.ndarray) -> np.ndarray:
@@ -184,21 +167,21 @@ def _chain_sum(arcs: np.ndarray) -> np.ndarray:
     return arcs[..., 0] + arcs[..., 1]
 
 
-def _check_balance(instance, result, hits, totals) -> None:
+def _check_balance(instance, result, book, totals) -> None:
     """Flow totals per section (cut, fill) and pit (borrow, waste) against
     the decoded volumes, and pit totals against capacity."""
     for total, volume, pits in zip(
             totals, (result.section_cut, result.section_fill,
                      result.borrow_used, result.waste_used),
             ((), (), instance.borrow_pits, instance.waste_pits)):
-        hits("balance", np.abs(total - np.array(volume, dtype=float)),
+        book("balance", np.abs(total - np.array(volume, dtype=float)),
              np.abs(total))
         if pits:
             capacity = np.array([pit.capacity for pit in pits])
-            hits("capacity", np.maximum(0.0, total - capacity), capacity)
+            book("capacity", np.maximum(0.0, total - capacity), capacity)
 
 
-def _check_flows(instance, result, hits) -> None:
+def _check_flows(instance, result, book) -> None:
     """Conservation, balance, pit capacity and flow bounds on the grid."""
     flows = result.flows
     transit, unload, load, borrow, waste = flows
@@ -212,21 +195,21 @@ def _check_flows(instance, result, hits) -> None:
     acc -= load
     for k, pit in enumerate(instance.waste_pits):
         acc[:, :, pit.attached_section - 1] -= waste[:, :, k]
-    hits("flow_conservation", np.abs(acc), scale)
+    book("flow_conservation", np.abs(acc), scale)
 
     # Node totals: both chains, haul by haul and step by step.
-    _check_balance(instance, result, hits, [
+    _check_balance(instance, result, book, [
         sum(step for haul in _chain_sum(arcs) for step in haul)
         for arcs in (unload, load, borrow, waste)])
 
     # The transit arc off the road's far end carries nothing.
-    hits("bounds", np.abs(transit[:, :, -1, 0]))
-    hits("bounds", np.abs(transit[:, :, 0, 1]))
+    book("bounds", np.abs(transit[:, :, -1, 0]))
+    book("bounds", np.abs(transit[:, :, 0, 1]))
     for arcs in flows:
-        hits("bounds", np.maximum(0.0, -arcs))
+        book("bounds", np.maximum(0.0, -arcs))
 
 
-def _check_blocks(instance, result, hit, hits) -> None:
+def _check_blocks(instance, result, book) -> None:
     blocks = instance.sorted_blocks
     if not blocks:
         return
@@ -244,7 +227,7 @@ def _check_blocks(instance, result, hit, hits) -> None:
     for k, blk in enumerate(blocks):
         s = blk.section - 1
         for arcs, local in ((into, load), (transit, unload)):
-            hits("block_gating",
+            book("block_gating",
                  np.abs(arcs[:, shut[k], s] - local[:, shut[k], s]))
 
     pairs, left_set, right_set = block_access_sets(instance)
@@ -256,12 +239,12 @@ def _check_blocks(instance, result, hit, hits) -> None:
         closed = shut[[k - 1 for k in ks]].all(axis=0)
         rightward = transit[:, closed, lo_arc - 1:hi_arc - 1, 0]  # i -> i+1
         leftward = transit[:, closed, lo_arc:hi_arc, 1]  # i+1 -> i
-        hits("block_gating", np.abs(rightward))
-        hits("block_gating", np.abs(leftward))
+        book("block_gating", np.abs(rightward))
+        book("block_gating", np.abs(leftward))
         for arcs, pits in ((borrow, instance.borrow_pits),
                            (waste, instance.waste_pits)):
             ok = [pit_ok(pit.attached_section) for pit in pits]
-            hits("block_gating", np.abs(arcs[:, closed][:, :, ok]))
+            book("block_gating", np.abs(arcs[:, closed][:, :, ok]))
 
     for k1, k2 in pairs:
         s1, s2 = blocks[k1 - 1].section, blocks[k2 - 1].section
@@ -276,32 +259,37 @@ def _check_blocks(instance, result, hit, hits) -> None:
 
     # Removal bookkeeping: indicators are binary and final, and by the end
     # of step u at least u blocks are gone.
-    hits("bounds", np.abs(y - np.round(y)))
-    hits("bounds", np.maximum(0.0, np.maximum(-y, y - 1.0)))
-    hits("removal_logic", np.maximum(0.0, y[:, :-1] - y[:, 1:]))
-    hits("removal_logic",
+    book("bounds", np.abs(y - np.round(y)))
+    book("bounds", np.maximum(0.0, np.maximum(-y, y - 1.0)))
+    book("removal_logic", np.maximum(0.0, y[:, :-1] - y[:, 1:]))
+    book("removal_logic",
          np.maximum(0.0, np.arange(1, len(steps)) - sum(y[:, 1:])))
     # A block flagged removed by step u had its cut and fill moved by then:
     # both chains, haul by haul and step by step through step u.
+    # The sums stay Python's, in that order: a numpy sum rounds differently.
+    needed, moved = [], []
     for k, blk in enumerate(blocks):
         s = blk.section - 1
         for u in steps:
             if y[k, u] < 0.5:
                 continue
-            for arcs, needed in ((unload, result.section_cut[s]),
+            for arcs, volume in ((unload, result.section_cut[s]),
                                  (load, result.section_fill[s])):
-                moved = sum(_chain_sum(arcs[:, :u + 1, s]).ravel().tolist())
-                hit("removal_logic", max(0.0, needed - moved), abs(needed))
+                needed.append(volume)
+                moved.append(
+                    sum(_chain_sum(arcs[:, :u + 1, s]).ravel().tolist()))
+    book("removal_logic", np.maximum(0.0, np.subtract(needed, moved)),
+         np.abs(needed))
 
 
-def _check_ctg_flows(instance, result, hits) -> None:
+def _check_ctg_flows(instance, result, book) -> None:
     # Node totals are row and column sums of the (supply, demand) grid.
     n = instance.n
     grid, = result.flows
     out, into = grid.sum(axis=1), grid.sum(axis=0)
-    _check_balance(instance, result, hits,
+    _check_balance(instance, result, book,
                    (out[:n], into[:n], out[n:], into[n:]))
-    hits("bounds", np.maximum(0.0, -grid))
+    book("bounds", np.maximum(0.0, -grid))
 
 
 def repricing_error(recomputed: float, objective: float) -> str:

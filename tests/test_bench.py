@@ -23,6 +23,7 @@ from valign.bench import (
 )
 from valign.gateway import SolverLimits
 from valign.instance_io import RunConfig, parse_instance
+from valign.validate import ViolationReport
 
 from conftest import BUNDLED_SOLVER, make_instance
 
@@ -280,3 +281,20 @@ def test_failed_reference_is_not_zero_error(monkeypatch):
     assert not shown["MQN-B"].success
     assert shown["CTG-B"].status == "error"
     assert shown["CTG-B"].reason == "RuntimeError: no reference today"
+
+
+def test_failed_validation_names_its_families(monkeypatch):
+    # Each family over the tolerance, with its worst residual, in family
+    # order; one at the tolerance passes and is not named.
+    def failing(instance, config, result, tolerance):
+        report = ViolationReport(tolerance)
+        for name, worst in (("bounds", 0.25), ("slope", math.inf),
+                            ("volume", tolerance)):
+            report.families[name].worst = worst
+        return report
+
+    monkeypatch.setattr(bench, "validate", failing)
+    record, = run_matrix([("zigzag", zigzag_instance())], ["CTG-B"], RUN,
+                         workers=1)
+    assert record.status == "optimal" and not record.success
+    assert record.reason == "validation failed: slope inf, bounds 0.25"

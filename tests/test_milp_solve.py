@@ -173,15 +173,6 @@ def test_sos1_binarize_allows_one_nonzero():
     assert val(parsed, values, "v") == pytest.approx(0.0, abs=1e-9)
 
 
-def test_main_rejects_sos_by_default(tmp_path):
-    mps = write(tmp_path, SOS_MPS)
-    sol = str(tmp_path / "out.sol")
-    rc = main([mps, sol])
-    assert rc == 3
-    content = open(sol).read()
-    assert content.startswith("status error")
-
-
 def test_main_end_to_end(tmp_path, capsys):
     mps = write(tmp_path, TOY_MPS)
     sol = str(tmp_path / "out.sol")
@@ -199,10 +190,12 @@ def test_main_end_to_end(tmp_path, capsys):
     assert "wall_time" in entries
 
 
-def test_main_binarize_flag(tmp_path):
+@pytest.mark.parametrize("flags", [(), ("--sos", "binarize")],
+                         ids=["default", "flag"])
+def test_main_binarizes_sos(tmp_path, flags):
     mps = write(tmp_path, SOS_MPS)
     sol = str(tmp_path / "out.sol")
-    rc = main([mps, sol, "--sos", "binarize", "--gap", "1e-9"])
+    rc = main([mps, sol, *flags, "--gap", "1e-9"])
     assert rc == 0
     entries = dict(line.split(None, 1)
                    for line in open(sol).read().splitlines())
@@ -304,6 +297,7 @@ def test_adapter_process_exit_keeps_its_output(tmp_path, text, args, code,
     ("--time-limit", "soon", "expected a number, got 'soon'"),
     ("--gap", "-1", "must be >= 0, got '-1'"),
     ("--gap", "nan", "expected a number, got 'nan'"),
+    ("--sos", "reject", "invalid choice: 'reject' (choose from 'binarize')"),
 ])
 def test_main_rejects_bad_limits(tmp_path, capsys, flag, value, message):
     mps = write(tmp_path, TOY_MPS)

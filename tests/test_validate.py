@@ -315,18 +315,32 @@ def test_names_stop_at_decode(monkeypatch, case, config_name):
     assert spelled == [] and columns.looked == []
 
 
-@pytest.mark.parametrize("tamper, family", [
-    (lambda r, model: bumped(r, model, ["FR_1_0_1_2"], math.nan),
-     "flow_conservation"),
-    (lambda r, model: replace(r, offsets=(math.nan,) + r.offsets[1:]),
-     "volume"),
-], ids=["flow", "offset"])
-def test_nan_residual_is_a_violation(two_node_instance, tamper, family):
-    config, model, result = solved(two_node_instance,
-                                   offsets=TWO_NODE_OFFSETS)
+def nan_grade(result, model):
+    (a1, _, a3), *rest = result.coefficients
+    return replace(result, coefficients=((a1, math.nan, a3), *rest))
+
+
+@pytest.mark.parametrize("fixture, offsets, tamper, families", [
+    ("two_node_instance", TWO_NODE_OFFSETS,
+     lambda r, model: bumped(r, model, ["FR_1_0_1_2"], math.nan),
+     ["flow_conservation"]),
+    ("two_node_instance", TWO_NODE_OFFSETS,
+     lambda r, model: replace(r, offsets=(math.nan,) + r.offsets[1:]),
+     ["volume", "bounds"]),
+    ("two_node_instance", TWO_NODE_OFFSETS, nan_grade, ["slope"]),
+    ("borrow_fill_instance", BORROW_FILL_OFFSETS,
+     lambda r, model: replace(r, borrow_used=(math.nan,)),
+     ["bounds", "capacity"]),
+], ids=["flow", "offset", "grade", "borrow_used"])
+def test_nan_residual_is_a_violation(request, fixture, offsets, tamper,
+                                     families):
+    # Each family the NaN reaches reads inf, not just the verdict.
+    instance = request.getfixturevalue(fixture)
+    config, model, result = solved(instance, offsets=offsets)
     for relative in (False, True):
-        report = validate(two_node_instance, config, tamper(result, model),
+        report = validate(instance, config, tamper(result, model),
                           relative=relative)
         assert not report.passed
-        assert report.families[family].worst == math.inf
-        assert report.families[family].count >= 1
+        for family in families:
+            assert report.families[family].worst == math.inf, family
+            assert report.families[family].count >= 1, family
