@@ -138,6 +138,8 @@ class VolumeCurve:
 
 
 def _interp(xs: Sequence[float], ys: Sequence[float], x: float) -> float:
+    if math.isnan(x):
+        return math.nan     # validate books it as a volume violation
     if x <= xs[0]:
         return ys[0]
     if x >= xs[-1]:

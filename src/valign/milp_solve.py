@@ -5,7 +5,9 @@ solver driven by the gateway: read an MPS file, optimize, write a solution
 file of "name value" lines. Optimization is delegated to HiGHS through the
 binding scipy ships, scipy.optimize._highspy._core. Installed as the
 ``valign-milp`` console script and used as the default solver command when
-none is configured.
+none is configured. There are two ways into HiGHS (below): a plain LP is
+loaded by HiGHS's own MPS reader, with no numpy, and everything else goes
+in as arrays.
 
 ColumnarModel is the one array layout of a model, from the builder's
 MilpModel, which extends it, to HiGHS: columns with cost, bound and integer
@@ -15,18 +17,22 @@ sets as (type, name, ((column id, weight), ...)). parse_mps reads a file
 into it, columns in first-seen order, rows in declaration order and entries
 in file order. The text is read in pieces of 64 KB (text_pieces, which the
 gateway's solution reader shares), so no Python object per token lives
-longer than its piece; ids and values go to typed arrays, and costs are
-summed into one that grows with the columns. A piece of the COLUMNS
-section whose every line is a plain entry line (ASCII, ending in a line
-feed, starting with a blank, three tokens, no 'MARKER') is read as a
-whole: one split, row ids and values mapped in C into numpy, new column
-names registered with dict.fromkeys, costs summed with np.add.at in file
-order, and one append to each typed array. Any other piece, and one
-holding an unknown row, a bad number, NaN or an infinite value, is read
-line by line, so every error names its line as before. On G-01 CTG-B,
-615,000 lines, parse_mps took 0.50-0.53 s against 0.87-1.15 s line by
-line (interleaved in one process, 2 shared vCPUs), and the adapter
-0.92-1.00 s against 1.23-1.56 s. A matrix coefficient must be finite:
+longer than its piece. Ids and values go to typed arrays, with no numpy:
+every COLUMNS entry in file order, an objective entry on row -1 (_Read).
+parse_mps then makes the ColumnarModel: one np.add.at sums each column's
+objective entries in file order, and one mask splits off the matrix
+entries. A piece of the COLUMNS section whose every line is a plain entry
+line (ASCII, ending in a line feed, starting with a blank, three tokens,
+no 'MARKER') is read as a whole: one split, row ids and values mapped in
+C into lists and then typed arrays (an array grows item by item from an
+iterator, 1.5 times slower), new column names registered with
+dict.fromkeys, and one append to each typed array. Any other piece, and
+one holding an unknown row, a bad number, NaN or an infinite value, is
+read line by line, so every error names its line as before. On G-01
+CTG-B, 615,000 lines, parse_mps took 0.50-0.53 s against 0.87-1.15 s line
+by line (interleaved in one process, 2 shared vCPUs), and the adapter
+0.92-1.00 s against 1.23-1.56 s; reading into typed arrays, not numpy,
+kept that time. A matrix coefficient must be finite:
 HiGHS refuses the model otherwise. write_solution writes the solution in
 column order, the nonzero values only: a reader takes an absent name as 0.
 On G-01 CTG-B, 1,390 of 203,523 columns are nonzero, and the file went
@@ -34,6 +40,33 @@ from 2.77 MB to 37 KB. run() ends the process with os._exit once the
 solution file is closed and the output flushed: from main's return to
 the exit took 44-60 ms with the interpreter's teardown and 3-9 ms
 without it, on A-01 MQN-B and G-01 CTG-B.
+
+numpy is imported on first use (importlib.util.LazyLoader), and ENTRY,
+the one numpy value at module level, is made when first read. A plain LP
+never imports it: main has HiGHS's own reader, readModel, load a file
+named .mps that _Read.plain_lp shows to be one, solves it once, as
+solve_arrays would, and writes x from the binding's list. parse_mps's
+reader still reads and checks the whole file, and it alone decides;
+readModel, which refuses SOS sections and was no faster on CTG, only
+loads. A plain LP has no integer column and no SOS set, finite costs,
+entry keys (column, row + 1) that strictly increase in file order, at
+most _PER_ROW entries in a row and one for each column that can rest at
+0, so working_set would take every column, and nothing that readModel was
+seen to read otherwise (_Read). On hand-written files readModel returned
+kOk with another LP for an RHS entry on the objective row (an offset), a
+repeated entry or objective entry, rows out of declaration order within a
+column, a repeated RHS or range entry, RANGES before RHS, an RHS set
+named as a row, a bound set named as a column and a number with an
+underscore; an infinite cost is kOk to HiGHS but an error here. A
+kWarning (a column's lines apart, an UP bound below a lower bound of 0),
+a kError (no ENDATA) or a model of another shape sends the file the array
+route, which reports every error as before; so do MIPs, SOS models and
+wide LPs. On either route HiGHS drops explicit zeros, and the LP it holds
+(getLp) is the same but for an empty integrality. The block-free MQN-B,
+QNA-B and MQN-S1 models measured are plain; CTG-B's are wide. On A-01,
+B-02 and C-03 under MQN-B the adapter process took a median 159, 154 and
+187 ms against 203, 210 and 243 ms with numpy (12 interleaved runs each,
+2 shared vCPUs; the interpreter alone, site included, took about 108 ms).
 
 solve_arrays is the one seam to HiGHS: cost, column bounds, integrality, a
 CSC matrix and row bounds in, as one list; status word, objective and x
@@ -158,11 +191,26 @@ import os
 import sys
 import time
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from itertools import filterfalse, repeat
-from typing import Iterator
+from itertools import compress, filterfalse, islice, repeat
+from operator import add, lt, mul
+from typing import Iterator, Sequence
 
-import numpy as np
+
+def _lazy(name: str):
+    """The module name, imported on the first read of an attribute
+    (importlib.util.LazyLoader), or as it is if already imported."""
+    module = sys.modules.get(name)
+    if module is None:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy("numpy")
 
 
 class MpsError(ValueError):
@@ -170,6 +218,8 @@ class MpsError(ValueError):
 
 
 def __getattr__(name: str):
+    if name == "ENTRY":
+        return _entry()
     # milp_solve.optimize is kept for perfbench's traced re-solve, its only
     # reader: it wraps optimize.milp, which solve_parsed no longer calls.
     # scipy.optimize is imported only when something reads the name.
@@ -179,7 +229,14 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-ENTRY = np.dtype([("row", np.intp), ("col", np.intp), ("value", np.float64)])
+def _entry():
+    """ENTRY, the record type of a matrix entry, made on first use, so
+    that the module imports without numpy."""
+    global ENTRY
+    if "ENTRY" not in globals():
+        ENTRY = np.dtype([("row", np.intp), ("col", np.intp),
+                          ("value", np.float64)])
+    return ENTRY
 
 _PIECE_CHARS = 1 << 16
 
@@ -213,21 +270,116 @@ class ColumnarModel:
 
 def entry_records(row, col, value) -> np.ndarray:
     """ENTRY records from row ids, column ids and values."""
-    entries = np.empty(len(value), ENTRY)
+    entries = np.empty(len(value), _entry())
     entries["row"], entries["col"], entries["value"] = row, col, value
     return entries
 
 
 def parse_mps(text: str) -> ColumnarModel:
+    return _read_mps(text).model()
+
+
+# The sections of a conventional file (_Read), in the order they come.
+_SECTIONS = ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS")
+
+
+@dataclass(eq=False)
+class _Read:
+    """A file as parse_mps's reader leaves it, before any numpy array:
+    names, row senses, and bounds, RHS and ranges by id; integer column
+    ids; SOS sets; and every COLUMNS entry in file order, as typed arrays
+    of row ids, column ids and values, an objective entry on row -1.
+
+    conventional: the file holds none of what HiGHS's own reader was
+    seen to read otherwise, with kOk, apart from what plain_lp checks on
+    the entries: its sections come in the order of _SECTIONS, each once;
+    no RHS falls on the objective row (HiGHS reads an offset); no row has
+    two RHS or two range entries; no RHS or RANGES set is named as a row
+    and no bound set as a column; no number holds an underscore (float
+    reads 1_0 as 10)."""
+
+    name: str
+    columns: list[str]
+    row_order: list[str]
+    senses: list[str]
+    lower: dict[int, float]
+    upper: dict[int, float]
+    rhs: dict[int, float]
+    ranges: dict[int, float]
+    integer: list[int]
+    entry_row: array
+    entry_col: array
+    entry_value: array
+    sos_sets: list[tuple[int, str, list[tuple[int, float]]]]
+    conventional: bool
+
+    def model(self) -> ColumnarModel:
+        """The file as a ColumnarModel: each cost the sum of its column's
+        objective entries in file order, the other entries as they come."""
+        n, m = len(self.columns), len(self.row_order)
+        row = np.frombuffer(self.entry_row, np.int64)
+        col = np.frombuffer(self.entry_col, np.int64)
+        value = np.frombuffer(self.entry_value, np.float64)
+        priced = row == -1
+        cost = np.zeros(n)
+        np.add.at(cost, col[priced], value[priced])   # in file order
+        kept = ~priced
+        entries = np.empty(len(row) - int(np.count_nonzero(priced)),
+                           _entry())
+        for field, data in (("row", row), ("col", col), ("value", value)):
+            entries[field] = data[kept]
+        col_integer = np.zeros(n, bool)
+        col_integer[self.integer] = True
+        return ColumnarModel(
+            self.name, tuple(self.columns), cost,
+            _scatter(np.zeros(n), self.lower),
+            _scatter(np.full(n, math.inf), self.upper), col_integer,
+            tuple(self.row_order), np.array(self.senses, "U1"),
+            _scatter(np.zeros(m), self.rhs),
+            _scatter(np.full(m, math.nan), self.ranges), entries,
+            tuple((kind, label, tuple(members))
+                  for kind, label, members in self.sos_sets))
+
+    def plain_lp(self) -> bool:
+        """Whether HiGHS's own reader may load the file (module
+        docstring): a conventional LP with no SOS set and finite costs,
+        whose entry keys (column, row + 1) strictly increase in file order
+        (each column's lines together and in first-seen order, rows in
+        declaration order within it, the objective's first, none
+        repeated), with at most _PER_ROW entries in a row and one for
+        each column that can rest at 0. The last two make working_set
+        take every column, so the LP would not be sifted."""
+        if self.integer or self.sos_sets or not self.conventional:
+            return False
+        n, m = len(self.columns), len(self.row_order)
+        rows, cols = self.entry_row, self.entry_col
+        # A column has at most one objective entry, so the matrix at least
+        # len(rows) - n: a wide LP, such as CTG's, ends here.
+        if len(rows) - n > _PER_ROW * m:
+            return False
+        if not all(map(math.isfinite, self.entry_value)):
+            return False
+        keys = list(map(add, map(mul, cols, repeat(m + 1)), rows))
+        if not all(map(lt, keys, islice(keys, 1, None))):
+            return False
+        per_row = Counter(rows)
+        per_row.pop(-1, None)
+        if max(per_row.values(), default=0) > _PER_ROW:
+            return False
+        entered = set(compress(cols, map((-1).__ne__, rows)))
+        return not any(self.lower.get(col, 0.0) == 0.0
+                       and self.upper.get(col, math.inf) > 0.0
+                       for col in set(range(n)).difference(entered))
+
+
+def _read_mps(text: str) -> _Read:
     name = objective_row = ""
     columns: list[str] = []
     col_id: dict[str, int] = {}
     row_order: list[str] = []
     row_id: dict[str, int] = {}
     senses: list[str] = []
-    # Costs by column id, grown in touch; the other column and row ids ->
-    # values, for those the file gives.
-    cost = array("d")
+    # Column and row ids -> values, for those the file gives.
     lower: dict[int, float] = {}
     upper: dict[int, float] = {}
     rhs: dict[int, float] = {}
@@ -243,21 +395,35 @@ def parse_mps(text: str) -> ColumnarModel:
     # row_id with the objective row at -1, for _plain_entries; None once
     # a ROWS line changes either.
     row_lookup: dict[str, int] | None = None
+    # What makes a file conventional (_Read): the sections in file order,
+    # how many RHS and RANGES entries there are, and the set names.
+    sections: list[str] = []
+    set_entries = 0
+    set_names: set[str] = set()
+    bound_sets: set[str] = set()
+    conventional = True
 
     def touch(var: str) -> int:
         col = col_id.get(var)
         if col is None:
             col = col_id[var] = len(columns)
             columns.append(var)
-            cost.append(0.0)
         return col
+
+    def number(token: str, lineno: int) -> float:
+        nonlocal conventional
+        if "_" in token:
+            conventional = False
+        return _parse_num(token, lineno)
 
     lineno = 0
     for piece in text_pieces(text):
         if section == "COLUMNS":
             if row_lookup is None:
                 row_lookup = {**row_id, objective_row: -1}
-            plain = _plain_entries(piece, row_lookup)
+            # A file too wide for plain_lp needs no scan of its numbers.
+            plain = _plain_entries(piece, row_lookup, conventional and len(
+                entry_row) - len(columns) <= _PER_ROW * len(row_order))
             if plain is not None:
                 names, rows, values = plain
                 fresh = list(filterfalse(col_id.__contains__,
@@ -265,19 +431,13 @@ def parse_mps(text: str) -> ColumnarModel:
                 first = len(columns)
                 columns.extend(fresh)
                 col_id.update(zip(fresh, range(first, len(columns))))
-                cost.extend(repeat(0.0, len(fresh)))
-                cols = np.fromiter(map(col_id.__getitem__, names), np.int64,
-                                   len(names))
-                priced = rows == -1
-                # in file order, as cost[col] += value adds them
-                np.add.at(np.frombuffer(cost), cols[priced], values[priced])
-                kept = ~priced
-                entry_row.frombytes(rows[kept].tobytes())
-                entry_col.frombytes(cols[kept].tobytes())
-                entry_value.frombytes(values[kept].tobytes())
+                mark = len(entry_col)
+                entry_col.fromlist(list(map(col_id.__getitem__, names)))
+                entry_row.extend(rows)
+                entry_value.extend(values)
                 if in_integer:
-                    integer.extend(cols.tolist())
-                last_var, last_col = names[-1], int(cols[-1])
+                    integer.extend(entry_col[mark:])
+                last_var, last_col = names[-1], entry_col[-1]
                 lineno += len(names)
                 continue
 
@@ -294,6 +454,7 @@ def parse_mps(text: str) -> ColumnarModel:
                 if head in ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS",
                             "SOS"):
                     section = head
+                    sections.append(head)
                     in_integer = False
                     current_sos = None
                     continue
@@ -318,16 +479,18 @@ def parse_mps(text: str) -> ColumnarModel:
                     integer.append(col)
                 for pos in (1, 3) if count == 5 else (1,):
                     row = tokens[pos]
-                    value = _parse_num(tokens[pos + 1], lineno)
+                    value = number(tokens[pos + 1], lineno)
                     if row == objective_row:
-                        cost[col] += value
-                        continue
-                    r = row_id.get(row)
-                    if r is None:
-                        raise MpsError(f"line {lineno}: unknown row {row!r}")
-                    if not math.isfinite(value):
-                        raise MpsError(f"line {lineno}: matrix coefficient "
-                                       f"{value!r} is not finite")
+                        r = -1
+                    else:
+                        r = row_id.get(row)
+                        if r is None:
+                            raise MpsError(f"line {lineno}: unknown row "
+                                           f"{row!r}")
+                        if not math.isfinite(value):
+                            raise MpsError(f"line {lineno}: matrix "
+                                           f"coefficient {value!r} is not "
+                                           "finite")
                     entry_row.append(r)
                     entry_col.append(col)
                     entry_value.append(value)
@@ -353,23 +516,28 @@ def parse_mps(text: str) -> ColumnarModel:
             elif section in ("RHS", "RANGES"):
                 if len(tokens) not in (3, 5):
                     raise MpsError(f"line {lineno}: malformed {section} entry")
+                set_names.add(tokens[0])
                 for pos in range(1, len(tokens), 2):
                     row = tokens[pos]
-                    value = _parse_num(tokens[pos + 1], lineno)
+                    value = number(tokens[pos + 1], lineno)
                     r = row_id.get(row)
                     if r is not None:
                         (rhs if section == "RHS" else ranges)[r] = value
+                        set_entries += 1
                     elif section == "RANGES" or row != objective_row:
                         raise MpsError(f"line {lineno}: unknown row {row!r}")
+                    else:
+                        conventional = False
 
             elif section == "BOUNDS":
                 kind = tokens[0].upper()
                 if len(tokens) != (3 if kind in ("FR", "MI", "PL", "BV")
                                    else 4):
                     raise MpsError(f"line {lineno}: malformed bound")
+                bound_sets.add(tokens[1])
                 col = touch(tokens[2])
                 if kind in ("UP", "LO", "FX", "UI", "LI"):
-                    value = _parse_num(tokens[3], lineno)
+                    value = number(tokens[3], lineno)
                 if kind in ("UP", "UI"):
                     upper[col] = value
                 elif kind in ("LO", "LI"):
@@ -398,7 +566,7 @@ def parse_mps(text: str) -> ColumnarModel:
                 else:
                     if current_sos is None or len(tokens) != 2:
                         raise MpsError(f"line {lineno}: malformed SOS entry")
-                    weight = _parse_num(tokens[1], lineno)
+                    weight = number(tokens[1], lineno)
                     current_sos.append((touch(tokens[0]), weight))
 
             else:
@@ -408,19 +576,14 @@ def parse_mps(text: str) -> ColumnarModel:
 
     if not objective_row:
         raise MpsError("no objective row declared")
-    n, m = len(columns), len(row_order)
-    col_integer = np.zeros(n, bool)
-    col_integer[integer] = True
-    return ColumnarModel(
-        name, tuple(columns), np.frombuffer(cost, np.float64),
-        _scatter(np.zeros(n), lower), _scatter(np.full(n, math.inf), upper),
-        col_integer, tuple(row_order), np.array(senses, "U1"),
-        _scatter(np.zeros(m), rhs), _scatter(np.full(m, math.nan), ranges),
-        entry_records(np.frombuffer(entry_row, np.int64),
-                      np.frombuffer(entry_col, np.int64),
-                      np.frombuffer(entry_value, np.float64)),
-        tuple((kind, label, tuple(members))
-              for kind, label, members in sos_sets))
+    conventional = (
+        conventional and sections == [s for s in _SECTIONS if s in sections]
+        and set_entries == len(rhs) + len(ranges)
+        and not any(s in row_id or s == objective_row for s in set_names)
+        and not any(s in col_id for s in bound_sets))
+    return _Read(name, columns, row_order, senses, lower, upper, rhs, ranges,
+                 integer, entry_row, entry_col, entry_value, sos_sets,
+                 conventional)
 
 
 def _scatter(out: np.ndarray, values: dict[int, float]) -> np.ndarray:
@@ -451,14 +614,15 @@ def text_lines(text: str) -> Iterator[str]:
 _NOT_PLAIN = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\0", "'MARKER'")
 
 
-def _plain_entries(piece: str, row_lookup: dict[str, int]
-                   ) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+def _plain_entries(piece: str, row_lookup: dict[str, int], scan: bool
+                   ) -> tuple[list[str], array, array] | None:
     """The column names, row ids and values of a piece of COLUMNS text
     whose every line is a plain entry line, else None: an ASCII line that
     ends in a line feed, starts with a blank, and holds exactly three
     tokens, none of them 'MARKER', whose row row_lookup knows and
-    whose value is a finite number. Lines then number as str.splitlines
-    counts them, one per line feed."""
+    whose value is a finite number, with no underscore if scan is set
+    (the reader notes one line by line). Lines then number as
+    str.splitlines counts them, one per line feed."""
     if not (piece.isascii() and piece.endswith("\n") and piece[0] in " \t"
             and not any(mark in piece for mark in _NOT_PLAIN)):
         return None
@@ -468,15 +632,20 @@ def _plain_entries(piece: str, row_lookup: dict[str, int]
     tokens = piece.replace("\n", " \0").split()
     if len(tokens) != 4 * lines or tokens[3::4].count("\0") != lines:
         return None
+    numbers = tokens[2::4]
+    if scan and "_" in "".join(numbers):
+        return None
+    # Lists first: an array grows item by item from an iterator.
     try:
-        rows = np.fromiter(map(row_lookup.__getitem__, tokens[1::4]),
-                           np.int64, lines)
-        values = np.fromiter(map(float, tokens[2::4]), np.float64, lines)
+        rows = array("q", list(map(row_lookup.__getitem__, tokens[1::4])))
+        values = list(map(float, numbers))
     except (KeyError, ValueError):
         return None
-    if not np.isfinite(values).all():
+    # Finite values have a finite sum but for an overflow, which only
+    # sends the piece line by line.
+    if not math.isfinite(sum(values)):
         return None
-    return tokens[0::4], rows, values
+    return tokens[0::4], rows, array("d", values)
 
 
 def _parse_num(token: str, lineno: int) -> float:
@@ -556,7 +725,8 @@ def binarize_sos(mps: ColumnarModel) -> None:
     mps.row_rhs = np.concatenate([mps.row_rhs, rhs])
     mps.row_range = np.concatenate([mps.row_range, np.full(len(rows),
                                                            math.nan)])
-    mps.entries = np.concatenate([mps.entries, np.array(entries, ENTRY)])
+    mps.entries = np.concatenate([mps.entries,
+                                  np.array(entries, _entry())])
 
 
 def row_bounds(model: ColumnarModel) -> tuple[np.ndarray, np.ndarray]:
@@ -699,12 +869,7 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
     buffers = [np.ascontiguousarray(a, dtype) for a, dtype in zip(
         arrays, (f64, f64, f64, f64, f64, i32, i32, f64, i32), strict=True)]
     is_mip = bool(buffers[-1].any())
-    options = [("log_to_console", False),
-               ("presolve", "on" if is_mip else "off")]
-    if time_limit is not None:
-        options.append(("time_limit", float(time_limit)))
-    if gap is not None:
-        options.append(("mip_rel_gap", float(gap)))
+    options = _options(is_mip, time_limit, gap)
 
     if not is_mip:
         working = working_set(buffers)
@@ -714,7 +879,7 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
     if highs is None:
         return "infeasible", None, None, ""
     if not is_mip:
-        return _answer(highs, _run(highs, deadline), False, "")
+        return _with_array(_answer(highs, _run(highs, deadline), False, ""))
 
     # The relaxation: its objective is a bound on the MIP's.
     ints = np.flatnonzero(buffers[-1]).astype(i32)
@@ -744,9 +909,23 @@ def solve_arrays(arrays: list[np.ndarray], time_limit: float | None,
                           start_x)
     model_status = _run(highs, deadline)
     info = highs.getInfo()
-    return _answer(highs, model_status, True,
-                   f"bound {info.mip_dual_bound} (branch and bound, "
-                   f"{info.mip_node_count} nodes, gap {info.mip_gap})")
+    return _with_array(_answer(
+        highs, model_status, True,
+        f"bound {info.mip_dual_bound} (branch and bound, "
+        f"{info.mip_node_count} nodes, gap {info.mip_gap})"))
+
+
+def _options(is_mip: bool, time_limit: float | None, gap: float | None
+             ) -> list[tuple[str, object]]:
+    """The HiGHS options of a solve: no console log, presolve for a MIP
+    only (module docstring), and the limits given."""
+    options = [("log_to_console", False),
+               ("presolve", "on" if is_mip else "off")]
+    if time_limit is not None:
+        options.append(("time_limit", float(time_limit)))
+    if gap is not None:
+        options.append(("mip_rel_gap", float(gap)))
+    return options
 
 
 def working_set(arrays: list[np.ndarray]) -> np.ndarray:
@@ -1023,13 +1202,19 @@ def monotone_chains(arrays: list[np.ndarray], switches: np.ndarray
     return chains
 
 
-def _load(core, options, arrays):
-    """A fresh HiGHS object holding the model, or None if HiGHS refused
-    the model."""
+def _highs(core, options):
+    """A fresh HiGHS object with the options set."""
     highs = core._Highs()
     for option, setting in options:
         if highs.setOptionValue(option, setting) == core.HighsStatus.kError:
             raise ValueError(f"HiGHS rejected option {option} = {setting!r}")
+    return highs
+
+
+def _load(core, options, arrays):
+    """A fresh HiGHS object holding the model, or None if HiGHS refused
+    the model."""
+    highs = _highs(core, options)
     cost, _, _, row_lower, _, _, _, value, _ = arrays
     loaded = highs.passModel(
         len(cost), len(row_lower), len(value),
@@ -1049,25 +1234,46 @@ def _run(highs, deadline: float | None) -> str:
 
 
 def _answer(highs, model_status: str, is_mip: bool, note: str
-            ) -> tuple[str, float | None, np.ndarray | None, str]:
-    """solve_arrays' return value from the object's last run."""
+            ) -> tuple[str, float | None, list[float] | None, str]:
+    """solve_arrays' return value from the object's last run, x as the
+    binding's list."""
     objective = highs.getInfo().objective_function_value
     word = status_word(model_status, is_mip, objective)
     if word not in ("optimal", "feasible"):
         return word, None, None, ""
-    return (word, float(objective), np.array(highs.getSolution().col_value),
-            note)
+    return word, float(objective), highs.getSolution().col_value, note
+
+
+def _with_array(answer):
+    word, objective, x, note = answer
+    return word, objective, None if x is None else np.array(x), note
+
+
+def _solve_file(path: str, shape: tuple[int, int], time_limit: float | None,
+                gap: float | None
+                ) -> tuple[str, float | None, list[float] | None, str] | None:
+    """solve_arrays' answer, x as a list, for a plain LP (_Read.plain_lp)
+    that HiGHS loads from path itself and solves once; None if HiGHS
+    reads the file with a warning or an error, or to another shape than
+    (columns, rows)."""
+    core = highs_core()
+    deadline = None if time_limit is None else time.monotonic() + time_limit
+    highs = _highs(core, _options(False, time_limit, gap))
+    if highs.readModel(path) != core.HighsStatus.kOk \
+            or (highs.getNumCol(), highs.getNumRow()) != shape:
+        return None
+    return _answer(highs, _run(highs, deadline), False, "")
 
 
 def write_solution(path: str, status: str, objective: float | None,
-                   wall_time: float, columns: tuple[str, ...],
-                   values: np.ndarray | None) -> None:
+                   wall_time: float, columns: Sequence[str],
+                   values: Sequence[float] | None) -> None:
     """The reserved keys, then one "name value" line per column whose value
     is not 0.0 (-0.0 is 0.0), in column order, and the first column's line
     in any case: a reader turns an optimal file with no values into an
-    error, and reads an absent name as 0. values may run on past columns:
-    binarize_sos appends its binaries after the columns the file declared,
-    and those are not written."""
+    error, and reads an absent name as 0. values, a list or a numpy array,
+    may run on past columns: binarize_sos appends its binaries after the
+    columns the file declared, and those are not written."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"status {status}\n")
         if objective is not None:
@@ -1075,12 +1281,12 @@ def write_solution(path: str, status: str, objective: float | None,
         fh.write(f"wall_time {wall_time!r}\n")
         if values is None or not columns:
             return
-        # A mask, not np.union1d, which imports numpy.ma in numpy 2.
-        nonzero = values[:len(columns)] != 0.0
-        nonzero[0] = True
-        kept = np.flatnonzero(nonzero)
-        fh.write("".join([f"{columns[at]} {value!r}\n" for at, value in zip(
-            kept.tolist(), values[kept].tolist())]))
+        if not isinstance(values, list):
+            values = values[:len(columns)].tolist()
+        kept = list(map(bool, values))      # NaN is kept, -0.0 is not
+        kept[0] = True
+        fh.write("".join([f"{name} {value!r}\n" for name, value in compress(
+            zip(columns, values), kept)]))
 
 
 def _number(text: str) -> float:
@@ -1127,19 +1333,28 @@ def main(argv: list[str] | None = None) -> int:
 
     start = time.monotonic()
     try:
-        # The text and the reader's name tables are gone once parse_mps
-        # returns, before HiGHS allocates.
+        # The text and the reader's name tables are gone once the reader
+        # returns, before numpy or HiGHS allocates.
         with open(args.mps, "r", encoding="ascii") as fh:
-            mps = parse_mps(fh.read())
-        declared = len(mps.columns)
-        # binarize_sos copies every array even with no set to rewrite.
-        if mps.sos_sets:
-            binarize_sos(mps)
-        columns = mps.columns[:declared]
-        arrays, sos_flags = model_arrays(mps), mps.sos_flags
-        del mps     # its matrix entries: HiGHS reads the CSC copy
-        status, objective, values, note = solve_arrays(
-            arrays, args.time_limit, args.gap, sos_flags)
+            read = _read_mps(fh.read())
+        columns, answer = read.columns, None
+        # HiGHS picks its reader by the file name's extension.
+        if args.mps.endswith(".mps") and read.plain_lp():
+            answer = _solve_file(args.mps, (len(columns), len(read.row_order)),
+                                 args.time_limit, args.gap)
+        if answer is None:
+            mps = read.model()
+            del read    # its typed arrays
+            declared = len(mps.columns)
+            # binarize_sos copies every array even with no set to rewrite.
+            if mps.sos_sets:
+                binarize_sos(mps)
+            columns = mps.columns[:declared]
+            arrays, sos_flags = model_arrays(mps), mps.sos_flags
+            del mps     # its matrix entries: HiGHS reads the CSC copy
+            answer = solve_arrays(arrays, args.time_limit, args.gap,
+                                  sos_flags)
+        status, objective, values, note = answer
         write_solution(args.solution, status, objective,
                        time.monotonic() - start, columns, values)
     except (MpsError, OSError, ImportError, UnicodeDecodeError) as exc:

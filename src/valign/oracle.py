@@ -221,7 +221,13 @@ def earthwork_problem(instance: RoadInstance,
 
 def section_volumes(instance: RoadInstance,
                     offsets: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Cut/fill per section from offsets (piecewise curves when present)."""
+    """Cut/fill per section from offsets (piecewise curves when present).
+    Raises ValueError unless offsets holds one finite value per section."""
+    if len(offsets) != instance.n:
+        raise ValueError(f"need {instance.n} offsets, got {len(offsets)}")
+    for i, u in enumerate(offsets, start=1):
+        if not math.isfinite(u):
+            raise ValueError(f"offset of section {i} is not finite: {u!r}")
     cut: list[float] = []
     fill: list[float] = []
     for i in range(1, instance.n + 1):
@@ -239,7 +245,8 @@ def section_volumes(instance: RoadInstance,
 
 def allocation_cost(instance: RoadInstance, offsets: Sequence[float]) -> float:
     """Total earthwork cost at fixed offsets: excavation + embankment +
-    loading + hauling, by the transportation oracle."""
+    loading + hauling, by the transportation oracle. Raises ValueError as
+    section_volumes does."""
     cut, fill = section_volumes(instance, offsets)
     _, cost = solve_transportation(earthwork_problem(instance, cut, fill))
     return cost

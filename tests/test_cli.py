@@ -245,6 +245,20 @@ def test_oracle_infeasible_offsets(two_node_path):
     assert main(["oracle", two_node_path, "--at=-1,-1,-1"]) == 1
 
 
+@pytest.mark.parametrize("at, message", [
+    ("1,0", "need 3 offsets, got 2"),
+    ("1,0,-1,0", "need 3 offsets, got 4"),
+    ("1,inf,-1", "offset of section 2 is not finite: inf"),
+    ("nan,0,-1", "offset of section 1 is not finite: nan"),
+])
+def test_oracle_checks_its_offsets(two_node_path, capsys, at, message):
+    # A usage error: too few offsets raised IndexError, too many were
+    # ignored, and a non-finite one priced as cost 0.0.
+    assert main(["oracle", two_node_path, f"--at={at}"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"valign: {message}\n")
+
+
 def test_oracle_refuses_oversized_grid(tmp_path):
     inst = make_instance([100.0] * 9, areas=[10.0] * 9, offset=2.0)
     path = write_instance(inst, str(tmp_path / "wide.json"))

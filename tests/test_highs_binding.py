@@ -15,13 +15,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import optimize, sparse
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
 from valign import milp_solve
-from valign.builder import build, named_config
+from valign.bench import ROAD_TEMPLATES, generate_instance
+from valign.builder import build, fix_offsets, named_config
+from valign.gateway import parse_solution_text
 from valign.milp_solve import binarize_sos, parse_mps, solve_parsed
-from valign.mps import emit_mps_text
+from valign.mps import emit_mps, emit_mps_text
 
 from conftest import pinned_road
 from test_milp_solve import (
@@ -765,11 +769,20 @@ def python(code, *args):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_adapter_process_imports_only_the_binding(tmp_path):
+@pytest.mark.parametrize("case", ["toy", "A-01 MQN-B", "G-01 CTG-B"])
+def test_adapter_process_imports_only_the_binding(tmp_path, case):
     # The adapter's run() ends the process itself, so the imports are read
-    # off the interpreter's own import trace.
-    mps, sol = tmp_path / "toy.mps", tmp_path / "toy.sol"
-    mps.write_text(TOY_MPS, encoding="ascii")
+    # off the interpreter's own import trace. numpy is loaded lazily, so
+    # the trace lists its submodules but not numpy itself: TOY_MPS, a MIP,
+    # and G-01 CTG-B, a wide LP, take the array route, and A-01 MQN-B, a
+    # plain LP, never loads it.
+    mps, sol = tmp_path / "m.mps", tmp_path / "m.sol"
+    if case == "toy":
+        mps.write_text(TOY_MPS, encoding="ascii")
+    else:
+        road, config_name = case.split()
+        emit_mps(build(pinned_road(road), named_config(config_name)),
+                 str(mps))
     done = subprocess.run([sys.executable, "-X", "importtime", "-m",
                            "valign.milp_solve", str(mps), str(sol)],
                           capture_output=True, text=True)
@@ -777,11 +790,16 @@ def test_adapter_process_imports_only_the_binding(tmp_path):
     imported = {line.rsplit("|", 1)[1].strip()
                 for line in done.stderr.splitlines()
                 if line.startswith("import time:") and "|" in line}
-    assert {"argparse", "numpy", "valign"} <= imported
+    assert {"argparse", "valign"} <= imported
+    numpy = {name for name in imported if name.split(".")[0] == "numpy"}
+    assert bool(numpy) == (case != "A-01 MQN-B")
     assert not imported & {"numpy.ma", "scipy.optimize", "scipy.sparse",
                            "valign.builder", "valign.gateway",
                            "valign.instance"}
     assert sol.read_text().startswith("status optimal\n")
+    # main's closing line alone: HiGHS logs nothing to the console.
+    assert done.stdout.startswith("valign-milp: optimal objective ")
+    assert done.stdout.count("\n") == 1
 
 
 def test_optimize_resolves_on_read():
@@ -851,3 +869,218 @@ def test_binding_and_scipy_milp_share_one_core(adapter_first):
                   + textwrap.dedent(code),
                   "adapter" if adapter_first else "scipy") == [
         ["optimal", -3.0], [0, -1.5], True]
+
+
+# The adapter's two ways into HiGHS: a plain LP (_Read.plain_lp) that
+# HiGHS's own reader loads with kOk is solved from the file, anything else
+# from the arrays passModel takes.
+class RouteHighs(REAL_HIGHS):
+    """The binding's HiGHS object, noting each readModel and passModel."""
+
+    calls = []
+
+    def readModel(self, path):
+        RouteHighs.calls.append("readModel")
+        return super().readModel(path)
+
+    def passModel(self, *args):
+        RouteHighs.calls.append("passModel")
+        return super().passModel(*args)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The calls RouteHighs notes from then on."""
+    monkeypatch.setattr(milp_solve.highs_core(), "_Highs", RouteHighs)
+    monkeypatch.setattr(RouteHighs, "calls", [])
+    return RouteHighs.calls
+
+
+PLAIN_LP = small(["L r1", "G r2"],
+                 ["x COST 1.0", "x r1 1.0", "x r2 1.0",
+                  "y COST 2.0", "y r1 1.0", "y r2 2.0"],
+                 "RHS\n    RHS r1 4.0\n    RHS r2 1.0\n"
+                 "BOUNDS\n UP BND x 3.0\n")
+
+
+def plain_lp_with(old, new):
+    assert old in PLAIN_LP
+    return PLAIN_LP.replace(old, new)
+
+
+def crowded_row(count):
+    """PLAIN_LP with count entries in row r1: z_3 ... z_count join x, y."""
+    return plain_lp_with("RHS\n", "".join(
+        f"    z_{j} COST 0.5\n    z_{j} r1 1.0\n"
+        for j in range(3, count + 1)) + "RHS\n")
+
+
+# Each case's text and how many times readModel and passModel are called.
+# The last two HiGHS reads with a warning or an error.
+ROUTE_CASES = {
+    "plain": (PLAIN_LP, 1, 0),
+    "20 entries in a row": (crowded_row(20), 1, 0),
+    "entry-less column that cannot rest at 0": (plain_lp_with(
+        "RHS\n", "    z COST 1.0\nRHS\n").replace(
+            " UP BND x 3.0\n", " UP BND x 3.0\n LO BND z 1.0\n"), 1, 0),
+    "RHS on the objective row": (plain_lp_with(
+        "    RHS r2 1.0\n", "    RHS r2 1.0\n    RHS COST 5.0\n"), 0, 1),
+    "repeated entry": (plain_lp_with(
+        "    x r2 1.0\n", "    x r2 1.0\n    x r2 2.0\n"), 0, 1),
+    "repeated objective entry": (plain_lp_with(
+        "    x r1 1.0\n", "    x r1 1.0\n    x COST 2.0\n"), 0, 1),
+    "rows out of order": (plain_lp_with(
+        "    x r1 1.0\n    x r2 1.0\n", "    x r2 1.0\n    x r1 1.0\n"),
+        0, 1),
+    "infinite cost": (plain_lp_with("x COST 1.0", "x COST inf"), 0, 0),
+    "non-contiguous column": (plain_lp_with(
+        "    y r2 2.0\n", "    y r2 2.0\n    x COST 0.0\n"), 0, 1),
+    # closes by branch and bound, on a second load
+    "integer marker": (small(["L r1"], ["x COST -1.0", "x r1 1.0"],
+                             "RHS\n    RHS r1 2.5\n", integer=("x",)),
+                       0, 2),
+    "BV bound": (plain_lp_with(" UP BND x 3.0\n", " BV BND x\n"), 0, 1),
+    "SOS section": (plain_lp_with(" UP BND x 3.0\n",
+                                  " UP BND x 3.0\n UP BND y 5.0\nSOS\n"
+                                  " S1 SET s\n    x 1.0\n    y 2.0\n"), 0, 1),
+    "21 entries in a row": (crowded_row(21), 0, 1),
+    "restable column with no entry": (plain_lp_with(
+        "RHS\n", "    z COST 1.0\nRHS\n"), 0, 1),
+    "repeated RHS": (plain_lp_with(
+        "    RHS r2 1.0\n", "    RHS r2 1.0\n    RHS r2 3.0\n"), 0, 1),
+    "RANGES before RHS": (plain_lp_with(
+        "RHS\n", "RANGES\n    RNG r1 2.0\nRHS\n"), 0, 1),
+    "RHS set named as a row": (plain_lp_with("    RHS r1", "    r2 r1"),
+                               0, 1),
+    "bound set named as a column": (plain_lp_with(" UP BND x", " UP x x"),
+                                    0, 1),
+    "number with an underscore": (plain_lp_with("y r2 2.0", "y r2 2_0"),
+                                  0, 1),
+    "negative upper bound over 0": (plain_lp_with("UP BND x 3.0",
+                                                  "UP BND x -3.0"), 1, 1),
+    "no ENDATA": (plain_lp_with("ENDATA\n", ""), 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", ROUTE_CASES)
+def test_only_a_plain_lp_goes_to_the_highs_reader(routes, tmp_path, capsys,
+                                                  case):
+    # Whichever way main goes into HiGHS, it answers as solve_parsed does
+    # on the parsed file.
+    text, reads, passes = ROUTE_CASES[case]
+    mps, sol = tmp_path / "m.mps", tmp_path / "m.sol"
+    mps.write_text(text, encoding="ascii")
+    code = milp_solve.main([str(mps), str(sol)])
+    assert routes.count("readModel") == reads
+    assert routes.count("passModel") == passes
+    model = parse_mps(text)
+    columns = model.columns
+    if model.sos_sets:
+        binarize_sos(model)
+    try:
+        status, objective, x = solve_parsed(model, None, None)
+    except milp_solve.MpsError as exc:
+        assert code == 3
+        assert sol.read_text() == f"status error\nmessage {exc}\n"
+        return
+    assert code == 0
+    assert capsys.readouterr().out.startswith(f"valign-milp: {status}")
+    got = parse_solution_text(sol.read_text(), columns)
+    assert (got.status, got.objective) == (status, objective)
+    if x is not None:
+        assert got.x.tolist() == x[:len(columns)].tolist()
+
+
+def block_free_road(case):
+    """A pinned road, or a block-free suite road such as "B-02 2 pits"."""
+    if case in ("A-01", "G-01"):
+        return pinned_road(case)
+    name, *pits = case.split()
+    template, variant = name.split("-")
+    return generate_instance(5, ROAD_TEMPLATES[template], int(variant),
+                             pits=int(pits[0]) if pits else 0)
+
+
+@pytest.mark.parametrize("road, config_name, fixed", [
+    ("A-01", "MQN-B", False), ("A-01", "QNA-B", False),
+    ("A-01", "MQN-S1", False), ("G-01", "MQN-B", False),
+    ("B-02 2 pits", "MQN-B", False), ("B-02 2 pits", "QNA-B", False),
+    ("C-03", "MQN-S1", False), ("A-01", "MQN-B", True),
+    ("C-03", "QNA-B", True)])
+def test_plain_route_writes_the_array_routes_file(routes, tmp_path, road,
+                                                  config_name, fixed):
+    # HiGHS reads only a file named .mps itself: the same model under
+    # another name goes the array route. fixed pins every offset at the
+    # model's optimum, as the oracle checks do.
+    model = build(block_free_road(road), named_config(config_name))
+    if fixed:
+        x = solve_parsed(model, 60.0, 0.01)[2]
+        model = fix_offsets(model, x[model.runs.offsets])
+        routes.clear()
+    written = []
+    for name in ("m.mps", "m.txt"):
+        mps, sol = tmp_path / name, tmp_path / f"{name}.sol"
+        emit_mps(model, str(mps))
+        assert milp_solve.main([str(mps), str(sol), "--time-limit", "60",
+                                "--gap", "0.01"]) == 0
+        written.append([line for line in sol.read_bytes().splitlines()
+                        if not line.startswith(b"wall_time ")])
+    assert routes == ["readModel", "passModel"]
+    assert written[0] == written[1]
+    assert written[0][0] == b"status optimal"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_plain_lp_is_never_sifted(data):
+    # plain_lp's row and column clauses are a sufficient condition for
+    # working_set to take every column.
+    m = data.draw(st.integers(1, 3))
+    columns, bounds = [], []
+    for j in range(data.draw(st.integers(1, 30))):
+        cost = data.draw(st.sampled_from([None, -1.0, 0.0, 2.5, 7.0]))
+        columns += [f"c{j} COST {cost}"] if cost is not None else []
+        columns += [f"c{j} r{i} 1.5"
+                    for i in sorted(data.draw(st.sets(st.integers(0, m - 1))))]
+        bound = data.draw(st.sampled_from(
+            ["", "UP BND c 3.0", "LO BND c 1.0", "FR BND c", "MI BND c",
+             "UP BND c 0.0", "FX BND c 0.0"]))
+        bounds += [f" {bound}{j}\n"] if bound else []
+    text = small([f"L r{i}" for i in range(m)], columns,
+                 "BOUNDS\n" + "".join(bounds) if bounds else "")
+    read = milp_solve._read_mps(text)
+    if read.plain_lp():
+        arrays = milp_solve.model_arrays(read.model())
+        assert milp_solve.working_set(arrays).all()
+
+
+def highs_lp(highs):
+    """The LP a HiGHS object holds, integrality aside, as lists."""
+    lp = highs.getLp()
+    matrix = lp.a_matrix_
+    return [lp.num_col_, lp.num_row_, lp.offset_, *map(list, (
+        lp.col_cost_, lp.col_lower_, lp.col_upper_, lp.row_lower_,
+        lp.row_upper_, matrix.start_, matrix.index_, matrix.value_))]
+
+
+@pytest.mark.parametrize("case", [
+    *[case for case, (_, reads, passes) in ROUTE_CASES.items()
+      if (reads, passes) == (1, 0)],
+    "A-01 MQN-B", "G-01 MQN-B", "B-02 2 pits QNA-B"])
+def test_highs_reads_a_plain_lp_as_pass_model_loads_it(tmp_path, case):
+    if case in ROUTE_CASES:
+        text = ROUTE_CASES[case][0]
+    else:
+        road, config_name = case.rsplit(" ", 1)
+        text = emit_mps_text(build(block_free_road(road),
+                                   named_config(config_name)))
+    assert milp_solve._read_mps(text).plain_lp()
+    mps = tmp_path / "m.mps"
+    mps.write_text(text, encoding="ascii")
+    core = milp_solve.highs_core()
+    options = [("log_to_console", False)]
+    read = milp_solve._highs(core, options)
+    assert read.readModel(str(mps)) == core.HighsStatus.kOk
+    passed = milp_solve._load(core, options,
+                              milp_solve.model_arrays(parse_mps(text)))
+    assert highs_lp(read) == highs_lp(passed)

@@ -550,16 +550,28 @@ def test_pieces_read_whole_parse_as_lines_do(case):
     ("    x COST inf\n", False),
     ("    \u00e9 r1 1.0\n", False),
     ("    x\0 r1 1.0\n", False),
+    ("    x r1 1e308\n    y r1 1e308\n", False),   # the sum overflows
 ])
 def test_plain_entries(piece, plain):
     lookup = {"r1": 0, "r2": 1, "COST": -1}
-    got = milp_solve._plain_entries(piece, lookup)
+    got = milp_solve._plain_entries(piece, lookup, True)
     assert (got is not None) == plain
     if plain:
         names, rows, values = got
         assert names == ["x", "y", "y"]
         assert rows.tolist() == [0, -1, 1]
         assert values.tolist() == [1.0, -2.0, 3e5]
+
+
+def test_plain_entries_scan_numbers_for_underscores():
+    # float reads 1_0 as 10; HiGHS's reader does not, so a scanned piece
+    # with one is read line by line, where the reader notes it.
+    piece, lookup = "    x_1 r1 1.5\n    x_1 r2 1_0\n", {"r1": 0, "r2": 1}
+    assert milp_solve._plain_entries(piece, lookup, True) is None
+    names, rows, values = milp_solve._plain_entries(piece, lookup, False)
+    assert values.tolist() == [1.5, 10.0]
+    assert milp_solve._plain_entries(piece.replace("1_0", "10"), lookup,
+                                     True) is not None
 
 
 @pytest.mark.parametrize("text", ["", "a\n", "a", LONG_COLUMNS,
@@ -609,6 +621,22 @@ class RecordingHighs:
         RecordingHighs.digest = h.hexdigest()
         RecordingHighs.options_seen = dict(self.options)
         self.num_col, self.num_row = num_col, num_row
+
+    def readModel(self, path):
+        # A plain LP: the digest of the arrays passModel would be handed.
+        with open(path, encoding="ascii") as fh:
+            arrays = milp_solve.model_arrays(parse_mps(fh.read()))
+        core = milp_solve.highs_core()
+        self.passModel(len(arrays[0]), len(arrays[3]), len(arrays[7]),
+                       int(core.MatrixFormat.kColwise),
+                       int(core.ObjSense.kMinimize), 0.0, *arrays)
+        return core.HighsStatus.kOk
+
+    def getNumCol(self):
+        return self.num_col
+
+    def getNumRow(self):
+        return self.num_row
 
     def getOptionValue(self, name):
         return milp_solve.highs_core().HighsStatus.kOk, \

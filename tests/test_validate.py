@@ -7,7 +7,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from valign.builder import ArcIndex, build, fix_offsets, named_config
+from valign.builder import (
+    ArcIndex,
+    BuilderConfig,
+    build,
+    fix_offsets,
+    named_config,
+)
 from valign.gateway import Solution, SolverLimits, decode, solve
 from valign.instance import Pit
 from valign.validate import FAMILIES, recompute_cost, validate
@@ -20,6 +26,7 @@ from conftest import (
     TWO_NODE_OFFSETS,
     bumped,
     make_instance,
+    piecewise_instance,
     pinned_road,
 )
 
@@ -344,3 +351,19 @@ def test_nan_residual_is_a_violation(request, fixture, offsets, tamper,
         for family in families:
             assert report.families[family].worst == math.inf, family
             assert report.families[family].count >= 1, family
+
+
+@pytest.mark.parametrize("mode", ["piecewise-sos2", "piecewise-binary"])
+def test_nan_offset_on_a_volume_curve_is_a_violation(mode):
+    # A NaN offset reads a NaN volume off its curve, booked as inf, as in
+    # linear mode; the curve's interpolation raised AssertionError.
+    instance, config = piecewise_instance(), BuilderConfig(volume_mode=mode)
+    model = build(instance, config)
+    result = decode(solve(model, BUNDLED_SOLVER, LIMITS), instance, model)
+    assert validate(instance, config, result).passed
+    result = replace(result, offsets=(math.nan,) + result.offsets[1:])
+    for relative in (False, True):
+        report = validate(instance, config, result, relative=relative)
+        assert not report.passed
+        assert report.families["volume"].worst == math.inf
+        assert report.families["volume"].count >= 1
