@@ -16,7 +16,7 @@ rightward, -1 leftward), and the pit arcs FB/FW_<h>_<t>_<pit>_<dir>. Pit
 volume variables and CTG pit nodes use node indices n+j (borrow) and
 n+n_borrow+k (waste).
 
-A MilpModel has the columnar layout of milp_solve.ColumnarModel, the one
+A MilpModel has the columnar layout of solve_core.ColumnarModel, the one
 the bundled adapter parses MPS files into and hands to HiGHS. Its integer
 columns are all binary, and its matrix entries come in row-declaration
 order, each row's entries in the order they were declared.
@@ -56,7 +56,7 @@ from valign.instance import (
     cheapest_haul_costs,
     global_big_m,
 )
-from valign.milp_solve import ENTRY, ColumnarModel, entry_records
+from valign.solve_core import ENTRY, ColumnarModel, entry_records
 
 
 class BuildError(ValueError):

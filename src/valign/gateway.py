@@ -33,8 +33,7 @@ import numpy as np
 
 from valign.builder import ColumnRuns, MilpModel
 from valign.instance import RoadInstance
-from valign.milp_solve import text_lines
-from valign.mps import emit_mps
+from valign.mps import emit_mps, text_lines
 
 GRACE_SECONDS = 10.0
 OBJECTIVE_RTOL = 1e-5  # decode's bound on |cost . x - reported objective|

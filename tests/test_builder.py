@@ -3,12 +3,14 @@
 import ast
 import math
 import pathlib
+import tomllib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import valign
+from valign import milp_solve
 from valign.builder import (
     KNOWN_CONFIG_NAMES,
     ArcIndex,
@@ -361,14 +363,16 @@ def test_unused_imports_finds_each_form_of_import():
     assert unused_imports(source) == [(2, "os"), (3, "osp"), (4, "Callable")]
 
 
-def unread_private_names(sources: dict[str, str]) -> list[str]:
-    """Each module-level private name in sources (a function, class or
-    assignment named with one leading underscore) that no module in
-    sources reads, by name, as an attribute or through an import, as
-    "<module>:<line> <name>"."""
+def unread_names(sources: dict[str, str], readers: dict[str, str],
+                 private: bool) -> list[str]:
+    """Each module-level name in sources (a function, class or assignment),
+    private (one leading underscore) or public (none), that no module in
+    sources or readers reads, by name, as an attribute or through an
+    import, as "<module>:<line> <name>"."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
     read = set()
-    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+    for node in (node for tree in [*trees.values(), *map(
+            ast.parse, readers.values())] for node in ast.walk(tree)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx,
@@ -391,9 +395,13 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
             else:
                 continue
             unread += [f"{module}:{node.lineno} {name}" for name in bound
-                       if name.startswith("_") and not name.startswith("__")
-                       and name not in read]
+                       if name.startswith("_") == private
+                       and not name.startswith("__") and name not in read]
     return unread
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    return unread_names(sources, {}, private=True)
 
 
 def test_no_module_keeps_a_private_name_nothing_reads():
@@ -420,6 +428,37 @@ def test_unread_private_names_finds_each_form_of_definition():
     assert unread_private_names(sources) == [
         "a.py:1 _SIZE", "a.py:3 _HIGH", "a.py:6 _Shape"]
 
+
+def test_no_module_keeps_a_public_name_nothing_reads():
+    # A public name that nothing in the package or perfbench reads is dead
+    # code too, unless it is the package's interface: an export, a console
+    # script, or a name perfbench reads off milp_solve.
+    package = pathlib.Path(valign.__file__).parent
+    root = pathlib.Path(__file__).resolve().parent.parent
+    scripts = tomllib.loads((root / "pyproject.toml").read_text("utf-8"))[
+        "project"]["scripts"]
+    allowed = {*valign.__all__, *milp_solve._FORWARDED,
+               *(target.rpartition(":")[2] for target in scripts.values())}
+    unread = unread_names(
+        {path.name: path.read_text("utf-8")
+         for path in sorted(package.glob("*.py"))},
+        {path.name: path.read_text("utf-8")
+         for path in sorted((root / "perfbench").glob("*.py"))},
+        private=False)
+    assert [entry for entry in unread
+            if entry.rpartition(" ")[2] not in allowed] == []
+
+
+def test_unread_public_names_counts_a_reader_module():
+    sources = {"a.py": ("SIZE = 4\n_WIDTH = 2\n"
+                        "def helper():\n    return _WIDTH\n"
+                        "def shape():\n    return helper()\n"
+                        "class Kept:\n    pass\n")}
+    assert unread_names(sources, {}, private=False) == [
+        "a.py:1 SIZE", "a.py:5 shape", "a.py:7 Kept"]
+    assert unread_names(sources, {"r.py": "from a import Kept\n"
+                                          "import a\nprint(a.shape)\n"},
+                        private=False) == ["a.py:1 SIZE"]
 
 def declared_runs(instance, config):
     """The names a model declares, run by run, in the shape of the

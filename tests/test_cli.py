@@ -10,7 +10,7 @@ from valign import cli
 from valign.cli import main
 from valign.gateway import SolverLimits
 from valign.instance_io import write_instance
-from valign.milp_solve import parse_mps
+from valign.mps import parse_mps
 
 from conftest import BUNDLED_SOLVER, make_instance
 

@@ -20,12 +20,12 @@ from hypothesis import strategies as st
 from scipy import optimize, sparse
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
 
-from valign import milp_solve
+from valign import highs, milp_solve, solve_core
 from valign.bench import ROAD_TEMPLATES, generate_instance
 from valign.builder import build, fix_offsets, named_config
 from valign.gateway import parse_solution_text
-from valign.milp_solve import binarize_sos, parse_mps, solve_parsed
-from valign.mps import emit_mps, emit_mps_text
+from valign.mps import MpsError, _read_mps, emit_mps, emit_mps_text, parse_mps
+from valign.solve_core import binarize_sos, solve_parsed
 
 from conftest import pinned_road
 from test_milp_solve import (
@@ -47,7 +47,7 @@ def milp_result(mps, time_limit, gap):
             (entries["value"], (entries["row"], entries["col"])),
             shape=(len(mps.row_order), len(mps.columns)))
         constraints = [optimize.LinearConstraint(
-            matrix, *milp_solve.row_bounds(mps))]
+            matrix, *solve_core.row_bounds(mps))]
 
     # HiGHS presolve runs for MIPs only.
     options = {"presolve": bool(mps.col_integer.any())}
@@ -224,8 +224,8 @@ def test_solve_parsed_matches_scipy_milp(counting, case, time_limit, gap):
     (want_status, want_objective, want_x), result = milp_result(
         mps, time_limit, gap)
     counted = counting()
-    status, objective, x, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), time_limit, gap, mps.sos_flags)
+    status, objective, x, note = solve_core.solve_arrays(
+        solve_core.model_arrays(mps), time_limit, gap, mps.sos_flags)
     path = closing_path(note, counted)
     assert path == PATHS.get(case)
     assert status == want_status
@@ -251,7 +251,7 @@ def assert_feasible(mps, x, tol):
     activity = sparse.csr_matrix(
         (entries["value"], (entries["row"], entries["col"])),
         shape=(len(mps.row_order), len(mps.columns))) @ x
-    lower, upper = milp_solve.row_bounds(mps)
+    lower, upper = solve_core.row_bounds(mps)
     assert np.all(activity >= lower - tol)
     assert np.all(activity <= upper + tol)
     assert np.all(x >= mps.col_lower - tol)
@@ -260,7 +260,7 @@ def assert_feasible(mps, x, tol):
     assert np.all(np.abs(ints - np.round(ints)) <= tol)
 
 
-REAL_HIGHS = milp_solve.highs_core()._Highs
+REAL_HIGHS = highs.highs_core()._Highs
 
 
 class CountingHighs:
@@ -299,7 +299,7 @@ def counting(monkeypatch):
     """Call it to count the HiGHS objects made from then on, and their
     runs: scipy's milp makes them through the same binding."""
     def install():
-        monkeypatch.setattr(milp_solve.highs_core(), "_Highs",
+        monkeypatch.setattr(highs.highs_core(), "_Highs",
                             CountingHighs)
         for name in ("made", "left", "starts"):
             monkeypatch.setattr(CountingHighs, name, [])
@@ -321,8 +321,8 @@ def test_blocked_road_closes_after_two_runs(counting):
     # The relaxation and the rounded fixed LP, on one object.
     mps = parsed_model("C-02 2 blocks")
     counted = counting()
-    status, _, _, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), 60.0, 0.01, ())
+    status, _, _, note = solve_core.solve_arrays(
+        solve_core.model_arrays(mps), 60.0, 0.01, ())
     assert status == "optimal"
     assert note.endswith("(rounded relaxation)")
     assert len(counted.made) == 1
@@ -337,8 +337,8 @@ def test_two_chains_close_by_schedule(counting, tmp_path, capsys, link):
     # the rounded one, no branch and bound and no start.
     mps = parse_mps(two_chains(link))
     counted = counting()
-    status, objective, x, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), 60.0, 0.01, ())
+    status, objective, x, note = solve_core.solve_arrays(
+        solve_core.model_arrays(mps), 60.0, 0.01, ())
     assert (status, objective) == ("optimal", pytest.approx(99.3))
     assert note.endswith(" (schedule 1 0, 2 LPs)")
     chains = [mps.columns.index(name) for name in ("a0", "a1", "b0", "b1")]
@@ -360,12 +360,12 @@ def test_rows_that_are_not_chain_links_start_no_search(counting, link, rhs):
     # chain link, so a0 and a1 lie on no chain: where the link row closes
     # by schedule, the rounded LP's miss goes straight to branch and bound.
     linked = parse_mps(two_chains())
-    assert "(schedule " in milp_solve.solve_arrays(
-        milp_solve.model_arrays(linked), 60.0, 0.01, ())[3]
+    assert "(schedule " in solve_core.solve_arrays(
+        solve_core.model_arrays(linked), 60.0, 0.01, ())[3]
     mps = parse_mps(two_chains(link, rhs))
     counted = counting()
-    status, objective, _, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), 60.0, 0.01, ())
+    status, objective, _, note = solve_core.solve_arrays(
+        solve_core.model_arrays(mps), 60.0, 0.01, ())
     assert status == "optimal"
     assert "(branch and bound, " in note
     assert len(counted.made) == 2
@@ -386,13 +386,20 @@ def test_monotone_chains_read_off_the_matrix(links, chains):
                for col, coeff in zip(link.split(), (-1.0, 1.0))]
     mps = parse_mps(small(rows, ["x COST 1.0", "y COST 1.0", "z COST 1.0",
                                  *entries], integer=("x", "y", "z")))
-    arrays = milp_solve.model_arrays(mps)
+    arrays = solve_core.model_arrays(mps)
     arrays[1][:], arrays[2][:] = 0.0, 1.0
-    found = milp_solve.monotone_chains(arrays, np.arange(3))
+    found = solve_core.monotone_chains(arrays, np.arange(3))
     if chains is None:
         assert found is None
     else:
         assert [[mps.columns[c] for c in chain] for chain in found] == chains
+
+
+def skew_the_clock(monkeypatch, skew):
+    """Each module that reads the clock reads skew[0] seconds ahead."""
+    clock = SimpleNamespace(monotonic=lambda: time.monotonic() + skew[0])
+    for module in (solve_core, highs):
+        monkeypatch.setattr(module, "time", clock)
 
 
 def test_search_stops_once_it_has_taken_as_long_as_the_relaxation(
@@ -403,8 +410,7 @@ def test_search_stops_once_it_has_taken_as_long_as_the_relaxation(
     # not tried: branch and bound follows, started from the best fixed LP.
     mps = parse_mps(two_chains(cap_b=0.3))
     skew = [0.0]
-    monkeypatch.setattr(milp_solve, "time", SimpleNamespace(
-        monotonic=lambda: time.monotonic() + skew[0]))
+    skew_the_clock(monkeypatch, skew)
     counted = counting()
     run = CountingHighs.run
 
@@ -414,8 +420,8 @@ def test_search_stops_once_it_has_taken_as_long_as_the_relaxation(
             skew[0] += 1.0
 
     monkeypatch.setattr(CountingHighs, "run", run_then_tick)
-    status, objective, _, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), 60.0, 0.01, ())
+    status, objective, _, note = solve_core.solve_arrays(
+        solve_core.model_arrays(mps), 60.0, 0.01, ())
     assert (status, objective) == ("optimal", pytest.approx(100.0))
     assert "(branch and bound, " in note
     assert len(counted.made) == 2
@@ -438,8 +444,8 @@ def test_fixed_lp_must_hold_each_sos_set(counting):
         "    u 1.0\n    v 2.0\n"))
     binarize_sos(mps)
     counted = counting()
-    status, objective, x, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), 60.0, 1e-9, mps.sos_flags)
+    status, objective, x, note = solve_core.solve_arrays(
+        solve_core.model_arrays(mps), 60.0, 1e-9, mps.sos_flags)
     assert (status, objective) == ("optimal", pytest.approx(6.0))
     assert "(branch and bound, " in note
     assert len(counted.made) == 2
@@ -542,7 +548,7 @@ def test_presolve_runs_for_mips_only(monkeypatch, case, config_name,
         mps = parse_mps(emit_mps_text(build(pinned_road(case),
                                             named_config(config_name))))
         binarize_sos(mps)
-    monkeypatch.setattr(milp_solve.highs_core(), "_Highs", RecordingHighs)
+    monkeypatch.setattr(highs.highs_core(), "_Highs", RecordingHighs)
     monkeypatch.setattr(RecordingHighs, "options_seen", None)
     solve_parsed(mps, 60.0, 0.01)
     assert RecordingHighs.options_seen["presolve"] == presolve
@@ -576,8 +582,8 @@ def test_wide_lps_sift(counting, case, runs, note):
     # and one more run, whose answer stands.
     mps = parse_mps(SMALL_MODELS[case])
     counted = counting()
-    status, objective, x, got = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), 60.0, 1e-9, ())
+    status, objective, x, got = solve_core.solve_arrays(
+        solve_core.model_arrays(mps), 60.0, 1e-9, ())
     assert got == note
     assert len(counted.made) == 1
     assert len(counted.left) == runs
@@ -593,8 +599,7 @@ def test_sifted_lp_stopped_by_the_limit_is_a_timeout(counting, monkeypatch):
     # LP stops at once, and the working set's x is no answer.
     mps = parse_mps(SMALL_MODELS["wide LP"])
     skew = [0.0]
-    monkeypatch.setattr(milp_solve, "time", SimpleNamespace(
-        monotonic=lambda: time.monotonic() + skew[0]))
+    skew_the_clock(monkeypatch, skew)
     counted = counting()
     run = CountingHighs.run
 
@@ -629,8 +634,8 @@ def test_sifted_ctg_is_the_whole_lps_optimum(counting, tmp_path, road):
     mps = parse_mps(emit_mps_text(build(instance, named_config("CTG-B"))))
     (want_status, want, _), _ = milp_result(mps, None, None)
     counted = counting()
-    status, objective, x, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(mps), None, None, ())
+    status, objective, x, note = solve_core.solve_arrays(
+        solve_core.model_arrays(mps), None, None, ())
     assert status == want_status == "optimal"
     assert abs(objective - want) <= 1e-9 * max(1.0, abs(want))
     assert note.startswith("(sifted: ")
@@ -651,9 +656,9 @@ def test_block_free_flow_models_stay_whole(tmp_path, road, config_name):
     instance = (pinned_road(road.split()[1]) if road.startswith("pinned")
                 else suite_road(tmp_path, road))
     mps = parse_mps(emit_mps_text(build(instance, named_config(config_name))))
-    arrays = milp_solve.model_arrays(mps)
+    arrays = solve_core.model_arrays(mps)
     assert not arrays[-1].any()
-    assert milp_solve.working_set(arrays).all()
+    assert solve_core.working_set(arrays).all()
 
 
 @pytest.mark.parametrize("case", ["wide LP", "wide LP infeasible at first",
@@ -675,8 +680,8 @@ def test_working_set_matches_a_loop(tmp_path, case):
     want = {col for col, rest in enumerate(rests) if not rest}
     for cols in in_row:
         cheapest = sorted(cols, key=lambda col: (mps.cost[col], col))
-        want.update(cheapest[:milp_solve._PER_ROW])
-    got = milp_solve.working_set(milp_solve.model_arrays(mps))
+        want.update(cheapest[:highs._PER_ROW])
+    got = solve_core.working_set(solve_core.model_arrays(mps))
     assert set(np.flatnonzero(got).tolist()) == want
 
 
@@ -691,7 +696,7 @@ def lexsorted_working_set(arrays):
     at = at[np.lexsort((cost[col[at]], index[at]))]
     head = np.flatnonzero(np.diff(index[at], prepend=-1))
     rank = np.arange(len(at)) - np.repeat(head, np.diff(head, append=len(at)))
-    working[col[at[rank < milp_solve._PER_ROW]]] = True
+    working[col[at[rank < highs._PER_ROW]]] = True
     return working
 
 
@@ -702,8 +707,8 @@ def test_working_set_matches_a_lexsort(tmp_path, road):
     instance = (pinned_road(road) if road == "G-01"
                 else suite_road(tmp_path, road))
     mps = parse_mps(emit_mps_text(build(instance, named_config("CTG-B"))))
-    arrays = milp_solve.model_arrays(mps)
-    got = milp_solve.working_set(arrays)
+    arrays = solve_core.model_arrays(mps)
+    got = solve_core.working_set(arrays)
     assert not got.all()
     assert np.array_equal(got, lexsorted_working_set(arrays))
 
@@ -712,7 +717,7 @@ def parent_status_word(model_status, is_mip, objective):
     """The status word scipy 1.17.1's milp and the old solve_parsed gave:
     _highs_wrapper's fail conditions decide whether x comes back,
     _highs_to_scipy_status_message the status code."""
-    H = milp_solve.highs_core().HighsModelStatus
+    H = highs.highs_core().HighsModelStatus
     limits = (H.kTimeLimit, H.kIterationLimit, H.kSolutionLimit)
     mip_fail = model_status not in (H.kOptimal, *limits) or (
         model_status in limits and objective == np.inf)
@@ -726,8 +731,8 @@ def parent_status_word(model_status, is_mip, objective):
 @pytest.mark.parametrize("is_mip", [True, False])
 @pytest.mark.parametrize("objective", [1.5, -np.inf, np.inf])
 def test_status_table_matches_scipy(is_mip, objective):
-    members = milp_solve.highs_core().HighsModelStatus.__members__
-    got = {name: milp_solve.status_word(name, is_mip, objective)
+    members = highs.highs_core().HighsModelStatus.__members__
+    got = {name: highs.status_word(name, is_mip, objective)
            for name in members}
     want = {name: parent_status_word(status, is_mip, objective)
             for name, status in members.items()}
@@ -750,7 +755,7 @@ def test_csc_arrays_equal_scipy(case):
     want = sparse.csc_array(sparse.csr_matrix(
         (entries["value"], (entries["row"], entries["col"])),
         shape=(len(mps.row_order), len(mps.columns))))
-    start, index, value = milp_solve.csc_arrays(mps)
+    start, index, value = solve_core.csc_arrays(mps)
     assert start.dtype == index.dtype == np.int32
     assert value.dtype == np.float64
     assert np.array_equal(start, want.indptr)
@@ -772,10 +777,9 @@ def python(code, *args):
 @pytest.mark.parametrize("case", ["toy", "A-01 MQN-B", "G-01 CTG-B"])
 def test_adapter_process_imports_only_the_binding(tmp_path, case):
     # The adapter's run() ends the process itself, so the imports are read
-    # off the interpreter's own import trace. numpy is loaded lazily, so
-    # the trace lists its submodules but not numpy itself: TOY_MPS, a MIP,
-    # and G-01 CTG-B, a wide LP, take the array route, and A-01 MQN-B, a
-    # plain LP, never loads it.
+    # off the interpreter's own import trace. TOY_MPS, a MIP, and G-01
+    # CTG-B, a wide LP, take the array route through the solve core, and
+    # A-01 MQN-B, a plain LP, loads neither the core nor numpy.
     mps, sol = tmp_path / "m.mps", tmp_path / "m.sol"
     if case == "toy":
         mps.write_text(TOY_MPS, encoding="ascii")
@@ -792,7 +796,9 @@ def test_adapter_process_imports_only_the_binding(tmp_path, case):
                 if line.startswith("import time:") and "|" in line}
     assert {"argparse", "valign"} <= imported
     numpy = {name for name in imported if name.split(".")[0] == "numpy"}
-    assert bool(numpy) == (case != "A-01 MQN-B")
+    arrays = case != "A-01 MQN-B"
+    assert bool(numpy) == arrays
+    assert ("valign.solve_core" in imported) == arrays
     assert not imported & {"numpy.ma", "scipy.optimize", "scipy.sparse",
                            "valign.builder", "valign.gateway",
                            "valign.instance"}
@@ -802,11 +808,25 @@ def test_adapter_process_imports_only_the_binding(tmp_path, case):
     assert done.stdout.count("\n") == 1
 
 
+@pytest.mark.parametrize("module", ["valign.builder", "valign.gateway"])
+def test_the_library_never_loads_the_adapter(module):
+    assert python(f"""\
+        import json, sys
+        import {module}
+        print(json.dumps("valign.milp_solve" in sys.modules))
+        """) is False
+
+
 def test_optimize_resolves_on_read():
-    # perfbench's traced re-solve reads and patches milp_solve.optimize.
+    # perfbench's traced re-solve reads these four names off milp_solve,
+    # and patches milp_solve.optimize; no other name is served there.
     assert milp_solve.optimize is optimize
-    with pytest.raises(AttributeError):
-        milp_solve.sparse
+    assert milp_solve.parse_mps is parse_mps
+    assert milp_solve.binarize_sos is binarize_sos
+    assert milp_solve.solve_parsed is solve_parsed
+    for name in ("sparse", "solve_arrays", "ColumnarModel", "ENTRY"):
+        with pytest.raises(AttributeError):
+            getattr(milp_solve, name)
 
 
 def test_star_import_binds_all():
@@ -836,13 +856,14 @@ def test_binding_and_scipy_milp_share_one_core(adapter_first):
     code = """\
         import json, sys
         import numpy as np
-        from valign import milp_solve
+        from valign import highs, solve_core
+        from valign.mps import parse_mps
         from test_milp_solve import TOY_MPS
 
         def adapter():
-            core = milp_solve.highs_core()
-            status, objective, _ = milp_solve.solve_parsed(
-                milp_solve.parse_mps(TOY_MPS), 30.0, 1e-9)
+            core = highs.highs_core()
+            status, objective, _ = solve_core.solve_parsed(
+                parse_mps(TOY_MPS), 30.0, 1e-9)
             return core, [status, objective]
 
         def scipy_milp():
@@ -861,7 +882,7 @@ def test_binding_and_scipy_milp_share_one_core(adapter_first):
             core, solved = adapter()
         import scipy.optimize._highspy._core as imported
         print(json.dumps([solved, milp,
-                          core is imported is milp_solve.highs_core()
+                          core is imported is highs.highs_core()
                           is sys.modules["scipy.optimize._highspy._core"]]))
         """
     tests = os.path.dirname(os.path.abspath(__file__))
@@ -891,7 +912,7 @@ class RouteHighs(REAL_HIGHS):
 @pytest.fixture
 def routes(monkeypatch):
     """The calls RouteHighs notes from then on."""
-    monkeypatch.setattr(milp_solve.highs_core(), "_Highs", RouteHighs)
+    monkeypatch.setattr(highs.highs_core(), "_Highs", RouteHighs)
     monkeypatch.setattr(RouteHighs, "calls", [])
     return RouteHighs.calls
 
@@ -979,7 +1000,7 @@ def test_only_a_plain_lp_goes_to_the_highs_reader(routes, tmp_path, capsys,
         binarize_sos(model)
     try:
         status, objective, x = solve_parsed(model, None, None)
-    except milp_solve.MpsError as exc:
+    except MpsError as exc:
         assert code == 3
         assert sol.read_text() == f"status error\nmessage {exc}\n"
         return
@@ -1048,10 +1069,10 @@ def test_a_plain_lp_is_never_sifted(data):
         bounds += [f" {bound}{j}\n"] if bound else []
     text = small([f"L r{i}" for i in range(m)], columns,
                  "BOUNDS\n" + "".join(bounds) if bounds else "")
-    read = milp_solve._read_mps(text)
+    read = _read_mps(text)
     if read.plain_lp():
-        arrays = milp_solve.model_arrays(read.model())
-        assert milp_solve.working_set(arrays).all()
+        arrays = solve_core.model_arrays(read.model())
+        assert solve_core.working_set(arrays).all()
 
 
 def highs_lp(highs):
@@ -1074,13 +1095,13 @@ def test_highs_reads_a_plain_lp_as_pass_model_loads_it(tmp_path, case):
         road, config_name = case.rsplit(" ", 1)
         text = emit_mps_text(build(block_free_road(road),
                                    named_config(config_name)))
-    assert milp_solve._read_mps(text).plain_lp()
+    assert _read_mps(text).plain_lp()
     mps = tmp_path / "m.mps"
     mps.write_text(text, encoding="ascii")
-    core = milp_solve.highs_core()
+    core = highs.highs_core()
     options = [("log_to_console", False)]
-    read = milp_solve._highs(core, options)
+    read = highs._highs(core, options)
     assert read.readModel(str(mps)) == core.HighsStatus.kOk
-    passed = milp_solve._load(core, options,
-                              milp_solve.model_arrays(parse_mps(text)))
+    passed = solve_core._load(core, options,
+                              solve_core.model_arrays(parse_mps(text)))
     assert highs_lp(read) == highs_lp(passed)

@@ -11,18 +11,30 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from valign import milp_solve
-from valign.builder import MilpModel, _Assembler, build, named_config
-from valign.gateway import decode, parse_solution_text
-from valign.milp_solve import (
-    MpsError,
-    binarize_sos,
-    main,
-    parse_mps,
-    solve_parsed,
+from valign import highs, milp_solve, solve_core
+from valign.bench import ROAD_TEMPLATES, generate_instance
+from valign.builder import (
+    KNOWN_CONFIG_NAMES,
+    MilpModel,
+    _Assembler,
+    build,
+    named_config,
 )
-from valign.mps import emit_mps, emit_mps_text
+from valign.gateway import decode, parse_solution_text
+from valign.milp_solve import main
+from valign.mps import (
+    MpsError,
+    _plain_entries,
+    emit_mps,
+    emit_mps_text,
+    parse_mps,
+    text_lines,
+    text_pieces,
+)
+from valign.solve_core import binarize_sos, solve_parsed
 
 from conftest import pinned_road
 
@@ -353,12 +365,12 @@ def test_main_without_the_binding(tmp_path):
     mps, sol = write(tmp_path, TOY_MPS), tmp_path / "out.sol"
     code = textwrap.dedent("""\
         import importlib.machinery, sys
-        from valign import milp_solve
+        from valign import highs, milp_solve
         finder = importlib.machinery.PathFinder
         real = finder.find_spec
         finder.find_spec = classmethod(
             lambda cls, name, path=None, target=None:
-            None if name == milp_solve._CORE else real(name, path, target))
+            None if name == highs._CORE else real(name, path, target))
         sys.exit(milp_solve.main(sys.argv[1:]))
         """)
     done = subprocess.run([sys.executable, "-c", code, mps, str(sol)],
@@ -429,6 +441,8 @@ LONG_COLUMNS = "".join(f"    c{i} r1 {i}.5\n" for i in range(60000))
     ("NAME t\nROWS\n N COST\n L\n", "line 4: malformed row declaration"),
     ("NAME t\nROWS\n N COST\n Z r1\n", "line 4: unknown row sense 'Z'"),
     ("NAME t\nROWS\n N COST\n L r1\n G r1\n", "line 5: duplicate row 'r1'"),
+    ("NAME t\nROWS\n N COST\n L COST\n", "line 4: duplicate row 'COST'"),
+    ("NAME t\nROWS\n G COST\n N COST\n", "line 4: duplicate row 'COST'"),
     ("* lead\n    x r1 1.0\n", "line 2: data outside any section"),
     ("NAME t\nROWS\n L r1\nENDATA\n", "no objective row declared"),
     # A matrix coefficient must be finite; an objective one is checked by
@@ -454,6 +468,21 @@ def test_mps_error_messages_pinned(text, message):
     with pytest.raises(MpsError) as err:
         parse_mps(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("rows", [" N COST\n L COST\n", " G COST\n N COST\n"],
+                         ids=["objective first", "objective second"])
+def test_main_refuses_a_row_named_as_the_objective_row(tmp_path, capsys,
+                                                       rows):
+    # Read as one row, its entries went to the objective while its RHS
+    # stayed, and the file solved as infeasible.
+    mps = write(tmp_path, f"NAME t\nROWS\n{rows}COLUMNS\n    x COST 1.0\n"
+                "RHS\n    RHS COST 2.0\nBOUNDS\n UP BND x 10.0\nENDATA\n")
+    sol = tmp_path / "out.sol"
+    assert main([mps, str(sol)]) == 3
+    message = "line 4: duplicate row 'COST'"
+    assert capsys.readouterr().err == f"valign-milp: {message}\n"
+    assert sol.read_text() == f"status error\nmessage {message}\n"
 
 
 def test_main_rejects_infinite_matrix_coefficient(tmp_path, capsys):
@@ -554,7 +583,7 @@ def test_pieces_read_whole_parse_as_lines_do(case):
 ])
 def test_plain_entries(piece, plain):
     lookup = {"r1": 0, "r2": 1, "COST": -1}
-    got = milp_solve._plain_entries(piece, lookup, True)
+    got = _plain_entries(piece, lookup, True)
     assert (got is not None) == plain
     if plain:
         names, rows, values = got
@@ -567,10 +596,10 @@ def test_plain_entries_scan_numbers_for_underscores():
     # float reads 1_0 as 10; HiGHS's reader does not, so a scanned piece
     # with one is read line by line, where the reader notes it.
     piece, lookup = "    x_1 r1 1.5\n    x_1 r2 1_0\n", {"r1": 0, "r2": 1}
-    assert milp_solve._plain_entries(piece, lookup, True) is None
-    names, rows, values = milp_solve._plain_entries(piece, lookup, False)
+    assert _plain_entries(piece, lookup, True) is None
+    names, rows, values = _plain_entries(piece, lookup, False)
     assert values.tolist() == [1.5, 10.0]
-    assert milp_solve._plain_entries(piece.replace("1_0", "10"), lookup,
+    assert _plain_entries(piece.replace("1_0", "10"), lookup,
                                      True) is not None
 
 
@@ -578,10 +607,10 @@ def test_plain_entries_scan_numbers_for_underscores():
                                   LONG_COLUMNS + "tail", "x" * 70000 + "\n",
                                   LONG_COLUMNS.replace("\n", "\r\n")])
 def test_text_pieces(text):
-    pieces = list(milp_solve.text_pieces(text))
+    pieces = list(text_pieces(text))
     assert "".join(pieces) == text
     assert all(piece.endswith("\n") for piece in pieces[:-1])
-    assert list(milp_solve.text_lines(text)) == text.splitlines()
+    assert list(text_lines(text)) == text.splitlines()
 
 
 def test_binarize_rejects_unbounded_member():
@@ -625,8 +654,8 @@ class RecordingHighs:
     def readModel(self, path):
         # A plain LP: the digest of the arrays passModel would be handed.
         with open(path, encoding="ascii") as fh:
-            arrays = milp_solve.model_arrays(parse_mps(fh.read()))
-        core = milp_solve.highs_core()
+            arrays = solve_core.model_arrays(parse_mps(fh.read()))
+        core = highs.highs_core()
         self.passModel(len(arrays[0]), len(arrays[3]), len(arrays[7]),
                        int(core.MatrixFormat.kColwise),
                        int(core.ObjSense.kMinimize), 0.0, *arrays)
@@ -639,13 +668,13 @@ class RecordingHighs:
         return self.num_row
 
     def getOptionValue(self, name):
-        return milp_solve.highs_core().HighsStatus.kOk, \
+        return highs.highs_core().HighsStatus.kOk, \
             self.options.get(name, 1e-6)
 
     def addCols(self, count, cost, lower, upper, num_nz, start, index,
                 value):
         self.num_col += count
-        return milp_solve.highs_core().HighsStatus.kOk
+        return highs.highs_core().HighsStatus.kOk
 
     def changeColsIntegrality(self, count, cols, integrality):
         pass
@@ -666,7 +695,7 @@ class RecordingHighs:
         pass
 
     def getModelStatus(self):
-        return milp_solve.highs_core().HighsModelStatus.kOptimal
+        return highs.highs_core().HighsModelStatus.kOptimal
 
     def getInfo(self):
         return SimpleNamespace(objective_function_value=-1234.5,
@@ -706,7 +735,7 @@ def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
     mps = str(tmp_path / "m.mps")
     sol = tmp_path / "m.sol"
     emit_mps(build(pinned_road(case), named_config(config_name)), mps)
-    monkeypatch.setattr(milp_solve.highs_core(), "_Highs", RecordingHighs)
+    monkeypatch.setattr(highs.highs_core(), "_Highs", RecordingHighs)
     monkeypatch.setattr(RecordingHighs, "digest", None)
     rc = main([mps, str(sol), "--time-limit", "60", "--gap", "0.01",
                "--sos", "binarize"])
@@ -760,15 +789,32 @@ def ranged_model() -> MilpModel:
     ("A-01", "MQN-B"), ("G-01", "CTG-B"), ("D-02 2 blocks", "MQN-S1"),
     ("shared-pits", "MQN-S1"), ("ranged", None)])
 def test_parse_gives_the_model_arrays(case, config_name):
-    # One conversion from model to matrix: what the adapter reads back is
-    # the model's own layout, field for field; only the entries' order
-    # differs (row order against file order, which is column order).
     if case == "ranged":
         model = ranged_model()
     else:
         model = build(pinned_road(case), named_config(config_name))
+    assert_reads_back_as_itself(model)
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(template=st.sampled_from("ABC"), variant=st.integers(1, 6),
+       blocks=st.integers(0, 2), pits=st.integers(0, 2))
+def test_every_buildable_model_reads_back_as_itself(template, variant,
+                                                    blocks, pits):
+    instance = generate_instance(1, ROAD_TEMPLATES[template], variant,
+                                 blocks=blocks, pits=pits)
+    for name in KNOWN_CONFIG_NAMES:
+        if not (name.startswith("CTG") and blocks):   # CTG has no blocks
+            assert_reads_back_as_itself(build(instance, named_config(name)))
+
+
+def assert_reads_back_as_itself(model):
+    """One conversion from model to matrix: what the adapter reads back is
+    the model's own layout, field for field, and HiGHS gets byte-equal
+    arrays from either; only the entries' order differs (row order against
+    file order, which is column order)."""
     parsed = parse_mps(emit_mps_text(model))
-    for field in fields(milp_solve.ColumnarModel):
+    for field in fields(solve_core.ColumnarModel):
         got, want = getattr(parsed, field.name), getattr(model, field.name)
         if field.name == "entries":
             got, want = (np.sort(entries, order=["row", "col"])
@@ -779,10 +825,10 @@ def test_parse_gives_the_model_arrays(case, config_name):
                                   equal_nan=want.dtype.kind == "f"), field.name
         else:
             assert got == want, field.name
-    for got, want in zip(milp_solve.csc_arrays(parsed) +
-                         milp_solve.row_bounds(parsed),
-                         milp_solve.csc_arrays(model) +
-                         milp_solve.row_bounds(model)):
+    for got, want in zip(solve_core.csc_arrays(parsed) +
+                         solve_core.row_bounds(parsed),
+                         solve_core.csc_arrays(model) +
+                         solve_core.row_bounds(model)):
         assert got.tobytes() == want.tobytes()
 
 

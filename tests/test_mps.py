@@ -17,6 +17,7 @@ from valign.builder import (
 )
 from valign.instance import Pit
 from valign.mps import emit_mps, emit_mps_text, strip_comments
+from valign.solve_core import solve_parsed
 
 from conftest import make_instance, piecewise_instance, pinned_road
 
@@ -179,3 +180,22 @@ def test_build_and_emit_stay_within_their_memory_bound(tmp_path):
         tracemalloc.stop()
     assert len(model.columns) == 10227
     assert peak < 4.5 * 2**20
+
+
+def test_a_row_named_as_the_objective_row_is_not_written(tmp_path):
+    # A reader takes a row named COST for the objective row: this model is
+    # optimal at 2.0, and its file would read as infeasible.
+    asm = _Assembler("clash")
+    x, = asm.columns(["x"], [1.0], [0.0], [10.0], [False]).tolist()
+    asm.bulk_rows([("COST", "G", 2.0)], [([0], [x], [1.0])])
+    model = asm.finish(())
+    assert solve_parsed(model, 60.0, None)[:2] == ("optimal", 2.0)
+    message = "row 'COST' has the objective row's name in MPS output"
+    with pytest.raises(ValueError) as err:
+        emit_mps_text(model)
+    assert str(err.value) == message
+    path = tmp_path / "m.mps"
+    with pytest.raises(ValueError) as err:
+        emit_mps(model, str(path))
+    assert str(err.value) == message
+    assert not path.exists()

@@ -27,14 +27,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import optimize, sparse
 
-from valign import milp_solve
+from valign import solve_core
 from valign.bench import generate_suite
 from valign.builder import ArcIndex, build, fix_offsets, named_config
 from valign.cli import main
 from valign.gateway import Solution, decode
 from valign.instance import Pit
 from valign.instance_io import parse_instance, write_instance
-from valign.mps import emit_mps_text
+from valign.mps import emit_mps_text, parse_mps
 from valign.oracle import allocation_cost, enumerate_optimal
 from valign.validate import recompute_cost, validate
 
@@ -107,7 +107,7 @@ def buffered_roads_with_grids(draw):
 
 
 def solve_in_process(model):
-    status, objective, x = milp_solve.solve_parsed(model, 60.0, GAP)
+    status, objective, x = solve_core.solve_parsed(model, 60.0, GAP)
     assert status == "optimal", status
     return objective, x
 
@@ -192,9 +192,9 @@ def test_blocked_roads_within_the_gap_of_scipy_milp(instance):
         road = write_instance(instance, os.path.join(tmp, "road.json"))
         for config_name, flags in (("MQN-B", []),
                                    ("MQN-S1", ["--blocks", "sos1"])):
-            mps = milp_solve.parse_mps(emit_mps_text(
+            mps = parse_mps(emit_mps_text(
                 build(instance, named_config(config_name))))
-            milp_solve.binarize_sos(mps)
+            solve_core.binarize_sos(mps)
             reference = milp_result(mps, 60.0, gap)[1]
             assert reference.status == 0, reference.message
             out = os.path.join(tmp, f"{config_name}.txt")
@@ -221,7 +221,7 @@ def schedule_lps(model, blocks):
     matrix = sparse.csr_matrix(
         (entries["value"], (entries["row"], entries["col"])),
         shape=(len(model.row_order), len(model.columns)))
-    rows = optimize.LinearConstraint(matrix, *milp_solve.row_bounds(model))
+    rows = optimize.LinearConstraint(matrix, *solve_core.row_bounds(model))
     objectives = []
     for taus in itertools.product(range(blocks + 2), repeat=blocks):
         lower, upper = model.col_lower.copy(), model.col_upper.copy()
@@ -241,8 +241,8 @@ def assert_within_the_gap_of_the_best_schedule(instance, gap=0.01):
     from HiGHS's branch and bound. Returns the adapter's closing note."""
     model = build(instance, named_config("MQN-B"))
     best = min(schedule_lps(model, len(instance.blocks)))
-    status, objective, _, note = milp_solve.solve_arrays(
-        milp_solve.model_arrays(model), 60.0, gap, ())
+    status, objective, _, note = solve_core.solve_arrays(
+        solve_core.model_arrays(model), 60.0, gap, ())
     assert status == "optimal"
     scale = max(1.0, abs(objective))
     assert best - 1e-6 * scale <= objective <= best + gap * scale
