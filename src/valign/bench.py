@@ -262,7 +262,8 @@ def _run_cell(instance: RoadInstance, config_name: str,
     except Exception as exc:
         return _CellOutcome("error", None, 0.0, False, _reason(exc))
     if solution.status not in ("optimal", "feasible"):
-        return _CellOutcome(solution.status, None, solution.wall_time, False)
+        return _CellOutcome(solution.status, None, solution.wall_time, False,
+                            solution.message)
     reason = ""
     try:
         result = decode(solution, instance, model)

@@ -37,6 +37,10 @@ BALB/CAPB and BALW/CAPW; RIC/RIF), and the Y and W ids by (block, step)
 index the block rows. The model keeps the ids of its A, U, VP, VM, Y and
 flow runs as MilpModel.runs, so decode and fix_offsets find no column by
 name either.
+
+Each rule has one owner, which validate reads too: the G rows gate the
+regions of instance.sealed_regions, CTG prices its arcs from
+ArcIndex.node_sites, and a MilpModel lints itself when it is made.
 """
 
 from __future__ import annotations
@@ -52,9 +56,9 @@ from valign.instance import (
     HaulClass,
     RoadInstance,
     big_m,
-    block_access_sets,
     cheapest_haul_costs,
     global_big_m,
+    sealed_regions,
 )
 from valign.solve_core import ENTRY, ColumnarModel, entry_records
 
@@ -118,7 +122,8 @@ class MilpModel(ColumnarModel):
     describes, with its provenance and, when the builder made it, the ids
     of its column runs, by which decode reads a solution.
 
-    The arrays, those of runs too, are read-only; variables, constraints
+    The arrays, those of runs too, are read-only, and the model is linted
+    when it is made, so every MilpModel is valid; variables, constraints
     and binary_count are views built from them.
     """
 
@@ -132,7 +137,7 @@ class MilpModel(ColumnarModel):
         for value in arrays:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
-        self._lint_passed = False
+        self.lint()
 
     @cached_property
     def variables(self) -> tuple[Variable, ...]:
@@ -163,12 +168,7 @@ class MilpModel(ColumnarModel):
         return int(np.count_nonzero(self.col_integer))
 
     def lint(self) -> None:
-        """Check referential integrity; raises BuildError on any defect.
-
-        The model cannot change, so a pass is remembered.
-        """
-        if self._lint_passed:
-            return
+        """Check referential integrity; raises BuildError on any defect."""
         names = self.columns
         repeat = _repeated(names)
         if repeat is not None:
@@ -213,7 +213,6 @@ class MilpModel(ColumnarModel):
             weights = [w for _, w in members]
             if len(set(weights)) != len(weights):
                 raise BuildError(f"SOS set {name}: duplicate weights")
-        self._lint_passed = True
 
 
 BLOCK_TECHNIQUES = ("basic", "sos1")
@@ -265,6 +264,13 @@ KNOWN_CONFIG_NAMES = tuple(f"{base}-{suffix}"
                            for suffix in _NAMED_TECHNIQUES)
 
 
+def qnf_haul(label: str) -> HaulClass:
+    """The single haul class of a QNF benchmark config, priced by
+    QNF_COST_PAIRS[label]."""
+    loading, per_m = QNF_COST_PAIRS[label]
+    return HaulClass(label, loading_cost=loading, unit_haul_cost=per_m)
+
+
 def named_config(name: str) -> BuilderConfig:
     """Benchmark configuration registry: MQN/CTG/QNS/QNM/QNL/QNA x -B/-S1."""
     base, _, suffix = name.partition("-")
@@ -276,11 +282,8 @@ def named_config(name: str) -> BuilderConfig:
     if base == "CTG":
         return BuilderConfig(model="CTG", block_technique=technique, name=name)
     if base in _NAMED_QNF:
-        label = _NAMED_QNF[base]
-        loading, per_m = QNF_COST_PAIRS[label]
-        haul = HaulClass(label, loading_cost=loading, unit_haul_cost=per_m)
-        return BuilderConfig(model="QNF", haul_subset=(haul,),
-                             block_technique=technique, name=name)
+        return BuilderConfig(model="QNF", haul_subset=(qnf_haul(
+            _NAMED_QNF[base]),), block_technique=technique, name=name)
     raise BuildError(f"unknown config name {name!r}")
 
 
@@ -341,12 +344,20 @@ class ArcIndex:
     def removal(k: int, t: int) -> str:
         return f"Y_{k}_{t}"
 
-    def node_site(self, node: int) -> tuple[int, float]:
-        """(section, dead haul) of a CTG supply or demand node."""
-        if node <= self.n:
-            return node, 0.0
-        pit = self._pits[node - self.n - 1]
-        return pit.attached_section, pit.dead_haul
+    def node_sites(self, nodes: Sequence[int]) -> tuple[np.ndarray, ...]:
+        """(station, dead haul, excavation rate, embankment rate) per CTG
+        supply or demand node: a section's own, or for a pit its attached
+        section's, with the pit's dead haul."""
+        instance, rows = self.instance, []
+        for node in nodes:
+            section, dead_haul = node, 0.0
+            if node > self.n:
+                pit = self._pits[node - self.n - 1]
+                section, dead_haul = pit.attached_section, pit.dead_haul
+            mat = instance.material_of(section)
+            rows.append((instance.stations[section - 1], dead_haul,
+                         mat.excavation, mat.embankment))
+        return tuple(np.array(column) for column in zip(*rows))
 
     @cached_property
     def ctg_arcs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -404,9 +415,9 @@ class _Assembler:
 
     columns declares columns and returns their ids; bulk_rows declares rows
     over those ids, many at once, as arrays. All of it is kept in
-    declaration order, and model turns it into the model's arrays. Repeated
-    names and repeated columns in a row are left to lint, which finish
-    runs.
+    declaration order, and finish turns it into the model's arrays.
+    Repeated names and repeated columns in a row are left to the model's
+    lint.
     """
 
     def __init__(self, name: str):
@@ -462,8 +473,8 @@ class _Assembler:
         """Declare an SOS set by its members' column ids and weights."""
         self.sos.append((sos_type, name, tuple(members)))
 
-    def model(self, provenance: Iterable[tuple[str, str]],
-              runs: ColumnRuns | None = None) -> MilpModel:
+    def finish(self, provenance: Iterable[tuple[str, str]],
+               runs: ColumnRuns | None = None) -> MilpModel:
         """The declarations as a model of read-only arrays."""
         cost, lower, upper, binary = (
             np.concatenate([np.empty(0, dtype)]
@@ -476,12 +487,6 @@ class _Assembler:
             np.array(self.rhs_range, np.float64),
             np.concatenate(self.chunks or [np.empty(0, ENTRY)]),
             tuple(self.sos), provenance=tuple(provenance), runs=runs)
-
-    def finish(self, provenance: Sequence[tuple[str, str]],
-               runs: ColumnRuns | None = None) -> MilpModel:
-        model = self.model(provenance, runs)
-        model.lint()
-        return model
 
 
 def _check_segments(instance: RoadInstance) -> None:
@@ -772,24 +777,27 @@ def _block_rows(asm: _Assembler, instance: RoadInstance,
 
     # Region gating: all movement inside regions sealed off by unremoved
     # blocks (no access road) is forbidden until a sealing block is removed.
-    def region(tag: str, ks: tuple[int, ...], lo_arc: int, hi_arc: int,
-               pit_ok, key: str) -> None:
-        # lo_arc..hi_arc: transit arcs (i, i+1) with lo_arc <= i, i+1 <= hi_arc
-        # on both chains, then both arcs of each admitted pit. Row tags name
-        # the arc's end: P for section+1, M for -1.
-        ok_borrow = np.array([pit_ok(p.attached_section)
-                              for p in instance.borrow_pits], bool)
-        ok_waste = np.array([pit_ok(p.attached_section)
-                             for p in instance.waste_pits], bool)
+    # Per region: its transit arcs on both chains, then both arcs of each
+    # pit it admits. Rows are G2 between two blocks, GL and GR beside one
+    # (a left region starts at section 1), and their tags name the arc's
+    # end: P for section+1, M for -1.
+    for region in sealed_regions(instance):
+        ks, lo, hi = region
+        tag = "2" if len(ks) == 2 else "L" if lo == 1 else "R"
+        in_borrow, in_waste = (
+            np.array([region.admits(pit.attached_section) for pit in pits],
+                     bool)
+            for pits in (instance.borrow_pits, instance.waste_pits))
         arcs = np.concatenate(
-            [np.stack([transit[:, :, lo_arc - 1:hi_arc - 1, 0],
-                       transit[:, :, lo_arc:hi_arc, 1]], -1),
-             borrow[:, :, ok_borrow], waste[:, :, ok_waste]], axis=2)
-        ends = [(arc, i) for i in range(lo_arc, hi_arc) for arc in "RL"]
-        ends += [(f"B{end}", j + 1) for j in np.flatnonzero(ok_borrow).tolist()
+            [np.stack([transit[:, :, lo - 1:hi - 1, 0],
+                       transit[:, :, lo:hi, 1]], -1),
+             borrow[:, :, in_borrow], waste[:, :, in_waste]], axis=2)
+        ends = [(arc, i) for i in range(lo, hi) for arc in "RL"]
+        ends += [(f"B{end}", j + 1) for j in np.flatnonzero(in_borrow).tolist()
                  for end in "PM"]
-        ends += [(f"W{end}", w + 1) for w in np.flatnonzero(ok_waste).tolist()
+        ends += [(f"W{end}", w + 1) for w in np.flatnonzero(in_waste).tolist()
                  for end in "MP"]
+        key = "_".join(map(str, ks))
         rows = np.arange(arcs.size).reshape(arcs.shape)
         asm.bulk_rows(
             [(f"G{tag}{arc}_{key}_{h}_{t}_{i}", "L", 0.0)
@@ -797,18 +805,6 @@ def _block_rows(asm: _Assembler, instance: RoadInstance,
              for arc, i in ends],
             [(rows, arcs, 1.0)]
             + [(rows[:, 1:], y[k - 1, :-1, None, None], -m_flow) for k in ks])
-
-    pairs, left_set, right_set = block_access_sets(instance)
-    for k1, k2 in pairs:
-        s1, s2 = sections[k1 - 1], sections[k2 - 1]
-        region("2", (k1, k2), s1, s2,
-               lambda sec: s1 <= sec - 1 and sec + 1 <= s2, f"{k1}_{k2}")
-    for k in left_set:
-        s = sections[k - 1]
-        region("L", (k,), 1, s, lambda sec: sec + 1 <= s, str(k))
-    for k in right_set:
-        s = sections[k - 1]
-        region("R", (k,), s, instance.n, lambda sec: s <= sec - 1, str(k))
 
     # Removal indicators: a block may be flagged removed at step u only once
     # its section's full cut and fill have been moved by then. RIC_k_u and
@@ -845,22 +841,11 @@ def _ctg_model(asm: _Assembler, instance: RoadInstance, config: BuilderConfig,
     rows, declared on asm after the spline rows, whose column ids a, u, vp
     and vm are as _spline_rows returns them."""
     hauls = instance.cost_model.hauls
-    stations = instance.stations
-
-    def node_info(nodes: Sequence[int]) -> tuple[np.ndarray, ...]:
-        """(station, dead haul, excavation rate, embankment rate) per node."""
-        rows = []
-        for node in nodes:
-            section, dead_haul = names.node_site(node)
-            mat = instance.material_of(section)
-            rows.append((stations[section - 1], dead_haul, mat.excavation,
-                         mat.embankment))
-        return tuple(np.array(column) for column in zip(*rows))
-
-    st_s, dead_s, exc_s, _ = node_info(names.supply_nodes)
-    st_d, dead_d, _, emb_d = node_info(names.demand_nodes)
-    # arcs stays alive until the model is finished: freed before lint, it
-    # left the next G-01 build 6 MB higher in peak RSS (heap reuse).
+    st_s, dead_s, exc_s, _ = names.node_sites(names.supply_nodes)
+    st_d, dead_d, _, emb_d = names.node_sites(names.demand_nodes)
+    # arcs stays alive until the model is finished: freed before the
+    # model's lint, it left the next G-01 build 6 MB higher in peak RSS
+    # (heap reuse).
     arcs, (src, dst) = names.ctg_names(), names.ctg_arcs
     dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]
     cost = exc_s[src] + cheapest_haul_costs(hauls, dist) + emb_d[dst]
@@ -895,7 +880,8 @@ def _ctg_model(asm: _Assembler, instance: RoadInstance, config: BuilderConfig,
 def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
     """Pin every section offset, reducing the MILP to earthwork allocation:
     the model with one more row per section, FIX_<i>: U_<i> = offset, over
-    the offset run of model.runs."""
+    the offset run of model.runs. replace makes a new model, which lints
+    itself."""
     cols = model.runs.offsets
     n = len(cols)
     m = len(model.row_order)
@@ -906,7 +892,7 @@ def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
         if not lower - 1e-9 <= value <= upper + 1e-9:
             raise BuildError(f"offset {value} outside bounds [{lower}, "
                              f"{upper}] of section {i}")
-    out = replace(
+    return replace(
         model,
         row_order=model.row_order + tuple(f"FIX_{i}" for i in range(1, n + 1)),
         senses=np.append(model.senses, ["E"] * n),
@@ -915,8 +901,6 @@ def fix_offsets(model: MilpModel, offsets: Sequence[float]) -> MilpModel:
         entries=np.append(model.entries, entry_records(
             m + np.arange(n), cols, np.ones(n))),
         provenance=model.provenance + (("fixed_offsets", "yes"),))
-    out.lint()
-    return out
 
 
 def _provenance(instance: RoadInstance, config: BuilderConfig,

@@ -22,11 +22,15 @@ from valign.bench import (
     run_matrix,
 )
 from valign.builder import (
+    BLOCK_TECHNIQUES,
     KNOWN_CONFIG_NAMES,
+    MODELS,
+    QNF_COST_PAIRS,
+    VOLUME_MODES,
     BuildError,
     BuilderConfig,
-    QNF_COST_PAIRS,
     build,
+    qnf_haul,
 )
 from valign.gateway import (
     DecodeError,
@@ -36,7 +40,7 @@ from valign.gateway import (
     decode,
     solve,
 )
-from valign.instance import HaulClass, InstanceError, RoadInstance
+from valign.instance import InstanceError, RoadInstance
 from valign.instance_io import (
     RunConfig,
     parse_config,
@@ -59,15 +63,14 @@ def _fail(message: str, code: int) -> int:
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("mhqnf", "qnf", "ctg"),
+    # Choices in the builder's vocabulary, model names in lower case.
+    p.add_argument("--model", choices=[m.lower() for m in MODELS],
                    default="mhqnf", help="model family (default mhqnf)")
     p.add_argument("--haul", choices=sorted(QNF_COST_PAIRS),
                    help="haul class for --model qnf")
-    p.add_argument("--blocks", choices=("basic", "sos1"), default="basic",
+    p.add_argument("--blocks", choices=BLOCK_TECHNIQUES, default="basic",
                    help="block removal formulation (default basic)")
-    p.add_argument("--volumes",
-                   choices=("linear", "piecewise-sos2", "piecewise-binary"),
-                   default="linear",
+    p.add_argument("--volumes", choices=VOLUME_MODES, default="linear",
                    help="volume law formulation (default linear)")
 
 
@@ -76,10 +79,7 @@ def _config_from_flags(parser: argparse.ArgumentParser,
     if args.model == "qnf":
         if args.haul is None:
             parser.error("--model qnf requires --haul")
-        loading, per_m = QNF_COST_PAIRS[args.haul]
-        haul = HaulClass(args.haul, loading_cost=loading,
-                         unit_haul_cost=per_m)
-        subset: tuple[HaulClass, ...] | None = (haul,)
+        subset = (qnf_haul(args.haul),)
         name = f"QNF-{args.haul}"
     else:
         if args.haul is not None:
@@ -198,7 +198,8 @@ def cmd_solve(parser: argparse.ArgumentParser,
         return _fail(f"solver hit the {limits.time_limit:g}s limit{note}",
                      EXIT_TIMEOUT)
     if solution.status == "error":
-        return _fail(f"solver failed (log: {solution.solver_log_path})",
+        why = f": {solution.message}" if solution.message else ""
+        return _fail(f"solver failed (log: {solution.solver_log_path}){why}",
                      EXIT_SOLVER)
     if solution.status == "infeasible":
         return _fail("model proven infeasible", EXIT_INVALID)

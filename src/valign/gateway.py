@@ -8,9 +8,10 @@ the bundled adapter) is resolved by default_solver_command().
 Two solution file layouts are understood, told apart by the first
 character of the text: a leading "<" is an XML-ish sectioned layout with a
 header element plus one element per variable, anything else is "name value"
-pairs with reserved keys status/objective/wall_time. Either is read onto x,
-in the model's column order; past that point columns are ids, and decode
-reads x by the ids the builder recorded in model.runs.
+pairs with reserved keys status/objective/wall_time/message.
+parse_solution_text reads either onto x, in the model's column order; past
+that point columns are ids, and decode reads x by the ids the builder
+recorded in model.runs.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ class Solution:
     wall_time: float
     solver_log_path: str = ""
     solver_time: float = 0.0     # the solver's own report (wall_time key)
+    message: str = ""            # the solution file's, as an error's
 
     def __post_init__(self):
         if self.status not in STATUSES:
@@ -250,7 +252,8 @@ def parse_solution_text(text: str, columns: Sequence[str]) -> Solution:
             wall = float(raw["wall_time"])
         except ValueError:
             wall = 0.0
-    return Solution(status, objective, x, wall, solver_time=wall)
+    return Solution(status, objective, x, wall, solver_time=wall,
+                    message=raw.get("message", ""))
 
 
 def command_words(template: str) -> list[str]:
@@ -352,7 +355,7 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
         if timed_out and status not in ("optimal", "feasible", "infeasible"):
             status = "timeout"
         return Solution(status, parsed.objective, parsed.x, wall,
-                        log_path, parsed.solver_time)
+                        log_path, parsed.solver_time, parsed.message)
     if timed_out:
         return Solution("timeout", None, _NO_VALUES, wall, log_path)
     return Solution("error", None, _NO_VALUES, wall, log_path)

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -439,6 +439,33 @@ def block_access_sets(instance: RoadInstance) -> tuple[
     right = tuple(k for k, b in enumerate(blocks, start=1)
                   if not road_in(b.section + 1, n))
     return pairs, left, right
+
+
+class SealedRegion(NamedTuple):
+    """Sections lo..hi, which blocks (1-based indices into
+    instance.sorted_blocks) seal off from every access road until one of
+    them is removed. The region holds the transit arcs between sections i
+    and i+1 for lo <= i < hi, and the pits it admits."""
+
+    blocks: tuple[int, ...]
+    lo: int
+    hi: int
+
+    def admits(self, section: int) -> bool:
+        """Whether a pit attached at section lies inside the region."""
+        return self.lo < section < self.hi
+
+
+def sealed_regions(instance: RoadInstance) -> tuple[SealedRegion, ...]:
+    """The regions of block_access_sets, in its order: each pair's region
+    between its two blocks, then each left block's from section 1 to it,
+    then each right block's from it to section n. A pit sits on an interior
+    section (check), so a side region admits every pit on its side."""
+    pairs, left, right = block_access_sets(instance)
+    at = [0] + [blk.section for blk in instance.sorted_blocks]  # block k's
+    return (tuple(SealedRegion((k1, k2), at[k1], at[k2]) for k1, k2 in pairs)
+            + tuple(SealedRegion((k,), 1, at[k]) for k in left)
+            + tuple(SealedRegion((k,), at[k], instance.n) for k in right))
 
 
 def big_m(instance: RoadInstance, section: int, volume_mode: str = "linear") -> float:

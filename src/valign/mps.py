@@ -19,15 +19,21 @@ layout):
 * SOS sets use a header line `` S<type> SET <name>`` followed by indented
   ``variable weight`` member lines.
 
+The writer checks only that no row is named as the objective row: a
+MilpModel lints itself when it is made.
+
 parse_mps reads a free-format file into a solve_core.ColumnarModel:
 columns in first-seen order, rows in declaration order, entries in file
-order. A row's name is declared once, the objective row's included, and a
-matrix coefficient must be finite (HiGHS refuses the model otherwise). The
-text is read 64 KB at a time (text_pieces, which the gateway's solution
-reader shares) into typed arrays, with no numpy (_Read); a piece of plain
-COLUMNS lines is read as a whole (_plain_entries), any other line by line.
-Every defect raises MpsError, which names the line when one line is at
-fault.
+order. One table holds every row's id, the N rows' too: the first N row
+is the objective row, and an N row past it is a free row, whose entries
+are read, their numbers checked, and dropped, as HiGHS's readModel drops
+them. A row's name is declared once, and a matrix coefficient must be
+finite (HiGHS refuses the model otherwise). The text is read 64 KB at a
+time (text_pieces, which the gateway's solution reader shares) into typed
+arrays, with no numpy (_Read); a piece of plain COLUMNS lines is read as
+a whole (_plain_entries, over the same row table), any other line by
+line. Every defect raises MpsError, which names the line when one line is
+at fault.
 """
 
 from __future__ import annotations
@@ -74,8 +80,8 @@ _CHUNK_LINES = 1 << 13
 
 
 def _mps_chunks(model: MilpModel) -> Iterator[str]:
-    """The rendering of a linted model as consecutive pieces of text of
-    bounded size."""
+    """The rendering of a model as consecutive pieces of text of bounded
+    size."""
     import numpy as np
     columns, row_order = model.columns, model.row_order
     lines = [f"* {key}: {value}" for key, value in model.provenance]
@@ -157,10 +163,8 @@ def _mps_chunks(model: MilpModel) -> Iterator[str]:
     yield "\n".join(lines) + "\n"
 
 
-def _lint(model: MilpModel) -> None:
-    """model.lint(), and no row named as the objective row, which a reader
-    would take for it."""
-    model.lint()
+def _check_row_names(model: MilpModel) -> None:
+    """No row is named as the objective row, which a reader takes for it."""
     if OBJECTIVE_ROW in model.row_order:
         raise ValueError(f"row {OBJECTIVE_ROW!r} has the objective row's name "
                          "in MPS output")
@@ -168,14 +172,14 @@ def _lint(model: MilpModel) -> None:
 
 def emit_mps_text(model: MilpModel) -> str:
     """Render the model; pure function of its contents."""
-    _lint(model)
+    _check_row_names(model)
     return "".join(_mps_chunks(model))
 
 
 def emit_mps(model: MilpModel, path: str) -> str:
     """Write the rendering to path piece by piece; returns the path. A
     rendering that fails part way removes the partial file."""
-    _lint(model)
+    _check_row_names(model)
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.writelines(_mps_chunks(model))
@@ -208,15 +212,16 @@ class _Read:
     """A file as parse_mps's reader leaves it, before any numpy array:
     names, row senses, and bounds, RHS and ranges by id; integer column
     ids; SOS sets; and every COLUMNS entry in file order, as typed arrays
-    of row ids, column ids and values, an objective entry on row -1.
+    of row ids, column ids and values, an objective entry on row -1 and a
+    free row's on -2.
 
     conventional: the file holds none of what HiGHS's own reader was
     seen to read otherwise, with kOk, apart from what plain_lp checks on
     the entries: its sections come in the order of _SECTIONS, each once;
-    no RHS falls on the objective row (HiGHS reads an offset); no row has
-    two RHS or two range entries; no RHS or RANGES set is named as a row
-    and no bound set as a column; no number holds an underscore (float
-    reads 1_0 as 10)."""
+    no free row follows the objective row; no RHS falls on an N row
+    (HiGHS reads an offset); no row has two RHS or two range entries; no
+    RHS or RANGES set is named as a row and no bound set as a column; no
+    number holds an underscore (float reads 1_0 as 10)."""
 
     name: str
     columns: list[str]
@@ -235,7 +240,8 @@ class _Read:
 
     def model(self) -> ColumnarModel:
         """The file as a ColumnarModel: each cost the sum of its column's
-        objective entries in file order, the other entries as they come."""
+        objective entries in file order, the matrix entries as they come,
+        and no free row's entry."""
         import numpy as np
 
         from valign.solve_core import ENTRY, ColumnarModel
@@ -246,8 +252,8 @@ class _Read:
         priced = row == -1
         cost = np.zeros(n)
         np.add.at(cost, col[priced], value[priced])   # in file order
-        kept = ~priced
-        entries = np.empty(len(row) - int(np.count_nonzero(priced)), ENTRY)
+        kept = row >= 0
+        entries = np.empty(int(np.count_nonzero(kept)), ENTRY)
         for field, data in (("row", row), ("col", col), ("value", value)):
             entries[field] = data[kept]
         col_integer = np.zeros(n, bool)
@@ -299,6 +305,9 @@ def _read_mps(text: str) -> _Read:
     columns: list[str] = []
     col_id: dict[str, int] = {}
     row_order: list[str] = []
+    # Every row's id, an N row's too: -1 for the objective row, the first,
+    # and -2 for any later one, a free row, whose entries model() drops as
+    # HiGHS's reader drops them.
     row_id: dict[str, int] = {}
     senses: list[str] = []
     # Column and row ids -> values, for those the file gives.
@@ -314,9 +323,6 @@ def _read_mps(text: str) -> _Read:
     current_sos: list[tuple[int, float]] | None = None
     # COLUMNS lines come grouped by column: the last line's name and id.
     last_var, last_col = None, -1
-    # row_id with the objective row at -1, for _plain_entries; None once
-    # a ROWS line changes either.
-    row_lookup: dict[str, int] | None = None
     # What makes a file conventional (_Read): the sections in file order,
     # how many RHS and RANGES entries there are, and the set names.
     sections: list[str] = []
@@ -341,10 +347,8 @@ def _read_mps(text: str) -> _Read:
     lineno = 0
     for piece in text_pieces(text):
         if section == "COLUMNS":
-            if row_lookup is None:
-                row_lookup = {**row_id, objective_row: -1}
             # A file too wide for plain_lp needs no scan of its numbers.
-            plain = _plain_entries(piece, row_lookup, conventional and len(
+            plain = _plain_entries(piece, row_id, conventional and len(
                 entry_row) - len(columns) <= _PER_ROW * len(row_order))
             if plain is not None:
                 names, rows, values = plain
@@ -402,17 +406,12 @@ def _read_mps(text: str) -> _Read:
                 for pos in (1, 3) if count == 5 else (1,):
                     row = tokens[pos]
                     value = number(tokens[pos + 1], lineno)
-                    if row == objective_row:
-                        r = -1
-                    else:
-                        r = row_id.get(row)
-                        if r is None:
-                            raise MpsError(f"line {lineno}: unknown row "
-                                           f"{row!r}")
-                        if not math.isfinite(value):
-                            raise MpsError(f"line {lineno}: matrix "
-                                           f"coefficient {value!r} is not "
-                                           "finite")
+                    r = row_id.get(row)
+                    if r is None:
+                        raise MpsError(f"line {lineno}: unknown row {row!r}")
+                    if r >= 0 and not math.isfinite(value):
+                        raise MpsError(f"line {lineno}: matrix coefficient "
+                                       f"{value!r} is not finite")
                     entry_row.append(r)
                     entry_col.append(col)
                     entry_value.append(value)
@@ -421,17 +420,17 @@ def _read_mps(text: str) -> _Read:
                 if len(tokens) != 2:
                     raise MpsError(f"line {lineno}: malformed row declaration")
                 sense, row = tokens[0].upper(), tokens[1]
-                row_lookup = None
-                if sense == "N" and objective_row:
-                    continue    # a free row past the objective: dropped
                 if sense not in ("N", "L", "G", "E"):
                     raise MpsError(f"line {lineno}: unknown row sense "
                                    f"{sense!r}")
-                # The objective row's name is a row's name too.
-                if row in row_id or row == objective_row:
+                if row in row_id:
                     raise MpsError(f"line {lineno}: duplicate row {row!r}")
                 if sense == "N":
-                    objective_row = row
+                    if objective_row:
+                        row_id[row] = -2
+                        conventional = False
+                    else:
+                        row_id[row], objective_row = -1, row
                     continue
                 row_id[row] = len(row_order)
                 row_order.append(row)
@@ -445,13 +444,13 @@ def _read_mps(text: str) -> _Read:
                     row = tokens[pos]
                     value = number(tokens[pos + 1], lineno)
                     r = row_id.get(row)
-                    if r is not None:
-                        (rhs if section == "RHS" else ranges)[r] = value
-                        set_entries += 1
-                    elif section == "RANGES" or row != objective_row:
+                    if r is None or (r < 0 and section == "RANGES"):
                         raise MpsError(f"line {lineno}: unknown row {row!r}")
-                    else:
+                    if r < 0:   # an N row's RHS; HiGHS reads an offset
                         conventional = False
+                        continue
+                    (rhs if section == "RHS" else ranges)[r] = value
+                    set_entries += 1
 
             elif section == "BOUNDS":
                 kind = tokens[0].upper()
@@ -503,7 +502,7 @@ def _read_mps(text: str) -> _Read:
     conventional = (
         conventional and sections == [s for s in _SECTIONS if s in sections]
         and set_entries == len(rhs) + len(ranges)
-        and not any(s in row_id or s == objective_row for s in set_names)
+        and not any(s in row_id for s in set_names)
         and not any(s in col_id for s in bound_sets))
     return _Read(name, columns, row_order, senses, lower, upper, rhs, ranges,
                  integer, entry_row, entry_col, entry_value, sos_sets,
@@ -541,12 +540,12 @@ def text_lines(text: str) -> Iterator[str]:
 _NOT_PLAIN = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\0", "'MARKER'")
 
 
-def _plain_entries(piece: str, row_lookup: dict[str, int], scan: bool
+def _plain_entries(piece: str, row_id: dict[str, int], scan: bool
                    ) -> tuple[list[str], array, array] | None:
     """The column names, row ids and values of a piece of COLUMNS text
     whose every line is a plain entry line, else None: an ASCII line that
     ends in a line feed, starts with a blank, and holds exactly three
-    tokens, none of them 'MARKER', whose row row_lookup knows and
+    tokens, none of them 'MARKER', whose row row_id knows and
     whose value is a finite number, with no underscore if scan is set
     (the reader notes one line by line). Lines then number as
     str.splitlines counts them, one per line feed."""
@@ -564,7 +563,7 @@ def _plain_entries(piece: str, row_lookup: dict[str, int], scan: bool
         return None
     # Lists first: an array grows item by item from an iterator.
     try:
-        rows = array("q", list(map(row_lookup.__getitem__, tokens[1::4])))
+        rows = array("q", list(map(row_id.__getitem__, tokens[1::4])))
         values = list(map(float, numbers))
     except (KeyError, ValueError):
         return None

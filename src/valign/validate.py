@@ -8,9 +8,12 @@ and volumes by its own arithmetic.
 No variable name is read here: AlignmentResult.flows indexes the decoded x
 by the column ids of the builder's model.runs, once per result, into CTG's
 (supply, demand) grid or flow_grid's arrays. That column layout is the only
-thing shared with the builder; conservation, balance, capacity, bounds,
+thing shared with the model; conservation, balance, capacity, bounds,
 block gating, removal and the re-priced cost are derived from the grids and
-the instance data, never from the model's rows or cost vector.
+the instance data, never from the model's rows or cost vector. The instance
+rules come from their one owner, as the builder's do: the regions block
+gating closes from instance.sealed_regions, and the CTG nodes' stations,
+dead hauls and rates from ArcIndex.node_sites.
 
 Every family is computed on arrays and booked by one method,
 ViolationReport.book: relative mode divides each residual by max(1, its
@@ -28,8 +31,8 @@ from valign.builder import ArcIndex, BuilderConfig, effective_hauls
 from valign.gateway import OBJECTIVE_RTOL, AlignmentResult
 from valign.instance import (
     RoadInstance,
-    block_access_sets,
     cheapest_haul_costs,
+    sealed_regions,
 )
 
 FAMILIES = (
@@ -230,32 +233,17 @@ def _check_blocks(instance, result, book) -> None:
             book("block_gating",
                  np.abs(arcs[:, shut[k], s] - local[:, shut[k], s]))
 
-    pairs, left_set, right_set = block_access_sets(instance)
-
-    def region_check(ks: tuple[int, ...], lo_arc: int, hi_arc: int,
-                     pit_ok) -> None:
-        # Transit arcs (i, i+1) with lo_arc <= i, i+1 <= hi_arc, and the arcs
-        # of the pits pit_ok admits, while no block of ks is removed.
+    # A sealed region's transit arcs and the arcs of the pits it admits
+    # carry nothing while none of its blocks is removed.
+    for region in sealed_regions(instance):
+        ks, lo, hi = region
         closed = shut[[k - 1 for k in ks]].all(axis=0)
-        rightward = transit[:, closed, lo_arc - 1:hi_arc - 1, 0]  # i -> i+1
-        leftward = transit[:, closed, lo_arc:hi_arc, 1]  # i+1 -> i
-        book("block_gating", np.abs(rightward))
-        book("block_gating", np.abs(leftward))
+        book("block_gating", np.abs(transit[:, closed, lo - 1:hi - 1, 0]))
+        book("block_gating", np.abs(transit[:, closed, lo:hi, 1]))
         for arcs, pits in ((borrow, instance.borrow_pits),
                            (waste, instance.waste_pits)):
-            ok = [pit_ok(pit.attached_section) for pit in pits]
-            book("block_gating", np.abs(arcs[:, closed][:, :, ok]))
-
-    for k1, k2 in pairs:
-        s1, s2 = blocks[k1 - 1].section, blocks[k2 - 1].section
-        region_check((k1, k2), s1, s2,
-                     lambda sec: s1 <= sec - 1 and sec + 1 <= s2)
-    for k in left_set:
-        s = blocks[k - 1].section
-        region_check((k,), 1, s, lambda sec: sec + 1 <= s)
-    for k in right_set:
-        s = blocks[k - 1].section
-        region_check((k,), s, instance.n, lambda sec: s <= sec - 1)
+            inside = [region.admits(pit.attached_section) for pit in pits]
+            book("block_gating", np.abs(arcs[:, closed][:, :, inside]))
 
     # Removal bookkeeping: indicators are binary and final, and by the end
     # of step u at least u blocks are gone.
@@ -344,16 +332,9 @@ def recompute_cost(instance: RoadInstance, config: BuilderConfig,
 
 
 def _recompute_ctg(instance: RoadInstance, result: AlignmentResult) -> float:
-    names, stations = ArcIndex(instance), instance.stations
-
-    def sites(nodes, rate: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(station, dead haul, material rate) per node."""
-        rows = [(stations[s - 1], dead, getattr(instance.material_of(s), rate))
-                for s, dead in map(names.node_site, nodes)]
-        return tuple(np.array(column) for column in zip(*rows))
-
-    st_s, dead_s, exc_s = sites(names.supply_nodes, "excavation")
-    st_d, dead_d, emb_d = sites(names.demand_nodes, "embankment")
+    names = ArcIndex(instance)
+    st_s, dead_s, exc_s, _ = names.node_sites(names.supply_nodes)
+    st_d, dead_d, _, emb_d = names.node_sites(names.demand_nodes)
     flows, = result.flows
     src, dst = np.nonzero(flows)  # row-major: the arcs' declaration order
     dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]

@@ -2,10 +2,13 @@
 
 import csv
 import math
+import sys
+import tempfile
+from dataclasses import replace
 
 import pytest
 
-from valign import bench
+from valign import bench, cli
 from valign.bench import (
     ROAD_TEMPLATES,
     SUCCESS_THRESHOLD,
@@ -21,8 +24,9 @@ from valign.bench import (
     write_accuracy_csv,
     write_times_csv,
 )
-from valign.gateway import SolverLimits
-from valign.instance_io import RunConfig, parse_instance
+from valign.builder import build, named_config
+from valign.gateway import SolverLimits, solve
+from valign.instance_io import RunConfig, parse_instance, write_instance
 from valign.validate import ViolationReport
 
 from conftest import BUNDLED_SOLVER, make_instance
@@ -298,3 +302,27 @@ def test_failed_validation_names_its_families(monkeypatch):
                          workers=1)
     assert record.status == "optimal" and not record.success
     assert record.reason == "validation failed: slope inf, bounds 0.25"
+
+
+def test_solver_message_is_the_error_cells_reason(tmp_path, capsys,
+                                                  monkeypatch):
+    # The bundled adapter writes why it failed under the message key: the
+    # solution keeps it, the error cell gives it as its reason, and the
+    # CLI's "solver failed" line ends with it. A failed solve keeps its
+    # workdir, here under tmp_path.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    stub = tmp_path / "stub.py"
+    stub.write_text("import sys\n"
+                    "with open(sys.argv[2], 'w') as fh:\n"
+                    "    fh.write('status error\\nmessage boom\\n')\n")
+    run = replace(RUN, solver_command=f"{sys.executable} -S {stub} "
+                  "{mps} {sol}")
+    instance = zigzag_instance()
+    solution = solve(build(instance, named_config("MQN-B")),
+                     run.solver_command, run.limits)
+    assert (solution.status, solution.message) == ("error", "boom")
+    record, = run_matrix([("zigzag", instance)], ["MQN-B"], run, workers=1)
+    assert (record.status, record.reason) == ("error", "boom")
+    path = write_instance(instance, str(tmp_path / "zigzag.json"))
+    assert cli.main(["solve", path, "--solver", run.solver_command]) == 3
+    assert capsys.readouterr().err.endswith("solver.log): boom\n")

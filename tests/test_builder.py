@@ -288,7 +288,7 @@ def test_lint_rejects_defects(message, declare):
     asm = _Assembler("bad")
     with pytest.raises(BuildError, match=message):
         declare(asm)
-        emit_mps_text(asm.model(()))
+        emit_mps_text(asm.finish(()))
 
 
 def test_name_declared_by_two_columns_calls_is_rejected():

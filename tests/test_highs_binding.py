@@ -944,6 +944,8 @@ ROUTE_CASES = {
     "entry-less column that cannot rest at 0": (plain_lp_with(
         "RHS\n", "    z COST 1.0\nRHS\n").replace(
             " UP BND x 3.0\n", " UP BND x 3.0\n LO BND z 1.0\n"), 1, 0),
+    "free row": (plain_lp_with(" G r2\n", " G r2\n N FREE\n").replace(
+        "    x r2 1.0\n", "    x r2 1.0\n    x FREE 5.0\n"), 0, 1),
     "RHS on the objective row": (plain_lp_with(
         "    RHS r2 1.0\n", "    RHS r2 1.0\n    RHS COST 5.0\n"), 0, 1),
     "repeated entry": (plain_lp_with(

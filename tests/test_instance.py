@@ -16,6 +16,7 @@ from valign.instance import (
     cheapest_haul_costs,
     default_cost_model,
     global_big_m,
+    sealed_regions,
 )
 
 from conftest import make_instance
@@ -116,6 +117,8 @@ def test_block_access_sets_pairs_and_sides():
     # no access left of block at 3, none right of block at 6
     assert left == (1,)
     assert right == (2,)
+    # as (blocks, lo, hi): sections 1..3 behind block 1, 6..9 behind block 2
+    assert sealed_regions(inst) == (((1,), 1, 3), ((2,), 6, 9))
 
 
 def test_block_access_sets_gated_pair():
@@ -124,12 +127,18 @@ def test_block_access_sets_gated_pair():
     assert pairs == ((1, 2),)
     assert left == ()
     assert right == ()
+    region, = sealed_regions(inst)
+    assert region == ((1, 2), 3, 6)
+    # a pit strictly between the two blocks is inside
+    assert [section for section in range(1, 10)
+            if region.admits(section)] == [4, 5]
 
 
 def test_block_access_sets_order_invariance():
     a = make_instance([100] * 9, blocks=[6, 3], access=[2, 8])
     b = make_instance([100] * 9, blocks=[3, 6], access=[8, 2])
     assert block_access_sets(a) == block_access_sets(b)
+    assert sealed_regions(a) == sealed_regions(b) == (((1, 2), 3, 6),)
 
 
 def test_invalid_instances_rejected():

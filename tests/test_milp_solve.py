@@ -386,6 +386,7 @@ def test_main_without_the_binding(tmp_path):
 # binarize_sos raise, with its line number.
 MPS_HEAD = "NAME t\nROWS\n N COST\n L r1\n E r2\nCOLUMNS\n"
 LONG_COLUMNS = "".join(f"    c{i} r1 {i}.5\n" for i in range(60000))
+FREE_HEAD = MPS_HEAD.replace(" L r1\n", " N FREE\n L r1\n")
 
 
 @pytest.mark.parametrize("text, message", [
@@ -443,6 +444,15 @@ LONG_COLUMNS = "".join(f"    c{i} r1 {i}.5\n" for i in range(60000))
     ("NAME t\nROWS\n N COST\n L r1\n G r1\n", "line 5: duplicate row 'r1'"),
     ("NAME t\nROWS\n N COST\n L COST\n", "line 4: duplicate row 'COST'"),
     ("NAME t\nROWS\n G COST\n N COST\n", "line 4: duplicate row 'COST'"),
+    # A free row, an N row past the objective row, is a row of the file.
+    ("NAME t\nROWS\n N COST\n N COST\n", "line 4: duplicate row 'COST'"),
+    ("NAME t\nROWS\n N COST\n L r1\n N r1\n", "line 5: duplicate row 'r1'"),
+    ("NAME t\nROWS\n N COST\n N FREE\n E FREE\n",
+     "line 5: duplicate row 'FREE'"),
+    (FREE_HEAD + "    x FREE abc\n", "line 8: bad number 'abc'"),
+    (FREE_HEAD + "    x r1 1.0 FREE nan\n", "line 8: NaN not allowed"),
+    (FREE_HEAD + "    x r1 1.0\nRANGES\n    RNG FREE 1.0\n",
+     "line 10: unknown row 'FREE'"),
     ("* lead\n    x r1 1.0\n", "line 2: data outside any section"),
     ("NAME t\nROWS\n L r1\nENDATA\n", "no objective row declared"),
     # A matrix coefficient must be finite; an objective one is checked by
@@ -483,6 +493,25 @@ def test_main_refuses_a_row_named_as_the_objective_row(tmp_path, capsys,
     message = "line 4: duplicate row 'COST'"
     assert capsys.readouterr().err == f"valign-milp: {message}\n"
     assert sol.read_text() == f"status error\nmessage {message}\n"
+
+
+# A second N row, a free row, with an entry: HiGHS's readModel loads the
+# file as one row and solves it to 4.0.
+FREE_ROW_MPS = ("NAME free\nROWS\n N COST\n N FREE\n G r\nCOLUMNS\n"
+                "    x COST 1.0\n    x FREE 1.0\n    x r 1.0\n"
+                "RHS\n    RHS r 4.0\nENDATA\n")
+
+
+def test_main_reads_a_free_row_and_drops_its_entries(tmp_path, capsys):
+    parsed = parse_mps(FREE_ROW_MPS)
+    assert parsed.row_order == ("r",)
+    assert parsed.entries.tolist() == [(0, 0, 1.0)]
+    assert parsed.cost.tolist() == [1.0]
+    sol = tmp_path / "out.sol"
+    assert main([write(tmp_path, FREE_ROW_MPS), str(sol)]) == 0
+    assert capsys.readouterr().out == "valign-milp: optimal objective 4.0\n"
+    assert parse_solution_text(sol.read_text(), parsed.columns).x.tolist() \
+        == [4.0]
 
 
 def test_main_rejects_infinite_matrix_coefficient(tmp_path, capsys):
@@ -539,6 +568,10 @@ LONG_CASES = {
     "repeated": MPS_HEAD + REPEATS + LONG_COLUMNS + REPEATS + "ENDATA\n",
     "integer": MPS_HEAD + LONG_COLUMNS + "    M1 'MARKER' 'INTORG'\n"
     + INTEGERS + "    M2 'MARKER' 'INTEND'\n" + REPEATS + "ENDATA\n",
+    "free row": FREE_HEAD + LONG_COLUMNS.replace(" r1 ", " FREE ")
+    + "    y r1 1.0 FREE -2.5\n" + LONG_COLUMNS + "ENDATA\n",
+    "objective RHS": MPS_HEAD + LONG_COLUMNS
+    + "RHS\n    RHS COST 5.0 r1 2.0\nENDATA\n",
 }
 
 
@@ -557,6 +590,11 @@ def test_pieces_read_whole_parse_as_lines_do(case):
         integral = [name.startswith("d") for name in got.columns]
         assert got.col_integer.tolist() == integral
         assert sum(integral) == 30000
+    if case == "free row":
+        assert got.row_order == ("r1", "r2")
+        assert len(got.entries) == 60001
+    if case == "objective RHS":
+        assert got.row_rhs.tolist() == [2.0, 0.0]
 
 
 @pytest.mark.parametrize("piece, plain", [
@@ -805,15 +843,19 @@ def test_every_buildable_model_reads_back_as_itself(template, variant,
                                  blocks=blocks, pits=pits)
     for name in KNOWN_CONFIG_NAMES:
         if not (name.startswith("CTG") and blocks):   # CTG has no blocks
-            assert_reads_back_as_itself(build(instance, named_config(name)))
+            text = assert_reads_back_as_itself(
+                build(instance, named_config(name)))
+            # Read in pieces, the text parses as it does line by line.
+            assert_same_parse(parse_mps(text), parse_mps(line_by_line(text)))
 
 
 def assert_reads_back_as_itself(model):
     """One conversion from model to matrix: what the adapter reads back is
     the model's own layout, field for field, and HiGHS gets byte-equal
     arrays from either; only the entries' order differs (row order against
-    file order, which is column order)."""
-    parsed = parse_mps(emit_mps_text(model))
+    file order, which is column order). Returns the model's text."""
+    text = emit_mps_text(model)
+    parsed = parse_mps(text)
     for field in fields(solve_core.ColumnarModel):
         got, want = getattr(parsed, field.name), getattr(model, field.name)
         if field.name == "entries":
@@ -830,6 +872,7 @@ def assert_reads_back_as_itself(model):
                          solve_core.csc_arrays(model) +
                          solve_core.row_bounds(model)):
         assert got.tobytes() == want.tobytes()
+    return text
 
 
 @pytest.mark.parametrize("case, config_name", [

@@ -116,9 +116,8 @@ def test_nonfinite_coefficients_rejected():
     asm = _Assembler("bad")
     x, = asm.columns(["x"], 1.0, upper=1.0).tolist()
     asm.bulk_rows([("c", "L", 1.0)], [(0, x, math.inf)])
-    bad = asm.model(())
     with pytest.raises(Exception):
-        emit_mps_text(bad)
+        emit_mps_text(asm.finish(()))
 
 
 # sha256 of emit_mps_text at scale: the 450-section G road (CTG-B has
