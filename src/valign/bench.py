@@ -128,7 +128,7 @@ def generate_instance(seed: int, template: RoadTemplate, variant: int,
         waste_pits=waste,
         blocks=tuple(Block(section=s) for s in block_secs),
         access_roads=access,
-    ).check()
+    )
 
 
 def generate_suite(seed: int, road_templates: Sequence[str | RoadTemplate],

@@ -38,9 +38,10 @@ index the block rows. The model keeps the ids of its A, U, VP, VM, Y and
 flow runs as MilpModel.runs, so decode and fix_offsets find no column by
 name either.
 
-Each rule has one owner, which validate reads too: the G rows gate the
-regions of instance.sealed_regions, CTG prices its arcs from
-ArcIndex.node_sites, and a MilpModel lints itself when it is made.
+Each rule has one owner, which validate reads too: the spline rows place
+sections by the instance's frame, the G rows gate the regions of
+instance.sealed_regions, CTG prices its arcs from ArcIndex.node_sites, and
+a MilpModel lints itself when it is made, as a RoadInstance checks itself.
 """
 
 from __future__ import annotations
@@ -490,11 +491,12 @@ class _Assembler:
 
 
 def _check_segments(instance: RoadInstance) -> None:
-    layout = instance.segment_layout
-    for g in range(1, layout.segment_count + 1):
-        start, end = instance.segment_span(g)
-        if end <= start:
-            raise BuildError(f"segment {g} has zero length (stations {start}..{end})")
+    start, end = instance.frame.start, instance.frame.end
+    short = np.flatnonzero(end <= start)
+    if short.size:
+        g = short[0]
+        raise BuildError(f"segment {g + 1} has zero length "
+                         f"(stations {float(start[g])}..{float(end[g])})")
 
 
 def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
@@ -507,8 +509,8 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
     Returns the column ids of the coefficients A by (segment, k), of the
     offsets U, of the cut volumes VP over names.supply_nodes and of the fill
     volumes VM over names.demand_nodes."""
-    layout = instance.segment_layout
-    m, n = layout.segment_count, instance.n
+    frame = instance.frame
+    m, n = instance.segment_layout.segment_count, instance.n
     sections = [instance.section(i) for i in range(1, n + 1)]
     materials = [instance.material_of(i) for i in range(1, n + 1)]
     caps = [big_m(instance, i, volume_mode) for i in range(1, n + 1)]
@@ -531,9 +533,7 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
                      upper=caps + [pit.capacity for pit in waste])
 
     # Offset definition: U_i + P(s_i) = E_i, expanded over local coordinates.
-    row = np.arange(n)
-    a = a_ids[[layout.segment_of(i) - 1 for i in range(1, n + 1)]]
-    sigma = np.array([instance.local_coordinate(i) for i in range(1, n + 1)])
+    row, a, sigma = np.arange(n), a_ids[frame.segment], frame.sigma
     asm.bulk_rows(
         [(f"OFF_{i}", "E", sec.ground_elevation)
          for i, sec in enumerate(sections, start=1)],
@@ -582,8 +582,7 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
     # Continuity at each internal boundary: segment g-1 evaluated at its far
     # end equals segment g at its origin (local coordinate 0). C0_<g> and
     # C1_<g> alternate.
-    spans = np.array([end - start for start, end in
-                      map(instance.segment_span, range(1, m + 1))])
+    spans = frame.end - frame.start
     prev, span, c0 = a_ids[:-1], spans[:-1], 2 * np.arange(m - 1)
     asm.bulk_rows(
         [(f"C{order}_{g}", "E", 0.0) for g in range(2, m + 1)
@@ -609,7 +608,6 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     """Build the model config names: the MHQNF or QNF flow model, or CTG
     (_ctg_model) on a block-free instance."""
     config.validate()
-    instance.check()
     ctg = config.model == "CTG"
     if ctg and instance.blocks:
         raise BuildError("CTG requires a block-free instance")

@@ -37,6 +37,7 @@ from valign.gateway import (
     SolveError,
     SolverLimits,
     command_words,
+    configured_solver_command,
     decode,
     solve,
 )
@@ -94,7 +95,7 @@ def _config_from_flags(parser: argparse.ArgumentParser,
 
 def _solver_command(parser: argparse.ArgumentParser,
                     args: argparse.Namespace, default: str = "") -> str:
-    command = args.solver or os.environ.get("VALIGN_SOLVER_CMD") or default
+    command = args.solver or configured_solver_command() or default
     if not command:
         parser.error("no solver command: pass --solver or set "
                      "VALIGN_SOLVER_CMD (template tokens {mps} {sol} "

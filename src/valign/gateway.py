@@ -117,13 +117,22 @@ class AlignmentResult:
                      for ids in self.runs.flows)
 
 
+def configured_solver_command() -> str:
+    """VALIGN_SOLVER_CMD's template, or "" when it is unset or blank."""
+    return os.environ.get("VALIGN_SOLVER_CMD", "").strip()
+
+
 def default_solver_command() -> str:
     """Configured command template, or the bundled adapter."""
-    env = os.environ.get("VALIGN_SOLVER_CMD", "").strip()
-    if env:
-        return env
-    return (f"{shlex.quote(sys.executable)} -m valign.milp_solve "
-            "--time-limit {timelimit} --gap {gap} --sos binarize {mps} {sol}")
+    return configured_solver_command() or (
+        f"{shlex.quote(sys.executable)} -m valign.milp_solve "
+        "--time-limit {timelimit} --gap {gap} --sos binarize {mps} {sol}")
+
+
+def objectives_agree(recomputed: float, objective: float) -> bool:
+    """Whether a cost recomputed from x agrees with the solver's objective
+    to OBJECTIVE_RTOL relative (absolute below 1); a NaN never agrees."""
+    return abs(recomputed - objective) <= OBJECTIVE_RTOL * max(1.0, abs(objective))
 
 
 _RESERVED = ("status", "objective", "wall_time", "message")
@@ -333,9 +342,11 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
             timed_out = True
             output = exc.output
         except OSError as exc:
-            log.write(f"launch failure: {exc}\n")
+            reason = f"launch failure: {exc}"
+            log.write(reason + "\n")
             return Solution("error", None, _NO_VALUES,
-                            time.monotonic() - start, log_path)
+                            time.monotonic() - start, log_path,
+                            message=reason)
         wall = time.monotonic() - start
         log.write((output or b"").decode("utf-8", errors="replace"))
 
@@ -349,8 +360,9 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
     if text is not None and text.strip():
         try:
             parsed = parse_solution_text(text, model.columns)
-        except SolveError:
-            return Solution("error", None, _NO_VALUES, wall, log_path)
+        except SolveError as exc:
+            return Solution("error", None, _NO_VALUES, wall, log_path,
+                            message=str(exc))
         status = parsed.status
         if timed_out and status not in ("optimal", "feasible", "infeasible"):
             status = "timeout"
@@ -367,8 +379,8 @@ def decode(solution: Solution, instance: RoadInstance,
 
     x must have one value per column of the model, and a non-finite value
     is an error. The objective is recomputed from the model's cost vector
-    and must match the solver's report within OBJECTIVE_RTOL relative (to
-    at least 1). Every field is read off x by the builder's model.runs.
+    and must agree with the solver's report (objectives_agree). Every field
+    is read off x by the builder's model.runs.
     """
     if solution.status not in ("optimal", "feasible"):
         raise DecodeError(f"cannot decode a {solution.status} solution")
@@ -385,8 +397,7 @@ def decode(solution: Solution, instance: RoadInstance,
 
     recomputed = float(model.cost @ x)
     assert solution.objective is not None
-    scale = max(1.0, abs(solution.objective))
-    if abs(recomputed - solution.objective) > OBJECTIVE_RTOL * scale:
+    if not objectives_agree(recomputed, solution.objective):
         raise DecodeError(
             f"objective mismatch: solver {solution.objective!r} vs "
             f"recomputed {recomputed!r}")

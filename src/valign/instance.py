@@ -5,6 +5,10 @@ profile is a quadratic spline: one polynomial per segment, each segment
 spanning a run of consecutive sections, evaluated in segment-local
 coordinates for numerical conditioning on long roads.
 
+A RoadInstance checks itself when it is made (violations), and its frame
+(spline_frame) places each section in its segment and each segment on the
+road: the builder, the validator and the oracle read both rules here.
+
 The offset at a section is ground elevation minus road elevation, so a
 positive offset means net excavation. Earthwork prices come from per-material
 excavation/embankment rates and per-haul-class loading and movement rates.
@@ -58,21 +62,6 @@ class SegmentLayout:
     @property
     def section_count(self) -> int:
         return sum(self.segment_sizes)
-
-    def first_section(self, g: int) -> int:
-        """1-based index of the first section of segment g (1-based)."""
-        return 1 + sum(self.segment_sizes[: g - 1])
-
-    def segment_of(self, i: int) -> int:
-        """Segment (1-based) containing section i (1-based)."""
-        if not 1 <= i <= self.section_count:
-            raise IndexError(f"section {i} out of range 1..{self.section_count}")
-        acc = 0
-        for g, size in enumerate(self.segment_sizes, start=1):
-            acc += size
-            if i <= acc:
-                return g
-        raise AssertionError("unreachable")
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,13 +157,49 @@ def default_cost_model() -> CostModel:
     )
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class SplineFrame:
+    """Read-only arrays: per section, its segment (0-based) and sigma, its
+    station less its segment's start; per segment, its start (first
+    station) and end (the next segment's start, or the last station)."""
+
+    segment: np.ndarray
+    sigma: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+
+    def locate(self, station: float) -> tuple[int, float]:
+        """(0-based segment, local coordinate) of a station; a joint
+        belongs to the later segment. ValueError outside the road."""
+        lo, hi = float(self.start[0]), float(self.end[-1])
+        if station < lo or station > hi:
+            raise ValueError(f"station {station} outside road extent "
+                             f"[{lo}, {hi}]")
+        g = int(np.searchsorted(self.start, station, side="right")) - 1
+        return g, station - float(self.start[g])
+
+
+def spline_frame(segment_sizes: Sequence[int],
+                 stations: Sequence[float]) -> SplineFrame:
+    """The frame of segments of these sizes over these stations."""
+    sizes = np.asarray(segment_sizes, dtype=np.intp)
+    at = np.asarray(stations, dtype=np.float64)
+    segment = np.repeat(np.arange(len(sizes)), sizes)
+    start = at[np.cumsum(sizes) - sizes]
+    frame = SplineFrame(segment, at - start[segment], start,
+                        np.append(start[1:], at[-1]))
+    for values in (frame.segment, frame.sigma, frame.start, frame.end):
+        values.flags.writeable = False
+    return frame
+
+
 DEFAULT_SLOPE_LO = -0.1
 DEFAULT_SLOPE_HI = 0.1
 
 
 @dataclass(frozen=True)
 class RoadInstance:
-    """Complete problem input: corridor, costs, and site features."""
+    """Complete problem input (corridor, costs, site features), checked when made."""
 
     sections: tuple[Section, ...]
     segment_layout: SegmentLayout
@@ -186,6 +211,11 @@ class RoadInstance:
     slope_lo: float = DEFAULT_SLOPE_LO
     slope_hi: float = DEFAULT_SLOPE_HI
     volume_curves: tuple[VolumeCurve, ...] = ()
+
+    def __post_init__(self):
+        bad = self.violations()
+        if bad:
+            raise InstanceError(bad)
 
     # -- derived views ----------------------------------------------------
 
@@ -215,20 +245,9 @@ class RoadInstance:
     def distance(self, i: int, j: int) -> float:
         return abs(self.stations[j - 1] - self.stations[i - 1])
 
-    def segment_span(self, g: int) -> tuple[float, float]:
-        """Station range covered by segment g's polynomial."""
-        layout = self.segment_layout
-        start = self.stations[layout.first_section(g) - 1]
-        if g < layout.segment_count:
-            end = self.stations[layout.first_section(g + 1) - 1]
-        else:
-            end = self.stations[-1]
-        return start, end
-
-    def local_coordinate(self, i: int) -> float:
-        """Segment-local coordinate of section i."""
-        g = self.segment_layout.segment_of(i)
-        return self.stations[i - 1] - self.segment_span(g)[0]
+    @cached_property
+    def frame(self) -> SplineFrame:
+        return spline_frame(self.segment_layout.segment_sizes, self.stations)
 
     def profile(self, coeffs: Sequence[Sequence[float]], station: float) -> float:
         return evaluate_profile(coeffs, self.segment_layout, self.stations, station)
@@ -348,41 +367,24 @@ class RoadInstance:
         return out
 
     def check(self) -> "RoadInstance":
-        bad = self.violations()
-        if bad:
-            raise InstanceError(bad)
+        """The instance itself: it was checked when it was made."""
         return self
 
 
 def evaluate_profile(coeffs: Sequence[Sequence[float]], layout: SegmentLayout,
                      stations: Sequence[float], station: float) -> float:
     """Spline elevation at a station; coefficients are segment-local."""
-    g = _segment_at(layout, stations, station)
-    a1, a2, a3 = coeffs[g - 1]
-    sigma = station - stations[layout.first_section(g) - 1]
+    g, sigma = spline_frame(layout.segment_sizes, stations).locate(station)
+    a1, a2, a3 = coeffs[g]
     return a1 + a2 * sigma + a3 * sigma * sigma
 
 
 def evaluate_grade(coeffs: Sequence[Sequence[float]], layout: SegmentLayout,
                    stations: Sequence[float], station: float) -> float:
     """Spline slope (first derivative) at a station."""
-    g = _segment_at(layout, stations, station)
-    _, a2, a3 = coeffs[g - 1]
-    sigma = station - stations[layout.first_section(g) - 1]
+    g, sigma = spline_frame(layout.segment_sizes, stations).locate(station)
+    _, a2, a3 = coeffs[g]
     return a2 + 2.0 * a3 * sigma
-
-
-def _segment_at(layout: SegmentLayout, stations: Sequence[float], station: float) -> int:
-    if station < stations[0] or station > stations[-1]:
-        raise ValueError(f"station {station} outside road extent "
-                         f"[{stations[0]}, {stations[-1]}]")
-    g = 1
-    for cand in range(2, layout.segment_count + 1):
-        if stations[layout.first_section(cand) - 1] <= station:
-            g = cand
-        else:
-            break
-    return g
 
 
 def cheapest_haul(cost_model: CostModel | Sequence[HaulClass],
@@ -460,7 +462,7 @@ def sealed_regions(instance: RoadInstance) -> tuple[SealedRegion, ...]:
     """The regions of block_access_sets, in its order: each pair's region
     between its two blocks, then each left block's from section 1 to it,
     then each right block's from it to section n. A pit sits on an interior
-    section (check), so a side region admits every pit on its side."""
+    section (violations), so a side region admits every pit on its side."""
     pairs, left, right = block_access_sets(instance)
     at = [0] + [blk.section for blk in instance.sorted_blocks]  # block k's
     return (tuple(SealedRegion((k1, k2), at[k1], at[k2]) for k1, k2 in pairs)
@@ -476,8 +478,6 @@ def big_m(instance: RoadInstance, section: int, volume_mode: str = "linear") -> 
         if curve is not None:
             return max(max(abs(v) for v in curve.cut),
                        max(abs(v) for v in curve.fill))
-    if not (math.isfinite(sec.offset_lo) and math.isfinite(sec.offset_hi)):
-        raise ValueError(f"section {section}: unbounded offsets")
     return sec.area * max(abs(sec.offset_lo), abs(sec.offset_hi))
 
 

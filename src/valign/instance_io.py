@@ -214,7 +214,9 @@ def parse_instance_dict(doc: dict) -> RoadInstance:
     for key in sorted(unknown):
         col.errors.append(f"{key}: unknown top-level key")
 
-    instance = RoadInstance(
+    if col.errors:
+        raise InstanceError(col.errors)
+    return RoadInstance(
         sections=tuple(sections),
         segment_layout=SegmentLayout(segment_sizes),
         cost_model=cost_model,
@@ -226,10 +228,6 @@ def parse_instance_dict(doc: dict) -> RoadInstance:
         slope_hi=slope_hi,
         volume_curves=tuple(curves),
     )
-    all_errors = col.errors + (instance.violations() if not col.errors else [])
-    if all_errors:
-        raise InstanceError(all_errors)
-    return instance
 
 
 def parse_instance(path: str) -> RoadInstance:
@@ -289,11 +287,7 @@ def instance_to_dict(instance: RoadInstance) -> dict:
 
 
 def write_instance(instance: RoadInstance, path: str) -> str:
-    doc = instance_to_dict(instance)
-    try:
-        text = json.dumps(doc, indent=1, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError(f"non-finite value in instance: {exc}") from exc
+    text = json.dumps(instance_to_dict(instance), indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
     return path

@@ -7,7 +7,8 @@ quadratic profile passes, and prices each with the transportation solver.
 
 Everything here is independent of the MILP construction: costs are assembled
 from the domain cost model only, and the allocation optimum comes from a
-successive-shortest-path network flow, not from an LP.
+successive-shortest-path network flow, not from an LP. Profiles are fitted
+over the instance's frame, and a RoadInstance is checked when it is made.
 """
 
 from __future__ import annotations
@@ -256,7 +257,7 @@ def fit_profile(instance: RoadInstance,
                 heights: Sequence[float]) -> tuple[tuple[float, float, float], float]:
     """Least-squares quadratic through (local coordinate, height) points of a
     single-segment road; returns (coefficients, max residual)."""
-    sigma = np.array([instance.local_coordinate(i) for i in range(1, instance.n + 1)])
+    sigma = instance.frame.sigma
     h = np.asarray(heights, dtype=float)
     if len(h) == 1:
         return (float(h[0]), 0.0, 0.0), 0.0
@@ -288,7 +289,6 @@ def enumerate_optimal(instance: RoadInstance,
     survivor with the transportation solver. Returns the cheapest
     (offsets, cost); ties break lexicographically on offsets.
     """
-    instance.check()
     if instance.blocks:
         raise ValueError("offset enumeration does not support blocks")
     if instance.segment_layout.segment_count != 1:

@@ -11,9 +11,10 @@ by the column ids of the builder's model.runs, once per result, into CTG's
 thing shared with the model; conservation, balance, capacity, bounds,
 block gating, removal and the re-priced cost are derived from the grids and
 the instance data, never from the model's rows or cost vector. The instance
-rules come from their one owner, as the builder's do: the regions block
-gating closes from instance.sealed_regions, and the CTG nodes' stations,
-dead hauls and rates from ArcIndex.node_sites.
+rules come from their one owner, as the builder's do: the segments and
+local coordinates from the instance's frame (an instance checks itself when
+made), the regions block gating closes from instance.sealed_regions, and
+the CTG nodes' stations, dead hauls and rates from ArcIndex.node_sites.
 
 Every family is computed on arrays and booked by one method,
 ViolationReport.book: relative mode divides each residual by max(1, its
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from valign.builder import ArcIndex, BuilderConfig, effective_hauls
-from valign.gateway import OBJECTIVE_RTOL, AlignmentResult
+from valign.gateway import AlignmentResult, objectives_agree
 from valign.instance import (
     RoadInstance,
     cheapest_haul_costs,
@@ -93,7 +94,6 @@ class ViolationReport:
 def validate(instance: RoadInstance, config: BuilderConfig,
              result: AlignmentResult, tolerance: float = 1e-6,
              relative: bool = False) -> ViolationReport:
-    instance.check()
     report = ViolationReport(tolerance, relative)
     _check_geometry(instance, config, result, report.book)
     if config.model == "CTG":
@@ -105,10 +105,8 @@ def validate(instance: RoadInstance, config: BuilderConfig,
 
 
 def _check_geometry(instance, config, result, book) -> None:
-    sizes = instance.segment_layout.segment_sizes
-    start, end = np.array([instance.segment_span(g)
-                           for g in range(1, len(sizes) + 1)]).T
-    span = end - start
+    frame = instance.frame
+    span = frame.end - frame.start
     a1, a2, a3 = np.array(result.coefficients, dtype=float).T
     # Each segment's value and grade at its far end.
     end_val = a1 + a2 * span + a3 * span * span
@@ -126,8 +124,7 @@ def _check_geometry(instance, config, result, book) -> None:
     ground, area, lo, hi = np.array([
         (sec.ground_elevation, sec.area, sec.offset_lo, sec.offset_hi)
         for sec in instance.sections]).T
-    seg = np.repeat(np.arange(len(sizes)), sizes)
-    sigma = np.array(instance.stations) - start[seg]
+    seg, sigma = frame.segment, frame.sigma
     road = a1[seg] + a2[seg] * sigma + a3[seg] * sigma * sigma
     offset, cut, fill = (np.array(values, dtype=float) for values in (
         result.offsets, result.section_cut, result.section_fill))
@@ -282,10 +279,8 @@ def _check_ctg_flows(instance, result, book) -> None:
 
 def repricing_error(recomputed: float, objective: float) -> str:
     """Why a re-priced cost disagrees with the solver's objective, or ""
-    when the two agree to OBJECTIVE_RTOL relative (absolute below 1); a NaN
-    on either side disagrees."""
-    if abs(recomputed - objective) <= OBJECTIVE_RTOL * max(1.0,
-                                                          abs(objective)):
+    when the two agree as decode requires (objectives_agree)."""
+    if objectives_agree(recomputed, objective):
         return ""
     return f"recomputed cost {recomputed!r} != objective {objective!r}"
 

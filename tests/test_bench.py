@@ -308,21 +308,29 @@ def test_solver_message_is_the_error_cells_reason(tmp_path, capsys,
                                                   monkeypatch):
     # The bundled adapter writes why it failed under the message key: the
     # solution keeps it, the error cell gives it as its reason, and the
-    # CLI's "solver failed" line ends with it. A failed solve keeps its
-    # workdir, here under tmp_path.
+    # CLI's "solver failed" line ends with it. A solver that cannot start,
+    # or whose file does not parse, fails with the gateway's own reason in
+    # its place. A failed solve keeps its workdir, here under tmp_path.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    stub = tmp_path / "stub.py"
-    stub.write_text("import sys\n"
-                    "with open(sys.argv[2], 'w') as fh:\n"
-                    "    fh.write('status error\\nmessage boom\\n')\n")
-    run = replace(RUN, solver_command=f"{sys.executable} -S {stub} "
-                  "{mps} {sol}")
+    stub = f"{sys.executable} -S {tmp_path / 'stub.py'} {{mps}} {{sol}}"
+    cases = [
+        ("status error\nmessage boom\n", stub, "boom"),
+        ("", "nonexistent-solver-binary {mps} {sol}",
+         "launch failure: [Errno 2] No such file or directory: "
+         "'nonexistent-solver-binary'"),
+        ("status optimal\nobjective abc\nU_1 1.0\n", stub,
+         "bad objective 'abc'")]
     instance = zigzag_instance()
-    solution = solve(build(instance, named_config("MQN-B")),
-                     run.solver_command, run.limits)
-    assert (solution.status, solution.message) == ("error", "boom")
-    record, = run_matrix([("zigzag", instance)], ["MQN-B"], run, workers=1)
-    assert (record.status, record.reason) == ("error", "boom")
     path = write_instance(instance, str(tmp_path / "zigzag.json"))
-    assert cli.main(["solve", path, "--solver", run.solver_command]) == 3
-    assert capsys.readouterr().err.endswith("solver.log): boom\n")
+    for written, command, reason in cases:
+        (tmp_path / "stub.py").write_text(
+            f"import sys\nopen(sys.argv[2], 'w').write({written!r})\n")
+        run = replace(RUN, solver_command=command)
+        solution = solve(build(instance, named_config("MQN-B")), command,
+                         run.limits)
+        assert (solution.status, solution.message) == ("error", reason)
+        record, = run_matrix([("zigzag", instance)], ["MQN-B"], run,
+                             workers=1)
+        assert (record.status, record.reason) == ("error", reason)
+        assert cli.main(["solve", path, "--solver", command]) == 3
+        assert capsys.readouterr().err.endswith(f"solver.log): {reason}\n")

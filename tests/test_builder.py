@@ -106,6 +106,13 @@ def test_ctg_refuses_blocks():
         build(inst, named_config("CTG-B"))
 
 
+def test_last_segment_of_one_section_has_zero_length():
+    inst = make_instance([100.0] * 4, segments=[3, 1])
+    with pytest.raises(BuildError, match=r"^segment 2 has zero length "
+                       r"\(stations 60\.0\.\.60\.0\)$"):
+        build(inst, named_config("MQN-B"))
+
+
 def test_piecewise_needs_curves():
     inst = make_instance([100.0] * 3)
     with pytest.raises(BuildError):

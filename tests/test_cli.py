@@ -409,6 +409,27 @@ def test_bench_run_config_file(suite_dir, tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("env", [None, "   "], ids=["unset", "blank"])
+def test_blank_solver_variable_reads_as_unset(suite_dir, two_node_path,
+                                              tmp_path, monkeypatch, capsys,
+                                              env):
+    # Then the run-config's command is the one run, and solve asks for one.
+    if env is not None:
+        monkeypatch.setenv("VALIGN_SOLVER_CMD", env)
+    seen = []
+    monkeypatch.setattr(cli, "run_matrix",
+                        lambda suite, configs, run, **kw: seen.append(run)
+                        or [])
+    run_file = tmp_path / "run.json"
+    run_file.write_text(json.dumps({"solver_command": BUNDLED_SOLVER}),
+                        encoding="utf-8")
+    assert main(["bench", suite_dir, "--run-config", str(run_file),
+                 "--out", str(tmp_path / "r")]) == 0
+    assert seen[0].solver_command == BUNDLED_SOLVER
+    assert usage_error(["solve", two_node_path]) == 2
+    assert "no solver command" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, want", [
     ([], (30.0, 1e-6)),
     (["--gap", "0.05"], (30.0, 0.05)),

@@ -2,11 +2,14 @@
 
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from valign.bench import ROAD_TEMPLATES, generate_instance
 from valign.instance import (
+    Block,
     HaulClass,
     InstanceError,
     Pit,
@@ -15,6 +18,8 @@ from valign.instance import (
     cheapest_haul,
     cheapest_haul_costs,
     default_cost_model,
+    evaluate_grade,
+    evaluate_profile,
     global_big_m,
     sealed_regions,
 )
@@ -73,17 +78,63 @@ def test_profile_and_grade():
         eps = 1e-5
         fd = (inst.profile(c, s + eps) - inst.profile(c, s - eps)) / (2 * eps)
         assert inst.grade(c, s) == pytest.approx(fd, rel=1e-6, abs=1e-9)
+    # A joint belongs to the later segment, and the road's far end to the
+    # last one; the exported forms agree with the instance's.
+    c = [(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)]
+    layout, stations = inst.segment_layout, inst.stations
+    for station, value, grade in ((60.0, 4.0, 5.0),
+                                  (100.0, 4.0 + 5.0 * 40 + 6.0 * 1600,
+                                   5.0 + 12.0 * 40)):
+        assert inst.profile(c, station) == value
+        assert evaluate_profile(c, layout, stations, station) == value
+        assert inst.grade(c, station) == grade
+        assert evaluate_grade(c, layout, stations, station) == grade
+    for station in (-0.5, 100.5):
+        for evaluate in (inst.profile, inst.grade):
+            with pytest.raises(ValueError, match=r"outside road extent "
+                               r"\[0\.0, 100\.0\]"):
+                evaluate(c, station)
+        with pytest.raises(ValueError, match="outside road extent"):
+            evaluate_profile(c, layout, stations, station)
+        with pytest.raises(ValueError, match="outside road extent"):
+            evaluate_grade(c, layout, stations, station)
+
+
+def spelled_out_frame(sizes, stations):
+    """Per section (segment, sigma) and per segment (start, end), walked
+    segment by segment."""
+    segment, sigma, start, end = [], [], [], []
+    first = 0
+    for g, size in enumerate(sizes):
+        start.append(stations[first])
+        end.append(stations[first + size] if g < len(sizes) - 1
+                   else stations[-1])
+        for i in range(first, first + size):
+            segment.append(g)
+            sigma.append(stations[i] - start[g])
+        first += size
+    return segment, sigma, start, end
 
 
 def test_local_coordinate_and_spans():
     inst = make_instance([100] * 6, segments=[3, 3])
+    frame = inst.frame
     # a segment's polynomial covers up to the next segment's first station
-    assert inst.segment_span(1) == (0.0, 60.0)
-    assert inst.segment_span(2) == (60.0, 100.0)
+    assert frame.start.tolist() == [0.0, 60.0]
+    assert frame.end.tolist() == [60.0, 100.0]
     # segment-local coordinates restart at each segment start
-    assert inst.local_coordinate(1) == 0.0
-    assert inst.local_coordinate(4) == 0.0
-    assert inst.local_coordinate(6) == 40.0
+    assert frame.segment.tolist() == [0, 0, 0, 1, 1, 1]
+    assert frame.sigma.tolist() == [0.0, 20.0, 40.0, 0.0, 20.0, 40.0]
+    assert not frame.sigma.flags.writeable
+    # The same on every generated road, bit for bit.
+    for template in "ABCDEFG":
+        for variant in (1, 2, 3):
+            road = generate_instance(1, ROAD_TEMPLATES[template], variant)
+            expected = spelled_out_frame(road.segment_layout.segment_sizes,
+                                         road.stations)
+            got = (road.frame.segment, road.frame.sigma, road.frame.start,
+                   road.frame.end)
+            assert [values.tolist() for values in got] == list(expected)
 
 
 def test_distance_symmetry():
@@ -150,6 +201,12 @@ def test_invalid_instances_rejected():
         make_instance([100] * 4, segments=[2, 3])  # sizes exceed sections
     with pytest.raises(InstanceError):
         make_instance([100, 100], slope=(0.1, -0.1))  # inverted bounds
+    # A copy is made, so it is checked too.
+    inst = make_instance([100] * 3)
+    with pytest.raises(InstanceError, match="block must sit on an interior"):
+        replace(inst, blocks=(Block(section=1),))
+    with pytest.raises(InstanceError, match="slope_lo must be < slope_hi"):
+        replace(inst, slope_lo=0.2)
 
 
 def test_volume_curve_interpolation():

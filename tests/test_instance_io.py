@@ -126,13 +126,14 @@ def test_invalid_json_reported(tmp_path):
         parse_instance(str(path))
 
 
-def test_write_rejects_non_finite(tmp_path):
+def test_write_rejects_non_finite():
+    # A road with a non-finite value cannot be made, so none is written.
     inst = make_instance([100.0] * 3)
     sections = (replace(inst.sections[0], ground_elevation=float("nan")),
                 *inst.sections[1:])
-    broken = replace(inst, sections=sections)
-    with pytest.raises(ValueError, match="non-finite"):
-        write_instance(broken, str(tmp_path / "bad.json"))
+    with pytest.raises(InstanceError, match=r"sections\[0\]\.ground_elevation: "
+                       "must be finite"):
+        replace(inst, sections=sections)
 
 
 # -- run configuration -------------------------------------------------------

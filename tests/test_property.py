@@ -98,8 +98,7 @@ def buffered_roads_with_grids(draw):
         st.floats(min_value=-1e-4, max_value=1e-4),
         st.floats(min_value=-1e-8, max_value=1e-8)), min_size=2, max_size=3))
     grids = []
-    for i in range(1, n + 1):
-        sigma = instance.local_coordinate(i)
+    for i, sigma in enumerate(instance.frame.sigma.tolist(), start=1):
         ground = instance.section(i).ground_elevation
         grids.append([ground - (a1 + a2 * sigma + a3 * sigma * sigma)
                       for a1, a2, a3 in profiles])

@@ -24,7 +24,7 @@ from valign.gateway import (
     parse_solution_text,
     solve,
 )
-from valign.validate import validate
+from valign.validate import repricing_error, validate
 
 from conftest import (
     BUNDLED_SOLVER,
@@ -227,6 +227,17 @@ def test_decode_objective_consistency_guard(two_node_instance, tmp_path):
     tampered = replace(solution, objective=solution.objective + 100.0)
     with pytest.raises(DecodeError):
         decode(tampered, two_node_instance, model)
+    # Finite values whose cost . x overflows to NaN disagree with any
+    # objective, in decode and in the re-pricing check alike.
+    road = generate_instance(1, ROAD_TEMPLATES["A"], 1)
+    model = build(road, config)
+    x = np.zeros(len(model.columns))
+    x[np.flatnonzero(model.cost >= 2.0)[:2]] = (1e308, -1e308)
+    with pytest.raises(DecodeError, match="objective mismatch: solver 5.0 "
+                       "vs recomputed nan"), np.errstate(all="ignore"):
+        decode(Solution("optimal", 5.0, x, 0.0), road, model)
+    assert repricing_error(math.nan, 5.0) == \
+        "recomputed cost nan != objective 5.0"
 
 
 def test_limits_must_be_positive():
