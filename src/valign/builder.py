@@ -39,7 +39,8 @@ flow runs as MilpModel.runs, so decode and fix_offsets find no column by
 name either.
 
 Each rule has one owner, which validate reads too: the spline rows place
-sections by the instance's frame, the G rows gate the regions of
+sections by the instance's frame, the chain arcs are priced by
+instance.chain_hops, the G rows gate the regions of
 instance.sealed_regions, CTG prices its arcs from ArcIndex.node_sites, and
 a MilpModel lints itself when it is made, as a RoadInstance checks itself.
 """
@@ -92,8 +93,12 @@ class LinearConstraint:
 
 
 def _repeated(names: Sequence[str]) -> str | None:
-    """The first name that occurs twice, if any."""
-    if len(set(names)) == len(names):
+    """The first name that occurs twice, if any. A sorted array of the
+    names' hashes finds a repeat with no set of names; the names are
+    scanned only when two hashes are equal."""
+    hashes = np.fromiter(map(hash, names), np.int64, len(names))
+    hashes.sort()
+    if not np.any(hashes[1:] == hashes[:-1]):
         return None
     seen: set[str] = set()
     for name in names:
@@ -191,7 +196,9 @@ class MilpModel(ColumnarModel):
             at = int(np.argmax(outside))
             raise BuildError(f"row {rows[row[at]]}: unknown "
                              f"variable {int(col[at])}")
-        keys = np.sort(row * len(names) + col)
+        keys = row * len(names)
+        keys += col
+        keys.sort()
         repeated = keys[1:] == keys[:-1]
         if repeated.any():
             r, c = divmod(int(keys[1:][repeated][0]), len(names))
@@ -441,7 +448,7 @@ class _Assembler:
         first, count = len(self.col_names), len(names)
         self.col_names.extend(names)
         self.col_values.append(tuple(
-            np.broadcast_to(np.array(value, dtype), count)
+            np.broadcast_to(np.asarray(value, dtype), count)
             for value, dtype in ((cost, np.float64), (lower, np.float64),
                                  (upper, np.float64), (binary, bool))))
         return np.arange(first, first + count)
@@ -461,13 +468,22 @@ class _Assembler:
             self.senses.append(sense)
             self.rhs.append(rhs)
             self.rhs_range.append(rhs_range[0] if rhs_range else math.nan)
+        # One field at a time is flattened, with no copy per part, and
+        # gathered in row order into the ENTRY records, so besides them and
+        # the order only two arrays of the chunk's length are alive.
         shaped = [np.broadcast_arrays(*part) for part in parts]
-        row, col, val = (np.concatenate([np.ravel(p[at]) for p in shaped])
-                         for at in range(3))
+        row = np.concatenate([p[0] for p in shaped], axis=None, dtype=np.intp)
         order = np.argsort(row, kind="stable")
-        # + 0.0: a -0.0 coefficient is written 0.0
-        self.chunks.append(entry_records(first + row[order], col[order],
-                                         np.add(val[order], 0.0)))
+        entries = np.empty(len(order), ENTRY)
+        entries["row"] = row[order]
+        del row
+        for at, field in ((1, "col"), (2, "value")):
+            entries[field] = np.concatenate(
+                [p[at] for p in shaped], axis=None, dtype=ENTRY[field])[order]
+        rows, values = entries["row"], entries["value"]
+        rows += first
+        values += 0.0   # a -0.0 coefficient is written 0.0
+        self.chunks.append(entries)
 
     def add_sos(self, name: str, sos_type: int,
                 members: Iterable[tuple[int, float]]) -> None:
@@ -476,17 +492,22 @@ class _Assembler:
 
     def finish(self, provenance: Iterable[tuple[str, str]],
                runs: ColumnRuns | None = None) -> MilpModel:
-        """The declarations as a model of read-only arrays."""
+        """The declarations as a model of read-only arrays. The assembler
+        lets go of its own copies first, so the model lints itself without
+        them."""
         cost, lower, upper, binary = (
             np.concatenate([np.empty(0, dtype)]
                            + [values[at] for values in self.col_values])
             for at, dtype in enumerate((np.float64,) * 3 + (bool,)))
+        entries = np.concatenate(self.chunks or [np.empty(0, ENTRY)])
+        columns = tuple(self.col_names)
+        for declared in (self.col_names, self.col_values, self.chunks):
+            declared.clear()
         return MilpModel(
-            self.name, tuple(self.col_names), cost, lower, upper, binary,
+            self.name, columns, cost, lower, upper, binary,
             tuple(self.row_names),
             np.array(self.senses, "U"), np.array(self.rhs, np.float64),
-            np.array(self.rhs_range, np.float64),
-            np.concatenate(self.chunks or [np.empty(0, ENTRY)]),
+            np.array(self.rhs_range, np.float64), entries,
             tuple(self.sos), provenance=tuple(provenance), runs=runs)
 
 
@@ -634,11 +655,9 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     flow_names = names.flow_names(len(hauls), len(steps))
     grid = names.flow_grid(len(hauls), len(steps))
     transit, unload, load, borrow, waste = grid
-    hop = np.zeros((n, 2))  # (section, chain): distance from i to i+d
-    hop[:-1, 0] = hop[1:, 1] = np.diff(instance.stations)
     cost = np.zeros(len(flow_names))
     for h, haul in enumerate(hauls):
-        cost[transit[h]] = haul.unit_haul_cost * hop
+        cost[transit[h]] = haul.unit_haul_cost * instance.chain_hops
         cost[unload[h]] = haul.loading_cost
         for j, pit in enumerate(instance.borrow_pits):
             mat = instance.material_of(pit.attached_section)
@@ -843,11 +862,13 @@ def _ctg_model(asm: _Assembler, instance: RoadInstance, config: BuilderConfig,
     st_d, dead_d, _, emb_d = names.node_sites(names.demand_nodes)
     # arcs stays alive until the model is finished: freed before the
     # model's lint, it left the next G-01 build 6 MB higher in peak RSS
-    # (heap reuse).
+    # (heap reuse). The distances go once the arcs are priced, and the
+    # assembler holds the costs until the model is made.
     arcs, (src, dst) = names.ctg_names(), names.ctg_arcs
     dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]
-    cost = exc_s[src] + cheapest_haul_costs(hauls, dist) + emb_d[dst]
-    ids = asm.columns(arcs, cost)
+    ids = asm.columns(
+        arcs, exc_s[src] + cheapest_haul_costs(hauls, dist) + emb_d[dst])
+    del dist
 
     # Each node's row takes its arcs in declaration order, less the node's
     # volume variable: CTS_i, CTD_i per section, then CTB_j, then CTW_k.

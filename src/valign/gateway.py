@@ -395,7 +395,9 @@ def decode(solution: Solution, instance: RoadInstance,
         raise DecodeError(f"non-finite value {x[at].item()!r} for "
                           f"{columns[at]}")
 
-    recomputed = float(model.cost @ x)
+    # Finite values may overflow to a NaN, which the check below rejects.
+    with np.errstate(over="ignore", invalid="ignore"):
+        recomputed = float(model.cost @ x)
     assert solution.objective is not None
     if not objectives_agree(recomputed, solution.objective):
         raise DecodeError(

@@ -5,9 +5,10 @@ profile is a quadratic spline: one polynomial per segment, each segment
 spanning a run of consecutive sections, evaluated in segment-local
 coordinates for numerical conditioning on long roads.
 
-A RoadInstance checks itself when it is made (violations), and its frame
+A RoadInstance checks itself when it is made (violations), its frame
 (spline_frame) places each section in its segment and each segment on the
-road: the builder, the validator and the oracle read both rules here.
+road, and its chain_hops give the distance of each transit arc: the
+builder, the validator and the oracle read these rules here.
 
 The offset at a section is ground elevation minus road elevation, so a
 positive offset means net excavation. Earthwork prices come from per-material
@@ -248,6 +249,16 @@ class RoadInstance:
     @cached_property
     def frame(self) -> SplineFrame:
         return spline_frame(self.segment_layout.segment_sizes, self.stations)
+
+    @cached_property
+    def chain_hops(self) -> np.ndarray:
+        """Read-only, indexed (section, chain): the distance from section i
+        to i+d on chain 0 (d = +1) and chain 1 (d = -1), 0 where the chain
+        leaves the road."""
+        hops = np.zeros((self.n, 2))
+        hops[:-1, 0] = hops[1:, 1] = np.diff(self.stations)
+        hops.flags.writeable = False
+        return hops
 
     def profile(self, coeffs: Sequence[Sequence[float]], station: float) -> float:
         return evaluate_profile(coeffs, self.segment_layout, self.stations, station)

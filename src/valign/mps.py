@@ -20,7 +20,12 @@ layout):
   ``variable weight`` member lines.
 
 The writer checks only that no row is named as the objective row: a
-MilpModel lints itself when it is made.
+MilpModel lints itself when it is made. It writes the text in pieces of
+bounded size, and the model's entries are copied once, into a table of
+COLUMNS lines (int32 column and row ids, and values; the cost lines
+first), with one stable column-major order over it: each piece gathers
+its lines in that order, and each distinct value is formatted once, by its
+bit pattern, so -0.0 keeps its sign.
 
 parse_mps reads a free-format file into a solve_core.ColumnarModel:
 columns in first-seen order, rows in declaration order, entries in file
@@ -40,9 +45,9 @@ from __future__ import annotations
 
 import math
 import os
+import struct
 from array import array
 from collections import Counter
-from dataclasses import dataclass
 from itertools import compress, filterfalse, islice, repeat
 from operator import add, lt, mul
 from typing import TYPE_CHECKING, Iterator
@@ -67,13 +72,14 @@ def _num(value: float) -> str:
     return repr(float(value))
 
 
-def _formatted(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """_num of each distinct bit pattern in values (so -0.0 keeps its sign),
-    and the index of every value's text in that list."""
-    import numpy as np
-    distinct, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return ([_num(v) for v in distinct.view(np.float64).tolist()],
-            inverse.astype(np.int32))
+class _Texts(dict):
+    """_num of a float64 by its bit pattern, formatted when first asked
+    for, so -0.0 keeps its sign."""
+
+    def __missing__(self, bits: int) -> str:
+        value, = struct.unpack("d", struct.pack("q", bits))
+        text = self[bits] = _num(value)
+        return text
 
 
 _CHUNK_LINES = 1 << 13
@@ -93,32 +99,29 @@ def _mps_chunks(model: MilpModel) -> Iterator[str]:
 
     # One entry per line: the cost first when nonzero (a column with no
     # other entry gets a zero cost), then the matrix entries in row order.
-    # Ids are int32, and each array goes once it has been used, so the
-    # emission stays below the build's own high-water mark.
+    # The lines' table holds the cost lines first, then the entries, as the
+    # module docstring says; a stable sort by column orders it.
     entries = model.entries
     priced = model.cost != 0.0
     unused = np.bincount(entries["col"], minlength=len(columns)) == 0
-    cost_cols = np.flatnonzero(priced | unused).astype(np.int32)
-    costs = np.where(priced, model.cost, 0.0)[cost_cols]
-    text, value_text = _formatted(np.concatenate([costs, entries["value"]]))
-    del priced, unused, costs
-    cols = np.concatenate([cost_cols, entries["col"]], dtype=np.int32,
-                          casting="same_kind")
-    order = np.argsort(cols, kind="stable")
-    entry_col = cols[order]
-    del cols
-    entry_row = np.concatenate(
-        [np.full(len(cost_cols), len(row_order), np.int32), entries["row"]],
-        dtype=np.int32, casting="same_kind")[order]
-    entry_text = value_text[order]
-    del order, value_text, cost_cols
+    cost_cols = np.flatnonzero(priced | unused)
+    table = np.empty(len(cost_cols) + len(entries), [
+        ("col", np.int32), ("row", np.int32), ("value", np.float64)])
+    head, tail = table[:len(cost_cols)], table[len(cost_cols):]
+    head["col"], head["row"] = cost_cols, len(row_order)
+    head["value"] = np.where(priced, model.cost, 0.0)[cost_cols]
+    del priced, unused, cost_cols
+    for field in ("col", "row", "value"):
+        tail[field] = entries[field]
+    order = np.argsort(table["col"], kind="stable")
     rows = (*row_order, OBJECTIVE_ROW)
-    for start in range(0, len(entry_col), _CHUNK_LINES):
-        part = slice(start, start + _CHUNK_LINES)
+    text = _Texts()
+    for start in range(0, len(order), _CHUNK_LINES):
+        part = table[order[start:start + _CHUNK_LINES]]
         yield "".join([
-            f"    {columns[c]} {rows[r]} {text[v]}\n" for c, r, v in zip(
-                entry_col[part].tolist(), entry_row[part].tolist(),
-                entry_text[part].tolist())])
+            f"    {columns[c]} {rows[r]} {text[b]}\n" for c, r, b in zip(
+                part["col"].tolist(), part["row"].tolist(),
+                part["value"].view(np.int64).tolist())])
 
     lines = ["RHS"]
     rhs = model.row_rhs
@@ -207,7 +210,6 @@ def parse_mps(text: str) -> ColumnarModel:
 _SECTIONS = ("ROWS", "COLUMNS", "RHS", "RANGES", "BOUNDS")
 
 
-@dataclass(eq=False)
 class _Read:
     """A file as parse_mps's reader leaves it, before any numpy array:
     names, row senses, and bounds, RHS and ranges by id; integer column
@@ -237,6 +239,11 @@ class _Read:
     entry_value: array
     sos_sets: list[tuple[int, str, list[tuple[int, float]]]]
     conventional: bool
+
+    def __init__(self, *fields) -> None:
+        # The fields above, in their order. Not a dataclass: dataclasses
+        # imports inspect, which the plain-LP route need not load.
+        vars(self).update(zip(_Read.__annotations__, fields, strict=True))
 
     def model(self) -> ColumnarModel:
         """The file as a ColumnarModel: each cost the sum of its column's

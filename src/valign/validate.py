@@ -13,8 +13,9 @@ block gating, removal and the re-priced cost are derived from the grids and
 the instance data, never from the model's rows or cost vector. The instance
 rules come from their one owner, as the builder's do: the segments and
 local coordinates from the instance's frame (an instance checks itself when
-made), the regions block gating closes from instance.sealed_regions, and
-the CTG nodes' stations, dead hauls and rates from ArcIndex.node_sites.
+made), the regions block gating closes from instance.sealed_regions, the
+chain arcs' distances from instance.chain_hops, and the CTG nodes'
+stations, dead hauls and rates from ArcIndex.node_sites.
 
 Every family is computed on arrays and booked by one method,
 ViolationReport.book: relative mode divides each residual by max(1, its
@@ -301,13 +302,11 @@ def recompute_cost(instance: RoadInstance, config: BuilderConfig,
 
     transit, unload, _, borrow, waste = result.flows
     # A transit arc off the road has distance 0, so it adds a zero term.
-    dist = np.zeros((n, 2))  # (section, chain): distance from i to i+d
-    dist[:-1, 0] = dist[1:, 1] = np.diff(instance.stations)
     for h, haul in enumerate(hauls):
         # Per step: each section's transit on both chains and its loading,
         # then each borrow pit, then each waste pit.
         sections = np.concatenate(
-            (haul.unit_haul_cost * dist * transit[h],
+            (haul.unit_haul_cost * instance.chain_hops * transit[h],
              (haul.loading_cost * _chain_sum(unload[h]))[..., None]), axis=2)
         borrow_unit = np.array([
             instance.material_of(pit.attached_section).excavation

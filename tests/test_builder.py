@@ -4,6 +4,7 @@ import ast
 import math
 import pathlib
 import tomllib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import valign
 from valign import milp_solve
+from valign.bench import RoadTemplate, generate_instance
 from valign.builder import (
     KNOWN_CONFIG_NAMES,
     ArcIndex,
@@ -18,13 +20,14 @@ from valign.builder import (
     BuilderConfig,
     QNF_COST_PAIRS,
     _Assembler,
+    _repeated,
     build,
     effective_hauls,
     fix_offsets,
     named_config,
 )
 from valign.instance import HaulClass, Pit
-from valign.mps import emit_mps_text
+from valign.mps import emit_mps, emit_mps_text
 
 from conftest import make_instance, piecewise_instance, pinned_road
 
@@ -306,6 +309,40 @@ def test_name_declared_by_two_columns_calls_is_rejected():
     asm.columns(["x"])
     with pytest.raises(BuildError, match="variable x declared twice"):
         asm.finish(())
+
+
+def test_repeated_names_are_found_by_hash_then_by_name():
+    # A repeat is the first name seen twice; equal hashes alone (-1 and -2
+    # hash alike) are no repeat.
+    assert _repeated(["a", "b", "c"]) is None
+    assert _repeated(["a", "b", "c", "b", "a"]) == "b"
+    assert hash(-1) == hash(-2)
+    assert _repeated([-1, -2]) is None
+
+
+def test_ctg_model_is_built_and_written_without_whole_model_copies(tmp_path):
+    # Under tracemalloc, the peaks of building and of writing the CTG model
+    # of a 225-section road (51,135 columns), each as a multiple of the
+    # finished model's own allocations. Each stays within 1.9 of them: a
+    # build that holds two copies of its entries as it lints, or a writer
+    # that runs np.unique over every entry, peaks above 2.1.
+    road = generate_instance(1, RoadTemplate("R", 4.5, 20.0, 225), 1)
+    config = named_config("CTG-B")
+    build(road, config)     # the road's cached arrays are not the model's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = build(road, config)
+        size, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        emit_mps(model, str(tmp_path / "ctg.mps"))
+        emit_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.columns) == 51135
+    size -= before
+    assert build_peak - before < 1.9 * size
+    assert emit_peak - before < 1.9 * size
 
 
 # Prefixes of the model's variable names (see the builder module docstring).

@@ -779,7 +779,8 @@ def test_adapter_process_imports_only_the_binding(tmp_path, case):
     # The adapter's run() ends the process itself, so the imports are read
     # off the interpreter's own import trace. TOY_MPS, a MIP, and G-01
     # CTG-B, a wide LP, take the array route through the solve core, and
-    # A-01 MQN-B, a plain LP, loads neither the core nor numpy.
+    # A-01 MQN-B, a plain LP, loads neither the core nor numpy, nor
+    # dataclasses and inspect.
     mps, sol = tmp_path / "m.mps", tmp_path / "m.sol"
     if case == "toy":
         mps.write_text(TOY_MPS, encoding="ascii")
@@ -799,6 +800,8 @@ def test_adapter_process_imports_only_the_binding(tmp_path, case):
     arrays = case != "A-01 MQN-B"
     assert bool(numpy) == arrays
     assert ("valign.solve_core" in imported) == arrays
+    if not arrays:
+        assert not imported & {"dataclasses", "inspect"}
     assert not imported & {"numpy.ma", "scipy.optimize", "scipy.sparse",
                            "valign.builder", "valign.gateway",
                            "valign.instance"}

@@ -6,6 +6,7 @@ import sys
 import tempfile
 import time
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -227,17 +228,24 @@ def test_decode_objective_consistency_guard(two_node_instance, tmp_path):
     tampered = replace(solution, objective=solution.objective + 100.0)
     with pytest.raises(DecodeError):
         decode(tampered, two_node_instance, model)
-    # Finite values whose cost . x overflows to NaN disagree with any
-    # objective, in decode and in the re-pricing check alike.
-    road = generate_instance(1, ROAD_TEMPLATES["A"], 1)
-    model = build(road, config)
-    x = np.zeros(len(model.columns))
-    x[np.flatnonzero(model.cost >= 2.0)[:2]] = (1e308, -1e308)
-    with pytest.raises(DecodeError, match="objective mismatch: solver 5.0 "
-                       "vs recomputed nan"), np.errstate(all="ignore"):
-        decode(Solution("optimal", 5.0, x, 0.0), road, model)
+    # A re-priced cost of NaN disagrees with any objective.
     assert repricing_error(math.nan, 5.0) == \
         "recomputed cost nan != objective 5.0"
+
+
+def test_decode_of_an_overflowing_objective_fails_without_a_warning():
+    # Finite values whose cost . x overflows to NaN disagree with any
+    # objective; decode says so in its error alone, with no numpy warning
+    # first.
+    road = generate_instance(1, ROAD_TEMPLATES["A"], 1)
+    model = build(road, named_config("MQN-B"))
+    x = np.zeros(len(model.columns))
+    x[np.flatnonzero(model.cost >= 2.0)[:2]] = (1e308, -1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DecodeError, match="objective mismatch: solver "
+                           "5.0 vs recomputed nan"):
+            decode(Solution("optimal", 5.0, x, 0.0), road, model)
 
 
 def test_limits_must_be_positive():
