@@ -73,7 +73,7 @@ class Solution:
     wall_time: float
     solver_log_path: str = ""
     solver_time: float = 0.0     # the solver's own report (wall_time key)
-    message: str = ""            # the solution file's, as an error's
+    message: str = ""            # the solution file's, or why none was read
 
     def __post_init__(self):
         if self.status not in STATUSES:
@@ -335,12 +335,13 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
         log.write(f"command: {args}\n")
         log.flush()
         try:
-            output = subprocess.run(
+            done = subprocess.run(
                 args, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
-                timeout=limits.time_limit + GRACE_SECONDS).stdout
+                timeout=limits.time_limit + GRACE_SECONDS)
+            output, exit_code = done.stdout, done.returncode
         except subprocess.TimeoutExpired as exc:
             timed_out = True
-            output = exc.output
+            output, exit_code = exc.output, None
         except OSError as exc:
             reason = f"launch failure: {exc}"
             log.write(reason + "\n")
@@ -369,8 +370,11 @@ def _solve_in(model: MilpModel, command: str, limits: SolverLimits,
         return Solution(status, parsed.objective, parsed.x, wall,
                         log_path, parsed.solver_time, parsed.message)
     if timed_out:
-        return Solution("timeout", None, _NO_VALUES, wall, log_path)
-    return Solution("error", None, _NO_VALUES, wall, log_path)
+        return Solution("timeout", None, _NO_VALUES, wall, log_path,
+                        message="no solution file within the time limit")
+    what = "no" if text is None else "empty"
+    return Solution("error", None, _NO_VALUES, wall, log_path,
+                    message=f"{what} solution file (exit code {exit_code})")
 
 
 def decode(solution: Solution, instance: RoadInstance,

@@ -24,6 +24,9 @@ _CORE = "scipy.optimize._highspy._core"
 # (mps._Read.plain_lp) admits only LPs whose working set would be whole.
 _PER_ROW = 20
 
+# HiGHS's simplex_dual_edge_weight_strategy value for Devex pricing.
+_DEVEX = 1
+
 
 def highs_core():
     """scipy's HiGHS binding, without importing scipy.optimize.
@@ -72,10 +75,13 @@ def status_word(model_status: str, is_mip: bool, objective: float) -> str:
 
 def _options(is_mip: bool, time_limit: float | None, gap: float | None
              ) -> list[tuple[str, object]]:
-    """The HiGHS options of a solve: no console log, presolve for a MIP
-    only (solve_core's docstring), and the limits given."""
+    """The HiGHS options of a solve: no console log, presolve and Devex
+    dual pricing for a MIP only (solve_core's docstring), and the limits
+    given. A pure LP keeps HiGHS's default pricing."""
     options = [("log_to_console", False),
                ("presolve", "on" if is_mip else "off")]
+    if is_mip:
+        options.append(("simplex_dual_edge_weight_strategy", _DEVEX))
     if time_limit is not None:
         options.append(("time_limit", float(time_limit)))
     if gap is not None:

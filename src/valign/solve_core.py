@@ -14,6 +14,13 @@ the model raises MpsError, an option HiGHS rejects ValueError. The rules:
 
 - HiGHS presolve runs only when a column is integral: the dual simplex is
   faster on an unreduced pure LP, the blocked MIPs slower without it.
+- A MIP's every run, relaxation, fixed LPs and branch and bound alike,
+  prices the dual simplex with Devex (Harris, "Pivot selection methods of
+  the Devex LP code", Mathematical Programming 5, 1973) in place of HiGHS's
+  default dual steepest edge. A fixed LP starts from the relaxation's
+  basis, which is not logical, and steepest edge first computes its exact
+  weights there; the relaxation's big-M gate rows also price faster under
+  Devex. A pure LP keeps the default, which is as fast or faster on it.
 - A pure LP with far more columns than rows is sifted (Bixby, Gregory,
   Lustig, Marsten & Shanno, "Very large-scale linear programming: a case
   study in combining interior point and simplex methods", Operations

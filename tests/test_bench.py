@@ -309,8 +309,10 @@ def test_solver_message_is_the_error_cells_reason(tmp_path, capsys,
     # The bundled adapter writes why it failed under the message key: the
     # solution keeps it, the error cell gives it as its reason, and the
     # CLI's "solver failed" line ends with it. A solver that cannot start,
-    # or whose file does not parse, fails with the gateway's own reason in
-    # its place. A failed solve keeps its workdir, here under tmp_path.
+    # whose file does not parse, or that leaves no file or a blank one
+    # (written None: the stub exits with code 7 and writes nothing), fails
+    # with the gateway's own reason in its place. A failed solve keeps its
+    # workdir, here under tmp_path.
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     stub = f"{sys.executable} -S {tmp_path / 'stub.py'} {{mps}} {{sol}}"
     cases = [
@@ -319,11 +321,14 @@ def test_solver_message_is_the_error_cells_reason(tmp_path, capsys,
          "launch failure: [Errno 2] No such file or directory: "
          "'nonexistent-solver-binary'"),
         ("status optimal\nobjective abc\nU_1 1.0\n", stub,
-         "bad objective 'abc'")]
+         "bad objective 'abc'"),
+        (None, stub, "no solution file (exit code 7)"),
+        (" \n", stub, "empty solution file (exit code 0)")]
     instance = zigzag_instance()
     path = write_instance(instance, str(tmp_path / "zigzag.json"))
     for written, command, reason in cases:
         (tmp_path / "stub.py").write_text(
+            "raise SystemExit(7)\n" if written is None else
             f"import sys\nopen(sys.argv[2], 'w').write({written!r})\n")
         run = replace(RUN, solver_command=command)
         solution = solve(build(instance, named_config("MQN-B")), command,

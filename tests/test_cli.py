@@ -223,7 +223,9 @@ def test_solve_solver_failure(two_node_path, capsys):
     rc = main(["solve", two_node_path,
                "--solver", "false {mps} {sol} {timelimit} {gap}"])
     assert rc == 3
-    assert "solver failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver failed" in err
+    assert err.endswith(": no solution file (exit code 1)\n")
 
 
 # -- oracle ----------------------------------------------------------------------

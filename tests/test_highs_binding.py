@@ -330,6 +330,28 @@ def test_blocked_road_closes_after_two_runs(counting):
     assert 0.0 < counted.left[1] <= counted.left[0] <= 60.0
 
 
+@pytest.mark.parametrize("config_name", ["MQN-B", "MQN-S1"])
+def test_three_blocks_close_from_the_rounded_relaxation(counting,
+                                                        config_name):
+    # A road with 3 blocks closes as the 2-block ones do: the relaxation
+    # and the rounded fixed LP on one object, within the gap of the bound.
+    mps = parse_mps(emit_mps_text(build(pinned_road("C-02 3 blocks 2 pits"),
+                                        named_config(config_name))))
+    if mps.sos_sets:
+        binarize_sos(mps)
+    counted = counting()
+    status, objective, x, note = solve_core.solve_arrays(
+        solve_core.model_arrays(mps), 60.0, 0.01, mps.sos_flags)
+    assert status == "optimal"
+    assert note.startswith("bound ")
+    assert note.endswith(" (rounded relaxation)")
+    bound = float(note.split()[1])
+    assert bound <= objective <= bound + 0.01 * max(1.0, abs(objective))
+    assert len(counted.made) == 1
+    assert len(counted.left) == 2
+    assert_feasible(mps, x, 1e-6)
+
+
 @pytest.mark.parametrize("link", [("G", 1.0, -1.0), ("L", -1.0, 1.0)])
 def test_two_chains_close_by_schedule(counting, tmp_path, capsys, link):
     # Rounding up misses the gap. The rounded schedule with a0's chain a
@@ -534,14 +556,18 @@ def test_relaxation_stopped_by_the_limit_is_a_timeout(counting):
     assert len(counted.made) == len(counted.left) == 1
 
 
+PRICING = "simplex_dual_edge_weight_strategy"
+
+
 @pytest.mark.parametrize("case, config_name, presolve", [
     ("A-01", "MQN-B", "off"), ("G-01", "CTG-B", "off"), ("LP", None, "off"),
     ("C-02 2 blocks", "MQN-B", "on"), ("D-02 2 blocks", "MQN-S1", "on"),
     ("shared-pits", "MQN-S1", "on")])
 def test_presolve_runs_for_mips_only(monkeypatch, case, config_name,
                                      presolve):
-    # A pure LP goes straight to the simplex; a MIP, binarized SOS sets
-    # included, keeps HiGHS presolve.
+    # A pure LP goes straight to the simplex with HiGHS's default pricing;
+    # a MIP, binarized SOS sets included, keeps HiGHS presolve and prices
+    # with Devex.
     if config_name is None:
         mps = parse_mps(SMALL_MODELS[case])
     else:
@@ -551,7 +577,42 @@ def test_presolve_runs_for_mips_only(monkeypatch, case, config_name,
     monkeypatch.setattr(highs.highs_core(), "_Highs", RecordingHighs)
     monkeypatch.setattr(RecordingHighs, "options_seen", None)
     solve_parsed(mps, 60.0, 0.01)
-    assert RecordingHighs.options_seen["presolve"] == presolve
+    seen = RecordingHighs.options_seen
+    assert seen["presolve"] == presolve
+    if presolve == "on":
+        assert seen[PRICING] == highs._DEVEX
+    else:
+        assert PRICING not in seen
+
+
+def test_plain_lp_route_sets_no_pricing(tmp_path, monkeypatch):
+    # HiGHS's reader loads a plain LP with the options the array route
+    # gives a pure LP: no pricing option.
+    mps, sol = tmp_path / "m.mps", tmp_path / "m.sol"
+    emit_mps(build(pinned_road("A-01"), named_config("MQN-B")), str(mps))
+    monkeypatch.setattr(highs.highs_core(), "_Highs", RecordingHighs)
+    monkeypatch.setattr(RecordingHighs, "options_seen", None)
+    read, read_model = [], RecordingHighs.readModel
+
+    def reading(self, path):
+        read.append(path)
+        return read_model(self, path)
+
+    monkeypatch.setattr(RecordingHighs, "readModel", reading)
+    assert milp_solve.main([str(mps), str(sol), "--time-limit", "60",
+                            "--gap", "0.01"]) == 0
+    assert read == [str(mps)]
+    assert RecordingHighs.options_seen == dict(highs._options(False, 60.0,
+                                                              0.01))
+    assert PRICING not in RecordingHighs.options_seen
+
+
+def test_the_binding_takes_every_mip_option():
+    # A HiGHS that drops or renames an option the MIP route sets fails
+    # here by name, not in every blocked solve.
+    made = highs._highs(highs.highs_core(), highs._options(True, 60.0, 0.01))
+    assert made.getOptionValue(PRICING)[1] == highs._DEVEX
+    assert made.getOptionValue("presolve")[1] == "on"
 
 
 def test_models_cover_every_outcome():

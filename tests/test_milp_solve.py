@@ -762,10 +762,10 @@ class RecordingHighs:
      "5f12bcdfd1debf442bdb0845aea0ec2358fc0173ca709bc3f9c7efae17d20977",
      "f914584ff30b8c359a7d4b8ca9cd4e68ce5b727f72990e81f8490863676fc792"),
     ("D-02 2 blocks", "MQN-S1",
-     "dc8073483b8b897e16d841641cce7fe43c997ec1b99e43dc81d54995aec451d2",
+     "8af5c4348a5d2f5af5ee750adfe8d0c6b0f0b0916252bb5ceb7317e7db2c8a82",
      "6b2a4ad54b7c27a657270e195ae6a469955194ea1b7c1bd06d8276273a947cc6"),
     ("shared-pits", "MQN-S1",
-     "80be8cd84f843eef89092e115d96e38b84a9b75e3ab696ba823b5755f4ca30ed",
+     "53f6483e161b54c1f793a94c78454f1375479e4b3c398c310ef7e8dc1aa77cec",
      "610e1aeacc0b46f3217be3e80c339b7b504ffbb899c8d90698ce904b32b38523"),
 ])
 def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,

@@ -325,7 +325,8 @@ def test_solver_exit_is_seen_when_its_output_closes(two_node_instance,
 
 def test_timed_out_solver_output_is_logged(two_node_instance, tmp_path,
                                            monkeypatch):
-    # What the solver printed before the bound kills it reaches the log.
+    # What the solver printed before the bound kills it reaches the log,
+    # and the solution says why it has no answer.
     stub = tmp_path / "stub.py"
     stub.write_text("import time\n"
                     "print('started', flush=True)\n"
@@ -338,6 +339,7 @@ def test_timed_out_solver_output_is_logged(two_node_instance, tmp_path,
                      limits, workdir=str(tmp_path / "run"))
     assert time.monotonic() - start < 10.0
     assert solution.status == "timeout"
+    assert solution.message == "no solution file within the time limit"
     log = (tmp_path / "run" / "solver.log").read_text().splitlines()
     assert log[1:] == ["started"]
 
