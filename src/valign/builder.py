@@ -19,7 +19,12 @@ n+n_borrow+k (waste).
 A MilpModel has the columnar layout of solve_core.ColumnarModel, the one
 the bundled adapter parses MPS files into and hands to HiGHS. Its integer
 columns are all binary, and its matrix entries come in row-declaration
-order, each row's entries in the order they were declared.
+order, each row's entries in the order they were declared. Its columns
+are a Names, which keeps no name: each family of columns is a NameRun
+that spells a name from its column id when asked, by ArcIndex's scheme or
+from a short list (the piecewise and SOS1 helpers). Only the MPS writer,
+the solution reader (Names.locate), lint's listed names and error
+messages spell them.
 
 Every model is assembled by _Assembler, which knows columns by id only:
 each declaration returns the ids of its columns, and every row and SOS set
@@ -48,9 +53,11 @@ a MilpModel lints itself when it is made, as a RoadInstance checks itself.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -108,6 +115,184 @@ def _repeated(names: Sequence[str]) -> str | None:
     return None
 
 
+_SPELL_BLOCK = 1 << 13     # names a Names iteration spells at once
+
+
+class NameRun(NamedTuple):
+    """A run of count column names by local id, from 0. spell gives the
+    names of an int array of local ids, with one list comprehension.
+    find(prefix, keys) gives, for keys that start with prefix, the local
+    id each would have, or any int when the run does not spell it:
+    Names.locate spells those ids and keeps the ones that match. A
+    scheme's names each start with one of its prefixes; a listed run, of
+    names given as a list, has none."""
+
+    count: int
+    spell: Callable[[np.ndarray], list[str]]
+    find: Callable[[str, list[str]], np.ndarray]
+    prefixes: tuple[str, ...] = ()
+
+    @classmethod
+    def listed(cls, names: Iterable[str]) -> NameRun:
+        names = tuple(names)
+
+        def find(prefix: str, keys: list[str]) -> np.ndarray:
+            ids = {name: i for i, name in enumerate(names)}
+            return np.array([ids.get(key, -1) for key in keys], np.int64)
+        return cls(len(names), lambda at: [names[i] for i in at.tolist()],
+                   find)
+
+
+def _fields(keys: list[str], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The width ints that follow the prefix of each of keys, "_" before
+    each, as an int64 array (width, len(keys)), and where they were read:
+    a key with another number of fields, or with one that is no int,
+    reads 0s. The keys, which share their prefix, are split all at once:
+    a key of another width shifts a later prefix into an int's place, so
+    they are read one by one only when that fails."""
+    tokens = "_".join(keys).split("_")
+    if len(tokens) == (width + 1) * len(keys):
+        try:
+            return (np.array([list(map(int, tokens[f::width + 1]))
+                              for f in range(1, width + 1)], np.int64
+                             ).reshape(width, len(keys)),
+                    np.ones(len(keys), bool))
+        except (ValueError, OverflowError):
+            pass
+    fields = np.zeros((width, len(keys)), np.int64)
+    read = np.zeros(len(keys), bool)
+    for at, key in enumerate(keys):
+        tokens = key.split("_")[1:]
+        try:
+            if len(tokens) == width:
+                fields[:, at] = [int(token) for token in tokens]
+                read[at] = True
+        except (ValueError, OverflowError):
+            pass
+    return fields, read
+
+
+def _scheme(count: int, spell: Callable[[np.ndarray], list[str]],
+            ids: dict[str, Callable[..., np.ndarray]]) -> NameRun:
+    """The run of a scheme whose names are a prefix, a key of ids, then
+    ints, each after a "_": ids[prefix] maps int arrays, one per int of a
+    name, to the names' local ids."""
+    def find(prefix: str, keys: list[str]) -> np.ndarray:
+        local = ids[prefix]
+        fields, read = _fields(keys, local.__code__.co_argcount)
+        return np.where(read, local(*fields), -1)
+    return NameRun(count, spell, find, tuple(ids))
+
+
+class Names(Sequence):
+    """A model's column names, run by run in column order (NameRun), each
+    spelled from its id when asked, so the model keeps no name string. An
+    int or a slice with any step, like take over any ids, spells one list
+    comprehension per run it reaches; iteration spells a block of a run
+    at a time. locate finds names' ids without a list of the model's
+    names. Adding names, as binarize_sos does, appends a listed run."""
+
+    def __init__(self, runs: Iterable[NameRun]):
+        self.runs = tuple(runs)
+        self.starts = np.cumsum([0, *(run.count for run in self.runs)])
+
+    def __len__(self) -> int:
+        return int(self.starts[-1])
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            ids = range(len(self))[key]
+            return self.take(np.arange(ids.start, ids.stop, ids.step))
+        key = operator.index(key)
+        return self.take([key + len(self) if key < 0 else key])[0]
+
+    def take(self, ids) -> list[str]:
+        """The names of the column ids, in their order."""
+        ids = np.asarray(ids, np.int64)
+        if not ids.size:
+            return []
+        if ids.min() < 0 or ids.max() >= len(self):
+            raise IndexError("column id out of range")
+        run = np.searchsorted(self.starts, ids, "right") - 1
+        bounds = [0, *(np.flatnonzero(run[1:] != run[:-1]) + 1).tolist(),
+                  len(ids)]
+        names: list[str] = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            r = int(run[lo])
+            names += self.runs[r].spell(ids[lo:hi] - self.starts[r])
+        return names
+
+    def __iter__(self) -> Iterator[str]:
+        for run in self.runs:
+            for lo in range(0, run.count, _SPELL_BLOCK):
+                yield from run.spell(
+                    np.arange(lo, min(lo + _SPELL_BLOCK, run.count)))
+
+    def locate(self, keys: list[str]) -> np.ndarray:
+        """The column id of each of keys, -1 for a name no column has: the
+        keys go to the scheme their prefix names, and what no scheme
+        finds, to the listed runs; only the ids found are spelled, to
+        check them."""
+        ids = np.full(len(keys), -1)
+        by_prefix = {prefix: r for r, run in enumerate(self.runs)
+                     for prefix in run.prefixes}
+        prefixes = [key[:key.find("_") + 1] for key in keys]
+        for prefix in set(prefixes).intersection(by_prefix):
+            self._found(by_prefix[prefix], prefix, keys, [
+                at for at, asked in enumerate(prefixes) if asked == prefix],
+                ids)
+        for r, run in enumerate(self.runs):
+            if not run.prefixes:
+                self._found(r, "", keys, np.flatnonzero(ids < 0).tolist(), ids)
+        return ids
+
+    def _found(self, r: int, prefix: str, keys: list[str], at: list[int],
+               ids: np.ndarray) -> None:
+        """Sets ids[at] where run r spells keys[at], which start with
+        prefix."""
+        run = self.runs[r]
+        local = run.find(prefix, [keys[i] for i in at])
+        inside = (local >= 0) & (local < run.count)
+        at, local = np.array(at, np.int64)[inside], local[inside]
+        same = np.array([name == keys[i] for name, i in zip(
+            run.spell(local), at.tolist())], bool)
+        ids[at[same]] = self.starts[r] + local[same]
+
+    def index(self, name: str) -> int:
+        at = int(self.locate([name])[0])
+        if at < 0:
+            raise ValueError(f"{name!r} is not a column")
+        return at
+
+    def __add__(self, names: Sequence[str]) -> Names:
+        return Names((*self.runs, NameRun.listed(names)))
+
+    def __eq__(self, other) -> bool:
+        """Equal to any sequence of the same names, a tuple's too."""
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    __hash__ = None
+
+
+def _unproven(columns: Sequence[str]) -> Sequence[str]:
+    """The names lint hashes to find a repeat. A scheme spells distinct
+    names (tier-1 tests prove it over every buildable config), so a
+    Names' are its listed runs' names, unless two of its schemes' prefixes
+    could clash or a listed name starts with one; then all of them."""
+    if not isinstance(columns, Names):
+        return columns
+    prefixes = [prefix for run in columns.runs for prefix in run.prefixes]
+    listed = [name for run in columns.runs if not run.prefixes
+              for name in run.spell(np.arange(run.count))]
+    if any(a.startswith(b) for i, a in enumerate(prefixes)
+           for j, b in enumerate(prefixes) if i != j) \
+            or any(name.startswith(tuple(prefixes)) for name in listed):
+        return columns
+    return listed
+
+
 class ColumnRuns(NamedTuple):
     """Column ids of a built model's runs, indexed from 0: A_<g>_<k> by
     (segment, k), U_<i>, VP over supply_nodes, VM over demand_nodes,
@@ -155,7 +340,7 @@ class MilpModel(ColumnarModel):
 
     @cached_property
     def constraints(self) -> tuple[LinearConstraint, ...]:
-        names, entries = self.columns, self.entries
+        names, entries = list(self.columns), self.entries
         bounds = np.searchsorted(entries["row"],
                                  np.arange(len(self.row_order) + 1)).tolist()
         cols, vals = entries["col"].tolist(), entries["value"].tolist()
@@ -176,7 +361,7 @@ class MilpModel(ColumnarModel):
     def lint(self) -> None:
         """Check referential integrity; raises BuildError on any defect."""
         names = self.columns
-        repeat = _repeated(names)
+        repeat = _repeated(_unproven(names))
         if repeat is not None:
             raise BuildError(f"variable {repeat} declared twice")
         for bad, what in ((self.col_lower > self.col_upper, "lower > upper"),
@@ -352,6 +537,42 @@ class ArcIndex:
     def removal(k: int, t: int) -> str:
         return f"Y_{k}_{t}"
 
+    # The runs below keep no ArcIndex: a model's Names outlive it.
+
+    @staticmethod
+    def coeff_names(m: int) -> NameRun:
+        """A_<g>_<k> for m segments, segment major."""
+        return _scheme(3 * m, lambda at: [
+            ArcIndex.coeff(i // 3 + 1, i % 3 + 1) for i in at.tolist()],
+            {"A_": lambda g, k: 3 * (g - 1) + k - 1})
+
+    def offset_names(self) -> NameRun:
+        """U_<i> for every section."""
+        return _scheme(self.n, lambda at: [
+            ArcIndex.offset(i + 1) for i in at.tolist()],
+            {"U_": lambda i: i - 1})
+
+    def cut_names(self) -> NameRun:
+        """VP over supply_nodes, which number from 1 without a gap."""
+        return _scheme(len(self.supply_nodes), lambda at: [
+            ArcIndex.cut(i + 1) for i in at.tolist()],
+            {"VP_": lambda node: node - 1})
+
+    def fill_names(self) -> NameRun:
+        """VM over demand_nodes: the sections', then the waste pits'."""
+        n, n_borrow, nodes = self.n, len(self.borrow_pits), self.demand_nodes
+        return _scheme(len(nodes), lambda at: [
+            ArcIndex.fill(nodes[i]) for i in at.tolist()],
+            {"VM_": lambda node: node - 1 - (node > n) * n_borrow})
+
+    @staticmethod
+    def removal_names(n_blocks: int, n_steps: int) -> NameRun:
+        """Y_<k>_<t> by (block, step), block major."""
+        return _scheme(n_blocks * n_steps, lambda at: [
+            ArcIndex.removal(i // n_steps + 1, i % n_steps)
+            for i in at.tolist()],
+            {"Y_": lambda k, t: (k - 1) * n_steps + t})
+
     def node_sites(self, nodes: Sequence[int]) -> tuple[np.ndarray, ...]:
         """(station, dead haul, excavation rate, embankment rate) per CTG
         supply or demand node: a section's own, or for a pit its attached
@@ -367,7 +588,6 @@ class ArcIndex:
                          mat.excavation, mat.embankment))
         return tuple(np.array(column) for column in zip(*rows))
 
-    @cached_property
     def ctg_arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """The 0-based (supply, demand) positions on the node grid of the
         CTG arcs, in declaration order (supply node major). A section never
@@ -375,12 +595,50 @@ class ArcIndex:
         return np.nonzero(np.array(self.supply_nodes)[:, None]
                           != np.array(self.demand_nodes))
 
-    def ctg_names(self) -> list[str]:
-        """The names of the ctg_arcs, in the same order."""
-        heads = [(src, f"X_{src}_") for src in self.supply_nodes]
-        tails = [(dst, str(dst)) for dst in self.demand_nodes]
-        return [head + tail for src, head in heads
-                for dst, tail in tails if dst != src]
+    def ctg_names(self) -> NameRun:
+        """X_<supply node>_<demand node> of the ctg_arcs, in the same
+        order. A section's row of the grid skips its diagonal, a borrow
+        pit's has none."""
+        n, n_borrow = self.n, len(self.borrow_pits)
+        heads = [f"X_{node}_" for node in self.supply_nodes]
+        tails = [str(node) for node in self.demand_nodes]
+        width = len(tails)
+        from_sections = n * (width - 1)     # the arcs out of the sections
+
+        def first(s: int) -> int:           # supply position s's first arc
+            return s * (width - 1) if s <= n else \
+                from_sections + (s - n) * width
+
+        def spell(at: np.ndarray) -> list[str]:
+            if len(at) and (np.diff(at) == 1).all():
+                return spell_run(int(at[0]), int(at[-1]) + 1)
+            pit = at >= from_sections
+            src = np.where(pit, n + (at - from_sections) // width,
+                           at // max(width - 1, 1))
+            dst = np.where(pit, (at - from_sections) % width,
+                           at % max(width - 1, 1))
+            dst += ~pit & (dst >= src)
+            return [heads[s] + tails[d]
+                    for s, d in zip(src.tolist(), dst.tolist())]
+
+        def spell_run(lo: int, hi: int) -> list[str]:
+            """The names of arcs lo to hi, a supply node's row at a time."""
+            names: list[str] = []
+            s = lo // (width - 1) if lo < from_sections else \
+                n + (lo - from_sections) // width
+            while lo < hi:
+                start, end = first(s), min(hi, first(s + 1))
+                row = tails[:s] + tails[s + 1:] if s < n else tails
+                head = heads[s]
+                names += [head + tail for tail in row[lo - start:end - start]]
+                lo, s = end, s + 1
+            return names
+
+        def arc(s: np.ndarray, d: np.ndarray) -> np.ndarray:
+            d = d - 1 - (d > n) * n_borrow      # the demand position
+            return np.where(s <= n, (s - 1) * (width - 1) + d - (d >= s),
+                            from_sections + (s - 1 - n) * width + d)
+        return _scheme(from_sections + n_borrow * width, spell, {"X_": arc})
 
     def flow_grid(self, n_hauls: int, n_steps: int) -> tuple[np.ndarray, ...]:
         """Offsets into the MH-QNF flow run of the transit, unload and load
@@ -399,23 +657,55 @@ class ArcIndex:
         return (arcs[..., 0], arcs[..., 1], arcs[..., 2],
                 pits[:, :, :n_borrow], pits[:, :, n_borrow:])
 
-    def flow_names(self, n_hauls: int, n_steps: int) -> list[str]:
-        """The names of the MH-QNF flow run, in flow_grid's order."""
-        names: list[str] = []
-        for h in range(1, n_hauls + 1):
-            for t in range(n_steps):
-                for i in range(1, self.n + 1):
-                    for d in DIRECTIONS:
-                        names += [f"FR_{h}_{t}_{i}_{i + d}",
-                                  f"FU_{h}_{t}_{i}_{i + d}",
-                                  f"FL_{h}_{t}_{i - d}_{i}"]
-                names += [f"FB_{h}_{t}_{j}_{pit.attached_section + d}"
-                          for j, pit in enumerate(self.borrow_pits, start=1)
-                          for d in DIRECTIONS]
-                names += [f"FW_{h}_{t}_{k}_{pit.attached_section - d}"
-                          for k, pit in enumerate(self.waste_pits, start=1)
-                          for d in DIRECTIONS]
-        return names
+    def flow_names(self, n_hauls: int, n_steps: int) -> NameRun:
+        """The MH-QNF flow run, in flow_grid's order: per section i and
+        chain d, FR_<h>_<t>_<i>_<i+d>, FU_<h>_<t>_<i>_<i+d> and
+        FL_<h>_<t>_<i-d>_<i>; per borrow pit j and waste pit k attached at
+        section s, FB_<h>_<t>_<j>_<s+d> and FW_<h>_<t>_<k>_<s-d>. A name is
+        its kind, its (haul, step) and its place in the step."""
+        n, n_borrow = self.n, len(self.borrow_pits)
+        kinds, ends = [], []
+        for i in range(1, n + 1):
+            for d in DIRECTIONS:
+                kinds += ["FR_", "FU_", "FL_"]
+                ends += [f"{i}_{i + d}", f"{i}_{i + d}", f"{i - d}_{i}"]
+        borrowed = [pit.attached_section for pit in self.borrow_pits]
+        wasted = [pit.attached_section for pit in self.waste_pits]
+        for kind, sites, sign in (("FB_", borrowed, 1), ("FW_", wasted, -1)):
+            for j, site in enumerate(sites, start=1):
+                for d in DIRECTIONS:
+                    kinds.append(kind)
+                    ends.append(f"{j}_{site + sign * d}")
+        steps = [f"{h}_{t}_" for h in range(1, n_hauls + 1)
+                 for t in range(n_steps)]
+        size = len(ends)
+
+        def spell(at: np.ndarray) -> list[str]:
+            step, place = np.divmod(at, size)
+            return [kinds[r] + steps[q] + ends[r]
+                    for q, r in zip(step.tolist(), place.tolist())]
+
+        def arc(h: np.ndarray, t: np.ndarray, place: np.ndarray
+                ) -> np.ndarray:
+            return ((h - 1) * n_steps + t) * size + place
+
+        def chain(d: np.ndarray) -> np.ndarray:     # any d but -1 reads 0
+            return d == DIRECTIONS[1]
+
+        def site(sites: list[int], j: np.ndarray) -> np.ndarray:
+            """The attached section of pit j of sites, 0 past them."""
+            return np.array(sites + [0])[np.clip(j - 1, 0, len(sites))]
+        return _scheme(n_hauls * n_steps * size, spell, {
+            "FR_": lambda h, t, i, j: arc(h, t, 6 * i - 6 + 3 * chain(j - i)),
+            "FU_": lambda h, t, i, j: arc(h, t, 6 * i - 5 + 3 * chain(j - i)),
+            "FL_": lambda h, t, i, j: arc(h, t, 6 * j - 4 + 3 * chain(j - i)),
+            "FB_": lambda h, t, j, e: arc(h, t, 6 * n + 2 * (j - 1) + chain(
+                e - site(borrowed, j))),
+            "FW_": lambda h, t, k, e: arc(h, t, 6 * n + 2 * (n_borrow + k - 1)
+                                          + chain(site(wasted, k) - e))})
+
+
+_GATHER_BLOCK = 1 << 14     # entries bulk_rows gathers at once
 
 
 class _Assembler:
@@ -430,7 +720,8 @@ class _Assembler:
 
     def __init__(self, name: str):
         self.name = name
-        self.col_names: list[str] = []
+        self.col_runs: list[NameRun] = []
+        self.col_count = 0
         # Each columns call's cost, lower and upper bounds and binary flags,
         # as arrays of its length.
         self.col_values: list[tuple[np.ndarray, ...]] = []
@@ -438,15 +729,20 @@ class _Assembler:
         self.senses: list[str] = []
         self.rhs: list[float] = []
         self.rhs_range: list[float] = []
-        self.chunks: list[np.ndarray] = []     # ENTRY arrays
+        # The ENTRY records so far, grown in place by each bulk_rows.
+        self.entries = np.empty(0, ENTRY)
         self.sos: list[tuple[int, str, tuple[tuple[int, float], ...]]] = []
 
-    def columns(self, names: Sequence[str], cost=0.0, lower=0.0,
+    def columns(self, names: NameRun | Sequence[str], cost=0.0, lower=0.0,
                 upper=math.inf, binary=False) -> np.ndarray:
-        """Declare columns, each value broadcast over names; returns their
+        """Declare a run of columns, named by a scheme's NameRun or by a
+        list of names, each value broadcast over them; returns their
         ids."""
-        first, count = len(self.col_names), len(names)
-        self.col_names.extend(names)
+        if not isinstance(names, NameRun):
+            names = NameRun.listed(names)
+        first, count = self.col_count, names.count
+        self.col_runs.append(names)
+        self.col_count += count
         self.col_values.append(tuple(
             np.broadcast_to(np.asarray(value, dtype), count)
             for value, dtype in ((cost, np.float64), (lower, np.float64),
@@ -468,22 +764,30 @@ class _Assembler:
             self.senses.append(sense)
             self.rhs.append(rhs)
             self.rhs_range.append(rhs_range[0] if rhs_range else math.nan)
-        # One field at a time is flattened, with no copy per part, and
-        # gathered in row order into the ENTRY records, so besides them and
-        # the order only two arrays of the chunk's length are alive.
+        # One field at a time is flattened, with no copy per part and ids
+        # as int32, and gathered in row order a block at a time into the
+        # new records, grown in place; so besides them only the order and
+        # that field are alive.
         shaped = [np.broadcast_arrays(*part) for part in parts]
-        row = np.concatenate([p[0] for p in shaped], axis=None, dtype=np.intp)
-        order = np.argsort(row, kind="stable")
-        entries = np.empty(len(order), ENTRY)
-        entries["row"] = row[order]
-        del row
-        for at, field in ((1, "col"), (2, "value")):
-            entries[field] = np.concatenate(
-                [p[at] for p in shaped], axis=None, dtype=ENTRY[field])[order]
+        flats = (np.concatenate([p[at] for p in shaped], axis=None,
+                                dtype=dtype)
+                 for at, dtype in enumerate((np.int32, np.int32, np.float64)))
+        flat = next(flats)      # the row ids
+        order = np.argsort(flat, kind="stable")
+        at = len(self.entries)
+        self.entries.resize(at + len(order), refcheck=False)
+        entries = self.entries[at:]
+        for field in ENTRY.names:
+            if field != "row":
+                flat = next(flats)
+            out = entries[field]
+            for lo in range(0, len(order), _GATHER_BLOCK):
+                block = order[lo:lo + _GATHER_BLOCK]
+                out[lo:lo + len(block)] = flat[block]
+            del flat
         rows, values = entries["row"], entries["value"]
         rows += first
         values += 0.0   # a -0.0 coefficient is written 0.0
-        self.chunks.append(entries)
 
     def add_sos(self, name: str, sos_type: int,
                 members: Iterable[tuple[int, float]]) -> None:
@@ -499,10 +803,10 @@ class _Assembler:
             np.concatenate([np.empty(0, dtype)]
                            + [values[at] for values in self.col_values])
             for at, dtype in enumerate((np.float64,) * 3 + (bool,)))
-        entries = np.concatenate(self.chunks or [np.empty(0, ENTRY)])
-        columns = tuple(self.col_names)
-        for declared in (self.col_names, self.col_values, self.chunks):
-            declared.clear()
+        columns, entries = Names(self.col_runs), self.entries
+        self.entries = np.empty(0, ENTRY)
+        self.col_runs.clear()
+        self.col_values.clear()
         return MilpModel(
             self.name, columns, cost, lower, upper, binary,
             tuple(self.row_names),
@@ -536,18 +840,17 @@ def _spline_rows(asm: _Assembler, instance: RoadInstance, names: ArcIndex,
     materials = [instance.material_of(i) for i in range(1, n + 1)]
     caps = [big_m(instance, i, volume_mode) for i in range(1, n + 1)]
 
-    a_ids = asm.columns([names.coeff(g, k) for g in range(1, m + 1)
-                         for k in (1, 2, 3)], lower=-math.inf).reshape(m, 3)
-    u_ids = asm.columns([names.offset(i) for i in range(1, n + 1)],
+    a_ids = asm.columns(names.coeff_names(m), lower=-math.inf).reshape(m, 3)
+    u_ids = asm.columns(names.offset_names(),
                         lower=[sec.offset_lo for sec in sections],
                         upper=[sec.offset_hi for sec in sections])
     borrow, waste = instance.borrow_pits, instance.waste_pits
-    vp = asm.columns([names.cut(node) for node in names.supply_nodes],
+    vp = asm.columns(names.cut_names(),
                      cost=[mat.excavation if price_volumes else 0.0
                            for mat in materials]
                      + [0.0] * len(borrow),
                      upper=caps + [pit.capacity for pit in borrow])
-    vm = asm.columns([names.fill(node) for node in names.demand_nodes],
+    vm = asm.columns(names.fill_names(),
                      cost=[mat.embankment if price_volumes else 0.0
                            for mat in materials]
                      + [0.0] * len(waste),
@@ -655,7 +958,7 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     flow_names = names.flow_names(len(hauls), len(steps))
     grid = names.flow_grid(len(hauls), len(steps))
     transit, unload, load, borrow, waste = grid
-    cost = np.zeros(len(flow_names))
+    cost = np.zeros(flow_names.count)
     for h, haul in enumerate(hauls):
         cost[transit[h]] = haul.unit_haul_cost * instance.chain_hops
         cost[unload[h]] = haul.loading_cost
@@ -667,7 +970,7 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
             mat = instance.material_of(pit.attached_section)
             cost[waste[h, :, k]] = mat.embankment \
                 + haul.unit_haul_cost * pit.dead_haul
-    upper = np.full(len(flow_names), math.inf)
+    upper = np.full(flow_names.count, math.inf)
     upper[transit[:, :, -1, 0]] = upper[transit[:, :, 0, 1]] = 0.0
     ids = asm.columns(flow_names, cost, upper=upper)
     # From here on, the grid holds column ids.
@@ -675,9 +978,8 @@ def build(instance: RoadInstance, config: BuilderConfig) -> MilpModel:
     transit, unload, load, borrow, waste = grid
 
     # Removal indicators Y_k_t; y holds their ids by (block, step) from 0.
-    y = asm.columns([names.removal(k, t) for k in range(1, n_blocks + 1)
-                     for t in steps], upper=1.0, binary=True
-                    ).reshape(n_blocks, len(steps))
+    y = asm.columns(names.removal_names(n_blocks, len(steps)), upper=1.0,
+                    binary=True).reshape(n_blocks, len(steps))
 
     # Conservation at every node i of chain d (FCR rightward, FCL leftward):
     # transit in from i-d + unload + borrow = transit out + load + waste.
@@ -860,15 +1162,21 @@ def _ctg_model(asm: _Assembler, instance: RoadInstance, config: BuilderConfig,
     hauls = instance.cost_model.hauls
     st_s, dead_s, exc_s, _ = names.node_sites(names.supply_nodes)
     st_d, dead_d, _, emb_d = names.node_sites(names.demand_nodes)
-    # arcs stays alive until the model is finished: freed before the
-    # model's lint, it left the next G-01 build 6 MB higher in peak RSS
-    # (heap reuse). The distances go once the arcs are priced, and the
-    # assembler holds the costs until the model is made.
-    arcs, (src, dst) = names.ctg_names(), names.ctg_arcs
+    # The distances go once the arcs are priced, and the arcs once the grid
+    # and the node rows' parts are made; the assembler holds the costs
+    # until the model is made.
+    src, dst = names.ctg_arcs()
     dist = np.abs(st_d[dst] - st_s[src]) + dead_s[src] + dead_d[dst]
-    ids = asm.columns(
-        arcs, exc_s[src] + cheapest_haul_costs(hauls, dist) + emb_d[dst])
+    ids = asm.columns(names.ctg_names(), exc_s[src]
+                      + cheapest_haul_costs(hauls, dist) + emb_d[dst])
     del dist
+
+    # The arcs by (supply node, demand node), -1 on the diagonal. int32, as
+    # the MPS writer's ids: as int64 (1.6 MB on G-01) the grid left the next
+    # long-road build 8 MB higher in peak RSS (heap reuse).
+    grid = np.full((len(names.supply_nodes), len(names.demand_nodes)), -1,
+                   np.int32)
+    grid[src, dst] = ids
 
     # Each node's row takes its arcs in declaration order, less the node's
     # volume variable: CTS_i, CTD_i per section, then CTB_j, then CTW_k.
@@ -877,20 +1185,15 @@ def _ctg_model(asm: _Assembler, instance: RoadInstance, config: BuilderConfig,
     supply_row = np.append(2 * np.arange(n), 2 * n + np.arange(n_borrow))
     demand_row = np.append(2 * np.arange(n) + 1,
                            2 * n + n_borrow + np.arange(n_waste))
+    parts = [(supply_row[src].astype(np.int32), ids, 1.0),
+             (demand_row[dst].astype(np.int32), ids, 1.0),
+             (supply_row, vp, -1.0), (demand_row, vm, -1.0)]
+    del src, dst
     asm.bulk_rows(
         [(f"{tag}_{i}", "E", 0.0) for i in range(1, n + 1)
          for tag in ("CTS", "CTD")]
         + [(f"CTB_{j}", "E", 0.0) for j in range(1, n_borrow + 1)]
-        + [(f"CTW_{k}", "E", 0.0) for k in range(1, n_waste + 1)],
-        [(supply_row[src], ids, 1.0), (demand_row[dst], ids, 1.0),
-         (supply_row, vp, -1.0), (demand_row, vm, -1.0)])
-
-    # The arcs by (supply node, demand node), -1 on the diagonal. int32, as
-    # the MPS writer's ids: as int64 (1.6 MB on G-01) the grid left the next
-    # long-road build 8 MB higher in peak RSS (heap reuse).
-    grid = np.full((len(names.supply_nodes), len(names.demand_nodes)), -1,
-                   np.int32)
-    grid[src, dst] = ids
+        + [(f"CTW_{k}", "E", 0.0) for k in range(1, n_waste + 1)], parts)
     provenance = _provenance(instance, config, hauls, [0])
     return asm.finish(provenance, ColumnRuns(a, u, vp, vm,
                                              np.empty((0, 1), int), (grid,)))

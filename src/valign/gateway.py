@@ -9,9 +9,10 @@ Two solution file layouts are understood, told apart by the first
 character of the text: a leading "<" is an XML-ish sectioned layout with a
 header element plus one element per variable, anything else is "name value"
 pairs with reserved keys status/objective/wall_time/message.
-parse_solution_text reads either onto x, in the model's column order; past
-that point columns are ids, and decode reads x by the ids the builder
-recorded in model.runs.
+parse_solution_text reads either onto x, in the model's column order,
+finding the file's names among the model's (builder.Names.locate) a batch
+at a time, with no dict of either's names; past that point columns are
+ids, and decode reads x by the ids the builder recorded in model.runs.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 from xml.etree import ElementTree
 
 import numpy as np
@@ -138,17 +138,17 @@ def objectives_agree(recomputed: float, objective: float) -> bool:
 _RESERVED = ("status", "objective", "wall_time", "message")
 
 
-def parse_pairs(text: str, columns: Sequence[str] = ()
-                ) -> tuple[dict[str, str], dict[str, float]]:
-    """First-token/rest-of-line pairs, a piece of text at a time, split
-    into the reserved keys and the numeric values of the others; the first
-    occurrence of a key wins, and a key whose first value is no number is
-    left out. Keys that follow columns in order, as a solution file lists
-    its model's columns, are the columns' own name objects, so the file's
-    names do not stay alive beside the model's."""
-    header: dict[str, str] = {}
-    values: dict[str, float | None] = {}
-    at = 0
+_BATCH = 1 << 9     # names the pairs reader locates at once
+
+
+def _pair_batches(text: str, header: dict[str, str]
+                  ) -> Iterator[tuple[list[str], list[float | None]]]:
+    """The keys and values of text's first-token/rest-of-line pairs, read
+    a piece of text at a time, in batches of _BATCH; a value is None where
+    it is no number. The reserved keys go to header instead, the first
+    occurrence winning."""
+    keys: list[str] = []
+    numbers: list[float | None] = []
     for line in text_lines(text):
         key, _, rest = line.strip().partition(" ")
         if not key or key.startswith("#"):
@@ -156,12 +156,12 @@ def parse_pairs(text: str, columns: Sequence[str] = ()
         if key in _RESERVED:
             header.setdefault(key, rest.strip())
             continue
-        if at < len(columns) and key == columns[at]:
-            key = columns[at]
-            at += 1
-        if key not in values:
-            values[key] = _number(rest)
-    return header, _numeric(values)
+        keys.append(key)
+        numbers.append(_number(rest))
+        if len(keys) == _BATCH:
+            yield keys, numbers
+            keys, numbers = [], []
+    yield keys, numbers
 
 
 def _number(token: str) -> float | None:
@@ -169,13 +169,6 @@ def _number(token: str) -> float | None:
         return float(token)
     except ValueError:
         return None
-
-
-def _numeric(values: dict[str, float | None]) -> dict[str, float]:
-    """values less the entries that are no number."""
-    if None in values.values():
-        return {k: v for k, v in values.items() if v is not None}
-    return values
 
 
 def parse_xmlish(text: str) -> dict[str, str]:
@@ -226,19 +219,21 @@ def parse_solution_text(text: str, columns: Sequence[str]) -> Solution:
     """A solution file's text, in the dialect its first character names,
     read onto x in the order of columns, the model's: a name the file does
     not list reads 0, and one no column has is ignored. A file whose values
-    name none of the columns has no values. The pairs dialect's names are
-    keyed by the columns' own where the file lists them in order
-    (parse_pairs)."""
+    name none of the columns has no values. The pairs dialect is read a
+    batch of lines at a time, each batch's names located among the
+    columns (_onto), so neither the file's names nor the model's are
+    kept."""
     if text.lstrip().startswith("<"):
         try:
             raw = parse_xmlish(text)
         except ElementTree.ParseError as exc:
             raise SolveError(f"unparseable solution file: {exc}") from exc
-        values = _numeric({k: _number(t) for k, t in raw.items()
-                           if k not in _RESERVED})
+        values = {k: _number(t) for k, t in raw.items()
+                  if k not in _RESERVED}
+        x, named = _onto(columns, [(list(values), list(values.values()))])
     else:
-        raw, values = parse_pairs(text, columns)
-    named = not values.keys().isdisjoint(columns)
+        raw = {}
+        x, named = _onto(columns, _pair_batches(text, raw))
     status = _normalize_status(raw.get("status", "error"), named)
     objective = None
     if "objective" in raw:
@@ -249,12 +244,8 @@ def parse_solution_text(text: str, columns: Sequence[str]) -> Solution:
     if status in ("optimal", "feasible") and (
             objective is None or not named):
         status = "error"
-    x = _NO_VALUES
-    if status in ("optimal", "feasible"):
-        x = np.fromiter(map(values.get, columns, repeat(0.0)), float,
-                        len(columns))
-    else:
-        objective = None
+    if status not in ("optimal", "feasible"):
+        x, objective = _NO_VALUES, None
     wall = 0.0
     if "wall_time" in raw:
         try:
@@ -263,6 +254,33 @@ def parse_solution_text(text: str, columns: Sequence[str]) -> Solution:
             wall = 0.0
     return Solution(status, objective, x, wall, solver_time=wall,
                     message=raw.get("message", ""))
+
+
+def _onto(columns: Sequence[str],
+          batches: Iterable[tuple[list[str], list[float | None]]]
+          ) -> tuple[np.ndarray, bool]:
+    """x over columns from batches of (names, values), and whether a
+    column got a number. A column's first occurrence wins, and one whose
+    first value is None reads 0. builder.Names locates each batch's names
+    by their schemes; a plain sequence of columns is indexed by a dict of
+    its names."""
+    locate = getattr(columns, "locate", None)
+    if locate is None:
+        index = {name: c for c, name in enumerate(columns)}
+
+        def locate(keys: list[str]) -> np.ndarray:
+            return np.array([index.get(key, -1) for key in keys], np.int64)
+    x = np.zeros(len(columns))
+    seen = bytearray(len(columns))
+    named = False
+    for keys, numbers in batches:
+        for c, number in zip(locate(keys).tolist(), numbers):
+            if c >= 0 and not seen[c]:
+                seen[c] = True
+                if number is not None:
+                    x[c] = number
+                    named = True
+    return x, named
 
 
 def command_words(template: str) -> list[str]:

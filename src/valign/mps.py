@@ -21,11 +21,13 @@ layout):
 
 The writer checks only that no row is named as the objective row: a
 MilpModel lints itself when it is made. It writes the text in pieces of
-bounded size, and the model's entries are copied once, into a table of
-COLUMNS lines (int32 column and row ids, and values; the cost lines
-first), with one stable column-major order over it: each piece gathers
-its lines in that order, and each distinct value is formatted once, by its
-bit pattern, so -0.0 keeps its sign.
+bounded size. Over the model's entries it keeps one int32 stable order by
+column; a piece is a run of whole columns (_pieces), which gathers its
+columns' entries in that order and merges in their cost lines
+(_column_lines). The model keeps no column name (builder.Names): a piece
+spells its columns' names once, as one slice, and BOUNDS and SOS spell
+theirs by id. Each distinct value is formatted once, by its bit pattern,
+so -0.0 keeps its sign.
 
 parse_mps reads a free-format file into a solve_core.ColumnarModel:
 columns in first-seen order, rows in declaration order, entries in file
@@ -34,11 +36,11 @@ is the objective row, and an N row past it is a free row, whose entries
 are read, their numbers checked, and dropped, as HiGHS's readModel drops
 them. A row's name is declared once, and a matrix coefficient must be
 finite (HiGHS refuses the model otherwise). The text is read 64 KB at a
-time (text_pieces, which the gateway's solution reader shares) into typed
-arrays, with no numpy (_Read); a piece of plain COLUMNS lines is read as
-a whole (_plain_entries, over the same row table), any other line by
-line. Every defect raises MpsError, which names the line when one line is
-at fault.
+time (text_pieces, which the gateway's solution reader shares through
+text_lines) into typed arrays, with no numpy (_Read); a piece of plain
+COLUMNS lines is read as a whole (_plain_entries, over the same row
+table), any other line by line. Every defect raises MpsError, which names
+the line when one line is at fault.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ import os
 import struct
 from array import array
 from collections import Counter
-from itertools import compress, filterfalse, islice, repeat
+from itertools import chain, compress, filterfalse, islice, repeat
 from operator import add, lt, mul
 from typing import TYPE_CHECKING, Iterator
 
@@ -73,12 +75,12 @@ def _num(value: float) -> str:
 
 
 class _Texts(dict):
-    """_num of a float64 by its bit pattern, formatted when first asked
-    for, so -0.0 keeps its sign."""
+    """_num of a float64 by its bit pattern, and a line feed, formatted
+    when first asked for, so -0.0 keeps its sign."""
 
     def __missing__(self, bits: int) -> str:
         value, = struct.unpack("d", struct.pack("q", bits))
-        text = self[bits] = _num(value)
+        text = self[bits] = _num(value) + "\n"
         return text
 
 
@@ -97,31 +99,23 @@ def _mps_chunks(model: MilpModel) -> Iterator[str]:
     lines.append("COLUMNS")
     yield "\n".join(lines) + "\n"
 
-    # One entry per line: the cost first when nonzero (a column with no
-    # other entry gets a zero cost), then the matrix entries in row order.
-    # The lines' table holds the cost lines first, then the entries, as the
-    # module docstring says; a stable sort by column orders it.
-    entries = model.entries
-    priced = model.cost != 0.0
-    unused = np.bincount(entries["col"], minlength=len(columns)) == 0
-    cost_cols = np.flatnonzero(priced | unused)
-    table = np.empty(len(cost_cols) + len(entries), [
-        ("col", np.int32), ("row", np.int32), ("value", np.float64)])
-    head, tail = table[:len(cost_cols)], table[len(cost_cols):]
-    head["col"], head["row"] = cost_cols, len(row_order)
-    head["value"] = np.where(priced, model.cost, 0.0)[cost_cols]
-    del priced, unused, cost_cols
-    for field in ("col", "row", "value"):
-        tail[field] = entries[field]
-    order = np.argsort(table["col"], kind="stable")
-    rows = (*row_order, OBJECTIVE_ROW)
+    # One entry per line: a column's cost first when nonzero (a column
+    # with no other entry gets a zero cost), then its matrix entries in row
+    # order. An int32 stable order by column over the entries gives each
+    # column's, from starts[c] to starts[c + 1]; a piece is the lines of a
+    # run of columns, about _CHUNK_LINES of them, whose names it spells
+    # once.
+    col = model.entries["col"].astype(np.int32)
+    order = np.argsort(col, kind="stable").astype(np.int32)
+    col = col[order]
+    starts = np.searchsorted(col, np.arange(len(columns) + 1, dtype=np.int32))
+    del col
+    costed = (model.cost != 0.0) | (starts[1:] == starts[:-1])
+    rows = np.array([row + " " for row in (*row_order, OBJECTIVE_ROW)],
+                    object)
     text = _Texts()
-    for start in range(0, len(order), _CHUNK_LINES):
-        part = table[order[start:start + _CHUNK_LINES]]
-        yield "".join([
-            f"    {columns[c]} {rows[r]} {text[b]}\n" for c, r, b in zip(
-                part["col"].tolist(), part["row"].tolist(),
-                part["value"].view(np.int64).tolist())])
+    for c0, c1 in _pieces(starts, costed):
+        yield _column_lines(model, order, starts, costed, c0, c1, rows, text)
 
     lines = ["RHS"]
     rhs = model.row_rhs
@@ -135,9 +129,8 @@ def _mps_chunks(model: MilpModel) -> Iterator[str]:
 
     lines.append("BOUNDS")
     lower, upper, binary = model.col_lower, model.col_upper, model.col_integer
-    bounded = binary | (lower != 0.0) | (upper != math.inf)
-    for c in np.flatnonzero(bounded).tolist():
-        name = columns[c]
+    bounded = np.flatnonzero(binary | (lower != 0.0) | (upper != math.inf))
+    for c, name in zip(bounded.tolist(), columns.take(bounded)):
         if binary[c]:
             lines.append(f" BV {BOUND_SET} {name}")
             continue
@@ -159,11 +152,55 @@ def _mps_chunks(model: MilpModel) -> Iterator[str]:
         lines.append("SOS")
         for sos_type, name, members in model.sos_sets:
             lines.append(f" S{sos_type} SET {name}")
-            for col, weight in members:
-                lines.append(f"    {columns[col]} {_num(weight)}")
+            cols, weights = zip(*members)
+            lines += [f"    {member} {_num(weight)}" for member, weight in zip(
+                columns.take(cols), weights)]
 
     lines.append("ENDATA")
     yield "\n".join(lines) + "\n"
+
+
+def _pieces(starts: np.ndarray, costed: np.ndarray) -> list[tuple[int, int]]:
+    """The COLUMNS pieces, as (first, end) column ids, of columns whose
+    entries start at starts (and end at the last) and whose cost lines
+    costed marks: each a run of whole columns that ends with the one whose
+    lines reach the next multiple of _CHUNK_LINES."""
+    import numpy as np
+    lines = starts[1:] + np.cumsum(costed)
+    ends = np.searchsorted(lines, np.arange(
+        _CHUNK_LINES, lines[-1] if len(lines) else 0, _CHUNK_LINES)) + 1
+    stops = list(dict.fromkeys([*ends.tolist(), len(lines)]))
+    return list(zip([0] + stops[:-1], stops)) if len(lines) else []
+
+
+def _column_lines(model: MilpModel, order: np.ndarray, starts: np.ndarray,
+                  costed: np.ndarray, c0: int, c1: int, rows: np.ndarray,
+                  text: _Texts) -> str:
+    """The COLUMNS lines of columns c0 to c1 (_mps_chunks): rows holds
+    each row's name and a blank as an object array, the objective row's
+    last, and text the values and a line feed."""
+    import numpy as np
+    entries, cost = model.entries, model.cost
+    heads = costed[c0:c1]
+    per_column = np.diff(starts[c0:c1 + 1]) + heads
+    head = (np.cumsum(per_column) - per_column)[heads]
+    body = np.ones(int(per_column.sum()), bool)
+    body[head] = False
+    line_row = np.empty(len(body), np.int64)
+    line_bits = np.empty(len(body), np.int64)
+    at = order[starts[c0]:starts[c1]]
+    line_row[body] = entries["row"][at]
+    line_bits[body] = entries["value"][at].view(np.int64)
+    line_row[head] = len(rows) - 1
+    line_bits[head] = np.where(cost[c0:c1] != 0.0, cost[c0:c1], 0.0)[
+        heads].view(np.int64)
+    # Each line as its five pieces, three of them put in place in C.
+    pieces = ["    ", "", " ", "", ""] * len(body)
+    pieces[1::5] = chain.from_iterable(map(
+        repeat, model.columns[c0:c1], per_column.tolist()))
+    pieces[3::5] = rows[line_row].tolist()
+    pieces[4::5] = map(text.__getitem__, line_bits.tolist())
+    return "".join(pieces)
 
 
 def _check_row_names(model: MilpModel) -> None:

@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,7 +76,7 @@ class ColumnarModel:
     """A model as arrays, laid out as the module docstring says."""
 
     name: str
-    columns: tuple[str, ...]
+    columns: Sequence[str]      # a tuple, or the builder's Names
     cost: np.ndarray
     col_lower: np.ndarray
     col_upper: np.ndarray
@@ -102,7 +103,9 @@ def entry_records(row, col, value) -> np.ndarray:
 def binarize_sos(mps: ColumnarModel) -> None:
     """Rewrite SOS sets with auxiliary binaries and linking rows, appended
     to the column, row and entry arrays, in place; the sets and their
-    binaries, the flags, go to sos_flags."""
+    binaries, the flags, go to sos_flags. The binaries' names are added to
+    columns as a tuple, which the builder's Names takes as one more listed
+    run."""
     columns: list[str] = []
     rows: list[tuple[str, str, float]] = []       # name, sense, rhs
     entries: list[tuple[int, int, float]] = []

@@ -232,7 +232,8 @@ def test_times_csv_marks_timeouts(tmp_path):
     path = tmp_path / "times.csv"
     write_times_csv([rec("i1", "c1", 9.9, status="timeout", success=False)],
                     str(path))
-    rows = list(csv.reader(path.open(newline="")))
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[1] == ["i1", "c1", "timeout", "NaN"]
 
 
@@ -240,7 +241,8 @@ def test_accuracy_csv_handles_no_solved_rows(tmp_path):
     path = tmp_path / "accuracy.csv"
     write_accuracy_csv([rec("i1", "c1", 0.0, status="error", success=False)],
                        str(path))
-    rows = list(csv.reader(path.open(newline="")))
+    with path.open(newline="") as fh:
+        rows = list(csv.reader(fh))
     assert rows[1] == ["c1", "0", "NaN", "NaN", "NaN"]
 
 

@@ -3,6 +3,7 @@
 import ast
 import math
 import pathlib
+import sys
 import tomllib
 import tracemalloc
 from dataclasses import replace
@@ -12,7 +13,7 @@ import pytest
 
 import valign
 from valign import milp_solve
-from valign.bench import RoadTemplate, generate_instance
+from valign.bench import ROAD_TEMPLATES, RoadTemplate, generate_instance
 from valign.builder import (
     KNOWN_CONFIG_NAMES,
     ArcIndex,
@@ -583,3 +584,93 @@ def test_column_runs_index_the_declared_names(case, instance, config):
                 "FB_", "FW_")
     assert sorted(reached) == [c for c, name in enumerate(model.columns)
                                if name.startswith(prefixes)]
+
+
+def spelled_roads():
+    for template in "ABCDEFG":
+        yield f"{template}-01", generate_instance(1, ROAD_TEMPLATES[template],
+                                                  1)
+    yield "C-01 2 pits", generate_instance(1, ROAD_TEMPLATES["C"], 1, pits=2)
+    yield "C-02 3 blocks 2 pits", pinned_road("C-02 3 blocks 2 pits")
+    yield "shared-pits", pinned_road("shared-pits")
+
+
+@pytest.mark.parametrize("case, instance", [
+    pytest.param(*args, id=args[0]) for args in spelled_roads()])
+def test_spelled_column_names_are_distinct_and_found(case, instance):
+    # The model keeps no name: lint hashes only the listed names, because
+    # each scheme spells distinct names and no two schemes' prefixes meet.
+    # Over every buildable config, the names are distinct, each run's start
+    # with its scheme's prefixes and a listed run's with none of them, and
+    # locate finds every name at its own id.
+    for name in KNOWN_CONFIG_NAMES:
+        if name.startswith("CTG") and instance.blocks:
+            continue
+        columns = build(instance, named_config(name)).columns
+        names = list(columns)
+        assert len(set(names)) == len(names) == len(columns), (case, name)
+        prefixes = [p for run in columns.runs for p in run.prefixes]
+        assert not [(a, b) for i, a in enumerate(prefixes)
+                    for j, b in enumerate(prefixes)
+                    if i != j and a.startswith(b)], (case, name)
+        at = 0
+        for run in columns.runs:
+            spelled, at = names[at:at + run.count], at + run.count
+            own = run.prefixes or tuple(prefixes)
+            assert all(n.startswith(own) == bool(run.prefixes)
+                       for n in spelled), (case, name, own)
+        assert columns.locate(names).tolist() == list(range(len(names)))
+        assert columns.locate([n + "_1" for n in names[::97]]
+                              + ["", "_", "X_0_1", "FR_1_0_1_3"]
+                              ).tolist() == [-1] * (len(names[::97]) + 4)
+
+
+@pytest.mark.parametrize("instance, config", [
+    (piecewise_instance(), BuilderConfig(volume_mode="piecewise-binary",
+                                         block_technique="sos1")),
+    (generate_instance(1, ROAD_TEMPLATES["A"], 1, pits=2),
+     named_config("CTG-B"))], ids=["piecewise sos1", "A-01 2 pits CTG-B"])
+def test_spelled_column_names_slice_as_a_list(instance, config):
+    # An int, a slice with any step and take spell what a list of every
+    # name gives, across the runs, listed and spelled.
+    columns = build(instance, config).columns
+    names = list(columns)
+    n = len(names)
+    bounds = (None, 0, 1, n // 3, n - 2, -5, -n - 3, n + 2)
+    for start in bounds:
+        for stop in bounds:
+            for step in (None, 1, 2, 7, -1, -3):
+                assert columns[start:stop:step] == names[start:stop:step], \
+                    (start, stop, step)
+    assert [columns[i] for i in (0, n - 1, -1, -n)] == \
+        [names[i] for i in (0, n - 1, -1, -n)]
+    ids = np.random.default_rng(5).integers(0, n, 300)
+    assert columns.take(ids) == [names[i] for i in ids.tolist()]
+    assert columns.index(names[n // 2]) == n // 2
+    for outside in (n, -n - 1):
+        with pytest.raises(IndexError):
+            columns[outside]
+
+
+def test_ctg_model_holds_little_more_than_its_arrays():
+    # Under tracemalloc, the finished CTG model of a 225-section road holds
+    # at most 1.15 times its arrays' bytes, those of runs too, plus its row
+    # names: no column name is kept (7.03 MB against 3.79 MB of arrays when
+    # the model held its 51,135 names).
+    road = generate_instance(1, RoadTemplate("R", 4.5, 20.0, 225), 1)
+    config = named_config("CTG-B")
+    build(road, config)     # the road's cached arrays are not the model's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model = build(road, config)
+        size = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    arrays = [value for value in vars(model).values()
+              if isinstance(value, np.ndarray)]
+    arrays += [*model.runs[:-1], *model.runs.flows]
+    rows = sys.getsizeof(model.row_order) + sum(map(sys.getsizeof,
+                                                    model.row_order))
+    assert len(model.columns) == 51135
+    assert size <= 1.15 * (sum(a.nbytes for a in arrays) + rows)

@@ -194,7 +194,7 @@ def test_main_end_to_end(tmp_path, capsys):
     assert capsys.readouterr().out == (
         "valign-milp: optimal objective -3.0 bound -3.0 "
         "(rounded relaxation)\n")
-    lines = open(sol).read().splitlines()
+    lines = (tmp_path / "out.sol").read_text().splitlines()
     assert lines[0] == "status optimal"
     entries = dict(line.split(None, 1) for line in lines)
     assert float(entries["objective"]) == pytest.approx(-3.0)
@@ -210,7 +210,7 @@ def test_main_binarizes_sos(tmp_path, flags):
     rc = main([mps, sol, *flags, "--gap", "1e-9"])
     assert rc == 0
     entries = dict(line.split(None, 1)
-                   for line in open(sol).read().splitlines())
+                   for line in (tmp_path / "out.sol").read_text().splitlines())
     assert entries["status"] == "optimal"
     assert float(entries["u"]) == pytest.approx(2.0)
     # helper binaries from the conversion stay out of the solution file
@@ -767,7 +767,8 @@ class RecordingHighs:
     ("shared-pits", "MQN-S1",
      "53f6483e161b54c1f793a94c78454f1375479e4b3c398c310ef7e8dc1aa77cec",
      "610e1aeacc0b46f3217be3e80c339b7b504ffbb899c8d90698ce904b32b38523"),
-])
+], ids=["A-01-MQN-B", "G-01-CTG-B", "D-02 2 blocks-MQN-S1",
+        "shared-pits-MQN-S1"])
 def test_adapter_arrays_and_solution_pinned(tmp_path, monkeypatch, case,
                                             config_name, arrays, solution):
     mps = str(tmp_path / "m.mps")

@@ -345,26 +345,26 @@ def test_timed_out_solver_output_is_logged(two_node_instance, tmp_path,
 
 
 def test_full_solution_is_read_onto_the_models_names():
-    # A pairs file that lists the model's columns in order is keyed by the
-    # model's own name objects, and read into a read-only x in the model's
-    # column order.
+    # A pairs file that lists the model's columns is read into a read-only
+    # x in the model's column order, whatever the order of its lines, and
+    # onto columns given in another order in theirs.
     instance = generate_instance(1, ROAD_TEMPLATES["A"], 1)
     config = named_config("CTG-B")
     model = build(instance, config)
     x = np.arange(len(model.columns), dtype=float)
     objective = float(model.cost @ x)
-    text = f"status optimal\nobjective {objective!r}\n" + "".join(
-        f"{name} {value!r}\n" for name, value in zip(model.columns,
-                                                      x.tolist()))
-    _, values = gateway.parse_pairs(text, model.columns)
-    assert all(map(lambda a, b: a is b, values, model.columns))
+    header = f"status optimal\nobjective {objective!r}\n"
+    lines = [f"{name} {value!r}\n" for name, value in zip(model.columns,
+                                                          x.tolist())]
+    text = header + "".join(lines)
     solution = parse_solution_text(text, model.columns)
     result = decode(solution, instance, model)
     assert result.x.tolist() == x.tolist()
     assert not result.x.flags.writeable
-    # Without the columns, or out of order, the file's own names are kept,
-    # and x follows the order of the columns given.
-    assert gateway.parse_pairs(text)[1] == values
+    shuffled_lines = header + "".join(
+        lines[i] for i in np.random.default_rng(5).permutation(len(lines)))
+    assert parse_solution_text(shuffled_lines, model.columns).x.tolist() \
+        == x.tolist()
     shuffled = parse_solution_text(text, model.columns[::-1])
     assert shuffled.x.tolist() == x[::-1].tolist()
 
